@@ -23,17 +23,12 @@ from .kernels import (
     as_tuple,
     cov_matrix,
     gaussian_density,
-    latent_cov,
-    latent_cross_cov,
-    output_cov,
 )
 from .exact import GaussianPrediction, conditional_entropy, exact_posterior, joint_entropy
 from .pitc import (
     InducingSet,
     PitcModel,
     build_model,
-    gamma,
-    lambda_blocks,
     pitc_posterior,
     select_inducing,
     sparse_cov,
@@ -43,10 +38,8 @@ from .criterion import (
     GainEvaluator,
     build_cache,
     criterion_F,
-    entropy_given_inducing,
     greedy_gain,
     mi_inducing_given,
-    old_criterion,
 )
 
 __version__ = "0.1.0"

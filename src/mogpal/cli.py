@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` (experiment), ``fit`` (hyperparameter MLE), ``verify``
 (near-optimality sweep), ``synth`` (synthetic dataset generation).  Every
-subcommand reads a plain-text config; ``--out``, ``--seed`` and
-``--threads`` override the corresponding config values.
+subcommand reads a plain-text config; ``--out`` and ``--seed`` override the
+corresponding config values, and ``run --threads`` runs repeats
+concurrently.
 """
 
 import argparse
@@ -38,7 +39,8 @@ def _parser():
         cmd.add_argument("--config", required=True, help="path to the config file")
         cmd.add_argument("--out", default=None, help="output directory override")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
-        cmd.add_argument("--threads", type=int, default=1, help="concurrent repeats")
+        if name == "run":
+            cmd.add_argument("--threads", type=int, default=1, help="concurrent repeats")
     return parser
 
 

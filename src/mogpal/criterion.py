@@ -15,15 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IllConditionedError
-from .exact import find_duplicates, joint_entropy
+from .exact import find_duplicates
 from .kernels import LOG_2PI_E, TupleArray
 from .linalg import chol_spd
-from .pitc import PitcModel, sparse_cov
+from .pitc import BlockFactors, PitcModel
 
 __all__ = [
-    "CriterionCache", "build_cache", "entropy_given_inducing",
-    "mi_inducing_given", "criterion_F", "greedy_gain", "old_criterion",
-    "GainEvaluator",
+    "CriterionCache", "build_cache", "mi_inducing_given", "criterion_F",
+    "greedy_gain", "GainEvaluator",
 ]
 
 
@@ -51,15 +50,12 @@ class CriterionCache:
 
 
 def _target_summary(model: PitcModel):
-    m = model.n_inducing
-    tsum = np.zeros((m, m))
-    for t in model.target_types:
-        if t not in model.type_slices:
-            continue
-        w = model.W[t]
-        factor = chol_spd(model.R[t], f"type-{t} residual block")
-        tsum += w.T @ factor.solve(w)
-    return tsum
+    # the full cached blocks, not copies: R[t] is |V_t| x |V_t|
+    blocks = {
+        t: (model.type_slices[t], model.W[t], model.R[t])
+        for t in model.target_types if t in model.type_slices
+    }
+    return BlockFactors(blocks, model.n_inducing).info_sum()
 
 
 def build_cache(model: PitcModel) -> CriterionCache:
@@ -104,49 +100,26 @@ def _as_selection(model, x):
     return tuples
 
 
-class _SelectedBlocks:
-    """Per-type residual factors and inducing information of a selected set."""
+def _selected_blocks(model, cache, tuples):
+    """Block factors of a selection, sliced from the model's cached W and R.
 
-    def __init__(self, model, cache, tuples):
-        self.by_type = {}
-        for t in tuples:
-            self.by_type.setdefault(t.type_index, []).append(model.tuple_index[t])
-        self.local = {}
-        self.w_sub = {}
-        self.res_factor = {}
-        self.info = {}
-        for i, glob in self.by_type.items():
-            li = cache.local_index[np.asarray(glob, dtype=int)]
-            self.local[i] = li
-            self.w_sub[i] = model.W[i][li]
-            factor = chol_spd(
-                model.R[i][np.ix_(li, li)], f"selected type-{i} residual block"
-            )
-            self.res_factor[i] = factor
-            self.info[i] = self.w_sub[i].T @ factor.solve(self.w_sub[i])
-
-    def info_sum(self, m, types=None):
-        total = np.zeros((m, m))
-        for i, block in self.info.items():
-            if types is None or i in types:
-                total += block
-        return total
-
-    def target_logdet(self, target_types):
-        n, logdet = 0, 0.0
-        for i in self.by_type:
-            if i in target_types:
-                n += len(self.by_type[i])
-                logdet += self.res_factor[i].logdet
-        return n, logdet
+    Types are visited in order of first selection and rows in selection
+    order, which fixes the summation order of every derived quantity.
+    """
+    by_type = {}
+    for t in tuples:
+        by_type.setdefault(t.type_index, []).append(model.tuple_index[t])
+    blocks = {}
+    for i, glob in by_type.items():
+        li = cache.local_index[np.asarray(glob, dtype=int)]
+        blocks[i] = (li, model.W[i][li], model.R[i][np.ix_(li, li)])
+    return BlockFactors(blocks, model.n_inducing)
 
 
-def _mi_logdets(model, cache, blocks, use_cache=True):
-    m = model.n_inducing
+def _mi_logdets(model, cache, blocks):
     aux = set(model.h.aux_types)
-    tsum = cache.target_summary if use_cache else _target_summary(model)
-    s_x = blocks.info_sum(m)
-    s_a = tsum + blocks.info_sum(m, types=aux)
+    s_x = blocks.info_sum()
+    s_a = cache.target_summary + blocks.info_sum(types=aux)
     ld_x = chol_spd(model.kuu + s_x, "conditioned inducing covariance").logdet
     ld_a = chol_spd(model.kuu + s_a, "augmented conditioned inducing covariance").logdet
     return ld_x, ld_a
@@ -155,35 +128,6 @@ def _mi_logdets(model, cache, blocks, use_cache=True):
 # ---------------------------------------------------------------------------
 # criterion operations
 # ---------------------------------------------------------------------------
-
-def entropy_given_inducing(model: PitcModel, x_t):
-    """Joint entropy of target-type tuples given the inducing measurements.
-
-    Accepts the empty set (entropy 0 by the empty-determinant convention).
-    The residual covariance is block diagonal per type, so the cost is the
-    cube of the inducing count plus the cube of the set size.
-    """
-    from . import kernels
-
-    tuples = list(x_t.tuples) if isinstance(x_t, TupleArray) else list(x_t)
-    if not tuples:
-        return 0.0
-    for t in tuples:
-        model.h.validate_tuple(t)
-        if t.type_index not in model.target_types:
-            raise DomainError(f"{t} is not of a target type {model.target_types}")
-    total_n, total_logdet = 0, 0.0
-    by_type = {}
-    for t in tuples:
-        by_type.setdefault(t.type_index, []).append(t)
-    for i, sub in by_type.items():
-        ta = TupleArray.build(sub, model.h)
-        w = kernels.latent_cross_matrix(ta, model.inducing.locations, model.h)
-        resid = kernels.cov_matrix(ta, ta, model.h) - w @ model.kuu_factor.solve(w.T)
-        total_logdet += chol_spd(resid, f"type-{i} residual block").logdet
-        total_n += len(sub)
-    return 0.5 * (total_n * LOG_2PI_E + total_logdet)
-
 
 def mi_inducing_given(model: PitcModel, cache: CriterionCache, x):
     """Information the unsampled target pool still carries about the latent
@@ -194,33 +138,29 @@ def mi_inducing_given(model: PitcModel, cache: CriterionCache, x):
     per call does not grow with the target pool.
     """
     tuples = _as_selection(model, x)
-    blocks = _SelectedBlocks(model, cache, tuples)
+    blocks = _selected_blocks(model, cache, tuples)
     ld_x, ld_a = _mi_logdets(model, cache, blocks)
     return max(0.0, 0.5 * (ld_a - ld_x))
 
 
-def criterion_F(model: PitcModel, cache: CriterionCache, x, use_cache=True):
+def criterion_F(model: PitcModel, cache: CriterionCache, x):
     """The augmented selection objective.
 
-    Exactly zero at the empty set, and nondecreasing along any selection
-    chain whenever every noise variance is at least ``1/(2 pi e)``.
-    ``use_cache=False`` recomputes the target-pool summary from scratch
-    (used to audit the cached path).
+    The entropy of the selected target tuples given the inducing
+    measurements, minus the information the unsampled target pool still
+    carries about those measurements (:func:`mi_inducing_given`), plus the
+    constant ``cache.f_constant``.  Exactly
+    zero at the empty set, and nondecreasing along any selection chain
+    whenever every noise variance is at least ``1/(2 pi e)``.  Reads only
+    the cached blocks and target summary, so the cost does not grow with
+    the target pool.
     """
     tuples = _as_selection(model, x)
-    blocks = _SelectedBlocks(model, cache, tuples)
+    blocks = _selected_blocks(model, cache, tuples)
     n_t, ld_t = blocks.target_logdet(set(model.target_types))
     h_target = 0.5 * (n_t * LOG_2PI_E + ld_t)
-    ld_x, ld_a = _mi_logdets(model, cache, blocks, use_cache=use_cache)
-    if use_cache:
-        f_const = cache.f_constant
-    else:
-        tsum = _target_summary(model)
-        f_const = 0.5 * (
-            chol_spd(model.kuu + tsum, "augmented inducing covariance").logdet
-            - model.kuu_factor.logdet
-        )
-    return h_target - 0.5 * (ld_a - ld_x) + f_const
+    ld_x, ld_a = _mi_logdets(model, cache, blocks)
+    return h_target - 0.5 * (ld_a - ld_x) + cache.f_constant
 
 
 def greedy_gain(model: PitcModel, cache: CriterionCache, x, candidate):
@@ -238,37 +178,6 @@ def greedy_gain(model: PitcModel, cache: CriterionCache, x, candidate):
     ev = GainEvaluator(model, cache)
     ev.set_state(tuples)
     return ev.gain_of(candidate)
-
-
-def old_criterion(model: PitcModel, x, use_exact=False):
-    """Posterior joint entropy of the unsampled target pool given ``x``.
-
-    The original objective whose direct evaluation scales cubically with
-    the target pool; kept as the oracle for equivalence checks.  Evaluated
-    under the sparse joint model by default, or under the exact prior with
-    ``use_exact=True``.
-    """
-    from . import kernels
-
-    tuples = _as_selection(model, x)
-    selected = set(tuples)
-    rest = [
-        t for t in model.candidates.tuples
-        if t.type_index in model.target_types and t not in selected
-    ]
-    if not rest:
-        return 0.0
-    cov = kernels.cov_matrix if use_exact else (
-        lambda a, b, h: sparse_cov(model, a, b)
-    )
-    ta = TupleArray.build(rest, model.h)
-    c_ss = cov(ta, ta, model.h)
-    if not tuples:
-        return joint_entropy(c_ss)
-    tx = TupleArray.build(tuples, model.h)
-    c_sx = cov(ta, tx, model.h)
-    factor = chol_spd(cov(tx, tx, model.h), "observation covariance")
-    return joint_entropy(c_ss - c_sx @ factor.solve(c_sx.T))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +205,13 @@ class GainEvaluator:
 
     def set_state(self, selected):
         self.selected = _as_selection(self.model, selected)
-        m = self.model.n_inducing
-        self._blocks = _SelectedBlocks(self.model, self.cache, self.selected)
+        self._blocks = _selected_blocks(self.model, self.cache, self.selected)
         aux = set(self.model.h.aux_types)
         self._mx = chol_spd(
-            self.model.kuu + self._blocks.info_sum(m), "selection information"
+            self.model.kuu + self._blocks.info_sum(), "selection information"
         )
         self._ma = chol_spd(
-            self.model.kuu + self.cache.target_summary + self._blocks.info_sum(m, types=aux),
+            self.model.kuu + self.cache.target_summary + self._blocks.info_sum(types=aux),
             "augmented selection information",
         )
         self._var_sel = None
@@ -327,16 +235,16 @@ class GainEvaluator:
         col_pos_by_type = {}
         for i in np.unique(model.candidates.types[cols]):
             col_pos_by_type[int(i)] = np.flatnonzero(model.candidates.types[cols] == i)
-        for i, li in blocks.local.items():
+        for i, li in blocks.rows.items():
             if i in skip:
                 continue
-            w_sub = blocks.w_sub[i]
+            w_sub = blocks.w[i]
             b = w_sub @ g
             pos = col_pos_by_type.get(i)
             if pos is not None and pos.size:
                 lj = cache.local_index[cols[pos]]
                 b[:, pos] = model.C[i][np.ix_(li, lj)]
-            u = blocks.res_factor[i].solve(b)
+            u = blocks.factor[i].solve(b)
             e1 += np.einsum("rc,rc->c", b, u)
             hmat += w_sub.T @ u
         quad2 = np.einsum("mc,mc->c", hmat, m_factor.solve(hmat))

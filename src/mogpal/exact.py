@@ -37,7 +37,8 @@ def find_duplicates(tuples):
     return dups
 
 
-def _check_conditioning_set(x):
+def check_conditioning_set(x):
+    """Reject a conditioning set that observes one tuple twice."""
     dups = find_duplicates(x.tuples)
     if dups:
         raise IllConditionedError(
@@ -46,12 +47,11 @@ def _check_conditioning_set(x):
         )
 
 
-def exact_posterior(x, y_x, z, h: Hyperparams, prior_mean=None) -> GaussianPrediction:
+def exact_posterior(x, y_x, z, h: Hyperparams) -> GaussianPrediction:
     """Exact posterior of the measurements at ``z`` given observations at ``x``.
 
-    The prior mean is zero unless per-type constants are supplied via
-    ``prior_mean`` (measurements are assumed normalized).  The covariance is
-    independent of the observed values.
+    The prior mean is zero (measurements are assumed normalized).  The
+    covariance is independent of the observed values.
     """
     tx = x if isinstance(x, TupleArray) else TupleArray.build(x, h)
     tz = z if isinstance(z, TupleArray) else TupleArray.build(z, h)
@@ -60,18 +60,16 @@ def exact_posterior(x, y_x, z, h: Hyperparams, prior_mean=None) -> GaussianPredi
         raise DomainError(f"{len(tx)} observations but {y_x.shape[0]} values")
     if set(tx.tuples) & set(tz.tuples):
         raise DomainError("query tuples overlap the observed tuples")
-    mu = np.zeros(h.n_types) if prior_mean is None else np.asarray(prior_mean, float)
 
     k_zz = kernels.cov_matrix(tz, tz, h)
-    mean_z = mu[tz.types].astype(float)
     if len(tx) == 0:
-        return GaussianPrediction(mean=mean_z, cov=k_zz)
+        return GaussianPrediction(mean=np.zeros(len(tz)), cov=k_zz)
 
-    _check_conditioning_set(tx)
+    check_conditioning_set(tx)
     k_xx = kernels.cov_matrix(tx, tx, h)
     k_zx = kernels.cov_matrix(tz, tx, h)
     factor = chol_spd(k_xx, "observation covariance")
-    mean = mean_z + k_zx @ factor.solve(y_x - mu[tx.types])
+    mean = k_zx @ factor.solve(y_x)
     cov = k_zz - factor.quad(k_zx.T)
     return GaussianPrediction(mean=mean, cov=cov)
 

@@ -15,24 +15,11 @@ from . import kernels
 from .errors import ConfigError, FitError, IllConditionedError
 from .kernels import Hyperparams, TupleArray
 from .linalg import chol_spd
+from .pitc import InducingSet, sparse_cov, sparse_prior
 
 __all__ = ["FitResult", "log_marginal_likelihood", "fit_hyperparams"]
 
 PENALIZED_LML = -1e18
-
-
-def _sparse_prior(h, tx, inducing_locations):
-    """Prior covariance of observations under the sparse joint model."""
-    kuu_factor = chol_spd(
-        kernels.latent_matrix(inducing_locations, h), "inducing covariance"
-    )
-    w = kernels.latent_cross_matrix(tx, inducing_locations, h)
-    cov = w @ kuu_factor.solve(w.T)
-    for i in np.unique(tx.types):
-        idx = tx.indices_of_type(i)
-        sub = TupleArray.build([tx.tuples[k] for k in idx], h)
-        cov[np.ix_(idx, idx)] = kernels.cov_matrix(sub, sub, h)
-    return cov
 
 
 def log_marginal_likelihood(h: Hyperparams, x, y_x, mode="exact", inducing=None):
@@ -55,8 +42,9 @@ def log_marginal_likelihood(h: Hyperparams, x, y_x, mode="exact", inducing=None)
     elif mode == "pitc":
         if inducing is None:
             raise ConfigError("pitc mode requires inducing locations")
-        locs = getattr(inducing, "locations", inducing)
-        cov = _sparse_prior(h, tx, np.atleast_2d(np.asarray(locs, dtype=float)))
+        if not isinstance(inducing, InducingSet):
+            inducing = InducingSet(locations=inducing)
+        cov = sparse_cov(sparse_prior(h, inducing), tx, tx)
     else:
         raise ConfigError(f"unknown likelihood mode {mode!r}")
     try:

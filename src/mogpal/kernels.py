@@ -183,41 +183,6 @@ def gaussian_density(delta, diag_cov):
     return norm * math.exp(-0.5 * quad)
 
 
-def output_cov(p: TypedLocation, q: TypedLocation, h: Hyperparams):
-    """Prior covariance between two typed measurements.
-
-    Adds the shared noise variance exactly when both the type indices and
-    the coordinates coincide (repeated observation of one tuple).
-    """
-    h.validate_tuple(p)
-    h.validate_tuple(q)
-    i, j = p.type_index, q.type_index
-    delta = np.asarray(p.location) - np.asarray(q.location)
-    val = (
-        math.sqrt(h.signal_var[i] * h.signal_var[j])
-        * gaussian_density(delta, h.pair_width(i, j))
-    )
-    if i == j and p.location == q.location:
-        val += float(h.noise_var[i])
-    return val
-
-
-def latent_cross_cov(p: TypedLocation, u, h: Hyperparams):
-    """Prior covariance between a typed measurement and the latent function at ``u``."""
-    h.validate_tuple(p)
-    u = as_location(u)
-    delta = np.asarray(p.location) - np.asarray(u)
-    return math.sqrt(h.signal_var[p.type_index]) * gaussian_density(
-        delta, h.latent_width(p.type_index)
-    )
-
-
-def latent_cov(u, u2, h: Hyperparams):
-    """Prior covariance of the latent function between two locations."""
-    delta = np.asarray(as_location(u)) - np.asarray(as_location(u2))
-    return gaussian_density(delta, h.latent_prec_inv)
-
-
 @dataclass(frozen=True)
 class TupleArray:
     """Array view of a list of typed tuples, grouped for vectorized kernels."""
@@ -239,12 +204,21 @@ class TupleArray:
         d = len(tuples[0].location) if n else (h.dim if h is not None else 0)
         coords = np.array([t.location for t in tuples], dtype=float).reshape(n, d)
         types = np.array([t.type_index for t in tuples], dtype=int)
+        return cls._from_arrays(tuples, coords, types)
+
+    @classmethod
+    def _from_arrays(cls, tuples, coords, types):
         coords.setflags(write=False)
         types.setflags(write=False)
-        by_type = {}
-        for i in np.unique(types):
-            by_type[int(i)] = np.flatnonzero(types == i)
+        by_type = {int(i): np.flatnonzero(types == i) for i in np.unique(types)}
         return cls(tuples, coords, types, by_type)
+
+    def take(self, idx):
+        """Sub-array of the tuples at positions ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=int)
+        return TupleArray._from_arrays(
+            tuple(self.tuples[k] for k in idx), self.coords[idx], self.types[idx]
+        )
 
     def __len__(self):
         return len(self.tuples)

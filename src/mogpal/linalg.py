@@ -75,13 +75,3 @@ def chol_spd(a, name="matrix"):
             f"adding jitter {jitter:.3e}"
         ) from None
     return SpdFactor(lower, jitter)
-
-
-def logdet_spd(a, name="matrix"):
-    """Log-determinant of an SPD matrix via its Cholesky factorization."""
-    return chol_spd(a, name).logdet
-
-
-def solve_spd(a, b, name="matrix"):
-    """Solve A x = b for SPD A, with the standard jitter policy."""
-    return chol_spd(a, name).solve(b)

@@ -6,9 +6,13 @@ measurements at the inducing locations.  With a single type it therefore
 coincides with the exact model, for any inducing set.  Conditioning on the
 inducing measurements makes distinct types independent, which is the
 structure the selection criterion exploits.
+
+This module owns that block algebra, once: ``type_blocks`` computes the
+per-type residual ``C - W K_uu^-1 W^T``, ``sparse_cov`` assembles the joint
+covariance (for the likelihood too), and ``BlockFactors`` factors per-type
+residual blocks for the posterior and the selection criterion.
 """
 
-import logging
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,12 +20,9 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, IllConditionedError, ModelBuildError
-from .exact import GaussianPrediction, find_duplicates
+from .exact import GaussianPrediction, check_conditioning_set, find_duplicates
 from .kernels import NOISE_FLOOR, Hyperparams, TupleArray
 from .linalg import chol_spd
-
-logger = logging.getLogger(__name__)
-
 
 # ---------------------------------------------------------------------------
 # inducing-location selection
@@ -122,21 +123,44 @@ def select_inducing(candidates, m, seed) -> InducingSet:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PitcModel:
-    """Precomputed sparse model over a fixed candidate pool.
-
-    Candidates are stored sorted by ``(type_index, location)`` so that
-    argmax ties downstream break lexicographically.  Per type ``i`` the
-    model caches the exact prior block ``C[i]``, the candidate-inducing
-    cross covariance ``W[i]``, its inducing-solve ``G[i]`` and the residual
-    block ``R[i] = C[i] - W[i] G[i]`` left after conditioning on the
-    inducing measurements.
-    """
+class SparsePrior:
+    """What the sparse joint covariance reads: the hyperparameters, the
+    inducing locations, and their latent covariance ``kuu`` with its
+    Cholesky factor."""
 
     h: Hyperparams
     inducing: InducingSet
     kuu: np.ndarray
     kuu_factor: object = field(repr=False)
+
+    @property
+    def n_inducing(self):
+        return len(self.inducing)
+
+
+def sparse_prior(h: Hyperparams, inducing: InducingSet) -> SparsePrior:
+    """Factor the inducing covariance; fails if it is singular after one
+    jitter pass."""
+    kuu = kernels.latent_matrix(inducing.locations, h)
+    try:
+        kuu_factor = chol_spd(kuu, "inducing covariance")
+    except IllConditionedError as exc:
+        raise ModelBuildError(f"inducing covariance is singular: {exc}") from None
+    return SparsePrior(h=h, inducing=inducing, kuu=kuu, kuu_factor=kuu_factor)
+
+
+@dataclass(frozen=True)
+class PitcModel(SparsePrior):
+    """Precomputed sparse model over a fixed candidate pool.
+
+    Candidates are stored sorted by ``(type_index, location)`` so that
+    argmax ties downstream break lexicographically.  Per type ``i`` the
+    model caches the blocks of :func:`type_blocks` over the type's
+    candidates: the exact prior block ``C[i]``, the candidate-inducing
+    cross covariance ``W[i]``, its inducing solve ``G[i]`` and the residual
+    block ``R[i] = C[i] - W[i] G[i]``.
+    """
+
     candidates: TupleArray
     type_slices: dict = field(repr=False)
     W: dict = field(repr=False)
@@ -144,10 +168,6 @@ class PitcModel:
     C: dict = field(repr=False)
     R: dict = field(repr=False)
     tuple_index: dict = field(repr=False)
-
-    @property
-    def n_inducing(self):
-        return len(self.inducing)
 
     @property
     def target_types(self):
@@ -214,119 +234,115 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
 
     pool.sort(key=lambda t: t.sort_key)
     cands = TupleArray.build(pool, h)
-
-    kuu = kernels.latent_matrix(inducing.locations, h)
-    try:
-        kuu_factor = chol_spd(kuu, "inducing covariance")
-    except IllConditionedError as exc:
-        raise ModelBuildError(f"inducing covariance is singular: {exc}") from None
+    prior = sparse_prior(h, inducing)
 
     type_slices, W, G, C, R = {}, {}, {}, {}, {}
     for i in sorted({int(v) for v in np.unique(cands.types)}):
         idx = cands.indices_of_type(i)
-        sub = TupleArray.build([cands.tuples[k] for k in idx], h)
         type_slices[i] = idx
-        W[i] = kernels.latent_cross_matrix(sub, inducing.locations, h)
-        G[i] = kuu_factor.solve(W[i].T)
-        C[i] = kernels.cov_matrix(sub, sub, h)
-        R[i] = C[i] - W[i] @ G[i]
+        W[i], G[i], C[i], R[i] = type_blocks(prior, cands.take(idx))
 
     return PitcModel(
-        h=h, inducing=inducing, kuu=kuu, kuu_factor=kuu_factor,
+        h=h, inducing=inducing, kuu=prior.kuu, kuu_factor=prior.kuu_factor,
         candidates=cands, type_slices=type_slices, W=W, G=G, C=C, R=R,
         tuple_index={t: k for k, t in enumerate(cands.tuples)},
     )
 
 
 # ---------------------------------------------------------------------------
-# covariance assembly under the sparse joint model
+# covariance algebra under the sparse joint model
 # ---------------------------------------------------------------------------
 
-def gamma(model: PitcModel, a, b):
-    """Low-rank covariance through the inducing measurements."""
-    ta = a if isinstance(a, TupleArray) else TupleArray.build(a, model.h)
-    tb = b if isinstance(b, TupleArray) else TupleArray.build(b, model.h)
-    w_a = kernels.latent_cross_matrix(ta, model.inducing.locations, model.h)
-    w_b = kernels.latent_cross_matrix(tb, model.inducing.locations, model.h)
-    return w_a @ model.kuu_factor.solve(w_b.T)
+def type_blocks(prior: SparsePrior, ta: TupleArray):
+    """Kernel blocks of tuples ``ta``, all of one type.
 
-
-def lambda_blocks(model: PitcModel, a):
-    """Per-type residual blocks after conditioning on the inducing measurements.
-
-    Returned as a full matrix whose cross-type entries are exactly zero.
+    Returns ``(W, G, C, R)``: the cross covariance ``W`` to the inducing
+    locations, its inducing solve ``G = K_uu^-1 W^T``, the exact prior block
+    ``C`` and the residual ``R = C - W G`` left after conditioning on the
+    inducing measurements.
     """
-    ta = a if isinstance(a, TupleArray) else TupleArray.build(a, model.h)
-    out = np.zeros((len(ta), len(ta)))
-    for i in np.unique(ta.types):
-        idx = ta.indices_of_type(i)
-        sub = TupleArray.build([ta.tuples[k] for k in idx], model.h)
-        w = kernels.latent_cross_matrix(sub, model.inducing.locations, model.h)
-        out[np.ix_(idx, idx)] = kernels.cov_matrix(sub, sub, model.h) - w @ model.kuu_factor.solve(w.T)
-    return out
+    w = kernels.latent_cross_matrix(ta, prior.inducing.locations, prior.h)
+    g = prior.kuu_factor.solve(w.T)
+    c = kernels.cov_matrix(ta, ta, prior.h)
+    return w, g, c, c - w @ g
 
 
-def sparse_cov(model: PitcModel, a, b):
-    """Joint-model covariance: exact within a type, low-rank across types."""
-    ta = a if isinstance(a, TupleArray) else TupleArray.build(a, model.h)
-    tb = b if isinstance(b, TupleArray) else TupleArray.build(b, model.h)
-    out = gamma(model, ta, tb)
+def sparse_cov(prior: SparsePrior, a, b):
+    """Joint-model covariance: exact within a type, low-rank across types.
+
+    Reads only the hyperparameters, the inducing locations and the K_uu
+    factor, so any :class:`SparsePrior` (a :class:`PitcModel` too) will do.
+    """
+    h, locs = prior.h, prior.inducing.locations
+    ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
+    tb = b if isinstance(b, TupleArray) else TupleArray.build(b, h)
+    w_a = kernels.latent_cross_matrix(ta, locs, h)
+    w_b = kernels.latent_cross_matrix(tb, locs, h)
+    out = w_a @ prior.kuu_factor.solve(w_b.T)
     for i in np.unique(ta.types):
         ra = ta.indices_of_type(i)
         rb = tb.indices_of_type(i)
-        if rb.size == 0:
-            continue
-        sub_a = TupleArray.build([ta.tuples[k] for k in ra], model.h)
-        sub_b = TupleArray.build([tb.tuples[k] for k in rb], model.h)
-        out[np.ix_(ra, rb)] = kernels.cov_matrix(sub_a, sub_b, model.h)
+        if rb.size:
+            out[np.ix_(ra, rb)] = kernels.cov_matrix(ta.take(ra), tb.take(rb), h)
     return out
 
 
-class _BlockFactors:
-    """Woodbury pieces for the inverse of the sparse covariance of a set."""
+class BlockFactors:
+    """Factored per-type blocks of a set under the sparse joint model.
 
-    def __init__(self, model, tx):
-        self.tx = tx
-        self.types = [int(i) for i in np.unique(tx.types)]
-        self.idx = {i: tx.indices_of_type(i) for i in self.types}
-        self.sub = {
-            i: TupleArray.build([tx.tuples[k] for k in self.idx[i]], model.h)
-            for i in self.types
-        }
-        self.w = {
-            i: kernels.latent_cross_matrix(self.sub[i], model.inducing.locations, model.h)
-            for i in self.types
-        }
-        self.res_factor = {}
-        m_info = model.kuu.copy()
-        for i in self.types:
-            resid = kernels.cov_matrix(self.sub[i], self.sub[i], model.h) - self.w[i] @ model.kuu_factor.solve(self.w[i].T)
-            f = chol_spd(resid, f"type-{i} residual block")
-            self.res_factor[i] = f
-            m_info += self.w[i].T @ f.solve(self.w[i])
-        self.m_factor = chol_spd(m_info, "inducing information matrix")
+    Built from ``{type: (rows, W, R)}``: the rows of the type's tuples, their
+    inducing cross covariance and their residual block.  Factors each
+    residual and keeps its inducing information ``W^T R^-1 W``.  Blocks are
+    visited in the order given, which fixes every summation order.
+    """
 
-    def inv_apply(self, b):
-        """Apply the inverse of (low-rank + block residual) to columns of b."""
+    def __init__(self, blocks, m):
+        self.m = m
+        self.rows, self.w, self.factor, self.info = {}, {}, {}, {}
+        for i, (rows, w, r) in blocks.items():
+            factor = chol_spd(r, f"type-{i} residual block")
+            self.rows[i], self.w[i], self.factor[i] = rows, w, factor
+            self.info[i] = w.T @ factor.solve(w)
+
+    def info_sum(self, types=None):
+        """Inducing information summed over all blocks, or those of ``types``."""
+        total = np.zeros((self.m, self.m))
+        for i, block in self.info.items():
+            if types is None or i in types:
+                total += block
+        return total
+
+    def target_logdet(self, target_types):
+        """Tuple count and residual log-determinant of the target blocks."""
+        n, logdet = 0, 0.0
+        for i, factor in self.factor.items():
+            if i in target_types:
+                n += len(self.rows[i])
+                logdet += factor.logdet
+        return n, logdet
+
+    def inv_apply(self, b, m_factor):
+        """Apply the inverse of the set's covariance to the columns of ``b``
+        (Woodbury), given the factor of ``K_uu + info_sum()``; the rows
+        index ``b``."""
         lam_inv_b = np.zeros_like(b)
-        for i in self.types:
-            lam_inv_b[self.idx[i]] = self.res_factor[i].solve(b[self.idx[i]])
-        h = sum(self.w[i].T @ lam_inv_b[self.idx[i]] for i in self.types)
-        corr = self.m_factor.solve(h)
+        for i, rows in self.rows.items():
+            lam_inv_b[rows] = self.factor[i].solve(b[rows])
+        corr = m_factor.solve(
+            sum(self.w[i].T @ lam_inv_b[rows] for i, rows in self.rows.items())
+        )
         out = lam_inv_b.copy()
-        for i in self.types:
-            out[self.idx[i]] -= self.res_factor[i].solve(self.w[i] @ corr)
+        for i, rows in self.rows.items():
+            out[rows] -= self.factor[i].solve(self.w[i] @ corr)
         return out
 
 
-def pitc_posterior(model: PitcModel, x, y_x, z, method="auto") -> GaussianPrediction:
+def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
     """Sparse posterior of the measurements at ``z`` given observations at ``x``.
 
-    ``method`` selects the solve route: "dense" factorizes the full
-    observation covariance, "fast" inverts it through the inducing
-    low-rank-plus-block structure (cost ``O(|x| (m^2 + (|x|/M)^2))``), and
-    "auto" switches to the fast route once ``|x| > 3 m``.  Both routes agree
-    to solver precision; the covariance is independent of ``y_x``.
+    The observation covariance is inverted through its per-type residual
+    blocks plus the inducing low rank (Woodbury), at cost
+    ``O(|x| (m^2 + (|x|/M)^2))``.  The covariance is independent of ``y_x``.
     """
     h = model.h
     tx = x if isinstance(x, TupleArray) else TupleArray.build(x, h)
@@ -340,24 +356,16 @@ def pitc_posterior(model: PitcModel, x, y_x, z, method="auto") -> GaussianPredic
     c_zz = sparse_cov(model, tz, tz)
     if len(tx) == 0:
         return GaussianPrediction(mean=np.zeros(len(tz)), cov=c_zz)
-    dups = find_duplicates(tx.tuples)
-    if dups:
-        raise IllConditionedError(
-            "observation covariance is singular: duplicate tuples "
-            + ", ".join(repr(d) for d in dups)
-        )
+    check_conditioning_set(tx)
 
     c_zx = sparse_cov(model, tz, tx)
-    if method == "auto":
-        method = "fast" if len(tx) > 3 * model.n_inducing else "dense"
-    if method == "dense":
-        factor = chol_spd(sparse_cov(model, tx, tx), "observation covariance")
-        sol_y = factor.solve(y_x)
-        sol_c = factor.solve(c_zx.T)
-    elif method == "fast":
-        blocks = _BlockFactors(model, tx)
-        sol_y = blocks.inv_apply(y_x[:, None])[:, 0]
-        sol_c = blocks.inv_apply(c_zx.T)
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    blocks = {}
+    for i in np.unique(tx.types):
+        rows = tx.indices_of_type(i)
+        w, _, _, r = type_blocks(model, tx.take(rows))
+        blocks[int(i)] = (rows, w, r)
+    factors = BlockFactors(blocks, model.n_inducing)
+    m_factor = chol_spd(model.kuu + factors.info_sum(), "inducing information matrix")
+    sol_y = factors.inv_apply(y_x[:, None], m_factor)[:, 0]
+    sol_c = factors.inv_apply(c_zx.T, m_factor)
     return GaussianPrediction(mean=c_zx @ sol_y, cov=c_zz - c_zx @ sol_c)

@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .criterion import CriterionCache, GainEvaluator, build_cache
 from .errors import ConfigError, DomainError
-from .kernels import LOG_2PI_E, Hyperparams, TupleArray, TypedLocation
+from .kernels import LOG_2PI_E, Hyperparams, TypedLocation
 from .linalg import chol_spd
 from .pitc import PitcModel
 
@@ -60,15 +60,20 @@ def _check_budget(n, available, what="candidate pool"):
         raise ConfigError("budget must be nonnegative")
 
 
-def _greedy_loop(name, n, score_iteration, record_state):
+def _greedy_loop(name, n, tuples, score_iteration):
+    """Pick ``n`` of ``tuples`` one at a time.
+
+    ``score_iteration(state)`` returns the scores to maximize and the gains
+    to record, usually the same array; selected tuples score ``-inf``.
+    """
     state = SelectionState(algorithm=name, budget=n)
     for _ in range(n):
         started = time.perf_counter()
-        scores = score_iteration(state)
+        scores, gains = score_iteration(state)
         best = int(np.argmax(scores))
         if scores[best] == -np.inf:
             raise ConfigError("no selectable candidate left")
-        record_state(state, best, float(scores[best]), time.perf_counter() - started)
+        state.record(tuples[best], float(gains[best]), time.perf_counter() - started)
     return state
 
 
@@ -78,25 +83,21 @@ def select_greedy(model: PitcModel, cache: CriterionCache, n: int) -> SelectionS
     Once the target pool is fully selected the objective is constant (every
     remaining gain is zero), so for any budget beyond that point the picks
     fall back to maximum posterior entropy; this keeps the sequence
-    deterministic and useful instead of ordering by roundoff noise.
+    deterministic and useful instead of ordering by roundoff noise.  The
+    recorded gain is still the objective gain.
     """
     _check_budget(n, len(model.candidates))
     evaluator = GainEvaluator(model, cache)
-    cands = model.candidates.tuples
-    state = SelectionState(algorithm="m-greedy", budget=n)
-    for _ in range(n):
-        started = time.perf_counter()
+
+    def score(state):
         evaluator.set_state(state.selected)
         gains = evaluator.gains()
         finite = gains[np.isfinite(gains)]
         if finite.size and finite.max() <= 1e-9:
-            best = int(np.argmax(evaluator.entropies_given_selected()))
-        else:
-            best = int(np.argmax(gains))
-        if gains[best] == -np.inf:
-            raise ConfigError("no selectable candidate left")
-        state.record(cands[best], float(gains[best]), time.perf_counter() - started)
-    return state
+            return evaluator.entropies_given_selected(), gains
+        return gains, gains
+
+    return _greedy_loop("m-greedy", n, model.candidates.tuples, score)
 
 
 def select_mvar(model: PitcModel, n: int, cache: CriterionCache = None) -> SelectionState:
@@ -108,16 +109,13 @@ def select_mvar(model: PitcModel, n: int, cache: CriterionCache = None) -> Selec
     _check_budget(n, len(model.candidates))
     cache = cache if cache is not None else build_cache(model)
     evaluator = GainEvaluator(model, cache)
-    cands = model.candidates.tuples
 
     def score(state):
         evaluator.set_state(state.selected)
-        return evaluator.entropies_given_selected()
+        entropies = evaluator.entropies_given_selected()
+        return entropies, entropies
 
-    def record(state, best, gain, seconds):
-        state.record(cands[best], gain, seconds)
-
-    return _greedy_loop("m-var", n, score, record)
+    return _greedy_loop("m-var", n, model.candidates.tuples, score)
 
 
 class _SingleOutputPools:
@@ -194,12 +192,9 @@ def _select_single_output(model, n, kind, single_output_hypers=None, cap_to_pool
                     scores[flat_idx] = 0.5 * (
                         math.log(var_sel[k]) - math.log(var_rest[rest_pos[k]])
                     )
-        return scores
+        return scores, scores
 
-    def record(state, best, gain, seconds):
-        state.record(pools.flat_tuples[best], gain, seconds)
-
-    return _greedy_loop(kind, n, score, record)
+    return _greedy_loop(kind, n, pools.flat_tuples, score)
 
 
 def select_svar(model: PitcModel, n: int, single_output_hypers=None,

@@ -58,12 +58,17 @@ def inducing_cov(u_locs, h):
     return np.array([[lat_cov(tuple(u), tuple(v), h) for v in u_locs] for u in u_locs])
 
 
-def blocked_cov(a, b, h, u_locs):
-    """Sparse-joint covariance: exact within a type, through inducing across."""
+def lowrank_cov(a, b, h, u_locs):
+    """Covariance through the inducing measurements: W_a K_uu^-1 W_b^T."""
     kuu = inducing_cov(u_locs, h)
     wa = cross_to_inducing(a, u_locs, h)
     wb = cross_to_inducing(b, u_locs, h)
-    out = wa @ np.linalg.solve(kuu, wb.T)
+    return wa @ np.linalg.solve(kuu, wb.T)
+
+
+def blocked_cov(a, b, h, u_locs):
+    """Sparse-joint covariance: exact within a type, through inducing across."""
+    out = lowrank_cov(a, b, h, u_locs)
     for r, p in enumerate(a):
         for c, q in enumerate(b):
             if p.type_index == q.type_index:
@@ -87,6 +92,11 @@ def conditional_cov_blocked(s, x, h, u_locs):
     c_sx = blocked_cov(s, x, h, u_locs)
     c_xx = blocked_cov(x, x, h, u_locs)
     return c_ss - c_sx @ np.linalg.solve(c_xx, c_sx.T)
+
+
+def conditional_mean_blocked(s, x, y, h, u_locs):
+    c_sx = blocked_cov(s, x, h, u_locs)
+    return c_sx @ np.linalg.solve(blocked_cov(x, x, h, u_locs), y)
 
 
 def conditional_entropy_blocked(s, x, h, u_locs):
@@ -129,3 +139,32 @@ def dense_F(x, model):
         v_t, h, u_locs
     )
     return h_t - mi_given_x + mi_const
+
+
+def conditional_cov_exact(s, x, h):
+    c_ss = exact_cov(s, s, h)
+    if not x:
+        return c_ss
+    c_sx = exact_cov(s, x, h)
+    return c_ss - c_sx @ np.linalg.solve(exact_cov(x, x, h), c_sx.T)
+
+
+def old_criterion(model, x, use_exact=False):
+    """Posterior joint entropy of the unsampled target pool given ``x``.
+
+    The original objective, whose direct evaluation scales cubically with
+    the target pool.  Evaluated under the sparse joint model by default, or
+    under the exact prior with ``use_exact=True``.
+    """
+    h, u_locs = model.h, model.inducing.locations
+    x = list(x)
+    rest = [
+        t for t in model.candidates.tuples
+        if t.type_index in h.target_types and t not in set(x)
+    ]
+    if not rest:
+        return 0.0
+    if use_exact:
+        return entropy(conditional_cov_exact(rest, x, h))
+    return entropy(conditional_cov_blocked(rest, x, h, u_locs))
+

@@ -10,50 +10,64 @@ from mogpal import (
     GainEvaluator,
     as_tuple,
     build_cache,
+    build_model,
     criterion_F,
-    entropy_given_inducing,
-    gamma,
     greedy_gain,
     joint_entropy,
     mi_inducing_given,
-    old_criterion,
-    output_cov,
     sparse_cov,
 )
 from mogpal.kernels import LOG_2PI_E
 from conftest import random_instance
 
 
+def _entropy_given_inducing(model, cache, x):
+    """The first term of criterion_F, H(Y_{x_t} | inducing measurements):
+    the objective plus the remaining information minus the constant."""
+    return criterion_F(model, cache, x) + mi_inducing_given(model, cache, x) - cache.f_constant
+
+
+def _residual_var(p, model):
+    h, u = model.h, model.inducing.locations
+    return oracles.out_cov(p, p, h) - oracles.lowrank_cov([p], [p], h, u)[0, 0]
+
+
 class TestEntropyGivenInducing:
     def test_empty_set_is_zero(self):
-        model, _ = random_instance(0)
-        assert entropy_given_inducing(model, []) == 0.0
+        model, cache = random_instance(0)
+        assert _entropy_given_inducing(model, cache, []) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_tuple_formula_and_floor(self):
-        model, _ = random_instance(1)
+        model, cache = random_instance(1)
         p = model.candidate_list([0])[0]
-        val = entropy_given_inducing(model, [p])
-        resid = output_cov(p, p, model.h) - gamma(model, [p], [p])[0, 0]
+        val = _entropy_given_inducing(model, cache, [p])
+        resid = _residual_var(p, model)
         assert val == pytest.approx(0.5 * math.log(2 * math.pi * math.e * resid))
         floor = 0.5 * math.log(2 * math.pi * math.e * model.h.noise_var[0])
         assert val >= floor - 1e-12
 
     def test_far_tuple_adds_marginal_entropy(self):
-        model, _ = random_instance(2, n_per_type=(4, 4))
-        near = model.candidate_list([0])[:2]
+        small, _ = random_instance(2, n_per_type=(4, 4))
         far = as_tuple([1e5], 0)
-        base = entropy_given_inducing(model, near)
-        resid_far = output_cov(far, far, model.h) - gamma(model, [far], [far])[0, 0]
-        expected = base + 0.5 * math.log(2 * math.pi * math.e * resid_far)
-        assert entropy_given_inducing(model, near + [far]) == pytest.approx(
+        model = build_model(
+            small.h, small.inducing,
+            {0: small.candidate_list([0]) + [far], 1: small.candidate_list([1])},
+        )
+        cache = build_cache(model)
+        near = model.candidate_list([0])[:2]
+        base = _entropy_given_inducing(model, cache, near)
+        expected = base + 0.5 * math.log(2 * math.pi * math.e * _residual_var(far, model))
+        assert _entropy_given_inducing(model, cache, near + [far]) == pytest.approx(
             expected, rel=1e-10
         )
 
-    def test_rejects_auxiliary_type(self):
-        model, _ = random_instance(3)
+    def test_auxiliary_tuples_add_no_target_entropy(self):
+        model, cache = random_instance(3)
+        near = model.candidate_list([0])[:2]
         aux = model.candidate_list([1])[0]
-        with pytest.raises(DomainError):
-            entropy_given_inducing(model, [aux])
+        assert _entropy_given_inducing(model, cache, near + [aux]) == pytest.approx(
+            _entropy_given_inducing(model, cache, near), rel=1e-10
+        )
 
 
 class TestMutualInformation:
@@ -112,24 +126,20 @@ class TestCriterionF:
                 prev = val
 
     def test_matches_dense_oracle(self):
-        for seed in range(6):
-            model, cache = random_instance(seed + 90, n_per_type=(4, 3))
+        # (instance seed, pool shape, selection seed, selection size or None
+        # for a random size); the dense oracle rebuilds the target-pool
+        # summary from scratch, so this also audits the cached one
+        cases = [(seed + 90, (4, 3), seed, None) for seed in range(6)]
+        cases.append((7, (5, 5), 7, 5))
+        for instance, shape, seed, k in cases:
+            model, cache = random_instance(instance, n_per_type=shape)
             cands = model.candidate_list()
             r = np.random.default_rng(seed)
-            k = int(r.integers(1, 6))
+            k = int(r.integers(1, 6)) if k is None else k
             x = [cands[i] for i in r.choice(len(cands), size=k, replace=False)]
             assert criterion_F(model, cache, x) == pytest.approx(
                 oracles.dense_F(x, model), abs=1e-8
             )
-
-    def test_cache_and_direct_agree(self):
-        model, cache = random_instance(7, n_per_type=(5, 5))
-        cands = model.candidate_list()
-        r = np.random.default_rng(7)
-        x = [cands[i] for i in r.choice(len(cands), size=5, replace=False)]
-        assert criterion_F(model, cache, x, use_cache=True) == pytest.approx(
-            criterion_F(model, cache, x, use_cache=False), abs=1e-8
-        )
 
     def test_telescoping(self):
         for seed in range(5):
@@ -183,7 +193,7 @@ class TestGreedyGain:
     def test_target_gain_on_empty_state_is_prior_entropy(self):
         model, cache = random_instance(40, n_per_type=(4, 4))
         p = model.candidate_list([0])[2]
-        expected = 0.5 * (LOG_2PI_E + math.log(output_cov(p, p, model.h)))
+        expected = 0.5 * (LOG_2PI_E + math.log(oracles.out_cov(p, p, model.h)))
         assert greedy_gain(model, cache, [], p) == pytest.approx(expected, rel=1e-10)
 
     def test_auxiliary_gain_nonnegative(self):
@@ -207,7 +217,7 @@ class TestGreedyGain:
 class TestOldCriterion:
     def test_target_fully_selected_single_type(self):
         model, cache = random_instance(50, n_per_type=(5,))
-        assert old_criterion(model, model.candidate_list()) == 0.0
+        assert oracles.old_criterion(model, model.candidate_list()) == 0.0
 
     def test_single_type_max_entropy_reduction(self):
         # with one type, ranking subsets by prior entropy H(Y_X) reverses the
@@ -223,7 +233,7 @@ class TestOldCriterion:
         for s in subsets:
             x = [cands[i] for i in s]
             prior_h.append(joint_entropy(cov_matrix(x, x, h)))
-            post_h.append(old_criterion(model, x))
+            post_h.append(oracles.old_criterion(model, x))
         assert np.argmax(prior_h) == np.argmin(post_h)
         # full equivalence: ordering agrees pairwise
         order_a = np.argsort(prior_h)
@@ -240,7 +250,7 @@ class TestOldCriterion:
             for s in itertools.combinations(range(len(cands)), 2):
                 x = [cands[i] for i in s]
                 f = criterion_F(model, cache, x)
-                o = old_criterion(model, x)
+                o = oracles.old_criterion(model, x)
                 if best_f is None or f > best_f[0]:
                     best_f = (f, s)
                 if best_old is None or o < best_old[0]:
@@ -256,14 +266,14 @@ class TestOldCriterion:
         r = np.random.default_rng(60)
         for k in (0, 1, 3):
             x = [cands[i] for i in r.choice(len(cands), size=k, replace=False)]
-            assert criterion_F(model, cache, x) + old_criterion(model, x) == pytest.approx(
-                const, abs=1e-8
-            )
+            assert criterion_F(model, cache, x) + oracles.old_criterion(
+                model, x
+            ) == pytest.approx(const, abs=1e-8)
 
     def test_exact_variant_differs_but_runs(self):
         model, cache = random_instance(61, n_per_type=(4, 4))
         x = model.candidate_list()[:2]
-        val = old_criterion(model, x, use_exact=True)
+        val = oracles.old_criterion(model, x, use_exact=True)
         assert np.isfinite(val)
 
 

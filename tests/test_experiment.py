@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,33 @@ class TestRunExperiment:
         assert (out / "selection_s-var_1.csv").exists()
         assert (out / "timings.csv").exists()
 
+    def test_timings_accumulate_over_checkpoints(self, tmp_path):
+        # 8 target candidates: s-var saturates before the last checkpoint
+        run_experiment(_config(tmp_path, repeats=1, checkpoints=(2, 8, 12)))
+        out = tmp_path / "out"
+        with open(out / "timings.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        runs = {}
+        for row in rows:
+            runs.setdefault((row["algorithm"], row["seed"]), []).append(
+                (int(row["budget"]), float(row["wall_ms"]))
+            )
+        assert sorted(runs) == [("m-greedy", "1"), ("s-var", "1")]
+        saturated = 0
+        for (algorithm, seed), points in runs.items():
+            log = out / f"selection_{algorithm}_{seed}.csv"
+            n_picks = len(log.read_text().splitlines()) - 1
+            prev_picks, prev_ms = 0, 0.0
+            for budget, ms in points:
+                picks = min(budget, n_picks)
+                if picks > prev_picks:
+                    assert ms > prev_ms
+                else:
+                    assert ms == prev_ms
+                    saturated += 1
+                prev_picks, prev_ms = picks, ms
+        assert saturated == 1
+
     def test_checkpoints_nested_prefixes(self, tmp_path):
         # rerunning with a truncated checkpoint list reproduces the shared rows
         cfg_full = _config(tmp_path, repeats=1, output_dir=str(tmp_path / "f"))
@@ -267,6 +296,14 @@ class TestCli:
         code = cli_main(["verify", "--config", str(cfg)])
         assert code == 0
         assert (tmp_path / "vr" / "verify_report.txt").exists()
+
+    def test_threads_only_on_run(self, tmp_path, capsys):
+        cfg = tmp_path / "v.ini"
+        cfg.write_text("[verify]\ninstances = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify", "--config", str(cfg), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_config_validation(self, tmp_path):
         cfg = tmp_path / "bad.ini"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mogpal import ConfigError, Hyperparams, as_tuple, cov_matrix, output_cov
+from mogpal import ConfigError, Hyperparams, as_tuple, cov_matrix
 from mogpal.hyperlearn import FitResult, fit_hyperparams, log_marginal_likelihood
 
 H1 = Hyperparams(
@@ -19,7 +19,7 @@ H2 = Hyperparams(
 class TestLogMarginalLikelihood:
     def test_single_point_closed_form(self):
         p = as_tuple([0.0], 0)
-        v = output_cov(p, p, H1)
+        v = cov_matrix([p], [p], H1)[0, 0]
         assert log_marginal_likelihood(H1, [p], [0.0]) == pytest.approx(
             -0.5 * math.log(2 * math.pi * v)
         )

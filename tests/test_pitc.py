@@ -1,7 +1,6 @@
-import math
-
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from mogpal import (
@@ -14,8 +13,6 @@ from mogpal import (
     build_model,
     cov_matrix,
     exact_posterior,
-    gamma,
-    lambda_blocks,
     pitc_posterior,
     select_inducing,
     sparse_cov,
@@ -107,49 +104,60 @@ class TestBuildModel:
             build_model(h, ind, {0: [as_tuple([0.3], 0)]})
 
 
+def _lowrank(model, a, b):
+    return oracles.lowrank_cov(a, b, model.h, model.inducing.locations)
+
+
 class TestGammaLambda:
+    """The two parts of the sparse covariance: the low rank through the
+    inducing measurements and the per-type residual blocks."""
+
     def test_gamma_psd_low_rank(self, rng):
         model, _ = random_instance(5, n_per_type=(5, 5), n_inducing=2)
         a = model.candidate_list()
-        g = gamma(model, a, a)
+        g = sparse_cov(model, a, a) - scipy.linalg.block_diag(
+            *(model.R[i] for i in sorted(model.R))
+        )
         eig = np.linalg.eigvalsh(g)
         assert eig.min() > -1e-10
         assert np.sum(eig > 1e-10) <= 2
 
     def test_gamma_far_from_inducing(self):
-        model = _model_1type()
-        far = [as_tuple([1e4], 0)]
-        assert np.abs(gamma(model, far, far)).max() < 1e-200
+        # a shared location still couples two types under the exact prior,
+        # but far from every inducing location the sparse model cannot
+        model, _ = random_instance(5)
+        far0, far1 = as_tuple([1e4], 0), as_tuple([1e4], 1)
+        assert oracles.out_cov(far0, far1, model.h) > 0.1
+        assert abs(sparse_cov(model, [far0], [far1])[0, 0]) < 1e-200
 
     def test_gamma_transpose(self, rng):
         model, _ = random_instance(6)
         a = model.candidate_list()[:3]
         b = model.candidate_list()[3:6]
         np.testing.assert_allclose(
-            gamma(model, a, b), gamma(model, b, a).T, rtol=1e-12, atol=1e-15
+            sparse_cov(model, a, b), sparse_cov(model, b, a).T, rtol=1e-12, atol=1e-15
         )
 
     def test_lambda_single_type_full_residual(self):
         model = _model_1type()
         a = model.candidate_list()
-        lam = lambda_blocks(model, a)
-        expected = cov_matrix(a, a, H1) - gamma(model, a, a)
-        np.testing.assert_allclose(lam, expected, rtol=1e-10, atol=1e-12)
+        expected = oracles.exact_cov(a, a, H1) - _lowrank(model, a, a)
+        np.testing.assert_allclose(model.R[0], expected, rtol=1e-10, atol=1e-12)
 
     def test_lambda_cross_type_exactly_zero(self):
+        # given the inducing measurements the types are independent: across
+        # types the sparse covariance is the low rank alone
         model, _ = random_instance(7, n_per_type=(3, 3))
         a = model.candidate_list()
-        lam = lambda_blocks(model, a)
+        resid = sparse_cov(model, a, a) - _lowrank(model, a, a)
         types = np.array([t.type_index for t in a])
         cross = types[:, None] != types[None, :]
-        assert np.array_equal(lam[cross], np.zeros(cross.sum()))
+        np.testing.assert_allclose(resid[cross], 0.0, atol=1e-12)
 
     def test_lambda_diag_floor(self, rng):
         model, _ = random_instance(9, n_per_type=(6, 6))
-        a = model.candidate_list()
-        lam = lambda_blocks(model, a)
-        noise = model.h.noise_var[[t.type_index for t in a]]
-        assert np.all(np.diag(lam) >= noise - 1e-10)
+        for i, r in model.R.items():
+            assert np.all(np.diag(r) >= model.h.noise_var[i] - 1e-10)
 
 
 class TestPitcPosterior:
@@ -170,7 +178,7 @@ class TestPitcPosterior:
         model, _ = random_instance(3, n_per_type=(4, 4))
         z = model.candidate_list()[:4]
         pred = pitc_posterior(model, [], [], z)
-        expected = gamma(model, z, z) + lambda_blocks(model, z)
+        expected = oracles.blocked_cov(z, z, model.h, model.inducing.locations)
         np.testing.assert_allclose(pred.cov, expected, rtol=1e-12)
         np.testing.assert_array_equal(pred.mean, np.zeros(4))
 
@@ -183,18 +191,29 @@ class TestPitcPosterior:
         assert np.array_equal(a.cov, b.cov)
 
     def test_fast_equals_dense(self, rng):
+        # the Woodbury posterior against the dense oracle, for conditioning
+        # sets of one tuple, fewer and more than 3m tuples (m = 4), and of
+        # a single type or mixed types
+        shapes = [((0, 1), 1), ((0, 1), 8), ((0, 1), 35), ((1,), 1), ((0,), 8), ((1,), 15)]
         for seed in range(6):
             r = np.random.default_rng(seed)
             model, _ = random_instance(seed, n_per_type=(20, 20), n_inducing=4)
-            cands = model.candidate_list()
-            pick = r.permutation(len(cands))
-            x = [cands[i] for i in pick[:35]]
-            z = [cands[i] for i in pick[35:40]]
-            y = r.normal(size=len(x))
-            dense = pitc_posterior(model, x, y, z, method="dense")
-            fast = pitc_posterior(model, x, y, z, method="fast")
-            np.testing.assert_allclose(fast.mean, dense.mean, rtol=1e-8, atol=1e-10)
-            np.testing.assert_allclose(fast.cov, dense.cov, rtol=1e-8, atol=1e-10)
+            h, u = model.h, model.inducing.locations
+            for types, size in shapes:
+                pool = model.candidate_list(types)
+                x = [pool[i] for i in r.permutation(len(pool))[:size]]
+                rest = [t for t in model.candidate_list() if t not in set(x)]
+                z = [rest[i] for i in r.permutation(len(rest))[:5]]
+                y = r.normal(size=len(x))
+                pred = pitc_posterior(model, x, y, z)
+                np.testing.assert_allclose(
+                    pred.mean, oracles.conditional_mean_blocked(z, x, y, h, u),
+                    rtol=1e-8, atol=1e-10,
+                )
+                np.testing.assert_allclose(
+                    pred.cov, oracles.conditional_cov_blocked(z, x, h, u),
+                    rtol=1e-8, atol=1e-10,
+                )
 
     def test_matches_blocked_oracle(self, rng):
         model, _ = random_instance(13, n_per_type=(4, 4))
@@ -251,7 +270,7 @@ class TestSparseCov:
         a = model.candidate_list()
         c = sparse_cov(model, a, a)
         exact = cov_matrix(a, a, model.h)
-        g = gamma(model, a, a)
+        g = _lowrank(model, a, a)
         types = np.array([t.type_index for t in a])
         same = types[:, None] == types[None, :]
         np.testing.assert_allclose(c[same], exact[same], rtol=1e-12)
