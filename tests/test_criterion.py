@@ -126,20 +126,26 @@ class TestCriterionF:
                 prev = val
 
     def test_matches_dense_oracle(self):
-        # (instance seed, pool shape, selection seed, selection size or None
-        # for a random size); the dense oracle rebuilds the target-pool
-        # summary from scratch, so this also audits the cached one
-        cases = [(seed + 90, (4, 3), seed, None) for seed in range(6)]
-        cases.append((7, (5, 5), 7, 5))
-        for instance, shape, seed, k in cases:
-            model, cache = random_instance(instance, n_per_type=shape)
+        for seed in range(6):
+            model, cache = random_instance(seed + 90, n_per_type=(4, 3))
             cands = model.candidate_list()
             r = np.random.default_rng(seed)
-            k = int(r.integers(1, 6)) if k is None else k
+            k = int(r.integers(1, 6))
             x = [cands[i] for i in r.choice(len(cands), size=k, replace=False)]
             assert criterion_F(model, cache, x) == pytest.approx(
                 oracles.dense_F(x, model), abs=1e-8
             )
+
+    def test_cache_and_direct_agree(self):
+        # criterion_F reads the cached target-pool summary; the dense oracle
+        # computes the same objective directly, rebuilding it from scratch
+        model, cache = random_instance(7, n_per_type=(5, 5))
+        cands = model.candidate_list()
+        r = np.random.default_rng(7)
+        x = [cands[i] for i in r.choice(len(cands), size=5, replace=False)]
+        assert criterion_F(model, cache, x) == pytest.approx(
+            oracles.dense_F(x, model), abs=1e-8
+        )
 
     def test_telescoping(self):
         for seed in range(5):
