@@ -8,9 +8,7 @@ straight into a later run.
 """
 
 import configparser
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .kernels import Hyperparams

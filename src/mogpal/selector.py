@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .criterion import CriterionCache, GainEvaluator, build_cache
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, IllConditionedError
 from .kernels import LOG_2PI_E, Hyperparams, TypedLocation
 from .linalg import chol_spd
 from .pitc import PitcModel
@@ -119,79 +119,111 @@ def select_mvar(model: PitcModel, n: int, cache: CriterionCache = None) -> Selec
 
 
 class _SingleOutputPools:
-    """Per-target-type exact single-output GP pools for s-Var and s-MI."""
+    """Per-target-type exact single-output GP pools for s-Var and s-MI.
 
-    def __init__(self, model, single_output_hypers=None):
+    Each pool tracks its free and selected rows as integer index arrays.
+    With ``track_inverse`` (s-MI) every pool's prior is factored once with
+    ``chol_spd`` and inverted, O(|V_t|^3) per target type; each pick then
+    downdates that inverse in O(|V_t|^2), so ``1 / P[j, j]`` stays the
+    variance of free candidate ``j`` given the other free ones (the MI-greedy
+    bookkeeping of Krause, Singh & Guestrin 2008).
+    """
+
+    def __init__(self, model, single_output_hypers=None, track_inverse=False):
         self.types = sorted(model.target_types)
-        self.pools = {}
+        pools = {t: model.candidate_list([t]) for t in self.types}
         self.prior = {}
-        self.hyper = {}
-        for t in self.types:
-            tuples = model.candidate_list([t])
+        self.free = {}
+        self.selected = {}
+        self.inverse = {}
+        for t, tuples in pools.items():
             remapped = [TypedLocation(p.location, 0) for p in tuples]
             h_t = None if single_output_hypers is None else single_output_hypers.get(t)
             h_t = h_t if h_t is not None else model.h.single_output(t)
             if h_t.n_types != 1:
                 raise ConfigError("single-output pools need one-type hyperparameters")
-            self.pools[t] = (tuples, remapped)
-            self.hyper[t] = h_t
             self.prior[t] = kernels.cov_matrix(remapped, remapped, h_t)
+            self.free[t] = np.arange(len(tuples))
+            self.selected[t] = np.empty(0, dtype=int)
+            if track_inverse:
+                factor = chol_spd(self.prior[t], "single-output pool prior")
+                self.inverse[t] = factor.solve(np.eye(len(tuples)))
         # flattened candidate list in model (lexicographic) order
-        self.flat = [(t, k) for t in self.types for k in range(len(self.pools[t][0]))]
-        self.flat_tuples = [self.pools[t][0][k] for t, k in self.flat]
+        self.flat_tuples = [p for t in self.types for p in pools[t]]
+        self.local = {p: (t, k) for t in self.types for k, p in enumerate(pools[t])}
+        sizes = np.cumsum([0] + [len(pools[t]) for t in self.types])
+        self.offset = dict(zip(self.types, sizes[:-1].tolist()))
 
-    def posterior_var(self, t, selected_local):
-        """Variance of every pool-t candidate given the selected pool-t ones."""
+    def pick(self, candidate):
+        """Move a candidate from its pool's free rows to the selected ones,
+        downdating the pool's inverse (Schur complement on the pivot)."""
+        t, k = self.local[candidate]
+        self.free[t] = self.free[t][self.free[t] != k]
+        self.selected[t] = np.sort(np.append(self.selected[t], k))
+        if t in self.inverse:
+            inv = self.inverse[t]
+            _check_positive(inv[k, k], f"inverse pivot of single-output pool {t}")
+            inv -= np.outer(inv[:, k], inv[k, :]) / inv[k, k]
+
+    def posterior_var(self, t):
+        """Variance of every pool-t candidate given the selected pool-t ones.
+
+        Recomputed from scratch, O(|sel|^2 |V_t|), over the selected rows in
+        ascending order: exact float ties between far-apart candidates decide
+        picks, so the rounding must not depend on the pick order.
+        """
         c = self.prior[t]
         diag = np.diag(c).copy()
-        if not selected_local:
+        sel = self.selected[t]
+        if not sel.size:
             return diag
-        sel = np.asarray(selected_local, dtype=int)
         factor = chol_spd(c[np.ix_(sel, sel)], "selected single-output block")
         cross = c[:, sel]
         return diag - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
 
-    def leave_one_out_var(self, t, remaining_local):
-        """Variance of each remaining pool-t candidate given the other
-        remaining ones, via the diagonal of the inverse covariance."""
-        rem = np.asarray(remaining_local, dtype=int)
-        c = self.prior[t][np.ix_(rem, rem)]
-        factor = chol_spd(c, "remaining single-output block")
-        inv_diag = np.diag(factor.solve(np.eye(rem.size)))
-        return 1.0 / inv_diag
+    def free_scores(self, t, kind):
+        """Scores of pool t's free candidates, in free-row order."""
+        free = self.free[t]
+        log_var = _log(self.posterior_var(t)[free], f"posterior variance in pool {t}")
+        if kind == "s-var":
+            return 0.5 * (LOG_2PI_E + log_var)
+        inv_diag = self.inverse[t][free, free]
+        _check_positive(inv_diag, f"inverse diagonal of single-output pool {t}")
+        return 0.5 * (log_var - _log(1.0 / inv_diag, f"leave-one-out variance in pool {t}"))
+
+
+def _check_positive(values, what):
+    values = np.asarray(values, dtype=float)
+    if not (np.all(np.isfinite(values)) and np.all(values > 0)):
+        raise IllConditionedError(
+            f"{what} is not finite and positive (smallest {np.min(values):.3e}); "
+            "the single-output covariance is numerically singular"
+        )
+
+
+def _log(values, what):
+    """Elementwise natural log of finite positive values.
+
+    Uses ``math.log`` (libm) rather than ``np.log``: NumPy's SIMD log rounds
+    some inputs one ulp differently, which reorders near-tied candidates.
+    """
+    _check_positive(values, what)
+    return np.array([math.log(v) for v in values.tolist()])
 
 
 def _select_single_output(model, n, kind, single_output_hypers=None, cap_to_pool=False):
-    pools = _SingleOutputPools(model, single_output_hypers)
-    total = len(pools.flat)
+    pools = _SingleOutputPools(model, single_output_hypers, track_inverse=kind == "s-mi")
+    total = len(pools.flat_tuples)
     if cap_to_pool:
         n = min(n, total)
     _check_budget(n, total, what="target candidate pool")
 
     def score(state):
-        selected = set(state.selected)
-        sel_local = {
-            t: [k for k, p in enumerate(pools.pools[t][0]) if p in selected]
-            for t in pools.types
-        }
+        if state.selected:
+            pools.pick(state.selected[-1])
         scores = np.full(total, -np.inf)
         for t in pools.types:
-            var_sel = pools.posterior_var(t, sel_local[t])
-            if kind == "s-mi":
-                remaining = [
-                    k for k in range(len(pools.pools[t][0])) if k not in sel_local[t]
-                ]
-                var_rest = pools.leave_one_out_var(t, remaining)
-                rest_pos = {k: j for j, k in enumerate(remaining)}
-            for flat_idx, (tt, k) in enumerate(pools.flat):
-                if tt != t or pools.pools[t][0][k] in selected:
-                    continue
-                if kind == "s-var":
-                    scores[flat_idx] = 0.5 * (LOG_2PI_E + math.log(var_sel[k]))
-                else:
-                    scores[flat_idx] = 0.5 * (
-                        math.log(var_sel[k]) - math.log(var_rest[rest_pos[k]])
-                    )
+            scores[pools.offset[t] + pools.free[t]] = pools.free_scores(t, kind)
         return scores, scores
 
     return _greedy_loop(kind, n, pools.flat_tuples, score)
@@ -206,13 +238,25 @@ def select_svar(model: PitcModel, n: int, single_output_hypers=None,
     or pass ``single_output_hypers={type: Hyperparams}`` for refit mode.
     With ``cap_to_pool`` a budget beyond the target pool saturates at the
     whole pool instead of erroring (the algorithm has nothing else to pick).
+    Each pick recomputes the variance given the selected set,
+    O(|sel|^2 |V_t|) per target type.  Raises :class:`IllConditionedError`
+    when a candidate's variance is not finite and positive.
     """
     return _select_single_output(model, n, "s-var", single_output_hypers, cap_to_pool)
 
 
 def select_smi(model: PitcModel, n: int, single_output_hypers=None,
                cap_to_pool=False) -> SelectionState:
-    """Greedy mutual information restricted to the target pool."""
+    """Greedy mutual information restricted to the target pool.
+
+    Scores each free candidate by its variance given the selected set
+    against its variance given the other free candidates (Krause, Singh &
+    Guestrin 2008).  Costs one O(|V_t|^3) factorization per target type,
+    then O(|V_t|^2) per pick to downdate the inverse of the free block, on
+    top of the s-Var variance update.  Options as in :func:`select_svar`;
+    raises :class:`IllConditionedError` when a variance, an inverse
+    diagonal entry or a downdate pivot is not finite and positive.
+    """
     return _select_single_output(model, n, "s-mi", single_output_hypers, cap_to_pool)
 
 

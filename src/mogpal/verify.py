@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import CriterionCache, build_cache, criterion_F
-from .errors import ConfigError, EnumerationGuardError
+from .errors import EnumerationGuardError
 from .kernels import Hyperparams, TupleArray, as_tuple
 from .linalg import chol_spd
 from .pitc import PitcModel, build_model, select_inducing, sparse_cov

@@ -9,6 +9,12 @@ import math
 
 import numpy as np
 
+from mogpal import kernels
+from mogpal.errors import ConfigError
+from mogpal.kernels import TypedLocation
+from mogpal.linalg import chol_spd
+from mogpal.selector import _check_budget, _greedy_loop
+
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
 
@@ -168,3 +174,88 @@ def old_criterion(model, x, use_exact=False):
         return entropy(conditional_cov_exact(rest, x, h))
     return entropy(conditional_cov_blocked(rest, x, h, u_locs))
 
+
+class _ScratchPools:
+    """Per-target-type exact single-output GP pools for s-Var and s-MI."""
+
+    def __init__(self, model, single_output_hypers=None):
+        self.types = sorted(model.target_types)
+        self.pools = {}
+        self.prior = {}
+        self.hyper = {}
+        for t in self.types:
+            tuples = model.candidate_list([t])
+            remapped = [TypedLocation(p.location, 0) for p in tuples]
+            h_t = None if single_output_hypers is None else single_output_hypers.get(t)
+            h_t = h_t if h_t is not None else model.h.single_output(t)
+            if h_t.n_types != 1:
+                raise ConfigError("single-output pools need one-type hyperparameters")
+            self.pools[t] = (tuples, remapped)
+            self.hyper[t] = h_t
+            self.prior[t] = kernels.cov_matrix(remapped, remapped, h_t)
+        # flattened candidate list in model (lexicographic) order
+        self.flat = [(t, k) for t in self.types for k in range(len(self.pools[t][0]))]
+        self.flat_tuples = [self.pools[t][0][k] for t, k in self.flat]
+
+    def posterior_var(self, t, selected_local):
+        """Variance of every pool-t candidate given the selected pool-t ones."""
+        c = self.prior[t]
+        diag = np.diag(c).copy()
+        if not selected_local:
+            return diag
+        sel = np.asarray(selected_local, dtype=int)
+        factor = chol_spd(c[np.ix_(sel, sel)], "selected single-output block")
+        cross = c[:, sel]
+        return diag - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
+
+    def leave_one_out_var(self, t, remaining_local):
+        """Variance of each remaining pool-t candidate given the other
+        remaining ones, via the diagonal of the inverse covariance."""
+        rem = np.asarray(remaining_local, dtype=int)
+        c = self.prior[t][np.ix_(rem, rem)]
+        factor = chol_spd(c, "remaining single-output block")
+        inv_diag = np.diag(factor.solve(np.eye(rem.size)))
+        return 1.0 / inv_diag
+
+
+def select_single_output_scratch(model, n, kind, single_output_hypers=None,
+                                 cap_to_pool=False):
+    """s-Var (``kind="s-var"``) or s-MI (``kind="s-mi"``) from scratch.
+
+    Every iteration rescans the pools for the selected tuples, recomputes the
+    posterior variance given them and, for s-MI, factors the whole remaining
+    block to read the leave-one-out variances off its inverse diagonal.
+    """
+    pools = _ScratchPools(model, single_output_hypers)
+    total = len(pools.flat)
+    if cap_to_pool:
+        n = min(n, total)
+    _check_budget(n, total, what="target candidate pool")
+
+    def score(state):
+        selected = set(state.selected)
+        sel_local = {
+            t: [k for k, p in enumerate(pools.pools[t][0]) if p in selected]
+            for t in pools.types
+        }
+        scores = np.full(total, -np.inf)
+        for t in pools.types:
+            var_sel = pools.posterior_var(t, sel_local[t])
+            if kind == "s-mi":
+                remaining = [
+                    k for k in range(len(pools.pools[t][0])) if k not in sel_local[t]
+                ]
+                var_rest = pools.leave_one_out_var(t, remaining)
+                rest_pos = {k: j for j, k in enumerate(remaining)}
+            for flat_idx, (tt, k) in enumerate(pools.flat):
+                if tt != t or pools.pools[t][0][k] in selected:
+                    continue
+                if kind == "s-var":
+                    scores[flat_idx] = 0.5 * (LOG_2PI_E + math.log(var_sel[k]))
+                else:
+                    scores[flat_idx] = 0.5 * (
+                        math.log(var_sel[k]) - math.log(var_rest[rest_pos[k]])
+                    )
+        return scores, scores
+
+    return _greedy_loop(kind, n, pools.flat_tuples, score)

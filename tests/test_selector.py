@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from mogpal import ConfigError, DomainError, Hyperparams, as_tuple, build_cache, build_model
+from mogpal import (
+    ConfigError, DomainError, Hyperparams, IllConditionedError, as_tuple, build_cache,
+    build_model,
+)
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import (
     SpacingParams,
@@ -17,7 +21,7 @@ from mogpal.selector import (
     select_svar,
     write_selection_log,
 )
-from conftest import random_instance
+from conftest import random_hyperparams, random_instance
 
 
 def _grid_model(n=8, m=3, n_types=1, seed=0, target_types=(0,), noise=(0.2, 0.12)):
@@ -168,16 +172,63 @@ class TestSingleOutputBaselines:
         smi = select_smi(model, 1)
         svar = select_svar(model, 1)
         first = smi.selected[0].location[0]
-        assert first not in (0.0, 8.0)
-        assert svar.selected[0].location[0] in (0.0, 8.0) or True
-        # entropy picks a boundary-or-lexicographic point; the contrast that
-        # matters is that mutual information avoids the boundary
         assert 0.0 < first < 8.0
+        assert svar.selected[0].location[0] == 0.0
 
     def test_budget_guard_on_target_pool(self):
         model, _ = random_instance(34, n_per_type=(3, 5))
         with pytest.raises(ConfigError):
             select_svar(model, 4)
+
+    @pytest.mark.parametrize("kind", ["s-mi", "s-var"])
+    @pytest.mark.parametrize(
+        "seed, n_per_type, target_types, budget, refit",
+        [
+            (61, (5, 4), (0,), 9, False),
+            (62, (20, 6), (0,), 8, False),
+            (63, (40, 5), (0,), 40, False),
+            (64, (5, 5), (0, 1), 10, False),
+            (65, (12, 30, 4), (0, 1), 20, False),
+            (66, (40, 25, 6), (0, 1), 65, False),
+            (67, (15, 10, 5), (0, 1), 25, True),
+        ],
+    )
+    def test_matches_scratch_algorithm(self, kind, seed, n_per_type, target_types,
+                                       budget, refit):
+        model, _ = random_instance(seed, n_per_type=n_per_type, target_types=target_types)
+        refits = None
+        if refit:
+            rng = np.random.default_rng(seed)
+            refits = {t: random_hyperparams(rng, n_types=1) for t in target_types}
+        select = select_smi if kind == "s-mi" else select_svar
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = select(model, budget, refits, cap_to_pool=True)
+        reference = oracles.select_single_output_scratch(
+            model, budget, kind, refits, cap_to_pool=True
+        )
+        assert state.selected == reference.selected
+        assert len(state.selected) == min(
+            budget, sum(n_per_type[t] for t in target_types)
+        )
+        for (_, gain), (_, expected) in zip(state.gain_log, reference.gain_log):
+            assert gain == pytest.approx(expected, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("select", [select_smi, select_svar])
+    def test_numerically_singular_pool_raises(self, select):
+        # eight targets 1e-3 apart under a wide kernel with noise 1e-20: the
+        # single-output prior is singular to working precision, so a
+        # variance reaches zero or below before the pool is exhausted
+        h = Hyperparams(signal_var=[1.0], noise_var=[0.2], latent_prec_inv=[0.5],
+                        smooth_prec_inv=[[0.3]])
+        cands = {0: [as_tuple([1e-3 * k], 0) for k in range(8)]}
+        model = build_model(h, InducingSet(locations=[[0.0]]), cands)
+        so = {0: Hyperparams(signal_var=[1.0], noise_var=[1e-20], latent_prec_inv=[1.0],
+                             smooth_prec_inv=[[1.0]])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError):
+                select(model, 8, so)
 
 
 class TestSpacing:
