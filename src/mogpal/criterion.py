@@ -5,9 +5,11 @@ the latent structure against picking tuples (of any type) that would force
 the latent structure to be inferred from the unsampled remainder of the
 target pool.  The expensive part of every evaluation, a solve against the
 full target candidate pool, is independent of the selected set and is
-therefore precomputed once into :class:`CriterionCache`; afterwards each
-evaluation costs only the cube of the inducing count plus the cube of the
-selected count.
+therefore precomputed once into :class:`CriterionCache`.  Afterwards
+``criterion_F`` costs the cube of the inducing count plus the cube of the
+selected count, and :class:`GainEvaluator` moves from one greedy iteration to
+the next in O(N (m + |X|)) for N candidates, m inducing points and |X|
+selected tuples: the cost per candidate does not grow with the target pool.
 """
 
 from dataclasses import dataclass, field
@@ -33,9 +35,9 @@ class CriterionCache:
     ``target_summary`` is the inducing-space information contributed by the
     full target candidate pool; it is the only quantity whose construction
     touches all target candidates.  ``f_constant`` is the additive constant
-    that pins the objective to zero at the empty set.  Per-selection
-    summaries (the running per-type information blocks) live in
-    :class:`GainEvaluator`, which is rebuilt each iteration.
+    that pins the objective to zero at the empty set.  Per-selection state
+    (the variances given the selection) lives in :class:`GainEvaluator`,
+    which is updated one pick at a time.
     """
 
     model: PitcModel = field(repr=False)
@@ -184,46 +186,153 @@ def greedy_gain(model: PitcModel, cache: CriterionCache, x, candidate):
 # batched gain evaluation
 # ---------------------------------------------------------------------------
 
-class GainEvaluator:
-    """Vectorized per-iteration gain evaluation over the whole pool.
+TIE_ATOL = 1e-9
+"""Scores within this of the best are rescored from a factorization of the
+selection, so that near-ties break exactly as a rebuild from scratch would
+break them."""
 
-    ``set_state`` factors the current selection once (inducing-count and
-    selection-count cubes); the marginal cost per candidate afterwards is a
-    few inducing-sized products, independent of the target-pool size.
-    Evaluations for distinct candidates are pure and share no mutable state.
+
+def _checked_log(var):
+    if not (np.all(var > 0) and np.all(np.isfinite(var))):
+        raise IllConditionedError(
+            "posterior variance in gain sweep is not finite and positive"
+        )
+    return np.log(var)
+
+
+def _entropy(var):
+    return 0.5 * (LOG_2PI_E + _checked_log(var))
+
+
+class _ConditionedVariances:
+    """Variances of a candidate set, conditioned on one pick at a time.
+
+    Keeps the whitened covariance rows of the picks, ``L^-1 K(X, .)`` with
+    ``L`` the Cholesky factor of ``K(X, X)``, in a buffer that grows by
+    doubling, and ``var = prior - sum(rows**2)``.
+    """
+
+    def __init__(self, prior_var):
+        self.var = prior_var
+        self.rows = np.empty((0, prior_var.size))
+        self.count = 0
+
+    def condition(self, cov_row, pos, what):
+        """Add the pick at position ``pos``, whose prior covariance with every
+        member is ``cov_row``: O(count * size)."""
+        pivot = self.var[pos]
+        if not (pivot > 0 and np.isfinite(pivot)):
+            raise IllConditionedError(
+                f"{what} is {pivot!r}; the selection covariance is numerically singular"
+            )
+        done = self.rows[:self.count]
+        row = (cov_row - done[:, pos] @ done) / np.sqrt(pivot)
+        if self.count == self.rows.shape[0]:
+            grown = np.empty((min(max(2 * self.count, 16), self.var.size), self.var.size))
+            grown[:self.count] = done
+            self.rows = grown
+        self.rows[self.count] = row
+        self.count += 1
+        self.var -= row * row
+
+
+class GainEvaluator:
+    """Objective gains and entropies of the whole pool, kept up to date one
+    pick at a time.
+
+    The state is the variance of every candidate given the selection and,
+    for auxiliary candidates, given the selection plus the whole target pool.
+    ``add`` builds the pick's covariance row against the pool once and takes
+    a rank-one downdate of both: O(N (m + |X|)) per pick for N candidates,
+    m inducing points and |X| selected tuples, whatever the target-pool size.
+    A score within ``TIE_ATOL`` of the best is rescored by the full
+    variance sweep over a factorization of the selection, built only when
+    such a near-tie occurs, so near-ties break exactly as a per-pick rebuild
+    breaks them.
     """
 
     def __init__(self, model: PitcModel, cache: CriterionCache):
         self.model = model
         self.cache = cache
-        self.selected = []
-        self._blocks = None
-        self._mx = None
-        self._ma = None
-        self._var_sel = None
-        self._var_aug = None
+        n = len(model.candidates)
+        self._is_target = np.zeros(n, dtype=bool)
+        self._is_target[cache.target_cols] = True
+        self._aux_pos = np.full(n, -1)
+        self._aux_pos[cache.aux_cols] = np.arange(cache.aux_cols.size)
+        # augmented covariance of the auxiliary pool given the target pool:
+        # W_aux (K_uu + T)^-1 W_aux^T plus the residual within each type
+        w_aux = np.empty((cache.aux_cols.size, model.n_inducing))
+        self._aug_prior = np.empty(cache.aux_cols.size)
+        for i, rows in model.type_slices.items():
+            if not self._is_target[rows[0]]:
+                w_aux[self._aux_pos[rows]] = model.W[i]
+                self._aug_prior[self._aux_pos[rows]] = np.diag(model.R[i])
+        self._aug_basis = np.empty((model.n_inducing, 0))
+        if cache.aux_cols.size:
+            self._aug_basis = chol_spd(
+                model.kuu + cache.target_summary, "augmented inducing covariance"
+            ).solve(w_aux.T)
+            self._aug_prior += np.einsum("cm,mc->c", w_aux, self._aug_basis)
 
     def set_state(self, selected):
-        self.selected = _as_selection(self.model, selected)
-        self._blocks = _selected_blocks(self.model, self.cache, self.selected)
-        aux = set(self.model.h.aux_types)
-        self._mx = chol_spd(
-            self.model.kuu + self._blocks.info_sum(), "selection information"
-        )
-        self._ma = chol_spd(
-            self.model.kuu + self.cache.target_summary + self._blocks.info_sum(types=aux),
-            "augmented selection information",
-        )
-        self._var_sel = None
-        self._var_aug = None
+        """Reset to the empty selection and ``add`` each of ``selected``."""
+        tuples = _as_selection(self.model, selected)
+        self.selected = []
+        self._free = np.ones(len(self.model.candidates), dtype=bool)
+        self._sel = _ConditionedVariances(self.model.prior_diag())
+        self._aug = _ConditionedVariances(self._aug_prior.copy())
+        self._factored = None
+        for t in tuples:
+            self.add(t)
         return self
 
-    # -- internal batched variance sweeps ---------------------------------
-    def _sweep(self, cols, target_blocks, m_factor):
-        """Posterior variances of candidates ``cols`` given the conditioning
-        set encoded by (selected blocks restricted appropriately, plus the
-        full target pool when ``target_blocks`` is set)."""
-        model, cache, blocks = self.model, self.cache, self._blocks
+    def add(self, candidate):
+        """Condition the state on one more selected candidate, in
+        O(N (m + |X|)): its covariance row against the pool, exact within
+        its type and through the inducing points across types, whitened
+        against the earlier picks."""
+        model, cache = self.model, self.cache
+        model.require_candidates([candidate])
+        j = model.tuple_index[candidate]
+        if not self._free[j]:
+            raise DomainError(f"candidate {candidate} is already selected")
+        i = candidate.type_index
+        lj = cache.local_index[j]
+        rows = model.type_slices[i]
+        cov_row = model.W[i][lj] @ cache.g_all
+        cov_row[rows] = model.C[i][lj]
+        self._sel.condition(cov_row, j, "variance of the pick given the selection")
+        if not self._is_target[j]:
+            aug_row = model.W[i][lj] @ self._aug_basis
+            aug_row[self._aux_pos[rows]] += model.R[i][lj]
+            self._aug.condition(
+                aug_row, self._aux_pos[j], "augmented variance of the pick"
+            )
+        self._free[j] = False
+        self.selected.append(candidate)
+        self._factored = None
+        return self
+
+    # -- exact sweeps over a factorization of the selection -----------------
+    def _factor(self):
+        if self._factored is None:
+            model = self.model
+            blocks = _selected_blocks(model, self.cache, self.selected)
+            aux = set(model.h.aux_types)
+            mx = chol_spd(model.kuu + blocks.info_sum(), "selection information")
+            ma = chol_spd(
+                model.kuu + self.cache.target_summary + blocks.info_sum(types=aux),
+                "augmented selection information",
+            )
+            self._factored = (blocks, mx, ma)
+        return self._factored
+
+    def _sweep(self, cols, target_blocks):
+        """Posterior variances of candidates ``cols`` given the selection,
+        plus the full target pool when ``target_blocks`` is set."""
+        model, cache = self.model, self.cache
+        blocks, mx, ma = self._factor()
+        m_factor = ma if target_blocks else mx
         g = cache.g_all[:, cols]
         e1 = np.zeros(cols.size)
         hmat = np.zeros((model.n_inducing, cols.size))
@@ -250,62 +359,58 @@ class GainEvaluator:
         quad2 = np.einsum("mc,mc->c", hmat, m_factor.solve(hmat))
         return self.model.prior_diag(cols) - (e1 - quad2)
 
+    # -- scores -------------------------------------------------------------
     def var_given_selected(self):
         """Posterior variance of every candidate given the selection."""
-        if self._var_sel is None:
-            cols = np.arange(len(self.model.candidates))
-            self._var_sel = self._sweep(cols, target_blocks=False, m_factor=self._mx)
-        return self._var_sel
+        return self._sel.var
 
     def var_given_augmented(self):
         """Posterior variance of auxiliary candidates given the selection
         plus the whole unsampled target pool."""
-        if self._var_aug is None:
-            self._var_aug = self._sweep(
-                self.cache.aux_cols, target_blocks=True, m_factor=self._ma
-            )
-        return self._var_aug
+        return self._aug.var
 
-    def _selected_mask(self):
-        mask = np.zeros(len(self.model.candidates), dtype=bool)
-        for t in self.selected:
-            mask[self.model.tuple_index[t]] = True
-        return mask
+    def _rescored(self, cols, scores, exact):
+        """Scores of ``cols`` spread over the pool (-inf elsewhere), with
+        those within ``TIE_ATOL`` of the best replaced by ``exact(cols)``
+        when there is more than one."""
+        out = np.full(len(self.model.candidates), -np.inf)
+        out[cols] = scores
+        if cols.size:
+            near = cols[scores >= scores.max() - TIE_ATOL]
+            if near.size > 1:
+                out[near] = exact(near)
+        return out
 
-    def _checked_log(self, var, positions):
-        if np.any(var[positions] <= 0):
-            raise IllConditionedError("nonpositive posterior variance in gain sweep")
-        out = np.full(var.shape, -np.inf)
-        out[positions] = np.log(var[positions])
+    def _gains(self, cols, var_sel, var_aug):
+        """Gains of free candidates ``cols`` from their variances given the
+        selection and, through ``var_aug(aux_cols)``, the auxiliary ones'
+        variances given the augmented set."""
+        log_sel = _checked_log(var_sel)
+        out = 0.5 * (LOG_2PI_E + log_sel)
+        aux = ~self._is_target[cols]
+        if aux.any():
+            out[aux] = 0.5 * (log_sel[aux] - _checked_log(var_aug(cols[aux])))
         return out
 
     def entropies_given_selected(self):
         """Posterior marginal entropy of every unselected candidate
         (selected candidates get -inf)."""
-        var = self.var_given_selected()
-        free = np.flatnonzero(~self._selected_mask())
-        log_var = self._checked_log(var, free)
-        out = np.full(var.shape, -np.inf)
-        out[free] = 0.5 * (LOG_2PI_E + log_var[free])
-        return out
+        free = np.flatnonzero(self._free)
+        return self._rescored(
+            free, _entropy(self._sel.var[free]),
+            lambda cols: _entropy(self._sweep(cols, target_blocks=False)),
+        )
 
     def gains(self):
         """Objective gain of every unselected candidate; selected ones get -inf."""
-        cache = self.cache
-        mask = self._selected_mask()
-        var_sel = self.var_given_selected()
-        out = np.full(len(self.model.candidates), -np.inf)
-        free_target = cache.target_cols[~mask[cache.target_cols]]
-        log_sel = self._checked_log(var_sel, np.flatnonzero(~mask))
-        out[free_target] = 0.5 * (LOG_2PI_E + log_sel[free_target])
-        if cache.aux_cols.size:
-            free_aux_pos = np.flatnonzero(~mask[cache.aux_cols])
-            if free_aux_pos.size:
-                var_aug = self.var_given_augmented()
-                log_aug = self._checked_log(var_aug, free_aux_pos)
-                free_aux = cache.aux_cols[free_aux_pos]
-                out[free_aux] = 0.5 * (log_sel[free_aux] - log_aug[free_aux_pos])
-        return out
+        free = np.flatnonzero(self._free)
+        incremental = self._gains(
+            free, self._sel.var[free], lambda cols: self._aug.var[self._aux_pos[cols]]
+        )
+        return self._rescored(free, incremental, lambda cols: self._gains(
+            cols, self._sweep(cols, target_blocks=False),
+            lambda aux: self._sweep(aux, target_blocks=True),
+        ))
 
     def gain_of(self, candidate):
         return float(self.gains()[self.model.tuple_index[candidate]])

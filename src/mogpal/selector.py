@@ -84,13 +84,19 @@ def select_greedy(model: PitcModel, cache: CriterionCache, n: int) -> SelectionS
     remaining gain is zero), so for any budget beyond that point the picks
     fall back to maximum posterior entropy; this keeps the sequence
     deterministic and useful instead of ordering by roundoff noise.  The
-    recorded gain is still the objective gain.
+    recorded gain is still the objective gain.  Each pick costs
+    O(N (m + |X|)) for N candidates, m inducing points and |X| picks so far
+    (one covariance row and a rank-one variance downdate, see
+    :class:`GainEvaluator`); gains within ``TIE_ATOL`` of the best are
+    rescored from a factorization of the selection, so ties break
+    lexicographically exactly as a per-pick rebuild breaks them.
     """
     _check_budget(n, len(model.candidates))
-    evaluator = GainEvaluator(model, cache)
+    evaluator = GainEvaluator(model, cache).set_state([])
 
     def score(state):
-        evaluator.set_state(state.selected)
+        if state.selected:
+            evaluator.add(state.selected[-1])
         gains = evaluator.gains()
         finite = gains[np.isfinite(gains)]
         if finite.size and finite.max() <= 1e-9:
@@ -104,14 +110,16 @@ def select_mvar(model: PitcModel, n: int, cache: CriterionCache = None) -> Selec
     """Greedy maximum posterior entropy over all types.
 
     For a single Gaussian marginal the entropy and variance argmax agree,
-    so this covers both readings of the baseline.
+    so this covers both readings of the baseline.  Per-pick cost and tie
+    rule as in :func:`select_greedy`.
     """
     _check_budget(n, len(model.candidates))
     cache = cache if cache is not None else build_cache(model)
-    evaluator = GainEvaluator(model, cache)
+    evaluator = GainEvaluator(model, cache).set_state([])
 
     def score(state):
-        evaluator.set_state(state.selected)
+        if state.selected:
+            evaluator.add(state.selected[-1])
         entropies = evaluator.entropies_given_selected()
         return entropies, entropies
 

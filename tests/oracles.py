@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from mogpal import kernels
-from mogpal.errors import ConfigError
+from mogpal.criterion import _as_selection, _selected_blocks, build_cache
+from mogpal.errors import ConfigError, IllConditionedError
 from mogpal.kernels import TypedLocation
 from mogpal.linalg import chol_spd
 from mogpal.selector import _check_budget, _greedy_loop
@@ -259,3 +260,123 @@ def select_single_output_scratch(model, n, kind, single_output_hypers=None,
         return scores, scores
 
     return _greedy_loop(kind, n, pools.flat_tuples, score)
+
+
+class ScratchGainEvaluator:
+    """Gain evaluation rebuilt from scratch for every selection.
+
+    ``set_state`` factors every selected residual block and both inducing
+    information matrices; each score then sweeps the whole pool.
+    """
+
+    def __init__(self, model, cache):
+        self.model = model
+        self.cache = cache
+
+    def set_state(self, selected):
+        model = self.model
+        self.selected = _as_selection(model, selected)
+        self._blocks = _selected_blocks(model, self.cache, self.selected)
+        aux = set(model.h.aux_types)
+        self._mx = chol_spd(model.kuu + self._blocks.info_sum(), "selection information")
+        self._ma = chol_spd(
+            model.kuu + self.cache.target_summary + self._blocks.info_sum(types=aux),
+            "augmented selection information",
+        )
+        return self
+
+    def _sweep(self, cols, target_blocks, m_factor):
+        model, cache, blocks = self.model, self.cache, self._blocks
+        g = cache.g_all[:, cols]
+        e1 = np.zeros(cols.size)
+        hmat = np.zeros((model.n_inducing, cols.size))
+        if target_blocks:
+            p = cache.target_summary @ g
+            e1 += np.einsum("mc,mc->c", g, p)
+            hmat += p
+        skip = set(model.target_types) if target_blocks else set()
+        col_pos_by_type = {}
+        for i in np.unique(model.candidates.types[cols]):
+            col_pos_by_type[int(i)] = np.flatnonzero(model.candidates.types[cols] == i)
+        for i, li in blocks.rows.items():
+            if i in skip:
+                continue
+            w_sub = blocks.w[i]
+            b = w_sub @ g
+            pos = col_pos_by_type.get(i)
+            if pos is not None and pos.size:
+                lj = cache.local_index[cols[pos]]
+                b[:, pos] = model.C[i][np.ix_(li, lj)]
+            u = blocks.factor[i].solve(b)
+            e1 += np.einsum("rc,rc->c", b, u)
+            hmat += w_sub.T @ u
+        quad2 = np.einsum("mc,mc->c", hmat, m_factor.solve(hmat))
+        return model.prior_diag(cols) - (e1 - quad2)
+
+    def _selected_mask(self):
+        mask = np.zeros(len(self.model.candidates), dtype=bool)
+        for t in self.selected:
+            mask[self.model.tuple_index[t]] = True
+        return mask
+
+    @staticmethod
+    def _checked_log(var, positions):
+        if np.any(var[positions] <= 0):
+            raise IllConditionedError("nonpositive posterior variance in gain sweep")
+        out = np.full(var.shape, -np.inf)
+        out[positions] = np.log(var[positions])
+        return out
+
+    def entropies_given_selected(self):
+        var = self._sweep(np.arange(len(self.model.candidates)), False, self._mx)
+        free = np.flatnonzero(~self._selected_mask())
+        log_var = self._checked_log(var, free)
+        out = np.full(var.shape, -np.inf)
+        out[free] = 0.5 * (LOG_2PI_E + log_var[free])
+        return out
+
+    def gains(self):
+        cache = self.cache
+        mask = self._selected_mask()
+        var_sel = self._sweep(np.arange(len(self.model.candidates)), False, self._mx)
+        out = np.full(len(self.model.candidates), -np.inf)
+        free_target = cache.target_cols[~mask[cache.target_cols]]
+        log_sel = self._checked_log(var_sel, np.flatnonzero(~mask))
+        out[free_target] = 0.5 * (LOG_2PI_E + log_sel[free_target])
+        if cache.aux_cols.size:
+            free_aux_pos = np.flatnonzero(~mask[cache.aux_cols])
+            if free_aux_pos.size:
+                var_aug = self._sweep(cache.aux_cols, True, self._ma)
+                log_aug = self._checked_log(var_aug, free_aux_pos)
+                free_aux = cache.aux_cols[free_aux_pos]
+                out[free_aux] = 0.5 * (log_sel[free_aux] - log_aug[free_aux_pos])
+        return out
+
+
+def select_greedy_scratch(model, cache, n):
+    """``select_greedy`` with the gain state rebuilt at every pick."""
+    _check_budget(n, len(model.candidates))
+    evaluator = ScratchGainEvaluator(model, cache)
+
+    def score(state):
+        evaluator.set_state(state.selected)
+        gains = evaluator.gains()
+        finite = gains[np.isfinite(gains)]
+        if finite.size and finite.max() <= 1e-9:
+            return evaluator.entropies_given_selected(), gains
+        return gains, gains
+
+    return _greedy_loop("m-greedy", n, model.candidates.tuples, score)
+
+
+def select_mvar_scratch(model, n, cache=None):
+    """``select_mvar`` with the gain state rebuilt at every pick."""
+    _check_budget(n, len(model.candidates))
+    evaluator = ScratchGainEvaluator(model, cache if cache is not None else build_cache(model))
+
+    def score(state):
+        evaluator.set_state(state.selected)
+        entropies = evaluator.entropies_given_selected()
+        return entropies, entropies
+
+    return _greedy_loop("m-var", n, model.candidates.tuples, score)

@@ -15,6 +15,7 @@ from mogpal import (
     greedy_gain,
     joint_entropy,
     mi_inducing_given,
+    pitc_posterior,
     sparse_cov,
 )
 from mogpal.kernels import LOG_2PI_E
@@ -305,10 +306,42 @@ class TestGainEvaluator:
         x = cands[:3]
         ev = GainEvaluator(model, cache).set_state(x)
         var = ev.var_given_selected()
-        from mogpal import pitc_posterior
-
         for i, cand in enumerate(cands):
             if cand in x:
                 continue
             pred = pitc_posterior(model, x, np.zeros(3), [cand])
             assert var[i] == pytest.approx(pred.cov[0, 0], rel=1e-9)
+
+    def test_incremental_variances_along_mixed_chain(self):
+        # two target types (0, 2) and two auxiliary types (1, 3); the chain
+        # mixes target and auxiliary picks, with repeats of each auxiliary
+        # type so both the same-type residual and the cross-type low rank of
+        # the augmented covariance are exercised
+        model, cache = random_instance(
+            72, n_per_type=(5, 4, 5, 4), target_types=(0, 2), n_inducing=4
+        )
+        h, u = model.h, model.inducing.locations
+        by_type = {i: model.candidate_list([i]) for i in range(4)}
+        chain = [
+            by_type[1][0], by_type[0][1], by_type[1][2], by_type[3][0],
+            by_type[2][3], by_type[3][1], by_type[1][3], by_type[0][4],
+        ]
+        targets = by_type[0] + by_type[2]
+        aux_pos = {model.candidates.tuples[c]: p for p, c in enumerate(cache.aux_cols)}
+        ev = GainEvaluator(model, cache).set_state([])
+        for k, pick in enumerate(chain):
+            ev.add(pick)
+            x = chain[:k + 1]
+            free = [t for t in model.candidate_list() if t not in x]
+            idx = [model.tuple_index[t] for t in free]
+            pred = pitc_posterior(model, x, np.zeros(len(x)), free)
+            np.testing.assert_allclose(
+                ev.var_given_selected()[idx], np.diag(pred.cov), rtol=1e-9, atol=0
+            )
+            free_aux = [t for t in free if t.type_index in (1, 3)]
+            x_aux = [t for t in x if t.type_index in (1, 3)]
+            dense = oracles.conditional_cov_blocked(free_aux, x_aux + targets, h, u)
+            np.testing.assert_allclose(
+                ev.var_given_augmented()[[aux_pos[t] for t in free_aux]],
+                np.diag(dense), rtol=1e-9, atol=0,
+            )

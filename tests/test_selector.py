@@ -6,8 +6,8 @@ import pytest
 
 import oracles
 from mogpal import (
-    ConfigError, DomainError, Hyperparams, IllConditionedError, as_tuple, build_cache,
-    build_model,
+    ConfigError, DomainError, GainEvaluator, Hyperparams, IllConditionedError, as_tuple,
+    build_cache, build_model,
 )
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import (
@@ -38,6 +38,94 @@ def _grid_model(n=8, m=3, n_types=1, seed=0, target_types=(0,), noise=(0.2, 0.12
     locs = np.array([[float(k)] for k in range(n)])
     model = build_model(h, select_inducing(locs, m, seed=seed), cands)
     return model, build_cache(model)
+
+
+def _tie_model():
+    h = Hyperparams(
+        signal_var=[1.0, 1.0], noise_var=[0.2, 0.2],
+        latent_prec_inv=[0.3], smooth_prec_inv=[[0.1], [0.1]],
+    )
+    cands = {i: [as_tuple([float(k)], i) for k in range(3)] for i in range(2)}
+    model = build_model(h, InducingSet(locations=[[0.0], [2.0]]), cands)
+    return model, build_cache(model)
+
+
+def _experiment_grid_model():
+    # the shape of perfbench/experiment.ini: 600 grid locations over [0, 60]
+    # for both types, 50 target locations held out, 20 inducing points
+    h = Hyperparams(
+        signal_var=[1.0, 0.8], noise_var=[0.25, 0.1], latent_prec_inv=[2.0],
+        smooth_prec_inv=[[0.1], [0.1]], target_types=(0,),
+    )
+    grid = np.linspace(0.0, 60.0, 600)
+    cands = {
+        0: [as_tuple([x], 0) for k, x in enumerate(grid) if k % 12 != 5],
+        1: [as_tuple([x], 1) for x in grid],
+    }
+    model = build_model(h, select_inducing(grid[:, None], 20, seed=0), cands)
+    return model, build_cache(model)
+
+
+# (model, cache) builder and budget of each instance checked against the
+# per-pick rebuild; a budget of the whole pool exercises greedy's
+# max-entropy fallback once the target pool is exhausted
+REBUILD_CASES = {
+    "one-type-whole-pool": (lambda: random_instance(81, n_per_type=(9,)), 9),
+    "two-types-whole-pool": (lambda: random_instance(82, n_per_type=(6, 6)), 12),
+    "two-types": (lambda: random_instance(83, n_per_type=(12, 10), n_inducing=4), 10),
+    "three-types-two-targets-whole-pool": (
+        lambda: random_instance(84, n_per_type=(5, 6, 4), target_types=(0, 1)), 15,
+    ),
+    "three-types-two-targets": (
+        lambda: random_instance(85, n_per_type=(12, 10, 8), target_types=(0, 2)), 14,
+    ),
+    "two-targets-no-auxiliary": (
+        lambda: random_instance(86, n_per_type=(7, 7), target_types=(0, 1)), 14,
+    ),
+    "symmetric-grid": (lambda: _grid_model(n=9, m=3), 9),
+    "symmetric-grid-two-types": (
+        lambda: _grid_model(n=8, m=3, n_types=2, noise=(0.2, 0.2)), 16,
+    ),
+    "tie-instance": (_tie_model, 6),
+    "experiment-grid": (_experiment_grid_model, 40),
+}
+
+
+class TestIncrementalGainState:
+    @pytest.mark.parametrize("algorithm", ["m-greedy", "m-var"])
+    @pytest.mark.parametrize("case", sorted(REBUILD_CASES))
+    def test_matches_per_pick_rebuild(self, algorithm, case):
+        build, budget = REBUILD_CASES[case]
+        model, cache = build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if algorithm == "m-greedy":
+                state = select_greedy(model, cache, budget)
+                reference = oracles.select_greedy_scratch(model, cache, budget)
+            else:
+                state = select_mvar(model, budget, cache)
+                reference = oracles.select_mvar_scratch(model, budget, cache)
+        assert state.selected == reference.selected
+        for (_, gain), (_, expected) in zip(state.gain_log, reference.gain_log):
+            assert gain == pytest.approx(expected, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("algorithm", ["m-greedy", "m-var"])
+    def test_nan_variance_raises(self, algorithm):
+        # NaN <= 0 is false, so a NaN variance used to pass the positivity
+        # check and win the argmax as a silent pick
+        model, cache = random_instance(87, n_per_type=(5, 5))
+        model.C[0][2, 2] = np.nan
+        with pytest.raises(IllConditionedError):
+            if algorithm == "m-greedy":
+                select_greedy(model, cache, 3)
+            else:
+                select_mvar(model, 3, cache)
+
+    def test_nan_pivot_raises(self):
+        model, cache = random_instance(87, n_per_type=(5, 5))
+        model.C[0][2, 2] = np.nan
+        with pytest.raises(IllConditionedError):
+            GainEvaluator(model, cache).set_state([]).add(model.candidates.tuples[2])
 
 
 class TestSelectGreedy:
@@ -114,14 +202,7 @@ class TestSelectMvar:
     def test_tie_break_lexicographic_under_symmetry(self):
         # identical hyperparameters for both types: every prior variance
         # ties, so the first pick is the lexicographically smallest tuple
-        h = Hyperparams(
-            signal_var=[1.0, 1.0], noise_var=[0.2, 0.2],
-            latent_prec_inv=[0.3], smooth_prec_inv=[[0.1], [0.1]],
-        )
-        cands = {i: [as_tuple([float(k)], i) for k in range(3)] for i in range(2)}
-        model = build_model(
-            h, InducingSet(locations=[[0.0], [2.0]]), cands
-        )
+        model, _ = _tie_model()
         state = select_mvar(model, 1)
         assert state.selected[0] == as_tuple([0.0], 0)
 
