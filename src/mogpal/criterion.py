@@ -10,12 +10,22 @@ therefore precomputed once into :class:`CriterionCache`.  Afterwards
 selected count, and :class:`GainEvaluator` moves from one greedy iteration to
 the next in O(N (m + |X|)) for N candidates, m inducing points and |X|
 selected tuples: the cost per candidate does not grow with the target pool.
+
+What is cached and what is computed on demand: the model keeps, per type,
+the inducing cross covariance ``W``, its solve ``G``, the residual ``R`` and
+the prior variances, but not the exact prior block ``C``.  The cache adds
+the target summary, ``G`` laid out over the whole pool and lookup tables.
+A :class:`GainEvaluator` builds each pick's covariance row from those
+blocks.  Only its near-tie rescoring reads exact prior rows of the picks;
+they are computed from the kernel when a rescoring first needs them and
+kept, O(|X| N) numbers.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import DomainError, IllConditionedError
 from .exact import find_duplicates
 from .kernels import LOG_2PI_E, TupleArray
@@ -248,7 +258,8 @@ class GainEvaluator:
     A score within ``TIE_ATOL`` of the best is rescored by the full
     variance sweep over a factorization of the selection, built only when
     such a near-tie occurs, so near-ties break exactly as a per-pick rebuild
-    breaks them.
+    breaks them; the sweep reads the exact prior rows of the picks, which
+    it computes from the kernel on first need and keeps.
     """
 
     def __init__(self, model: PitcModel, cache: CriterionCache):
@@ -267,6 +278,9 @@ class GainEvaluator:
             if not self._is_target[rows[0]]:
                 w_aux[self._aux_pos[rows]] = model.W[i]
                 self._aug_prior[self._aux_pos[rows]] = np.diag(model.R[i])
+        self._type_tuples = {
+            i: model.candidates.take(rows) for i, rows in model.type_slices.items()
+        }
         self._aug_basis = np.empty((model.n_inducing, 0))
         if cache.aux_cols.size:
             self._aug_basis = chol_spd(
@@ -279,7 +293,8 @@ class GainEvaluator:
         tuples = _as_selection(self.model, selected)
         self.selected = []
         self._free = np.ones(len(self.model.candidates), dtype=bool)
-        self._sel = _ConditionedVariances(self.model.prior_diag())
+        self._sel = _ConditionedVariances(self.model.prior_var.copy())
+        self._prior_rows = {}
         self._aug = _ConditionedVariances(self._aug_prior.copy())
         self._factored = None
         for t in tuples:
@@ -288,9 +303,9 @@ class GainEvaluator:
 
     def add(self, candidate):
         """Condition the state on one more selected candidate, in
-        O(N (m + |X|)): its covariance row against the pool, exact within
-        its type and through the inducing points across types, whitened
-        against the earlier picks."""
+        O(N (m + |X|)): its sparse-model covariance row against the pool
+        (through the inducing points, plus the residual row within its
+        type), whitened against the earlier picks."""
         model, cache = self.model, self.cache
         model.require_candidates([candidate])
         j = model.tuple_index[candidate]
@@ -300,7 +315,7 @@ class GainEvaluator:
         lj = cache.local_index[j]
         rows = model.type_slices[i]
         cov_row = model.W[i][lj] @ cache.g_all
-        cov_row[rows] = model.C[i][lj]
+        cov_row[rows] += model.R[i][lj]
         self._sel.condition(cov_row, j, "variance of the pick given the selection")
         if not self._is_target[j]:
             aug_row = model.W[i][lj] @ self._aug_basis
@@ -314,6 +329,18 @@ class GainEvaluator:
         return self
 
     # -- exact sweeps over a factorization of the selection -----------------
+    def _prior_block(self, i, li, lj):
+        """Exact prior covariance ``C[i][li, lj]`` between the type-``i``
+        picks (local rows ``li``, in selection order) and local columns
+        ``lj``.  The picks' full prior rows are computed from the kernel the
+        first time a sweep needs them, one batch per sweep, and kept."""
+        batches = self._prior_rows.setdefault(i, [])
+        done = sum(batch.shape[0] for batch in batches)
+        if done < li.size:
+            own = self._type_tuples[i]
+            batches.append(kernels.cov_matrix(own.take(li[done:]), own, self.model.h))
+        return np.vstack([batch[:, lj] for batch in batches])
+
     def _factor(self):
         if self._factored is None:
             model = self.model
@@ -352,12 +379,12 @@ class GainEvaluator:
             pos = col_pos_by_type.get(i)
             if pos is not None and pos.size:
                 lj = cache.local_index[cols[pos]]
-                b[:, pos] = model.C[i][np.ix_(li, lj)]
+                b[:, pos] = self._prior_block(i, li, lj)
             u = blocks.factor[i].solve(b)
             e1 += np.einsum("rc,rc->c", b, u)
             hmat += w_sub.T @ u
         quad2 = np.einsum("mc,mc->c", hmat, m_factor.solve(hmat))
-        return self.model.prior_diag(cols) - (e1 - quad2)
+        return model.prior_var[cols] - (e1 - quad2)
 
     # -- scores -------------------------------------------------------------
     def var_given_selected(self):
@@ -402,8 +429,16 @@ class GainEvaluator:
         )
 
     def gains(self):
-        """Objective gain of every unselected candidate; selected ones get -inf."""
+        """Objective gain of every unselected candidate; selected ones get -inf.
+
+        Once no target candidate is free the objective is constant, so every
+        gain is exactly zero and nothing is computed or rescored.
+        """
         free = np.flatnonzero(self._free)
+        if not self._free[self.cache.target_cols].any():
+            out = np.full(len(self.model.candidates), -np.inf)
+            out[free] = 0.0
+            return out
         incremental = self._gains(
             free, self._sel.var[free], lambda cols: self._aug.var[self._aux_pos[cols]]
         )

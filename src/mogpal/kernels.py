@@ -226,15 +226,50 @@ class TupleArray:
     def indices_of_type(self, i):
         return self._by_type.get(int(i), np.empty(0, dtype=int))
 
+    @property
+    def type_set(self):
+        """The type indices present, ascending, without sorting per call."""
+        return tuple(self._by_type)
 
-def _pairwise_density(xa, xb, diag_cov):
-    """Matrix of gaussian_density(xa[r] - xb[c], diag_cov) values."""
+
+def _pairwise_density(xa, xb, diag_cov, out=None):
+    """Matrix of gaussian_density(xa[r] - xb[c], diag_cov) values.
+
+    Filled in place into ``out`` (allocated when not given), with one scratch
+    array of the same shape when ``d > 1`` and no other full-size temporary.
+    Each entry depends on its two coordinate rows alone, so any sub-block
+    computed on its own has the bits of that sub-block of the whole matrix.
+    The squared scaled differences are summed over the d dimensions in
+    order.  For d <= 2 that matches an ``np.einsum`` assembly bit for bit;
+    for d >= 3 einsum adds the terms in another order, and the two differ
+    in the last bits (about 1e-14 relative after the ``exp``).
+    """
     diag_cov = np.asarray(diag_cov, dtype=float)
     d = diag_cov.shape[0]
-    diff = xa[:, None, :] - xb[None, :, :]
-    quad = np.einsum("rcv,v->rc", diff * diff, 1.0 / diag_cov)
+    inv = 1.0 / diag_cov
+    if out is None:
+        out = np.empty((xa.shape[0], xb.shape[0]))
+    scratch = np.empty_like(out) if d > 1 else None
+    for v in range(d):
+        term = out if v == 0 else scratch
+        np.subtract.outer(xa[:, v], xb[:, v], out=term)
+        np.multiply(term, term, out=term)
+        term *= inv[v]
+        if v:
+            out += term
     norm = TWO_PI ** (-0.5 * d) * float(np.prod(diag_cov)) ** -0.5
-    return norm * np.exp(-0.5 * quad)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= norm
+    return out
+
+
+def _same_location(xa, xb):
+    """Boolean matrix: ``xa[r]`` and ``xb[c]`` are equal in every coordinate."""
+    same = np.equal.outer(xa[:, 0], xb[:, 0])
+    for v in range(1, xa.shape[1]):
+        same &= np.equal.outer(xa[:, v], xb[:, v])
+    return same
 
 
 def cov_matrix(a, b, h: Hyperparams):
@@ -242,25 +277,30 @@ def cov_matrix(a, b, h: Hyperparams):
 
     Accepts lists of :class:`TypedLocation` or prebuilt :class:`TupleArray`
     views.  When called with the same list twice the result is symmetric by
-    construction (the (i, j) and (j, i) blocks are exact transposes).
+    construction (the (i, j) and (j, i) blocks are exact transposes).  A
+    one-type by one-type call is computed in place in the returned array;
+    mixed types go through one buffer per type pair.
     """
     ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
     tb = b if isinstance(b, TupleArray) else TupleArray.build(b, h)
-    out = np.zeros((len(ta), len(tb)))
-    for i in np.unique(ta.types):
+    out = np.empty((len(ta), len(tb)))
+    for i in ta.type_set:
         ra = ta.indices_of_type(i)
-        for j in np.unique(tb.types):
+        for j in tb.type_set:
             rb = tb.indices_of_type(j)
-            amp = math.sqrt(h.signal_var[i] * h.signal_var[j])
-            block = amp * _pairwise_density(
-                ta.coords[ra], tb.coords[rb], h.pair_width(i, j)
-            )
+            whole = ra.size == len(ta) and rb.size == len(tb)
+            if whole:
+                block, xa, xb = out, ta.coords, tb.coords
+            else:
+                block = np.empty((ra.size, rb.size))
+                xa, xb = ta.coords[ra], tb.coords[rb]
+            _pairwise_density(xa, xb, h.pair_width(i, j), out=block)
+            block *= math.sqrt(h.signal_var[i] * h.signal_var[j])
             if i == j:
-                same = np.all(
-                    ta.coords[ra][:, None, :] == tb.coords[rb][None, :, :], axis=2
-                )
-                block = block + same * float(h.noise_var[i])
-            out[np.ix_(ra, rb)] = block
+                np.add(block, float(h.noise_var[i]), out=block,
+                       where=_same_location(xa, xb))
+            if not whole:
+                out[np.ix_(ra, rb)] = block
     return out
 
 
@@ -269,7 +309,7 @@ def latent_cross_matrix(a, u_coords, h: Hyperparams):
     ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
     u_coords = np.atleast_2d(np.asarray(u_coords, dtype=float))
     out = np.zeros((len(ta), u_coords.shape[0]))
-    for i in np.unique(ta.types):
+    for i in ta.type_set:
         ra = ta.indices_of_type(i)
         out[ra] = math.sqrt(h.signal_var[i]) * _pairwise_density(
             ta.coords[ra], u_coords, h.latent_width(i)

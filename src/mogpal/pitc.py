@@ -11,6 +11,12 @@ This module owns that block algebra, once: ``type_blocks`` computes the
 per-type residual ``C - W K_uu^-1 W^T``, ``sparse_cov`` assembles the joint
 covariance (for the likelihood too), and ``BlockFactors`` factors per-type
 residual blocks for the posterior and the selection criterion.
+
+Memory: per type, the only candidate-by-candidate array a model keeps is the
+residual ``R``, built in the kernel's own buffer.  The exact prior block
+``C`` is not kept; its diagonal is (``PitcModel.prior_var``), and the few
+prior rows the criterion needs are recomputed from the kernel on demand,
+with the same bits as the rows of the full block.
 """
 
 import warnings
@@ -156,17 +162,20 @@ class PitcModel(SparsePrior):
     Candidates are stored sorted by ``(type_index, location)`` so that
     argmax ties downstream break lexicographically.  Per type ``i`` the
     model caches the blocks of :func:`type_blocks` over the type's
-    candidates: the exact prior block ``C[i]``, the candidate-inducing
-    cross covariance ``W[i]``, its inducing solve ``G[i]`` and the residual
-    block ``R[i] = C[i] - W[i] G[i]``.
+    candidates: the candidate-inducing cross covariance ``W[i]``, its
+    inducing solve ``G[i]`` and the residual block ``R[i] = C[i] - W[i]
+    G[i]`` of the exact prior block ``C[i]``.  Of ``C[i]`` itself only the
+    diagonal is kept, as ``prior_var`` over the whole pool in candidate
+    order; a row of ``C[i]`` is ``kernels.cov_matrix`` of one candidate
+    against the type's candidates.
     """
 
     candidates: TupleArray
     type_slices: dict = field(repr=False)
     W: dict = field(repr=False)
     G: dict = field(repr=False)
-    C: dict = field(repr=False)
     R: dict = field(repr=False)
+    prior_var: np.ndarray = field(repr=False)
     tuple_index: dict = field(repr=False)
 
     @property
@@ -183,12 +192,6 @@ class PitcModel(SparsePrior):
         missing = [t for t in tuples if t not in self.tuple_index]
         if missing:
             raise DomainError(f"tuples not in the candidate pool: {missing}")
-
-    def prior_diag(self, idx=None):
-        diag = np.empty(len(self.candidates))
-        for i, rows in self.type_slices.items():
-            diag[rows] = np.diag(self.C[i])
-        return diag if idx is None else diag[idx]
 
 
 def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> PitcModel:
@@ -236,16 +239,17 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
     cands = TupleArray.build(pool, h)
     prior = sparse_prior(h, inducing)
 
-    type_slices, W, G, C, R = {}, {}, {}, {}, {}
+    type_slices, W, G, R = {}, {}, {}, {}
+    prior_var = np.empty(len(cands))
     for i in sorted({int(v) for v in np.unique(cands.types)}):
         idx = cands.indices_of_type(i)
         type_slices[i] = idx
-        W[i], G[i], C[i], R[i] = type_blocks(prior, cands.take(idx))
+        W[i], G[i], prior_var[idx], R[i] = type_blocks(prior, cands.take(idx))
 
     return PitcModel(
         h=h, inducing=inducing, kuu=prior.kuu, kuu_factor=prior.kuu_factor,
-        candidates=cands, type_slices=type_slices, W=W, G=G, C=C, R=R,
-        tuple_index={t: k for k, t in enumerate(cands.tuples)},
+        candidates=cands, type_slices=type_slices, W=W, G=G, R=R,
+        prior_var=prior_var, tuple_index={t: k for k, t in enumerate(cands.tuples)},
     )
 
 
@@ -256,15 +260,19 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
 def type_blocks(prior: SparsePrior, ta: TupleArray):
     """Kernel blocks of tuples ``ta``, all of one type.
 
-    Returns ``(W, G, C, R)``: the cross covariance ``W`` to the inducing
-    locations, its inducing solve ``G = K_uu^-1 W^T``, the exact prior block
-    ``C`` and the residual ``R = C - W G`` left after conditioning on the
-    inducing measurements.
+    Returns ``(W, G, prior_var, R)``: the cross covariance ``W`` to the
+    inducing locations, its inducing solve ``G = K_uu^-1 W^T``, the diagonal
+    ``prior_var`` of the exact prior block ``C`` and the residual
+    ``R = C - W G`` left after conditioning on the inducing measurements.
+    ``R`` overwrites ``C`` in the kernel's buffer, so ``C`` is never held
+    next to it.
     """
     w = kernels.latent_cross_matrix(ta, prior.inducing.locations, prior.h)
     g = prior.kuu_factor.solve(w.T)
-    c = kernels.cov_matrix(ta, ta, prior.h)
-    return w, g, c, c - w @ g
+    r = kernels.cov_matrix(ta, ta, prior.h)
+    prior_var = np.diag(r).copy()
+    r -= w @ g
+    return w, g, prior_var, r
 
 
 def sparse_cov(prior: SparsePrior, a, b):

@@ -84,7 +84,7 @@ def select_greedy(model: PitcModel, cache: CriterionCache, n: int) -> SelectionS
     remaining gain is zero), so for any budget beyond that point the picks
     fall back to maximum posterior entropy; this keeps the sequence
     deterministic and useful instead of ordering by roundoff noise.  The
-    recorded gain is still the objective gain.  Each pick costs
+    recorded gain is still the objective gain, exactly zero there.  Each pick costs
     O(N (m + |X|)) for N candidates, m inducing points and |X| picks so far
     (one covariance row and a rank-one variance downdate, see
     :class:`GainEvaluator`); gains within ``TIE_ATOL`` of the best are

@@ -12,7 +12,7 @@ import numpy as np
 from mogpal import kernels
 from mogpal.criterion import _as_selection, _selected_blocks, build_cache
 from mogpal.errors import ConfigError, IllConditionedError
-from mogpal.kernels import TypedLocation
+from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation
 from mogpal.linalg import chol_spd
 from mogpal.selector import _check_budget, _greedy_loop
 
@@ -51,6 +51,44 @@ def lat_cross(p, u, h):
 def lat_cov(u, v, h):
     delta = [a - b for a, b in zip(u, v)]
     return gd(delta, list(h.latent_prec_inv))
+
+
+def _pairwise_density(xa, xb, diag_cov):
+    """Matrix of gaussian_density(xa[r] - xb[c], diag_cov) values."""
+    diag_cov = np.asarray(diag_cov, dtype=float)
+    d = diag_cov.shape[0]
+    diff = xa[:, None, :] - xb[None, :, :]
+    quad = np.einsum("rcv,v->rc", diff * diff, 1.0 / diag_cov)
+    norm = TWO_PI ** (-0.5 * d) * float(np.prod(diag_cov)) ** -0.5
+    return norm * np.exp(-0.5 * quad)
+
+
+def cov_matrix(a, b, h: Hyperparams):
+    """Prior covariance matrix between two tuple lists, assembled from
+    whole-array temporaries and ``np.einsum``.
+
+    The reference for ``kernels.cov_matrix``, which fills its output in
+    place with the same per-element operations and must match this bitwise
+    for d <= 2.
+    """
+    ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
+    tb = b if isinstance(b, TupleArray) else TupleArray.build(b, h)
+    out = np.zeros((len(ta), len(tb)))
+    for i in np.unique(ta.types):
+        ra = ta.indices_of_type(i)
+        for j in np.unique(tb.types):
+            rb = tb.indices_of_type(j)
+            amp = math.sqrt(h.signal_var[i] * h.signal_var[j])
+            block = amp * _pairwise_density(
+                ta.coords[ra], tb.coords[rb], h.pair_width(i, j)
+            )
+            if i == j:
+                same = np.all(
+                    ta.coords[ra][:, None, :] == tb.coords[rb][None, :, :], axis=2
+                )
+                block = block + same * float(h.noise_var[i])
+            out[np.ix_(ra, rb)] = block
+    return out
 
 
 def exact_cov(a, b, h):
@@ -305,13 +343,13 @@ class ScratchGainEvaluator:
             b = w_sub @ g
             pos = col_pos_by_type.get(i)
             if pos is not None and pos.size:
-                lj = cache.local_index[cols[pos]]
-                b[:, pos] = model.C[i][np.ix_(li, lj)]
+                picks = model.candidates.take(model.type_slices[i][li])
+                b[:, pos] = cov_matrix(picks, model.candidates.take(cols[pos]), model.h)
             u = blocks.factor[i].solve(b)
             e1 += np.einsum("rc,rc->c", b, u)
             hmat += w_sub.T @ u
         quad2 = np.einsum("mc,mc->c", hmat, m_factor.solve(hmat))
-        return model.prior_diag(cols) - (e1 - quad2)
+        return model.prior_var[cols] - (e1 - quad2)
 
     def _selected_mask(self):
         mask = np.zeros(len(self.model.candidates), dtype=bool)

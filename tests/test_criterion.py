@@ -300,6 +300,25 @@ class TestGainEvaluator:
                 )
                 assert gains[i] == pytest.approx(direct, abs=1e-6)
 
+    def test_prior_rows_kept_for_picks_only(self):
+        # the near-tie sweep reads exact prior rows of the picks: computed
+        # from the kernel when a sweep first needs them and kept, O(|X| N)
+        model, cache = random_instance(72, n_per_type=(9, 6))
+        picks = model.candidate_list()[::2]
+        ev = GainEvaluator(model, cache).set_state(picks)
+        assert ev._prior_rows == {}
+        ev._sweep(np.flatnonzero(ev._free), target_blocks=False)
+        kept = {i: np.vstack(batches) for i, batches in ev._prior_rows.items()}
+        assert sum(rows.size for rows in kept.values()) <= (
+            len(picks) * len(model.candidates)
+        )
+        for i, rows in model.type_slices.items():
+            own = [model.tuple_index[t] for t in picks if t.type_index == i]
+            expected = oracles.cov_matrix(
+                model.candidates.take(own), model.candidates.take(rows), model.h
+            )
+            assert np.array_equal(kept[i], expected)
+
     def test_variances_match_posterior(self):
         model, cache = random_instance(71, n_per_type=(4, 4))
         cands = model.candidate_list()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,89 @@ class TestCovMatrix:
         np.testing.assert_allclose(
             latent_matrix(u, H2), oracles.inducing_cov(u, H2), rtol=1e-13
         )
+
+
+def _random_tuples(rng, n, types, dim, spread=5.0):
+    """``n`` tuples of each type, at distinct uniform locations."""
+    return [
+        as_tuple(rng.uniform(0, spread, dim), i) for i in types for _ in range(n)
+    ]
+
+
+def _hyper(n_types, dim, rng):
+    return Hyperparams(
+        signal_var=rng.uniform(0.5, 2.0, n_types),
+        noise_var=rng.uniform(0.1, 0.3, n_types),
+        latent_prec_inv=rng.uniform(0.05, 0.5, dim),
+        smooth_prec_inv=rng.uniform(0.02, 0.3, (n_types, dim)),
+    )
+
+
+class TestInPlaceAssembly:
+    """``cov_matrix`` fills its output in place; it must keep the bits of
+    the whole-array reference assembly in ``oracles.cov_matrix``."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n_types", [1, 2, 3])
+    def test_bitwise_equal_to_reference(self, dim, n_types):
+        rng = np.random.default_rng(100 * dim + n_types)
+        h = _hyper(n_types, dim, rng)
+        # a spread of 60 puts most pairs where the density underflows to zero
+        a = _random_tuples(rng, 40, range(n_types), dim, spread=60.0)
+        b = _random_tuples(rng, 30, range(n_types), dim)
+        rng.shuffle(a)
+        for x, y in ((a, a), (a, b), (b, a)):
+            assert np.array_equal(cov_matrix(x, y, h), oracles.cov_matrix(x, y, h))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_shared_location_across_types(self, dim):
+        # the noise is shared by the same tuple only, not by another type
+        # measured at the same location
+        rng = np.random.default_rng(7)
+        h = _hyper(2, dim, rng)
+        locs = rng.uniform(0, 3, (6, dim))
+        tuples = [as_tuple(loc, i) for loc in locs for i in (0, 1)]
+        mat = cov_matrix(tuples, tuples, h)
+        assert np.array_equal(mat, oracles.cov_matrix(tuples, tuples, h))
+        for k in range(0, len(tuples), 2):
+            assert mat[k, k + 1] == pytest.approx(
+                oracles.out_cov(tuples[k], tuples[k + 1], h), rel=1e-14
+            )
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_tuple_row_matches_full_block(self, dim):
+        rng = np.random.default_rng(11 + dim)
+        h = _hyper(1, dim, rng)
+        ta = TupleArray.build(_random_tuples(rng, 300, [0], dim, spread=80.0), h)
+        full = cov_matrix(ta, ta, h)
+        for k in (0, 17, 299):
+            assert np.array_equal(cov_matrix(ta.take([k]), ta, h)[0], full[k])
+
+    def test_three_dims_documented_gap(self):
+        # np.einsum adds the per-dimension terms of the reference in another
+        # order for d >= 3, so only the last bits may differ there
+        rng = np.random.default_rng(3)
+        h = _hyper(2, 3, rng)
+        a = _random_tuples(rng, 25, (0, 1), 3, spread=2.0)
+        np.testing.assert_allclose(
+            cov_matrix(a, a, h), oracles.cov_matrix(a, a, h), rtol=1e-13, atol=0
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("types", [(0,), (0, 1)], ids=["one-type", "two-types"])
+    def test_peak_allocation_bounded(self, types, dim):
+        # 1000 tuples either way; the whole-array assembly peaked at 5x the
+        # output's bytes on one type in one dimension
+        rng = np.random.default_rng(5)
+        h = _hyper(2, dim, rng)
+        ta = TupleArray.build(_random_tuples(rng, 1000 // len(types), types, dim), h)
+        tracemalloc.start()
+        try:
+            out = cov_matrix(ta, ta, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes
 
 
 class TestHyperparams:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -77,6 +79,31 @@ class TestBuildModel:
         assert np.array_equal(m1.kuu, m2.kuu)
         for i in m1.R:
             assert np.array_equal(m1.R[i], m2.R[i])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_blocks_bitwise_from_reference_kernel(self, dim):
+        model, _ = random_instance(31 + dim, n_per_type=(12, 9, 7), dim=dim, n_inducing=4)
+        for i, rows in model.type_slices.items():
+            ta = model.candidates.take(rows)
+            c = oracles.cov_matrix(ta, ta, model.h)
+            assert np.array_equal(model.R[i], c - model.W[i] @ model.G[i])
+            assert np.array_equal(model.prior_var[rows], np.diag(c))
+
+    def test_keeps_no_prior_block(self):
+        # per type the residual is the only candidate-by-candidate array
+        model, _ = random_instance(33, n_per_type=(12, 9), n_inducing=4)
+        assert not hasattr(model, "C")
+        sizes = {rows.size for rows in model.type_slices.values()}
+        square = []
+        for f in dataclasses.fields(model):
+            value = getattr(model, f.name)
+            items = value.items() if isinstance(value, dict) else [(None, value)]
+            square += [
+                (f.name, key) for key, arr in items
+                if isinstance(arr, np.ndarray) and arr.ndim == 2
+                and arr.shape[0] == arr.shape[1] and arr.shape[0] in sizes
+            ]
+        assert sorted(square) == [("R", i) for i in sorted(model.type_slices)]
 
     def test_single_inducing_scalar(self):
         model = _model_1type(m=1)

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from mogpal import (
     ConfigError, DomainError, GainEvaluator, Hyperparams, IllConditionedError, as_tuple,
-    build_cache, build_model,
+    build_cache, build_model, criterion_F,
 )
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import (
@@ -109,12 +109,37 @@ class TestIncrementalGainState:
         for (_, gain), (_, expected) in zip(state.gain_log, reference.gain_log):
             assert gain == pytest.approx(expected, rel=0, abs=1e-9)
 
+    def test_exhausted_target_pool_needs_no_target_sweep(self, monkeypatch):
+        # once every target candidate is picked the objective is constant:
+        # greedy falls back to max-entropy picks and records zero gains
+        # without rescoring the auxiliary pool against the target pool
+        model, cache = random_instance(5, n_per_type=(30, 60), spread=20.0)
+        sweeps = []
+        sweep = GainEvaluator._sweep
+
+        def spy(self, cols, target_blocks):
+            sweeps.append((len(self.selected), target_blocks))
+            return sweep(self, cols, target_blocks)
+
+        monkeypatch.setattr(GainEvaluator, "_sweep", spy)
+        state = select_greedy(model, cache, 90)
+        reference = oracles.select_greedy_scratch(model, cache, 90)
+        assert state.selected == reference.selected
+        for (_, gain), (_, expected) in zip(state.gain_log, reference.gain_log):
+            assert gain == pytest.approx(expected, rel=0, abs=1e-9)
+        assert state.cumulative[-1] == pytest.approx(
+            criterion_F(model, cache, state.selected), rel=1e-12
+        )
+        assert all(t.type_index == 0 for t in state.selected[:30])
+        assert [n for n, target in sweeps if target and n >= 30] == []
+        assert any(n >= 30 for n, _ in sweeps)
+
     @pytest.mark.parametrize("algorithm", ["m-greedy", "m-var"])
     def test_nan_variance_raises(self, algorithm):
         # NaN <= 0 is false, so a NaN variance used to pass the positivity
         # check and win the argmax as a silent pick
         model, cache = random_instance(87, n_per_type=(5, 5))
-        model.C[0][2, 2] = np.nan
+        model.prior_var[2] = np.nan
         with pytest.raises(IllConditionedError):
             if algorithm == "m-greedy":
                 select_greedy(model, cache, 3)
@@ -123,7 +148,7 @@ class TestIncrementalGainState:
 
     def test_nan_pivot_raises(self):
         model, cache = random_instance(87, n_per_type=(5, 5))
-        model.C[0][2, 2] = np.nan
+        model.prior_var[2] = np.nan
         with pytest.raises(IllConditionedError):
             GainEvaluator(model, cache).set_state([]).add(model.candidates.tuples[2])
 
@@ -183,8 +208,6 @@ class TestSelectGreedy:
         assert any(t.type_index == 1 for t in state.selected)
 
     def test_telescoping_cumulative(self):
-        from mogpal import criterion_F
-
         model, cache = random_instance(9, n_per_type=(4, 4))
         state = select_greedy(model, cache, 5)
         assert state.cumulative[-1] == pytest.approx(
@@ -196,7 +219,7 @@ class TestSelectMvar:
     def test_first_pick_is_max_prior_variance(self):
         model, cache = random_instance(21, n_per_type=(5, 5))
         state = select_mvar(model, 1, cache)
-        prior = model.prior_diag()
+        prior = model.prior_var
         assert state.selected[0] == model.candidates.tuples[int(np.argmax(prior))]
 
     def test_tie_break_lexicographic_under_symmetry(self):
