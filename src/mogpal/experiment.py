@@ -72,8 +72,10 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
 
     cov = kernels.cov_matrix(tuples, tuples, h)
     noise = h.noise_var[[t.type_index for t in tuples]]
-    smooth = cov - np.diag(noise)
-    factor = chol_spd(smooth + 1e-10 * np.eye(total), "synthetic prior")
+    # noise-free prior plus 1e-10 jitter, on the diagonal in place
+    cov.flat[::total + 1] -= noise
+    cov.flat[::total + 1] += 1e-10
+    factor = chol_spd(cov, "synthetic prior")
     field = factor.lower @ rng.standard_normal(total)
     measured = field + rng.standard_normal(total) * np.sqrt(noise)
     values = {}

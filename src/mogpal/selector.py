@@ -134,7 +134,8 @@ class _SingleOutputPools:
     ``chol_spd`` and inverted, O(|V_t|^3) per target type; each pick then
     downdates that inverse in O(|V_t|^2), so ``1 / P[j, j]`` stays the
     variance of free candidate ``j`` given the other free ones (the MI-greedy
-    bookkeeping of Krause, Singh & Guestrin 2008).
+    bookkeeping of Krause, Singh & Guestrin 2008), through one |V_t|^2
+    buffer per pool allocated here.
     """
 
     def __init__(self, model, single_output_hypers=None, track_inverse=False):
@@ -144,6 +145,7 @@ class _SingleOutputPools:
         self.free = {}
         self.selected = {}
         self.inverse = {}
+        self.downdate = {}
         for t, tuples in pools.items():
             remapped = [TypedLocation(p.location, 0) for p in tuples]
             h_t = None if single_output_hypers is None else single_output_hypers.get(t)
@@ -156,6 +158,7 @@ class _SingleOutputPools:
             if track_inverse:
                 factor = chol_spd(self.prior[t], "single-output pool prior")
                 self.inverse[t] = factor.solve(np.eye(len(tuples)))
+                self.downdate[t] = np.empty_like(self.inverse[t])
         # flattened candidate list in model (lexicographic) order
         self.flat_tuples = [p for t in self.types for p in pools[t]]
         self.local = {p: (t, k) for t in self.types for k, p in enumerate(pools[t])}
@@ -171,7 +174,9 @@ class _SingleOutputPools:
         if t in self.inverse:
             inv = self.inverse[t]
             _check_positive(inv[k, k], f"inverse pivot of single-output pool {t}")
-            inv -= np.outer(inv[:, k], inv[k, :]) / inv[k, k]
+            buf = np.outer(inv[:, k], inv[k, :], out=self.downdate[t])
+            buf /= inv[k, k]
+            inv -= buf
 
     def posterior_var(self, t):
         """Variance of every pool-t candidate given the selected pool-t ones.

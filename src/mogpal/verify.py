@@ -5,6 +5,12 @@ exhaustive optimum, degraded by how far the objective is from submodular;
 this module measures every quantity in that statement on concrete
 instances: the exhaustive optimum, the worst conditional variance reduction
 (the relaxation parameter), and the observed diminishing-returns violations.
+
+The exhaustive optimum walks the size-n subsets as a prefix tree: one
+gain sweep per prefix scores every one-step extension, so a subset's value
+is its prefix's value plus one gain.  Only subsets whose telescoped value
+lies within ``criterion.TIE_ATOL`` of the best are rescored from scratch,
+which keeps the winner and its value those of a full enumeration.
 """
 
 import itertools
@@ -13,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import CriterionCache, build_cache, criterion_F
+from .criterion import TIE_ATOL, CriterionCache, GainEvaluator, build_cache, criterion_F
 from .errors import EnumerationGuardError
 from .kernels import Hyperparams, TupleArray, as_tuple
 from .linalg import chol_spd
 from .pitc import PitcModel, build_model, select_inducing, sparse_cov
-from .selector import select_greedy
+from .selector import _check_budget, select_greedy
 
 __all__ = [
     "GuaranteeReport", "brute_force_optimum", "estimate_epsilon1",
@@ -72,20 +78,50 @@ def brute_force_optimum(model: PitcModel, cache: CriterionCache, n: int):
     Enumerates candidates in their deterministic (lexicographic) order, so
     exact ties resolve to the lexicographically smallest subset.  Refuses
     enumerations beyond 10^6 subsets.
+
+    Subsets are grown level by level as a prefix tree: each prefix of size
+    k < n costs one ``GainEvaluator`` state and one gain sweep, and each of
+    its extensions by a later candidate is valued at the prefix's value
+    plus that candidate's gain.  Every subset valued within ``TIE_ATOL`` of
+    the best is rescored with :func:`criterion_F`, in enumeration order,
+    and the first strictly best rescored value wins; so the subset and value
+    returned are those of scoring every subset with :func:`criterion_F`
+    whenever the telescoped values are within ``TIE_ATOL / 2`` of it.
     """
     cands = model.candidates.tuples
+    _check_budget(n, len(cands))
     total = math.comb(len(cands), n)
     if total > ENUMERATION_GUARD:
         raise EnumerationGuardError(
             f"C({len(cands)}, {n}) = {total} subsets exceeds the "
             f"{ENUMERATION_GUARD} enumeration guard"
         )
+    if n == 0:
+        return [], float(criterion_F(model, cache, []))
+    evaluator = GainEvaluator(model, cache)
+    prefixes = {(): 0.0}
+    leaves = []  # (prefix, first extension, values of the extensions)
+    for k in range(n):
+        stop = len(cands) - n + k + 1  # leaves room for the picks after
+        grown = {}
+        for prefix, value in prefixes.items():
+            first = prefix[-1] + 1 if prefix else 0
+            gains = evaluator.set_state([cands[i] for i in prefix]).gains()
+            if k == n - 1:
+                leaves.append((prefix, first, value + gains[first:stop]))
+            else:
+                for j in range(first, stop):
+                    grown[prefix + (j,)] = value + gains[j]
+        prefixes = grown
+    best = max(values.max() for _, _, values in leaves)
     best_subset, best_value = None, -np.inf
-    for combo in itertools.combinations(cands, n):
-        value = criterion_F(model, cache, list(combo))
-        if value > best_value:
-            best_subset, best_value = combo, value
-    return list(best_subset), float(best_value)
+    for prefix, first, values in leaves:
+        for offset in np.flatnonzero(values >= best - TIE_ATOL):
+            subset = [cands[i] for i in prefix + (first + int(offset),)]
+            value = criterion_F(model, cache, subset)
+            if value > best_value:
+                best_subset, best_value = subset, value
+    return best_subset, float(best_value)
 
 
 def blocked_conditional_var(model: PitcModel, conditioning, z):
@@ -116,15 +152,20 @@ class _PreconditionedVar:
             cond = cond - c_of @ chol_spd(c_ff, "fixed conditioning").solve(c_of.T)
         self.cond = cond
 
-    def var(self, z, subset):
-        zi = self.index[z]
+    def var(self, zs, subset):
+        """Variances of the tuples ``zs`` given ``subset`` plus the fixed
+        part, from one factorization of the subset's block."""
+        zi = [self.index[z] for z in zs]
+        prior = self.cond[zi, zi]
         if not subset:
-            return float(self.cond[zi, zi])
+            return prior
         si = [self.index[t] for t in subset]
         c_ss = self.cond[np.ix_(si, si)]
-        c_zs = self.cond[zi, si]
-        sol = chol_spd(c_ss, "subset conditioning").solve(c_zs)
-        return float(self.cond[zi, zi] - c_zs @ sol)
+        c_zs = self.cond[np.ix_(zi, si)]
+        sol = chol_spd(c_ss, "subset conditioning").solve(c_zs.T)
+        # a dot product per tuple rounds as one solve per tuple did (einsum
+        # sums in another order)
+        return prior - np.array([row @ col for row, col in zip(c_zs, sol.T)])
 
 
 def estimate_epsilon1(model: PitcModel, x, samples=None, seed=0):
@@ -138,6 +179,8 @@ def estimate_epsilon1(model: PitcModel, x, samples=None, seed=0):
 
     Subsets are enumerated exhaustively up to ``|x| <= 12``; beyond that a
     ``samples`` count must be given, and the result is only a lower bound.
+    Each subset's covariance block is factored once for all auxiliary
+    candidates.
     """
     x = list(x)
     model.require_candidates(x)
@@ -170,13 +213,15 @@ def estimate_epsilon1(model: PitcModel, x, samples=None, seed=0):
             mask = rng.integers(0, 2, size=len(x)).astype(bool)
             subsets.append([t for t, keep in zip(x, mask) if keep])
 
-    others = [t for t in model.candidates.tuples if t not in set(fixed)]
+    others = [
+        t for t in model.candidates.tuples
+        if t.type_index not in target or t in x_target
+    ]
     pre = _PreconditionedVar(model, fixed, others)
     worst = 0.0
-    full_var = {z: pre.var(z, x) for z in aux_candidates}
+    full_var = pre.var(aux_candidates, x)
     for subset in subsets:
-        for z in aux_candidates:
-            worst = max(worst, pre.var(z, subset) - full_var[z])
+        worst = max(worst, float(np.max(pre.var(aux_candidates, subset) - full_var)))
     return worst
 
 

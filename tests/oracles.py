@@ -5,16 +5,19 @@ log-determinants, deliberately avoiding the library's cached and
 Woodbury-factored code paths.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from mogpal import kernels
-from mogpal.criterion import _as_selection, _selected_blocks, build_cache
-from mogpal.errors import ConfigError, IllConditionedError
+from mogpal.criterion import _as_selection, _selected_blocks, build_cache, criterion_F
+from mogpal.errors import ConfigError, EnumerationGuardError, IllConditionedError
 from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation
 from mogpal.linalg import chol_spd
+from mogpal.pitc import sparse_cov
 from mogpal.selector import _check_budget, _greedy_loop
+from mogpal.verify import ENUMERATION_GUARD, SUBSET_GUARD
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 
@@ -418,3 +421,91 @@ def select_mvar_scratch(model, n, cache=None):
         return entropies, entropies
 
     return _greedy_loop("m-var", n, model.candidates.tuples, score)
+
+
+def brute_force_optimum(model, cache, n):
+    """Exhaustive argmax of the objective over all size-n selections, with
+    ``criterion_F`` solved from scratch for every subset."""
+    cands = model.candidates.tuples
+    total = math.comb(len(cands), n)
+    if total > ENUMERATION_GUARD:
+        raise EnumerationGuardError(
+            f"C({len(cands)}, {n}) = {total} subsets exceeds the "
+            f"{ENUMERATION_GUARD} enumeration guard"
+        )
+    best_subset, best_value = None, -np.inf
+    for combo in itertools.combinations(cands, n):
+        value = criterion_F(model, cache, list(combo))
+        if value > best_value:
+            best_subset, best_value = combo, value
+    return list(best_subset), float(best_value)
+
+
+class _PreconditionedVar:
+    """Variance queries var(z | subset + fixed) with the fixed part solved
+    once, one tuple z and one factorization of the subset at a time."""
+
+    def __init__(self, model, fixed, others):
+        self.index = {t: k for k, t in enumerate(others)}
+        to = TupleArray.build(others, model.h)
+        cond = sparse_cov(model, to, to)
+        if fixed:
+            tf = TupleArray.build(fixed, model.h)
+            c_ff = sparse_cov(model, tf, tf)
+            c_of = sparse_cov(model, to, tf)
+            cond = cond - c_of @ chol_spd(c_ff, "fixed conditioning").solve(c_of.T)
+        self.cond = cond
+
+    def var(self, z, subset):
+        zi = self.index[z]
+        if not subset:
+            return float(self.cond[zi, zi])
+        si = [self.index[t] for t in subset]
+        c_ss = self.cond[np.ix_(si, si)]
+        c_zs = self.cond[zi, si]
+        sol = chol_spd(c_ss, "subset conditioning").solve(c_zs)
+        return float(self.cond[zi, zi] - c_zs @ sol)
+
+
+def estimate_epsilon1(model, x, samples=None, seed=0):
+    """``verify.estimate_epsilon1`` with the subset block factored again
+    for every auxiliary candidate."""
+    x = list(x)
+    model.require_candidates(x)
+    target = set(model.target_types)
+    x_target = {t for t in x if t.type_index in target}
+    x_aux = {t for t in x if t.type_index not in target}
+    fixed = [
+        t for t in model.candidates.tuples
+        if t.type_index in target and t not in x_target
+    ]
+    aux_candidates = [
+        t for t in model.candidates.tuples
+        if t.type_index not in target and t not in x_aux
+    ]
+    if not aux_candidates:
+        return 0.0
+
+    if len(x) > SUBSET_GUARD and samples is None:
+        raise EnumerationGuardError(
+            f"2^{len(x)} subsets exceed the enumeration guard; "
+            "pass a sample count for a (lower-bound) estimate"
+        )
+    if samples is None:
+        subsets = [list(c) for k in range(len(x) + 1)
+                   for c in itertools.combinations(x, k)]
+    else:
+        rng = np.random.default_rng(seed)
+        subsets = [[]]
+        for _ in range(samples):
+            mask = rng.integers(0, 2, size=len(x)).astype(bool)
+            subsets.append([t for t, keep in zip(x, mask) if keep])
+
+    others = [t for t in model.candidates.tuples if t not in set(fixed)]
+    pre = _PreconditionedVar(model, fixed, others)
+    worst = 0.0
+    full_var = {z: pre.var(z, x) for z in aux_candidates}
+    for subset in subsets:
+        for z in aux_candidates:
+            worst = max(worst, pre.var(z, subset) - full_var[z])
+    return worst

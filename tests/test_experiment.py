@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mogpal import ConfigError, Hyperparams, as_tuple
+from mogpal import ConfigError, Hyperparams, as_tuple, experiment, kernels, verify
 from mogpal.cli import main as cli_main
 from mogpal.config import (
     ExperimentConfig,
@@ -15,6 +15,8 @@ from mogpal.config import (
     save_hyperparams,
 )
 from mogpal.experiment import generate_synthetic, run_experiment, verify_sweep
+from mogpal.kernels import TypedLocation
+from mogpal.linalg import chol_spd
 
 H2 = Hyperparams(
     signal_var=[1.0, 0.8], noise_var=[0.25, 0.1],
@@ -91,6 +93,28 @@ class TestGenerateSynthetic:
         for ti, nv in enumerate(h.noise_var):
             _, vals = ds.measured(ti)
             assert float(np.var(vals)) == pytest.approx(nv, rel=0.35)
+
+    @pytest.mark.parametrize("layout", ["grid", "uniform"])
+    def test_prior_factor_bitwise_old_expression(self, monkeypatch, layout):
+        factors = []
+
+        def spy(a, name="matrix"):
+            factors.append(chol_spd(a, name))
+            return factors[-1]
+
+        monkeypatch.setattr(experiment, "chol_spd", spy)
+        spec = GeneratorSpec(n_locations=60, extent=5.0, layout=layout)
+        ds = generate_synthetic(spec, H2, seed=4)
+        tuples = [
+            TypedLocation(tuple(float(c) for c in ds.coords[li]), ti)
+            for ti in range(H2.n_types) for li in range(spec.n_locations)
+        ]
+        total = len(tuples)
+        cov = kernels.cov_matrix(tuples, tuples, H2)
+        noise = H2.noise_var[[t.type_index for t in tuples]]
+        expected = chol_spd(cov - np.diag(noise) + 1e-10 * np.eye(total))
+        assert len(factors) == 1
+        assert np.array_equal(factors[0].lower, expected.lower)
 
     def test_sample_covariance_matches_kernel(self):
         # Monte-Carlo oracle: repeated draws at two fixed tuples
@@ -238,6 +262,16 @@ class TestVerifySweep:
             )
             assert float(fields["bound"]) == pytest.approx(recomputed, abs=1e-9)
         assert lines[-1] == "summary pass=5 fail=0 inconclusive=0"
+
+    def test_report_bytes_match_full_enumeration(self, tmp_path, monkeypatch):
+        cfg = VerifySweepConfig(instances=6, seed=40, output_dir=str(tmp_path))
+        verify_sweep(cfg, out_dir=tmp_path / "tree")
+        monkeypatch.setattr(verify, "brute_force_optimum", oracles.brute_force_optimum)
+        monkeypatch.setattr(verify, "estimate_epsilon1", oracles.estimate_epsilon1)
+        verify_sweep(cfg, out_dir=tmp_path / "oracle")
+        report = (tmp_path / "tree" / "verify_report.txt").read_bytes()
+        assert report == (tmp_path / "oracle" / "verify_report.txt").read_bytes()
+        assert report.endswith(b"summary pass=6 fail=0 inconclusive=0\n")
 
 
 class TestCli:

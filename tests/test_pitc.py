@@ -19,7 +19,7 @@ from mogpal import (
     select_inducing,
     sparse_cov,
 )
-from conftest import random_hyperparams, random_instance
+from conftest import random_instance
 
 H1 = Hyperparams(
     signal_var=[1.0], noise_var=[0.2],

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from mogpal import EnumerationGuardError, Hyperparams, as_tuple, build_cache, build_model, criterion_F
+import oracles
+from mogpal import (
+    ConfigError,
+    EnumerationGuardError,
+    Hyperparams,
+    as_tuple,
+    build_cache,
+    build_model,
+    criterion_F,
+)
+from mogpal import verify
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import SpacingParams, construct_spaced_candidates, min_spacing_p, select_greedy
 from mogpal.verify import (
@@ -65,6 +75,75 @@ class TestBruteForce:
         best, value = brute_force_optimum(model, cache, 2)
         assert criterion_F(model, cache, best) == pytest.approx(value, abs=1e-12)
 
+    def test_budget_beyond_pool_raises(self):
+        model, cache = random_instance(64, n_per_type=(3, 3))
+        with pytest.raises(ConfigError, match="budget 7 exceeds the candidate pool size 6"):
+            brute_force_optimum(model, cache, 7)
+
+    def test_negative_budget_raises(self):
+        model, cache = random_instance(64, n_per_type=(3, 3))
+        with pytest.raises(ConfigError, match="nonnegative"):
+            brute_force_optimum(model, cache, -1)
+
+    def test_zero_budget_is_empty_selection(self):
+        model, cache = random_instance(64, n_per_type=(3, 3))
+        assert brute_force_optimum(model, cache, 0) == ([], 0.0)
+
+    def test_rescores_only_near_ties(self, monkeypatch):
+        model, cache = random_instance(65, n_per_type=(6, 6))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return criterion_F(*args)
+
+        monkeypatch.setattr(verify, "criterion_F", counted)
+        best, value = brute_force_optimum(model, cache, 3)
+        assert 1 <= len(calls) < math.comb(12, 3) // 10
+        assert (best, value) == oracles.brute_force_optimum(model, cache, 3)
+
+
+def _mirror_instance():
+    """Two types on a mirror-symmetric grid: subsets tie up to roundoff, and
+    the telescoped and rescored values order them differently."""
+    h = Hyperparams(
+        signal_var=[1.0, 1.0], noise_var=[0.2, 0.2],
+        latent_prec_inv=[1.0], smooth_prec_inv=[[0.05], [0.05]],
+    )
+    cands = {i: [as_tuple([3.0 * k], i) for k in range(4)] for i in range(2)}
+    model = build_model(h, InducingSet(locations=[[0.0], [9.0]]), cands)
+    return model, build_cache(model)
+
+
+def _exhausted_target_instance():
+    # two target candidates: a size-4 prefix tree extends prefixes that
+    # hold both, where every gain is exactly zero
+    return random_instance(66, n_per_type=(2, 5))
+
+
+@pytest.mark.parametrize("build, n", [
+    (lambda: random_instance(67, n_per_type=(5, 4)), 0),
+    (lambda: random_instance(67, n_per_type=(5, 4)), 1),
+    (lambda: random_instance(67, n_per_type=(5, 4)), 3),
+    (lambda: random_instance(67, n_per_type=(5, 4)), 9),
+    (_modular_instance, 3),
+    (_mirror_instance, 3),
+    (lambda: random_instance(68, n_per_type=(8,)), 3),
+    (lambda: random_instance(69, n_per_type=(6, 6)), 3),
+    (lambda: random_instance(70, n_per_type=(4, 4, 4)), 3),
+    (lambda: random_instance(71, n_per_type=(3, 3, 3), target_types=(0, 2)), 4),
+    (_exhausted_target_instance, 4),
+], ids=[
+    "n0", "n1", "n3", "whole-pool", "modular-exact-ties", "mirror-near-ties",
+    "one-type", "two-types", "three-types", "two-target-types", "target-exhausted",
+])
+def test_prefix_tree_matches_full_enumeration(build, n):
+    model, cache = build()
+    best, value = brute_force_optimum(model, cache, n)
+    best_ref, value_ref = oracles.brute_force_optimum(model, cache, n)
+    assert best == best_ref
+    assert value == value_ref
+
 
 class TestEstimateEpsilon1:
     def test_empty_selection_is_zero(self):
@@ -102,6 +181,22 @@ class TestEstimateEpsilon1:
         full = estimate_epsilon1(model, x)
         sampled = estimate_epsilon1(model, x, samples=20, seed=3)
         assert sampled <= full + 1e-12
+
+    @pytest.mark.parametrize("seed, shape, samples", [
+        (76, (5, 5), None),
+        (77, (4, 4, 4), None),
+        (78, (3, 6), None),
+        (79, (8, 8), 40),
+    ])
+    def test_matches_per_tuple_factorizations(self, seed, shape, samples):
+        model, cache = random_instance(seed, n_per_type=shape)
+        if samples is None:
+            x = select_greedy(model, cache, 4).selected
+        else:
+            x = model.candidate_list()[:13]  # too many to enumerate
+        got = estimate_epsilon1(model, x, samples=samples, seed=seed)
+        assert got == oracles.estimate_epsilon1(model, x, samples=samples, seed=seed)
+        assert got > 0.0
 
     def test_spaced_instance_meets_requested_bound(self):
         # build a pool spaced per the certified multiplier, run greedy, and
