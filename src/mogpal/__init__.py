@@ -38,8 +38,6 @@ from .criterion import (
     GainEvaluator,
     build_cache,
     criterion_F,
-    greedy_gain,
-    mi_inducing_given,
 )
 
 __version__ = "0.1.0"

@@ -5,7 +5,9 @@ the latent structure against picking tuples (of any type) that would force
 the latent structure to be inferred from the unsampled remainder of the
 target pool.  The expensive part of every evaluation, a solve against the
 full target candidate pool, is independent of the selected set and is
-therefore precomputed once into :class:`CriterionCache`.  Afterwards
+therefore precomputed once: ``build_model`` factors each target type's
+residual in the residual's own buffer and keeps only the m x m target
+summary, and :class:`CriterionCache` reads it from the model.  Afterwards
 ``criterion_F`` costs the cube of the inducing count plus the cube of the
 selected count, and :class:`GainEvaluator` moves from one greedy iteration to
 the next in O(N (m + |X|)) for N candidates, m inducing points and |X|
@@ -13,8 +15,10 @@ selected tuples: the cost per candidate does not grow with the target pool.
 
 What is cached and what is computed on demand: the model keeps, per type,
 the inducing cross covariance ``W``, its solve ``G``, the residual ``R`` and
-the prior variances, but not the exact prior block ``C``.  The cache adds
-the target summary, ``G`` laid out over the whole pool and lookup tables.
+the prior variances (not the exact prior block ``C``), and the target
+summary.  The cache adds ``G`` laid out over the whole pool, the log-dets
+that pin the objective and lookup tables; building it allocates nothing of
+the target pool's squared size.
 A :class:`GainEvaluator` builds each pick's covariance row from those
 blocks.  Only its near-tie rescoring reads exact prior rows of the picks;
 they are computed from the kernel when a rescoring first needs them and
@@ -30,22 +34,20 @@ from .errors import DomainError, IllConditionedError
 from .exact import find_duplicates
 from .kernels import LOG_2PI_E, TupleArray
 from .linalg import chol_spd
-from .pitc import BlockFactors, PitcModel
+from .pitc import PitcModel, pool_blocks
 
-__all__ = [
-    "CriterionCache", "build_cache", "mi_inducing_given", "criterion_F",
-    "greedy_gain", "GainEvaluator",
-]
+__all__ = ["CriterionCache", "build_cache", "criterion_F", "GainEvaluator"]
 
 
 @dataclass(frozen=True)
 class CriterionCache:
     """One-off precomputation shared by every criterion evaluation.
 
-    ``target_summary`` is the inducing-space information contributed by the
-    full target candidate pool; it is the only quantity whose construction
-    touches all target candidates.  ``f_constant`` is the additive constant
-    that pins the objective to zero at the empty set.  Per-selection state
+    ``target_summary`` is the model's inducing-space information contributed
+    by the full target candidate pool, computed by ``build_model``; it is the
+    only quantity whose construction touches all target candidates.
+    ``f_constant`` is the additive constant that pins the objective to zero
+    at the empty set.  Per-selection state
     (the variances given the selection) lives in :class:`GainEvaluator`,
     which is updated one pick at a time.
     """
@@ -61,18 +63,10 @@ class CriterionCache:
     aux_cols: np.ndarray = field(repr=False)
 
 
-def _target_summary(model: PitcModel):
-    # the full cached blocks, not copies: R[t] is |V_t| x |V_t|
-    blocks = {
-        t: (model.type_slices[t], model.W[t], model.R[t])
-        for t in model.target_types if t in model.type_slices
-    }
-    return BlockFactors(blocks, model.n_inducing).info_sum()
-
-
 def build_cache(model: PitcModel) -> CriterionCache:
-    """Precompute the target-pool summary and candidate lookup tables."""
-    tsum = _target_summary(model)
+    """Precompute the objective's constants and candidate lookup tables
+    from the model's target summary; reads but never writes the model."""
+    tsum = model.target_summary
     logdet_kuu = model.kuu_factor.logdet
     logdet_plus = chol_spd(model.kuu + tsum, "augmented inducing covariance").logdet
     n = len(model.candidates)
@@ -112,22 +106,6 @@ def _as_selection(model, x):
     return tuples
 
 
-def _selected_blocks(model, cache, tuples):
-    """Block factors of a selection, sliced from the model's cached W and R.
-
-    Types are visited in order of first selection and rows in selection
-    order, which fixes the summation order of every derived quantity.
-    """
-    by_type = {}
-    for t in tuples:
-        by_type.setdefault(t.type_index, []).append(model.tuple_index[t])
-    blocks = {}
-    for i, glob in by_type.items():
-        li = cache.local_index[np.asarray(glob, dtype=int)]
-        blocks[i] = (li, model.W[i][li], model.R[i][np.ix_(li, li)])
-    return BlockFactors(blocks, model.n_inducing)
-
-
 def _mi_logdets(model, cache, blocks):
     aux = set(model.h.aux_types)
     s_x = blocks.info_sum()
@@ -141,26 +119,12 @@ def _mi_logdets(model, cache, blocks):
 # criterion operations
 # ---------------------------------------------------------------------------
 
-def mi_inducing_given(model: PitcModel, cache: CriterionCache, x):
-    """Information the unsampled target pool still carries about the latent
-    measurements once ``x`` has been observed.
-
-    Zero when the target pool is fully selected; nonnegative always (clamped
-    against roundoff).  Reuses the cached target-pool summary so the cost
-    per call does not grow with the target pool.
-    """
-    tuples = _as_selection(model, x)
-    blocks = _selected_blocks(model, cache, tuples)
-    ld_x, ld_a = _mi_logdets(model, cache, blocks)
-    return max(0.0, 0.5 * (ld_a - ld_x))
-
-
 def criterion_F(model: PitcModel, cache: CriterionCache, x):
     """The augmented selection objective.
 
     The entropy of the selected target tuples given the inducing
     measurements, minus the information the unsampled target pool still
-    carries about those measurements (:func:`mi_inducing_given`), plus the
+    carries about those measurements once ``x`` is observed, plus the
     constant ``cache.f_constant``.  Exactly
     zero at the empty set, and nondecreasing along any selection chain
     whenever every noise variance is at least ``1/(2 pi e)``.  Reads only
@@ -168,28 +132,11 @@ def criterion_F(model: PitcModel, cache: CriterionCache, x):
     the target pool.
     """
     tuples = _as_selection(model, x)
-    blocks = _selected_blocks(model, cache, tuples)
+    blocks = pool_blocks(model, tuples)
     n_t, ld_t = blocks.target_logdet(set(model.target_types))
     h_target = 0.5 * (n_t * LOG_2PI_E + ld_t)
     ld_x, ld_a = _mi_logdets(model, cache, blocks)
     return h_target - 0.5 * (ld_a - ld_x) + cache.f_constant
-
-
-def greedy_gain(model: PitcModel, cache: CriterionCache, x, candidate):
-    """Increase of the objective from adding ``candidate`` to the selection.
-
-    For a target-type candidate this is its posterior entropy given the
-    selection; for an auxiliary candidate it is that entropy minus the
-    entropy left once the whole unsampled target pool is also conditioned
-    on.  Equal to the direct objective difference.
-    """
-    tuples = _as_selection(model, x)
-    if candidate in tuples:
-        raise DomainError(f"candidate {candidate} is already selected")
-    model.require_candidates([candidate])
-    ev = GainEvaluator(model, cache)
-    ev.set_state(tuples)
-    return ev.gain_of(candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +291,24 @@ class GainEvaluator:
     def _factor(self):
         if self._factored is None:
             model = self.model
-            blocks = _selected_blocks(model, self.cache, self.selected)
+            blocks = pool_blocks(model, self.selected)
+            # the picks' rows within their type's blocks, in selection order
+            li = self.cache.local_index[[model.tuple_index[t] for t in self.selected]]
+            local = {i: li[pos] for i, pos in blocks.rows.items()}
             aux = set(model.h.aux_types)
             mx = chol_spd(model.kuu + blocks.info_sum(), "selection information")
             ma = chol_spd(
                 model.kuu + self.cache.target_summary + blocks.info_sum(types=aux),
                 "augmented selection information",
             )
-            self._factored = (blocks, mx, ma)
+            self._factored = (blocks, local, mx, ma)
         return self._factored
 
     def _sweep(self, cols, target_blocks):
         """Posterior variances of candidates ``cols`` given the selection,
         plus the full target pool when ``target_blocks`` is set."""
         model, cache = self.model, self.cache
-        blocks, mx, ma = self._factor()
+        blocks, local, mx, ma = self._factor()
         m_factor = ma if target_blocks else mx
         g = cache.g_all[:, cols]
         e1 = np.zeros(cols.size)
@@ -371,7 +321,7 @@ class GainEvaluator:
         col_pos_by_type = {}
         for i in np.unique(model.candidates.types[cols]):
             col_pos_by_type[int(i)] = np.flatnonzero(model.candidates.types[cols] == i)
-        for i, li in blocks.rows.items():
+        for i, li in local.items():
             if i in skip:
                 continue
             w_sub = blocks.w[i]

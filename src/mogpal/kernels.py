@@ -272,18 +272,19 @@ def _same_location(xa, xb):
     return same
 
 
-def cov_matrix(a, b, h: Hyperparams):
+def cov_matrix(a, b, h: Hyperparams, out=None):
     """Prior covariance matrix between two tuple lists (vectorized).
 
     Accepts lists of :class:`TypedLocation` or prebuilt :class:`TupleArray`
     views.  When called with the same list twice the result is symmetric by
     construction (the (i, j) and (j, i) blocks are exact transposes).  A
-    one-type by one-type call is computed in place in the returned array;
-    mixed types go through one buffer per type pair.
+    one-type by one-type call is computed in place in the returned array
+    (``out`` when given); mixed types go through one buffer per type pair.
     """
     ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
     tb = b if isinstance(b, TupleArray) else TupleArray.build(b, h)
-    out = np.empty((len(ta), len(tb)))
+    if out is None:
+        out = np.empty((len(ta), len(tb)))
     for i in ta.type_set:
         ra = ta.indices_of_type(i)
         for j in tb.type_set:

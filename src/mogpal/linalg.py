@@ -3,12 +3,17 @@
 All solves and log-determinants in the package go through this module so the
 numerical policy lives in one place: try a Cholesky factorization, on failure
 add ``1e-10 * trace/n`` to the diagonal exactly once, then fail hard.
+
+``chol_spd`` returns a factor in a new array; ``spd_info_in_place``, for the
+target pool's large residual, factors in the matrix's own buffer, keeps only
+``W^T A^-1 W`` and has the caller rewrite the buffer.
 """
 
 import logging
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 from .errors import IllConditionedError
 
@@ -75,3 +80,44 @@ def chol_spd(a, name="matrix"):
             f"adding jitter {jitter:.3e}"
         ) from None
     return SpdFactor(lower, jitter)
+
+
+def _potrf_in_place(a):
+    """Cholesky factor of the C-ordered ``a`` over its lower triangle (the
+    one ``np.linalg.cholesky`` reads), in place; whether every pivot is
+    finite and positive."""
+    out, info = dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
+    if not np.may_share_memory(out, a):
+        # the factor would be lost in the copy and the solve would read ``a``
+        raise ValueError("dpotrf copied its input; pass a C-contiguous float64 array")
+    return info == 0 and bool(np.all(np.isfinite(np.diagonal(a))))
+
+
+def spd_info_in_place(a, w, refill, name="matrix"):
+    """Information ``W^T A^-1 W`` of the columns of ``w`` under an SPD
+    matrix ``a``, factored in ``a``'s own buffer.
+
+    The factor overwrites ``a``'s lower triangle, so ``refill(a)`` must
+    rewrite ``a`` bit for bit; it runs before the jitter pass and before
+    returning or raising.  No other array of ``a``'s size is held.  The
+    jitter policy and log line are :func:`chol_spd`'s; a non-finite pivot
+    (a NaN in ``a``) counts as a failed factorization.
+    """
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros((w.shape[1], w.shape[1]))
+    try:
+        if not _potrf_in_place(a):
+            refill(a)
+            jitter = JITTER_SCALE * float(np.trace(a)) / n
+            logger.info("jitter pass on %s (n=%d, jitter=%.3e)", name, n, jitter)
+            a.flat[::n + 1] += jitter
+            if not _potrf_in_place(a):
+                raise IllConditionedError(
+                    f"{name} ({n}x{n}) is not positive definite, even after "
+                    f"adding jitter {jitter:.3e}"
+                )
+        half = scipy.linalg.solve_triangular(a, w, lower=True, check_finite=False)
+    finally:
+        refill(a)
+    return half.T @ half

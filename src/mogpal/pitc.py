@@ -7,16 +7,19 @@ coincides with the exact model, for any inducing set.  Conditioning on the
 inducing measurements makes distinct types independent, which is the
 structure the selection criterion exploits.
 
-This module owns that block algebra, once: ``type_blocks`` computes the
+This module owns that block algebra, once: ``fill_residual`` computes the
 per-type residual ``C - W K_uu^-1 W^T``, ``sparse_cov`` assembles the joint
-covariance (for the likelihood too), and ``BlockFactors`` factors per-type
-residual blocks for the posterior and the selection criterion.
+covariance (for the likelihood too), ``BlockFactors`` factors per-type
+residual blocks and ``pool_blocks`` slices them for any set of pool tuples,
+for the posterior and the selection criterion.
 
 Memory: per type, the only candidate-by-candidate array a model keeps is the
-residual ``R``, built in the kernel's own buffer.  The exact prior block
-``C`` is not kept; its diagonal is (``PitcModel.prior_var``), and the few
-prior rows the criterion needs are recomputed from the kernel on demand,
-with the same bits as the rows of the full block.
+residual ``R``, written in place a chunk of rows at a time, so neither the
+prior block ``C`` nor ``W G`` is ever held whole.  ``build_model`` factors
+each target ``R`` in that buffer for the target summary and refills it with
+the same chunk calls, bitwise.  Of ``C`` the model keeps the diagonal
+(``PitcModel.prior_var``); the few prior rows the criterion needs are
+recomputed from the kernel on demand, with the bits of the full block.
 """
 
 import warnings
@@ -28,7 +31,7 @@ from . import kernels
 from .errors import ConfigError, DomainError, IllConditionedError, ModelBuildError
 from .exact import GaussianPrediction, check_conditioning_set, find_duplicates
 from .kernels import NOISE_FLOOR, Hyperparams, TupleArray
-from .linalg import chol_spd
+from .linalg import chol_spd, spd_info_in_place
 
 # ---------------------------------------------------------------------------
 # inducing-location selection
@@ -167,7 +170,10 @@ class PitcModel(SparsePrior):
     G[i]`` of the exact prior block ``C[i]``.  Of ``C[i]`` itself only the
     diagonal is kept, as ``prior_var`` over the whole pool in candidate
     order; a row of ``C[i]`` is ``kernels.cov_matrix`` of one candidate
-    against the type's candidates.
+    against the type's candidates.  ``target_summary`` is the inducing
+    information ``sum_t W[t]^T R[t]^-1 W[t]`` of the whole target pool,
+    computed by :func:`build_model` with each ``R[t]`` factored in its own
+    buffer and refilled before the model is returned.
     """
 
     candidates: TupleArray
@@ -177,6 +183,7 @@ class PitcModel(SparsePrior):
     R: dict = field(repr=False)
     prior_var: np.ndarray = field(repr=False)
     tuple_index: dict = field(repr=False)
+    target_summary: np.ndarray = field(repr=False)
 
     @property
     def target_types(self):
@@ -239,23 +246,52 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
     cands = TupleArray.build(pool, h)
     prior = sparse_prior(h, inducing)
 
-    type_slices, W, G, R = {}, {}, {}, {}
+    type_slices, W, G, R, own = {}, {}, {}, {}, {}
     prior_var = np.empty(len(cands))
     for i in sorted({int(v) for v in np.unique(cands.types)}):
         idx = cands.indices_of_type(i)
-        type_slices[i] = idx
-        W[i], G[i], prior_var[idx], R[i] = type_blocks(prior, cands.take(idx))
+        type_slices[i], own[i] = idx, cands.take(idx)
+        W[i], G[i], prior_var[idx], R[i] = type_blocks(prior, own[i])
+
+    # the refill rewrites the factored R[t] before any caller can see it
+    target_summary = np.zeros((prior.n_inducing, prior.n_inducing))
+    for t in h.target_types:
+        target_summary += spd_info_in_place(
+            R[t], W[t],
+            lambda r, t=t: fill_residual(prior, own[t], W[t], G[t], r),
+            f"type-{t} residual block",
+        )
 
     return PitcModel(
         h=h, inducing=inducing, kuu=prior.kuu, kuu_factor=prior.kuu_factor,
         candidates=cands, type_slices=type_slices, W=W, G=G, R=R,
         prior_var=prior_var, tuple_index={t: k for k, t in enumerate(cands.tuples)},
+        target_summary=target_summary,
     )
 
 
 # ---------------------------------------------------------------------------
 # covariance algebra under the sparse joint model
 # ---------------------------------------------------------------------------
+
+RESIDUAL_CHUNK = 256
+"""Rows of a residual block computed at a time by :func:`fill_residual`."""
+
+
+def fill_residual(prior: SparsePrior, ta: TupleArray, w, g, r, prior_var=None):
+    """Write the residual ``R = C - W G`` of tuples ``ta`` (one type) into
+    ``r`` with the same bits on every call, ``RESIDUAL_CHUNK`` kernel rows at
+    a time minus their low-rank rows; ``prior_var`` gets the diagonal of C."""
+    n = len(ta)
+    for start in range(0, n, RESIDUAL_CHUNK):
+        rows = slice(start, min(start + RESIDUAL_CHUNK, n))
+        block = r[rows]
+        part = ta if n <= RESIDUAL_CHUNK else ta.take(np.arange(rows.start, rows.stop))
+        kernels.cov_matrix(part, ta, prior.h, out=block)
+        if prior_var is not None:
+            prior_var[rows] = np.diagonal(block, offset=start)
+        block -= w[rows] @ g
+
 
 def type_blocks(prior: SparsePrior, ta: TupleArray):
     """Kernel blocks of tuples ``ta``, all of one type.
@@ -264,14 +300,12 @@ def type_blocks(prior: SparsePrior, ta: TupleArray):
     inducing locations, its inducing solve ``G = K_uu^-1 W^T``, the diagonal
     ``prior_var`` of the exact prior block ``C`` and the residual
     ``R = C - W G`` left after conditioning on the inducing measurements.
-    ``R`` overwrites ``C`` in the kernel's buffer, so ``C`` is never held
-    next to it.
     """
     w = kernels.latent_cross_matrix(ta, prior.inducing.locations, prior.h)
     g = prior.kuu_factor.solve(w.T)
-    r = kernels.cov_matrix(ta, ta, prior.h)
-    prior_var = np.diag(r).copy()
-    r -= w @ g
+    r = np.empty((len(ta), len(ta)))
+    prior_var = np.empty(len(ta))
+    fill_residual(prior, ta, w, g, r, prior_var)
     return w, g, prior_var, r
 
 
@@ -345,12 +379,32 @@ class BlockFactors:
         return out
 
 
+def pool_blocks(model: PitcModel, tuples):
+    """Block factors of pool tuples, sliced from the model's cached W and R.
+
+    ``rows`` index ``tuples``.  Types are visited in order of first
+    appearance and rows in the order given, which fixes the summation order
+    of every derived quantity.
+    """
+    by_type = {}
+    for pos, t in enumerate(tuples):
+        by_type.setdefault(t.type_index, []).append(pos)
+    blocks = {}
+    for i, pos in by_type.items():
+        glob = [model.tuple_index[tuples[k]] for k in pos]
+        li = np.searchsorted(model.type_slices[i], glob)
+        blocks[i] = (np.asarray(pos), model.W[i][li], model.R[i][np.ix_(li, li)])
+    return BlockFactors(blocks, model.n_inducing)
+
+
 def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
     """Sparse posterior of the measurements at ``z`` given observations at ``x``.
 
-    The observation covariance is inverted through its per-type residual
-    blocks plus the inducing low rank (Woodbury), at cost
-    ``O(|x| (m^2 + (|x|/M)^2))``.  The covariance is independent of ``y_x``.
+    The observed tuples must be candidates of the model's pool, whose cached
+    blocks are sliced for them.  The observation covariance is inverted
+    through its per-type residual blocks plus the inducing low rank
+    (Woodbury), at cost ``O(|x| (m^2 + (|x|/M)^2))``.  The covariance is
+    independent of ``y_x``.
     """
     h = model.h
     tx = x if isinstance(x, TupleArray) else TupleArray.build(x, h)
@@ -365,14 +419,10 @@ def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
     if len(tx) == 0:
         return GaussianPrediction(mean=np.zeros(len(tz)), cov=c_zz)
     check_conditioning_set(tx)
+    model.require_candidates(tx.tuples)
 
     c_zx = sparse_cov(model, tz, tx)
-    blocks = {}
-    for i in np.unique(tx.types):
-        rows = tx.indices_of_type(i)
-        w, _, _, r = type_blocks(model, tx.take(rows))
-        blocks[int(i)] = (rows, w, r)
-    factors = BlockFactors(blocks, model.n_inducing)
+    factors = pool_blocks(model, tx.tuples)
     m_factor = chol_spd(model.kuu + factors.info_sum(), "inducing information matrix")
     sol_y = factors.inv_apply(y_x[:, None], m_factor)[:, 0]
     sol_c = factors.inv_apply(c_zx.T, m_factor)

@@ -11,11 +11,13 @@ import math
 import numpy as np
 
 from mogpal import kernels
-from mogpal.criterion import _as_selection, _selected_blocks, build_cache, criterion_F
-from mogpal.errors import ConfigError, EnumerationGuardError, IllConditionedError
+from mogpal.criterion import (
+    GainEvaluator, _as_selection, _mi_logdets, build_cache, criterion_F,
+)
+from mogpal.errors import ConfigError, DomainError, EnumerationGuardError, IllConditionedError
 from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation
 from mogpal.linalg import chol_spd
-from mogpal.pitc import sparse_cov
+from mogpal.pitc import pool_blocks, sparse_cov
 from mogpal.selector import _check_budget, _greedy_loop
 from mogpal.verify import ENUMERATION_GUARD, SUBSET_GUARD
 
@@ -217,6 +219,25 @@ def old_criterion(model, x, use_exact=False):
     return entropy(conditional_cov_blocked(rest, x, h, u_locs))
 
 
+def mi_inducing_given(model, cache, x):
+    """Information the unsampled target pool still carries about the latent
+    measurements once ``x`` has been observed, clamped at zero; the term
+    ``criterion_F`` subtracts."""
+    blocks = pool_blocks(model, _as_selection(model, x))
+    ld_x, ld_a = _mi_logdets(model, cache, blocks)
+    return max(0.0, 0.5 * (ld_a - ld_x))
+
+
+def greedy_gain(model, cache, x, candidate):
+    """Increase of the objective from adding ``candidate`` to the selection
+    ``x``, from a :class:`GainEvaluator` replayed to ``x``."""
+    tuples = _as_selection(model, x)
+    if candidate in tuples:
+        raise DomainError(f"candidate {candidate} is already selected")
+    model.require_candidates([candidate])
+    return GainEvaluator(model, cache).set_state(tuples).gain_of(candidate)
+
+
 class _ScratchPools:
     """Per-target-type exact single-output GP pools for s-Var and s-MI."""
 
@@ -317,7 +338,7 @@ class ScratchGainEvaluator:
     def set_state(self, selected):
         model = self.model
         self.selected = _as_selection(model, selected)
-        self._blocks = _selected_blocks(model, self.cache, self.selected)
+        self._blocks = pool_blocks(model, self.selected)
         aux = set(model.h.aux_types)
         self._mx = chol_spd(model.kuu + self._blocks.info_sum(), "selection information")
         self._ma = chol_spd(
@@ -339,14 +360,14 @@ class ScratchGainEvaluator:
         col_pos_by_type = {}
         for i in np.unique(model.candidates.types[cols]):
             col_pos_by_type[int(i)] = np.flatnonzero(model.candidates.types[cols] == i)
-        for i, li in blocks.rows.items():
+        for i, rows in blocks.rows.items():
             if i in skip:
                 continue
             w_sub = blocks.w[i]
             b = w_sub @ g
             pos = col_pos_by_type.get(i)
             if pos is not None and pos.size:
-                picks = model.candidates.take(model.type_slices[i][li])
+                picks = [self.selected[k] for k in rows]
                 b[:, pos] = cov_matrix(picks, model.candidates.take(cols[pos]), model.h)
             u = blocks.factor[i].solve(b)
             e1 += np.einsum("rc,rc->c", b, u)

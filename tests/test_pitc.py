@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import scipy.linalg
 import oracles
 from mogpal import (
     ConfigError,
+    DomainError,
     Hyperparams,
     IllConditionedError,
     InducingSet,
     ModelBuildError,
     as_tuple,
+    build_cache,
     build_model,
     cov_matrix,
     exact_posterior,
@@ -19,6 +22,8 @@ from mogpal import (
     select_inducing,
     sparse_cov,
 )
+from mogpal.linalg import spd_info_in_place
+from mogpal.pitc import RESIDUAL_CHUNK, fill_residual, type_blocks
 from conftest import random_instance
 
 H1 = Hyperparams(
@@ -129,6 +134,91 @@ class TestBuildModel:
         ind = InducingSet(locations=[[0.5]])
         with pytest.warns(UserWarning, match="noise"):
             build_model(h, ind, {0: [as_tuple([0.3], 0)]})
+
+
+def _cholesky_summary(model):
+    """The target summary through a copying Cholesky factor of each R."""
+    total = np.zeros_like(model.target_summary)
+    for t in model.target_types:
+        low = np.linalg.cholesky(model.R[t])
+        total += model.W[t].T @ scipy.linalg.cho_solve((low, True), model.W[t])
+    return total
+
+
+def _refactor(model):
+    """Factor every target R of a built model in place again, as
+    ``build_model`` does; returns the summed information."""
+    total = np.zeros_like(model.target_summary)
+    for t in model.target_types:
+        ta = model.candidates.take(model.type_slices[t])
+        total += spd_info_in_place(
+            model.R[t], model.W[t],
+            lambda r, ta=ta, t=t: fill_residual(model, ta, model.W[t], model.G[t], r),
+        )
+    return total
+
+
+class TestTargetSummaryInPlace:
+    # two target types, one of them spanning two residual chunks
+    SHAPE = dict(n_per_type=(300, 40, 27), n_inducing=5, target_types=(0, 2))
+
+    def test_blocks_unchanged_by_factorization(self):
+        model, cache = random_instance(61, **self.SHAPE)
+        for i, rows in model.type_slices.items():
+            # type_blocks builds the blocks without factoring anything
+            w, g, prior_var, r = type_blocks(model, model.candidates.take(rows))
+            assert np.array_equal(model.W[i], w)
+            assert np.array_equal(model.G[i], g)
+            assert np.array_equal(model.prior_var[rows], prior_var)
+            assert np.array_equal(model.R[i], r)
+        assert np.array_equal(build_cache(model).target_summary, cache.target_summary)
+        saved = {i: r.copy() for i, r in model.R.items()}
+        assert np.array_equal(_refactor(model), model.target_summary)
+        for i, r in model.R.items():
+            assert np.array_equal(r, saved[i])
+
+    def test_summary_matches_copying_cholesky(self):
+        for seed in (62, 63):
+            model, _ = random_instance(seed, dim=2, **self.SHAPE)
+            expected = _cholesky_summary(model)
+            gap = np.max(np.abs(model.target_summary - expected))
+            assert gap <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 511, 513])
+    def test_chunk_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        cands = [as_tuple([x], 0) for x in rng.uniform(0, 10, n)]
+        inducing = InducingSet(locations=np.linspace(0, 10, 3)[:, None])
+        model = build_model(H1, inducing, {0: cands})
+        ta = model.candidates.take(model.type_slices[0])
+        c = oracles.cov_matrix(ta, ta, H1)
+        assert np.array_equal(model.prior_var, np.diag(c))
+        for start in range(0, n, RESIDUAL_CHUNK):
+            rows = np.arange(start, min(start + RESIDUAL_CHUNK, n))
+            expected = c[rows] - model.W[0][rows] @ model.G[0]
+            assert np.array_equal(model.R[0][rows], expected)
+        # the factored R was refilled with the bits of a fresh build
+        assert np.array_equal(model.R[0], type_blocks(model, ta)[3])
+
+    def test_setup_holds_no_second_residual(self):
+        # a full W G temporary, a Cholesky factor or a Fortran copy of R
+        # each add n^2 doubles; the chunked build and the in-place factor
+        # add a few chunks of rows
+        n, h = 1000, Hyperparams(
+            signal_var=[1.0], noise_var=[0.2],
+            latent_prec_inv=[0.15, 0.1], smooth_prec_inv=[[0.1, 0.2]],
+        )
+        rng = np.random.default_rng(5)
+        cands = [as_tuple(x, 0) for x in rng.uniform(0, 3, size=(n, 2))]
+        inducing = select_inducing(np.array([t.location for t in cands]), 20, seed=5)
+        tracemalloc.start()
+        try:
+            model = build_model(h, inducing, {0: cands})
+            build_cache(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= model.R[0].nbytes + 3 * RESIDUAL_CHUNK * n * 8
 
 
 def _lowrank(model, a, b):
@@ -282,6 +372,12 @@ class TestPitcPosterior:
             var = pitc_posterior(model, x, np.zeros(k), z).var
             assert np.all(var <= prev + 1e-10)
             prev = var
+
+    def test_observed_tuples_must_be_pool_candidates(self):
+        model = _model_1type()
+        x = [model.candidate_list()[0], as_tuple([5.0], 0)]
+        with pytest.raises(DomainError, match="not in the candidate pool"):
+            pitc_posterior(model, x, [0.0, 0.0], [as_tuple([6.0], 0)])
 
     def test_duplicate_observations_rejected(self):
         model = _model_1type()

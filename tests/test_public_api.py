@@ -31,9 +31,7 @@ EXPORTS = [
     "criterion_F",
     "exact_posterior",
     "gaussian_density",
-    "greedy_gain",
     "joint_entropy",
-    "mi_inducing_given",
     "pitc_posterior",
     "select_inducing",
     "sparse_cov",

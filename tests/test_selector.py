@@ -430,12 +430,10 @@ class TestProp1Bound:
             prop1_bound(model, tgt, [])
 
     def test_bounds_measured_gain_on_spaced_instance(self):
-        from mogpal import greedy_gain
-
         model, cache = _grid_model(n=6, m=3, n_types=2, noise=(0.3, 0.2))
         targets = model.candidate_list([0])
         for aux in model.candidate_list([1]):
-            gain = greedy_gain(model, cache, [], aux)
+            gain = oracles.greedy_gain(model, cache, [], aux)
             bound = prop1_bound(model, aux, targets)
             assert gain <= bound + 1e-9
 
