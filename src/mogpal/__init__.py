@@ -1,11 +1,11 @@
 """Active learning of convolved multi-output Gaussian processes.
 
-The package provides the exact and sparse (inducing-point) multi-output GP
-regression models, the entropy-based selection criterion with its cached
-fast evaluation, greedy and baseline selection algorithms with spacing
-certificates, brute-force verification of the near-optimality guarantee,
-maximum-likelihood hyperparameter fitting, dataset handling, and a
-reproducible experiment harness.
+The package provides the sparse (inducing-point) multi-output GP regression
+model, the entropy-based selection criterion with its cached fast
+evaluation, greedy and baseline selection algorithms, brute-force
+verification of the near-optimality guarantee, maximum-likelihood
+hyperparameter fitting, dataset handling, and a reproducible experiment
+harness.
 """
 
 from .errors import (
@@ -17,15 +17,9 @@ from .errors import (
     ModelBuildError,
     MogpalError,
 )
-from .kernels import (
-    Hyperparams,
-    TypedLocation,
-    as_tuple,
-    cov_matrix,
-    gaussian_density,
-)
-from .exact import GaussianPrediction, conditional_entropy, exact_posterior, joint_entropy
+from .kernels import Hyperparams, TypedLocation, as_tuple, cov_matrix
 from .pitc import (
+    GaussianPrediction,
     InducingSet,
     PitcModel,
     build_model,

@@ -9,6 +9,7 @@ concurrently.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,8 +95,6 @@ def _cmd_fit(args):
 def _cmd_verify(args):
     config = load_verify_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     passes, failures, inconclusive = verify_sweep(config, out_dir=args.out)
     out = Path(args.out if args.out is not None else config.output_dir)

@@ -31,10 +31,9 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, IllConditionedError
-from .exact import find_duplicates
 from .kernels import LOG_2PI_E, TupleArray
 from .linalg import chol_spd
-from .pitc import PitcModel, pool_blocks
+from .pitc import PitcModel, find_duplicates, pool_blocks
 
 __all__ = ["CriterionCache", "build_cache", "criterion_F", "GainEvaluator"]
 
@@ -396,6 +395,3 @@ class GainEvaluator:
             cols, self._sweep(cols, target_blocks=False),
             lambda aux: self._sweep(aux, target_blocks=True),
         ))
-
-    def gain_of(self, candidate):
-        return float(self.gains()[self.model.tuple_index[candidate]])

@@ -11,12 +11,13 @@ byte-stable across runs.
 
 import concurrent.futures
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
+from . import kernels
 from .config import ExperimentConfig, GeneratorSpec, VerifySweepConfig
 from .criterion import build_cache
 from .data import Dataset, SplitSpec, denormalize, normalize, rmse, split_test
@@ -68,8 +69,6 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
         for ti in range(m)
         for li in range(spec.n_locations)
     ]
-    from . import kernels
-
     cov = kernels.cov_matrix(tuples, tuples, h)
     noise = h.noise_var[[t.type_index for t in tuples]]
     # noise-free prior plus 1e-10 jitter, on the diagonal in place
@@ -182,6 +181,8 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
     cache = build_cache(model)
 
     max_budget = config.checkpoints[-1]
+    # the single-output baselines pick from the target pool alone
+    target_budget = min(max_budget, cache.target_cols.size)
     single_output = None
     if config.svar_mode == "refit" and {"s-var", "s-mi"} & set(config.algorithms):
         single_output = _single_output_refits(
@@ -198,9 +199,9 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
         elif algorithm == "m-var":
             state = select_mvar(model, max_budget, cache)
         elif algorithm == "s-var":
-            state = select_svar(model, max_budget, single_output, cap_to_pool=True)
+            state = select_svar(model, target_budget, single_output)
         else:
-            state = select_smi(model, max_budget, single_output, cap_to_pool=True)
+            state = select_smi(model, target_budget, single_output)
 
         if out_dir is not None:
             write_selection_log(
@@ -244,8 +245,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None,
     depend on the scheduling.
     """
     if seed_override is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=int(seed_override))
     out_dir = Path(out_dir if out_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

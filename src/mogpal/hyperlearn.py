@@ -1,8 +1,10 @@
-"""Maximum-likelihood hyperparameter fitting.
+"""Maximum-likelihood hyperparameter fitting under the exact prior.
 
-All positive parameters are searched in log space with a derivative-free
-simplex (Nelder-Mead), restarted from seeded perturbations of the initial
-point; the best restart by (negative log likelihood, restart index) wins.
+The likelihood factors the full prior covariance of the observations, so
+each evaluation costs ``O(n^3)`` for n observations.  All positive
+parameters are searched in log space with a derivative-free simplex
+(Nelder-Mead), restarted from seeded perturbations of the initial point;
+the best restart by (negative log likelihood, restart index) wins.
 """
 
 import math
@@ -15,20 +17,18 @@ from . import kernels
 from .errors import ConfigError, FitError, IllConditionedError
 from .kernels import Hyperparams, TupleArray
 from .linalg import chol_spd
-from .pitc import InducingSet, sparse_cov, sparse_prior
 
 __all__ = ["FitResult", "log_marginal_likelihood", "fit_hyperparams"]
 
 PENALIZED_LML = -1e18
 
 
-def log_marginal_likelihood(h: Hyperparams, x, y_x, mode="exact", inducing=None):
-    """Gaussian log marginal density of the observations under the prior.
+def log_marginal_likelihood(h: Hyperparams, x, y_x):
+    """Gaussian log marginal density of the observations under the exact
+    prior (zero mean, full covariance).
 
-    ``mode="exact"`` uses the full prior covariance; ``mode="pitc"`` uses
-    the sparse joint prior (exact within a type, low rank across types) and
-    requires inducing locations.  A covariance that fails to factorize
-    yields the large negative surrogate ``-1e18`` so optimizers can recover.
+    A covariance that fails to factorize yields the large negative
+    surrogate ``-1e18`` so optimizers can recover.
     """
     tx = x if isinstance(x, TupleArray) else TupleArray.build(x, h)
     y_x = np.asarray(y_x, dtype=float).ravel()
@@ -37,18 +37,8 @@ def log_marginal_likelihood(h: Hyperparams, x, y_x, mode="exact", inducing=None)
     n = len(tx)
     if n == 0:
         return 0.0
-    if mode == "exact":
-        cov = kernels.cov_matrix(tx, tx, h)
-    elif mode == "pitc":
-        if inducing is None:
-            raise ConfigError("pitc mode requires inducing locations")
-        if not isinstance(inducing, InducingSet):
-            inducing = InducingSet(locations=inducing)
-        cov = sparse_cov(sparse_prior(h, inducing), tx, tx)
-    else:
-        raise ConfigError(f"unknown likelihood mode {mode!r}")
     try:
-        factor = chol_spd(cov, "prior covariance")
+        factor = chol_spd(kernels.cov_matrix(tx, tx, h), "prior covariance")
     except IllConditionedError:
         return PENALIZED_LML
     alpha = factor.solve(y_x)
@@ -104,8 +94,8 @@ class FitResult:
 
 
 def fit_hyperparams(x, y_x, init: Hyperparams, budget=400, restarts=5, seed=0,
-                    mode="exact", inducing=None, tie_dims=False) -> FitResult:
-    """Minimize the negative log marginal likelihood over log parameters.
+                    tie_dims=False) -> FitResult:
+    """Minimize the negative exact log marginal likelihood over log parameters.
 
     ``budget`` is the total number of likelihood evaluations, split evenly
     across restarts.  Restart 0 starts exactly at ``init``; later restarts
@@ -129,7 +119,7 @@ def fit_hyperparams(x, y_x, init: Hyperparams, budget=400, restarts=5, seed=0,
             h = _unpack(vec, init, tie_dims)
         except (ConfigError, FloatingPointError, OverflowError):
             return -PENALIZED_LML
-        return -log_marginal_likelihood(h, tx, y_x, mode=mode, inducing=inducing)
+        return -log_marginal_likelihood(h, tx, y_x)
 
     best = None
     total_evals = 0

@@ -121,11 +121,6 @@ class Hyperparams:
     def aux_types(self):
         return tuple(i for i in range(self.n_types) if i not in self.target_types)
 
-    def signal_to_noise(self, i=None):
-        """Per-type ratio of signal to noise variance."""
-        rho = self.signal_var / self.noise_var
-        return rho if i is None else float(rho[i])
-
     def pair_width(self, i, j):
         """Diagonal covariance of the (i, j) output-output density term.
 
@@ -162,25 +157,6 @@ class Hyperparams:
             raise DomainError(
                 f"location {p.location} has dimension {len(p.location)}, model expects {self.dim}"
             )
-
-
-def gaussian_density(delta, diag_cov):
-    """Multivariate normal density at ``delta`` with diagonal covariance.
-
-    Returns ``(2 pi)^(-d/2) (prod diag_cov)^(-1/2) exp(-0.5 sum delta^2/diag_cov)``.
-    """
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    diag_cov = np.atleast_1d(np.asarray(diag_cov, dtype=float))
-    if delta.shape != diag_cov.shape:
-        raise DomainError(f"shape mismatch: delta {delta.shape} vs diag_cov {diag_cov.shape}")
-    if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(diag_cov))):
-        raise DomainError("non-finite input to gaussian_density")
-    if np.any(diag_cov <= 0):
-        raise DomainError("diagonal covariance entries must be strictly positive")
-    d = delta.shape[0]
-    quad = float(np.sum(delta * delta / diag_cov))
-    norm = TWO_PI ** (-0.5 * d) * float(np.prod(diag_cov)) ** -0.5
-    return norm * math.exp(-0.5 * quad)
 
 
 @dataclass(frozen=True)
@@ -233,7 +209,8 @@ class TupleArray:
 
 
 def _pairwise_density(xa, xb, diag_cov, out=None):
-    """Matrix of gaussian_density(xa[r] - xb[c], diag_cov) values.
+    """Matrix of normal densities of ``xa[r] - xb[c]`` under the zero-mean
+    Gaussian with diagonal covariance ``diag_cov``.
 
     Filled in place into ``out`` (allocated when not given), with one scratch
     array of the same shape when ``d > 1`` and no other full-size temporary.

@@ -44,15 +44,6 @@ class SpdFactor:
             return np.zeros_like(b)
         return scipy.linalg.cho_solve((self.lower, True), b, check_finite=False)
 
-    def quad(self, b):
-        """Quadratic form b^T A^{-1} b (b may be a matrix of columns)."""
-        if self.n == 0:
-            return 0.0 if b.ndim == 1 else np.zeros((b.shape[1], b.shape[1]))
-        half = scipy.linalg.solve_triangular(
-            self.lower, b, lower=True, check_finite=False
-        )
-        return half.T @ half
-
 
 def chol_spd(a, name="matrix"):
     """Factorize a symmetric positive-definite matrix.

@@ -9,9 +9,9 @@ structure the selection criterion exploits.
 
 This module owns that block algebra, once: ``fill_residual`` computes the
 per-type residual ``C - W K_uu^-1 W^T``, ``sparse_cov`` assembles the joint
-covariance (for the likelihood too), ``BlockFactors`` factors per-type
-residual blocks and ``pool_blocks`` slices them for any set of pool tuples,
-for the posterior and the selection criterion.
+covariance of arbitrary tuples, ``BlockFactors`` factors per-type residual
+blocks and ``pool_blocks`` slices them for any set of pool tuples, for the
+posterior and the selection criterion.
 
 Memory: per type, the only candidate-by-candidate array a model keeps is the
 residual ``R``, written in place a chunk of rows at a time, so neither the
@@ -29,9 +29,9 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, IllConditionedError, ModelBuildError
-from .exact import GaussianPrediction, check_conditioning_set, find_duplicates
 from .kernels import NOISE_FLOOR, Hyperparams, TupleArray
 from .linalg import chol_spd, spd_info_in_place
+
 
 # ---------------------------------------------------------------------------
 # inducing-location selection
@@ -95,6 +95,8 @@ def select_inducing(candidates, m, seed) -> InducingSet:
     unique = list(dict.fromkeys(map(tuple, coords.tolist())))
     coords = np.asarray(unique, dtype=float)
     n = coords.shape[0]
+    if m < 1:
+        raise ConfigError(f"requested {m} inducing locations; at least one is needed")
     if m > n:
         raise ConfigError(f"requested {m} inducing locations from {n} distinct candidates")
     rng = np.random.default_rng(seed)
@@ -395,6 +397,42 @@ def pool_blocks(model: PitcModel, tuples):
         li = np.searchsorted(model.type_slices[i], glob)
         blocks[i] = (np.asarray(pos), model.W[i][li], model.R[i][np.ix_(li, li)])
     return BlockFactors(blocks, model.n_inducing)
+
+
+# ---------------------------------------------------------------------------
+# sparse posterior
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GaussianPrediction:
+    """Posterior mean vector and covariance matrix over queried tuples."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    @property
+    def var(self):
+        return np.diag(self.cov).copy()
+
+
+def find_duplicates(tuples):
+    """Exact duplicate tuples in a list, in first-seen order."""
+    seen, dups = set(), []
+    for t in tuples:
+        if t in seen and t not in dups:
+            dups.append(t)
+        seen.add(t)
+    return dups
+
+
+def check_conditioning_set(x):
+    """Reject a conditioning set that observes one tuple twice."""
+    dups = find_duplicates(x.tuples)
+    if dups:
+        raise IllConditionedError(
+            "observation covariance is singular: duplicate tuples "
+            + ", ".join(repr(d) for d in dups)
+        )
 
 
 def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:

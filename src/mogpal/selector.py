@@ -25,7 +25,7 @@ from .pitc import PitcModel
 __all__ = [
     "SelectionState", "SpacingParams", "select_greedy", "select_mvar",
     "select_svar", "select_smi", "min_spacing_p",
-    "construct_spaced_candidates", "prop1_bound", "write_selection_log",
+    "construct_spaced_candidates", "write_selection_log",
 ]
 
 
@@ -224,11 +224,9 @@ def _log(values, what):
     return np.array([math.log(v) for v in values.tolist()])
 
 
-def _select_single_output(model, n, kind, single_output_hypers=None, cap_to_pool=False):
+def _select_single_output(model, n, kind, single_output_hypers=None):
     pools = _SingleOutputPools(model, single_output_hypers, track_inverse=kind == "s-mi")
     total = len(pools.flat_tuples)
-    if cap_to_pool:
-        n = min(n, total)
     _check_budget(n, total, what="target candidate pool")
 
     def score(state):
@@ -242,24 +240,20 @@ def _select_single_output(model, n, kind, single_output_hypers=None, cap_to_pool
     return _greedy_loop(kind, n, pools.flat_tuples, score)
 
 
-def select_svar(model: PitcModel, n: int, single_output_hypers=None,
-                cap_to_pool=False) -> SelectionState:
+def select_svar(model: PitcModel, n: int, single_output_hypers=None) -> SelectionState:
     """Greedy maximum entropy restricted to the target pool.
 
     Runs one independent single-output GP per target type; by default its
     parameters are derived from the multi-output model (``single_output``),
     or pass ``single_output_hypers={type: Hyperparams}`` for refit mode.
-    With ``cap_to_pool`` a budget beyond the target pool saturates at the
-    whole pool instead of erroring (the algorithm has nothing else to pick).
-    Each pick recomputes the variance given the selected set,
+    The budget may not exceed the target pool.  Each pick recomputes the variance given the selected set,
     O(|sel|^2 |V_t|) per target type.  Raises :class:`IllConditionedError`
     when a candidate's variance is not finite and positive.
     """
-    return _select_single_output(model, n, "s-var", single_output_hypers, cap_to_pool)
+    return _select_single_output(model, n, "s-var", single_output_hypers)
 
 
-def select_smi(model: PitcModel, n: int, single_output_hypers=None,
-               cap_to_pool=False) -> SelectionState:
+def select_smi(model: PitcModel, n: int, single_output_hypers=None) -> SelectionState:
     """Greedy mutual information restricted to the target pool.
 
     Scores each free candidate by its variance given the selected set
@@ -270,7 +264,7 @@ def select_smi(model: PitcModel, n: int, single_output_hypers=None,
     raises :class:`IllConditionedError` when a variance, an inverse
     diagonal entry or a downdate pivot is not finite and positive.
     """
-    return _select_single_output(model, n, "s-mi", single_output_hypers, cap_to_pool)
+    return _select_single_output(model, n, "s-mi", single_output_hypers)
 
 
 # ---------------------------------------------------------------------------
@@ -375,33 +369,6 @@ def construct_spaced_candidates(v, sp: SpacingParams):
             kept_coords = coords[None, :]
         kept.append(t)
     return kept
-
-
-def prop1_bound(model: PitcModel, candidate: TypedLocation, remaining_targets) -> float:
-    """Upper bound on an auxiliary tuple's objective gain.
-
-    ``0.5 log(1 + 4 rho_t rho_i R)`` with per-type signal-to-noise ratios
-    and ``R`` the sum of squared cross-kernel densities to the remaining
-    unsampled target tuples.  Valid in the absence of suppressor variables;
-    exposed as a diagnostic.
-    """
-    h = model.h
-    h.validate_tuple(candidate)
-    i = candidate.type_index
-    if i in model.target_types:
-        raise DomainError("the gain bound applies to auxiliary-type candidates")
-    rho = h.signal_to_noise()
-    total = 0.0
-    x = np.asarray(candidate.location)
-    for q in remaining_targets:
-        h.validate_tuple(q)
-        if q.type_index not in model.target_types:
-            raise DomainError(f"{q} is not a target-type tuple")
-        dens = kernels.gaussian_density(
-            x - np.asarray(q.location), h.pair_width(i, q.type_index)
-        )
-        total += float(rho[q.type_index]) * dens * dens
-    return 0.5 * math.log1p(4.0 * float(rho[i]) * total)
 
 
 def write_selection_log(state: SelectionState, path, dim=None):

@@ -3,8 +3,8 @@
 The greedy selection enjoys a constant-factor guarantee relative to the
 exhaustive optimum, degraded by how far the objective is from submodular;
 this module measures every quantity in that statement on concrete
-instances: the exhaustive optimum, the worst conditional variance reduction
-(the relaxation parameter), and the observed diminishing-returns violations.
+instances: the exhaustive optimum and the worst conditional variance
+reduction (the relaxation parameter).
 
 The exhaustive optimum walks the size-n subsets as a prefix tree: one
 gain sweep per prefix scores every one-step extension, so a subset's value
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import TIE_ATOL, CriterionCache, GainEvaluator, build_cache, criterion_F
-from .errors import EnumerationGuardError
+from .errors import EnumerationGuardError, IllConditionedError
 from .kernels import Hyperparams, TupleArray, as_tuple
 from .linalg import chol_spd
 from .pitc import PitcModel, build_model, select_inducing, sparse_cov
@@ -28,8 +28,7 @@ from .selector import _check_budget, select_greedy
 
 __all__ = [
     "GuaranteeReport", "brute_force_optimum", "estimate_epsilon1",
-    "check_guarantee", "audit_eps_submodularity", "random_instance",
-    "blocked_conditional_var",
+    "check_guarantee", "random_instance",
 ]
 
 ENUMERATION_GUARD = 10**6
@@ -122,20 +121,6 @@ def brute_force_optimum(model: PitcModel, cache: CriterionCache, n: int):
             if value > best_value:
                 best_subset, best_value = subset, value
     return best_subset, float(best_value)
-
-
-def blocked_conditional_var(model: PitcModel, conditioning, z):
-    """Posterior variance of tuple ``z`` given a tuple set, under the sparse
-    joint model (dense evaluation)."""
-    tz = TupleArray.build([z], model.h)
-    v_zz = sparse_cov(model, tz, tz)[0, 0]
-    if not conditioning:
-        return float(v_zz)
-    tc = TupleArray.build(list(conditioning), model.h)
-    c_cc = sparse_cov(model, tc, tc)
-    c_zc = sparse_cov(model, tz, tc)[0]
-    factor = chol_spd(c_cc, "conditioning covariance")
-    return float(v_zz - c_zc @ factor.solve(c_zc))
 
 
 class _PreconditionedVar:
@@ -257,12 +242,16 @@ class GuaranteeReport:
 
 def check_guarantee(model: PitcModel, cache: CriterionCache, n: int,
                     instance="adhoc", samples=None, seed=0) -> GuaranteeReport:
-    """Run greedy and exhaustive selection and assemble the certificate."""
+    """Run greedy and exhaustive selection and assemble the certificate.
+
+    Raises :class:`IllConditionedError` when greedy beats the exhaustive
+    optimum by more than 1e-9: that cannot happen with sound numerics.
+    """
     greedy = select_greedy(model, cache, n)
     f_greedy = criterion_F(model, cache, greedy.selected)
     _, f_opt = brute_force_optimum(model, cache, n)
     if f_greedy > f_opt + 1e-9:
-        raise AssertionError(
+        raise IllConditionedError(
             f"greedy value {f_greedy} exceeds exhaustive optimum {f_opt}"
         )
     eps1 = estimate_epsilon1(model, greedy.selected, samples=samples, seed=seed)
@@ -279,51 +268,3 @@ def check_guarantee(model: PitcModel, cache: CriterionCache, n: int,
         epsilon1_hat=eps1, epsilon=epsilon, bound=bound,
         satisfied=satisfied, status=status,
     )
-
-
-def audit_eps_submodularity(model: PitcModel, cache: CriterionCache,
-                            samples: int, seed=0):
-    """Sample nested selections and measure diminishing-returns violations.
-
-    Draws pairs ``A within A'`` and an outside candidate ``a``, compares the
-    objective gain of ``a`` at both, and records the largest positive
-    excess (gain under the larger context beyond gain under the smaller).
-    Also measures, for auxiliary candidates, the variance-reduction bound
-    that the theory converts into a tolerated excess; returns
-    ``(max_excess, epsilon_required)``.
-    """
-    rng = np.random.default_rng(seed)
-    cands = model.candidates.tuples
-    n = len(cands)
-    target = set(model.target_types)
-    max_excess = -np.inf
-    worst_eps1 = 0.0
-    for _ in range(samples):
-        size_big = int(rng.integers(0, min(n - 1, 6) + 1))
-        big_idx = rng.choice(n, size=size_big, replace=False)
-        big = [cands[i] for i in sorted(big_idx)]
-        keep = rng.integers(0, 2, size=size_big).astype(bool)
-        small = [t for t, k in zip(big, keep) if k]
-        outside = [t for t in cands if t not in set(big)]
-        a = outside[int(rng.integers(len(outside)))]
-
-        gain_small = criterion_F(model, cache, small + [a]) - criterion_F(
-            model, cache, small
-        )
-        gain_big = criterion_F(model, cache, big + [a]) - criterion_F(
-            model, cache, big
-        )
-        max_excess = max(max_excess, gain_big - gain_small)
-
-        if a.type_index not in target:
-            big_t = {t for t in big if t.type_index in target}
-            rest = [
-                t for t in cands
-                if t.type_index in target and t not in big_t
-            ]
-            v_small = blocked_conditional_var(model, small + rest, a)
-            v_big = blocked_conditional_var(model, big + rest, a)
-            worst_eps1 = max(worst_eps1, v_small - v_big)
-    sig2n = float(np.min(model.h.noise_var))
-    eps_required = 0.5 * math.log1p(worst_eps1 / sig2n)
-    return float(max_excess), float(eps_required)

@@ -59,7 +59,7 @@ def lat_cov(u, v, h):
 
 
 def _pairwise_density(xa, xb, diag_cov):
-    """Matrix of gaussian_density(xa[r] - xb[c], diag_cov) values."""
+    """Matrix of gd(xa[r] - xb[c], diag_cov) values."""
     diag_cov = np.asarray(diag_cov, dtype=float)
     d = diag_cov.shape[0]
     diff = xa[:, None, :] - xb[None, :, :]
@@ -199,6 +199,10 @@ def conditional_cov_exact(s, x, h):
     return c_ss - c_sx @ np.linalg.solve(exact_cov(x, x, h), c_sx.T)
 
 
+def conditional_mean_exact(s, x, y, h):
+    return exact_cov(s, x, h) @ np.linalg.solve(exact_cov(x, x, h), y)
+
+
 def old_criterion(model, x, use_exact=False):
     """Posterior joint entropy of the unsampled target pool given ``x``.
 
@@ -235,7 +239,8 @@ def greedy_gain(model, cache, x, candidate):
     if candidate in tuples:
         raise DomainError(f"candidate {candidate} is already selected")
     model.require_candidates([candidate])
-    return GainEvaluator(model, cache).set_state(tuples).gain_of(candidate)
+    gains = GainEvaluator(model, cache).set_state(tuples).gains()
+    return float(gains[model.tuple_index[candidate]])
 
 
 class _ScratchPools:
@@ -281,8 +286,7 @@ class _ScratchPools:
         return 1.0 / inv_diag
 
 
-def select_single_output_scratch(model, n, kind, single_output_hypers=None,
-                                 cap_to_pool=False):
+def select_single_output_scratch(model, n, kind, single_output_hypers=None):
     """s-Var (``kind="s-var"``) or s-MI (``kind="s-mi"``) from scratch.
 
     Every iteration rescans the pools for the selected tuples, recomputes the
@@ -291,8 +295,6 @@ def select_single_output_scratch(model, n, kind, single_output_hypers=None,
     """
     pools = _ScratchPools(model, single_output_hypers)
     total = len(pools.flat)
-    if cap_to_pool:
-        n = min(n, total)
     _check_budget(n, total, what="target candidate pool")
 
     def score(state):
@@ -530,3 +532,51 @@ def estimate_epsilon1(model, x, samples=None, seed=0):
         for z in aux_candidates:
             worst = max(worst, pre.var(z, subset) - full_var[z])
     return worst
+
+
+def audit_eps_submodularity(model, cache, samples, seed=0):
+    """Sample nested selections and measure diminishing-returns violations.
+
+    Draws pairs ``A within A'`` and an outside candidate ``a``, compares the
+    objective gain of ``a`` at both, and records the largest positive
+    excess (gain under the larger context beyond gain under the smaller).
+    Also measures, for auxiliary candidates, the variance-reduction bound
+    that the theory converts into a tolerated excess; returns
+    ``(max_excess, epsilon_required)``.
+    """
+    rng = np.random.default_rng(seed)
+    h, u_locs = model.h, model.inducing.locations
+    cands = model.candidates.tuples
+    n = len(cands)
+    target = set(model.target_types)
+    max_excess = -np.inf
+    worst_eps1 = 0.0
+    for _ in range(samples):
+        size_big = int(rng.integers(0, min(n - 1, 6) + 1))
+        big_idx = rng.choice(n, size=size_big, replace=False)
+        big = [cands[i] for i in sorted(big_idx)]
+        keep = rng.integers(0, 2, size=size_big).astype(bool)
+        small = [t for t, k in zip(big, keep) if k]
+        outside = [t for t in cands if t not in set(big)]
+        a = outside[int(rng.integers(len(outside)))]
+
+        gain_small = criterion_F(model, cache, small + [a]) - criterion_F(
+            model, cache, small
+        )
+        gain_big = criterion_F(model, cache, big + [a]) - criterion_F(
+            model, cache, big
+        )
+        max_excess = max(max_excess, gain_big - gain_small)
+
+        if a.type_index not in target:
+            big_t = {t for t in big if t.type_index in target}
+            rest = [
+                t for t in cands
+                if t.type_index in target and t not in big_t
+            ]
+            v_small = conditional_cov_blocked([a], small + rest, h, u_locs)[0, 0]
+            v_big = conditional_cov_blocked([a], big + rest, h, u_locs)[0, 0]
+            worst_eps1 = max(worst_eps1, v_small - v_big)
+    sig2n = float(np.min(model.h.noise_var))
+    eps_required = 0.5 * math.log1p(worst_eps1 / sig2n)
+    return float(max_excess), float(eps_required)

@@ -33,18 +33,6 @@ class TestLogMarginalLikelihood:
         )
         assert total == pytest.approx(parts, rel=1e-10)
 
-    def test_pitc_single_type_equals_exact(self, rng):
-        pts = [as_tuple([v], 0) for v in rng.uniform(0, 3, 12)]
-        y = rng.normal(size=12)
-        inducing = rng.uniform(0, 3, size=(3, 1))
-        exact = log_marginal_likelihood(H1, pts, y, mode="exact")
-        sparse = log_marginal_likelihood(H1, pts, y, mode="pitc", inducing=inducing)
-        assert sparse == pytest.approx(exact, rel=1e-8)
-
-    def test_pitc_requires_inducing(self):
-        with pytest.raises(ConfigError):
-            log_marginal_likelihood(H1, [as_tuple([0.0], 0)], [0.0], mode="pitc")
-
     def test_matches_dense_quadratic_form(self, rng):
         pts = [as_tuple([v], t) for v, t in zip(rng.uniform(0, 2, 6), [0, 1] * 3)]
         y = rng.normal(size=6)

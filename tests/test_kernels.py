@@ -13,7 +13,6 @@ from mogpal import (
     Hyperparams,
     as_tuple,
     cov_matrix,
-    gaussian_density,
 )
 from mogpal.kernels import TupleArray, latent_cross_matrix, latent_matrix
 
@@ -39,39 +38,6 @@ def latent_cov(u, v, h):
     return latent_matrix([u, v], h)[0, 1]
 
 
-class TestGaussianDensity:
-    def test_peak_with_unit_determinant(self):
-        assert gaussian_density([0.0], [1.0 / (2 * math.pi)]) == pytest.approx(1.0)
-
-    def test_two_dim_origin(self):
-        assert gaussian_density([0.0, 0.0], [1.0, 1.0]) == pytest.approx(
-            0.15915494309189535, abs=1e-12
-        )
-
-    def test_standard_normal_at_one(self):
-        assert gaussian_density([1.0], [1.0]) == pytest.approx(
-            0.24197072451914337, abs=1e-12
-        )
-
-    def test_rejects_nonpositive_cov(self):
-        with pytest.raises(DomainError):
-            gaussian_density([0.0], [0.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            gaussian_density([np.inf], [1.0])
-        with pytest.raises(DomainError):
-            gaussian_density([0.0], [np.nan])
-
-    @given(
-        delta=st.floats(-3, 3),
-        cov=st.floats(0.05, 10),
-    )
-    def test_strictly_positive(self, delta, cov):
-        # domain bounded away from the exp underflow threshold
-        assert gaussian_density([delta], [cov]) > 0
-
-
 class TestOutputCov:
     def test_same_tuple_adds_noise(self):
         h = Hyperparams(
@@ -86,9 +52,7 @@ class TestOutputCov:
         p = as_tuple([0.3], 0)
         q = as_tuple([0.3], 1)
         width = H2.pair_width(0, 1)
-        smooth = math.sqrt(H2.signal_var[0] * H2.signal_var[1]) * gaussian_density(
-            [0.0], width
-        )
+        smooth = math.sqrt(H2.signal_var[0] * H2.signal_var[1]) * oracles.gd([0.0], width)
         assert output_cov(p, q, H2) == pytest.approx(smooth, abs=1e-15)
 
     def test_vanishes_at_large_separation(self):
@@ -106,7 +70,7 @@ class TestOutputCov:
         p = as_tuple([0.7], 1)
         smooth = output_cov(p, p, H2) - H2.noise_var[1]
         width = H2.pair_width(1, 1)
-        assert smooth == pytest.approx(H2.signal_var[1] * gaussian_density([0.0], width))
+        assert smooth == pytest.approx(H2.signal_var[1] * oracles.gd([0.0], width))
 
     @given(shift=st.floats(-3, 3), x=st.floats(-1, 1), y=st.floats(-1, 1))
     @settings(max_examples=50)
@@ -309,14 +273,3 @@ class TestHyperparams:
     def test_rejects_mixed_dimension_tuple(self):
         with pytest.raises(DomainError):
             H2.validate_tuple(as_tuple([0.0, 1.0], 0))
-
-    def test_signal_to_noise(self):
-        h = Hyperparams(
-            signal_var=[2.2204, 8.8280, 2.3198],
-            noise_var=[0.0853, 0.1130, 0.0596],
-            latent_prec_inv=[0.1],
-            smooth_prec_inv=[[0.1]] * 3,
-        )
-        np.testing.assert_allclose(
-            h.signal_to_noise(), [26.030480656506448, 78.12389380530972, 38.922818791946305]
-        )

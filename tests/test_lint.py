@@ -1,10 +1,13 @@
-"""Static guard against imported names that a module never uses.
+"""Static guards against imported names that a module never uses and
+against library code that only tests reach.
 
-No linter is part of the test toolchain, so this walks the syntax tree of
-every ``src/mogpal`` module and every test module.  The package
-``__init__`` (whose imports are re-exports), names listed in a module's
-``__all__`` and imports on a line marked ``# noqa: F401`` (deliberate
-re-exports, as in ``conftest.py``) are exempt.
+No linter is part of the test toolchain, so these walk syntax trees.  The
+unused-import scan covers every ``src/mogpal`` module and every test
+module.  The package ``__init__`` (whose imports are re-exports), names
+listed in a module's ``__all__`` and imports on a line marked
+``# noqa: F401`` (deliberate re-exports, as in ``conftest.py``) are exempt.
+The reachability scan starts from the package's module-level code and the
+benchmark's code, never from tests.
 """
 
 import ast
@@ -13,9 +16,27 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    p for p in (ROOT / "src" / "mogpal").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "mogpal").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+# the benchmark calls the package from outside; its self-tests do not count
+CALLERS = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+
+# Public definitions that no package or benchmark code reaches, kept on
+# purpose.  They count as reached, and so does the code they use.
+TEST_ONLY_ALLOWED = (
+    # the `mogpal` console script (pyproject.toml)
+    "cli.main",
+    # the incremental gain state's variances, read by its identity tests
+    "criterion.GainEvaluator.var_given_augmented",
+    "criterion.GainEvaluator.var_given_selected",
+    # the paper's candidate-spacing scheme: to be wired into `verify` as the
+    # large-pool certificate, or deleted
+    "selector.SpacingParams",
+    "selector.SpacingParams.from_hyperparams",
+    "selector.construct_spaced_candidates",
+    "selector.min_spacing_p",
+)
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source):
@@ -66,3 +87,122 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_main_guard(node):
+    # runs only when its module is a script; the console script's entry point
+    # is on the allowlist instead
+    test = getattr(node, "test", None)
+    return (isinstance(node, ast.If) and isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Name) and test.left.id == "__name__")
+
+
+def _references(nodes):
+    """Names and attribute names read anywhere under ``nodes``."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def unreached(package, callers, allowed=()):
+    """Public functions, classes and methods of ``package`` ({module: source})
+    that no code reaches, as ``module.qualname``.
+
+    Reached code is, to a fixpoint: the package's module-level statements,
+    every top-level statement of ``callers`` (sources), the ``allowed``
+    definitions, and each definition whose name reached code reads.  A
+    method is reached only with its class, a dunder method always with it.
+    Names match without their module, so a name shared with reached code
+    counts as reached.  Methods of an unreached class go with the class.
+    """
+    refs = set()
+    for source in callers:
+        refs |= _references(n for n in ast.parse(source).body if not _is_main_guard(n))
+    defs = []  # (qualified name, name, class or None, own code)
+    for module, source in package.items():
+        body = ast.parse(source).body
+        refs |= _references(n for n in body if not isinstance(n, DEFS) and not _is_main_guard(n))
+        for node in body:
+            if not isinstance(node, DEFS):
+                continue
+            qual = f"{module}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                own = [n for n in node.body if not isinstance(n, DEFS)]
+                defs.append((qual, node.name, None, own + node.bases + node.decorator_list))
+                defs += [(f"{qual}.{m.name}", m.name, qual, [m])
+                         for m in node.body if isinstance(m, DEFS)]
+            else:
+                defs.append((qual, node.name, None, [node]))
+    reached = set()
+    while True:
+        new = [
+            (qual, own) for qual, name, cls, own in defs
+            if qual not in reached and (cls is None or cls in reached)
+            and (name in refs or qual in allowed or (cls and name.startswith("__")))
+        ]
+        if not new:
+            break
+        for qual, own in new:
+            reached.add(qual)
+            refs |= _references(own)
+    return sorted(
+        qual for qual, name, cls, _ in defs
+        if qual not in reached and not name.startswith("_") and (cls is None or cls in reached)
+    )
+
+
+def test_reachability_scanner_flags_only_unreached_names():
+    package = {"a": (
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def only_tests():\n"
+        "    return chained()\n"
+        "def chained():\n"
+        "    return 2\n"
+        "def entry():\n"
+        "    return from_entry()\n"
+        "def from_entry():\n"
+        "    return 3\n"
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self.x = at_init()\n"
+        "    def read(self):\n"
+        "        return self._private()\n"
+        "    def _private(self):\n"
+        "        return 0\n"
+        "    def unread(self):\n"
+        "        return 1\n"
+        "def at_init():\n"
+        "    return 4\n"
+        "class Dead:\n"
+        "    def method(self):\n"
+        "        return 5\n"
+        "__all__ = ['only_tests']\n"
+        "if __name__ == '__main__':\n"
+        "    only_tests()\n"
+    )}
+    callers = ["from a import K, used\nused()\nK().read()\nif __name__ == '__main__':\n    entry()\n"]
+    assert unreached(package, callers) == [
+        "a.Dead", "a.K.unread", "a.chained", "a.entry", "a.from_entry", "a.only_tests",
+    ]
+    assert unreached(package, callers, allowed=("a.entry",)) == [
+        "a.Dead", "a.K.unread", "a.chained", "a.only_tests",
+    ]
+
+
+def test_library_code_is_reached_without_tests():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    callers = [p.read_text() for p in CALLERS]
+    assert unreached(package, callers, TEST_ONLY_ALLOWED) == []
+    # every allowance is still needed: without the allowlist it is flagged,
+    # alone or with its class
+    flagged = unreached(package, callers)
+    for name in TEST_ONLY_ALLOWED:
+        assert name in flagged or name.rsplit(".", 1)[0] in flagged, f"{name} is reached"

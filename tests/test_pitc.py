@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from mogpal import (
     build_cache,
     build_model,
     cov_matrix,
-    exact_posterior,
     pitc_posterior,
     select_inducing,
     sparse_cov,
@@ -66,6 +66,11 @@ class TestSelectInducing:
     def test_guard(self, rng):
         with pytest.raises(ConfigError):
             select_inducing(rng.uniform(0, 1, size=(4, 1)), 5, seed=0)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_fewer_than_one(self, rng, m):
+        with pytest.raises(ConfigError, match="at least one"):
+            select_inducing(rng.uniform(0, 1, size=(4, 1)), m, seed=0)
 
     def test_duplicates_collapsed(self):
         pts = np.array([[0.0], [0.0], [1.0], [1.0]])
@@ -287,9 +292,13 @@ class TestPitcPosterior:
             z = [as_tuple([v], 0) for v in rng.uniform(2, 3, size=3)]
             y = rng.normal(size=5)
             sparse = pitc_posterior(model, x, y, z)
-            exact = exact_posterior(x, y, z, H1)
-            np.testing.assert_allclose(sparse.mean, exact.mean, rtol=1e-8, atol=1e-12)
-            np.testing.assert_allclose(sparse.cov, exact.cov, rtol=1e-8, atol=1e-12)
+            np.testing.assert_allclose(
+                sparse.mean, oracles.conditional_mean_exact(z, x, y, H1),
+                rtol=1e-8, atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                sparse.cov, oracles.conditional_cov_exact(z, x, H1), rtol=1e-8, atol=1e-12
+            )
 
     def test_empty_conditioning(self, rng):
         model, _ = random_instance(3, n_per_type=(4, 4))
@@ -383,8 +392,19 @@ class TestPitcPosterior:
         model = _model_1type()
         p = model.candidate_list()[0]
         z = [as_tuple([5.0], 0)]
-        with pytest.raises(IllConditionedError):
+        with pytest.raises(IllConditionedError, match=re.escape(repr(p))):
             pitc_posterior(model, [p, p], [0.0, 0.0], z)
+
+    def test_rejects_overlapping_query(self):
+        model = _model_1type()
+        p = model.candidate_list()[0]
+        with pytest.raises(DomainError, match="overlap"):
+            pitc_posterior(model, [p], [0.0], [p])
+
+    def test_rejects_length_mismatch(self):
+        model = _model_1type()
+        with pytest.raises(DomainError, match="1 observations but 2 values"):
+            pitc_posterior(model, model.candidate_list()[:1], [0.0, 1.0], [as_tuple([5.0], 0)])
 
 
 class TestSparseCov:

@@ -26,12 +26,8 @@ EXPORTS = [
     "as_tuple",
     "build_cache",
     "build_model",
-    "conditional_entropy",
     "cov_matrix",
     "criterion_F",
-    "exact_posterior",
-    "gaussian_density",
-    "joint_entropy",
     "pitc_posterior",
     "select_inducing",
     "sparse_cov",

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from mogpal import (
-    ConfigError, DomainError, GainEvaluator, Hyperparams, IllConditionedError, as_tuple,
+    ConfigError, GainEvaluator, Hyperparams, IllConditionedError, as_tuple,
     build_cache, build_model, criterion_F,
 )
 from mogpal.pitc import InducingSet, select_inducing
@@ -14,7 +14,6 @@ from mogpal.selector import (
     SpacingParams,
     construct_spaced_candidates,
     min_spacing_p,
-    prop1_bound,
     select_greedy,
     select_mvar,
     select_smi,
@@ -279,10 +278,11 @@ class TestSingleOutputBaselines:
         assert 0.0 < first < 8.0
         assert svar.selected[0].location[0] == 0.0
 
-    def test_budget_guard_on_target_pool(self):
+    @pytest.mark.parametrize("select", [select_smi, select_svar])
+    def test_budget_guard_on_target_pool(self, select):
         model, _ = random_instance(34, n_per_type=(3, 5))
         with pytest.raises(ConfigError):
-            select_svar(model, 4)
+            select(model, 4)
 
     @pytest.mark.parametrize("kind", ["s-mi", "s-var"])
     @pytest.mark.parametrize(
@@ -305,16 +305,14 @@ class TestSingleOutputBaselines:
             rng = np.random.default_rng(seed)
             refits = {t: random_hyperparams(rng, n_types=1) for t in target_types}
         select = select_smi if kind == "s-mi" else select_svar
+        # the caller caps the budget at the target pool, as run_experiment does
+        n = min(budget, sum(n_per_type[t] for t in target_types))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state = select(model, budget, refits, cap_to_pool=True)
-        reference = oracles.select_single_output_scratch(
-            model, budget, kind, refits, cap_to_pool=True
-        )
+            state = select(model, n, refits)
+        reference = oracles.select_single_output_scratch(model, n, kind, refits)
         assert state.selected == reference.selected
-        assert len(state.selected) == min(
-            budget, sum(n_per_type[t] for t in target_types)
-        )
+        assert len(state.selected) == n
         for (_, gain), (_, expected) in zip(state.gain_log, reference.gain_log):
             assert gain == pytest.approx(expected, rel=0, abs=1e-9)
 
@@ -415,43 +413,6 @@ class TestSpacing:
         )
         with pytest.raises(ConfigError):
             construct_spaced_candidates([as_tuple([0.0], 0)], sp)
-
-
-class TestProp1Bound:
-    def test_empty_remainder_is_zero(self):
-        model, _ = random_instance(41, n_per_type=(3, 3))
-        aux = model.candidate_list([1])[0]
-        assert prop1_bound(model, aux, []) == 0.0
-
-    def test_rejects_target_candidate(self):
-        model, _ = random_instance(42, n_per_type=(3, 3))
-        tgt = model.candidate_list([0])[0]
-        with pytest.raises(DomainError):
-            prop1_bound(model, tgt, [])
-
-    def test_bounds_measured_gain_on_spaced_instance(self):
-        model, cache = _grid_model(n=6, m=3, n_types=2, noise=(0.3, 0.2))
-        targets = model.candidate_list([0])
-        for aux in model.candidate_list([1]):
-            gain = oracles.greedy_gain(model, cache, [], aux)
-            bound = prop1_bound(model, aux, targets)
-            assert gain <= bound + 1e-9
-
-    def test_matches_scalar_formula(self):
-        model, _ = random_instance(43, n_per_type=(4, 4))
-        h = model.h
-        aux = model.candidate_list([1])[1]
-        targets = model.candidate_list([0])[:3]
-        rho = h.signal_var / h.noise_var
-        r_sum = sum(
-            oracles.gd(
-                [a - b for a, b in zip(aux.location, q.location)],
-                [h.latent_prec_inv[0] + h.smooth_prec_inv[1][0] + h.smooth_prec_inv[0][0]],
-            ) ** 2
-            for q in targets
-        )
-        expected = 0.5 * math.log(1 + 4 * rho[0] * rho[1] * r_sum)
-        assert prop1_bound(model, aux, targets) == pytest.approx(expected, rel=1e-10)
 
 
 class TestSelectionLog:

@@ -8,17 +8,17 @@ from mogpal import (
     ConfigError,
     EnumerationGuardError,
     Hyperparams,
+    IllConditionedError,
     as_tuple,
     build_cache,
     build_model,
     criterion_F,
+    pitc_posterior,
 )
 from mogpal import verify
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import SpacingParams, construct_spaced_candidates, min_spacing_p, select_greedy
 from mogpal.verify import (
-    audit_eps_submodularity,
-    blocked_conditional_var,
     brute_force_optimum,
     check_guarantee,
     estimate_epsilon1,
@@ -261,12 +261,21 @@ class TestCheckGuarantee:
         assert fields["satisfied"] == "true"
 
 
+    def test_greedy_above_optimum_raises(self, monkeypatch):
+        # greedy can only beat the exhaustive optimum if the numerics broke;
+        # the objective is nonnegative, so any greedy value beats -1
+        model, cache = random_instance(84, n_per_type=(4, 3))
+        monkeypatch.setattr(verify, "brute_force_optimum", lambda model, cache, n: ([], -1.0))
+        with pytest.raises(IllConditionedError, match="exceeds exhaustive optimum"):
+            check_guarantee(model, cache, 2)
+
+
 class TestAuditEpsSubmodularity:
     def test_single_type_exactly_submodular(self):
         violations = []
         for seed in range(6):
             model, cache = random_instance(seed + 1000, n_per_type=(7,))
-            excess, _ = audit_eps_submodularity(model, cache, samples=40, seed=seed)
+            excess, _ = oracles.audit_eps_submodularity(model, cache, samples=40, seed=seed)
             if excess > 1e-9:
                 violations.append((seed, excess))
         # single-type instances: gains are plain conditional entropies, for
@@ -276,7 +285,7 @@ class TestAuditEpsSubmodularity:
     def test_excess_within_required_epsilon(self):
         for seed in range(6):
             model, cache = random_instance(seed + 1100, n_per_type=(4, 4))
-            excess, eps_required = audit_eps_submodularity(
+            excess, eps_required = oracles.audit_eps_submodularity(
                 model, cache, samples=60, seed=seed
             )
             assert excess <= eps_required + 1e-9
@@ -286,8 +295,6 @@ class TestAuditEpsSubmodularity:
         cands = model.candidate_list()
         z = model.candidate_list([1])[0]
         cond = [t for t in cands[:4] if t != z]
-        direct = blocked_conditional_var(model, cond, z)
-        from mogpal import pitc_posterior
-
+        direct = oracles.conditional_cov_blocked([z], cond, model.h, model.inducing.locations)
         pred = pitc_posterior(model, cond, np.zeros(len(cond)), [z])
-        assert direct == pytest.approx(pred.cov[0, 0], rel=1e-10)
+        assert direct[0, 0] == pytest.approx(pred.cov[0, 0], rel=1e-10)
