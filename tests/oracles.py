@@ -580,3 +580,23 @@ def audit_eps_submodularity(model, cache, samples, seed=0):
     sig2n = float(np.min(model.h.noise_var))
     eps_required = 0.5 * math.log1p(worst_eps1 / sig2n)
     return float(max_excess), float(eps_required)
+
+
+def prop1_bound(model, candidate, remaining_targets):
+    """Proposition 1's upper bound on an auxiliary tuple's objective gain.
+
+    ``0.5 log(1 + 4 rho_i sum_q rho_q gd(x - x_q)^2)`` with per-type
+    signal-to-noise ratios ``rho`` and the cross-kernel density to each
+    remaining unsampled target tuple q; valid in the absence of suppressor
+    variables.
+    """
+    h = model.h
+    i = candidate.type_index
+    assert i not in model.target_types, "the bound applies to auxiliary candidates"
+    rho = h.signal_var / h.noise_var
+    total = 0.0
+    for q in remaining_targets:
+        assert q.type_index in model.target_types, f"{q} is not a target-type tuple"
+        delta = [a - b for a, b in zip(candidate.location, q.location)]
+        total += float(rho[q.type_index]) * gd(delta, h.pair_width(i, q.type_index)) ** 2
+    return 0.5 * math.log1p(4.0 * float(rho[i]) * total)

@@ -5,6 +5,7 @@ import pytest
 
 from mogpal import ConfigError, Hyperparams, as_tuple, cov_matrix
 from mogpal.hyperlearn import FitResult, fit_hyperparams, log_marginal_likelihood
+from mogpal.kernels import TupleArray
 
 H1 = Hyperparams(
     signal_var=[1.0], noise_var=[0.2],
@@ -32,6 +33,20 @@ class TestLogMarginalLikelihood:
             log_marginal_likelihood(H1, [p], [v]) for p, v in zip(pts, y)
         )
         assert total == pytest.approx(parts, rel=1e-10)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ConfigError, match="1 observations but 2 values"):
+            log_marginal_likelihood(H1, [as_tuple([0.0], 0)], [0.0, 1.0])
+
+    def test_no_observations_is_zero(self):
+        assert log_marginal_likelihood(H2, [], []) == 0.0
+
+    def test_tuple_array_input_matches_list(self, rng):
+        pts = [as_tuple([v], t) for v, t in zip(rng.uniform(0, 2, 5), [0, 1, 1, 0, 1])]
+        y = rng.normal(size=5)
+        assert log_marginal_likelihood(H2, TupleArray.build(pts, H2), y) == (
+            log_marginal_likelihood(H2, pts, y)
+        )
 
     def test_matches_dense_quadratic_form(self, rng):
         pts = [as_tuple([v], t) for v, t in zip(rng.uniform(0, 2, 6), [0, 1] * 3)]

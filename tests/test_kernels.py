@@ -14,7 +14,7 @@ from mogpal import (
     as_tuple,
     cov_matrix,
 )
-from mogpal.kernels import TupleArray, latent_cross_matrix, latent_matrix
+from mogpal.kernels import TupleArray, _pairwise_density, latent_cross_matrix, latent_matrix
 
 H2 = Hyperparams(
     signal_var=[1.0, 0.8],
@@ -36,6 +36,42 @@ def latent_cross_cov(p, u, h):
 
 def latent_cov(u, v, h):
     return latent_matrix([u, v], h)[0, 1]
+
+
+def density(delta, diag_cov):
+    """The kernels' normal density at one difference vector."""
+    delta = np.atleast_1d(np.asarray(delta, dtype=float))
+    return _pairwise_density(delta[None, :], np.zeros((1, delta.size)), diag_cov)[0, 0]
+
+
+class TestPairwiseDensity:
+    def test_peak_with_unit_determinant(self):
+        assert density([0.0], [1.0 / (2 * math.pi)]) == pytest.approx(1.0)
+
+    def test_two_dim_origin(self):
+        assert density([0.0, 0.0], [1.0, 1.0]) == pytest.approx(
+            0.15915494309189535, abs=1e-12
+        )
+
+    def test_standard_normal_at_one(self):
+        assert density([1.0], [1.0]) == pytest.approx(0.24197072451914337, abs=1e-12)
+
+    @given(
+        delta=st.floats(-3, 3),
+        cov=st.floats(0.05, 10),
+    )
+    def test_strictly_positive(self, delta, cov):
+        # domain bounded away from the exp underflow threshold
+        assert density([delta], [cov]) > 0
+
+    def test_fills_the_given_buffer(self, rng):
+        xa = rng.uniform(-1, 1, size=(4, 2))
+        xb = rng.uniform(-1, 1, size=(3, 2))
+        width = [0.3, 0.7]
+        out = np.full((4, 3), np.nan)
+        assert _pairwise_density(xa, xb, width, out=out) is out
+        expected = [[oracles.gd(a - b, width) for b in xb] for a in xa]
+        np.testing.assert_allclose(out, expected, rtol=1e-13)
 
 
 class TestOutputCov:
@@ -269,6 +305,27 @@ class TestHyperparams:
                 latent_prec_inv=[0.1], smooth_prec_inv=[[0.1]],
                 target_types=(2,),
             )
+
+    @pytest.mark.parametrize("field,value", [
+        ("signal_var", [1.0, np.inf]),
+        ("noise_var", [np.nan, 0.1]),
+        ("smooth_prec_inv", [[0.1], [0.0]]),
+    ])
+    def test_rejects_non_finite_or_zero(self, field, value):
+        kw = dict(signal_var=[1.0, 1.0], noise_var=[0.1, 0.1],
+                  latent_prec_inv=[0.1], smooth_prec_inv=[[0.1], [0.1]])
+        kw[field] = value
+        with pytest.raises(ConfigError, match="finite and strictly positive"):
+            Hyperparams(**kw)
+
+    def test_single_output_reproduces_the_type_kernel(self, rng):
+        pts = [as_tuple([v], 1) for v in rng.uniform(0, 2, 5)]
+        single = H2.single_output(1)
+        remapped = [as_tuple(p.location, 0) for p in pts]
+        assert single.n_types == 1 and single.target_types == (0,)
+        np.testing.assert_allclose(
+            cov_matrix(remapped, remapped, single), cov_matrix(pts, pts, H2), rtol=1e-12
+        )
 
     def test_rejects_mixed_dimension_tuple(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,12 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from mogpal.errors import IllConditionedError
-from mogpal.linalg import chol_spd, spd_info_in_place
+from mogpal.linalg import JITTER_SCALE, chol_spd, spd_info_in_place
 
 NAME = "type-0 residual block"
 
@@ -22,6 +23,74 @@ def _singular():
     # X X^T with X = [[1, 0], [0, 1], [1, 1]]: the last pivot is exactly 0
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     return x @ x.T
+
+
+def _entropy(factor):
+    """Joint Gaussian entropy from a factor's log-determinant, as the
+    criterion computes it."""
+    return 0.5 * (factor.n * math.log(2 * math.pi * math.e) + factor.logdet)
+
+
+class TestCholSpd:
+    def test_unit_determinant_scaling(self):
+        factor = chol_spd([[1.0 / (2 * math.pi * math.e)]])
+        assert _entropy(factor) == pytest.approx(0.0, abs=1e-12)
+
+    def test_identity_two_by_two(self):
+        factor = chol_spd(np.eye(2))
+        assert factor.logdet == 0.0
+        assert _entropy(factor) == pytest.approx(2.8378770664093453, abs=1e-12)
+
+    def test_block_diagonal_adds(self, rng):
+        a = rng.normal(size=(3, 3))
+        a = a @ a.T + 3 * np.eye(3)
+        b = rng.normal(size=(2, 2))
+        b = b @ b.T + 3 * np.eye(2)
+        full = np.block([[a, np.zeros((3, 2))], [np.zeros((2, 3)), b]])
+        assert chol_spd(full).logdet == pytest.approx(
+            chol_spd(a).logdet + chol_spd(b).logdet, rel=1e-12
+        )
+        assert chol_spd(full).logdet == pytest.approx(np.linalg.slogdet(full)[1], rel=1e-12)
+
+    def test_empty_is_zero(self):
+        factor = chol_spd(np.zeros((0, 0)))
+        assert factor.logdet == 0.0
+        assert factor.jitter == 0.0
+        assert factor.solve(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_solve_matches_dense_solve(self, rng):
+        b = rng.normal(size=(6, 6))
+        a = b @ b.T + np.eye(6)
+        rhs = rng.normal(size=(6, 2))
+        factor = chol_spd(a)
+        np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(a, rhs), rtol=1e-10)
+        np.testing.assert_allclose(
+            factor.solve(rhs[:, 0]), np.linalg.solve(a, rhs[:, 0]), rtol=1e-10
+        )
+
+    def test_reads_the_lower_triangle(self):
+        # spd_info_in_place factors the same triangle, so the two agree on a
+        # residual that is not bitwise symmetric
+        sym = np.array([[2.0, 0.5], [0.5, 1.0]])
+        upper_changed = sym.copy()
+        upper_changed[0, 1] = 9.0
+        np.testing.assert_array_equal(chol_spd(upper_changed).lower, chol_spd(sym).lower)
+
+    def test_jitter_pass_recorded(self, caplog):
+        a = _singular()
+        caplog.set_level(logging.INFO, logger="mogpal.linalg")
+        factor = chol_spd(a, NAME)
+        assert factor.jitter == JITTER_SCALE * np.trace(a) / 3
+        np.testing.assert_allclose(
+            factor.lower @ factor.lower.T, a + factor.jitter * np.eye(3), atol=1e-12
+        )
+        assert [r.getMessage() for r in caplog.records] == [
+            f"jitter pass on {NAME} (n=3, jitter={factor.jitter:.3e})"
+        ]
+
+    def test_rejects_non_positive_definite(self):
+        with pytest.raises(IllConditionedError, match=f"{NAME} \\(2x2\\) is not positive definite"):
+            chol_spd([[1.0, 2.0], [2.0, 1.0]], NAME)
 
 
 class TestSpdInfoInPlace:

@@ -415,6 +415,26 @@ class TestSpacing:
             construct_spaced_candidates([as_tuple([0.0], 0)], sp)
 
 
+class TestProp1Bound:
+    """The library's gains against Proposition 1's bound (``oracles.prop1_bound``)."""
+
+    def test_bounds_measured_gain_on_spaced_instance(self):
+        model, cache = _grid_model(n=6, m=3, n_types=2, noise=(0.3, 0.2))
+        targets = model.candidate_list([0])
+        for aux in model.candidate_list([1]):
+            gain = oracles.greedy_gain(model, cache, [], aux)
+            assert gain <= oracles.prop1_bound(model, aux, targets) + 1e-9
+
+    def test_empty_remainder_is_zero(self):
+        # with every target tuple selected an auxiliary pick carries no
+        # information about the target pool, and the bound is 0 as well
+        model, cache = random_instance(41, n_per_type=(3, 3))
+        targets = model.candidate_list([0])
+        for aux in model.candidate_list([1]):
+            assert oracles.prop1_bound(model, aux, []) == 0.0
+            assert oracles.greedy_gain(model, cache, targets, aux) == pytest.approx(0.0, abs=1e-12)
+
+
 class TestSelectionLog:
     def test_round_trip_csv(self, tmp_path):
         model, cache = random_instance(51, n_per_type=(3, 3))
