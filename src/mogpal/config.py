@@ -147,6 +147,10 @@ class VerifySweepConfig:
     pool_shape: tuple = (6, 6)
     output_dir: str = "results"
 
+    def __post_init__(self):
+        if self.instances < 1 or self.budget < 1:
+            raise ConfigError("a verification sweep needs instances and budget of at least 1")
+
 
 def load_experiment_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()

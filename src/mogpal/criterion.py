@@ -16,13 +16,18 @@ selected tuples: the cost per candidate does not grow with the target pool.
 What is cached and what is computed on demand: the model keeps, per type,
 the inducing cross covariance ``W``, its solve ``G``, the residual ``R`` and
 the prior variances (not the exact prior block ``C``), and the target
-summary.  The cache adds ``G`` laid out over the whole pool, the log-dets
-that pin the objective and lookup tables; building it allocates nothing of
-the target pool's squared size.
+summary ``T``.  The cache adds the factor of ``K_uu + T``, the constant that
+pins the objective to zero at the empty set, ``G`` laid out over the whole
+pool and lookup tables; building it allocates nothing of the target pool's
+squared size.
 A :class:`GainEvaluator` builds each pick's covariance row from those
 blocks.  Only its near-tie rescoring reads exact prior rows of the picks;
 they are computed from the kernel when a rescoring first needs them and
 kept, O(|X| N) numbers.
+
+Conditioning on a selection lives here alone: ``criterion_F`` and the
+near-tie rescoring share one factorization of the selection, and ``verify``
+reads its variances given a selection from :class:`GainEvaluator`.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +37,7 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, IllConditionedError
 from .kernels import LOG_2PI_E, TupleArray
-from .linalg import chol_spd
+from .linalg import SpdFactor, chol_spd
 from .pitc import PitcModel, find_duplicates, pool_blocks
 
 __all__ = ["CriterionCache", "build_cache", "criterion_F", "GainEvaluator"]
@@ -42,20 +47,17 @@ __all__ = ["CriterionCache", "build_cache", "criterion_F", "GainEvaluator"]
 class CriterionCache:
     """One-off precomputation shared by every criterion evaluation.
 
-    ``target_summary`` is the model's inducing-space information contributed
-    by the full target candidate pool, computed by ``build_model``; it is the
-    only quantity whose construction touches all target candidates.
-    ``f_constant`` is the additive constant that pins the objective to zero
-    at the empty set.  Per-selection state
-    (the variances given the selection) lives in :class:`GainEvaluator`,
-    which is updated one pick at a time.
+    ``aug_factor`` factors ``K_uu + T``, where ``T`` is the model's
+    ``target_summary``: the inducing-space information of the full target
+    candidate pool, the only quantity whose construction touches all target
+    candidates.  ``f_constant`` is the additive constant that pins the
+    objective to zero at the empty set.  Per-selection state (the variances
+    given the selection) lives in :class:`GainEvaluator`, which is updated
+    one pick at a time.
     """
 
-    model: PitcModel = field(repr=False)
-    target_summary: np.ndarray
     f_constant: float
-    logdet_kuu: float
-    logdet_kuu_plus_summary: float
+    aug_factor: SpdFactor = field(repr=False)
     g_all: np.ndarray = field(repr=False)
     local_index: np.ndarray = field(repr=False)
     target_cols: np.ndarray = field(repr=False)
@@ -65,9 +67,7 @@ class CriterionCache:
 def build_cache(model: PitcModel) -> CriterionCache:
     """Precompute the objective's constants and candidate lookup tables
     from the model's target summary; reads but never writes the model."""
-    tsum = model.target_summary
-    logdet_kuu = model.kuu_factor.logdet
-    logdet_plus = chol_spd(model.kuu + tsum, "augmented inducing covariance").logdet
+    aug_factor = chol_spd(model.kuu + model.target_summary, "augmented inducing covariance")
     n = len(model.candidates)
     g_all = np.zeros((model.n_inducing, n))
     local_index = np.empty(n, dtype=int)
@@ -77,11 +77,8 @@ def build_cache(model: PitcModel) -> CriterionCache:
     types = model.candidates.types
     is_target = np.isin(types, list(model.target_types))
     return CriterionCache(
-        model=model,
-        target_summary=tsum,
-        f_constant=0.5 * (logdet_plus - logdet_kuu),
-        logdet_kuu=logdet_kuu,
-        logdet_kuu_plus_summary=logdet_plus,
+        f_constant=0.5 * (aug_factor.logdet - model.kuu_factor.logdet),
+        aug_factor=aug_factor,
         g_all=g_all,
         local_index=local_index,
         target_cols=np.flatnonzero(is_target),
@@ -105,13 +102,17 @@ def _as_selection(model, x):
     return tuples
 
 
-def _mi_logdets(model, cache, blocks):
-    aux = set(model.h.aux_types)
-    s_x = blocks.info_sum()
-    s_a = cache.target_summary + blocks.info_sum(types=aux)
-    ld_x = chol_spd(model.kuu + s_x, "conditioned inducing covariance").logdet
-    ld_a = chol_spd(model.kuu + s_a, "augmented conditioned inducing covariance").logdet
-    return ld_x, ld_a
+def _selection_factors(model, tuples):
+    """The selection's per-type blocks and the factors of ``K_uu + S`` and
+    ``K_uu + T + S_aux``: ``S`` is the selection's inducing information,
+    ``S_aux`` that of its auxiliary types and ``T`` the target summary."""
+    blocks = pool_blocks(model, tuples)
+    mx = chol_spd(model.kuu + blocks.info_sum(), "selection information")
+    ma = chol_spd(
+        model.kuu + model.target_summary + blocks.info_sum(types=set(model.h.aux_types)),
+        "augmented selection information",
+    )
+    return blocks, mx, ma
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +131,10 @@ def criterion_F(model: PitcModel, cache: CriterionCache, x):
     the cached blocks and target summary, so the cost does not grow with
     the target pool.
     """
-    tuples = _as_selection(model, x)
-    blocks = pool_blocks(model, tuples)
+    blocks, mx, ma = _selection_factors(model, _as_selection(model, x))
     n_t, ld_t = blocks.target_logdet(set(model.target_types))
     h_target = 0.5 * (n_t * LOG_2PI_E + ld_t)
-    ld_x, ld_a = _mi_logdets(model, cache, blocks)
-    return h_target - 0.5 * (ld_a - ld_x) + cache.f_constant
+    return h_target - 0.5 * (ma.logdet - mx.logdet) + cache.f_constant
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +228,7 @@ class GainEvaluator:
         }
         self._aug_basis = np.empty((model.n_inducing, 0))
         if cache.aux_cols.size:
-            self._aug_basis = chol_spd(
-                model.kuu + cache.target_summary, "augmented inducing covariance"
-            ).solve(w_aux.T)
+            self._aug_basis = cache.aug_factor.solve(w_aux.T)
             self._aug_prior += np.einsum("cm,mc->c", w_aux, self._aug_basis)
 
     def set_state(self, selected):
@@ -290,16 +287,10 @@ class GainEvaluator:
     def _factor(self):
         if self._factored is None:
             model = self.model
-            blocks = pool_blocks(model, self.selected)
+            blocks, mx, ma = _selection_factors(model, self.selected)
             # the picks' rows within their type's blocks, in selection order
             li = self.cache.local_index[[model.tuple_index[t] for t in self.selected]]
             local = {i: li[pos] for i, pos in blocks.rows.items()}
-            aux = set(model.h.aux_types)
-            mx = chol_spd(model.kuu + blocks.info_sum(), "selection information")
-            ma = chol_spd(
-                model.kuu + self.cache.target_summary + blocks.info_sum(types=aux),
-                "augmented selection information",
-            )
             self._factored = (blocks, local, mx, ma)
         return self._factored
 
@@ -313,7 +304,7 @@ class GainEvaluator:
         e1 = np.zeros(cols.size)
         hmat = np.zeros((model.n_inducing, cols.size))
         if target_blocks:
-            p = cache.target_summary @ g
+            p = model.target_summary @ g
             e1 += np.einsum("mc,mc->c", g, p)
             hmat += p
         skip = set(model.target_types) if target_blocks else set()

@@ -197,7 +197,7 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
         if algorithm == "m-greedy":
             state = select_greedy(model, cache, max_budget)
         elif algorithm == "m-var":
-            state = select_mvar(model, max_budget, cache)
+            state = select_mvar(model, cache, max_budget)
         elif algorithm == "s-var":
             state = select_svar(model, target_budget, single_output)
         else:

@@ -410,10 +410,6 @@ class GaussianPrediction:
     mean: np.ndarray
     cov: np.ndarray
 
-    @property
-    def var(self):
-        return np.diag(self.cov).copy()
-
 
 def find_duplicates(tuples):
     """Exact duplicate tuples in a list, in first-seen order."""

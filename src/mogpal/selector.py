@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .criterion import CriterionCache, GainEvaluator, build_cache
+from .criterion import CriterionCache, GainEvaluator
 from .errors import ConfigError, DomainError, IllConditionedError
 from .kernels import LOG_2PI_E, Hyperparams, TypedLocation
 from .linalg import chol_spd
@@ -106,7 +106,7 @@ def select_greedy(model: PitcModel, cache: CriterionCache, n: int) -> SelectionS
     return _greedy_loop("m-greedy", n, model.candidates.tuples, score)
 
 
-def select_mvar(model: PitcModel, n: int, cache: CriterionCache = None) -> SelectionState:
+def select_mvar(model: PitcModel, cache: CriterionCache, n: int) -> SelectionState:
     """Greedy maximum posterior entropy over all types.
 
     For a single Gaussian marginal the entropy and variance argmax agree,
@@ -114,7 +114,6 @@ def select_mvar(model: PitcModel, n: int, cache: CriterionCache = None) -> Selec
     rule as in :func:`select_greedy`.
     """
     _check_budget(n, len(model.candidates))
-    cache = cache if cache is not None else build_cache(model)
     evaluator = GainEvaluator(model, cache).set_state([])
 
     def score(state):

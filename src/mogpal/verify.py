@@ -4,7 +4,8 @@ The greedy selection enjoys a constant-factor guarantee relative to the
 exhaustive optimum, degraded by how far the objective is from submodular;
 this module measures every quantity in that statement on concrete
 instances: the exhaustive optimum and the worst conditional variance
-reduction (the relaxation parameter).
+reduction (the relaxation parameter), from the gain evaluator's variances
+given a selection.
 
 The exhaustive optimum walks the size-n subsets as a prefix tree: one
 gain sweep per prefix scores every one-step extension, so a subset's value
@@ -19,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import TIE_ATOL, CriterionCache, GainEvaluator, build_cache, criterion_F
+from .criterion import (
+    TIE_ATOL, CriterionCache, GainEvaluator, _as_selection, build_cache, criterion_F,
+)
 from .errors import EnumerationGuardError, IllConditionedError
-from .kernels import Hyperparams, TupleArray, as_tuple
-from .linalg import chol_spd
-from .pitc import PitcModel, build_model, select_inducing, sparse_cov
+from .kernels import Hyperparams, as_tuple
+from .pitc import PitcModel, build_model, select_inducing
 from .selector import _check_budget, select_greedy
 
 __all__ = [
@@ -123,37 +125,7 @@ def brute_force_optimum(model: PitcModel, cache: CriterionCache, n: int):
     return best_subset, float(best_value)
 
 
-class _PreconditionedVar:
-    """Variance queries var(z | subset + fixed) with the fixed part solved once."""
-
-    def __init__(self, model, fixed, others):
-        self.index = {t: k for k, t in enumerate(others)}
-        to = TupleArray.build(others, model.h)
-        cond = sparse_cov(model, to, to)
-        if fixed:
-            tf = TupleArray.build(fixed, model.h)
-            c_ff = sparse_cov(model, tf, tf)
-            c_of = sparse_cov(model, to, tf)
-            cond = cond - c_of @ chol_spd(c_ff, "fixed conditioning").solve(c_of.T)
-        self.cond = cond
-
-    def var(self, zs, subset):
-        """Variances of the tuples ``zs`` given ``subset`` plus the fixed
-        part, from one factorization of the subset's block."""
-        zi = [self.index[z] for z in zs]
-        prior = self.cond[zi, zi]
-        if not subset:
-            return prior
-        si = [self.index[t] for t in subset]
-        c_ss = self.cond[np.ix_(si, si)]
-        c_zs = self.cond[np.ix_(zi, si)]
-        sol = chol_spd(c_ss, "subset conditioning").solve(c_zs.T)
-        # a dot product per tuple rounds as one solve per tuple did (einsum
-        # sums in another order)
-        return prior - np.array([row @ col for row, col in zip(c_zs, sol.T)])
-
-
-def estimate_epsilon1(model: PitcModel, x, samples=None, seed=0):
+def estimate_epsilon1(model: PitcModel, cache: CriterionCache, x, samples=None, seed=0):
     """Worst extra variance reduction from the unexplored part of a selection.
 
     Maximizes, over subsets of ``x`` and auxiliary candidates outside it,
@@ -164,23 +136,14 @@ def estimate_epsilon1(model: PitcModel, x, samples=None, seed=0):
 
     Subsets are enumerated exhaustively up to ``|x| <= 12``; beyond that a
     ``samples`` count must be given, and the result is only a lower bound.
-    Each subset's covariance block is factored once for all auxiliary
-    candidates.
+    Each subset is one :class:`GainEvaluator` state, conditioned on the
+    unsampled target pool and then on the subset.
     """
-    x = list(x)
-    model.require_candidates(x)
-    target = set(model.target_types)
-    x_target = {t for t in x if t.type_index in target}
-    x_aux = {t for t in x if t.type_index not in target}
-    fixed = [
-        t for t in model.candidates.tuples
-        if t.type_index in target and t not in x_target
-    ]
-    aux_candidates = [
-        t for t in model.candidates.tuples
-        if t.type_index not in target and t not in x_aux
-    ]
-    if not aux_candidates:
+    x = _as_selection(model, x)
+    picked = np.zeros(len(model.candidates), dtype=bool)
+    picked[[model.tuple_index[t] for t in x]] = True
+    aux = cache.aux_cols[~picked[cache.aux_cols]]
+    if not aux.size:
         return 0.0
 
     if len(x) > SUBSET_GUARD and samples is None:
@@ -198,15 +161,16 @@ def estimate_epsilon1(model: PitcModel, x, samples=None, seed=0):
             mask = rng.integers(0, 2, size=len(x)).astype(bool)
             subsets.append([t for t, keep in zip(x, mask) if keep])
 
-    others = [
-        t for t in model.candidates.tuples
-        if t.type_index not in target or t in x_target
-    ]
-    pre = _PreconditionedVar(model, fixed, others)
+    fixed = [model.candidates.tuples[j] for j in cache.target_cols if not picked[j]]
+    evaluator = GainEvaluator(model, cache)
+
+    def var(subset):
+        return evaluator.set_state(fixed + subset).var_given_selected()[aux]
+
+    full_var = var(x)
     worst = 0.0
-    full_var = pre.var(aux_candidates, x)
     for subset in subsets:
-        worst = max(worst, float(np.max(pre.var(aux_candidates, subset) - full_var)))
+        worst = max(worst, float(np.max(var(subset) - full_var)))
     return worst
 
 
@@ -254,7 +218,7 @@ def check_guarantee(model: PitcModel, cache: CriterionCache, n: int,
         raise IllConditionedError(
             f"greedy value {f_greedy} exceeds exhaustive optimum {f_opt}"
         )
-    eps1 = estimate_epsilon1(model, greedy.selected, samples=samples, seed=seed)
+    eps1 = estimate_epsilon1(model, cache, greedy.selected, samples=samples, seed=seed)
     sig2n = float(np.min(model.h.noise_var))
     epsilon = 0.5 * math.log1p(eps1 / sig2n)
     bound = (1.0 - 1.0 / math.e) * (f_opt - n * epsilon)

@@ -12,12 +12,12 @@ import numpy as np
 
 from mogpal import kernels
 from mogpal.criterion import (
-    GainEvaluator, _as_selection, _mi_logdets, build_cache, criterion_F,
+    GainEvaluator, _as_selection, _selection_factors, criterion_F,
 )
 from mogpal.errors import ConfigError, DomainError, EnumerationGuardError, IllConditionedError
 from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation
 from mogpal.linalg import chol_spd
-from mogpal.pitc import pool_blocks, sparse_cov
+from mogpal.pitc import sparse_cov
 from mogpal.selector import _check_budget, _greedy_loop
 from mogpal.verify import ENUMERATION_GUARD, SUBSET_GUARD
 
@@ -223,13 +223,12 @@ def old_criterion(model, x, use_exact=False):
     return entropy(conditional_cov_blocked(rest, x, h, u_locs))
 
 
-def mi_inducing_given(model, cache, x):
+def mi_inducing_given(model, x):
     """Information the unsampled target pool still carries about the latent
     measurements once ``x`` has been observed, clamped at zero; the term
     ``criterion_F`` subtracts."""
-    blocks = pool_blocks(model, _as_selection(model, x))
-    ld_x, ld_a = _mi_logdets(model, cache, blocks)
-    return max(0.0, 0.5 * (ld_a - ld_x))
+    _, mx, ma = _selection_factors(model, _as_selection(model, x))
+    return max(0.0, 0.5 * (ma.logdet - mx.logdet))
 
 
 def greedy_gain(model, cache, x, candidate):
@@ -340,13 +339,7 @@ class ScratchGainEvaluator:
     def set_state(self, selected):
         model = self.model
         self.selected = _as_selection(model, selected)
-        self._blocks = pool_blocks(model, self.selected)
-        aux = set(model.h.aux_types)
-        self._mx = chol_spd(model.kuu + self._blocks.info_sum(), "selection information")
-        self._ma = chol_spd(
-            model.kuu + self.cache.target_summary + self._blocks.info_sum(types=aux),
-            "augmented selection information",
-        )
+        self._blocks, self._mx, self._ma = _selection_factors(model, self.selected)
         return self
 
     def _sweep(self, cols, target_blocks, m_factor):
@@ -355,7 +348,7 @@ class ScratchGainEvaluator:
         e1 = np.zeros(cols.size)
         hmat = np.zeros((model.n_inducing, cols.size))
         if target_blocks:
-            p = cache.target_summary @ g
+            p = model.target_summary @ g
             e1 += np.einsum("mc,mc->c", g, p)
             hmat += p
         skip = set(model.target_types) if target_blocks else set()
@@ -433,10 +426,10 @@ def select_greedy_scratch(model, cache, n):
     return _greedy_loop("m-greedy", n, model.candidates.tuples, score)
 
 
-def select_mvar_scratch(model, n, cache=None):
+def select_mvar_scratch(model, cache, n):
     """``select_mvar`` with the gain state rebuilt at every pick."""
     _check_budget(n, len(model.candidates))
-    evaluator = ScratchGainEvaluator(model, cache if cache is not None else build_cache(model))
+    evaluator = ScratchGainEvaluator(model, cache)
 
     def score(state):
         evaluator.set_state(state.selected)
@@ -466,7 +459,11 @@ def brute_force_optimum(model, cache, n):
 
 class _PreconditionedVar:
     """Variance queries var(z | subset + fixed) with the fixed part solved
-    once, one tuple z and one factorization of the subset at a time."""
+    once, one tuple z and one factorization of the subset at a time.
+
+    The dense reference for the relaxation parameter: it takes Schur
+    complements of ``sparse_cov`` blocks, where the library conditions one
+    pick at a time in :class:`GainEvaluator`."""
 
     def __init__(self, model, fixed, others):
         self.index = {t: k for k, t in enumerate(others)}
@@ -490,9 +487,10 @@ class _PreconditionedVar:
         return float(self.cond[zi, zi] - c_zs @ sol)
 
 
-def estimate_epsilon1(model, x, samples=None, seed=0):
+def estimate_epsilon1(model, cache, x, samples=None, seed=0):
     """``verify.estimate_epsilon1`` with the subset block factored again
-    for every auxiliary candidate."""
+    for every auxiliary candidate, from dense covariance blocks; ``cache``
+    is unused and taken only to share the library function's signature."""
     x = list(x)
     model.require_candidates(x)
     target = set(model.target_types)

@@ -12,7 +12,10 @@ from mogpal import (
     build_cache,
     build_model,
     cov_matrix,
+    criterion,
     criterion_F,
+    linalg,
+    pitc,
     pitc_posterior,
     sparse_cov,
 )
@@ -24,7 +27,7 @@ from conftest import random_instance
 def _entropy_given_inducing(model, cache, x):
     """The first term of criterion_F, H(Y_{x_t} | inducing measurements):
     the objective plus the remaining information minus the constant."""
-    remaining = oracles.mi_inducing_given(model, cache, x)
+    remaining = oracles.mi_inducing_given(model, x)
     return criterion_F(model, cache, x) + remaining - cache.f_constant
 
 
@@ -75,7 +78,7 @@ class TestMutualInformation:
     def test_fully_selected_target_pool_is_zero(self):
         model, cache = random_instance(4, n_per_type=(4, 4))
         all_targets = model.candidate_list([0])
-        assert oracles.mi_inducing_given(model, cache, all_targets) == pytest.approx(
+        assert oracles.mi_inducing_given(model, all_targets) == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -86,7 +89,7 @@ class TestMutualInformation:
             r = np.random.default_rng(seed)
             k = int(r.integers(0, 5))
             x = [cands[i] for i in r.choice(len(cands), size=k, replace=False)]
-            assert oracles.mi_inducing_given(model, cache, x) >= 0.0
+            assert oracles.mi_inducing_given(model, x) >= 0.0
 
     def test_matches_dense_oracle(self):
         for seed in range(6):
@@ -101,7 +104,7 @@ class TestMutualInformation:
             expected = oracles.latent_entropy_given(x, h, u) - oracles.latent_entropy_given(
                 x + rest, h, u
             )
-            assert oracles.mi_inducing_given(model, cache, x) == pytest.approx(
+            assert oracles.mi_inducing_given(model, x) == pytest.approx(
                 expected, abs=1e-6
             )
 
@@ -318,6 +321,21 @@ class TestGainEvaluator:
                 model.candidates.take(own), model.candidates.take(rows), model.h
             )
             assert np.array_equal(kept[i], expected)
+
+    def test_construction_reuses_cached_factor(self, monkeypatch):
+        # K_uu + T is factored once, by build_cache; the evaluator solves
+        # with that factor
+        model, cache = random_instance(71, n_per_type=(4, 4))
+        calls = []
+
+        def counted(a, name="matrix"):
+            calls.append(name)
+            return chol_spd(a, name)
+
+        for module in (criterion, linalg, pitc):
+            monkeypatch.setattr(module, "chol_spd", counted)
+        GainEvaluator(model, cache)
+        assert calls == []
 
     def test_variances_match_posterior(self):
         model, cache = random_instance(71, n_per_type=(4, 4))

@@ -73,7 +73,7 @@ class TestExactPosterior:
             z = [as_tuple([v], 0) for v in r.uniform(0, 1, 4)]
             pred = pitc_posterior(model, model.candidate_list(), r.normal(size=6), z)
             prior = np.diag(cov_matrix(z, z, h))
-            assert np.all(pred.var <= prior * (1 + 1e-10))
+            assert np.all(np.diag(pred.cov) <= prior * (1 + 1e-10))
 
 
 class TestConditionalEntropy:

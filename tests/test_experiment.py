@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from mogpal.config import (
     VerifySweepConfig,
     load_experiment_config,
     load_hyperparams,
+    load_verify_config,
     save_hyperparams,
 )
 from mogpal.experiment import generate_synthetic, run_experiment, verify_sweep
@@ -338,6 +343,23 @@ class TestCli:
             cli_main(["verify", "--config", str(cfg), "--threads", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["instances = 0", "instances = -2", "budget = 0"])
+    def test_verify_sweep_checking_nothing_fails(self, tmp_path, setting):
+        cfg = tmp_path / "v.ini"
+        cfg.write_text(f"[verify]\n{setting}\n")
+        with pytest.raises(ConfigError, match="at least 1"):
+            load_verify_config(str(cfg))
+        # the console script exits nonzero and writes no report
+        src = Path(experiment.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "mogpal.cli", "verify", "--config", str(cfg),
+             "--out", str(tmp_path / "vr")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        )
+        assert done.returncode != 0
+        assert "ConfigError" in done.stderr and "pass=" not in done.stdout
+        assert not (tmp_path / "vr").exists()
 
     def test_config_validation(self, tmp_path):
         cfg = tmp_path / "bad.ini"

@@ -28,7 +28,6 @@ TEST_ONLY_ALLOWED = (
     "cli.main",
     # the incremental gain state's variances, read by its identity tests
     "criterion.GainEvaluator.var_given_augmented",
-    "criterion.GainEvaluator.var_given_selected",
     # the paper's candidate-spacing scheme: to be wired into `verify` as the
     # large-pool certificate, or deleted
     "selector.SpacingParams",

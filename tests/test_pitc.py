@@ -176,7 +176,7 @@ class TestTargetSummaryInPlace:
             assert np.array_equal(model.G[i], g)
             assert np.array_equal(model.prior_var[rows], prior_var)
             assert np.array_equal(model.R[i], r)
-        assert np.array_equal(build_cache(model).target_summary, cache.target_summary)
+        assert build_cache(model).f_constant == cache.f_constant
         saved = {i: r.copy() for i, r in model.R.items()}
         assert np.array_equal(_refactor(model), model.target_summary)
         for i, r in model.R.items():
@@ -369,16 +369,16 @@ class TestPitcPosterior:
             z = [cands[i] for i in pick[6:]]
             pred = pitc_posterior(model, x, r.normal(size=6), z)
             noise = model.h.noise_var[[t.type_index for t in z]]
-            assert np.all(pred.var >= noise - 1e-10)
+            assert np.all(np.diag(pred.cov) >= noise - 1e-10)
 
     def test_conditioning_monotone(self, rng):
         model, _ = random_instance(17, n_per_type=(4, 4))
         cands = model.candidate_list()
         z = cands[-2:]
-        prev = pitc_posterior(model, [], [], z).var
+        prev = np.diag(pitc_posterior(model, [], [], z).cov)
         for k in range(1, 6):
             x = cands[:k]
-            var = pitc_posterior(model, x, np.zeros(k), z).var
+            var = np.diag(pitc_posterior(model, x, np.zeros(k), z).cov)
             assert np.all(var <= prev + 1e-10)
             prev = var
 

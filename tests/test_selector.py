@@ -102,8 +102,8 @@ class TestIncrementalGainState:
                 state = select_greedy(model, cache, budget)
                 reference = oracles.select_greedy_scratch(model, cache, budget)
             else:
-                state = select_mvar(model, budget, cache)
-                reference = oracles.select_mvar_scratch(model, budget, cache)
+                state = select_mvar(model, cache, budget)
+                reference = oracles.select_mvar_scratch(model, cache, budget)
         assert state.selected == reference.selected
         for (_, gain), (_, expected) in zip(state.gain_log, reference.gain_log):
             assert gain == pytest.approx(expected, rel=0, abs=1e-9)
@@ -143,7 +143,7 @@ class TestIncrementalGainState:
             if algorithm == "m-greedy":
                 select_greedy(model, cache, 3)
             else:
-                select_mvar(model, 3, cache)
+                select_mvar(model, cache, 3)
 
     def test_nan_pivot_raises(self):
         model, cache = random_instance(87, n_per_type=(5, 5))
@@ -217,15 +217,15 @@ class TestSelectGreedy:
 class TestSelectMvar:
     def test_first_pick_is_max_prior_variance(self):
         model, cache = random_instance(21, n_per_type=(5, 5))
-        state = select_mvar(model, 1, cache)
+        state = select_mvar(model, cache, 1)
         prior = model.prior_var
         assert state.selected[0] == model.candidates.tuples[int(np.argmax(prior))]
 
     def test_tie_break_lexicographic_under_symmetry(self):
         # identical hyperparameters for both types: every prior variance
         # ties, so the first pick is the lexicographically smallest tuple
-        model, _ = _tie_model()
-        state = select_mvar(model, 1)
+        model, cache = _tie_model()
+        state = select_mvar(model, cache, 1)
         assert state.selected[0] == as_tuple([0.0], 0)
 
     def test_differs_from_greedy_on_uninformative_auxiliary(self):
@@ -242,7 +242,7 @@ class TestSelectMvar:
         locs = np.array([[float(k)] for k in range(6)])
         model = build_model(h, select_inducing(locs, 3, seed=1), cands)
         cache = build_cache(model)
-        mvar = select_mvar(model, 4, cache)
+        mvar = select_mvar(model, cache, 4)
         greedy = select_greedy(model, cache, 4)
         assert all(t.type_index == 1 for t in mvar.selected)
         assert all(t.type_index == 0 for t in greedy.selected)

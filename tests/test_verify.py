@@ -6,6 +6,7 @@ import pytest
 import oracles
 from mogpal import (
     ConfigError,
+    DomainError,
     EnumerationGuardError,
     Hyperparams,
     IllConditionedError,
@@ -148,12 +149,12 @@ def test_prefix_tree_matches_full_enumeration(build, n):
 class TestEstimateEpsilon1:
     def test_empty_selection_is_zero(self):
         model, cache = random_instance(71, n_per_type=(4, 4))
-        assert estimate_epsilon1(model, []) == 0.0
+        assert estimate_epsilon1(model, cache, []) == 0.0
 
     def test_single_type_is_zero(self):
         model, cache = random_instance(72, n_per_type=(6,))
         x = model.candidate_list()[:3]
-        assert estimate_epsilon1(model, x) == 0.0
+        assert estimate_epsilon1(model, cache, x) == 0.0
 
     def test_nonnegative_and_monotone_in_selection(self):
         model, cache = random_instance(73, n_per_type=(4, 4))
@@ -162,7 +163,7 @@ class TestEstimateEpsilon1:
         prev = 0.0
         for t in cands[:4]:
             chain.append(t)
-            val = estimate_epsilon1(model, chain)
+            val = estimate_epsilon1(model, cache, chain)
             assert val >= prev - 1e-12
             prev = val
 
@@ -170,16 +171,16 @@ class TestEstimateEpsilon1:
         model, cache = random_instance(74, n_per_type=(8, 8))
         x = model.candidate_list()[:13]
         with pytest.raises(EnumerationGuardError):
-            estimate_epsilon1(model, x)
+            estimate_epsilon1(model, cache, x)
         # sampled mode is a lower bound of the enumerated value
-        sampled = estimate_epsilon1(model, x, samples=64, seed=1)
+        sampled = estimate_epsilon1(model, cache, x, samples=64, seed=1)
         assert sampled >= 0.0
 
     def test_sampled_lower_bounds_enumerated(self):
         model, cache = random_instance(75, n_per_type=(5, 5))
         x = model.candidate_list()[:6]
-        full = estimate_epsilon1(model, x)
-        sampled = estimate_epsilon1(model, x, samples=20, seed=3)
+        full = estimate_epsilon1(model, cache, x)
+        sampled = estimate_epsilon1(model, cache, x, samples=20, seed=3)
         assert sampled <= full + 1e-12
 
     @pytest.mark.parametrize("seed, shape, samples", [
@@ -194,9 +195,17 @@ class TestEstimateEpsilon1:
             x = select_greedy(model, cache, 4).selected
         else:
             x = model.candidate_list()[:13]  # too many to enumerate
-        got = estimate_epsilon1(model, x, samples=samples, seed=seed)
-        assert got == oracles.estimate_epsilon1(model, x, samples=samples, seed=seed)
+        got = estimate_epsilon1(model, cache, x, samples=samples, seed=seed)
+        expected = oracles.estimate_epsilon1(model, cache, x, samples=samples, seed=seed)
+        assert got == pytest.approx(expected, rel=1e-12)
         assert got > 0.0
+
+    def test_repeated_tuple_rejected(self):
+        # a repeated tuple makes every subset block holding it singular
+        model, cache = random_instance(73, n_per_type=(4, 4))
+        c = model.candidate_list()[0]
+        with pytest.raises(DomainError, match="duplicate"):
+            estimate_epsilon1(model, cache, [c, c])
 
     def test_spaced_instance_meets_requested_bound(self):
         # build a pool spaced per the certified multiplier, run greedy, and
@@ -223,7 +232,7 @@ class TestEstimateEpsilon1:
         model = build_model(h, select_inducing(locs, 3, seed=0), by_type)
         cache = build_cache(model)
         state = select_greedy(model, cache, n_budget)
-        assert estimate_epsilon1(model, state.selected) <= eps1
+        assert estimate_epsilon1(model, cache, state.selected) <= eps1
 
 
 class TestCheckGuarantee:
