@@ -4,7 +4,8 @@ Subcommands: ``run`` (experiment), ``fit`` (hyperparameter MLE), ``verify``
 (near-optimality sweep), ``synth`` (synthetic dataset generation).  Every
 subcommand reads a plain-text config; ``--out`` and ``--seed`` override the
 corresponding config values, and ``run --threads`` runs repeats
-concurrently.
+concurrently.  A :class:`MogpalError` ends a command with one line on
+stderr and exit status 2.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from .config import (
     save_hyperparams,
 )
 from .data import load_dataset, load_schema, normalize, save_dataset
+from .errors import MogpalError
 from .experiment import generate_synthetic, run_experiment, verify_sweep
 from .hyperlearn import fit_hyperparams
 
@@ -47,9 +49,9 @@ def _parser():
 
 def _cmd_run(args):
     config = load_experiment_config(args.config)
-    table = run_experiment(
-        config, out_dir=args.out, seed_override=args.seed, threads=args.threads
-    )
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    table = run_experiment(config, out_dir=args.out, threads=args.threads)
     out = Path(args.out if args.out is not None else config.output_dir)
     print(f"wrote {len(table.rows)} rows to {out / 'result_table.csv'}")
     for algorithm in config.algorithms:
@@ -127,7 +129,11 @@ def main(argv=None):
     handler = {
         "run": _cmd_run, "fit": _cmd_fit, "verify": _cmd_verify, "synth": _cmd_synth,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except MogpalError as exc:
+        print(f"mogpal {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

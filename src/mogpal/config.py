@@ -8,7 +8,7 @@ straight into a later run.
 """
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .kernels import Hyperparams
@@ -101,13 +101,11 @@ class GeneratorSpec:
 class ExperimentConfig:
     """Everything a reproducible experiment run needs."""
 
-    name: str
     seed: int
     repeats: int
     algorithms: tuple
     checkpoints: tuple
     inducing_count: int
-    target_types: tuple
     test_count: int
     hyperparams: Hyperparams
     output_dir: str = "results"
@@ -170,13 +168,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         )
 
     split = parser["split"] if "split" in parser else {}
-    target_types = tuple(_ints(split.get("target_types", "0"))) if split else h.target_types
-    if tuple(target_types) != tuple(h.target_types):
-        h = Hyperparams(
-            signal_var=h.signal_var, noise_var=h.noise_var,
-            latent_prec_inv=h.latent_prec_inv, smooth_prec_inv=h.smooth_prec_inv,
-            target_types=target_types,
-        )
+    if "target_types" in split:
+        h = replace(h, target_types=_ints(split["target_types"]))
 
     synthetic = None
     dataset_path = schema_path = None
@@ -193,7 +186,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         schema_path = parser["data"].get("schema")
 
     return ExperimentConfig(
-        name=exp.get("name", "experiment"),
         seed=exp.getint("seed", 0),
         repeats=exp.getint("repeats", 1),
         algorithms=tuple(
@@ -201,8 +193,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         ),
         checkpoints=tuple(_ints(exp.get("checkpoints", "5"))),
         inducing_count=exp.getint("inducing_count", 10),
-        target_types=tuple(target_types),
-        test_count=int(split.get("test_count", 10)) if split else 10,
+        test_count=int(split.get("test_count", 10)),
         hyperparams=h,
         output_dir=exp.get("output_dir", "results"),
         svar_mode=exp.get("svar_mode", "shared"),

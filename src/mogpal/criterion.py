@@ -13,13 +13,12 @@ selected count, and :class:`GainEvaluator` moves from one greedy iteration to
 the next in O(N (m + |X|)) for N candidates, m inducing points and |X|
 selected tuples: the cost per candidate does not grow with the target pool.
 
-What is cached and what is computed on demand: the model keeps, per type,
-the inducing cross covariance ``W``, its solve ``G``, the residual ``R`` and
-the prior variances (not the exact prior block ``C``), and the target
-summary ``T``.  The cache adds the factor of ``K_uu + T``, the constant that
-pins the objective to zero at the empty set, ``G`` laid out over the whole
-pool and lookup tables; building it allocates nothing of the target pool's
-squared size.
+What is cached and what is computed on demand: the model keeps the pool
+layout, that is the inducing cross covariance ``W`` and its solve ``G`` over
+the whole pool, the residual ``R`` per type, the prior variances (not the
+exact prior block ``C``) and the target summary ``T``.  The cache adds only
+what the objective needs beyond the model: the factor of ``K_uu + T`` and
+the constant that pins the objective to zero at the empty set.
 A :class:`GainEvaluator` builds each pick's covariance row from those
 blocks.  Only its near-tie rescoring reads exact prior rows of the picks;
 they are computed from the kernel when a rescoring first needs them and
@@ -53,36 +52,20 @@ class CriterionCache:
     candidates.  ``f_constant`` is the additive constant that pins the
     objective to zero at the empty set.  Per-selection state (the variances
     given the selection) lives in :class:`GainEvaluator`, which is updated
-    one pick at a time.
+    one pick at a time; the pool layout lives in the model.
     """
 
     f_constant: float
     aug_factor: SpdFactor = field(repr=False)
-    g_all: np.ndarray = field(repr=False)
-    local_index: np.ndarray = field(repr=False)
-    target_cols: np.ndarray = field(repr=False)
-    aux_cols: np.ndarray = field(repr=False)
 
 
 def build_cache(model: PitcModel) -> CriterionCache:
-    """Precompute the objective's constants and candidate lookup tables
-    from the model's target summary; reads but never writes the model."""
+    """Factor ``K_uu + T`` and pin the objective's constant from the model's
+    target summary ``T``: O(m^3); reads but never writes the model."""
     aug_factor = chol_spd(model.kuu + model.target_summary, "augmented inducing covariance")
-    n = len(model.candidates)
-    g_all = np.zeros((model.n_inducing, n))
-    local_index = np.empty(n, dtype=int)
-    for i, rows in model.type_slices.items():
-        g_all[:, rows] = model.G[i]
-        local_index[rows] = np.arange(rows.size)
-    types = model.candidates.types
-    is_target = np.isin(types, list(model.target_types))
     return CriterionCache(
         f_constant=0.5 * (aug_factor.logdet - model.kuu_factor.logdet),
         aug_factor=aug_factor,
-        g_all=g_all,
-        local_index=local_index,
-        target_cols=np.flatnonzero(is_target),
-        aux_cols=np.flatnonzero(~is_target),
     )
 
 
@@ -209,25 +192,24 @@ class GainEvaluator:
 
     def __init__(self, model: PitcModel, cache: CriterionCache):
         self.model = model
-        self.cache = cache
-        n = len(model.candidates)
+        n, aux = len(model.candidates), model.aux_cols
         self._is_target = np.zeros(n, dtype=bool)
-        self._is_target[cache.target_cols] = True
+        self._is_target[model.target_cols] = True
         self._aux_pos = np.full(n, -1)
-        self._aux_pos[cache.aux_cols] = np.arange(cache.aux_cols.size)
+        self._aux_pos[aux] = np.arange(aux.size)
         # augmented covariance of the auxiliary pool given the target pool:
         # W_aux (K_uu + T)^-1 W_aux^T plus the residual within each type
-        w_aux = np.empty((cache.aux_cols.size, model.n_inducing))
-        self._aug_prior = np.empty(cache.aux_cols.size)
+        w_aux = model.W[aux]
+        self._aug_prior = np.empty(aux.size)
         for i, rows in model.type_slices.items():
-            if not self._is_target[rows[0]]:
-                w_aux[self._aux_pos[rows]] = model.W[i]
+            if not self._is_target[rows.start]:
                 self._aug_prior[self._aux_pos[rows]] = np.diag(model.R[i])
         self._type_tuples = {
-            i: model.candidates.take(rows) for i, rows in model.type_slices.items()
+            i: model.candidates.take(model.candidates.indices_of_type(i))
+            for i in model.type_slices
         }
         self._aug_basis = np.empty((model.n_inducing, 0))
-        if cache.aux_cols.size:
+        if aux.size:
             self._aug_basis = cache.aug_factor.solve(w_aux.T)
             self._aug_prior += np.einsum("cm,mc->c", w_aux, self._aug_basis)
 
@@ -249,20 +231,19 @@ class GainEvaluator:
         O(N (m + |X|)): its sparse-model covariance row against the pool
         (through the inducing points, plus the residual row within its
         type), whitened against the earlier picks."""
-        model, cache = self.model, self.cache
+        model = self.model
         model.require_candidates([candidate])
         j = model.tuple_index[candidate]
         if not self._free[j]:
             raise DomainError(f"candidate {candidate} is already selected")
-        i = candidate.type_index
-        lj = cache.local_index[j]
-        rows = model.type_slices[i]
-        cov_row = model.W[i][lj] @ cache.g_all
-        cov_row[rows] += model.R[i][lj]
+        rows = model.type_slices[candidate.type_index]
+        r_row = model.R[candidate.type_index][j - rows.start]
+        cov_row = model.W[j] @ model.G
+        cov_row[rows] += r_row
         self._sel.condition(cov_row, j, "variance of the pick given the selection")
         if not self._is_target[j]:
-            aug_row = model.W[i][lj] @ self._aug_basis
-            aug_row[self._aux_pos[rows]] += model.R[i][lj]
+            aug_row = model.W[j] @ self._aug_basis
+            aug_row[self._aux_pos[rows]] += r_row
             self._aug.condition(
                 aug_row, self._aux_pos[j], "augmented variance of the pick"
             )
@@ -289,18 +270,21 @@ class GainEvaluator:
             model = self.model
             blocks, mx, ma = _selection_factors(model, self.selected)
             # the picks' rows within their type's blocks, in selection order
-            li = self.cache.local_index[[model.tuple_index[t] for t in self.selected]]
-            local = {i: li[pos] for i, pos in blocks.rows.items()}
+            glob = np.array([model.tuple_index[t] for t in self.selected])
+            local = {
+                i: glob[pos] - model.type_slices[i].start
+                for i, pos in blocks.rows.items()
+            }
             self._factored = (blocks, local, mx, ma)
         return self._factored
 
     def _sweep(self, cols, target_blocks):
         """Posterior variances of candidates ``cols`` given the selection,
         plus the full target pool when ``target_blocks`` is set."""
-        model, cache = self.model, self.cache
+        model = self.model
         blocks, local, mx, ma = self._factor()
         m_factor = ma if target_blocks else mx
-        g = cache.g_all[:, cols]
+        g = model.G[:, cols]
         e1 = np.zeros(cols.size)
         hmat = np.zeros((model.n_inducing, cols.size))
         if target_blocks:
@@ -318,7 +302,7 @@ class GainEvaluator:
             b = w_sub @ g
             pos = col_pos_by_type.get(i)
             if pos is not None and pos.size:
-                lj = cache.local_index[cols[pos]]
+                lj = cols[pos] - model.type_slices[i].start
                 b[:, pos] = self._prior_block(i, li, lj)
             u = blocks.factor[i].solve(b)
             e1 += np.einsum("rc,rc->c", b, u)
@@ -375,7 +359,7 @@ class GainEvaluator:
         gain is exactly zero and nothing is computed or rescored.
         """
         free = np.flatnonzero(self._free)
-        if not self._free[self.cache.target_cols].any():
+        if not self._free[self.model.target_cols].any():
             out = np.full(len(self.model.candidates), -np.inf)
             out[free] = 0.0
             return out

@@ -11,7 +11,7 @@ byte-stable across runs.
 
 import concurrent.futures
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +142,7 @@ def _pool_by_type(pool_tuples, n_types):
 def _single_output_refits(config, h_model, pool_tuples, pool_values, seed):
     refits = {}
     value_of = dict(zip(pool_tuples, pool_values))
-    for t in sorted(config.target_types):
+    for t in sorted(config.hyperparams.target_types):
         tuples = [p for p in pool_tuples if p.type_index == t]
         remapped = [TypedLocation(p.location, 0) for p in tuples]
         y = np.array([value_of[p] for p in tuples])
@@ -161,7 +161,7 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
         dataset = generate_synthetic(config.synthetic, config.hyperparams, rep_seed)
     norm, stats = normalize(dataset)
     split = split_test(
-        norm, SplitSpec(config.target_types, config.test_count, seed=rep_seed)
+        norm, SplitSpec(config.hyperparams.target_types, config.test_count, seed=rep_seed)
     )
     value_of = dict(zip(split.pool_tuples, split.pool_values))
 
@@ -182,7 +182,7 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
 
     max_budget = config.checkpoints[-1]
     # the single-output baselines pick from the target pool alone
-    target_budget = min(max_budget, cache.target_cols.size)
+    target_budget = min(max_budget, model.target_cols.size)
     single_output = None
     if config.svar_mode == "refit" and {"s-var", "s-mi"} & set(config.algorithms):
         single_output = _single_output_refits(
@@ -214,7 +214,7 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
             y_x = np.array([value_of[t] for t in x])
             pred = pitc_posterior(model, x, y_x, test).mean
             per_type = []
-            for t in sorted(config.target_types):
+            for t in sorted(config.hyperparams.target_types):
                 mask = [k for k, ti in enumerate(test_types) if ti == t]
                 per_type.append(
                     rmse(
@@ -234,8 +234,7 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
     return rows
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None,
-                   threads=1) -> ResultTable:
+def run_experiment(config: ExperimentConfig, out_dir=None, threads=1) -> ResultTable:
     """Run every repeat and algorithm of an experiment description.
 
     Writes ``result_table.csv`` (deterministic), ``timings.csv`` (the ms
@@ -244,8 +243,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_override=None,
     Repeats may run concurrently; the row order of the outputs does not
     depend on the scheduling.
     """
-    if seed_override is not None:
-        config = replace(config, seed=int(seed_override))
     out_dir = Path(out_dir if out_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -13,11 +13,13 @@ covariance of arbitrary tuples, ``BlockFactors`` factors per-type residual
 blocks and ``pool_blocks`` slices them for any set of pool tuples, for the
 posterior and the selection criterion.
 
-Memory: per type, the only candidate-by-candidate array a model keeps is the
-residual ``R``, written in place a chunk of rows at a time, so neither the
-prior block ``C`` nor ``W G`` is ever held whole.  ``build_model`` factors
-each target ``R`` in that buffer for the target summary and refills it with
-the same chunk calls, bitwise.  Of ``C`` the model keeps the diagonal
+Memory: the pool layout lives in ``PitcModel`` alone.  ``W`` (N x m) and
+``G`` (m x N) span the whole pool, where each type is a contiguous range.
+Per type, the only candidate-by-candidate array is the residual ``R``,
+written in place a chunk of rows at a time, so neither the prior block ``C``
+nor ``W G`` is ever held whole.  ``build_model`` factors each target ``R``
+in that buffer for the target summary and refills it with the same chunk
+calls, bitwise.  Of ``C`` the model keeps the diagonal
 (``PitcModel.prior_var``); the few prior rows the criterion needs are
 recomputed from the kernel on demand, with the bits of the full block.
 """
@@ -134,58 +136,44 @@ def select_inducing(candidates, m, seed) -> InducingSet:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SparsePrior:
-    """What the sparse joint covariance reads: the hyperparameters, the
-    inducing locations, and their latent covariance ``kuu`` with its
-    Cholesky factor."""
+class PitcModel:
+    """Precomputed sparse model over a fixed candidate pool.
+
+    Candidates are stored sorted by ``(type_index, location)`` so that
+    argmax ties downstream break lexicographically, and each type ``i`` is
+    the contiguous range ``type_slices[i]`` of the pool.  Over the whole pool
+    the model keeps the candidate-inducing cross covariance ``W`` (N x m),
+    its inducing solve ``G = K_uu^-1 W^T`` (m x N, C-ordered) and the prior
+    variances ``prior_var``; per type it keeps the residual block
+    ``R[i] = C[i] - W[s] G[:, s]`` of the exact prior block ``C[i]``, with
+    ``s = type_slices[i]``.  Of ``C[i]`` itself only the diagonal is kept; a
+    row of ``C[i]`` is ``kernels.cov_matrix`` of one candidate against the
+    type's candidates.  ``target_summary`` is the inducing information
+    ``sum_t W[s]^T R[t]^-1 W[s]`` of the whole target pool, computed by
+    :func:`build_model` with each ``R[t]`` factored in its own buffer and
+    refilled before the model is returned.  ``target_cols`` and
+    ``aux_cols`` are the pool positions of the target and auxiliary
+    candidates.
+    """
 
     h: Hyperparams
     inducing: InducingSet
     kuu: np.ndarray
     kuu_factor: object = field(repr=False)
-
-    @property
-    def n_inducing(self):
-        return len(self.inducing)
-
-
-def sparse_prior(h: Hyperparams, inducing: InducingSet) -> SparsePrior:
-    """Factor the inducing covariance; fails if it is singular after one
-    jitter pass."""
-    kuu = kernels.latent_matrix(inducing.locations, h)
-    try:
-        kuu_factor = chol_spd(kuu, "inducing covariance")
-    except IllConditionedError as exc:
-        raise ModelBuildError(f"inducing covariance is singular: {exc}") from None
-    return SparsePrior(h=h, inducing=inducing, kuu=kuu, kuu_factor=kuu_factor)
-
-
-@dataclass(frozen=True)
-class PitcModel(SparsePrior):
-    """Precomputed sparse model over a fixed candidate pool.
-
-    Candidates are stored sorted by ``(type_index, location)`` so that
-    argmax ties downstream break lexicographically.  Per type ``i`` the
-    model caches the blocks of :func:`type_blocks` over the type's
-    candidates: the candidate-inducing cross covariance ``W[i]``, its
-    inducing solve ``G[i]`` and the residual block ``R[i] = C[i] - W[i]
-    G[i]`` of the exact prior block ``C[i]``.  Of ``C[i]`` itself only the
-    diagonal is kept, as ``prior_var`` over the whole pool in candidate
-    order; a row of ``C[i]`` is ``kernels.cov_matrix`` of one candidate
-    against the type's candidates.  ``target_summary`` is the inducing
-    information ``sum_t W[t]^T R[t]^-1 W[t]`` of the whole target pool,
-    computed by :func:`build_model` with each ``R[t]`` factored in its own
-    buffer and refilled before the model is returned.
-    """
-
     candidates: TupleArray
     type_slices: dict = field(repr=False)
-    W: dict = field(repr=False)
-    G: dict = field(repr=False)
+    W: np.ndarray = field(repr=False)
+    G: np.ndarray = field(repr=False)
     R: dict = field(repr=False)
     prior_var: np.ndarray = field(repr=False)
     tuple_index: dict = field(repr=False)
     target_summary: np.ndarray = field(repr=False)
+    target_cols: np.ndarray = field(repr=False)
+    aux_cols: np.ndarray = field(repr=False)
+
+    @property
+    def n_inducing(self):
+        return len(self.inducing)
 
     @property
     def target_types(self):
@@ -246,29 +234,46 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
 
     pool.sort(key=lambda t: t.sort_key)
     cands = TupleArray.build(pool, h)
-    prior = sparse_prior(h, inducing)
+    kuu = kernels.latent_matrix(inducing.locations, h)
+    try:
+        kuu_factor = chol_spd(kuu, "inducing covariance")
+    except IllConditionedError as exc:
+        raise ModelBuildError(f"inducing covariance is singular: {exc}") from None
 
-    type_slices, W, G, R, own = {}, {}, {}, {}, {}
+    W = kernels.latent_cross_matrix(cands, inducing.locations, h)
     prior_var = np.empty(len(cands))
-    for i in sorted({int(v) for v in np.unique(cands.types)}):
+    type_slices, own, solves, R = {}, {}, {}, {}
+    for i in cands.type_set:
         idx = cands.indices_of_type(i)
-        type_slices[i], own[i] = idx, cands.take(idx)
-        W[i], G[i], prior_var[idx], R[i] = type_blocks(prior, own[i])
+        s = type_slices[i] = slice(int(idx[0]), int(idx[-1]) + 1)
+        own[i] = cands.take(idx)
+        # R is filled, and refilled below, from the type's own Fortran-ordered
+        # solve: a product with a slice of the C-ordered G has other bits
+        solves[i] = kuu_factor.solve(W[s].T)
+        R[i] = np.empty((idx.size, idx.size))
+        fill_residual(h, own[i], W[s], solves[i], R[i], prior_var[s])
 
     # the refill rewrites the factored R[t] before any caller can see it
-    target_summary = np.zeros((prior.n_inducing, prior.n_inducing))
+    target_summary = np.zeros((len(inducing), len(inducing)))
     for t in h.target_types:
+        s = type_slices[t]
         target_summary += spd_info_in_place(
-            R[t], W[t],
-            lambda r, t=t: fill_residual(prior, own[t], W[t], G[t], r),
+            R[t], W[s],
+            lambda r, t=t, s=s: fill_residual(h, own[t], W[s], solves[t], r),
             f"type-{t} residual block",
         )
 
+    # assembled after the refill, so it adds nothing to the refill's peak
+    G = np.empty((len(inducing), len(cands)))
+    for i, s in type_slices.items():
+        G[:, s] = solves[i]
+    is_target = np.isin(cands.types, h.target_types)
     return PitcModel(
-        h=h, inducing=inducing, kuu=prior.kuu, kuu_factor=prior.kuu_factor,
+        h=h, inducing=inducing, kuu=kuu, kuu_factor=kuu_factor,
         candidates=cands, type_slices=type_slices, W=W, G=G, R=R,
         prior_var=prior_var, tuple_index={t: k for k, t in enumerate(cands.tuples)},
-        target_summary=target_summary,
+        target_summary=target_summary, target_cols=np.flatnonzero(is_target),
+        aux_cols=np.flatnonzero(~is_target),
     )
 
 
@@ -280,7 +285,7 @@ RESIDUAL_CHUNK = 256
 """Rows of a residual block computed at a time by :func:`fill_residual`."""
 
 
-def fill_residual(prior: SparsePrior, ta: TupleArray, w, g, r, prior_var=None):
+def fill_residual(h: Hyperparams, ta: TupleArray, w, g, r, prior_var=None):
     """Write the residual ``R = C - W G`` of tuples ``ta`` (one type) into
     ``r`` with the same bits on every call, ``RESIDUAL_CHUNK`` kernel rows at
     a time minus their low-rank rows; ``prior_var`` gets the diagonal of C."""
@@ -289,40 +294,24 @@ def fill_residual(prior: SparsePrior, ta: TupleArray, w, g, r, prior_var=None):
         rows = slice(start, min(start + RESIDUAL_CHUNK, n))
         block = r[rows]
         part = ta if n <= RESIDUAL_CHUNK else ta.take(np.arange(rows.start, rows.stop))
-        kernels.cov_matrix(part, ta, prior.h, out=block)
+        kernels.cov_matrix(part, ta, h, out=block)
         if prior_var is not None:
             prior_var[rows] = np.diagonal(block, offset=start)
         block -= w[rows] @ g
 
 
-def type_blocks(prior: SparsePrior, ta: TupleArray):
-    """Kernel blocks of tuples ``ta``, all of one type.
-
-    Returns ``(W, G, prior_var, R)``: the cross covariance ``W`` to the
-    inducing locations, its inducing solve ``G = K_uu^-1 W^T``, the diagonal
-    ``prior_var`` of the exact prior block ``C`` and the residual
-    ``R = C - W G`` left after conditioning on the inducing measurements.
-    """
-    w = kernels.latent_cross_matrix(ta, prior.inducing.locations, prior.h)
-    g = prior.kuu_factor.solve(w.T)
-    r = np.empty((len(ta), len(ta)))
-    prior_var = np.empty(len(ta))
-    fill_residual(prior, ta, w, g, r, prior_var)
-    return w, g, prior_var, r
-
-
-def sparse_cov(prior: SparsePrior, a, b):
+def sparse_cov(model: PitcModel, a, b):
     """Joint-model covariance: exact within a type, low-rank across types.
 
-    Reads only the hyperparameters, the inducing locations and the K_uu
-    factor, so any :class:`SparsePrior` (a :class:`PitcModel` too) will do.
+    Reads only the model's hyperparameters, inducing locations and K_uu
+    factor, so ``a`` and ``b`` need not be candidates of its pool.
     """
-    h, locs = prior.h, prior.inducing.locations
+    h, locs = model.h, model.inducing.locations
     ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
     tb = b if isinstance(b, TupleArray) else TupleArray.build(b, h)
     w_a = kernels.latent_cross_matrix(ta, locs, h)
     w_b = kernels.latent_cross_matrix(tb, locs, h)
-    out = w_a @ prior.kuu_factor.solve(w_b.T)
+    out = w_a @ model.kuu_factor.solve(w_b.T)
     for i in np.unique(ta.types):
         ra = ta.indices_of_type(i)
         rb = tb.indices_of_type(i)
@@ -393,9 +382,9 @@ def pool_blocks(model: PitcModel, tuples):
         by_type.setdefault(t.type_index, []).append(pos)
     blocks = {}
     for i, pos in by_type.items():
-        glob = [model.tuple_index[tuples[k]] for k in pos]
-        li = np.searchsorted(model.type_slices[i], glob)
-        blocks[i] = (np.asarray(pos), model.W[i][li], model.R[i][np.ix_(li, li)])
+        glob = np.array([model.tuple_index[tuples[k]] for k in pos])
+        li = glob - model.type_slices[i].start
+        blocks[i] = (np.asarray(pos), model.W[glob], model.R[i][np.ix_(li, li)])
     return BlockFactors(blocks, model.n_inducing)
 
 

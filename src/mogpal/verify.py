@@ -142,7 +142,7 @@ def estimate_epsilon1(model: PitcModel, cache: CriterionCache, x, samples=None, 
     x = _as_selection(model, x)
     picked = np.zeros(len(model.candidates), dtype=bool)
     picked[[model.tuple_index[t] for t in x]] = True
-    aux = cache.aux_cols[~picked[cache.aux_cols]]
+    aux = model.aux_cols[~picked[model.aux_cols]]
     if not aux.size:
         return 0.0
 
@@ -161,7 +161,7 @@ def estimate_epsilon1(model: PitcModel, cache: CriterionCache, x, samples=None, 
             mask = rng.integers(0, 2, size=len(x)).astype(bool)
             subsets.append([t for t, keep in zip(x, mask) if keep])
 
-    fixed = [model.candidates.tuples[j] for j in cache.target_cols if not picked[j]]
+    fixed = [model.candidates.tuples[j] for j in model.target_cols if not picked[j]]
     evaluator = GainEvaluator(model, cache)
 
     def var(subset):

@@ -332,9 +332,8 @@ class ScratchGainEvaluator:
     information matrices; each score then sweeps the whole pool.
     """
 
-    def __init__(self, model, cache):
+    def __init__(self, model):
         self.model = model
-        self.cache = cache
 
     def set_state(self, selected):
         model = self.model
@@ -343,8 +342,8 @@ class ScratchGainEvaluator:
         return self
 
     def _sweep(self, cols, target_blocks, m_factor):
-        model, cache, blocks = self.model, self.cache, self._blocks
-        g = cache.g_all[:, cols]
+        model, blocks = self.model, self._blocks
+        g = model.G[:, cols]
         e1 = np.zeros(cols.size)
         hmat = np.zeros((model.n_inducing, cols.size))
         if target_blocks:
@@ -393,19 +392,19 @@ class ScratchGainEvaluator:
         return out
 
     def gains(self):
-        cache = self.cache
+        model = self.model
         mask = self._selected_mask()
-        var_sel = self._sweep(np.arange(len(self.model.candidates)), False, self._mx)
-        out = np.full(len(self.model.candidates), -np.inf)
-        free_target = cache.target_cols[~mask[cache.target_cols]]
+        var_sel = self._sweep(np.arange(len(model.candidates)), False, self._mx)
+        out = np.full(len(model.candidates), -np.inf)
+        free_target = model.target_cols[~mask[model.target_cols]]
         log_sel = self._checked_log(var_sel, np.flatnonzero(~mask))
         out[free_target] = 0.5 * (LOG_2PI_E + log_sel[free_target])
-        if cache.aux_cols.size:
-            free_aux_pos = np.flatnonzero(~mask[cache.aux_cols])
+        if model.aux_cols.size:
+            free_aux_pos = np.flatnonzero(~mask[model.aux_cols])
             if free_aux_pos.size:
-                var_aug = self._sweep(cache.aux_cols, True, self._ma)
+                var_aug = self._sweep(model.aux_cols, True, self._ma)
                 log_aug = self._checked_log(var_aug, free_aux_pos)
-                free_aux = cache.aux_cols[free_aux_pos]
+                free_aux = model.aux_cols[free_aux_pos]
                 out[free_aux] = 0.5 * (log_sel[free_aux] - log_aug[free_aux_pos])
         return out
 
@@ -413,7 +412,7 @@ class ScratchGainEvaluator:
 def select_greedy_scratch(model, cache, n):
     """``select_greedy`` with the gain state rebuilt at every pick."""
     _check_budget(n, len(model.candidates))
-    evaluator = ScratchGainEvaluator(model, cache)
+    evaluator = ScratchGainEvaluator(model)
 
     def score(state):
         evaluator.set_state(state.selected)
@@ -429,7 +428,7 @@ def select_greedy_scratch(model, cache, n):
 def select_mvar_scratch(model, cache, n):
     """``select_mvar`` with the gain state rebuilt at every pick."""
     _check_budget(n, len(model.candidates))
-    evaluator = ScratchGainEvaluator(model, cache)
+    evaluator = ScratchGainEvaluator(model)
 
     def score(state):
         evaluator.set_state(state.selected)

@@ -315,10 +315,11 @@ class TestGainEvaluator:
         assert sum(rows.size for rows in kept.values()) <= (
             len(picks) * len(model.candidates)
         )
-        for i, rows in model.type_slices.items():
+        for i in model.type_slices:
             own = [model.tuple_index[t] for t in picks if t.type_index == i]
             expected = oracles.cov_matrix(
-                model.candidates.take(own), model.candidates.take(rows), model.h
+                model.candidates.take(own),
+                model.candidates.take(model.candidates.indices_of_type(i)), model.h,
             )
             assert np.array_equal(kept[i], expected)
 
@@ -364,7 +365,7 @@ class TestGainEvaluator:
             by_type[2][3], by_type[3][1], by_type[1][3], by_type[0][4],
         ]
         targets = by_type[0] + by_type[2]
-        aux_pos = {model.candidates.tuples[c]: p for p, c in enumerate(cache.aux_cols)}
+        aux_pos = {model.candidates.tuples[c]: p for p, c in enumerate(model.aux_cols)}
         ev = GainEvaluator(model, cache).set_state([])
         for k, pick in enumerate(chain):
             ev.add(pick)

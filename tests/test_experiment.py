@@ -141,8 +141,8 @@ class TestGenerateSynthetic:
 
 def _config(tmp_path, **overrides):
     base = dict(
-        name="t", seed=1, repeats=2, algorithms=("m-greedy", "s-var"),
-        checkpoints=(2, 4), inducing_count=5, target_types=(0,), test_count=4,
+        seed=1, repeats=2, algorithms=("m-greedy", "s-var"),
+        checkpoints=(2, 4), inducing_count=5, test_count=4,
         hyperparams=H2, output_dir=str(tmp_path / "out"),
         synthetic=GeneratorSpec(n_locations=12, extent=8.0),
     )
@@ -357,9 +357,37 @@ class TestCli:
              "--out", str(tmp_path / "vr")],
             env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         )
-        assert done.returncode != 0
-        assert "ConfigError" in done.stderr and "pass=" not in done.stdout
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("mogpal verify: ConfigError: ")
+        assert "pass=" not in done.stdout
         assert not (tmp_path / "vr").exists()
+
+    def test_run_rejected_config_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(
+            CONFIG_TEXT.format(out=tmp_path / "out")
+            .replace("checkpoints = 2, 4", "checkpoints = 4, 2")
+        )
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "mogpal run: ConfigError: checkpoints must be strictly increasing\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_split_without_target_types_keeps_hyperparams(self, tmp_path):
+        # a [split] section that names no target types must not retarget
+        # the run to type 0
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            CONFIG_TEXT.format(out=tmp_path / "out")
+            .replace("[split]\ntarget_types = 0\n", "[split]\n")
+            .replace("dim = 1\ntarget_types = 0\n", "dim = 1\ntarget_types = 1\n")
+        )
+        config = load_experiment_config(str(cfg))
+        assert config.hyperparams.target_types == (1,)
+        assert config.test_count == 5
 
     def test_config_validation(self, tmp_path):
         cfg = tmp_path / "bad.ini"

@@ -9,6 +9,7 @@ import scipy.linalg
 import oracles
 from mogpal import (
     ConfigError,
+    CriterionCache,
     DomainError,
     Hyperparams,
     IllConditionedError,
@@ -22,8 +23,9 @@ from mogpal import (
     select_inducing,
     sparse_cov,
 )
+from mogpal.kernels import latent_cross_matrix
 from mogpal.linalg import spd_info_in_place
-from mogpal.pitc import RESIDUAL_CHUNK, fill_residual, type_blocks
+from mogpal.pitc import RESIDUAL_CHUNK, fill_residual
 from conftest import random_instance
 
 H1 = Hyperparams(
@@ -37,6 +39,23 @@ def _model_1type(n=6, m=3, seed=0, spread=1.0):
     cands = [as_tuple([x], 0) for x in rng.uniform(0, spread, n)]
     inducing = select_inducing(np.array([t.location for t in cands]), m, seed=seed)
     return build_model(H1, inducing, {0: cands})
+
+
+def _own(model, i):
+    return model.candidates.take(model.candidates.indices_of_type(i))
+
+
+def _type_blocks(model, i):
+    """Type ``i``'s ``(W, G, prior_var, R)`` built afresh from the kernels,
+    without factoring anything.  ``G`` is the type's own Fortran-ordered
+    solve, the one ``build_model`` fills ``R`` from."""
+    ta = _own(model, i)
+    w = latent_cross_matrix(ta, model.inducing.locations, model.h)
+    g = model.kuu_factor.solve(w.T)
+    r = np.empty((len(ta), len(ta)))
+    prior_var = np.empty(len(ta))
+    fill_residual(model.h, ta, w, g, r, prior_var)
+    return w, g, prior_var, r
 
 
 class TestSelectInducing:
@@ -94,16 +113,17 @@ class TestBuildModel:
     def test_blocks_bitwise_from_reference_kernel(self, dim):
         model, _ = random_instance(31 + dim, n_per_type=(12, 9, 7), dim=dim, n_inducing=4)
         for i, rows in model.type_slices.items():
-            ta = model.candidates.take(rows)
+            ta = _own(model, i)
             c = oracles.cov_matrix(ta, ta, model.h)
-            assert np.array_equal(model.R[i], c - model.W[i] @ model.G[i])
+            g = _type_blocks(model, i)[1]
+            assert np.array_equal(model.R[i], c - model.W[rows] @ g)
             assert np.array_equal(model.prior_var[rows], np.diag(c))
 
     def test_keeps_no_prior_block(self):
         # per type the residual is the only candidate-by-candidate array
         model, _ = random_instance(33, n_per_type=(12, 9), n_inducing=4)
         assert not hasattr(model, "C")
-        sizes = {rows.size for rows in model.type_slices.values()}
+        sizes = {rows.stop - rows.start for rows in model.type_slices.values()}
         square = []
         for f in dataclasses.fields(model):
             value = getattr(model, f.name)
@@ -146,7 +166,8 @@ def _cholesky_summary(model):
     total = np.zeros_like(model.target_summary)
     for t in model.target_types:
         low = np.linalg.cholesky(model.R[t])
-        total += model.W[t].T @ scipy.linalg.cho_solve((low, True), model.W[t])
+        w = model.W[model.type_slices[t]]
+        total += w.T @ scipy.linalg.cho_solve((low, True), w)
     return total
 
 
@@ -155,10 +176,11 @@ def _refactor(model):
     ``build_model`` does; returns the summed information."""
     total = np.zeros_like(model.target_summary)
     for t in model.target_types:
-        ta = model.candidates.take(model.type_slices[t])
+        ta, w = _own(model, t), model.W[model.type_slices[t]]
+        g = model.kuu_factor.solve(w.T)
         total += spd_info_in_place(
-            model.R[t], model.W[t],
-            lambda r, ta=ta, t=t: fill_residual(model, ta, model.W[t], model.G[t], r),
+            model.R[t], w,
+            lambda r, ta=ta, w=w, g=g: fill_residual(model.h, ta, w, g, r),
         )
     return total
 
@@ -170,10 +192,9 @@ class TestTargetSummaryInPlace:
     def test_blocks_unchanged_by_factorization(self):
         model, cache = random_instance(61, **self.SHAPE)
         for i, rows in model.type_slices.items():
-            # type_blocks builds the blocks without factoring anything
-            w, g, prior_var, r = type_blocks(model, model.candidates.take(rows))
-            assert np.array_equal(model.W[i], w)
-            assert np.array_equal(model.G[i], g)
+            w, g, prior_var, r = _type_blocks(model, i)
+            assert np.array_equal(model.W[rows], w)
+            assert np.array_equal(model.G[:, rows], g)
             assert np.array_equal(model.prior_var[rows], prior_var)
             assert np.array_equal(model.R[i], r)
         assert build_cache(model).f_constant == cache.f_constant
@@ -195,15 +216,16 @@ class TestTargetSummaryInPlace:
         cands = [as_tuple([x], 0) for x in rng.uniform(0, 10, n)]
         inducing = InducingSet(locations=np.linspace(0, 10, 3)[:, None])
         model = build_model(H1, inducing, {0: cands})
-        ta = model.candidates.take(model.type_slices[0])
+        ta = _own(model, 0)
         c = oracles.cov_matrix(ta, ta, H1)
         assert np.array_equal(model.prior_var, np.diag(c))
+        _, g, _, fresh = _type_blocks(model, 0)
         for start in range(0, n, RESIDUAL_CHUNK):
             rows = np.arange(start, min(start + RESIDUAL_CHUNK, n))
-            expected = c[rows] - model.W[0][rows] @ model.G[0]
+            expected = c[rows] - model.W[rows] @ g
             assert np.array_equal(model.R[0][rows], expected)
         # the factored R was refilled with the bits of a fresh build
-        assert np.array_equal(model.R[0], type_blocks(model, ta)[3])
+        assert np.array_equal(model.R[0], fresh)
 
     def test_setup_holds_no_second_residual(self):
         # a full W G temporary, a Cholesky factor or a Fortran copy of R
@@ -224,6 +246,49 @@ class TestTargetSummaryInPlace:
         finally:
             tracemalloc.stop()
         assert peak <= model.R[0].nbytes + 3 * RESIDUAL_CHUNK * n * 8
+
+
+class TestPoolLayout:
+    """The model is the one owner of the pool layout: W and G over the whole
+    pool, each type a contiguous range, and a cache that adds no copy."""
+
+    SHAPE = dict(n_per_type=(9, 7, 5, 6), n_inducing=4, target_types=(0, 2))
+
+    def test_type_slices_tile_pool_in_type_order(self):
+        model, _ = random_instance(41, **self.SHAPE)
+        slices = list(model.type_slices.items())
+        assert [i for i, _ in slices] == sorted(model.type_slices)
+        covered = [k for _, s in slices for k in range(s.start, s.stop)]
+        assert covered == list(range(len(model.candidates)))
+        for i, s in slices:
+            assert np.all(model.candidates.types[s] == i)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_w_and_g_bitwise_from_fresh_kernels(self, dim):
+        model, _ = random_instance(42, dim=dim, **self.SHAPE)
+        for i, s in model.type_slices.items():
+            w = latent_cross_matrix(_own(model, i), model.inducing.locations, model.h)
+            assert np.array_equal(model.W[s], w)
+            assert np.array_equal(model.G[:, s], model.kuu_factor.solve(w.T))
+
+    def test_g_is_the_only_pool_wide_solve(self):
+        model, cache = random_instance(43, **self.SHAPE)
+        m, n = model.n_inducing, len(model.candidates)
+        assert model.W.shape == (n, m)
+        assert model.G.shape == (m, n) and model.G.flags.c_contiguous
+        wide = []
+        for f in dataclasses.fields(model):
+            value = getattr(model, f.name)
+            items = value.items() if isinstance(value, dict) else [(None, value)]
+            wide += [
+                (f.name, key) for key, arr in items
+                if isinstance(arr, np.ndarray) and arr.shape == (m, n)
+            ]
+        assert wide == [("G", None)]
+        assert [f.name for f in dataclasses.fields(CriterionCache)] == [
+            "f_constant", "aug_factor",
+        ]
+        assert [f.name for f in dataclasses.fields(cache)] == ["f_constant", "aug_factor"]
 
 
 def _lowrank(model, a, b):
