@@ -5,7 +5,8 @@ Subcommands: ``run`` (experiment), ``fit`` (hyperparameter MLE), ``verify``
 subcommand reads a plain-text config; ``--out`` and ``--seed`` override the
 corresponding config values, and ``run --threads`` runs repeats
 concurrently.  A :class:`MogpalError` ends a command with one line on
-stderr and exit status 2.
+stderr and exit status 2; ``main`` is the one place that turns an error
+into an exit status.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from .config import (
     save_hyperparams,
 )
 from .data import load_dataset, load_schema, normalize, save_dataset
-from .errors import MogpalError
+from .errors import ConfigError, MogpalError
 from .experiment import generate_synthetic, run_experiment, verify_sweep
 from .hyperlearn import fit_hyperparams
 
@@ -64,8 +65,7 @@ def _cmd_run(args):
 def _cmd_fit(args):
     config = load_experiment_config(args.config)
     if config.dataset_path is None:
-        print("fit needs a [data] section with dataset and schema", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{args.config}: fit needs a [data] section with dataset and schema")
     schema = load_schema(config.schema_path)
     dataset = load_dataset(config.dataset_path, schema)
     norm, _ = normalize(dataset)
@@ -108,8 +108,7 @@ def _cmd_verify(args):
 def _cmd_synth(args):
     config = load_experiment_config(args.config)
     if config.synthetic is None:
-        print("synth needs a [synthetic] section", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{args.config}: synth needs a [synthetic] section")
     seed = args.seed if args.seed is not None else config.seed
     dataset = generate_synthetic(config.synthetic, config.hyperparams, seed)
     out = Path(args.out if args.out is not None else config.output_dir)

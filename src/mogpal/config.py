@@ -4,7 +4,9 @@ Hyperparameters serialize to a ``[hyperparams]`` section; experiment
 descriptions add ``[experiment]``, ``[split]`` and either ``[data]`` (CSV +
 schema paths) or ``[synthetic]`` (generator settings).  Fitted results are
 written back in the same hyperparameter format, so a fit output can be fed
-straight into a later run.
+straight into a later run.  A config that cannot be read, or a value that
+does not parse, raises :class:`ConfigError` naming the file and the
+``section.key``.
 """
 
 import configparser
@@ -29,6 +31,31 @@ def _ints(text):
     return [int(v) for v in text.replace(",", " ").split()]
 
 
+def read_ini(path):
+    """Parse an INI file; an unreadable or malformed file is a ConfigError."""
+    parser = configparser.ConfigParser(converters={"ints": _ints})
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return parser
+
+
+def _getter(path, parser):
+    """``get(section, key, default, kind)``: the value that
+    ``parser.get<kind>`` reads, or ``default`` when absent; a value that does
+    not parse is a ConfigError naming the file and the ``section.key``."""
+    def get(section, key, default=None, kind=""):
+        try:
+            return getattr(parser, "get" + kind)(section, key, fallback=default)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {section}.{key}: {exc}") from None
+    return get
+
+
 def hyperparams_from_section(sec) -> Hyperparams:
     try:
         n_types = sec.getint("types")
@@ -48,9 +75,7 @@ def hyperparams_from_section(sec) -> Hyperparams:
 
 
 def load_hyperparams(path) -> Hyperparams:
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    parser = read_ini(path)
     if "hyperparams" not in parser:
         raise ConfigError(f"{path}: missing [hyperparams] section")
     return hyperparams_from_section(parser["hyperparams"])
@@ -93,8 +118,8 @@ class GeneratorSpec:
             raise ConfigError(f"unknown layout {self.layout!r}")
         if self.layout == "grid" and self.dim != 1:
             raise ConfigError("grid layout is one-dimensional; use layout=uniform")
-        if self.n_locations < 2:
-            raise ConfigError("need at least two locations")
+        if not isinstance(self.n_locations, int) or self.n_locations < 2:
+            raise ConfigError(f"n_locations must be at least 2, got {self.n_locations!r}")
 
 
 @dataclass(frozen=True)
@@ -133,6 +158,8 @@ class ExperimentConfig:
             raise ConfigError("svar_mode must be 'shared' or 'refit'")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ConfigError("configure exactly one of [data] and [synthetic]")
+        if (self.dataset_path is None) != (self.schema_path is None):
+            raise ConfigError("[data] needs both dataset and schema")
         if self.repeats < 1 or self.inducing_count < 1:
             raise ConfigError("repeats and inducing_count must be positive")
 
@@ -151,71 +178,61 @@ class VerifySweepConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    parser = read_ini(path)
     if "experiment" not in parser:
         raise ConfigError(f"{path}: missing [experiment] section")
-    exp = parser["experiment"]
+    get = _getter(path, parser)
 
     if "hyperparams" in parser:
         h = hyperparams_from_section(parser["hyperparams"])
-    elif exp.get("hyperparams_file"):
-        h = load_hyperparams(exp.get("hyperparams_file"))
+    elif get("experiment", "hyperparams_file"):
+        h = load_hyperparams(get("experiment", "hyperparams_file"))
     else:
         raise ConfigError(
             f"{path}: provide a [hyperparams] section or hyperparams_file"
         )
 
-    split = parser["split"] if "split" in parser else {}
-    if "target_types" in split:
-        h = replace(h, target_types=_ints(split["target_types"]))
+    targets = get("split", "target_types", kind="ints")
+    if targets is not None:
+        h = replace(h, target_types=targets)
 
     synthetic = None
-    dataset_path = schema_path = None
     if "synthetic" in parser:
-        syn = parser["synthetic"]
         synthetic = GeneratorSpec(
-            n_locations=syn.getint("n_locations"),
-            dim=syn.getint("dim", 1),
-            extent=syn.getfloat("extent", 10.0),
-            layout=syn.get("layout", "grid"),
+            n_locations=get("synthetic", "n_locations", kind="int"),
+            dim=get("synthetic", "dim", 1, "int"),
+            extent=get("synthetic", "extent", 10.0, "float"),
+            layout=get("synthetic", "layout", "grid"),
         )
-    if "data" in parser:
-        dataset_path = parser["data"].get("dataset")
-        schema_path = parser["data"].get("schema")
 
     return ExperimentConfig(
-        seed=exp.getint("seed", 0),
-        repeats=exp.getint("repeats", 1),
+        seed=get("experiment", "seed", 0, "int"),
+        repeats=get("experiment", "repeats", 1, "int"),
         algorithms=tuple(
-            a.strip() for a in exp.get("algorithms", "m-greedy").split(",") if a.strip()
+            a.strip() for a in get("experiment", "algorithms", "m-greedy").split(",")
+            if a.strip()
         ),
-        checkpoints=tuple(_ints(exp.get("checkpoints", "5"))),
-        inducing_count=exp.getint("inducing_count", 10),
-        test_count=int(split.get("test_count", 10)),
+        checkpoints=tuple(get("experiment", "checkpoints", [5], "ints")),
+        inducing_count=get("experiment", "inducing_count", 10, "int"),
+        test_count=get("split", "test_count", 10, "int"),
         hyperparams=h,
-        output_dir=exp.get("output_dir", "results"),
-        svar_mode=exp.get("svar_mode", "shared"),
-        fit=exp.getboolean("fit", False),
-        fit_budget=exp.getint("fit_budget", 400),
-        fit_restarts=exp.getint("fit_restarts", 3),
-        dataset_path=dataset_path,
-        schema_path=schema_path,
+        output_dir=get("experiment", "output_dir", "results"),
+        svar_mode=get("experiment", "svar_mode", "shared"),
+        fit=get("experiment", "fit", False, "boolean"),
+        fit_budget=get("experiment", "fit_budget", 400, "int"),
+        fit_restarts=get("experiment", "fit_restarts", 3, "int"),
+        dataset_path=get("data", "dataset"),
+        schema_path=get("data", "schema"),
         synthetic=synthetic,
     )
 
 
 def load_verify_config(path) -> VerifySweepConfig:
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
-    sec = parser["verify"] if "verify" in parser else {}
-    shape = tuple(_ints(sec.get("pool_shape", "6, 6"))) if sec else (6, 6)
+    get = _getter(path, read_ini(path))
     return VerifySweepConfig(
-        instances=int(sec.get("instances", 50)) if sec else 50,
-        budget=int(sec.get("budget", 3)) if sec else 3,
-        seed=int(sec.get("seed", 0)) if sec else 0,
-        pool_shape=shape,
-        output_dir=sec.get("output_dir", "results") if sec else "results",
+        instances=get("verify", "instances", 50, "int"),
+        budget=get("verify", "budget", 3, "int"),
+        seed=get("verify", "seed", 0, "int"),
+        pool_shape=tuple(get("verify", "pool_shape", [6, 6], "ints")),
+        output_dir=get("verify", "output_dir", "results"),
     )

@@ -24,9 +24,9 @@ blocks.  Only its near-tie rescoring reads exact prior rows of the picks;
 they are computed from the kernel when a rescoring first needs them and
 kept, O(|X| N) numbers.
 
-Conditioning on a selection lives here alone: ``criterion_F`` and the
-near-tie rescoring share one factorization of the selection, and ``verify``
-reads its variances given a selection from :class:`GainEvaluator`.
+Conditioning on a selection lives here and in ``pitc.pool_blocks``, whose
+one factor of ``K_uu + S`` serves ``criterion_F``, the near-tie rescoring and
+the posterior mean; ``verify`` reads variances from :class:`GainEvaluator`.
 """
 
 from dataclasses import dataclass, field
@@ -86,16 +86,15 @@ def _as_selection(model, x):
 
 
 def _selection_factors(model, tuples):
-    """The selection's per-type blocks and the factors of ``K_uu + S`` and
-    ``K_uu + T + S_aux``: ``S`` is the selection's inducing information,
-    ``S_aux`` that of its auxiliary types and ``T`` the target summary."""
+    """The selection's blocks (``blocks.selection`` factors ``K_uu + S``) and
+    the factor of ``K_uu + T + S_aux``: ``S`` is the selection's inducing
+    information, ``S_aux`` that of its auxiliary types, ``T`` the target summary."""
     blocks = pool_blocks(model, tuples)
-    mx = chol_spd(model.kuu + blocks.info_sum(), "selection information")
     ma = chol_spd(
         model.kuu + model.target_summary + blocks.info_sum(types=set(model.h.aux_types)),
         "augmented selection information",
     )
-    return blocks, mx, ma
+    return blocks, ma
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +113,10 @@ def criterion_F(model: PitcModel, cache: CriterionCache, x):
     the cached blocks and target summary, so the cost does not grow with
     the target pool.
     """
-    blocks, mx, ma = _selection_factors(model, _as_selection(model, x))
+    blocks, ma = _selection_factors(model, _as_selection(model, x))
     n_t, ld_t = blocks.target_logdet(set(model.target_types))
     h_target = 0.5 * (n_t * LOG_2PI_E + ld_t)
-    return h_target - 0.5 * (ma.logdet - mx.logdet) + cache.f_constant
+    return h_target - 0.5 * (ma.logdet - blocks.selection.logdet) + cache.f_constant
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +267,22 @@ class GainEvaluator:
     def _factor(self):
         if self._factored is None:
             model = self.model
-            blocks, mx, ma = _selection_factors(model, self.selected)
+            blocks, ma = _selection_factors(model, self.selected)
             # the picks' rows within their type's blocks, in selection order
             glob = np.array([model.tuple_index[t] for t in self.selected])
             local = {
                 i: glob[pos] - model.type_slices[i].start
                 for i, pos in blocks.rows.items()
             }
-            self._factored = (blocks, local, mx, ma)
+            self._factored = (blocks, local, ma)
         return self._factored
 
     def _sweep(self, cols, target_blocks):
         """Posterior variances of candidates ``cols`` given the selection,
         plus the full target pool when ``target_blocks`` is set."""
         model = self.model
-        blocks, local, mx, ma = self._factor()
-        m_factor = ma if target_blocks else mx
+        blocks, local, ma = self._factor()
+        m_factor = ma if target_blocks else blocks.selection
         g = model.G[:, cols]
         e1 = np.zeros(cols.size)
         hmat = np.zeros((model.n_inducing, cols.size))

@@ -7,13 +7,13 @@ columns are coordinates, which are types, and any per-type transform
 (identity or log10).
 """
 
-import configparser
 import csv
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import read_ini
 from .errors import ConfigError, DomainError
 from .kernels import TypedLocation
 
@@ -44,9 +44,7 @@ class Schema:
 
 
 def load_schema(path) -> Schema:
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    parser = read_ini(path)
     if "schema" not in parser:
         raise ConfigError(f"{path}: missing [schema] section")
     sec = parser["schema"]
@@ -65,14 +63,14 @@ def load_schema(path) -> Schema:
 class Dataset:
     """Sparse multi-type spatial measurements.
 
-    ``values`` maps ``(location_index, type_index)`` to the measured value
-    (after any declared transform); absent keys are unmeasured pairs.
+    ``values`` maps ``(location_index, type_index)`` to the measured value,
+    already transformed as the schema declares (the transforms are not kept);
+    absent keys are unmeasured pairs.
     """
 
     coords: np.ndarray
     type_names: tuple
     values: dict
-    transforms: tuple
 
     def __post_init__(self):
         coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
@@ -121,9 +119,14 @@ def load_dataset(path, schema: Schema) -> Dataset:
     """Parse and validate a CSV dataset, applying declared transforms.
 
     Malformed rows raise with their line number; missing cells simply leave
-    the (location, type) pair unmeasured.
+    the (location, type) pair unmeasured.  An unreadable file is a
+    :class:`ConfigError` naming it.
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -159,19 +162,15 @@ def load_dataset(path, schema: Schema) -> Dataset:
                     raise ConfigError(
                         f"{path}:{line_no}: bad value {cell!r} in column {col!r}"
                     ) from None
-                try:
-                    values[(loc_index, ti)] = _apply_transform(
-                        raw, schema.transform_of(col), f"{path}:{line_no}"
-                    )
-                except DomainError as exc:
-                    raise DomainError(str(exc)) from None
+                values[(loc_index, ti)] = _apply_transform(
+                    raw, schema.transform_of(col), f"{path}:{line_no}"
+                )
     if not coords:
         raise ConfigError(f"{path}: no data rows")
     return Dataset(
         coords=np.asarray(coords, dtype=float),
         type_names=tuple(schema.type_columns),
         values=values,
-        transforms=tuple(schema.transform_of(c) for c in schema.type_columns),
     )
 
 

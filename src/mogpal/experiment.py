@@ -85,7 +85,6 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
         coords=coords,
         type_names=tuple(f"type{i}" for i in range(m)),
         values=values,
-        transforms=("identity",) * m,
     )
 
 

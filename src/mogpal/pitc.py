@@ -8,10 +8,12 @@ inducing measurements makes distinct types independent, which is the
 structure the selection criterion exploits.
 
 This module owns that block algebra, once: ``fill_residual`` computes the
-per-type residual ``C - W K_uu^-1 W^T``, ``sparse_cov`` assembles the joint
-covariance of arbitrary tuples, ``BlockFactors`` factors per-type residual
-blocks and ``pool_blocks`` slices them for any set of pool tuples, for the
-posterior and the selection criterion.
+per-type residual ``C - W K_uu^-1 W^T``; ``sparse_cov`` assembles the joint
+covariance of arbitrary tuples, which the posterior mean needs between
+queries and observations; and ``pool_blocks`` slices the cached blocks of
+any set of pool tuples into a ``BlockFactors``, which factors each residual
+block and, once, the set's ``K_uu + S`` (``S`` its inducing information),
+for the posterior and the selection criterion alike.
 
 Memory: the pool layout lives in ``PitcModel`` alone.  ``W`` (N x m) and
 ``G`` (m x N) span the whole pool, where each type is a contiguous range.
@@ -40,20 +42,10 @@ from .linalg import chol_spd, spd_info_in_place
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KMeansRun:
-    """Provenance of the clustering run that produced an inducing set."""
-
-    seed: int
-    iterations: int
-    inertia: float
-
-
-@dataclass(frozen=True)
 class InducingSet:
-    """Inducing locations plus the provenance of their selection."""
+    """Pairwise distinct inducing locations, one per row, read-only."""
 
     locations: np.ndarray
-    provenance: KMeansRun = None
 
     def __post_init__(self):
         loc = np.atleast_2d(np.asarray(self.locations, dtype=float))
@@ -92,6 +84,7 @@ def select_inducing(candidates, m, seed) -> InducingSet:
     Exact duplicate coordinates are collapsed before clustering; the run is
     deterministic for a fixed seed (k-means++ initialization, at most 100
     iterations, stopping when the relative inertia change drops below 1e-6).
+    The cluster centers are the inducing locations.
     """
     coords = np.atleast_2d(np.asarray(candidates, dtype=float))
     unique = list(dict.fromkeys(map(tuple, coords.tolist())))
@@ -105,8 +98,7 @@ def select_inducing(candidates, m, seed) -> InducingSet:
     centers = _kmeans_pp_init(coords, m, rng)
 
     inertia_prev = np.inf
-    iterations = 0
-    for iterations in range(1, 101):
+    for _ in range(100):
         d2 = np.sum((coords[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         assign = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(n), assign].sum())
@@ -122,13 +114,7 @@ def select_inducing(candidates, m, seed) -> InducingSet:
         if inertia_prev < np.inf and abs(inertia_prev - inertia) <= 1e-6 * max(inertia_prev, 1e-300):
             break
         inertia_prev = inertia
-
-    d2 = np.sum((coords[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    inertia = float(d2.min(axis=1).sum())
-    return InducingSet(
-        locations=centers,
-        provenance=KMeansRun(seed=int(seed), iterations=iterations, inertia=inertia),
-    )
+    return InducingSet(locations=centers)
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +310,21 @@ class BlockFactors:
     """Factored per-type blocks of a set under the sparse joint model.
 
     Built from ``{type: (rows, W, R)}``: the rows of the type's tuples, their
-    inducing cross covariance and their residual block.  Factors each
-    residual and keeps its inducing information ``W^T R^-1 W``.  Blocks are
-    visited in the order given, which fixes every summation order.
+    inducing cross covariance and their residual block, and from ``K_uu``.
+    Factors each residual and keeps its inducing information ``W^T R^-1 W``;
+    ``selection`` factors ``K_uu + info_sum()`` once, for the posterior and
+    the criterion alike.  Blocks are visited in the order given, which fixes
+    every summation order.
     """
 
-    def __init__(self, blocks, m):
-        self.m = m
+    def __init__(self, blocks, kuu):
+        self.m = kuu.shape[0]
         self.rows, self.w, self.factor, self.info = {}, {}, {}, {}
         for i, (rows, w, r) in blocks.items():
             factor = chol_spd(r, f"type-{i} residual block")
             self.rows[i], self.w[i], self.factor[i] = rows, w, factor
             self.info[i] = w.T @ factor.solve(w)
+        self.selection = chol_spd(kuu + self.info_sum(), "selection information")
 
     def info_sum(self, types=None):
         """Inducing information summed over all blocks, or those of ``types``."""
@@ -354,14 +343,13 @@ class BlockFactors:
                 logdet += factor.logdet
         return n, logdet
 
-    def inv_apply(self, b, m_factor):
+    def inv_apply(self, b):
         """Apply the inverse of the set's covariance to the columns of ``b``
-        (Woodbury), given the factor of ``K_uu + info_sum()``; the rows
-        index ``b``."""
+        (Woodbury, through ``selection``); the rows index ``b``."""
         lam_inv_b = np.zeros_like(b)
         for i, rows in self.rows.items():
             lam_inv_b[rows] = self.factor[i].solve(b[rows])
-        corr = m_factor.solve(
+        corr = self.selection.solve(
             sum(self.w[i].T @ lam_inv_b[rows] for i, rows in self.rows.items())
         )
         out = lam_inv_b.copy()
@@ -371,7 +359,8 @@ class BlockFactors:
 
 
 def pool_blocks(model: PitcModel, tuples):
-    """Block factors of pool tuples, sliced from the model's cached W and R.
+    """Block factors of pool tuples, sliced from the model's cached W and R,
+    with the one factorization of their ``K_uu + S``.
 
     ``rows`` index ``tuples``.  Types are visited in order of first
     appearance and rows in the order given, which fixes the summation order
@@ -385,7 +374,7 @@ def pool_blocks(model: PitcModel, tuples):
         glob = np.array([model.tuple_index[tuples[k]] for k in pos])
         li = glob - model.type_slices[i].start
         blocks[i] = (np.asarray(pos), model.W[glob], model.R[i][np.ix_(li, li)])
-    return BlockFactors(blocks, model.n_inducing)
+    return BlockFactors(blocks, model.kuu)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +383,9 @@ def pool_blocks(model: PitcModel, tuples):
 
 @dataclass(frozen=True)
 class GaussianPrediction:
-    """Posterior mean vector and covariance matrix over queried tuples."""
+    """Posterior mean vector over queried tuples, in query order."""
 
     mean: np.ndarray
-    cov: np.ndarray
 
 
 def find_duplicates(tuples):
@@ -421,13 +409,14 @@ def check_conditioning_set(x):
 
 
 def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
-    """Sparse posterior of the measurements at ``z`` given observations at ``x``.
+    """Sparse posterior mean of the measurements at ``z`` given observations
+    at ``x``.
 
     The observed tuples must be candidates of the model's pool, whose cached
-    blocks are sliced for them.  The observation covariance is inverted
-    through its per-type residual blocks plus the inducing low rank
-    (Woodbury), at cost ``O(|x| (m^2 + (|x|/M)^2))``.  The covariance is
-    independent of ``y_x``.
+    blocks are sliced for them.  The observations are solved against their
+    covariance through its per-type residual blocks plus the inducing low
+    rank (Woodbury), at cost ``O(|x| (m^2 + (|x|/M)^2))``; the mean then
+    takes one ``|z| x |x|`` cross covariance.
     """
     h = model.h
     tx = x if isinstance(x, TupleArray) else TupleArray.build(x, h)
@@ -438,15 +427,10 @@ def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
     if set(tx.tuples) & set(tz.tuples):
         raise DomainError("query tuples overlap the observed tuples")
 
-    c_zz = sparse_cov(model, tz, tz)
     if len(tx) == 0:
-        return GaussianPrediction(mean=np.zeros(len(tz)), cov=c_zz)
+        return GaussianPrediction(mean=np.zeros(len(tz)))
     check_conditioning_set(tx)
     model.require_candidates(tx.tuples)
-
-    c_zx = sparse_cov(model, tz, tx)
-    factors = pool_blocks(model, tx.tuples)
-    m_factor = chol_spd(model.kuu + factors.info_sum(), "inducing information matrix")
-    sol_y = factors.inv_apply(y_x[:, None], m_factor)[:, 0]
-    sol_c = factors.inv_apply(c_zx.T, m_factor)
-    return GaussianPrediction(mean=c_zx @ sol_y, cov=c_zz - c_zx @ sol_c)
+    # an (n, 1) right-hand side, not a 1-D one: gemv would round differently
+    sol_y = pool_blocks(model, tx.tuples).inv_apply(y_x[:, None])[:, 0]
+    return GaussianPrediction(mean=sparse_cov(model, tz, tx) @ sol_y)

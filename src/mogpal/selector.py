@@ -31,24 +31,22 @@ __all__ = [
 
 @dataclass
 class SelectionState:
-    """Result of a budgeted selection run.
+    """Result of a budgeted selection run, one entry per iteration.
 
-    ``gain_log`` has one ``(tuple, gain)`` record per iteration, in
+    ``selected`` holds the picks and ``gains`` their recorded gains, in
     selection order; ``cumulative`` accumulates the gains (for the greedy
     algorithm this telescopes to the objective value at each prefix).
     """
 
-    algorithm: str
-    budget: int
     selected: list = field(default_factory=list)
-    gain_log: list = field(default_factory=list)
+    gains: list = field(default_factory=list)
     cumulative: list = field(default_factory=list)
     iteration_seconds: list = field(default_factory=list)
 
     def record(self, candidate, gain, seconds):
         prev = self.cumulative[-1] if self.cumulative else 0.0
         self.selected.append(candidate)
-        self.gain_log.append((candidate, gain))
+        self.gains.append(gain)
         self.cumulative.append(prev + gain)
         self.iteration_seconds.append(seconds)
 
@@ -60,13 +58,13 @@ def _check_budget(n, available, what="candidate pool"):
         raise ConfigError("budget must be nonnegative")
 
 
-def _greedy_loop(name, n, tuples, score_iteration):
+def _greedy_loop(n, tuples, score_iteration):
     """Pick ``n`` of ``tuples`` one at a time.
 
     ``score_iteration(state)`` returns the scores to maximize and the gains
     to record, usually the same array; selected tuples score ``-inf``.
     """
-    state = SelectionState(algorithm=name, budget=n)
+    state = SelectionState()
     for _ in range(n):
         started = time.perf_counter()
         scores, gains = score_iteration(state)
@@ -103,7 +101,7 @@ def select_greedy(model: PitcModel, cache: CriterionCache, n: int) -> SelectionS
             return evaluator.entropies_given_selected(), gains
         return gains, gains
 
-    return _greedy_loop("m-greedy", n, model.candidates.tuples, score)
+    return _greedy_loop(n, model.candidates.tuples, score)
 
 
 def select_mvar(model: PitcModel, cache: CriterionCache, n: int) -> SelectionState:
@@ -122,7 +120,7 @@ def select_mvar(model: PitcModel, cache: CriterionCache, n: int) -> SelectionSta
         entropies = evaluator.entropies_given_selected()
         return entropies, entropies
 
-    return _greedy_loop("m-var", n, model.candidates.tuples, score)
+    return _greedy_loop(n, model.candidates.tuples, score)
 
 
 class _SingleOutputPools:
@@ -236,7 +234,7 @@ def _select_single_output(model, n, kind, single_output_hypers=None):
             scores[pools.offset[t] + pools.free[t]] = pools.free_scores(t, kind)
         return scores, scores
 
-    return _greedy_loop(kind, n, pools.flat_tuples, score)
+    return _greedy_loop(n, pools.flat_tuples, score)
 
 
 def select_svar(model: PitcModel, n: int, single_output_hypers=None) -> SelectionState:
@@ -382,7 +380,7 @@ def write_selection_log(state: SelectionState, path, dim=None):
             + [f"x{v}" for v in range(dim)]
             + ["gain", "cumulative_objective"]
         )
-        for k, (tup, gain) in enumerate(state.gain_log):
+        for k, (tup, gain) in enumerate(zip(state.selected, state.gains)):
             writer.writerow(
                 [k, tup.type_index]
                 + [repr(c) for c in tup.location]

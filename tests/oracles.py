@@ -227,8 +227,8 @@ def mi_inducing_given(model, x):
     """Information the unsampled target pool still carries about the latent
     measurements once ``x`` has been observed, clamped at zero; the term
     ``criterion_F`` subtracts."""
-    _, mx, ma = _selection_factors(model, _as_selection(model, x))
-    return max(0.0, 0.5 * (ma.logdet - mx.logdet))
+    blocks, ma = _selection_factors(model, _as_selection(model, x))
+    return max(0.0, 0.5 * (ma.logdet - blocks.selection.logdet))
 
 
 def greedy_gain(model, cache, x, candidate):
@@ -322,7 +322,7 @@ def select_single_output_scratch(model, n, kind, single_output_hypers=None):
                     )
         return scores, scores
 
-    return _greedy_loop(kind, n, pools.flat_tuples, score)
+    return _greedy_loop(n, pools.flat_tuples, score)
 
 
 class ScratchGainEvaluator:
@@ -338,7 +338,7 @@ class ScratchGainEvaluator:
     def set_state(self, selected):
         model = self.model
         self.selected = _as_selection(model, selected)
-        self._blocks, self._mx, self._ma = _selection_factors(model, self.selected)
+        self._blocks, self._ma = _selection_factors(model, self.selected)
         return self
 
     def _sweep(self, cols, target_blocks, m_factor):
@@ -384,7 +384,7 @@ class ScratchGainEvaluator:
         return out
 
     def entropies_given_selected(self):
-        var = self._sweep(np.arange(len(self.model.candidates)), False, self._mx)
+        var = self._sweep(np.arange(len(self.model.candidates)), False, self._blocks.selection)
         free = np.flatnonzero(~self._selected_mask())
         log_var = self._checked_log(var, free)
         out = np.full(var.shape, -np.inf)
@@ -394,7 +394,7 @@ class ScratchGainEvaluator:
     def gains(self):
         model = self.model
         mask = self._selected_mask()
-        var_sel = self._sweep(np.arange(len(model.candidates)), False, self._mx)
+        var_sel = self._sweep(np.arange(len(model.candidates)), False, self._blocks.selection)
         out = np.full(len(model.candidates), -np.inf)
         free_target = model.target_cols[~mask[model.target_cols]]
         log_sel = self._checked_log(var_sel, np.flatnonzero(~mask))
@@ -422,7 +422,7 @@ def select_greedy_scratch(model, cache, n):
             return evaluator.entropies_given_selected(), gains
         return gains, gains
 
-    return _greedy_loop("m-greedy", n, model.candidates.tuples, score)
+    return _greedy_loop(n, model.candidates.tuples, score)
 
 
 def select_mvar_scratch(model, cache, n):
@@ -435,7 +435,7 @@ def select_mvar_scratch(model, cache, n):
         entropies = evaluator.entropies_given_selected()
         return entropies, entropies
 
-    return _greedy_loop("m-var", n, model.candidates.tuples, score)
+    return _greedy_loop(n, model.candidates.tuples, score)
 
 
 def brute_force_optimum(model, cache, n):

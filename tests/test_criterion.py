@@ -16,7 +16,6 @@ from mogpal import (
     criterion_F,
     linalg,
     pitc,
-    pitc_posterior,
     sparse_cov,
 )
 from mogpal.kernels import LOG_2PI_E
@@ -340,6 +339,7 @@ class TestGainEvaluator:
 
     def test_variances_match_posterior(self):
         model, cache = random_instance(71, n_per_type=(4, 4))
+        h, u = model.h, model.inducing.locations
         cands = model.candidate_list()
         x = cands[:3]
         ev = GainEvaluator(model, cache).set_state(x)
@@ -347,8 +347,8 @@ class TestGainEvaluator:
         for i, cand in enumerate(cands):
             if cand in x:
                 continue
-            pred = pitc_posterior(model, x, np.zeros(3), [cand])
-            assert var[i] == pytest.approx(pred.cov[0, 0], rel=1e-9)
+            dense = oracles.conditional_cov_blocked([cand], x, h, u)
+            assert var[i] == pytest.approx(dense[0, 0], rel=1e-9)
 
     def test_incremental_variances_along_mixed_chain(self):
         # two target types (0, 2) and two auxiliary types (1, 3); the chain
@@ -372,9 +372,9 @@ class TestGainEvaluator:
             x = chain[:k + 1]
             free = [t for t in model.candidate_list() if t not in x]
             idx = [model.tuple_index[t] for t in free]
-            pred = pitc_posterior(model, x, np.zeros(len(x)), free)
+            dense = oracles.conditional_cov_blocked(free, x, h, u)
             np.testing.assert_allclose(
-                ev.var_given_selected()[idx], np.diag(pred.cov), rtol=1e-9, atol=0
+                ev.var_given_selected()[idx], np.diag(dense), rtol=1e-9, atol=0
             )
             free_aux = [t for t in free if t.type_index in (1, 3)]
             x_aux = [t for t in x if t.type_index in (1, 3)]
@@ -383,3 +383,64 @@ class TestGainEvaluator:
                 ev.var_given_augmented()[[aux_pos[t] for t in free_aux]],
                 np.diag(dense), rtol=1e-9, atol=0,
             )
+
+
+class TestVarGivenSelected:
+    """The posterior variances of the gain state against the dense oracles."""
+
+    def test_fast_equals_dense(self):
+        # selections of one tuple, fewer and more than 3m tuples (m = 4), of
+        # a single type or mixed types
+        shapes = [((0, 1), 1), ((0, 1), 8), ((0, 1), 35), ((1,), 1), ((0,), 8), ((1,), 15)]
+        for seed in range(6):
+            r = np.random.default_rng(seed)
+            model, cache = random_instance(seed, n_per_type=(20, 20), n_inducing=4)
+            h, u = model.h, model.inducing.locations
+            ev = GainEvaluator(model, cache)
+            for types, size in shapes:
+                pool = model.candidate_list(types)
+                x = [pool[i] for i in r.permutation(len(pool))[:size]]
+                rest = [t for t in model.candidate_list() if t not in set(x)]
+                z = [rest[i] for i in r.permutation(len(rest))[:5]]
+                var = ev.set_state(x).var_given_selected()
+                np.testing.assert_allclose(
+                    var[[model.tuple_index[t] for t in z]],
+                    np.diag(oracles.conditional_cov_blocked(z, x, h, u)),
+                    rtol=1e-8, atol=1e-10,
+                )
+
+    def test_single_type_matches_exact(self):
+        # with one type the sparse model is exact, for any inducing set
+        for seed in range(8):
+            model, cache = random_instance(seed + 200, n_per_type=(8,), n_inducing=2)
+            cands = model.candidate_list()
+            x, z = cands[:5], cands[5:]
+            var = GainEvaluator(model, cache).set_state(x).var_given_selected()
+            np.testing.assert_allclose(
+                var[5:], np.diag(oracles.conditional_cov_exact(z, x, model.h)),
+                rtol=1e-8, atol=1e-12,
+            )
+
+    def test_variance_floor(self):
+        for seed in range(10):
+            r = np.random.default_rng(seed)
+            model, cache = random_instance(seed + 50, n_per_type=(5, 5))
+            cands = model.candidate_list()
+            pick = r.permutation(len(cands))
+            ev = GainEvaluator(model, cache).set_state([cands[i] for i in pick[:6]])
+            free = pick[6:]
+            noise = model.h.noise_var[model.candidates.types[free]]
+            assert np.all(ev.var_given_selected()[free] >= noise - 1e-10)
+
+    def test_conditioning_monotone(self):
+        model, cache = random_instance(17, n_per_type=(4, 4))
+        cands = model.candidate_list()
+        h, u = model.h, model.inducing.locations
+        ev = GainEvaluator(model, cache).set_state([])
+        prev = ev.var_given_selected()[-2:].copy()
+        for k in range(5):
+            var = ev.add(cands[k]).var_given_selected()[-2:].copy()
+            assert np.all(var <= prev + 1e-10)
+            prev = var
+        dense = oracles.conditional_cov_blocked(cands[-2:], cands[:5], h, u)
+        np.testing.assert_allclose(prev, np.diag(dense), rtol=1e-9)

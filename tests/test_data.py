@@ -75,12 +75,22 @@ class TestLoadDataset:
         assert ds.n_locations == 2
         assert ds.values == {(0, 0): 1.5, (1, 0): 2.5}
 
+    def test_unreadable_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="nope.csv: No such file"):
+            load_dataset(tmp_path / "nope.csv", Schema(("x",), ("a",)))
+        with pytest.raises(ConfigError, match="nope.schema: No such file"):
+            load_schema(tmp_path / "nope.schema")
+
     def test_jura_like_shape(self, jura_like):
         path, schema = jura_like
         ds = load_dataset(path, schema)
         assert ds.n_locations == 359
         assert ds.n_types == 3
-        assert ds.transforms == ("log10", "identity", "log10")
+        # the declared transforms are applied to the values, cell by cell
+        raw = [float(c) for c in path.read_text().splitlines()[1].split(",")[2:]]
+        assert ds.values[(0, 0)] == math.log10(raw[0])
+        assert ds.values[(0, 1)] == raw[1]
+        assert ds.values[(0, 2)] == math.log10(raw[2])
 
     def test_missing_cells_stay_unmeasured(self, tmp_path):
         schema = load_schema(
@@ -152,7 +162,7 @@ class TestNormalize:
     def test_constant_column_rejected(self):
         ds = Dataset(
             coords=[[0.0], [1.0]], type_names=("a",),
-            values={(0, 0): 2.0, (1, 0): 2.0}, transforms=("identity",),
+            values={(0, 0): 2.0, (1, 0): 2.0},
         )
         with pytest.raises(DomainError):
             normalize(ds)

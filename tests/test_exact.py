@@ -1,9 +1,10 @@
 """Exact Gaussian-process algebra in the library's one-type regime.
 
 With a single output type every covariance the sparse model uses is the
-exact prior (the inducing approximation only enters across types), so
-``pitc_posterior`` and the gain evaluator's entropies must reproduce exact
-GP regression, checked here against closed forms and the dense oracles.
+exact prior (the inducing approximation only enters across types), so the
+posterior mean of ``pitc_posterior`` and the gain evaluator's variances and
+entropies must reproduce exact GP regression, checked here against closed
+forms and the dense oracles.
 """
 
 import itertools
@@ -38,42 +39,49 @@ def _one_type_model(h, locations, inducing=((0.0,),)):
     return build_model(h, InducingSet(locations=list(inducing)), {0: cands})
 
 
+def _var_given(model, x):
+    """Posterior variance of every candidate given the pool tuples ``x``."""
+    return GainEvaluator(model, build_cache(model)).set_state(x).var_given_selected()
+
+
 class TestExactPosterior:
     def test_empty_conditioning_returns_prior(self, rng):
         model = _one_type_model(H1, rng.uniform(0, 1, 4))
         z = [as_tuple([v], 0) for v in rng.uniform(0, 1, 3)]
         pred = pitc_posterior(model, [], [], z)
         np.testing.assert_array_equal(pred.mean, np.zeros(3))
-        np.testing.assert_allclose(pred.cov, cov_matrix(z, z, H1), rtol=1e-12, atol=1e-15)
+        cands = model.candidate_list()
+        np.testing.assert_allclose(
+            _var_given(model, []), np.diag(cov_matrix(cands, cands, H1)), rtol=1e-12, atol=1e-15
+        )
 
     def test_distant_observation_leaves_variance(self):
-        model = _one_type_model(H1, [500.0])
-        z = [as_tuple([0.0], 0)]
-        pred = pitc_posterior(model, model.candidate_list(), [1.3], z)
-        assert pred.cov[0, 0] == pytest.approx(oracles.out_cov(z[0], z[0], H1), rel=1e-12)
+        model = _one_type_model(H1, [0.0, 500.0])
+        z, x = model.candidate_list()
+        pred = pitc_posterior(model, [x], [1.3], [z])
+        assert _var_given(model, [x])[0] == pytest.approx(oracles.out_cov(z, z, H1), rel=1e-12)
         assert pred.mean[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_algebra(self):
-        model = _one_type_model(H1, [0.5], inducing=((0.1,), (0.9,)))
-        z = [as_tuple([0.2], 0)]
-        x = model.candidate_list()
+        model = _one_type_model(H1, [0.2, 0.5], inducing=((0.1,), (0.9,)))
+        z, x = model.candidate_list()
         y = 0.7
-        pred = pitc_posterior(model, x, [y], z)
-        s_zz = oracles.out_cov(z[0], z[0], H1)
-        s_zx = oracles.out_cov(z[0], x[0], H1)
-        s_xx = oracles.out_cov(x[0], x[0], H1)
-        assert pred.cov[0, 0] == pytest.approx(s_zz - s_zx**2 / s_xx, rel=1e-10)
+        pred = pitc_posterior(model, [x], [y], [z])
+        s_zz = oracles.out_cov(z, z, H1)
+        s_zx = oracles.out_cov(z, x, H1)
+        s_xx = oracles.out_cov(x, x, H1)
+        assert _var_given(model, [x])[0] == pytest.approx(s_zz - s_zx**2 / s_xx, rel=1e-10)
         assert pred.mean[0] == pytest.approx(s_zx / s_xx * y, rel=1e-10)
 
     def test_posterior_variance_never_exceeds_prior(self):
         for seed in range(10):
             r = np.random.default_rng(seed)
             h = random_hyperparams(r, n_types=1)
-            model = _one_type_model(h, r.uniform(0, 1, 6), inducing=r.uniform(0, 1, (2, 1)))
-            z = [as_tuple([v], 0) for v in r.uniform(0, 1, 4)]
-            pred = pitc_posterior(model, model.candidate_list(), r.normal(size=6), z)
-            prior = np.diag(cov_matrix(z, z, h))
-            assert np.all(np.diag(pred.cov) <= prior * (1 + 1e-10))
+            model = _one_type_model(h, r.uniform(0, 1, 10), inducing=r.uniform(0, 1, (2, 1)))
+            cands = model.candidate_list()
+            var = _var_given(model, cands[:6])[6:]
+            prior = np.diag(cov_matrix(cands[6:], cands[6:], h))
+            assert np.all(var <= prior * (1 + 1e-10))
 
 
 class TestConditionalEntropy:

@@ -58,6 +58,9 @@ smooth_prec_inv.0 = 0.1
 smooth_prec_inv.1 = 0.1
 """
 
+SYNTHETIC = "[synthetic]\nlayout = grid\nn_locations = 14\nextent = 10\n"
+DATA = "[data]\ndataset = missing.csv\nschema = missing.schema\n"
+
 
 class TestHyperparamsConfig:
     def test_round_trip(self, tmp_path):
@@ -375,6 +378,29 @@ class TestCli:
             "mogpal run: ConfigError: checkpoints must be strictly increasing\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, edit, named", [
+        ("verify", lambda text: "[verify]\ninstances = abc\n",
+         "verify.instances: invalid literal for int()"),
+        ("run", None, "missing.ini: No such file or directory"),
+        ("run", lambda text: text.replace("seed = 3", "seed = x"),
+         "experiment.seed: invalid literal for int()"),
+        ("run", lambda text: text.replace(SYNTHETIC, DATA), "missing.schema: No such file"),
+        ("fit", lambda text: text, "fit needs a [data] section"),
+        ("synth", lambda text: text.replace(SYNTHETIC, DATA), "synth needs a [synthetic]"),
+        ("synth", lambda text: text.replace("n_locations = 14\n", ""), "got None"),
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = d.csv\n"),
+         "[data] needs both dataset and schema"),
+    ])
+    def test_bad_config_is_one_line(self, tmp_path, capsys, command, edit, named):
+        cfg = tmp_path / "missing.ini"
+        if edit is not None:
+            cfg.write_text(edit(CONFIG_TEXT.format(out=tmp_path / "out")))
+        assert cli_main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mogpal {command}: ConfigError: ")
+        assert err.count("\n") == 1 and named in err
+        assert "Traceback" not in err
 
     def test_split_without_target_types_keeps_hyperparams(self, tmp_path):
         # a [split] section that names no target types must not retarget

@@ -1,13 +1,14 @@
-"""Static guards against imported names that a module never uses and
-against library code that only tests reach.
+"""Static guards against imported names that a module never uses, against
+library code that only tests reach and against dataclass fields that no run
+reads.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
 module.  The package ``__init__`` (whose imports are re-exports), names
 listed in a module's ``__all__`` and imports on a line marked
 ``# noqa: F401`` (deliberate re-exports, as in ``conftest.py``) are exempt.
-The reachability scan starts from the package's module-level code and the
-benchmark's code, never from tests.
+The reachability and field scans read the package's code and the
+benchmark's code, never tests.
 """
 
 import ast
@@ -205,3 +206,62 @@ def test_library_code_is_reached_without_tests():
     flagged = unreached(package, callers)
     for name in TEST_ONLY_ALLOWED:
         assert name in flagged or name.rsplit(".", 1)[0] in flagged, f"{name} is reached"
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def unread_fields(package, callers):
+    """Fields of the dataclasses in ``package`` ({module: source}) whose name
+    no code in ``package`` or ``callers`` (sources) reads as an attribute,
+    as ``module.Class.field``.  Names match without their class, as in the
+    reachability scan; writing a field is not reading it."""
+    read = set()
+    for source in [*package.values(), *callers]:
+        read |= {
+            node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    unread = []
+    for module, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                unread += [
+                    f"{module}.{node.name}.{stmt.target.id}" for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+                ]
+    return sorted(unread)
+
+
+def test_field_scanner_flags_only_unread_fields():
+    package = {
+        "a": (
+            "from dataclasses import dataclass, field\n"
+            "@dataclass(frozen=True)\n"
+            "class P:\n"
+            "    read: int\n"
+            "    written: int = 0\n"
+            "    by_caller: list = field(default_factory=list)\n"
+            "class Plain:\n"
+            "    ignored: int = 0\n"
+            "def f(p):\n"
+            "    p.written = 1\n"
+            "    return p.read\n"
+        ),
+        "b": (
+            "import dataclasses\n"
+            "@dataclasses.dataclass\n"
+            "class Q:\n"
+            "    read: int\n"
+            "    unread: int\n"
+        ),
+    }
+    callers = ["def g(p):\n    return p.by_caller\n"]
+    assert unread_fields(package, callers) == ["a.P.written", "b.Q.unread"]
+
+
+def test_dataclass_fields_are_read():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unread_fields(package, [p.read_text() for p in CALLERS]) == []

@@ -59,10 +59,9 @@ def _type_blocks(model, i):
 
 
 class TestSelectInducing:
-    def test_all_points_zero_inertia(self, rng):
+    def test_all_points_are_centers(self, rng):
         pts = rng.uniform(0, 1, size=(5, 2))
         ind = select_inducing(pts, 5, seed=3)
-        assert ind.provenance.inertia == pytest.approx(0.0, abs=1e-24)
         assert sorted(map(tuple, ind.locations.tolist())) == sorted(
             map(tuple, pts.tolist())
         )
@@ -80,7 +79,6 @@ class TestSelectInducing:
         a = select_inducing(pts, 7, seed=42)
         b = select_inducing(pts, 7, seed=42)
         assert np.array_equal(a.locations, b.locations)
-        assert a.provenance == b.provenance
 
     def test_guard(self, rng):
         with pytest.raises(ConfigError):
@@ -361,30 +359,17 @@ class TestPitcPosterior:
                 sparse.mean, oracles.conditional_mean_exact(z, x, y, H1),
                 rtol=1e-8, atol=1e-12,
             )
-            np.testing.assert_allclose(
-                sparse.cov, oracles.conditional_cov_exact(z, x, H1), rtol=1e-8, atol=1e-12
-            )
 
     def test_empty_conditioning(self, rng):
         model, _ = random_instance(3, n_per_type=(4, 4))
         z = model.candidate_list()[:4]
         pred = pitc_posterior(model, [], [], z)
-        expected = oracles.blocked_cov(z, z, model.h, model.inducing.locations)
-        np.testing.assert_allclose(pred.cov, expected, rtol=1e-12)
         np.testing.assert_array_equal(pred.mean, np.zeros(4))
 
-    def test_cov_independent_of_measurements(self, rng):
-        model, _ = random_instance(11, n_per_type=(4, 4))
-        cands = model.candidate_list()
-        x, z = cands[:5], cands[5:7]
-        a = pitc_posterior(model, x, rng.normal(size=5), z)
-        b = pitc_posterior(model, x, rng.normal(size=5), z)
-        assert np.array_equal(a.cov, b.cov)
-
     def test_fast_equals_dense(self, rng):
-        # the Woodbury posterior against the dense oracle, for conditioning
-        # sets of one tuple, fewer and more than 3m tuples (m = 4), and of
-        # a single type or mixed types
+        # the Woodbury posterior mean against the dense oracle, for
+        # conditioning sets of one tuple, fewer and more than 3m tuples
+        # (m = 4), and of a single type or mixed types
         shapes = [((0, 1), 1), ((0, 1), 8), ((0, 1), 35), ((1,), 1), ((0,), 8), ((1,), 15)]
         for seed in range(6):
             r = np.random.default_rng(seed)
@@ -401,10 +386,6 @@ class TestPitcPosterior:
                     pred.mean, oracles.conditional_mean_blocked(z, x, y, h, u),
                     rtol=1e-8, atol=1e-10,
                 )
-                np.testing.assert_allclose(
-                    pred.cov, oracles.conditional_cov_blocked(z, x, h, u),
-                    rtol=1e-8, atol=1e-10,
-                )
 
     def test_matches_blocked_oracle(self, rng):
         model, _ = random_instance(13, n_per_type=(4, 4))
@@ -416,36 +397,9 @@ class TestPitcPosterior:
         h = model.h
         c_xx = oracles.blocked_cov(x, x, h, u)
         c_zx = oracles.blocked_cov(z, x, h, u)
-        c_zz = oracles.blocked_cov(z, z, h, u)
-        np.testing.assert_allclose(
-            pred.cov, c_zz - c_zx @ np.linalg.solve(c_xx, c_zx.T), rtol=1e-9, atol=1e-12
-        )
         np.testing.assert_allclose(
             pred.mean, c_zx @ np.linalg.solve(c_xx, y), rtol=1e-9, atol=1e-12
         )
-
-    def test_variance_floor(self, rng):
-        for seed in range(10):
-            r = np.random.default_rng(seed)
-            model, _ = random_instance(seed + 50, n_per_type=(5, 5))
-            cands = model.candidate_list()
-            pick = r.permutation(len(cands))
-            x = [cands[i] for i in pick[:6]]
-            z = [cands[i] for i in pick[6:]]
-            pred = pitc_posterior(model, x, r.normal(size=6), z)
-            noise = model.h.noise_var[[t.type_index for t in z]]
-            assert np.all(np.diag(pred.cov) >= noise - 1e-10)
-
-    def test_conditioning_monotone(self, rng):
-        model, _ = random_instance(17, n_per_type=(4, 4))
-        cands = model.candidate_list()
-        z = cands[-2:]
-        prev = np.diag(pitc_posterior(model, [], [], z).cov)
-        for k in range(1, 6):
-            x = cands[:k]
-            var = np.diag(pitc_posterior(model, x, np.zeros(k), z).cov)
-            assert np.all(var <= prev + 1e-10)
-            prev = var
 
     def test_observed_tuples_must_be_pool_candidates(self):
         model = _model_1type()

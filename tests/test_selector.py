@@ -105,7 +105,7 @@ class TestIncrementalGainState:
                 state = select_mvar(model, cache, budget)
                 reference = oracles.select_mvar_scratch(model, cache, budget)
         assert state.selected == reference.selected
-        for (_, gain), (_, expected) in zip(state.gain_log, reference.gain_log):
+        for gain, expected in zip(state.gains, reference.gains):
             assert gain == pytest.approx(expected, rel=0, abs=1e-9)
 
     def test_exhausted_target_pool_needs_no_target_sweep(self, monkeypatch):
@@ -124,7 +124,7 @@ class TestIncrementalGainState:
         state = select_greedy(model, cache, 90)
         reference = oracles.select_greedy_scratch(model, cache, 90)
         assert state.selected == reference.selected
-        for (_, gain), (_, expected) in zip(state.gain_log, reference.gain_log):
+        for gain, expected in zip(state.gains, reference.gains):
             assert gain == pytest.approx(expected, rel=0, abs=1e-9)
         assert state.cumulative[-1] == pytest.approx(
             criterion_F(model, cache, state.selected), rel=1e-12
@@ -170,13 +170,13 @@ class TestSelectGreedy:
         sa = select_greedy(*a, 5)
         sb = select_greedy(*b, 5)
         assert sa.selected == sb.selected
-        assert sa.gain_log == sb.gain_log
+        assert sa.gains == sb.gains
 
     def test_gains_nonnegative_above_noise_floor(self):
         for seed in range(6):
             model, cache = random_instance(seed, n_per_type=(4, 4))
             state = select_greedy(model, cache, 6)
-            assert all(g >= -1e-10 for _, g in state.gain_log)
+            assert all(g >= -1e-10 for g in state.gains)
 
     def test_matches_single_output_entropy_when_one_type(self):
         for seed in range(20):
@@ -211,6 +211,28 @@ class TestSelectGreedy:
         state = select_greedy(model, cache, 5)
         assert state.cumulative[-1] == pytest.approx(
             criterion_F(model, cache, state.selected), abs=1e-6
+        )
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "criterion_F takes logdet(K_uu + S) - logdet(K_uu), which cancels "
+        "catastrophically on a near-singular K_uu, and adds the unjittered "
+        "K_uu where the K_uu factor carries a jitter pass"
+    ))
+    @pytest.mark.parametrize("n, m", [(80, 30), (30, 15)])
+    def test_telescoping_on_dense_inducing_grid(self, n, m):
+        # evenly spaced inducing points far denser than the latent
+        # length-scale: cond(K_uu) is 5.4e18 at 80/30 (one jitter pass fires)
+        h = Hyperparams(
+            signal_var=[1.0, 1.0], noise_var=[0.1, 0.1], latent_prec_inv=[5.0],
+            smooth_prec_inv=[[0.1], [0.2]], target_types=(0,),
+        )
+        grid = np.linspace(0.0, 10.0, n)
+        cands = {i: [as_tuple([x], i) for x in grid] for i in range(2)}
+        model = build_model(h, InducingSet(np.linspace(0.0, 10.0, m)[:, None]), cands)
+        cache = build_cache(model)
+        state = select_greedy(model, cache, 12)
+        assert state.cumulative[-1] == pytest.approx(
+            criterion_F(model, cache, state.selected), rel=1e-8
         )
 
 
@@ -268,7 +290,7 @@ class TestSingleOutputBaselines:
         assert all(t.type_index == 0 for t in state.selected)
         # the first increment is a mutual information, hence nonnegative;
         # later increments of this objective can legitimately go negative
-        assert state.gain_log[0][1] >= -1e-10
+        assert state.gains[0] >= -1e-10
 
     def test_smi_first_pick_interior_on_grid(self):
         model, _ = _grid_model(n=9, m=3)
@@ -313,7 +335,7 @@ class TestSingleOutputBaselines:
         reference = oracles.select_single_output_scratch(model, n, kind, refits)
         assert state.selected == reference.selected
         assert len(state.selected) == n
-        for (_, gain), (_, expected) in zip(state.gain_log, reference.gain_log):
+        for gain, expected in zip(state.gains, reference.gains):
             assert gain == pytest.approx(expected, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("select", [select_smi, select_svar])

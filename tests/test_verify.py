@@ -8,13 +8,13 @@ from mogpal import (
     ConfigError,
     DomainError,
     EnumerationGuardError,
+    GainEvaluator,
     Hyperparams,
     IllConditionedError,
     as_tuple,
     build_cache,
     build_model,
     criterion_F,
-    pitc_posterior,
 )
 from mogpal import verify
 from mogpal.pitc import InducingSet, select_inducing
@@ -305,5 +305,5 @@ class TestAuditEpsSubmodularity:
         z = model.candidate_list([1])[0]
         cond = [t for t in cands[:4] if t != z]
         direct = oracles.conditional_cov_blocked([z], cond, model.h, model.inducing.locations)
-        pred = pitc_posterior(model, cond, np.zeros(len(cond)), [z])
-        assert direct[0, 0] == pytest.approx(pred.cov[0, 0], rel=1e-10)
+        var = GainEvaluator(model, cache).set_state(cond).var_given_selected()
+        assert direct[0, 0] == pytest.approx(var[model.tuple_index[z]], rel=1e-10)
