@@ -33,7 +33,7 @@ def _ints(text):
 
 def read_ini(path):
     """Parse an INI file; an unreadable or malformed file is a ConfigError."""
-    parser = configparser.ConfigParser(converters={"ints": _ints})
+    parser = configparser.ConfigParser(converters={"ints": _ints, "floats": _floats})
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -51,23 +51,33 @@ def _getter(path, parser):
     def get(section, key, default=None, kind=""):
         try:
             return getattr(parser, "get" + kind)(section, key, fallback=default)
-        except ValueError as exc:
+        except (ValueError, configparser.Error) as exc:
             raise ConfigError(f"{path}: {section}.{key}: {exc}") from None
     return get
 
 
-def hyperparams_from_section(sec) -> Hyperparams:
-    try:
-        n_types = sec.getint("types")
-        signal = _floats(sec.get("signal_var"))
-        noise = _floats(sec.get("noise_var"))
-        latent = _floats(sec.get("latent_prec_inv"))
-        target = tuple(_ints(sec.get("target_types", "0")))
-        smooth = [_floats(sec.get(f"smooth_prec_inv.{i}")) for i in range(n_types)]
-    except (TypeError, ValueError, configparser.Error) as exc:
-        raise ConfigError(f"bad hyperparameter section: {exc}") from None
+def hyperparams_from_section(path, parser) -> Hyperparams:
+    """Hyperparameters from the ``[hyperparams]`` section of ``parser``, read
+    from ``path``; a missing or unparsable value is a ConfigError naming the
+    file and the ``hyperparams.<key>``."""
+    get = _getter(path, parser)
+
+    def required(key, kind):
+        value = get("hyperparams", key, kind=kind)
+        if value is None:
+            raise ConfigError(f"{path}: hyperparams.{key}: missing")
+        return value
+
+    n_types = required("types", "int")
+    signal = required("signal_var", "floats")
+    noise = required("noise_var", "floats")
+    latent = required("latent_prec_inv", "floats")
+    target = tuple(get("hyperparams", "target_types", [0], "ints"))
+    smooth = [required(f"smooth_prec_inv.{i}", "floats") for i in range(n_types)]
     if len(signal) != n_types or len(noise) != n_types:
-        raise ConfigError("signal_var and noise_var must list one value per type")
+        raise ConfigError(
+            f"{path}: hyperparams: signal_var and noise_var must list one value per type"
+        )
     return Hyperparams(
         signal_var=signal, noise_var=noise, latent_prec_inv=latent,
         smooth_prec_inv=smooth, target_types=target,
@@ -78,7 +88,7 @@ def load_hyperparams(path) -> Hyperparams:
     parser = read_ini(path)
     if "hyperparams" not in parser:
         raise ConfigError(f"{path}: missing [hyperparams] section")
-    return hyperparams_from_section(parser["hyperparams"])
+    return hyperparams_from_section(path, parser)
 
 
 def save_hyperparams(h: Hyperparams, path, extras=None):
@@ -184,7 +194,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     get = _getter(path, parser)
 
     if "hyperparams" in parser:
-        h = hyperparams_from_section(parser["hyperparams"])
+        h = hyperparams_from_section(path, parser)
     elif get("experiment", "hyperparams_file"):
         h = load_hyperparams(get("experiment", "hyperparams_file"))
     else:

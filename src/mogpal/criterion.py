@@ -35,7 +35,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError, IllConditionedError
-from .kernels import LOG_2PI_E, TupleArray
+from .kernels import LOG_2PI_E
 from .linalg import SpdFactor, chol_spd
 from .pitc import PitcModel, find_duplicates, pool_blocks
 
@@ -74,10 +74,7 @@ def build_cache(model: PitcModel) -> CriterionCache:
 # ---------------------------------------------------------------------------
 
 def _as_selection(model, x):
-    tuples = list(x.tuples) if isinstance(x, TupleArray) else [
-        t if hasattr(t, "type_index") else TupleArray.build([t], model.h).tuples[0]
-        for t in x
-    ]
+    tuples = list(x)
     dups = find_duplicates(tuples)
     if dups:
         raise DomainError(f"selection contains duplicate tuples: {dups}")
@@ -313,11 +310,6 @@ class GainEvaluator:
     def var_given_selected(self):
         """Posterior variance of every candidate given the selection."""
         return self._sel.var
-
-    def var_given_augmented(self):
-        """Posterior variance of auxiliary candidates given the selection
-        plus the whole unsampled target pool."""
-        return self._aug.var
 
     def _rescored(self, cols, scores, exact):
         """Scores of ``cols`` spread over the pool (-inf elsewhere), with

@@ -125,9 +125,11 @@ def select_inducing(candidates, m, seed) -> InducingSet:
 class PitcModel:
     """Precomputed sparse model over a fixed candidate pool.
 
-    Candidates are stored sorted by ``(type_index, location)`` so that
-    argmax ties downstream break lexicographically, and each type ``i`` is
-    the contiguous range ``type_slices[i]`` of the pool.  Over the whole pool
+    ``kuu`` is the inducing covariance that ``kuu_factor`` factors, jitter
+    included when the factor needed it.  Candidates are stored sorted by
+    ``(type_index, location)`` so that argmax ties downstream break
+    lexicographically, and each type ``i`` is the contiguous range
+    ``type_slices[i]`` of the pool.  Over the whole pool
     the model keeps the candidate-inducing cross covariance ``W`` (N x m),
     its inducing solve ``G = K_uu^-1 W^T`` (m x N, C-ordered) and the prior
     variances ``prior_var``; per type it keeps the residual block
@@ -180,15 +182,12 @@ class PitcModel:
 def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> PitcModel:
     """Assemble and validate the sparse model over a candidate pool.
 
-    ``candidates_per_type`` maps type index -> list of typed tuples (a list
-    of lists indexed by type works too).  Fails if the inducing covariance
-    is not positive definite after one jitter pass, if any within-type
-    candidate appears twice, or if a target type has no candidates.
+    ``candidates_per_type`` maps type index -> list of typed tuples.  Fails
+    if the inducing covariance is not positive definite after one jitter
+    pass, if any within-type candidate appears twice, or if a target type
+    has no candidates.
     """
-    if isinstance(candidates_per_type, dict):
-        per_type = {int(k): list(v) for k, v in candidates_per_type.items()}
-    else:
-        per_type = {i: list(v) for i, v in enumerate(candidates_per_type)}
+    per_type = {int(k): list(v) for k, v in candidates_per_type.items()}
 
     pool = []
     for i, tuples in sorted(per_type.items()):
@@ -225,6 +224,8 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
         kuu_factor = chol_spd(kuu, "inducing covariance")
     except IllConditionedError as exc:
         raise ModelBuildError(f"inducing covariance is singular: {exc}") from None
+    if kuu_factor.jitter:
+        kuu = kuu + kuu_factor.jitter * np.eye(len(inducing))
 
     W = kernels.latent_cross_matrix(cands, inducing.locations, h)
     prior_var = np.empty(len(cands))

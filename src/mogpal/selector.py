@@ -1,4 +1,4 @@
-"""Budgeted selection algorithms and the candidate-spacing scheme.
+"""Budgeted selection algorithms.
 
 ``select_greedy`` maximizes the augmented objective one tuple at a time over
 all types; the baselines pick by plain posterior entropy over all types
@@ -17,15 +17,14 @@ import numpy as np
 
 from . import kernels
 from .criterion import CriterionCache, GainEvaluator
-from .errors import ConfigError, DomainError, IllConditionedError
-from .kernels import LOG_2PI_E, Hyperparams, TypedLocation
+from .errors import ConfigError, IllConditionedError
+from .kernels import LOG_2PI_E, TypedLocation
 from .linalg import chol_spd
 from .pitc import PitcModel
 
 __all__ = [
-    "SelectionState", "SpacingParams", "select_greedy", "select_mvar",
-    "select_svar", "select_smi", "min_spacing_p",
-    "construct_spaced_candidates", "write_selection_log",
+    "SelectionState", "select_greedy", "select_mvar", "select_svar",
+    "select_smi", "write_selection_log",
 ]
 
 
@@ -264,115 +263,10 @@ def select_smi(model: PitcModel, n: int, single_output_hypers=None) -> Selection
     return _select_single_output(model, n, "s-mi", single_output_hypers)
 
 
-# ---------------------------------------------------------------------------
-# spacing scheme
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpacingParams:
-    """Parameters of the candidate-spacing construction.
-
-    ``omega`` is the smallest discretization width, ``p`` the spacing
-    multiplier (kept tuples are at least ``p * omega`` apart), ``epsilon1``
-    the tolerated variance-reduction bound, ``ell`` the largest first
-    diagonal entry among the pairwise kernel widths, and
-    ``xi = exp(-omega^2 / (2 ell))``.  ``sig2_s_max`` / ``sig2_n_min`` carry
-    the extreme signal and noise variances of the model.
-    """
-
-    omega: float
-    epsilon1: float
-    ell: float
-    sig2_s_max: float
-    sig2_n_min: float
-    p: float = 0.0
-
-    def __post_init__(self):
-        if self.omega <= 0 or self.ell <= 0:
-            raise ConfigError("omega and ell must be positive")
-        if self.epsilon1 < 0:
-            raise ConfigError("epsilon1 must be nonnegative")
-        if not 0 < self.xi < 1:
-            raise ConfigError("xi must lie strictly between 0 and 1")
-
-    @property
-    def xi(self):
-        return math.exp(-self.omega**2 / (2.0 * self.ell))
-
-    @classmethod
-    def from_hyperparams(cls, h: Hyperparams, omega, epsilon1, p=0.0):
-        m = h.n_types
-        ell = max(float(h.pair_width(i, j)[0]) for i in range(m) for j in range(m))
-        return cls(
-            omega=float(omega), epsilon1=float(epsilon1), ell=ell,
-            sig2_s_max=float(np.max(h.signal_var)),
-            sig2_n_min=float(np.min(h.noise_var)),
-            p=float(p),
-        )
-
-
-def min_spacing_p(sp: SpacingParams, n: int) -> float:
-    """Smallest spacing multiplier certifying the variance-reduction bound.
-
-    Solves the strict inequality
-    ``p^2 > log{ (2 sig2_s_max)^-1 min(sig2_n_min/N,
-    0.5 (sqrt(eps1^2 + 4 eps1 sig2_n_min/N) - eps1)) } / log xi``
-    for the smallest ``p`` (a relative margin of 1e-9 is added).  Because
-    ``log xi < 0`` the division flips the inequality direction, which is why
-    the threshold is an upper bound on the log argument.
-    """
-    if sp.epsilon1 <= 0:
-        raise ConfigError("epsilon1 must be strictly positive to size the spacing")
-    if n < 1:
-        raise ConfigError("budget must be at least 1")
-    s2s, s2n = sp.sig2_s_max, sp.sig2_n_min
-    inner = min(
-        s2n / n,
-        0.5 * (math.sqrt(sp.epsilon1**2 + 4.0 * sp.epsilon1 * s2n / n) - sp.epsilon1),
-    )
-    arg = inner / (2.0 * s2s)
-    if arg <= 0:
-        raise DomainError(
-            f"spacing bound undefined: log argument {arg:.3e} "
-            f"(epsilon1={sp.epsilon1}, noise={s2n}, budget={n})"
-        )
-    threshold = math.log(arg) / math.log(sp.xi)
-    if threshold <= 0:
-        return 0.0
-    return math.sqrt(threshold) * (1.0 + 1e-9)
-
-
-def construct_spaced_candidates(v, sp: SpacingParams):
-    """Greedy packing of a candidate pool at minimum distance ``p * omega``.
-
-    Iterates the tuples in their given order and keeps one exactly when its
-    location is at least ``p * omega`` (Euclidean) from every location kept
-    so far; since coincident locations are closer than any positive spacing,
-    each kept location carries exactly one type.
-    """
-    min_dist = sp.p * sp.omega
-    if min_dist <= 0:
-        raise ConfigError(f"spacing p*omega must be positive, got {min_dist}")
-    kept = []
-    kept_coords = np.empty((0, 0))
-    for t in v:
-        coords = np.asarray(t.location, dtype=float)
-        if kept:
-            dist = np.sqrt(np.sum((kept_coords - coords) ** 2, axis=1))
-            if dist.min() < min_dist:
-                continue
-            kept_coords = np.vstack([kept_coords, coords])
-        else:
-            kept_coords = coords[None, :]
-        kept.append(t)
-    return kept
-
-
-def write_selection_log(state: SelectionState, path, dim=None):
+def write_selection_log(state: SelectionState, path, dim):
     """Serialize a selection run to CSV: one row per iteration with the
-    picked tuple, its gain and the running objective value."""
-    if dim is None:
-        dim = len(state.selected[0].location) if state.selected else 0
+    picked tuple (``dim`` coordinates), its gain and the running objective
+    value."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -597,3 +597,22 @@ def prop1_bound(model, candidate, remaining_targets):
         delta = [a - b for a, b in zip(candidate.location, q.location)]
         total += float(rho[q.type_index]) * gd(delta, h.pair_width(i, q.type_index)) ** 2
     return 0.5 * math.log1p(4.0 * float(rho[i]) * total)
+
+
+def min_spacing_p(h, n, epsilon1, omega=1.0):
+    """The paper's smallest spacing multiplier ``p`` certifying the
+    variance-reduction bound ``epsilon1`` for a budget of ``n``.
+
+    Candidates at least ``p * omega`` apart satisfy
+    ``p^2 > log{ (2 sig2_s_max)^-1 min(sig2_n_min/n,
+    0.5 (sqrt(eps1^2 + 4 eps1 sig2_n_min/n) - eps1)) } / log xi``, with
+    ``xi = exp(-omega^2 / (2 ell))`` and ``ell`` the largest first entry of
+    the pairwise kernel widths; returns the smallest such ``p`` plus a
+    relative margin of 1e-9.  Dividing by ``log xi < 0`` flips the
+    inequality, so the threshold is an upper bound on the log argument.
+    """
+    ell = max(float(h.pair_width(i, j)[0]) for i in range(h.n_types) for j in range(h.n_types))
+    s2s, s2n = float(np.max(h.signal_var)), float(np.min(h.noise_var))
+    inner = min(s2n / n, 0.5 * (math.sqrt(epsilon1**2 + 4.0 * epsilon1 * s2n / n) - epsilon1))
+    threshold = math.log(inner / (2.0 * s2s)) / (-omega**2 / (2.0 * ell))
+    return math.sqrt(threshold) * (1.0 + 1e-9) if threshold > 0 else 0.0

@@ -380,7 +380,7 @@ class TestGainEvaluator:
             x_aux = [t for t in x if t.type_index in (1, 3)]
             dense = oracles.conditional_cov_blocked(free_aux, x_aux + targets, h, u)
             np.testing.assert_allclose(
-                ev.var_given_augmented()[[aux_pos[t] for t in free_aux]],
+                ev._aug.var[[aux_pos[t] for t in free_aux]],
                 np.diag(dense), rtol=1e-9, atol=0,
             )
 

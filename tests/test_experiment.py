@@ -391,6 +391,10 @@ class TestCli:
         ("synth", lambda text: text.replace("n_locations = 14\n", ""), "got None"),
         ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = d.csv\n"),
          "[data] needs both dataset and schema"),
+        ("run", lambda text: text.replace("signal_var = 1.0, 0.8", "signal_var = abc, 1"),
+         "missing.ini: hyperparams.signal_var: could not convert string to float: 'abc'"),
+        ("run", lambda text: text.replace("[hyperparams]\ntypes = 2\n", "[hyperparams]\n"),
+         "missing.ini: hyperparams.types: missing"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, capsys, command, edit, named):
         cfg = tmp_path / "missing.ini"
@@ -401,6 +405,21 @@ class TestCli:
         assert err.startswith(f"mogpal {command}: ConfigError: ")
         assert err.count("\n") == 1 and named in err
         assert "Traceback" not in err
+
+    def test_bad_hyperparams_file_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        hfile = tmp_path / "h.ini"
+        save_hyperparams(H2, hfile)
+        hfile.write_text(hfile.read_text().replace("smooth_prec_inv.1", "smooth_prec_inv.9"))
+        text = CONFIG_TEXT.format(out=tmp_path / "out")
+        cfg.write_text(
+            text[:text.index("[hyperparams]")].replace(
+                "[experiment]\n", f"[experiment]\nhyperparams_file = {hfile}\n"
+            )
+        )
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"mogpal run: ConfigError: {hfile}: hyperparams.smooth_prec_inv.1: missing\n"
 
     def test_split_without_target_types_keeps_hyperparams(self, tmp_path):
         # a [split] section that names no target types must not retarget

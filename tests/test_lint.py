@@ -1,6 +1,6 @@
 """Static guards against imported names that a module never uses, against
-library code that only tests reach and against dataclass fields that no run
-reads.
+``__all__`` entries that a module does not define, against library code that
+only tests reach and against dataclass fields that no run reads.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
@@ -27,14 +27,6 @@ CALLERS = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.star
 TEST_ONLY_ALLOWED = (
     # the `mogpal` console script (pyproject.toml)
     "cli.main",
-    # the incremental gain state's variances, read by its identity tests
-    "criterion.GainEvaluator.var_given_augmented",
-    # the paper's candidate-spacing scheme: to be wired into `verify` as the
-    # large-pool certificate, or deleted
-    "selector.SpacingParams",
-    "selector.SpacingParams.from_hyperparams",
-    "selector.construct_spaced_candidates",
-    "selector.min_spacing_p",
 )
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -87,6 +79,44 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def stale_exports(source):
+    """Names that ``__all__`` in ``source`` lists but no top-level
+    statement of ``source`` binds."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, DEFS):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - bound)
+
+
+def test_export_scanner_flags_only_undefined_names():
+    source = (
+        "import numpy as np\n"
+        "from .kernels import as_tuple\n"
+        "LIMIT: int = 3\n"
+        "a, (b, c) = 1, (2, 3)\n"
+        "def f():\n"
+        "    inner = 1\n"
+        "class K:\n"
+        "    attr = 2\n"
+        "__all__ = ['np', 'as_tuple', 'LIMIT', 'a', 'c', 'f', 'K', 'inner', 'attr', 'gone']\n"
+    )
+    assert stale_exports(source) == ["attr", "gone", "inner"]
+    assert stale_exports("def f():\n    pass\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_all_lists_only_defined_names(path):
+    assert stale_exports(path.read_text()) == []
 
 
 def _is_main_guard(node):

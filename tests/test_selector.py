@@ -11,9 +11,6 @@ from mogpal import (
 )
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import (
-    SpacingParams,
-    construct_spaced_candidates,
-    min_spacing_p,
     select_greedy,
     select_mvar,
     select_smi,
@@ -213,15 +210,11 @@ class TestSelectGreedy:
             criterion_F(model, cache, state.selected), abs=1e-6
         )
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "criterion_F takes logdet(K_uu + S) - logdet(K_uu), which cancels "
-        "catastrophically on a near-singular K_uu, and adds the unjittered "
-        "K_uu where the K_uu factor carries a jitter pass"
-    ))
-    @pytest.mark.parametrize("n, m", [(80, 30), (30, 15)])
-    def test_telescoping_on_dense_inducing_grid(self, n, m):
-        # evenly spaced inducing points far denser than the latent
-        # length-scale: cond(K_uu) is 5.4e18 at 80/30 (one jitter pass fires)
+    @staticmethod
+    def _dense_inducing_grid(n, m):
+        """Cumulative gain and ``criterion_F`` of 12 greedy picks with evenly
+        spaced inducing points far denser than the latent length-scale:
+        cond(K_uu) is 5.4e18 at 80/30, where one jitter pass fires."""
         h = Hyperparams(
             signal_var=[1.0, 1.0], noise_var=[0.1, 0.1], latent_prec_inv=[5.0],
             smooth_prec_inv=[[0.1], [0.2]], target_types=(0,),
@@ -231,9 +224,22 @@ class TestSelectGreedy:
         model = build_model(h, InducingSet(np.linspace(0.0, 10.0, m)[:, None]), cands)
         cache = build_cache(model)
         state = select_greedy(model, cache, 12)
-        assert state.cumulative[-1] == pytest.approx(
-            criterion_F(model, cache, state.selected), rel=1e-8
-        )
+        return state.cumulative[-1], criterion_F(model, cache, state.selected)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "criterion_F takes logdet(K_uu + S) - logdet(K_uu), which cancels "
+        "catastrophically on a near-singular K_uu"
+    ))
+    @pytest.mark.parametrize("n, m", [(80, 30), (30, 15)])
+    def test_telescoping_on_dense_inducing_grid(self, n, m):
+        cumulative, objective = self._dense_inducing_grid(n, m)
+        assert cumulative == pytest.approx(objective, rel=1e-8)
+
+    def test_jittered_inducing_covariance_is_used_throughout(self):
+        # the selection factors must add the K_uu that the jittered factor
+        # holds: the raw K_uu puts criterion_F at 22.1 against a gain of 6.83
+        cumulative, objective = self._dense_inducing_grid(80, 30)
+        assert cumulative == pytest.approx(objective, rel=1e-6)
 
 
 class TestSelectMvar:
@@ -355,86 +361,51 @@ class TestSingleOutputBaselines:
                 select(model, 8, so)
 
 
+# one type whose kernel width is 0.5 + 0.25 + 0.25 = 1: ell = 1, xi = exp(-1/2)
+H_SPACING = Hyperparams(
+    signal_var=[1.0], noise_var=[0.1], latent_prec_inv=[0.5], smooth_prec_inv=[[0.25]],
+)
+
+
 class TestSpacing:
+    """The paper's spacing multiplier (``oracles.min_spacing_p``)."""
+
     def test_min_spacing_frozen_value(self):
-        sp = SpacingParams(
-            omega=1.0, epsilon1=0.01, ell=1.0, sig2_s_max=1.0, sig2_n_min=0.1
-        )
-        p = min_spacing_p(sp, 10)
+        p = oracles.min_spacing_p(H_SPACING, 10, epsilon1=0.01)
         assert p == pytest.approx(3.399861524123487, rel=1e-8)
 
     def test_min_spacing_satisfies_inequality_minimally(self):
-        sp = SpacingParams(
-            omega=1.0, epsilon1=0.01, ell=1.0, sig2_s_max=1.0, sig2_n_min=0.1
-        )
-        n = 10
-        p = min_spacing_p(sp, n)
+        n, eps1, s2s, s2n, xi = 10, 0.01, 1.0, 0.1, math.exp(-0.5)
+        p = oracles.min_spacing_p(H_SPACING, n, epsilon1=eps1)
 
         def holds(pp):
-            inner = min(
-                sp.sig2_n_min / n,
-                0.5 * (math.sqrt(sp.epsilon1**2 + 4 * sp.epsilon1 * sp.sig2_n_min / n)
-                       - sp.epsilon1),
-            )
-            return pp * pp > math.log(inner / (2 * sp.sig2_s_max)) / math.log(sp.xi)
+            inner = min(s2n / n, 0.5 * (math.sqrt(eps1**2 + 4 * eps1 * s2n / n) - eps1))
+            return pp * pp > math.log(inner / (2 * s2s)) / math.log(xi)
 
         assert holds(p)
         assert not holds(p * (1 - 1e-6))
 
     def test_monotone_in_epsilon1(self):
-        base = dict(omega=1.0, ell=1.0, sig2_s_max=1.0, sig2_n_min=0.1)
-        ps = [
-            min_spacing_p(SpacingParams(epsilon1=e, **base), 10)
-            for e in (0.001, 0.01, 0.1, 1.0)
-        ]
+        ps = [oracles.min_spacing_p(H_SPACING, 10, epsilon1=e) for e in (0.001, 0.01, 0.1, 1.0)]
         assert all(a >= b for a, b in zip(ps, ps[1:]))
 
     def test_monotone_in_budget(self):
-        base = dict(omega=1.0, ell=1.0, sig2_s_max=1.0, sig2_n_min=0.1)
-        sp = SpacingParams(epsilon1=0.01, **base)
-        ps = [min_spacing_p(sp, n) for n in (1, 5, 10, 50)]
+        ps = [oracles.min_spacing_p(H_SPACING, n, epsilon1=0.01) for n in (1, 5, 10, 50)]
         assert all(a <= b for a, b in zip(ps, ps[1:]))
 
-    def test_from_hyperparams_largest_width(self):
+    def test_largest_width_and_extreme_variances(self):
+        # two types reduce to one with the widest kernel (0.1 + 0.2 + 0.2),
+        # the largest signal and the smallest noise variance
         h = Hyperparams(
             signal_var=[1.0, 2.0], noise_var=[0.2, 0.3],
             latent_prec_inv=[0.1], smooth_prec_inv=[[0.2], [0.05]],
         )
-        sp = SpacingParams.from_hyperparams(h, omega=1.0, epsilon1=0.05)
-        assert sp.ell == pytest.approx(0.1 + 0.2 + 0.2)
-        assert sp.sig2_s_max == 2.0
-        assert sp.sig2_n_min == pytest.approx(0.2)
-
-    def test_packing_keeps_every_second_grid_point(self):
-        tuples = [as_tuple([float(k)], 0) for k in range(10)]
-        sp = SpacingParams(
-            omega=1.0, epsilon1=0.01, ell=1.0, sig2_s_max=1.0, sig2_n_min=0.1, p=2.0
+        one = Hyperparams(
+            signal_var=[2.0], noise_var=[0.2], latent_prec_inv=[0.1], smooth_prec_inv=[[0.2]],
         )
-        kept = construct_spaced_candidates(tuples, sp)
-        assert [t.location[0] for t in kept] == [0.0, 2.0, 4.0, 6.0, 8.0]
-
-    def test_packing_huge_spacing_keeps_one(self):
-        tuples = [as_tuple([float(k)], 0) for k in range(10)]
-        sp = SpacingParams(
-            omega=1.0, epsilon1=0.01, ell=1.0, sig2_s_max=1.0, sig2_n_min=0.1, p=100.0
+        assert oracles.min_spacing_p(h, 5, epsilon1=0.05) == oracles.min_spacing_p(
+            one, 5, epsilon1=0.05
         )
-        assert len(construct_spaced_candidates(tuples, sp)) == 1
-
-    def test_packing_tiny_spacing_one_type_per_location(self):
-        tuples = [as_tuple([float(k)], i) for k in range(4) for i in (0, 1)]
-        sp = SpacingParams(
-            omega=1.0, epsilon1=0.01, ell=1.0, sig2_s_max=1.0, sig2_n_min=0.1, p=1e-9
-        )
-        kept = construct_spaced_candidates(tuples, sp)
-        assert len(kept) == 4
-        assert len({t.location for t in kept}) == 4
-
-    def test_packing_requires_positive_spacing(self):
-        sp = SpacingParams(
-            omega=1.0, epsilon1=0.01, ell=1.0, sig2_s_max=1.0, sig2_n_min=0.1, p=0.0
-        )
-        with pytest.raises(ConfigError):
-            construct_spaced_candidates([as_tuple([0.0], 0)], sp)
 
 
 class TestProp1Bound:
@@ -462,7 +433,7 @@ class TestSelectionLog:
         model, cache = random_instance(51, n_per_type=(3, 3))
         state = select_greedy(model, cache, 4)
         path = tmp_path / "log.csv"
-        write_selection_log(state, path)
+        write_selection_log(state, path, dim=1)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,type_index,x0,gain,cumulative_objective"
         assert len(lines) == 5

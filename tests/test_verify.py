@@ -18,7 +18,7 @@ from mogpal import (
 )
 from mogpal import verify
 from mogpal.pitc import InducingSet, select_inducing
-from mogpal.selector import SpacingParams, construct_spaced_candidates, min_spacing_p, select_greedy
+from mogpal.selector import select_greedy
 from mogpal.verify import (
     brute_force_optimum,
     check_guarantee,
@@ -216,14 +216,11 @@ class TestEstimateEpsilon1:
         )
         eps1 = 0.05
         n_budget = 4
-        sp = SpacingParams.from_hyperparams(h, omega=1.0, epsilon1=eps1)
-        p = min_spacing_p(sp, n_budget)
-        sp = SpacingParams(
-            omega=sp.omega, epsilon1=eps1, ell=sp.ell,
-            sig2_s_max=sp.sig2_s_max, sig2_n_min=sp.sig2_n_min, p=p,
-        )
+        p = oracles.min_spacing_p(h, n_budget, epsilon1=eps1)
+        # greedy packing of a sorted integer grid at spacing p keeps every
+        # ceil(p)-th point
         pool = [as_tuple([float(k)], k % 2) for k in range(40)]
-        kept = construct_spaced_candidates(pool, sp)
+        kept = pool[::math.ceil(p)]
         assert len(kept) >= 2 * n_budget
         by_type = {}
         for t in kept:
