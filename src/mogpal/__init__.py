@@ -29,7 +29,6 @@ from .pitc import (
 )
 from .criterion import (
     CriterionCache,
-    GainEvaluator,
     build_cache,
     criterion_F,
 )

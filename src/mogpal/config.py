@@ -58,8 +58,10 @@ def _getter(path, parser):
 
 def hyperparams_from_section(path, parser) -> Hyperparams:
     """Hyperparameters from the ``[hyperparams]`` section of ``parser``, read
-    from ``path``; a missing or unparsable value is a ConfigError naming the
-    file and the ``hyperparams.<key>``."""
+    from ``path``; a missing or unparsable value, or a ``dim`` other than the
+    number of ``latent_prec_inv`` entries, is a ConfigError naming the file
+    and the ``hyperparams.<key>``, and values that ``Hyperparams`` rejects
+    are one naming the file and the section."""
     get = _getter(path, parser)
 
     def required(key, kind):
@@ -72,16 +74,20 @@ def hyperparams_from_section(path, parser) -> Hyperparams:
     signal = required("signal_var", "floats")
     noise = required("noise_var", "floats")
     latent = required("latent_prec_inv", "floats")
+    dim = get("hyperparams", "dim", len(latent), "int")
+    if dim != len(latent):
+        raise ConfigError(f"{path}: hyperparams.dim: {dim}, but latent_prec_inv has {len(latent)}")
     target = tuple(get("hyperparams", "target_types", [0], "ints"))
     smooth = [required(f"smooth_prec_inv.{i}", "floats") for i in range(n_types)]
     if len(signal) != n_types or len(noise) != n_types:
         raise ConfigError(
             f"{path}: hyperparams: signal_var and noise_var must list one value per type"
         )
-    return Hyperparams(
-        signal_var=signal, noise_var=noise, latent_prec_inv=latent,
-        smooth_prec_inv=smooth, target_types=target,
-    )
+    try:
+        return Hyperparams(signal_var=signal, noise_var=noise, latent_prec_inv=latent,
+                           smooth_prec_inv=smooth, target_types=target)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: hyperparams: {exc}") from None
 
 
 def load_hyperparams(path) -> Hyperparams:

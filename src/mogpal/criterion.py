@@ -27,6 +27,8 @@ kept, O(|X| N) numbers.
 Conditioning on a selection lives here and in ``pitc.pool_blocks``, whose
 one factor of ``K_uu + S`` serves ``criterion_F``, the near-tie rescoring and
 the posterior mean; ``verify`` reads variances from :class:`GainEvaluator`.
+``criterion_F`` takes tuples and looks up their pool positions once;
+:class:`GainEvaluator` takes pool positions.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +39,7 @@ from . import kernels
 from .errors import DomainError, IllConditionedError
 from .kernels import LOG_2PI_E
 from .linalg import SpdFactor, chol_spd
-from .pitc import PitcModel, find_duplicates, pool_blocks
+from .pitc import PitcModel, pool_blocks
 
 __all__ = ["CriterionCache", "build_cache", "criterion_F", "GainEvaluator"]
 
@@ -69,24 +71,12 @@ def build_cache(model: PitcModel) -> CriterionCache:
     )
 
 
-# ---------------------------------------------------------------------------
-# set partitioning helpers
-# ---------------------------------------------------------------------------
-
-def _as_selection(model, x):
-    tuples = list(x)
-    dups = find_duplicates(tuples)
-    if dups:
-        raise DomainError(f"selection contains duplicate tuples: {dups}")
-    model.require_candidates(tuples)
-    return tuples
-
-
-def _selection_factors(model, tuples):
-    """The selection's blocks (``blocks.selection`` factors ``K_uu + S``) and
-    the factor of ``K_uu + T + S_aux``: ``S`` is the selection's inducing
-    information, ``S_aux`` that of its auxiliary types, ``T`` the target summary."""
-    blocks = pool_blocks(model, tuples)
+def _selection_factors(model, cols):
+    """The blocks of the selection at pool positions ``cols``
+    (``blocks.selection`` factors ``K_uu + S``) and the factor of
+    ``K_uu + T + S_aux``: ``S`` is the selection's inducing information,
+    ``S_aux`` that of its auxiliary types, ``T`` the target summary."""
+    blocks = pool_blocks(model, cols)
     ma = chol_spd(
         model.kuu + model.target_summary + blocks.info_sum(types=set(model.h.aux_types)),
         "augmented selection information",
@@ -110,7 +100,7 @@ def criterion_F(model: PitcModel, cache: CriterionCache, x):
     the cached blocks and target summary, so the cost does not grow with
     the target pool.
     """
-    blocks, ma = _selection_factors(model, _as_selection(model, x))
+    blocks, ma = _selection_factors(model, model.positions(x))
     n_t, ld_t = blocks.target_logdet(set(model.target_types))
     h_target = 0.5 * (n_t * LOG_2PI_E + ld_t)
     return h_target - 0.5 * (ma.logdet - blocks.selection.logdet) + cache.f_constant
@@ -172,7 +162,7 @@ class _ConditionedVariances:
 
 class GainEvaluator:
     """Objective gains and entropies of the whole pool, kept up to date one
-    pick at a time.
+    pick at a time.  Picks are pool positions.
 
     The state is the variance of every candidate given the selection and,
     for auxiliary candidates, given the selection plus the whole target pool.
@@ -209,31 +199,31 @@ class GainEvaluator:
             self._aug_basis = cache.aug_factor.solve(w_aux.T)
             self._aug_prior += np.einsum("cm,mc->c", w_aux, self._aug_basis)
 
-    def set_state(self, selected):
-        """Reset to the empty selection and ``add`` each of ``selected``."""
-        tuples = _as_selection(self.model, selected)
+    def set_state(self, cols):
+        """Reset to the empty selection and ``add`` each position of ``cols``."""
         self.selected = []
         self._free = np.ones(len(self.model.candidates), dtype=bool)
         self._sel = _ConditionedVariances(self.model.prior_var.copy())
         self._prior_rows = {}
         self._aug = _ConditionedVariances(self._aug_prior.copy())
         self._factored = None
-        for t in tuples:
-            self.add(t)
+        for j in cols:
+            self.add(j)
         return self
 
-    def add(self, candidate):
-        """Condition the state on one more selected candidate, in
+    def add(self, j):
+        """Condition the state on the candidate at pool position ``j``, in
         O(N (m + |X|)): its sparse-model covariance row against the pool
         (through the inducing points, plus the residual row within its
         type), whitened against the earlier picks."""
         model = self.model
-        model.require_candidates([candidate])
-        j = model.tuple_index[candidate]
+        if not 0 <= j < len(model.candidates):
+            raise DomainError(f"pool position {j} is outside [0, {len(model.candidates)})")
         if not self._free[j]:
-            raise DomainError(f"candidate {candidate} is already selected")
-        rows = model.type_slices[candidate.type_index]
-        r_row = model.R[candidate.type_index][j - rows.start]
+            raise DomainError(f"pool position {j} is already selected")
+        i = int(model.candidates.types[j])
+        rows = model.type_slices[i]
+        r_row = model.R[i][j - rows.start]
         cov_row = model.W[j] @ model.G
         cov_row[rows] += r_row
         self._sel.condition(cov_row, j, "variance of the pick given the selection")
@@ -244,41 +234,34 @@ class GainEvaluator:
                 aug_row, self._aux_pos[j], "augmented variance of the pick"
             )
         self._free[j] = False
-        self.selected.append(candidate)
+        self.selected.append(int(j))
         self._factored = None
         return self
 
     # -- exact sweeps over a factorization of the selection -----------------
-    def _prior_block(self, i, li, lj):
-        """Exact prior covariance ``C[i][li, lj]`` between the type-``i``
-        picks (local rows ``li``, in selection order) and local columns
+    def _prior_block(self, i, picks, lj):
+        """Exact prior covariance between the type-``i`` picks at pool
+        positions ``picks`` (in selection order) and the type's local columns
         ``lj``.  The picks' full prior rows are computed from the kernel the
         first time a sweep needs them, one batch per sweep, and kept."""
         batches = self._prior_rows.setdefault(i, [])
         done = sum(batch.shape[0] for batch in batches)
-        if done < li.size:
-            own = self._type_tuples[i]
-            batches.append(kernels.cov_matrix(own.take(li[done:]), own, self.model.h))
+        if done < picks.size:
+            new = self.model.candidates.take(picks[done:])
+            batches.append(kernels.cov_matrix(new, self._type_tuples[i], self.model.h))
         return np.vstack([batch[:, lj] for batch in batches])
 
     def _factor(self):
         if self._factored is None:
-            model = self.model
-            blocks, ma = _selection_factors(model, self.selected)
-            # the picks' rows within their type's blocks, in selection order
-            glob = np.array([model.tuple_index[t] for t in self.selected])
-            local = {
-                i: glob[pos] - model.type_slices[i].start
-                for i, pos in blocks.rows.items()
-            }
-            self._factored = (blocks, local, ma)
+            self._factored = _selection_factors(self.model, np.array(self.selected, dtype=int))
         return self._factored
 
     def _sweep(self, cols, target_blocks):
         """Posterior variances of candidates ``cols`` given the selection,
         plus the full target pool when ``target_blocks`` is set."""
         model = self.model
-        blocks, local, ma = self._factor()
+        blocks, ma = self._factor()
+        picks = np.array(self.selected, dtype=int)
         m_factor = ma if target_blocks else blocks.selection
         g = model.G[:, cols]
         e1 = np.zeros(cols.size)
@@ -291,7 +274,7 @@ class GainEvaluator:
         col_pos_by_type = {}
         for i in np.unique(model.candidates.types[cols]):
             col_pos_by_type[int(i)] = np.flatnonzero(model.candidates.types[cols] == i)
-        for i, li in local.items():
+        for i, rows in blocks.rows.items():
             if i in skip:
                 continue
             w_sub = blocks.w[i]
@@ -299,7 +282,7 @@ class GainEvaluator:
             pos = col_pos_by_type.get(i)
             if pos is not None and pos.size:
                 lj = cols[pos] - model.type_slices[i].start
-                b[:, pos] = self._prior_block(i, li, lj)
+                b[:, pos] = self._prior_block(i, picks[rows], lj)
             u = blocks.factor[i].solve(b)
             e1 += np.einsum("rc,rc->c", b, u)
             hmat += w_sub.T @ u

@@ -170,9 +170,7 @@ class TupleArray:
 
     @classmethod
     def build(cls, tuples, h: Hyperparams = None):
-        tuples = tuple(
-            t if isinstance(t, TypedLocation) else as_tuple(*t) for t in tuples
-        )
+        tuples = tuple(tuples)
         n = len(tuples)
         if h is not None:
             for t in tuples:

@@ -11,9 +11,14 @@ This module owns that block algebra, once: ``fill_residual`` computes the
 per-type residual ``C - W K_uu^-1 W^T``; ``sparse_cov`` assembles the joint
 covariance of arbitrary tuples, which the posterior mean needs between
 queries and observations; and ``pool_blocks`` slices the cached blocks of
-any set of pool tuples into a ``BlockFactors``, which factors each residual
-block and, once, the set's ``K_uu + S`` (``S`` its inducing information),
-for the posterior and the selection criterion alike.
+any set of pool positions into a ``BlockFactors``, which factors each
+residual block and, once, the set's ``K_uu + S`` (``S`` its inducing
+information), for the posterior and the selection criterion alike.
+
+Inside the library a selection is a list of pool positions.  Public calls
+take ``(location, type)`` tuples, and ``PitcModel.positions`` is the one
+place that turns them into positions and rejects a tuple missing from the
+pool or repeated.
 
 Memory: the pool layout lives in ``PitcModel`` alone.  ``W`` (N x m) and
 ``G`` (m x N) span the whole pool, where each type is a contiguous range.
@@ -141,7 +146,7 @@ class PitcModel:
     :func:`build_model` with each ``R[t]`` factored in its own buffer and
     refilled before the model is returned.  ``target_cols`` and
     ``aux_cols`` are the pool positions of the target and auxiliary
-    candidates.
+    candidates; :meth:`positions` looks up the positions of any tuples.
     """
 
     h: Hyperparams
@@ -167,16 +172,17 @@ class PitcModel:
     def target_types(self):
         return self.h.target_types
 
-    def candidate_list(self, types=None):
-        if types is None:
-            return list(self.candidates.tuples)
-        types = set(types)
-        return [t for t in self.candidates.tuples if t.type_index in types]
-
-    def require_candidates(self, tuples):
+    def positions(self, tuples):
+        """Pool positions of ``tuples``, in their order.  A tuple repeated or
+        missing from the pool is a DomainError naming it."""
+        tuples = list(tuples)
+        dups = find_duplicates(tuples)
+        if dups:
+            raise DomainError(f"duplicate tuples: {dups}")
         missing = [t for t in tuples if t not in self.tuple_index]
         if missing:
             raise DomainError(f"tuples not in the candidate pool: {missing}")
+        return np.array([self.tuple_index[t] for t in tuples], dtype=int)
 
 
 def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> PitcModel:
@@ -359,22 +365,20 @@ class BlockFactors:
         return out
 
 
-def pool_blocks(model: PitcModel, tuples):
-    """Block factors of pool tuples, sliced from the model's cached W and R,
-    with the one factorization of their ``K_uu + S``.
+def pool_blocks(model: PitcModel, cols):
+    """Block factors of the pool positions ``cols``, sliced from the model's
+    cached W and R, with the one factorization of their ``K_uu + S``.
 
-    ``rows`` index ``tuples``.  Types are visited in order of first
+    ``rows`` index ``cols``.  Types are visited in order of first
     appearance and rows in the order given, which fixes the summation order
     of every derived quantity.
     """
-    by_type = {}
-    for pos, t in enumerate(tuples):
-        by_type.setdefault(t.type_index, []).append(pos)
+    types = model.candidates.types[cols]
     blocks = {}
-    for i, pos in by_type.items():
-        glob = np.array([model.tuple_index[tuples[k]] for k in pos])
-        li = glob - model.type_slices[i].start
-        blocks[i] = (np.asarray(pos), model.W[glob], model.R[i][np.ix_(li, li)])
+    for i in dict.fromkeys(types.tolist()):
+        rows = np.flatnonzero(types == i)
+        li = cols[rows] - model.type_slices[i].start
+        blocks[i] = (rows, model.W[cols[rows]], model.R[i][np.ix_(li, li)])
     return BlockFactors(blocks, model.kuu)
 
 
@@ -399,25 +403,15 @@ def find_duplicates(tuples):
     return dups
 
 
-def check_conditioning_set(x):
-    """Reject a conditioning set that observes one tuple twice."""
-    dups = find_duplicates(x.tuples)
-    if dups:
-        raise IllConditionedError(
-            "observation covariance is singular: duplicate tuples "
-            + ", ".join(repr(d) for d in dups)
-        )
-
-
 def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
     """Sparse posterior mean of the measurements at ``z`` given observations
     at ``x``.
 
-    The observed tuples must be candidates of the model's pool, whose cached
-    blocks are sliced for them.  The observations are solved against their
-    covariance through its per-type residual blocks plus the inducing low
-    rank (Woodbury), at cost ``O(|x| (m^2 + (|x|/M)^2))``; the mean then
-    takes one ``|z| x |x|`` cross covariance.
+    The observed tuples must be distinct candidates of the model's pool,
+    whose cached blocks are sliced for them.  The observations are solved
+    against their covariance through its per-type residual blocks plus the
+    inducing low rank (Woodbury), at cost ``O(|x| (m^2 + (|x|/M)^2))``; the
+    mean then takes one ``|z| x |x|`` cross covariance.
     """
     h = model.h
     tx = x if isinstance(x, TupleArray) else TupleArray.build(x, h)
@@ -430,8 +424,6 @@ def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
 
     if len(tx) == 0:
         return GaussianPrediction(mean=np.zeros(len(tz)))
-    check_conditioning_set(tx)
-    model.require_candidates(tx.tuples)
     # an (n, 1) right-hand side, not a 1-D one: gemv would round differently
-    sol_y = pool_blocks(model, tx.tuples).inv_apply(y_x[:, None])[:, 0]
+    sol_y = pool_blocks(model, model.positions(tx.tuples)).inv_apply(y_x[:, None])[:, 0]
     return GaussianPrediction(mean=sparse_cov(model, tz, tx) @ sol_y)

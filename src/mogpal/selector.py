@@ -3,8 +3,10 @@
 ``select_greedy`` maximizes the augmented objective one tuple at a time over
 all types; the baselines pick by plain posterior entropy over all types
 (``select_mvar``) or restrict themselves to the target pool under a
-single-output model (``select_svar``, ``select_smi``).  All argmax ties
-break lexicographically on ``(type_index, coordinates)`` so a fixed
+single-output model (``select_svar``, ``select_smi``).  Every algorithm
+scores the model's whole pool (the baselines give -inf outside the target
+types) and picks by pool position, so all argmax ties break
+lexicographically on ``(type_index, coordinates)`` and a fixed
 configuration reproduces the same sequence everywhere.
 """
 
@@ -57,20 +59,24 @@ def _check_budget(n, available, what="candidate pool"):
         raise ConfigError("budget must be nonnegative")
 
 
-def _greedy_loop(n, tuples, score_iteration):
-    """Pick ``n`` of ``tuples`` one at a time.
+def _greedy_loop(model, n, score_iteration):
+    """Pick ``n`` of the model's candidates one at a time.
 
-    ``score_iteration(state)`` returns the scores to maximize and the gains
-    to record, usually the same array; selected tuples score ``-inf``.
+    ``score_iteration(last)`` is handed the pool position of the previous
+    pick (``None`` at the first) and returns the pool's scores to maximize
+    and gains to record, usually the same array; selected candidates score
+    ``-inf``.
     """
     state = SelectionState()
+    best = None
     for _ in range(n):
         started = time.perf_counter()
-        scores, gains = score_iteration(state)
+        scores, gains = score_iteration(best)
         best = int(np.argmax(scores))
         if scores[best] == -np.inf:
             raise ConfigError("no selectable candidate left")
-        state.record(tuples[best], float(gains[best]), time.perf_counter() - started)
+        state.record(model.candidates.tuples[best], float(gains[best]),
+                     time.perf_counter() - started)
     return state
 
 
@@ -91,16 +97,16 @@ def select_greedy(model: PitcModel, cache: CriterionCache, n: int) -> SelectionS
     _check_budget(n, len(model.candidates))
     evaluator = GainEvaluator(model, cache).set_state([])
 
-    def score(state):
-        if state.selected:
-            evaluator.add(state.selected[-1])
+    def score(last):
+        if last is not None:
+            evaluator.add(last)
         gains = evaluator.gains()
         finite = gains[np.isfinite(gains)]
         if finite.size and finite.max() <= 1e-9:
             return evaluator.entropies_given_selected(), gains
         return gains, gains
 
-    return _greedy_loop(n, model.candidates.tuples, score)
+    return _greedy_loop(model, n, score)
 
 
 def select_mvar(model: PitcModel, cache: CriterionCache, n: int) -> SelectionState:
@@ -113,19 +119,20 @@ def select_mvar(model: PitcModel, cache: CriterionCache, n: int) -> SelectionSta
     _check_budget(n, len(model.candidates))
     evaluator = GainEvaluator(model, cache).set_state([])
 
-    def score(state):
-        if state.selected:
-            evaluator.add(state.selected[-1])
+    def score(last):
+        if last is not None:
+            evaluator.add(last)
         entropies = evaluator.entropies_given_selected()
         return entropies, entropies
 
-    return _greedy_loop(n, model.candidates.tuples, score)
+    return _greedy_loop(model, n, score)
 
 
 class _SingleOutputPools:
     """Per-target-type exact single-output GP pools for s-Var and s-MI.
 
-    Each pool tracks its free and selected rows as integer index arrays.
+    Target type ``t`` is the pool range ``slices[t]``, whose free and
+    selected rows are tracked as integer index arrays local to it.
     With ``track_inverse`` (s-MI) every pool's prior is factored once with
     ``chol_spd`` and inverted, O(|V_t|^3) per target type; each pick then
     downdates that inverse in O(|V_t|^2), so ``1 / P[j, j]`` stays the
@@ -135,36 +142,33 @@ class _SingleOutputPools:
     """
 
     def __init__(self, model, single_output_hypers=None, track_inverse=False):
-        self.types = sorted(model.target_types)
-        pools = {t: model.candidate_list([t]) for t in self.types}
+        self.slices = {t: model.type_slices[t] for t in sorted(model.target_types)}
+        self.pool_types = model.candidates.types
         self.prior = {}
         self.free = {}
         self.selected = {}
         self.inverse = {}
         self.downdate = {}
-        for t, tuples in pools.items():
-            remapped = [TypedLocation(p.location, 0) for p in tuples]
+        for t, s in self.slices.items():
+            remapped = [TypedLocation(p.location, 0) for p in model.candidates.tuples[s]]
             h_t = None if single_output_hypers is None else single_output_hypers.get(t)
             h_t = h_t if h_t is not None else model.h.single_output(t)
             if h_t.n_types != 1:
                 raise ConfigError("single-output pools need one-type hyperparameters")
             self.prior[t] = kernels.cov_matrix(remapped, remapped, h_t)
-            self.free[t] = np.arange(len(tuples))
+            self.free[t] = np.arange(len(remapped))
             self.selected[t] = np.empty(0, dtype=int)
             if track_inverse:
                 factor = chol_spd(self.prior[t], "single-output pool prior")
-                self.inverse[t] = factor.solve(np.eye(len(tuples)))
+                self.inverse[t] = factor.solve(np.eye(len(remapped)))
                 self.downdate[t] = np.empty_like(self.inverse[t])
-        # flattened candidate list in model (lexicographic) order
-        self.flat_tuples = [p for t in self.types for p in pools[t]]
-        self.local = {p: (t, k) for t in self.types for k, p in enumerate(pools[t])}
-        sizes = np.cumsum([0] + [len(pools[t]) for t in self.types])
-        self.offset = dict(zip(self.types, sizes[:-1].tolist()))
 
-    def pick(self, candidate):
-        """Move a candidate from its pool's free rows to the selected ones,
-        downdating the pool's inverse (Schur complement on the pivot)."""
-        t, k = self.local[candidate]
+    def pick(self, j):
+        """Move the candidate at pool position ``j`` from its pool's free rows
+        to the selected ones, downdating the pool's inverse (Schur
+        complement on the pivot)."""
+        t = int(self.pool_types[j])
+        k = j - self.slices[t].start
         self.free[t] = self.free[t][self.free[t] != k]
         self.selected[t] = np.sort(np.append(self.selected[t], k))
         if t in self.inverse:
@@ -222,18 +226,17 @@ def _log(values, what):
 
 def _select_single_output(model, n, kind, single_output_hypers=None):
     pools = _SingleOutputPools(model, single_output_hypers, track_inverse=kind == "s-mi")
-    total = len(pools.flat_tuples)
-    _check_budget(n, total, what="target candidate pool")
+    _check_budget(n, len(model.target_cols), what="target candidate pool")
 
-    def score(state):
-        if state.selected:
-            pools.pick(state.selected[-1])
-        scores = np.full(total, -np.inf)
-        for t in pools.types:
-            scores[pools.offset[t] + pools.free[t]] = pools.free_scores(t, kind)
+    def score(last):
+        if last is not None:
+            pools.pick(last)
+        scores = np.full(len(model.candidates), -np.inf)
+        for t, s in pools.slices.items():
+            scores[s.start + pools.free[t]] = pools.free_scores(t, kind)
         return scores, scores
 
-    return _greedy_loop(n, pools.flat_tuples, score)
+    return _greedy_loop(model, n, score)
 
 
 def select_svar(model: PitcModel, n: int, single_output_hypers=None) -> SelectionState:

@@ -7,11 +7,12 @@ instances: the exhaustive optimum and the worst conditional variance
 reduction (the relaxation parameter), from the gain evaluator's variances
 given a selection.
 
-The exhaustive optimum walks the size-n subsets as a prefix tree: one
-gain sweep per prefix scores every one-step extension, so a subset's value
-is its prefix's value plus one gain.  Only subsets whose telescoped value
-lies within ``criterion.TIE_ATOL`` of the best are rescored from scratch,
-which keeps the winner and its value those of a full enumeration.
+The exhaustive optimum walks the size-n subsets of pool positions as a
+prefix tree: one gain sweep per prefix scores every one-step extension, so
+a subset's value is its prefix's value plus one gain.  Only subsets whose
+telescoped value lies within ``criterion.TIE_ATOL`` of the best are
+rescored from scratch, which keeps the winner and its value those of a full
+enumeration.
 """
 
 import itertools
@@ -20,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import (
-    TIE_ATOL, CriterionCache, GainEvaluator, _as_selection, build_cache, criterion_F,
-)
+from .criterion import TIE_ATOL, CriterionCache, GainEvaluator, build_cache, criterion_F
 from .errors import EnumerationGuardError, IllConditionedError
 from .kernels import Hyperparams, as_tuple
 from .pitc import PitcModel, build_model, select_inducing
@@ -107,7 +106,7 @@ def brute_force_optimum(model: PitcModel, cache: CriterionCache, n: int):
         grown = {}
         for prefix, value in prefixes.items():
             first = prefix[-1] + 1 if prefix else 0
-            gains = evaluator.set_state([cands[i] for i in prefix]).gains()
+            gains = evaluator.set_state(prefix).gains()
             if k == n - 1:
                 leaves.append((prefix, first, value + gains[first:stop]))
             else:
@@ -137,11 +136,11 @@ def estimate_epsilon1(model: PitcModel, cache: CriterionCache, x, samples=None, 
     Subsets are enumerated exhaustively up to ``|x| <= 12``; beyond that a
     ``samples`` count must be given, and the result is only a lower bound.
     Each subset is one :class:`GainEvaluator` state, conditioned on the
-    unsampled target pool and then on the subset.
+    unsampled target pool and then on the subset, all as pool positions.
     """
-    x = _as_selection(model, x)
+    x = model.positions(x)
     picked = np.zeros(len(model.candidates), dtype=bool)
-    picked[[model.tuple_index[t] for t in x]] = True
+    picked[x] = True
     aux = model.aux_cols[~picked[model.aux_cols]]
     if not aux.size:
         return 0.0
@@ -152,20 +151,19 @@ def estimate_epsilon1(model: PitcModel, cache: CriterionCache, x, samples=None, 
             "pass a sample count for a (lower-bound) estimate"
         )
     if samples is None:
-        subsets = [list(c) for k in range(len(x) + 1)
-                   for c in itertools.combinations(x, k)]
+        subsets = [c for k in range(len(x) + 1) for c in itertools.combinations(x, k)]
     else:
         rng = np.random.default_rng(seed)
         subsets = [[]]
         for _ in range(samples):
             mask = rng.integers(0, 2, size=len(x)).astype(bool)
-            subsets.append([t for t, keep in zip(x, mask) if keep])
+            subsets.append(x[mask])
 
-    fixed = [model.candidates.tuples[j] for j in model.target_cols if not picked[j]]
+    fixed = model.target_cols[~picked[model.target_cols]]
     evaluator = GainEvaluator(model, cache)
 
     def var(subset):
-        return evaluator.set_state(fixed + subset).var_given_selected()[aux]
+        return evaluator.set_state([*fixed, *subset]).var_given_selected()[aux]
 
     full_var = var(x)
     worst = 0.0

@@ -11,9 +11,7 @@ import math
 import numpy as np
 
 from mogpal import kernels
-from mogpal.criterion import (
-    GainEvaluator, _as_selection, _selection_factors, criterion_F,
-)
+from mogpal.criterion import GainEvaluator, _selection_factors, criterion_F
 from mogpal.errors import ConfigError, DomainError, EnumerationGuardError, IllConditionedError
 from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation
 from mogpal.linalg import chol_spd
@@ -227,19 +225,31 @@ def mi_inducing_given(model, x):
     """Information the unsampled target pool still carries about the latent
     measurements once ``x`` has been observed, clamped at zero; the term
     ``criterion_F`` subtracts."""
-    blocks, ma = _selection_factors(model, _as_selection(model, x))
+    blocks, ma = _selection_factors(model, model.positions(x))
     return max(0.0, 0.5 * (ma.logdet - blocks.selection.logdet))
 
 
 def greedy_gain(model, cache, x, candidate):
     """Increase of the objective from adding ``candidate`` to the selection
     ``x``, from a :class:`GainEvaluator` replayed to ``x``."""
-    tuples = _as_selection(model, x)
-    if candidate in tuples:
+    cols = model.positions(x)
+    [j] = model.positions([candidate])
+    if j in cols:
         raise DomainError(f"candidate {candidate} is already selected")
-    model.require_candidates([candidate])
-    gains = GainEvaluator(model, cache).set_state(tuples).gains()
-    return float(gains[model.tuple_index[candidate]])
+    return float(GainEvaluator(model, cache).set_state(cols).gains()[j])
+
+
+def _rebuilt_loop(model, n, score):
+    """``selector._greedy_loop`` with ``score`` handed the pool positions of
+    every pick so far, not just the last, so that it can start afresh."""
+    picks = []
+
+    def score_last(last):
+        if last is not None:
+            picks.append(last)
+        return score(picks)
+
+    return _greedy_loop(model, n, score_last)
 
 
 class _ScratchPools:
@@ -251,7 +261,7 @@ class _ScratchPools:
         self.prior = {}
         self.hyper = {}
         for t in self.types:
-            tuples = model.candidate_list([t])
+            tuples = [p for p in model.candidates.tuples if p.type_index == t]
             remapped = [TypedLocation(p.location, 0) for p in tuples]
             h_t = None if single_output_hypers is None else single_output_hypers.get(t)
             h_t = h_t if h_t is not None else model.h.single_output(t)
@@ -260,9 +270,11 @@ class _ScratchPools:
             self.pools[t] = (tuples, remapped)
             self.hyper[t] = h_t
             self.prior[t] = kernels.cov_matrix(remapped, remapped, h_t)
-        # flattened candidate list in model (lexicographic) order
-        self.flat = [(t, k) for t in self.types for k in range(len(self.pools[t][0]))]
-        self.flat_tuples = [self.pools[t][0][k] for t, k in self.flat]
+        # (pool position, type, row in the type's pool) of every target candidate
+        index = {p: j for j, p in enumerate(model.candidates.tuples)}
+        self.flat = [
+            (index[p], t, k) for t in self.types for k, p in enumerate(self.pools[t][0])
+        ]
 
     def posterior_var(self, t, selected_local):
         """Variance of every pool-t candidate given the selected pool-t ones."""
@@ -293,16 +305,15 @@ def select_single_output_scratch(model, n, kind, single_output_hypers=None):
     block to read the leave-one-out variances off its inverse diagonal.
     """
     pools = _ScratchPools(model, single_output_hypers)
-    total = len(pools.flat)
-    _check_budget(n, total, what="target candidate pool")
+    _check_budget(n, len(pools.flat), what="target candidate pool")
 
-    def score(state):
-        selected = set(state.selected)
+    def score(picks):
+        selected = {model.candidates.tuples[j] for j in picks}
         sel_local = {
             t: [k for k, p in enumerate(pools.pools[t][0]) if p in selected]
             for t in pools.types
         }
-        scores = np.full(total, -np.inf)
+        scores = np.full(len(model.candidates), -np.inf)
         for t in pools.types:
             var_sel = pools.posterior_var(t, sel_local[t])
             if kind == "s-mi":
@@ -311,18 +322,18 @@ def select_single_output_scratch(model, n, kind, single_output_hypers=None):
                 ]
                 var_rest = pools.leave_one_out_var(t, remaining)
                 rest_pos = {k: j for j, k in enumerate(remaining)}
-            for flat_idx, (tt, k) in enumerate(pools.flat):
+            for pos, tt, k in pools.flat:
                 if tt != t or pools.pools[t][0][k] in selected:
                     continue
                 if kind == "s-var":
-                    scores[flat_idx] = 0.5 * (LOG_2PI_E + math.log(var_sel[k]))
+                    scores[pos] = 0.5 * (LOG_2PI_E + math.log(var_sel[k]))
                 else:
-                    scores[flat_idx] = 0.5 * (
+                    scores[pos] = 0.5 * (
                         math.log(var_sel[k]) - math.log(var_rest[rest_pos[k]])
                     )
         return scores, scores
 
-    return _greedy_loop(n, pools.flat_tuples, score)
+    return _rebuilt_loop(model, n, score)
 
 
 class ScratchGainEvaluator:
@@ -335,10 +346,9 @@ class ScratchGainEvaluator:
     def __init__(self, model):
         self.model = model
 
-    def set_state(self, selected):
-        model = self.model
-        self.selected = _as_selection(model, selected)
-        self._blocks, self._ma = _selection_factors(model, self.selected)
+    def set_state(self, cols):
+        self.selected = np.array(cols, dtype=int)
+        self._blocks, self._ma = _selection_factors(self.model, self.selected)
         return self
 
     def _sweep(self, cols, target_blocks, m_factor):
@@ -361,7 +371,7 @@ class ScratchGainEvaluator:
             b = w_sub @ g
             pos = col_pos_by_type.get(i)
             if pos is not None and pos.size:
-                picks = [self.selected[k] for k in rows]
+                picks = model.candidates.take(self.selected[rows])
                 b[:, pos] = cov_matrix(picks, model.candidates.take(cols[pos]), model.h)
             u = blocks.factor[i].solve(b)
             e1 += np.einsum("rc,rc->c", b, u)
@@ -371,8 +381,7 @@ class ScratchGainEvaluator:
 
     def _selected_mask(self):
         mask = np.zeros(len(self.model.candidates), dtype=bool)
-        for t in self.selected:
-            mask[self.model.tuple_index[t]] = True
+        mask[self.selected] = True
         return mask
 
     @staticmethod
@@ -414,15 +423,15 @@ def select_greedy_scratch(model, cache, n):
     _check_budget(n, len(model.candidates))
     evaluator = ScratchGainEvaluator(model)
 
-    def score(state):
-        evaluator.set_state(state.selected)
+    def score(picks):
+        evaluator.set_state(picks)
         gains = evaluator.gains()
         finite = gains[np.isfinite(gains)]
         if finite.size and finite.max() <= 1e-9:
             return evaluator.entropies_given_selected(), gains
         return gains, gains
 
-    return _greedy_loop(n, model.candidates.tuples, score)
+    return _rebuilt_loop(model, n, score)
 
 
 def select_mvar_scratch(model, cache, n):
@@ -430,12 +439,12 @@ def select_mvar_scratch(model, cache, n):
     _check_budget(n, len(model.candidates))
     evaluator = ScratchGainEvaluator(model)
 
-    def score(state):
-        evaluator.set_state(state.selected)
+    def score(picks):
+        evaluator.set_state(picks)
         entropies = evaluator.entropies_given_selected()
         return entropies, entropies
 
-    return _greedy_loop(n, model.candidates.tuples, score)
+    return _rebuilt_loop(model, n, score)
 
 
 def brute_force_optimum(model, cache, n):
@@ -491,7 +500,7 @@ def estimate_epsilon1(model, cache, x, samples=None, seed=0):
     for every auxiliary candidate, from dense covariance blocks; ``cache``
     is unused and taken only to share the library function's signature."""
     x = list(x)
-    model.require_candidates(x)
+    model.positions(x)  # rejects a tuple missing from the pool or repeated
     target = set(model.target_types)
     x_target = {t for t in x if t.type_index in target}
     x_aux = {t for t in x if t.type_index not in target}

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from mogpal import (
     DomainError,
-    GainEvaluator,
     as_tuple,
     build_cache,
     build_model,
@@ -18,6 +17,7 @@ from mogpal import (
     pitc,
     sparse_cov,
 )
+from mogpal.criterion import GainEvaluator
 from mogpal.kernels import LOG_2PI_E
 from mogpal.linalg import chol_spd
 from conftest import random_instance
@@ -42,7 +42,7 @@ class TestEntropyGivenInducing:
 
     def test_single_tuple_formula_and_floor(self):
         model, cache = random_instance(1)
-        p = model.candidate_list([0])[0]
+        p = model.candidates.tuples[model.type_slices[0]][0]
         val = _entropy_given_inducing(model, cache, [p])
         resid = _residual_var(p, model)
         assert val == pytest.approx(0.5 * math.log(2 * math.pi * math.e * resid))
@@ -54,21 +54,22 @@ class TestEntropyGivenInducing:
         far = as_tuple([1e5], 0)
         model = build_model(
             small.h, small.inducing,
-            {0: small.candidate_list([0]) + [far], 1: small.candidate_list([1])},
+            {0: [*small.candidates.tuples[small.type_slices[0]], far],
+             1: small.candidates.tuples[small.type_slices[1]]},
         )
         cache = build_cache(model)
-        near = model.candidate_list([0])[:2]
+        near = model.candidates.tuples[model.type_slices[0]][:2]
         base = _entropy_given_inducing(model, cache, near)
         expected = base + 0.5 * math.log(2 * math.pi * math.e * _residual_var(far, model))
-        assert _entropy_given_inducing(model, cache, near + [far]) == pytest.approx(
+        assert _entropy_given_inducing(model, cache, [*near, far]) == pytest.approx(
             expected, rel=1e-10
         )
 
     def test_auxiliary_tuples_add_no_target_entropy(self):
         model, cache = random_instance(3)
-        near = model.candidate_list([0])[:2]
-        aux = model.candidate_list([1])[0]
-        assert _entropy_given_inducing(model, cache, near + [aux]) == pytest.approx(
+        near = model.candidates.tuples[model.type_slices[0]][:2]
+        aux = model.candidates.tuples[model.type_slices[1]][0]
+        assert _entropy_given_inducing(model, cache, [*near, aux]) == pytest.approx(
             _entropy_given_inducing(model, cache, near), rel=1e-10
         )
 
@@ -76,7 +77,7 @@ class TestEntropyGivenInducing:
 class TestMutualInformation:
     def test_fully_selected_target_pool_is_zero(self):
         model, cache = random_instance(4, n_per_type=(4, 4))
-        all_targets = model.candidate_list([0])
+        all_targets = list(model.candidates.tuples[model.type_slices[0]])
         assert oracles.mi_inducing_given(model, all_targets) == pytest.approx(
             0.0, abs=1e-9
         )
@@ -84,7 +85,7 @@ class TestMutualInformation:
     def test_nonnegative(self, rng):
         for seed in range(10):
             model, cache = random_instance(seed, n_per_type=(4, 3))
-            cands = model.candidate_list()
+            cands = list(model.candidates.tuples)
             r = np.random.default_rng(seed)
             k = int(r.integers(0, 5))
             x = [cands[i] for i in r.choice(len(cands), size=k, replace=False)]
@@ -94,11 +95,11 @@ class TestMutualInformation:
         for seed in range(6):
             model, cache = random_instance(seed + 30, n_per_type=(5, 4))
             h, u = model.h, model.inducing.locations
-            cands = model.candidate_list()
+            cands = list(model.candidates.tuples)
             r = np.random.default_rng(seed)
             x = [cands[i] for i in r.choice(len(cands), size=4, replace=False)]
             rest = [
-                t for t in model.candidate_list([0]) if t not in set(x)
+                t for t in model.candidates.tuples[model.type_slices[0]] if t not in set(x)
             ]
             expected = oracles.latent_entropy_given(x, h, u) - oracles.latent_entropy_given(
                 x + rest, h, u
@@ -118,8 +119,8 @@ class TestCriterionF:
         for seed in range(6):
             model, cache = random_instance(seed + 60, n_per_type=(4, 4))
             r = np.random.default_rng(seed)
-            order = list(r.permutation(len(model.candidate_list())))
-            cands = model.candidate_list()
+            order = list(r.permutation(len(list(model.candidates.tuples))))
+            cands = list(model.candidates.tuples)
             prev = 0.0
             chain = []
             for i in order[:6]:
@@ -131,7 +132,7 @@ class TestCriterionF:
     def test_matches_dense_oracle(self):
         for seed in range(6):
             model, cache = random_instance(seed + 90, n_per_type=(4, 3))
-            cands = model.candidate_list()
+            cands = list(model.candidates.tuples)
             r = np.random.default_rng(seed)
             k = int(r.integers(1, 6))
             x = [cands[i] for i in r.choice(len(cands), size=k, replace=False)]
@@ -143,7 +144,7 @@ class TestCriterionF:
         # criterion_F reads the cached target-pool summary; the dense oracle
         # computes the same objective directly, rebuilding it from scratch
         model, cache = random_instance(7, n_per_type=(5, 5))
-        cands = model.candidate_list()
+        cands = list(model.candidates.tuples)
         r = np.random.default_rng(7)
         x = [cands[i] for i in r.choice(len(cands), size=5, replace=False)]
         assert criterion_F(model, cache, x) == pytest.approx(
@@ -153,7 +154,7 @@ class TestCriterionF:
     def test_telescoping(self):
         for seed in range(5):
             model, cache = random_instance(seed + 120, n_per_type=(4, 4))
-            cands = model.candidate_list()
+            cands = list(model.candidates.tuples)
             r = np.random.default_rng(seed)
             order = r.permutation(len(cands))[:6]
             total, chain = 0.0, []
@@ -168,7 +169,7 @@ class TestCriterionF:
             11, n_per_type=(3, 3, 3), target_types=(0, 2)
         )
         assert criterion_F(model, cache, []) == 0.0
-        cands = model.candidate_list()
+        cands = list(model.candidates.tuples)
         r = np.random.default_rng(11)
         chain, total = [], 0.0
         for i in r.permutation(len(cands))[:5]:
@@ -187,7 +188,7 @@ class TestGreedyGain:
             shape = [(5, 4), (4, 4, 3), (8,)][seed % 3]
             tt = (0,) if len(shape) < 3 else (0, 1)
             model, cache = random_instance(seed, n_per_type=shape, target_types=tt)
-            cands = model.candidate_list()
+            cands = list(model.candidates.tuples)
             r = np.random.default_rng(seed)
             k = int(r.integers(0, min(5, len(cands) - 1)))
             x = [cands[i] for i in r.choice(len(cands), size=k, replace=False)]
@@ -201,24 +202,24 @@ class TestGreedyGain:
 
     def test_target_gain_on_empty_state_is_prior_entropy(self):
         model, cache = random_instance(40, n_per_type=(4, 4))
-        p = model.candidate_list([0])[2]
+        p = model.candidates.tuples[model.type_slices[0]][2]
         expected = 0.5 * (LOG_2PI_E + math.log(oracles.out_cov(p, p, model.h)))
         assert oracles.greedy_gain(model, cache, [], p) == pytest.approx(expected, rel=1e-10)
 
     def test_auxiliary_gain_nonnegative(self):
         for seed in range(8):
             model, cache = random_instance(seed + 200, n_per_type=(4, 4))
-            cands = model.candidate_list()
+            cands = list(model.candidates.tuples)
             r = np.random.default_rng(seed)
             x = [cands[i] for i in r.choice(len(cands), size=3, replace=False)]
-            for cand in model.candidate_list([1]):
+            for cand in model.candidates.tuples[model.type_slices[1]]:
                 if cand in x:
                     continue
                 assert oracles.greedy_gain(model, cache, x, cand) >= -1e-10
 
     def test_rejects_selected_candidate(self):
         model, cache = random_instance(41)
-        p = model.candidate_list()[0]
+        p = model.candidates.tuples[0]
         with pytest.raises(DomainError):
             oracles.greedy_gain(model, cache, [p], p)
 
@@ -226,13 +227,13 @@ class TestGreedyGain:
 class TestOldCriterion:
     def test_target_fully_selected_single_type(self):
         model, cache = random_instance(50, n_per_type=(5,))
-        assert oracles.old_criterion(model, model.candidate_list()) == 0.0
+        assert oracles.old_criterion(model, list(model.candidates.tuples)) == 0.0
 
     def test_single_type_max_entropy_reduction(self):
         # with one type, ranking subsets by prior entropy H(Y_X) reverses the
         # ranking by posterior entropy of the remainder
         model, cache = random_instance(51, n_per_type=(7,))
-        cands = model.candidate_list()
+        cands = list(model.candidates.tuples)
         h = model.h
         subsets = list(itertools.combinations(range(len(cands)), 2))
         prior_h = []
@@ -254,7 +255,7 @@ class TestOldCriterion:
         # posterior entropy of the unsampled target pool
         for seed in range(8):
             model, cache = random_instance(seed + 300, n_per_type=(5, 4))
-            cands = model.candidate_list()
+            cands = list(model.candidates.tuples)
             best_f, best_old = None, None
             for s in itertools.combinations(range(len(cands)), 2):
                 x = [cands[i] for i in s]
@@ -269,8 +270,8 @@ class TestOldCriterion:
     def test_value_identity_with_objective(self):
         # F and the old criterion sum to the prior entropy of the target pool
         model, cache = random_instance(60, n_per_type=(4, 4))
-        cands = model.candidate_list()
-        v_t = model.candidate_list([0])
+        cands = list(model.candidates.tuples)
+        v_t = list(model.candidates.tuples[model.type_slices[0]])
         const = oracles.entropy(sparse_cov(model, v_t, v_t))
         r = np.random.default_rng(60)
         for k in (0, 1, 3):
@@ -281,7 +282,7 @@ class TestOldCriterion:
 
     def test_exact_variant_differs_but_runs(self):
         model, cache = random_instance(61, n_per_type=(4, 4))
-        x = model.candidate_list()[:2]
+        x = model.candidates.tuples[:2]
         val = oracles.old_criterion(model, x, use_exact=True)
         assert np.isfinite(val)
 
@@ -289,9 +290,9 @@ class TestOldCriterion:
 class TestGainEvaluator:
     def test_batched_matches_single(self):
         model, cache = random_instance(70, n_per_type=(5, 5))
-        cands = model.candidate_list()
+        cands = list(model.candidates.tuples)
         x = [cands[0], cands[7], cands[3]]
-        ev = GainEvaluator(model, cache).set_state(x)
+        ev = GainEvaluator(model, cache).set_state([0, 7, 3])
         gains = ev.gains()
         for i, cand in enumerate(cands):
             if cand in x:
@@ -306,7 +307,7 @@ class TestGainEvaluator:
         # the near-tie sweep reads exact prior rows of the picks: computed
         # from the kernel when a sweep first needs them and kept, O(|X| N)
         model, cache = random_instance(72, n_per_type=(9, 6))
-        picks = model.candidate_list()[::2]
+        picks = np.arange(0, len(model.candidates), 2)
         ev = GainEvaluator(model, cache).set_state(picks)
         assert ev._prior_rows == {}
         ev._sweep(np.flatnonzero(ev._free), target_blocks=False)
@@ -315,12 +316,29 @@ class TestGainEvaluator:
             len(picks) * len(model.candidates)
         )
         for i in model.type_slices:
-            own = [model.tuple_index[t] for t in picks if t.type_index == i]
+            own = picks[model.candidates.types[picks] == i]
             expected = oracles.cov_matrix(
                 model.candidates.take(own),
                 model.candidates.take(model.candidates.indices_of_type(i)), model.h,
             )
             assert np.array_equal(kept[i], expected)
+
+    def test_add_rejects_positions_outside_the_pool(self):
+        # a negative position would otherwise wrap around to the pool's end
+        model, cache = random_instance(73, n_per_type=(4, 4))
+        ev = GainEvaluator(model, cache).set_state([])
+        for j in (-1, len(model.candidates)):
+            with pytest.raises(DomainError, match=f"pool position {j} is outside"):
+                ev.add(j)
+        assert ev.selected == [] and ev._free.all()
+
+    def test_add_rejects_a_selected_position(self):
+        model, cache = random_instance(73, n_per_type=(4, 4))
+        ev = GainEvaluator(model, cache).set_state([5])
+        with pytest.raises(DomainError, match="pool position 5 is already selected"):
+            ev.add(5)
+        with pytest.raises(DomainError, match="already selected"):
+            ev.set_state([1, 1])
 
     def test_construction_reuses_cached_factor(self, monkeypatch):
         # K_uu + T is factored once, by build_cache; the evaluator solves
@@ -340,10 +358,9 @@ class TestGainEvaluator:
     def test_variances_match_posterior(self):
         model, cache = random_instance(71, n_per_type=(4, 4))
         h, u = model.h, model.inducing.locations
-        cands = model.candidate_list()
+        cands = list(model.candidates.tuples)
         x = cands[:3]
-        ev = GainEvaluator(model, cache).set_state(x)
-        var = ev.var_given_selected()
+        var = GainEvaluator(model, cache).set_state(range(3)).var_given_selected()
         for i, cand in enumerate(cands):
             if cand in x:
                 continue
@@ -359,7 +376,7 @@ class TestGainEvaluator:
             72, n_per_type=(5, 4, 5, 4), target_types=(0, 2), n_inducing=4
         )
         h, u = model.h, model.inducing.locations
-        by_type = {i: model.candidate_list([i]) for i in range(4)}
+        by_type = {i: list(model.candidates.tuples[model.type_slices[i]]) for i in range(4)}
         chain = [
             by_type[1][0], by_type[0][1], by_type[1][2], by_type[3][0],
             by_type[2][3], by_type[3][1], by_type[1][3], by_type[0][4],
@@ -367,14 +384,14 @@ class TestGainEvaluator:
         targets = by_type[0] + by_type[2]
         aux_pos = {model.candidates.tuples[c]: p for p, c in enumerate(model.aux_cols)}
         ev = GainEvaluator(model, cache).set_state([])
-        for k, pick in enumerate(chain):
-            ev.add(pick)
+        for k, j in enumerate(model.positions(chain)):
+            ev.add(j)
             x = chain[:k + 1]
-            free = [t for t in model.candidate_list() if t not in x]
-            idx = [model.tuple_index[t] for t in free]
+            free = [t for t in model.candidates.tuples if t not in x]
             dense = oracles.conditional_cov_blocked(free, x, h, u)
             np.testing.assert_allclose(
-                ev.var_given_selected()[idx], np.diag(dense), rtol=1e-9, atol=0
+                ev.var_given_selected()[model.positions(free)], np.diag(dense),
+                rtol=1e-9, atol=0,
             )
             free_aux = [t for t in free if t.type_index in (1, 3)]
             x_aux = [t for t in x if t.type_index in (1, 3)]
@@ -398,13 +415,13 @@ class TestVarGivenSelected:
             h, u = model.h, model.inducing.locations
             ev = GainEvaluator(model, cache)
             for types, size in shapes:
-                pool = model.candidate_list(types)
+                pool = [t for t in model.candidates.tuples if t.type_index in types]
                 x = [pool[i] for i in r.permutation(len(pool))[:size]]
-                rest = [t for t in model.candidate_list() if t not in set(x)]
+                rest = [t for t in model.candidates.tuples if t not in set(x)]
                 z = [rest[i] for i in r.permutation(len(rest))[:5]]
-                var = ev.set_state(x).var_given_selected()
+                var = ev.set_state(model.positions(x)).var_given_selected()
                 np.testing.assert_allclose(
-                    var[[model.tuple_index[t] for t in z]],
+                    var[model.positions(z)],
                     np.diag(oracles.conditional_cov_blocked(z, x, h, u)),
                     rtol=1e-8, atol=1e-10,
                 )
@@ -413,9 +430,9 @@ class TestVarGivenSelected:
         # with one type the sparse model is exact, for any inducing set
         for seed in range(8):
             model, cache = random_instance(seed + 200, n_per_type=(8,), n_inducing=2)
-            cands = model.candidate_list()
+            cands = list(model.candidates.tuples)
             x, z = cands[:5], cands[5:]
-            var = GainEvaluator(model, cache).set_state(x).var_given_selected()
+            var = GainEvaluator(model, cache).set_state(range(5)).var_given_selected()
             np.testing.assert_allclose(
                 var[5:], np.diag(oracles.conditional_cov_exact(z, x, model.h)),
                 rtol=1e-8, atol=1e-12,
@@ -425,21 +442,21 @@ class TestVarGivenSelected:
         for seed in range(10):
             r = np.random.default_rng(seed)
             model, cache = random_instance(seed + 50, n_per_type=(5, 5))
-            cands = model.candidate_list()
+            cands = list(model.candidates.tuples)
             pick = r.permutation(len(cands))
-            ev = GainEvaluator(model, cache).set_state([cands[i] for i in pick[:6]])
+            ev = GainEvaluator(model, cache).set_state(pick[:6])
             free = pick[6:]
             noise = model.h.noise_var[model.candidates.types[free]]
             assert np.all(ev.var_given_selected()[free] >= noise - 1e-10)
 
     def test_conditioning_monotone(self):
         model, cache = random_instance(17, n_per_type=(4, 4))
-        cands = model.candidate_list()
+        cands = list(model.candidates.tuples)
         h, u = model.h, model.inducing.locations
         ev = GainEvaluator(model, cache).set_state([])
         prev = ev.var_given_selected()[-2:].copy()
         for k in range(5):
-            var = ev.add(cands[k]).var_given_selected()[-2:].copy()
+            var = ev.add(k).var_given_selected()[-2:].copy()
             assert np.all(var <= prev + 1e-10)
             prev = var
         dense = oracles.conditional_cov_blocked(cands[-2:], cands[:5], h, u)

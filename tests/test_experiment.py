@@ -72,6 +72,20 @@ class TestHyperparamsConfig:
         assert np.array_equal(back.smooth_prec_inv, H2.smooth_prec_inv)
         assert back.target_types == H2.target_types
 
+    def test_round_trip_keeps_dim(self, tmp_path):
+        h = Hyperparams(signal_var=[1.0], noise_var=[0.2], latent_prec_inv=[0.5, 2.0],
+                        smooth_prec_inv=[[0.1, 0.3]])
+        path = tmp_path / "h.ini"
+        save_hyperparams(h, path)
+        back = load_hyperparams(path)
+        assert back.dim == 2
+        assert np.array_equal(back.latent_prec_inv, h.latent_prec_inv)
+        assert np.array_equal(back.smooth_prec_inv, h.smooth_prec_inv)
+        # the saved dim is checked against the latent_prec_inv entries
+        path.write_text(path.read_text().replace("dim = 2", "dim = 1"))
+        with pytest.raises(ConfigError, match="hyperparams.dim: 1, but latent_prec_inv has 2"):
+            load_hyperparams(path)
+
     def test_fit_extras_ignored_on_load(self, tmp_path):
         path = tmp_path / "h.ini"
         save_hyperparams(H2, path, extras={"final_nll": 1.25, "converged": True})
@@ -395,6 +409,14 @@ class TestCli:
          "missing.ini: hyperparams.signal_var: could not convert string to float: 'abc'"),
         ("run", lambda text: text.replace("[hyperparams]\ntypes = 2\n", "[hyperparams]\n"),
          "missing.ini: hyperparams.types: missing"),
+        # values that parse but that Hyperparams rejects
+        ("run", lambda text: text.replace("noise_var = 0.25, 0.1", "noise_var = -0.25, 0.1"),
+         "missing.ini: hyperparams: noise variances must be finite and strictly positive"),
+        ("run", lambda text: text.replace("dim = 1\n", "dim = 2\n")
+         .replace("latent_prec_inv = 2.0", "latent_prec_inv = 2.0, 2.0"),
+         "missing.ini: hyperparams: inconsistent hyperparameter shapes"),
+        ("run", lambda text: text.replace("dim = 1\n", "dim = 2\n"),
+         "missing.ini: hyperparams.dim: 2, but latent_prec_inv has 1"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, capsys, command, edit, named):
         cfg = tmp_path / "missing.ini"

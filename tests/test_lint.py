@@ -1,6 +1,7 @@
 """Static guards against imported names that a module never uses, against
 ``__all__`` entries that a module does not define, against library code that
-only tests reach and against dataclass fields that no run reads.
+only tests reach, against dataclass fields that no run reads and against
+pool lookups outside ``pitc``.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
@@ -8,7 +9,9 @@ module.  The package ``__init__`` (whose imports are re-exports), names
 listed in a module's ``__all__`` and imports on a line marked
 ``# noqa: F401`` (deliberate re-exports, as in ``conftest.py``) are exempt.
 The reachability and field scans read the package's code and the
-benchmark's code, never tests.
+benchmark's code, never tests.  Inside the library a selection is a list
+of pool positions; ``PitcModel.positions`` is the one lookup from tuples,
+so no module but ``pitc`` reads ``.tuple_index``.
 """
 
 import ast
@@ -295,3 +298,28 @@ def test_field_scanner_flags_only_unread_fields():
 def test_dataclass_fields_are_read():
     package = {p.stem: p.read_text() for p in PACKAGE}
     assert unread_fields(package, [p.read_text() for p in CALLERS]) == []
+
+
+def tuple_index_readers(package):
+    """Modules of ``package`` ({module: source}) other than ``pitc`` that read
+    a ``.tuple_index`` attribute."""
+    return sorted(
+        module for module, source in package.items() if module != "pitc" and any(
+            isinstance(node, ast.Attribute) and node.attr == "tuple_index"
+            for node in ast.walk(ast.parse(source))
+        )
+    )
+
+
+def test_tuple_index_scanner_flags_only_other_modules():
+    package = {
+        "pitc": "def positions(self, t):\n    return self.tuple_index[t]\n",
+        "criterion": "def add(model, t):\n    j = model.tuple_index[t]\n",
+        "verify": "picked = [m.tuple_index.get(t) for t in x]\n",
+        "selector": "tuple_index = {}\ncols = model.positions(x)\n",
+    }
+    assert tuple_index_readers(package) == ["criterion", "verify"]
+
+
+def test_only_pitc_reads_tuple_index():
+    assert tuple_index_readers({p.stem: p.read_text() for p in PACKAGE}) == []

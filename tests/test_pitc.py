@@ -12,7 +12,6 @@ from mogpal import (
     CriterionCache,
     DomainError,
     Hyperparams,
-    IllConditionedError,
     InducingSet,
     ModelBuildError,
     as_tuple,
@@ -299,7 +298,7 @@ class TestGammaLambda:
 
     def test_gamma_psd_low_rank(self, rng):
         model, _ = random_instance(5, n_per_type=(5, 5), n_inducing=2)
-        a = model.candidate_list()
+        a = list(model.candidates.tuples)
         g = sparse_cov(model, a, a) - scipy.linalg.block_diag(
             *(model.R[i] for i in sorted(model.R))
         )
@@ -317,15 +316,15 @@ class TestGammaLambda:
 
     def test_gamma_transpose(self, rng):
         model, _ = random_instance(6)
-        a = model.candidate_list()[:3]
-        b = model.candidate_list()[3:6]
+        a = model.candidates.tuples[:3]
+        b = model.candidates.tuples[3:6]
         np.testing.assert_allclose(
             sparse_cov(model, a, b), sparse_cov(model, b, a).T, rtol=1e-12, atol=1e-15
         )
 
     def test_lambda_single_type_full_residual(self):
         model = _model_1type()
-        a = model.candidate_list()
+        a = list(model.candidates.tuples)
         expected = oracles.exact_cov(a, a, H1) - _lowrank(model, a, a)
         np.testing.assert_allclose(model.R[0], expected, rtol=1e-10, atol=1e-12)
 
@@ -333,7 +332,7 @@ class TestGammaLambda:
         # given the inducing measurements the types are independent: across
         # types the sparse covariance is the low rank alone
         model, _ = random_instance(7, n_per_type=(3, 3))
-        a = model.candidate_list()
+        a = list(model.candidates.tuples)
         resid = sparse_cov(model, a, a) - _lowrank(model, a, a)
         types = np.array([t.type_index for t in a])
         cross = types[:, None] != types[None, :]
@@ -351,7 +350,7 @@ class TestPitcPosterior:
         for seed in range(8):
             rng = np.random.default_rng(seed)
             model = _model_1type(n=8, m=2, seed=seed)
-            x = model.candidate_list()[:5]
+            x = model.candidates.tuples[:5]
             z = [as_tuple([v], 0) for v in rng.uniform(2, 3, size=3)]
             y = rng.normal(size=5)
             sparse = pitc_posterior(model, x, y, z)
@@ -362,7 +361,7 @@ class TestPitcPosterior:
 
     def test_empty_conditioning(self, rng):
         model, _ = random_instance(3, n_per_type=(4, 4))
-        z = model.candidate_list()[:4]
+        z = model.candidates.tuples[:4]
         pred = pitc_posterior(model, [], [], z)
         np.testing.assert_array_equal(pred.mean, np.zeros(4))
 
@@ -376,9 +375,9 @@ class TestPitcPosterior:
             model, _ = random_instance(seed, n_per_type=(20, 20), n_inducing=4)
             h, u = model.h, model.inducing.locations
             for types, size in shapes:
-                pool = model.candidate_list(types)
+                pool = [t for t in model.candidates.tuples if t.type_index in types]
                 x = [pool[i] for i in r.permutation(len(pool))[:size]]
-                rest = [t for t in model.candidate_list() if t not in set(x)]
+                rest = [t for t in model.candidates.tuples if t not in set(x)]
                 z = [rest[i] for i in r.permutation(len(rest))[:5]]
                 y = r.normal(size=len(x))
                 pred = pitc_posterior(model, x, y, z)
@@ -389,7 +388,7 @@ class TestPitcPosterior:
 
     def test_matches_blocked_oracle(self, rng):
         model, _ = random_instance(13, n_per_type=(4, 4))
-        cands = model.candidate_list()
+        cands = list(model.candidates.tuples)
         x, z = cands[:4], cands[4:7]
         y = rng.normal(size=4)
         pred = pitc_posterior(model, x, y, z)
@@ -403,33 +402,51 @@ class TestPitcPosterior:
 
     def test_observed_tuples_must_be_pool_candidates(self):
         model = _model_1type()
-        x = [model.candidate_list()[0], as_tuple([5.0], 0)]
+        x = [model.candidates.tuples[0], as_tuple([5.0], 0)]
         with pytest.raises(DomainError, match="not in the candidate pool"):
             pitc_posterior(model, x, [0.0, 0.0], [as_tuple([6.0], 0)])
 
     def test_duplicate_observations_rejected(self):
         model = _model_1type()
-        p = model.candidate_list()[0]
+        p = model.candidates.tuples[0]
         z = [as_tuple([5.0], 0)]
-        with pytest.raises(IllConditionedError, match=re.escape(repr(p))):
+        with pytest.raises(DomainError, match=re.escape(repr(p))):
             pitc_posterior(model, [p, p], [0.0, 0.0], z)
+
+    def test_positions_follow_the_given_order(self):
+        model = _model_1type()
+        pool = model.candidates.tuples
+        np.testing.assert_array_equal(model.positions([pool[3], pool[0], pool[5]]), [3, 0, 5])
+        assert model.positions([]).size == 0
+
+    def test_positions_reject_a_missing_tuple(self):
+        model = _model_1type()
+        far = as_tuple([5.0], 0)
+        with pytest.raises(DomainError, match=re.escape(repr(far))):
+            model.positions([model.candidates.tuples[0], far])
+
+    def test_positions_reject_a_repeated_tuple(self):
+        model = _model_1type()
+        p = model.candidates.tuples[2]
+        with pytest.raises(DomainError, match=re.escape(repr(p))):
+            model.positions([p, model.candidates.tuples[0], p])
 
     def test_rejects_overlapping_query(self):
         model = _model_1type()
-        p = model.candidate_list()[0]
+        p = model.candidates.tuples[0]
         with pytest.raises(DomainError, match="overlap"):
             pitc_posterior(model, [p], [0.0], [p])
 
     def test_rejects_length_mismatch(self):
         model = _model_1type()
         with pytest.raises(DomainError, match="1 observations but 2 values"):
-            pitc_posterior(model, model.candidate_list()[:1], [0.0, 1.0], [as_tuple([5.0], 0)])
+            pitc_posterior(model, model.candidates.tuples[:1], [0.0, 1.0], [as_tuple([5.0], 0)])
 
 
 class TestSparseCov:
     def test_same_type_exact_cross_type_lowrank(self, rng):
         model, _ = random_instance(23, n_per_type=(3, 3))
-        a = model.candidate_list()
+        a = list(model.candidates.tuples)
         c = sparse_cov(model, a, a)
         exact = cov_matrix(a, a, model.h)
         g = _lowrank(model, a, a)

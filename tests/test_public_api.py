@@ -14,7 +14,6 @@ EXPORTS = [
     "DomainError",
     "EnumerationGuardError",
     "FitError",
-    "GainEvaluator",
     "GaussianPrediction",
     "Hyperparams",
     "IllConditionedError",

@@ -6,9 +6,10 @@ import pytest
 
 import oracles
 from mogpal import (
-    ConfigError, GainEvaluator, Hyperparams, IllConditionedError, as_tuple,
+    ConfigError, Hyperparams, IllConditionedError, as_tuple,
     build_cache, build_model, criterion_F,
 )
+from mogpal.criterion import GainEvaluator
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import (
     select_greedy,
@@ -146,7 +147,7 @@ class TestIncrementalGainState:
         model, cache = random_instance(87, n_per_type=(5, 5))
         model.prior_var[2] = np.nan
         with pytest.raises(IllConditionedError):
-            GainEvaluator(model, cache).set_state([]).add(model.candidates.tuples[2])
+            GainEvaluator(model, cache).set_state([]).add(2)
 
 
 class TestSelectGreedy:
@@ -287,7 +288,7 @@ class TestSingleOutputBaselines:
         state = select_svar(model, 1)
         assert state.selected[0].type_index == 0
         # stationary kernel: every prior variance ties, lexicographic pick
-        targets = model.candidate_list([0])
+        targets = list(model.candidates.tuples[model.type_slices[0]])
         assert state.selected[0] == min(targets, key=lambda t: t.sort_key)
 
     def test_smi_never_selects_auxiliary_and_first_gain_nonnegative(self):
@@ -323,6 +324,8 @@ class TestSingleOutputBaselines:
             (65, (12, 30, 4), (0, 1), 20, False),
             (66, (40, 25, 6), (0, 1), 65, False),
             (67, (15, 10, 5), (0, 1), 25, True),
+            # an auxiliary type ahead of the targets in the pool
+            (68, (6, 9, 4), (1, 2), 12, False),
         ],
     )
     def test_matches_scratch_algorithm(self, kind, seed, n_per_type, target_types,
@@ -413,8 +416,8 @@ class TestProp1Bound:
 
     def test_bounds_measured_gain_on_spaced_instance(self):
         model, cache = _grid_model(n=6, m=3, n_types=2, noise=(0.3, 0.2))
-        targets = model.candidate_list([0])
-        for aux in model.candidate_list([1]):
+        targets = list(model.candidates.tuples[model.type_slices[0]])
+        for aux in model.candidates.tuples[model.type_slices[1]]:
             gain = oracles.greedy_gain(model, cache, [], aux)
             assert gain <= oracles.prop1_bound(model, aux, targets) + 1e-9
 
@@ -422,8 +425,8 @@ class TestProp1Bound:
         # with every target tuple selected an auxiliary pick carries no
         # information about the target pool, and the bound is 0 as well
         model, cache = random_instance(41, n_per_type=(3, 3))
-        targets = model.candidate_list([0])
-        for aux in model.candidate_list([1]):
+        targets = list(model.candidates.tuples[model.type_slices[0]])
+        for aux in model.candidates.tuples[model.type_slices[1]]:
             assert oracles.prop1_bound(model, aux, []) == 0.0
             assert oracles.greedy_gain(model, cache, targets, aux) == pytest.approx(0.0, abs=1e-12)
 

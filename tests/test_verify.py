@@ -8,7 +8,6 @@ from mogpal import (
     ConfigError,
     DomainError,
     EnumerationGuardError,
-    GainEvaluator,
     Hyperparams,
     IllConditionedError,
     as_tuple,
@@ -17,6 +16,7 @@ from mogpal import (
     criterion_F,
 )
 from mogpal import verify
+from mogpal.criterion import GainEvaluator
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import select_greedy
 from mogpal.verify import (
@@ -153,12 +153,12 @@ class TestEstimateEpsilon1:
 
     def test_single_type_is_zero(self):
         model, cache = random_instance(72, n_per_type=(6,))
-        x = model.candidate_list()[:3]
+        x = model.candidates.tuples[:3]
         assert estimate_epsilon1(model, cache, x) == 0.0
 
     def test_nonnegative_and_monotone_in_selection(self):
         model, cache = random_instance(73, n_per_type=(4, 4))
-        cands = model.candidate_list()
+        cands = list(model.candidates.tuples)
         chain = []
         prev = 0.0
         for t in cands[:4]:
@@ -169,7 +169,7 @@ class TestEstimateEpsilon1:
 
     def test_guard_without_samples(self):
         model, cache = random_instance(74, n_per_type=(8, 8))
-        x = model.candidate_list()[:13]
+        x = model.candidates.tuples[:13]
         with pytest.raises(EnumerationGuardError):
             estimate_epsilon1(model, cache, x)
         # sampled mode is a lower bound of the enumerated value
@@ -178,7 +178,7 @@ class TestEstimateEpsilon1:
 
     def test_sampled_lower_bounds_enumerated(self):
         model, cache = random_instance(75, n_per_type=(5, 5))
-        x = model.candidate_list()[:6]
+        x = model.candidates.tuples[:6]
         full = estimate_epsilon1(model, cache, x)
         sampled = estimate_epsilon1(model, cache, x, samples=20, seed=3)
         assert sampled <= full + 1e-12
@@ -194,7 +194,7 @@ class TestEstimateEpsilon1:
         if samples is None:
             x = select_greedy(model, cache, 4).selected
         else:
-            x = model.candidate_list()[:13]  # too many to enumerate
+            x = model.candidates.tuples[:13]  # too many to enumerate
         got = estimate_epsilon1(model, cache, x, samples=samples, seed=seed)
         expected = oracles.estimate_epsilon1(model, cache, x, samples=samples, seed=seed)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -203,7 +203,7 @@ class TestEstimateEpsilon1:
     def test_repeated_tuple_rejected(self):
         # a repeated tuple makes every subset block holding it singular
         model, cache = random_instance(73, n_per_type=(4, 4))
-        c = model.candidate_list()[0]
+        c = model.candidates.tuples[0]
         with pytest.raises(DomainError, match="duplicate"):
             estimate_epsilon1(model, cache, [c, c])
 
@@ -298,9 +298,9 @@ class TestAuditEpsSubmodularity:
 
     def test_variance_difference_matches_direct(self):
         model, cache = random_instance(83, n_per_type=(4, 4))
-        cands = model.candidate_list()
-        z = model.candidate_list([1])[0]
+        cands = list(model.candidates.tuples)
+        z = model.candidates.tuples[model.type_slices[1]][0]
         cond = [t for t in cands[:4] if t != z]
         direct = oracles.conditional_cov_blocked([z], cond, model.h, model.inducing.locations)
-        var = GainEvaluator(model, cache).set_state(cond).var_given_selected()
-        assert direct[0, 0] == pytest.approx(var[model.tuple_index[z]], rel=1e-10)
+        var = GainEvaluator(model, cache).set_state(model.positions(cond)).var_given_selected()
+        assert direct[0, 0] == pytest.approx(var[model.positions([z])[0]], rel=1e-10)
