@@ -6,7 +6,8 @@ schema paths) or ``[synthetic]`` (generator settings).  Fitted results are
 written back in the same hyperparameter format, so a fit output can be fed
 straight into a later run.  A config that cannot be read, or a value that
 does not parse, raises :class:`ConfigError` naming the file and the
-``section.key``.
+``section.key``; a value that parses but that a constructor rejects raises
+one naming the file and the section.
 """
 
 import configparser
@@ -56,6 +57,14 @@ def _getter(path, parser):
     return get
 
 
+def _built(path, section, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its ConfigError becomes ``{path}: {section}: ...``."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {section}: {exc}") from None
+
+
 def hyperparams_from_section(path, parser) -> Hyperparams:
     """Hyperparameters from the ``[hyperparams]`` section of ``parser``, read
     from ``path``; a missing or unparsable value, or a ``dim`` other than the
@@ -83,11 +92,8 @@ def hyperparams_from_section(path, parser) -> Hyperparams:
         raise ConfigError(
             f"{path}: hyperparams: signal_var and noise_var must list one value per type"
         )
-    try:
-        return Hyperparams(signal_var=signal, noise_var=noise, latent_prec_inv=latent,
-                           smooth_prec_inv=smooth, target_types=target)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: hyperparams: {exc}") from None
+    return _built(path, "hyperparams", Hyperparams, signal_var=signal, noise_var=noise,
+                  latent_prec_inv=latent, smooth_prec_inv=smooth, target_types=target)
 
 
 def load_hyperparams(path) -> Hyperparams:
@@ -176,8 +182,8 @@ class ExperimentConfig:
             raise ConfigError("configure exactly one of [data] and [synthetic]")
         if (self.dataset_path is None) != (self.schema_path is None):
             raise ConfigError("[data] needs both dataset and schema")
-        if self.repeats < 1 or self.inducing_count < 1:
-            raise ConfigError("repeats and inducing_count must be positive")
+        if min(self.repeats, self.inducing_count, self.test_count) < 1:
+            raise ConfigError("repeats, inducing_count and test_count must be positive")
 
 
 @dataclass(frozen=True)
@@ -189,8 +195,9 @@ class VerifySweepConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        if self.instances < 1 or self.budget < 1:
-            raise ConfigError("a verification sweep needs instances and budget of at least 1")
+        if min(self.instances, self.budget, min(self.pool_shape, default=0)) < 1:
+            raise ConfigError("a verification sweep needs instances, budget and a "
+                              f"pool_shape of at least 1, got pool_shape {self.pool_shape!r}")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -210,18 +217,20 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     targets = get("split", "target_types", kind="ints")
     if targets is not None:
-        h = replace(h, target_types=targets)
+        h = _built(path, "split.target_types", replace, h, target_types=targets)
 
     synthetic = None
     if "synthetic" in parser:
-        synthetic = GeneratorSpec(
+        synthetic = _built(
+            path, "synthetic", GeneratorSpec,
             n_locations=get("synthetic", "n_locations", kind="int"),
             dim=get("synthetic", "dim", 1, "int"),
             extent=get("synthetic", "extent", 10.0, "float"),
             layout=get("synthetic", "layout", "grid"),
         )
 
-    return ExperimentConfig(
+    return _built(
+        path, "experiment", ExperimentConfig,
         seed=get("experiment", "seed", 0, "int"),
         repeats=get("experiment", "repeats", 1, "int"),
         algorithms=tuple(
@@ -245,7 +254,8 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def load_verify_config(path) -> VerifySweepConfig:
     get = _getter(path, read_ini(path))
-    return VerifySweepConfig(
+    return _built(
+        path, "verify", VerifySweepConfig,
         instances=get("verify", "instances", 50, "int"),
         budget=get("verify", "budget", 3, "int"),
         seed=get("verify", "seed", 0, "int"),

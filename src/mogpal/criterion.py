@@ -20,9 +20,9 @@ exact prior block ``C``) and the target summary ``T``.  The cache adds only
 what the objective needs beyond the model: the factor of ``K_uu + T`` and
 the constant that pins the objective to zero at the empty set.
 A :class:`GainEvaluator` builds each pick's covariance row from those
-blocks.  Only its near-tie rescoring reads exact prior rows of the picks;
-they are computed from the kernel when a rescoring first needs them and
-kept, O(|X| N) numbers.
+blocks, ``W G`` plus ``R`` within the pick's type, and its near-tie
+rescoring reads the picks' covariance the same way, so no path of the
+objective calls the kernel.
 
 Conditioning on a selection lives here and in ``pitc.pool_blocks``, whose
 one factor of ``K_uu + S`` serves ``criterion_F``, the near-tie rescoring and
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, IllConditionedError
 from .kernels import LOG_2PI_E
 from .linalg import SpdFactor, chol_spd
@@ -172,8 +171,7 @@ class GainEvaluator:
     A score within ``TIE_ATOL`` of the best is rescored by the full
     variance sweep over a factorization of the selection, built only when
     such a near-tie occurs, so near-ties break exactly as a per-pick rebuild
-    breaks them; the sweep reads the exact prior rows of the picks, which
-    it computes from the kernel on first need and keeps.
+    breaks them; the sweep, too, reads the picks' covariance as ``W G + R``.
     """
 
     def __init__(self, model: PitcModel, cache: CriterionCache):
@@ -190,10 +188,6 @@ class GainEvaluator:
         for i, rows in model.type_slices.items():
             if not self._is_target[rows.start]:
                 self._aug_prior[self._aux_pos[rows]] = np.diag(model.R[i])
-        self._type_tuples = {
-            i: model.candidates.take(model.candidates.indices_of_type(i))
-            for i in model.type_slices
-        }
         self._aug_basis = np.empty((model.n_inducing, 0))
         if aux.size:
             self._aug_basis = cache.aug_factor.solve(w_aux.T)
@@ -204,7 +198,6 @@ class GainEvaluator:
         self.selected = []
         self._free = np.ones(len(self.model.candidates), dtype=bool)
         self._sel = _ConditionedVariances(self.model.prior_var.copy())
-        self._prior_rows = {}
         self._aug = _ConditionedVariances(self._aug_prior.copy())
         self._factored = None
         for j in cols:
@@ -239,18 +232,6 @@ class GainEvaluator:
         return self
 
     # -- exact sweeps over a factorization of the selection -----------------
-    def _prior_block(self, i, picks, lj):
-        """Exact prior covariance between the type-``i`` picks at pool
-        positions ``picks`` (in selection order) and the type's local columns
-        ``lj``.  The picks' full prior rows are computed from the kernel the
-        first time a sweep needs them, one batch per sweep, and kept."""
-        batches = self._prior_rows.setdefault(i, [])
-        done = sum(batch.shape[0] for batch in batches)
-        if done < picks.size:
-            new = self.model.candidates.take(picks[done:])
-            batches.append(kernels.cov_matrix(new, self._type_tuples[i], self.model.h))
-        return np.vstack([batch[:, lj] for batch in batches])
-
     def _factor(self):
         if self._factored is None:
             self._factored = _selection_factors(self.model, np.array(self.selected, dtype=int))
@@ -258,7 +239,8 @@ class GainEvaluator:
 
     def _sweep(self, cols, target_blocks):
         """Posterior variances of candidates ``cols`` given the selection,
-        plus the full target pool when ``target_blocks`` is set."""
+        plus the full target pool when ``target_blocks`` is set; the picks'
+        covariance with ``cols`` is ``W G``, plus ``R`` within a type."""
         model = self.model
         blocks, ma = self._factor()
         picks = np.array(self.selected, dtype=int)
@@ -271,18 +253,14 @@ class GainEvaluator:
             e1 += np.einsum("mc,mc->c", g, p)
             hmat += p
         skip = set(model.target_types) if target_blocks else set()
-        col_pos_by_type = {}
-        for i in np.unique(model.candidates.types[cols]):
-            col_pos_by_type[int(i)] = np.flatnonzero(model.candidates.types[cols] == i)
         for i, rows in blocks.rows.items():
             if i in skip:
                 continue
             w_sub = blocks.w[i]
             b = w_sub @ g
-            pos = col_pos_by_type.get(i)
-            if pos is not None and pos.size:
-                lj = cols[pos] - model.type_slices[i].start
-                b[:, pos] = self._prior_block(i, picks[rows], lj)
+            s = model.type_slices[i]
+            own = (cols >= s.start) & (cols < s.stop)
+            b[:, own] += model.R[i][np.ix_(picks[rows] - s.start, cols[own] - s.start)]
             u = blocks.factor[i].solve(b)
             e1 += np.einsum("rc,rc->c", b, u)
             hmat += w_sub.T @ u

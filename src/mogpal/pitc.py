@@ -27,8 +27,8 @@ written in place a chunk of rows at a time, so neither the prior block ``C``
 nor ``W G`` is ever held whole.  ``build_model`` factors each target ``R``
 in that buffer for the target summary and refills it with the same chunk
 calls, bitwise.  Of ``C`` the model keeps the diagonal
-(``PitcModel.prior_var``); the few prior rows the criterion needs are
-recomputed from the kernel on demand, with the bits of the full block.
+(``PitcModel.prior_var``); the criterion reads any other entry within the
+pool as ``W G + R`` and never calls the kernel.
 """
 
 import warnings
@@ -134,14 +134,14 @@ class PitcModel:
     included when the factor needed it.  Candidates are stored sorted by
     ``(type_index, location)`` so that argmax ties downstream break
     lexicographically, and each type ``i`` is the contiguous range
-    ``type_slices[i]`` of the pool.  Over the whole pool
-    the model keeps the candidate-inducing cross covariance ``W`` (N x m),
-    its inducing solve ``G = K_uu^-1 W^T`` (m x N, C-ordered) and the prior
-    variances ``prior_var``; per type it keeps the residual block
+    ``type_slices[i]`` of the pool.  Over the whole pool the model keeps the
+    candidate-inducing cross covariance ``W`` (N x m), its inducing solve
+    ``G = K_uu^-1 W^T`` (m x N, C-ordered) and the prior variances
+    ``prior_var``; per type it keeps the residual block
     ``R[i] = C[i] - W[s] G[:, s]`` of the exact prior block ``C[i]``, with
-    ``s = type_slices[i]``.  Of ``C[i]`` itself only the diagonal is kept; a
-    row of ``C[i]`` is ``kernels.cov_matrix`` of one candidate against the
-    type's candidates.  ``target_summary`` is the inducing information
+    ``s = type_slices[i]``.  Of ``C[i]`` itself only the diagonal is kept;
+    the criterion reads ``C[i]`` as ``W[s] G[:, s] + R[i]``.
+    ``target_summary`` is the inducing information
     ``sum_t W[s]^T R[t]^-1 W[s]`` of the whole target pool, computed by
     :func:`build_model` with each ``R[t]`` factored in its own buffer and
     refilled before the model is returned.  ``target_cols`` and

@@ -303,25 +303,28 @@ class TestGainEvaluator:
                 )
                 assert gains[i] == pytest.approx(direct, abs=1e-6)
 
-    def test_prior_rows_kept_for_picks_only(self):
-        # the near-tie sweep reads exact prior rows of the picks: computed
-        # from the kernel when a sweep first needs them and kept, O(|X| N)
-        model, cache = random_instance(72, n_per_type=(9, 6))
+    @pytest.mark.parametrize("make", [
+        lambda: random_instance(72, n_per_type=(9, 6)),
+        lambda: random_instance(85, n_per_type=(12, 10, 8), target_types=(0, 2)),
+    ], ids=["one-target", "two-targets"])
+    def test_sweep_matches_exact_kernel_oracle(self, make):
+        # the near-tie sweep reads the picks' covariance as W G + R from the
+        # model; the oracle computes the picks' own-type block from the kernel
+        model, cache = make()
         picks = np.arange(0, len(model.candidates), 2)
         ev = GainEvaluator(model, cache).set_state(picks)
-        assert ev._prior_rows == {}
-        ev._sweep(np.flatnonzero(ev._free), target_blocks=False)
-        kept = {i: np.vstack(batches) for i, batches in ev._prior_rows.items()}
-        assert sum(rows.size for rows in kept.values()) <= (
-            len(picks) * len(model.candidates)
+        ref = oracles.ScratchGainEvaluator(model).set_state(picks)
+        free = np.flatnonzero(ev._free)
+        free_aux = free[~ev._is_target[free]]
+        assert free_aux.size
+        np.testing.assert_allclose(
+            ev._sweep(free, target_blocks=False),
+            ref._sweep(free, False, ref._blocks.selection), rtol=1e-12,
         )
-        for i in model.type_slices:
-            own = picks[model.candidates.types[picks] == i]
-            expected = oracles.cov_matrix(
-                model.candidates.take(own),
-                model.candidates.take(model.candidates.indices_of_type(i)), model.h,
-            )
-            assert np.array_equal(kept[i], expected)
+        np.testing.assert_allclose(
+            ev._sweep(free_aux, target_blocks=True),
+            ref._sweep(free_aux, True, ref._ma), rtol=1e-12,
+        )
 
     def test_add_rejects_positions_outside_the_pool(self):
         # a negative position would otherwise wrap around to the pool's end

@@ -380,17 +380,19 @@ class TestCli:
         assert "pass=" not in done.stdout
         assert not (tmp_path / "vr").exists()
 
-    def test_run_rejected_config_is_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("old, new, message", [
+        ("checkpoints = 2, 4", "checkpoints = 4, 2",
+         "experiment: checkpoints must be strictly increasing"),
+        # rejected on load, before the run makes its output directory
+        ("test_count = 5", "test_count = 0",
+         "experiment: repeats, inducing_count and test_count must be positive"),
+    ], ids=["checkpoints", "test-count"])
+    def test_run_rejected_config_is_one_line(self, tmp_path, capsys, old, new, message):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(
-            CONFIG_TEXT.format(out=tmp_path / "out")
-            .replace("checkpoints = 2, 4", "checkpoints = 4, 2")
-        )
+        cfg.write_text(CONFIG_TEXT.format(out=tmp_path / "out").replace(old, new))
         assert cli_main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err == (
-            "mogpal run: ConfigError: checkpoints must be strictly increasing\n"
-        )
+        assert err == f"mogpal run: ConfigError: {cfg}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, edit, named", [
@@ -417,6 +419,28 @@ class TestCli:
          "missing.ini: hyperparams: inconsistent hyperparameter shapes"),
         ("run", lambda text: text.replace("dim = 1\n", "dim = 2\n"),
          "missing.ini: hyperparams.dim: 2, but latent_prec_inv has 1"),
+        # values that parse but that another constructor rejects
+        ("run", lambda text: text.replace("[split]\ntarget_types = 0",
+                                          "[split]\ntarget_types = 5"),
+         "missing.ini: split.target_types: target type out of range [0, 2)"),
+        ("run", lambda text: text.replace("layout = grid", "layout = spiral"),
+         "missing.ini: synthetic: unknown layout 'spiral'"),
+        ("run", lambda text: text.replace("n_locations = 14", "n_locations = 1"),
+         "missing.ini: synthetic: n_locations must be at least 2, got 1"),
+        ("run", lambda text: text.replace("m-greedy, s-var", "m-greedy, foo"),
+         "missing.ini: experiment: unknown algorithm 'foo'"),
+        ("run", lambda text: text.replace("checkpoints = 2, 4", "checkpoints = 20, 10"),
+         "missing.ini: experiment: checkpoints must be strictly increasing"),
+        ("run", lambda text: text.replace("repeats = 2", "repeats = 0"),
+         "missing.ini: experiment: repeats, inducing_count and test_count must be positive"),
+        ("verify", lambda text: "[verify]\ninstances = 0\n",
+         "missing.ini: verify: a verification sweep needs instances, budget and a pool_shape"),
+        ("verify", lambda text: "[verify]\npool_shape =\n",
+         "missing.ini: verify: a verification sweep needs instances, budget and a "
+         "pool_shape of at least 1, got pool_shape ()"),
+        ("verify", lambda text: "[verify]\npool_shape = 4, 0\n",
+         "missing.ini: verify: a verification sweep needs instances, budget and a "
+         "pool_shape of at least 1, got pool_shape (4, 0)"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, capsys, command, edit, named):
         cfg = tmp_path / "missing.ini"

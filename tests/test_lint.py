@@ -1,7 +1,8 @@
 """Static guards against imported names that a module never uses, against
 ``__all__`` entries that a module does not define, against library code that
-only tests reach, against dataclass fields that no run reads and against
-pool lookups outside ``pitc``.
+only tests reach, against dataclass fields that no run reads, against
+pool lookups outside ``pitc`` and against kernel matrices outside the
+modules that build covariances.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
@@ -11,7 +12,10 @@ listed in a module's ``__all__`` and imports on a line marked
 The reachability and field scans read the package's code and the
 benchmark's code, never tests.  Inside the library a selection is a list
 of pool positions; ``PitcModel.positions`` is the one lookup from tuples,
-so no module but ``pitc`` reads ``.tuple_index``.
+so no module but ``pitc`` reads ``.tuple_index``.  Pool covariance is read
+as ``W G + R`` from ``PitcModel``, so only ``kernels``, ``pitc``,
+``selector``, ``experiment`` and ``hyperlearn`` reference ``cov_matrix``,
+``latent_cross_matrix`` or ``latent_matrix``.
 """
 
 import ast
@@ -323,3 +327,33 @@ def test_tuple_index_scanner_flags_only_other_modules():
 
 def test_only_pitc_reads_tuple_index():
     assert tuple_index_readers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+KERNEL_MATRICES = {"cov_matrix", "latent_cross_matrix", "latent_matrix"}
+KERNEL_CALLERS = ("kernels", "pitc", "selector", "experiment", "hyperlearn")
+
+
+def kernel_matrix_readers(package):
+    """Modules of ``package`` ({module: source}) outside ``KERNEL_CALLERS``
+    that reference a name or attribute of ``KERNEL_MATRICES``."""
+    return sorted(
+        module for module, source in package.items()
+        if module not in KERNEL_CALLERS and _references([ast.parse(source)]) & KERNEL_MATRICES
+    )
+
+
+def test_kernel_matrix_scanner_flags_only_other_modules():
+    package = {
+        "kernels": "def cov_matrix(a, b, h):\n    return latent_matrix(a, h)\n",
+        "pitc": "kuu = kernels.latent_matrix(u, h)\n",
+        "criterion": "b = kernels.cov_matrix(picks, cols, h)\n",
+        "verify": "from .kernels import latent_cross_matrix\nw = latent_cross_matrix(a, u, h)\n",
+        # a re-export is an import, not a reference
+        "__init__": "from .kernels import cov_matrix\n",
+        "data": "cov = model.cov\n",
+    }
+    assert kernel_matrix_readers(package) == ["criterion", "verify"]
+
+
+def test_only_covariance_builders_reference_kernel_matrices():
+    assert kernel_matrix_readers({p.stem: p.read_text() for p in PACKAGE}) == []
