@@ -98,10 +98,10 @@ def _cmd_verify(args):
     config = load_verify_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    passes, failures, inconclusive = verify_sweep(config, out_dir=args.out)
+    passes, failures = verify_sweep(config, out_dir=args.out)
     out = Path(args.out if args.out is not None else config.output_dir)
     print(f"wrote {out / 'verify_report.txt'}")
-    print(f"pass={passes} fail={failures} inconclusive={inconclusive}")
+    print(f"pass={passes} fail={failures}")
     return 0 if failures == 0 else 1
 
 

@@ -11,10 +11,12 @@ one naming the file and the section.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .kernels import Hyperparams
+from .verify import ENUMERATION_GUARD, INSTANCE_INDUCING
 
 __all__ = [
     "load_hyperparams", "save_hyperparams", "hyperparams_from_section",
@@ -188,6 +190,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class VerifySweepConfig:
+    """A seeded sweep of ``random_instance`` certificates; a shape whose
+    instances cannot be built, or whose optimum is beyond the enumeration
+    guard, is rejected here rather than mid-sweep."""
+
     instances: int = 50
     budget: int = 3
     seed: int = 0
@@ -198,6 +204,15 @@ class VerifySweepConfig:
         if min(self.instances, self.budget, min(self.pool_shape, default=0)) < 1:
             raise ConfigError("a verification sweep needs instances, budget and a "
                               f"pool_shape of at least 1, got pool_shape {self.pool_shape!r}")
+        pool = sum(self.pool_shape)
+        if pool < INSTANCE_INDUCING:
+            raise ConfigError(f"pool_shape {self.pool_shape!r} holds {pool} candidates, "
+                              f"fewer than the {INSTANCE_INDUCING} inducing points of an instance")
+        if self.budget > pool:
+            raise ConfigError(f"budget {self.budget} exceeds the candidate pool size {pool}")
+        if math.comb(pool, self.budget) > ENUMERATION_GUARD:
+            raise ConfigError(f"C({pool}, {self.budget}) = {math.comb(pool, self.budget)} "
+                              f"subsets exceeds the {ENUMERATION_GUARD} enumeration guard")
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -17,9 +17,11 @@ from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation
 from mogpal.linalg import chol_spd
 from mogpal.pitc import sparse_cov
 from mogpal.selector import _check_budget, _greedy_loop
-from mogpal.verify import ENUMERATION_GUARD, SUBSET_GUARD
+from mogpal.verify import ENUMERATION_GUARD
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
+# largest selection whose 2^|x| subsets estimate_epsilon1 enumerates
+SUBSET_GUARD = 12
 
 
 def gd(delta, diag):
@@ -495,10 +497,12 @@ class _PreconditionedVar:
         return float(self.cond[zi, zi] - c_zs @ sol)
 
 
-def estimate_epsilon1(model, cache, x, samples=None, seed=0):
-    """``verify.estimate_epsilon1`` with the subset block factored again
-    for every auxiliary candidate, from dense covariance blocks; ``cache``
-    is unused and taken only to share the library function's signature."""
+def estimate_epsilon1(model, cache, x):
+    """``verify.estimate_epsilon1`` by its definition: the worst drop over
+    every subset of ``x`` (up to ``|x| <= 12``), with the subset block
+    factored again for every auxiliary candidate, from dense covariance
+    blocks; ``cache`` is unused and taken only to share the library
+    function's signature."""
     x = list(x)
     model.positions(x)  # rejects a tuple missing from the pool or repeated
     target = set(model.target_types)
@@ -514,29 +518,19 @@ def estimate_epsilon1(model, cache, x, samples=None, seed=0):
     ]
     if not aux_candidates:
         return 0.0
-
-    if len(x) > SUBSET_GUARD and samples is None:
+    if len(x) > SUBSET_GUARD:
         raise EnumerationGuardError(
-            f"2^{len(x)} subsets exceed the enumeration guard; "
-            "pass a sample count for a (lower-bound) estimate"
+            f"2^{len(x)} subsets exceed the {SUBSET_GUARD}-pick enumeration guard"
         )
-    if samples is None:
-        subsets = [list(c) for k in range(len(x) + 1)
-                   for c in itertools.combinations(x, k)]
-    else:
-        rng = np.random.default_rng(seed)
-        subsets = [[]]
-        for _ in range(samples):
-            mask = rng.integers(0, 2, size=len(x)).astype(bool)
-            subsets.append([t for t, keep in zip(x, mask) if keep])
 
     others = [t for t in model.candidates.tuples if t not in set(fixed)]
     pre = _PreconditionedVar(model, fixed, others)
     worst = 0.0
     full_var = {z: pre.var(z, x) for z in aux_candidates}
-    for subset in subsets:
-        for z in aux_candidates:
-            worst = max(worst, pre.var(z, subset) - full_var[z])
+    for k in range(len(x) + 1):
+        for subset in itertools.combinations(x, k):
+            for z in aux_candidates:
+                worst = max(worst, pre.var(z, list(subset)) - full_var[z])
     return worst
 
 

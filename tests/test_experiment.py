@@ -273,8 +273,7 @@ class TestVerifySweep:
             instances=5, budget=2, seed=11, pool_shape=(4, 4),
             output_dir=str(tmp_path),
         )
-        passes, failures, inconclusive = verify_sweep(cfg)
-        assert (passes, failures, inconclusive) == (5, 0, 0)
+        assert verify_sweep(cfg) == (5, 0)
         lines = (tmp_path / "verify_report.txt").read_text().strip().splitlines()
         assert len(lines) == 6
         for line in lines[:-1]:
@@ -283,7 +282,7 @@ class TestVerifySweep:
                 float(fields["f_opt"]) - 2 * float(fields["epsilon"])
             )
             assert float(fields["bound"]) == pytest.approx(recomputed, abs=1e-9)
-        assert lines[-1] == "summary pass=5 fail=0 inconclusive=0"
+        assert lines[-1] == "summary pass=5 fail=0"
 
     def test_report_bytes_match_full_enumeration(self, tmp_path, monkeypatch):
         cfg = VerifySweepConfig(instances=6, seed=40, output_dir=str(tmp_path))
@@ -293,7 +292,7 @@ class TestVerifySweep:
         verify_sweep(cfg, out_dir=tmp_path / "oracle")
         report = (tmp_path / "tree" / "verify_report.txt").read_bytes()
         assert report == (tmp_path / "oracle" / "verify_report.txt").read_bytes()
-        assert report.endswith(b"summary pass=6 fail=0 inconclusive=0\n")
+        assert report.endswith(b"summary pass=6 fail=0\n")
 
 
 class TestCli:
@@ -352,6 +351,13 @@ class TestCli:
         code = cli_main(["verify", "--config", str(cfg)])
         assert code == 0
         assert (tmp_path / "vr" / "verify_report.txt").exists()
+
+    def test_verify_beyond_subset_enumeration(self, tmp_path, capsys):
+        # budget 13 picks: more than the 2^12 subsets the certificate once enumerated
+        cfg = tmp_path / "v.ini"
+        cfg.write_text("[verify]\ninstances = 2\nbudget = 13\npool_shape = 8, 8\n")
+        assert cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path / "vr")]) == 0
+        assert capsys.readouterr().out.endswith("pass=2 fail=0\n")
 
     def test_threads_only_on_run(self, tmp_path, capsys):
         cfg = tmp_path / "v.ini"
@@ -441,16 +447,27 @@ class TestCli:
         ("verify", lambda text: "[verify]\npool_shape = 4, 0\n",
          "missing.ini: verify: a verification sweep needs instances, budget and a "
          "pool_shape of at least 1, got pool_shape (4, 0)"),
+        # shapes whose instances the sweep cannot build or enumerate
+        ("verify", lambda text: "[verify]\npool_shape = 1, 1\n",
+         "missing.ini: verify: pool_shape (1, 1) holds 2 candidates, "
+         "fewer than the 3 inducing points of an instance"),
+        ("verify", lambda text: "[verify]\npool_shape = 2, 2\nbudget = 5\n",
+         "missing.ini: verify: budget 5 exceeds the candidate pool size 4"),
+        ("verify", lambda text: "[verify]\npool_shape = 20, 20\nbudget = 8\n",
+         "missing.ini: verify: C(40, 8) = 76904685 subsets exceeds the 1000000 "
+         "enumeration guard"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, capsys, command, edit, named):
         cfg = tmp_path / "missing.ini"
+        out = tmp_path / "out"
         if edit is not None:
-            cfg.write_text(edit(CONFIG_TEXT.format(out=tmp_path / "out")))
-        assert cli_main([command, "--config", str(cfg)]) == 2
+            cfg.write_text(edit(CONFIG_TEXT.format(out=out)))
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"mogpal {command}: ConfigError: ")
         assert err.count("\n") == 1 and named in err
         assert "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_hyperparams_file_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

@@ -167,38 +167,31 @@ class TestEstimateEpsilon1:
             assert val >= prev - 1e-12
             prev = val
 
-    def test_guard_without_samples(self):
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 8), (5, 5, 5), (8, 4)])
+    def test_matches_subset_enumeration(self, shape):
+        # the two-state value against the oracle's worst over every subset
+        got = []
+        for seed in range(10):
+            model, cache = random_instance(seed + 700, n_per_type=shape)
+            for budget in (3, 6):
+                x = select_greedy(model, cache, budget).selected
+                value = estimate_epsilon1(model, cache, x)
+                assert value == pytest.approx(
+                    oracles.estimate_epsilon1(model, cache, x), rel=1e-12
+                )
+                got.append(value)
+        assert min(got) >= 0.0 and max(got) > 0.0
+
+    def test_selection_beyond_subset_enumeration(self):
+        # 2^13 subsets: the definition's worst subset is the empty one
         model, cache = random_instance(74, n_per_type=(8, 8))
-        x = model.candidates.tuples[:13]
-        with pytest.raises(EnumerationGuardError):
-            estimate_epsilon1(model, cache, x)
-        # sampled mode is a lower bound of the enumerated value
-        sampled = estimate_epsilon1(model, cache, x, samples=64, seed=1)
-        assert sampled >= 0.0
-
-    def test_sampled_lower_bounds_enumerated(self):
-        model, cache = random_instance(75, n_per_type=(5, 5))
-        x = model.candidates.tuples[:6]
-        full = estimate_epsilon1(model, cache, x)
-        sampled = estimate_epsilon1(model, cache, x, samples=20, seed=3)
-        assert sampled <= full + 1e-12
-
-    @pytest.mark.parametrize("seed, shape, samples", [
-        (76, (5, 5), None),
-        (77, (4, 4, 4), None),
-        (78, (3, 6), None),
-        (79, (8, 8), 40),
-    ])
-    def test_matches_per_tuple_factorizations(self, seed, shape, samples):
-        model, cache = random_instance(seed, n_per_type=shape)
-        if samples is None:
-            x = select_greedy(model, cache, 4).selected
-        else:
-            x = model.candidates.tuples[:13]  # too many to enumerate
-        got = estimate_epsilon1(model, cache, x, samples=samples, seed=seed)
-        expected = oracles.estimate_epsilon1(model, cache, x, samples=samples, seed=seed)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got > 0.0
+        cands = model.candidates.tuples
+        x = cands[:13]
+        rest = [t for t in cands[13:] if t.type_index == 0]
+        pre = oracles._PreconditionedVar(model, rest, [t for t in cands if t not in rest])
+        aux = [t for t in cands[13:] if t.type_index != 0]
+        expected = max(pre.var(z, []) - pre.var(z, x) for z in aux)
+        assert estimate_epsilon1(model, cache, x) == pytest.approx(expected, rel=1e-10)
 
     def test_repeated_tuple_rejected(self):
         # a repeated tuple makes every subset block holding it singular
@@ -237,7 +230,7 @@ class TestCheckGuarantee:
         model, cache = _modular_instance()
         report = check_guarantee(model, cache, 3, instance="modular")
         assert report.satisfied
-        assert report.status == "pass"
+        assert report.to_line().endswith(" satisfied=true status=pass")
         assert report.f_greedy == pytest.approx(report.f_opt, abs=1e-9)
 
     def test_report_fields_consistent(self):
@@ -256,6 +249,11 @@ class TestCheckGuarantee:
             model, cache = random_instance(seed + 900, n_per_type=shape)
             report = check_guarantee(model, cache, 3, instance=f"s{seed}")
             assert report.satisfied, report.to_line()
+
+    def test_selection_beyond_subset_enumeration_certified(self):
+        model, cache = random_instance(74, n_per_type=(8, 8))
+        report = check_guarantee(model, cache, 13, instance="s74")
+        assert report.satisfied, report.to_line()
 
     def test_line_serialization_round_trips(self):
         model, cache = random_instance(82, n_per_type=(4, 3))
