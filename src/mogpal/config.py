@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 ALGORITHMS = ("m-greedy", "m-var", "s-var", "s-mi")
+# most tuples a synthetic draw factors as one dense joint covariance
+SYNTHETIC_TUPLE_GUARD = 2000
 
 
 def _floats(text):
@@ -215,6 +217,23 @@ class VerifySweepConfig:
                               f"subsets exceeds the {ENUMERATION_GUARD} enumeration guard")
 
 
+def _check_drawable(path, spec, h, test_count):
+    """Reject a ``[synthetic]`` layout that ``generate_synthetic`` cannot draw
+    under ``h``, or whose locations leave no pool after the split holds
+    ``test_count`` of each target type out."""
+    if spec.dim != h.dim:
+        raise ConfigError(f"{path}: synthetic.dim: {spec.dim}, but the hyperparameters "
+                          f"are {h.dim}-dimensional")
+    total = spec.n_locations * h.n_types
+    if total > SYNTHETIC_TUPLE_GUARD:
+        raise ConfigError(f"{path}: synthetic.n_locations: {spec.n_locations} locations of "
+                          f"{h.n_types} types are {total} tuples, over the "
+                          f"{SYNTHETIC_TUPLE_GUARD} sampling guard")
+    if test_count >= spec.n_locations:
+        raise ConfigError(f"{path}: split.test_count: {test_count} must be below the "
+                          f"{spec.n_locations} synthetic locations")
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     parser = read_ini(path)
     if "experiment" not in parser:
@@ -234,6 +253,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     if targets is not None:
         h = _built(path, "split.target_types", replace, h, target_types=targets)
 
+    test_count = get("split", "test_count", 10, "int")
     synthetic = None
     if "synthetic" in parser:
         synthetic = _built(
@@ -243,6 +263,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             extent=get("synthetic", "extent", 10.0, "float"),
             layout=get("synthetic", "layout", "grid"),
         )
+        _check_drawable(path, synthetic, h, test_count)
 
     return _built(
         path, "experiment", ExperimentConfig,
@@ -254,7 +275,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         ),
         checkpoints=tuple(get("experiment", "checkpoints", [5], "ints")),
         inducing_count=get("experiment", "inducing_count", 10, "int"),
-        test_count=get("split", "test_count", 10, "int"),
+        test_count=test_count,
         hyperparams=h,
         output_dir=get("experiment", "output_dir", "results"),
         svar_mode=get("experiment", "svar_mode", "shared"),

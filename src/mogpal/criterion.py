@@ -115,11 +115,11 @@ selection, so that near-ties break exactly as a rebuild from scratch would
 break them."""
 
 
-def _checked_log(var):
+def _checked_log(var, what="posterior variance in gain sweep"):
+    """Elementwise ``np.log`` of ``var``; an entry that is not finite and
+    positive raises :class:`IllConditionedError` naming ``what``."""
     if not (np.all(var > 0) and np.all(np.isfinite(var))):
-        raise IllConditionedError(
-            "posterior variance in gain sweep is not finite and positive"
-        )
+        raise IllConditionedError(f"{what} is not finite and positive")
     return np.log(var)
 
 

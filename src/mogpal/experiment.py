@@ -18,7 +18,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import kernels
-from .config import ExperimentConfig, GeneratorSpec, VerifySweepConfig
+from .config import SYNTHETIC_TUPLE_GUARD, ExperimentConfig, GeneratorSpec, VerifySweepConfig
 from .criterion import build_cache
 from .data import Dataset, SplitSpec, denormalize, normalize, rmse, split_test
 from .errors import ConfigError
@@ -40,8 +40,6 @@ __all__ = [
     "verify_sweep",
 ]
 
-SYNTHETIC_TUPLE_GUARD = 2000
-
 
 # ---------------------------------------------------------------------------
 # synthetic data
@@ -50,8 +48,9 @@ SYNTHETIC_TUPLE_GUARD = 2000
 def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
     """Sample one noisy realization of the prior over a location layout.
 
-    Draws the full joint exactly (guarded to 2000 tuples) and adds per-type
-    measurement noise; every (location, type) pair is measured.
+    Draws the full joint exactly (guarded to ``SYNTHETIC_TUPLE_GUARD``
+    tuples) and adds per-type measurement noise; every (location, type)
+    pair is measured.
     """
     rng = np.random.default_rng(seed)
     if spec.layout == "grid":
@@ -64,23 +63,22 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
         raise ConfigError(
             f"{total} tuples exceed the {SYNTHETIC_TUPLE_GUARD} sampling guard"
         )
-    tuples = [
+    tuples = TupleArray.build([
         TypedLocation(tuple(float(c) for c in coords[li]), ti)
         for ti in range(m)
         for li in range(spec.n_locations)
-    ]
+    ], h)
     cov = kernels.cov_matrix(tuples, tuples, h)
-    noise = h.noise_var[[t.type_index for t in tuples]]
+    noise = h.noise_var[tuples.types]
     # noise-free prior plus 1e-10 jitter, on the diagonal in place
     cov.flat[::total + 1] -= noise
     cov.flat[::total + 1] += 1e-10
     factor = chol_spd(cov, "synthetic prior")
     field = factor.lower @ rng.standard_normal(total)
     measured = field + rng.standard_normal(total) * np.sqrt(noise)
-    values = {}
-    for k, t in enumerate(tuples):
-        li = k % spec.n_locations
-        values[(li, t.type_index)] = float(measured[k])
+    # tuple k is (location k % n_locations, type k // n_locations)
+    values = {(k % spec.n_locations, k // spec.n_locations): float(v)
+              for k, v in enumerate(measured)}
     return Dataset(
         coords=coords,
         type_names=tuple(f"type{i}" for i in range(m)),

@@ -224,7 +224,7 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
         )
 
     pool.sort(key=lambda t: t.sort_key)
-    cands = TupleArray.build(pool, h)
+    cands = TupleArray.build(pool)  # each tuple was validated above
     kuu = kernels.latent_matrix(inducing.locations, h)
     try:
         kuu_factor = chol_spd(kuu, "inducing covariance")

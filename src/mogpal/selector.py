@@ -5,22 +5,26 @@ all types; the baselines pick by plain posterior entropy over all types
 (``select_mvar``) or restrict themselves to the target pool under a
 single-output model (``select_svar``, ``select_smi``).  Every algorithm
 scores the model's whole pool (the baselines give -inf outside the target
-types) and picks by pool position, so all argmax ties break
-lexicographically on ``(type_index, coordinates)`` and a fixed
-configuration reproduces the same sequence everywhere.
+types) and picks by pool position, so exact ties in the computed scores
+break lexicographically on ``(type_index, coordinates)`` and a fixed
+configuration reproduces the same sequence everywhere.  Greedy, m-Var and
+s-Var score mathematically tied candidates bit-equal wherever a
+from-scratch rebuild does.  s-MI reads its leave-one-out variances off an
+inverse downdated in pick order, which can tie two mirror candidates that a
+refactorization splits by an ulp, or split them, so rounding decides
+between them.
 """
 
 import csv
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .criterion import CriterionCache, GainEvaluator
-from .errors import ConfigError, IllConditionedError
-from .kernels import LOG_2PI_E, TypedLocation
+from .criterion import CriterionCache, GainEvaluator, _checked_log
+from .errors import ConfigError
+from .kernels import LOG_2PI_E, TupleArray, TypedLocation
 from .linalg import chol_spd
 from .pitc import PitcModel
 
@@ -128,112 +132,66 @@ def select_mvar(model: PitcModel, cache: CriterionCache, n: int) -> SelectionSta
     return _greedy_loop(model, n, score)
 
 
-class _SingleOutputPools:
-    """Per-target-type exact single-output GP pools for s-Var and s-MI.
+def _select_single_output(model, n, mutual_information, single_output_hypers=None):
+    """s-Var, or with ``mutual_information`` s-MI, over the target pool.
 
-    Target type ``t`` is the pool range ``slices[t]``, whose free and
-    selected rows are tracked as integer index arrays local to it.
-    With ``track_inverse`` (s-MI) every pool's prior is factored once with
-    ``chol_spd`` and inverted, O(|V_t|^3) per target type; each pick then
-    downdates that inverse in O(|V_t|^2), so ``1 / P[j, j]`` stays the
-    variance of free candidate ``j`` given the other free ones (the MI-greedy
-    bookkeeping of Krause, Singh & Guestrin 2008), through one |V_t|^2
-    buffer per pool allocated here.
+    Target type ``t`` is an exact one-type GP over the pool range
+    ``type_slices[t]``, and ``picked`` marks the selection over the whole
+    pool.  Each pick recomputes the variance of the type's candidates given
+    its picked ones from scratch, O(|sel|^2 |V_t|), over the picks in
+    ascending pool order: exact float ties between far-apart candidates
+    decide picks, so the rounding must not depend on the pick order.  s-MI
+    also factors each prior once with ``chol_spd`` and inverts it,
+    O(|V_t|^3), then downdates that inverse P per pick in O(|V_t|^2)
+    through one preallocated buffer (Schur complement on the pick's
+    pivot), so ``1 / P[j, j]`` stays the variance of free candidate ``j``
+    given the other free ones (Krause, Singh & Guestrin 2008).
     """
-
-    def __init__(self, model, single_output_hypers=None, track_inverse=False):
-        self.slices = {t: model.type_slices[t] for t in sorted(model.target_types)}
-        self.pool_types = model.candidates.types
-        self.prior = {}
-        self.free = {}
-        self.selected = {}
-        self.inverse = {}
-        self.downdate = {}
-        for t, s in self.slices.items():
-            remapped = [TypedLocation(p.location, 0) for p in model.candidates.tuples[s]]
-            h_t = None if single_output_hypers is None else single_output_hypers.get(t)
-            h_t = h_t if h_t is not None else model.h.single_output(t)
-            if h_t.n_types != 1:
-                raise ConfigError("single-output pools need one-type hyperparameters")
-            self.prior[t] = kernels.cov_matrix(remapped, remapped, h_t)
-            self.free[t] = np.arange(len(remapped))
-            self.selected[t] = np.empty(0, dtype=int)
-            if track_inverse:
-                factor = chol_spd(self.prior[t], "single-output pool prior")
-                self.inverse[t] = factor.solve(np.eye(len(remapped)))
-                self.downdate[t] = np.empty_like(self.inverse[t])
-
-    def pick(self, j):
-        """Move the candidate at pool position ``j`` from its pool's free rows
-        to the selected ones, downdating the pool's inverse (Schur
-        complement on the pivot)."""
-        t = int(self.pool_types[j])
-        k = j - self.slices[t].start
-        self.free[t] = self.free[t][self.free[t] != k]
-        self.selected[t] = np.sort(np.append(self.selected[t], k))
-        if t in self.inverse:
-            inv = self.inverse[t]
-            _check_positive(inv[k, k], f"inverse pivot of single-output pool {t}")
-            buf = np.outer(inv[:, k], inv[k, :], out=self.downdate[t])
-            buf /= inv[k, k]
-            inv -= buf
-
-    def posterior_var(self, t):
-        """Variance of every pool-t candidate given the selected pool-t ones.
-
-        Recomputed from scratch, O(|sel|^2 |V_t|), over the selected rows in
-        ascending order: exact float ties between far-apart candidates decide
-        picks, so the rounding must not depend on the pick order.
-        """
-        c = self.prior[t]
-        diag = np.diag(c).copy()
-        sel = self.selected[t]
-        if not sel.size:
-            return diag
-        factor = chol_spd(c[np.ix_(sel, sel)], "selected single-output block")
-        cross = c[:, sel]
-        return diag - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
-
-    def free_scores(self, t, kind):
-        """Scores of pool t's free candidates, in free-row order."""
-        free = self.free[t]
-        log_var = _log(self.posterior_var(t)[free], f"posterior variance in pool {t}")
-        if kind == "s-var":
-            return 0.5 * (LOG_2PI_E + log_var)
-        inv_diag = self.inverse[t][free, free]
-        _check_positive(inv_diag, f"inverse diagonal of single-output pool {t}")
-        return 0.5 * (log_var - _log(1.0 / inv_diag, f"leave-one-out variance in pool {t}"))
-
-
-def _check_positive(values, what):
-    values = np.asarray(values, dtype=float)
-    if not (np.all(np.isfinite(values)) and np.all(values > 0)):
-        raise IllConditionedError(
-            f"{what} is not finite and positive (smallest {np.min(values):.3e}); "
-            "the single-output covariance is numerically singular"
-        )
-
-
-def _log(values, what):
-    """Elementwise natural log of finite positive values.
-
-    Uses ``math.log`` (libm) rather than ``np.log``: NumPy's SIMD log rounds
-    some inputs one ulp differently, which reorders near-tied candidates.
-    """
-    _check_positive(values, what)
-    return np.array([math.log(v) for v in values.tolist()])
-
-
-def _select_single_output(model, n, kind, single_output_hypers=None):
-    pools = _SingleOutputPools(model, single_output_hypers, track_inverse=kind == "s-mi")
     _check_budget(n, len(model.target_cols), what="target candidate pool")
+    picked = np.zeros(len(model.candidates), dtype=bool)
+    pools = {}
+    for t in sorted(model.target_types):
+        h_t = (single_output_hypers or {}).get(t) or model.h.single_output(t)
+        if h_t.n_types != 1:
+            raise ConfigError("single-output pools need one-type hyperparameters")
+        s = model.type_slices[t]
+        ta = TupleArray.build(
+            [TypedLocation(p.location, 0) for p in model.candidates.tuples[s]], h_t
+        )
+        prior = kernels.cov_matrix(ta, ta, h_t)
+        inverse = downdate = None
+        if mutual_information:
+            inverse = chol_spd(prior, "single-output pool prior").solve(np.eye(len(ta)))
+            downdate = np.empty_like(inverse)
+        pools[t] = (s, prior, inverse, downdate)
 
     def score(last):
         if last is not None:
-            pools.pick(last)
+            picked[last] = True
+            s, _, inverse, downdate = pools[int(model.candidates.types[last])]
+            if mutual_information:
+                # the pivot passed the checked log as a leave-one-out variance
+                k = last - s.start
+                np.outer(inverse[:, k], inverse[k, :], out=downdate)
+                downdate /= inverse[k, k]
+                inverse -= downdate
         scores = np.full(len(model.candidates), -np.inf)
-        for t, s in pools.slices.items():
-            scores[s.start + pools.free[t]] = pools.free_scores(t, kind)
+        for t, (s, prior, inverse, _) in pools.items():
+            sel, free = np.flatnonzero(picked[s]), np.flatnonzero(~picked[s])
+            var = np.diag(prior)
+            if sel.size:
+                factor = chol_spd(prior[np.ix_(sel, sel)], "selected single-output block")
+                cross = prior[:, sel]
+                var = var - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
+            log_var = _checked_log(var[free], f"posterior variance in pool {t}")
+            if mutual_information:
+                # a zero inverse diagonal gives inf, which the checked log rejects
+                with np.errstate(divide="ignore"):
+                    loo_var = 1.0 / inverse[free, free]
+                log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
+                scores[s.start + free] = 0.5 * log_var
+            else:
+                scores[s.start + free] = 0.5 * (LOG_2PI_E + log_var)
         return scores, scores
 
     return _greedy_loop(model, n, score)
@@ -242,14 +200,16 @@ def _select_single_output(model, n, kind, single_output_hypers=None):
 def select_svar(model: PitcModel, n: int, single_output_hypers=None) -> SelectionState:
     """Greedy maximum entropy restricted to the target pool.
 
-    Runs one independent single-output GP per target type; by default its
-    parameters are derived from the multi-output model (``single_output``),
-    or pass ``single_output_hypers={type: Hyperparams}`` for refit mode.
-    The budget may not exceed the target pool.  Each pick recomputes the variance given the selected set,
-    O(|sel|^2 |V_t|) per target type.  Raises :class:`IllConditionedError`
-    when a candidate's variance is not finite and positive.
+    Runs one independent exact single-output GP per target type; by default
+    its parameters are derived from the multi-output model
+    (``single_output``), or pass ``single_output_hypers={type: Hyperparams}``
+    for refit mode.  The budget may not exceed the target pool.  Each pick
+    recomputes the variance given the selected set from scratch,
+    O(|sel|^2 |V_t|) per target type, so exact ties break lexicographically
+    as a rebuild's do.  Raises :class:`IllConditionedError` when a
+    candidate's variance is not finite and positive.
     """
-    return _select_single_output(model, n, "s-var", single_output_hypers)
+    return _select_single_output(model, n, False, single_output_hypers)
 
 
 def select_smi(model: PitcModel, n: int, single_output_hypers=None) -> SelectionState:
@@ -259,11 +219,14 @@ def select_smi(model: PitcModel, n: int, single_output_hypers=None) -> Selection
     against its variance given the other free candidates (Krause, Singh &
     Guestrin 2008).  Costs one O(|V_t|^3) factorization per target type,
     then O(|V_t|^2) per pick to downdate the inverse of the free block, on
-    top of the s-Var variance update.  Options as in :func:`select_svar`;
-    raises :class:`IllConditionedError` when a variance, an inverse
-    diagonal entry or a downdate pivot is not finite and positive.
+    top of the s-Var variance update; rounding there can decide between
+    mirror candidates (see the module notes).  Options as in
+    :func:`select_svar`; raises :class:`IllConditionedError` when a
+    variance or a leave-one-out variance ``1 / P[j, j]`` is not finite and
+    positive, which also covers each downdate pivot, scored before it is
+    picked.
     """
-    return _select_single_output(model, n, "s-mi", single_output_hypers)
+    return _select_single_output(model, n, True, single_output_hypers)
 
 
 def write_selection_log(state: SelectionState, path, dim):

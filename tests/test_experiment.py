@@ -433,6 +433,15 @@ class TestCli:
          "missing.ini: synthetic: unknown layout 'spiral'"),
         ("run", lambda text: text.replace("n_locations = 14", "n_locations = 1"),
          "missing.ini: synthetic: n_locations must be at least 2, got 1"),
+        # layouts the generator cannot draw or the split cannot hold out from
+        ("run", lambda text: text.replace("layout = grid", "layout = uniform\ndim = 2"),
+         "missing.ini: synthetic.dim: 2, but the hyperparameters are 1-dimensional"),
+        ("run", lambda text: text.replace("n_locations = 14", "n_locations = 1200"),
+         "missing.ini: synthetic.n_locations: 1200 locations of 2 types are 2400 tuples, "
+         "over the 2000 sampling guard"),
+        ("run", lambda text: text.replace("n_locations = 14", "n_locations = 600")
+         .replace("test_count = 5", "test_count = 600"),
+         "missing.ini: split.test_count: 600 must be below the 600 synthetic locations"),
         ("run", lambda text: text.replace("m-greedy, s-var", "m-greedy, foo"),
          "missing.ini: experiment: unknown algorithm 'foo'"),
         ("run", lambda text: text.replace("checkpoints = 2, 4", "checkpoints = 20, 10"),

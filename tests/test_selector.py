@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mogpal import (
     ConfigError, Hyperparams, IllConditionedError, as_tuple,
     build_cache, build_model, criterion_F,
 )
+from mogpal import selector
 from mogpal.criterion import GainEvaluator
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import (
@@ -89,7 +91,9 @@ REBUILD_CASES = {
 
 
 class TestIncrementalGainState:
-    @pytest.mark.parametrize("algorithm", ["m-greedy", "m-var"])
+    # s-Var runs here too: its NumPy log must break the exact ties of these
+    # instances as the libm log of the from-scratch oracle does
+    @pytest.mark.parametrize("algorithm", ["m-greedy", "m-var", "s-var"])
     @pytest.mark.parametrize("case", sorted(REBUILD_CASES))
     def test_matches_per_pick_rebuild(self, algorithm, case):
         build, budget = REBUILD_CASES[case]
@@ -99,9 +103,13 @@ class TestIncrementalGainState:
             if algorithm == "m-greedy":
                 state = select_greedy(model, cache, budget)
                 reference = oracles.select_greedy_scratch(model, cache, budget)
-            else:
+            elif algorithm == "m-var":
                 state = select_mvar(model, cache, budget)
                 reference = oracles.select_mvar_scratch(model, cache, budget)
+            else:
+                budget = min(budget, model.target_cols.size)
+                state = select_svar(model, budget)
+                reference = oracles.select_single_output_scratch(model, budget, "s-var")
         assert state.selected == reference.selected
         for gain, expected in zip(state.gains, reference.gains):
             assert gain == pytest.approx(expected, rel=0, abs=1e-9)
@@ -346,6 +354,27 @@ class TestSingleOutputBaselines:
         assert len(state.selected) == n
         for gain, expected in zip(state.gains, reference.gains):
             assert gain == pytest.approx(expected, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    def test_bad_inverse_diagonal_raises(self, monkeypatch, value):
+        # a leave-one-out variance 1 / P[j, j] is checked before it is scored
+        # or pivots a downdate, with no RuntimeWarning on a zero P[j, j]
+        model, _ = random_instance(33, n_per_type=(6, 4))
+        chol_spd = selector.chol_spd
+
+        def corrupted(a, name):
+            factor = chol_spd(a, name)
+            if name != "single-output pool prior":
+                return factor
+            inverse = factor.solve(np.eye(len(a)))
+            inverse[2, 2] = value
+            return SimpleNamespace(solve=lambda b: inverse)
+
+        monkeypatch.setattr(selector, "chol_spd", corrupted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match="leave-one-out variance"):
+                select_smi(model, 3)
 
     @pytest.mark.parametrize("select", [select_smi, select_svar])
     def test_numerically_singular_pool_raises(self, select):
