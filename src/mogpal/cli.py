@@ -2,11 +2,11 @@
 
 Subcommands: ``run`` (experiment), ``fit`` (hyperparameter MLE), ``verify``
 (near-optimality sweep), ``synth`` (synthetic dataset generation).  Every
-subcommand reads a plain-text config; ``--out`` and ``--seed`` override the
-corresponding config values, and ``run --threads`` runs repeats
-concurrently.  A :class:`MogpalError` ends a command with one line on
-stderr and exit status 2; ``main`` is the one place that turns an error
-into an exit status.
+subcommand reads a plain-text config and ``--out`` overrides its output
+directory; ``--seed`` overrides the config's seed for ``run``, ``verify``
+and ``synth``, and ``run --threads`` runs repeats concurrently.  A
+:class:`MogpalError` ends a command with one line on stderr and exit status
+2; ``main`` is the one place that turns an error into an exit status.
 """
 
 import argparse
@@ -21,9 +21,9 @@ from .config import (
     load_verify_config,
     save_hyperparams,
 )
-from .data import load_dataset, load_schema, normalize, save_dataset
+from .data import normalize, save_dataset
 from .errors import ConfigError, MogpalError
-from .experiment import generate_synthetic, run_experiment, verify_sweep
+from .experiment import generate_synthetic, load_experiment_dataset, run_experiment, verify_sweep
 from .hyperlearn import fit_hyperparams
 
 
@@ -42,7 +42,8 @@ def _parser():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="path to the config file")
         cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
+        if name != "fit":
+            cmd.add_argument("--seed", type=int, default=None, help="seed override")
         if name == "run":
             cmd.add_argument("--threads", type=int, default=1, help="concurrent repeats")
     return parser
@@ -66,18 +67,12 @@ def _cmd_fit(args):
     config = load_experiment_config(args.config)
     if config.dataset_path is None:
         raise ConfigError(f"{args.config}: fit needs a [data] section with dataset and schema")
-    schema = load_schema(config.schema_path)
-    dataset = load_dataset(config.dataset_path, schema)
-    norm, _ = normalize(dataset)
+    norm, _ = normalize(load_experiment_dataset(config))
     tuples, values = [], []
     for (li, ti), v in sorted(norm.values.items()):
         tuples.append(norm.tuple_at(li, ti))
         values.append(v)
-    seed = args.seed if args.seed is not None else config.seed
-    fit = fit_hyperparams(
-        tuples, np.asarray(values), config.hyperparams,
-        budget=config.fit_budget, restarts=config.fit_restarts, seed=seed,
-    )
+    fit = fit_hyperparams(tuples, np.asarray(values), config.hyperparams, budget=config.fit_budget)
     out = Path(args.out if args.out is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "fitted_hyperparams.ini"
@@ -87,7 +82,6 @@ def _cmd_fit(args):
             "final_nll": fit.final_nll,
             "iterations": fit.iterations,
             "converged": fit.converged,
-            "restarts_used": fit.restarts_used,
         },
     )
     print(f"wrote {path} (nll {fit.final_nll:.6g}, converged={fit.converged})")

@@ -131,19 +131,16 @@ def save_hyperparams(h: Hyperparams, path, extras=None):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Synthetic dataset layout; measurement types come from the attached
-    hyperparameters."""
+    """Synthetic dataset layout; measurement types and the coordinate
+    dimension come from the attached hyperparameters."""
 
     n_locations: int
-    dim: int = 1
     extent: float = 10.0
     layout: str = "grid"
 
     def __post_init__(self):
         if self.layout not in ("grid", "uniform"):
             raise ConfigError(f"unknown layout {self.layout!r}")
-        if self.layout == "grid" and self.dim != 1:
-            raise ConfigError("grid layout is one-dimensional; use layout=uniform")
         if not isinstance(self.n_locations, int) or self.n_locations < 2:
             raise ConfigError(f"n_locations must be at least 2, got {self.n_locations!r}")
 
@@ -163,7 +160,6 @@ class ExperimentConfig:
     svar_mode: str = "shared"
     fit: bool = False
     fit_budget: int = 400
-    fit_restarts: int = 3
     dataset_path: str = None
     schema_path: str = None
     synthetic: GeneratorSpec = None
@@ -221,9 +217,9 @@ def _check_drawable(path, spec, h, test_count):
     """Reject a ``[synthetic]`` layout that ``generate_synthetic`` cannot draw
     under ``h``, or whose locations leave no pool after the split holds
     ``test_count`` of each target type out."""
-    if spec.dim != h.dim:
-        raise ConfigError(f"{path}: synthetic.dim: {spec.dim}, but the hyperparameters "
-                          f"are {h.dim}-dimensional")
+    if spec.layout == "grid" and h.dim != 1:
+        raise ConfigError(f"{path}: synthetic.layout: grid layout is one-dimensional, but the "
+                          f"hyperparameters are {h.dim}-dimensional; use layout=uniform")
     total = spec.n_locations * h.n_types
     if total > SYNTHETIC_TUPLE_GUARD:
         raise ConfigError(f"{path}: synthetic.n_locations: {spec.n_locations} locations of "
@@ -259,7 +255,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         synthetic = _built(
             path, "synthetic", GeneratorSpec,
             n_locations=get("synthetic", "n_locations", kind="int"),
-            dim=get("synthetic", "dim", 1, "int"),
             extent=get("synthetic", "extent", 10.0, "float"),
             layout=get("synthetic", "layout", "grid"),
         )
@@ -281,7 +276,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         svar_mode=get("experiment", "svar_mode", "shared"),
         fit=get("experiment", "fit", False, "boolean"),
         fit_budget=get("experiment", "fit_budget", 400, "int"),
-        fit_restarts=get("experiment", "fit_restarts", 3, "int"),
         dataset_path=get("data", "dataset"),
         schema_path=get("data", "schema"),
         synthetic=synthetic,

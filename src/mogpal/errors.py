@@ -22,7 +22,7 @@ class ModelBuildError(MogpalError):
 
 
 class FitError(MogpalError):
-    """Hyperparameter optimization failed on every restart.
+    """Hyperparameter optimization evaluated no finite likelihood.
 
     Carries the best parameters seen so far in ``best_so_far``.
     """

@@ -37,7 +37,7 @@ from .verify import check_guarantee, random_instance
 
 __all__ = [
     "ResultRow", "ResultTable", "run_experiment", "generate_synthetic",
-    "verify_sweep",
+    "load_experiment_dataset", "verify_sweep",
 ]
 
 
@@ -48,15 +48,17 @@ __all__ = [
 def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
     """Sample one noisy realization of the prior over a location layout.
 
-    Draws the full joint exactly (guarded to ``SYNTHETIC_TUPLE_GUARD``
-    tuples) and adds per-type measurement noise; every (location, type)
-    pair is measured.
+    Draws ``h.dim`` coordinates per location and the full joint exactly
+    (guarded to ``SYNTHETIC_TUPLE_GUARD`` tuples), and adds per-type
+    measurement noise; every (location, type) pair is measured.
     """
     rng = np.random.default_rng(seed)
-    if spec.layout == "grid":
+    if spec.layout == "uniform":
+        coords = rng.uniform(0.0, spec.extent, size=(spec.n_locations, h.dim))
+    elif h.dim == 1:
         coords = np.linspace(0.0, spec.extent, spec.n_locations)[:, None]
     else:
-        coords = rng.uniform(0.0, spec.extent, size=(spec.n_locations, spec.dim))
+        raise ConfigError("grid layout is one-dimensional; use layout=uniform")
     m = h.n_types
     total = spec.n_locations * m
     if total > SYNTHETIC_TUPLE_GUARD:
@@ -84,6 +86,26 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
         type_names=tuple(f"type{i}" for i in range(m)),
         values=values,
     )
+
+
+def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
+    """The ``[data]`` dataset of ``config``, checked against the run before
+    anything is written: its schema must list ``h.n_types`` types, and each
+    target type needs more measurements than ``config.test_count``.  A
+    mismatch is a :class:`ConfigError` naming the schema or dataset file."""
+    dataset = data_mod.load_dataset(config.dataset_path, data_mod.load_schema(config.schema_path))
+    h = config.hyperparams
+    if dataset.n_types != h.n_types:
+        raise ConfigError(f"{config.schema_path}: the schema lists {dataset.n_types} types, "
+                          f"but the hyperparameters have {h.n_types}")
+    for t in sorted(h.target_types):
+        measured = dataset.measured(t)[0].size
+        if config.test_count >= measured:
+            raise ConfigError(
+                f"{config.dataset_path}: split.test_count: {config.test_count} must be below "
+                f"the {measured} measurements of type {dataset.type_names[t]!r}"
+            )
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +158,7 @@ def _pool_by_type(pool_tuples, n_types):
     return {i: v for i, v in per_type.items() if v}
 
 
-def _single_output_refits(config, h_model, pool_tuples, pool_values, seed):
+def _single_output_refits(config, h_model, pool_tuples, pool_values):
     refits = {}
     value_of = dict(zip(pool_tuples, pool_values))
     for t in sorted(config.hyperparams.target_types):
@@ -144,11 +166,9 @@ def _single_output_refits(config, h_model, pool_tuples, pool_values, seed):
         remapped = [TypedLocation(p.location, 0) for p in tuples]
         y = np.array([value_of[p] for p in tuples])
         init = h_model.single_output(t)
-        fit = fit_hyperparams(
-            remapped, y, init, budget=config.fit_budget,
-            restarts=config.fit_restarts, seed=seed, tie_dims=True,
-        )
-        refits[t] = fit.h
+        refits[t] = fit_hyperparams(
+            remapped, y, init, budget=config.fit_budget, tie_dims=True,
+        ).h
     return refits
 
 
@@ -163,12 +183,10 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
     value_of = dict(zip(split.pool_tuples, split.pool_values))
 
     if config.fit:
-        fit = fit_hyperparams(
+        h_model = fit_hyperparams(
             split.pool_tuples, split.pool_values, config.hyperparams,
-            budget=config.fit_budget, restarts=config.fit_restarts,
-            seed=rep_seed, tie_dims=True,
-        )
-        h_model = fit.h
+            budget=config.fit_budget, tie_dims=True,
+        ).h
     else:
         h_model = config.hyperparams
 
@@ -183,7 +201,7 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
     single_output = None
     if config.svar_mode == "refit" and {"s-var", "s-mi"} & set(config.algorithms):
         single_output = _single_output_refits(
-            config, h_model, split.pool_tuples, split.pool_values, rep_seed
+            config, h_model, split.pool_tuples, split.pool_values
         )
 
     test = TupleArray.build(split.test_tuples, h_model)
@@ -240,10 +258,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads=1) -> ResultT
     Repeats may run concurrently; the row order of the outputs does not
     depend on the scheduling.
     """
-    dataset = None
-    if config.dataset_path is not None:
-        schema = data_mod.load_schema(config.schema_path)
-        dataset = data_mod.load_dataset(config.dataset_path, schema)
+    dataset = None if config.dataset_path is None else load_experiment_dataset(config)
     out_dir = Path(out_dir if out_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

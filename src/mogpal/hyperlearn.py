@@ -2,9 +2,9 @@
 
 The likelihood factors the full prior covariance of the observations, so
 each evaluation costs ``O(n^3)`` for n observations.  All positive
-parameters are searched in log space with a derivative-free simplex
-(Nelder-Mead), restarted from seeded perturbations of the initial point;
-the best restart by (negative log likelihood, restart index) wins.
+parameters are searched in log space by one L-BFGS-B run from the initial
+point, with finite-difference gradients, under a hard cap on likelihood
+evaluations; the lowest evaluated negative log likelihood wins.
 """
 
 import math
@@ -90,61 +90,52 @@ class FitResult:
     final_nll: float
     iterations: int
     converged: bool
-    restarts_used: int
 
 
-def fit_hyperparams(x, y_x, init: Hyperparams, budget=400, restarts=5, seed=0,
-                    tie_dims=False) -> FitResult:
+class _BudgetSpent(Exception):
+    """Raised by the objective to stop the optimizer at the evaluation cap."""
+
+
+def fit_hyperparams(x, y_x, init: Hyperparams, budget=400, tie_dims=False) -> FitResult:
     """Minimize the negative exact log marginal likelihood over log parameters.
 
-    ``budget`` is the total number of likelihood evaluations, split evenly
-    across restarts.  Restart 0 starts exactly at ``init``; later restarts
-    perturb it with seeded Gaussian noise in log space.  Convergence is
-    simplex shrinkage below 1e-6 in log space or budget exhaustion.  Raises
-    :class:`FitError` carrying the best parameters if every restart ends on
-    the penalized (non-finite) likelihood.
+    One L-BFGS-B run starts at ``init``; its gradient is taken by finite
+    differences.  ``budget`` is a hard cap on likelihood evaluations,
+    gradient evaluations included: the run stops when it is spent and the
+    fit is not converged.  The result is the lowest evaluated negative log
+    likelihood, so it never exceeds the one at ``init``.  Raises
+    :class:`FitError` carrying the best parameters if every evaluation
+    was the penalized (non-finite) likelihood.
     """
     if budget < 1:
         raise ConfigError("evaluation budget must be at least 1")
-    if restarts < 1:
-        raise ConfigError("at least one restart is required")
     tx = x if isinstance(x, TupleArray) else TupleArray.build(x, init)
     y_x = np.asarray(y_x, dtype=float).ravel()
-    rng = np.random.default_rng(seed)
     x0 = _pack(init, tie_dims)
-    per_restart = max(1, budget // restarts)
+    best = (math.inf, x0)
+    evals = 0
 
     def objective(vec):
+        nonlocal best, evals
+        if evals == budget:
+            raise _BudgetSpent
+        evals += 1
         try:
             h = _unpack(vec, init, tie_dims)
         except (ConfigError, FloatingPointError, OverflowError):
-            return -PENALIZED_LML
-        return -log_marginal_likelihood(h, tx, y_x)
+            nll = -PENALIZED_LML
+        else:
+            nll = -log_marginal_likelihood(h, tx, y_x)
+        if nll < best[0]:
+            best = (nll, vec.copy())
+        return nll
 
-    best = None
-    total_evals = 0
-    any_converged = False
-    for r in range(restarts):
-        start = x0 if r == 0 else x0 + rng.normal(0.0, 0.3, size=x0.shape)
-        res = scipy.optimize.minimize(
-            objective, start, method="Nelder-Mead",
-            options={"maxfev": per_restart, "xatol": 1e-6, "fatol": 1e-12},
-        )
-        total_evals += res.nfev
-        any_converged = any_converged or bool(res.success)
-        key = (float(res.fun), r)
-        if best is None or key < best[0]:
-            best = (key, res.x)
-    final_nll, _ = best[0]
-    if not math.isfinite(final_nll) or final_nll >= -PENALIZED_LML:
-        raise FitError(
-            "all restarts ended on a degenerate likelihood",
-            best_so_far=_unpack(best[1], init, tie_dims),
-        )
-    return FitResult(
-        h=_unpack(best[1], init, tie_dims),
-        final_nll=final_nll,
-        iterations=total_evals,
-        converged=any_converged,
-        restarts_used=restarts,
-    )
+    try:
+        converged = bool(scipy.optimize.minimize(objective, x0, method="L-BFGS-B").success)
+    except _BudgetSpent:
+        converged = False
+    final_nll, vec = best
+    h = _unpack(vec, init, tie_dims)
+    if not final_nll < -PENALIZED_LML:
+        raise FitError("every evaluation was a degenerate likelihood", best_so_far=h)
+    return FitResult(h=h, final_nll=final_nll, iterations=evals, converged=converged)

@@ -60,6 +60,8 @@ smooth_prec_inv.1 = 0.1
 
 SYNTHETIC = "[synthetic]\nlayout = grid\nn_locations = 14\nextent = 10\n"
 DATA = "[data]\ndataset = missing.csv\nschema = missing.schema\n"
+THREE_TYPES = "[data]\ndataset = three.csv\nschema = three.schema\n"
+TWO_TYPES = "[data]\ndataset = two.csv\nschema = two.schema\n"
 
 
 class TestHyperparamsConfig:
@@ -105,6 +107,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             generate_synthetic(spec, H2, seed=0)
 
+    def test_grid_is_one_dimensional(self):
+        h = Hyperparams(signal_var=[1.0], noise_var=[0.2], latent_prec_inv=[0.5, 2.0],
+                        smooth_prec_inv=[[0.1, 0.3]])
+        with pytest.raises(ConfigError, match="grid layout is one-dimensional"):
+            generate_synthetic(GeneratorSpec(n_locations=5), h, seed=0)
+
     def test_tiny_signal_gives_noise_columns(self):
         h = Hyperparams(
             signal_var=[1e-12, 1e-12], noise_var=[0.25, 0.1],
@@ -116,8 +124,11 @@ class TestGenerateSynthetic:
             _, vals = ds.measured(ti)
             assert float(np.var(vals)) == pytest.approx(nv, rel=0.35)
 
-    @pytest.mark.parametrize("layout", ["grid", "uniform"])
-    def test_prior_factor_bitwise_old_expression(self, monkeypatch, layout):
+    @pytest.mark.parametrize("layout, dim", [("grid", 1), ("uniform", 1), ("uniform", 2)],
+                             ids=["grid", "uniform", "uniform-2d"])
+    def test_prior_factor_bitwise_old_expression(self, monkeypatch, layout, dim):
+        h = Hyperparams(signal_var=H2.signal_var, noise_var=H2.noise_var,
+                        latent_prec_inv=[2.0] * dim, smooth_prec_inv=[[0.1] * dim] * 2)
         factors = []
 
         def spy(a, name="matrix"):
@@ -126,14 +137,15 @@ class TestGenerateSynthetic:
 
         monkeypatch.setattr(experiment, "chol_spd", spy)
         spec = GeneratorSpec(n_locations=60, extent=5.0, layout=layout)
-        ds = generate_synthetic(spec, H2, seed=4)
+        ds = generate_synthetic(spec, h, seed=4)
+        assert ds.coords.shape == (60, dim)
         tuples = [
             TypedLocation(tuple(float(c) for c in ds.coords[li]), ti)
-            for ti in range(H2.n_types) for li in range(spec.n_locations)
+            for ti in range(h.n_types) for li in range(spec.n_locations)
         ]
         total = len(tuples)
-        cov = kernels.cov_matrix(tuples, tuples, H2)
-        noise = H2.noise_var[[t.type_index for t in tuples]]
+        cov = kernels.cov_matrix(tuples, tuples, h)
+        noise = h.noise_var[[t.type_index for t in tuples]]
         expected = chol_spd(cov - np.diag(noise) + 1e-10 * np.eye(total))
         assert len(factors) == 1
         assert np.array_equal(factors[0].lower, expected.lower)
@@ -246,7 +258,7 @@ class TestRunExperiment:
     def test_refit_mode_runs(self, tmp_path):
         cfg = _config(
             tmp_path, repeats=1, algorithms=("s-var",), svar_mode="refit",
-            fit_budget=60, fit_restarts=1,
+            fit_budget=60,
         )
         table = run_experiment(cfg)
         assert len(table.rows) == 2
@@ -335,7 +347,7 @@ class TestCli:
                 f"[data]\ndataset = {tmp_path / 'sy' / 'synthetic.csv'}\n"
                 f"schema = {tmp_path / 'sy' / 'synthetic.schema'}\n",
             )
-            + "fit_budget = 60\nfit_restarts = 1\n"
+            .replace("inducing_count = 5\n", "inducing_count = 5\nfit_budget = 60\n")
         )
         code = cli_main(["fit", "--config", str(fit_cfg), "--out", str(tmp_path / "fo")])
         assert code == 0
@@ -366,6 +378,13 @@ class TestCli:
             cli_main(["verify", "--config", str(cfg), "--threads", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    def test_fit_takes_no_seed(self, tmp_path, capsys):
+        # the fit is one deterministic run from the configured hyperparameters
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["fit", "--config", str(tmp_path / "f.ini"), "--seed", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["instances = 0", "instances = -2", "budget = 0"])
     def test_verify_sweep_checking_nothing_fails(self, tmp_path, setting):
@@ -434,8 +453,11 @@ class TestCli:
         ("run", lambda text: text.replace("n_locations = 14", "n_locations = 1"),
          "missing.ini: synthetic: n_locations must be at least 2, got 1"),
         # layouts the generator cannot draw or the split cannot hold out from
-        ("run", lambda text: text.replace("layout = grid", "layout = uniform\ndim = 2"),
-         "missing.ini: synthetic.dim: 2, but the hyperparameters are 1-dimensional"),
+        ("run", lambda text: text.replace("dim = 1\n", "dim = 2\n")
+         .replace("latent_prec_inv = 2.0", "latent_prec_inv = 2.0, 2.0")
+         .replace(".0 = 0.1\n", ".0 = 0.1, 0.1\n").replace(".1 = 0.1\n", ".1 = 0.1, 0.1\n"),
+         "missing.ini: synthetic.layout: grid layout is one-dimensional, but the "
+         "hyperparameters are 2-dimensional; use layout=uniform"),
         ("run", lambda text: text.replace("n_locations = 14", "n_locations = 1200"),
          "missing.ini: synthetic.n_locations: 1200 locations of 2 types are 2400 tuples, "
          "over the 2000 sampling guard"),
@@ -465,8 +487,25 @@ class TestCli:
         ("verify", lambda text: "[verify]\npool_shape = 20, 20\nbudget = 8\n",
          "missing.ini: verify: C(40, 8) = 76904685 subsets exceeds the 1000000 "
          "enumeration guard"),
+        # datasets that do not fit the hyperparameters or the split
+        ("run", lambda text: text.replace(SYNTHETIC, THREE_TYPES),
+         "three.schema: the schema lists 3 types, but the hyperparameters have 2"),
+        ("fit", lambda text: text.replace(SYNTHETIC, THREE_TYPES),
+         "three.schema: the schema lists 3 types, but the hyperparameters have 2"),
+        ("run", lambda text: text.replace(SYNTHETIC, TWO_TYPES)
+         .replace("test_count = 5", "test_count = 14"),
+         "two.csv: split.test_count: 14 must be below the 14 measurements of type 'type0'"),
     ])
-    def test_bad_config_is_one_line(self, tmp_path, capsys, command, edit, named):
+    def test_bad_config_is_one_line(self, tmp_path, monkeypatch, capsys, command, edit, named):
+        # the [data] cases read 14-location datasets from the working directory
+        monkeypatch.chdir(tmp_path)
+        for name, n_types in (("three", 3), ("two", 2)):
+            types = [f"type{i}" for i in range(n_types)]
+            Path(f"{name}.schema").write_text(
+                f"[schema]\ncoords = x0\ntypes = {', '.join(types)}\n"
+            )
+            rows = [f"{k}.0" + f",{k % 3}.5" * n_types for k in range(14)]
+            Path(f"{name}.csv").write_text("\n".join(["x0," + ",".join(types), *rows]) + "\n")
         cfg = tmp_path / "missing.ini"
         out = tmp_path / "out"
         if edit is not None:

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mogpal import ConfigError, Hyperparams, as_tuple, cov_matrix
-from mogpal.hyperlearn import FitResult, fit_hyperparams, log_marginal_likelihood
+from mogpal import ConfigError, FitError, Hyperparams, as_tuple, cov_matrix, hyperlearn
+from mogpal.hyperlearn import (
+    PENALIZED_LML,
+    FitResult,
+    fit_hyperparams,
+    log_marginal_likelihood,
+)
 from mogpal.kernels import TupleArray
 
 H1 = Hyperparams(
@@ -72,38 +77,39 @@ class TestFitHyperparams:
     def test_never_worse_than_init(self):
         pts, y = _sample_single_type(H1, 30, seed=0)
         init_nll = -log_marginal_likelihood(H1, pts, y)
-        fit = fit_hyperparams(pts, y, H1, budget=150, restarts=3, seed=0)
+        fit = fit_hyperparams(pts, y, H1, budget=150)
         assert fit.final_nll <= init_nll + 1e-9
 
     def test_fitted_variances_positive(self):
         pts, y = _sample_single_type(H1, 20, seed=1)
-        fit = fit_hyperparams(pts, y, H1, budget=120, restarts=2, seed=1)
+        fit = fit_hyperparams(pts, y, H1, budget=120)
         assert np.all(fit.h.signal_var > 0)
         assert np.all(fit.h.noise_var > 0)
         assert np.all(fit.h.latent_prec_inv > 0)
 
     def test_determinism(self):
         pts, y = _sample_single_type(H1, 20, seed=2)
-        a = fit_hyperparams(pts, y, H1, budget=100, restarts=3, seed=5)
-        b = fit_hyperparams(pts, y, H1, budget=100, restarts=3, seed=5)
+        a = fit_hyperparams(pts, y, H1, budget=100)
+        b = fit_hyperparams(pts, y, H1, budget=100)
         assert a.final_nll == b.final_nll
         assert np.array_equal(a.h.noise_var, b.h.noise_var)
 
     def test_recovers_noise_within_factor_two(self):
-        # synthetic recovery: median fitted noise over 10 seeds within 2x
-        ratios = []
+        # synthetic recovery: median fitted noise over 10 seeds within 2x,
+        # and every fit converges inside its budget
+        ratios, converged = [], []
         for seed in range(10):
             pts, y = _sample_single_type(H1, 200, seed=seed)
             init = Hyperparams(
                 signal_var=[0.5], noise_var=[0.4],
                 latent_prec_inv=[1.0], smooth_prec_inv=[[0.5]],
             )
-            fit = fit_hyperparams(
-                pts, y, init, budget=300, restarts=2, seed=seed, tie_dims=True
-            )
+            fit = fit_hyperparams(pts, y, init, budget=300, tie_dims=True)
             ratios.append(float(fit.h.noise_var[0]) / float(H1.noise_var[0]))
+            converged.append(fit.converged)
         median = float(np.median(ratios))
         assert 0.5 <= median <= 2.0
+        assert converged == [True] * 10
 
     def test_budget_guard(self):
         with pytest.raises(ConfigError):
@@ -111,8 +117,37 @@ class TestFitHyperparams:
 
     def test_result_fields(self):
         pts, y = _sample_single_type(H1, 15, seed=3)
-        fit = fit_hyperparams(pts, y, H1, budget=80, restarts=2, seed=3)
+        fit = fit_hyperparams(pts, y, H1, budget=80)
         assert isinstance(fit, FitResult)
         assert math.isfinite(fit.final_nll)
-        assert fit.restarts_used == 2
-        assert fit.iterations > 0
+        assert 0 < fit.iterations <= 80
+
+    @pytest.mark.parametrize("budget", [1, 17])
+    def test_budget_caps_likelihood_evaluations(self, monkeypatch, budget):
+        # 2 types, untied: 2 signal + 2 noise + 1 latent + 2 smoothing widths
+        rng = np.random.default_rng(6)
+        pts = [as_tuple([v], t) for v, t in zip(rng.uniform(0, 4, 24), [0, 1] * 12)]
+        y = rng.normal(size=24)
+        calls = []
+
+        def counted(h, x, y_x):
+            calls.append(1)
+            return log_marginal_likelihood(h, x, y_x)
+
+        monkeypatch.setattr(hyperlearn, "log_marginal_likelihood", counted)
+        fit = fit_hyperparams(pts, y, H2, budget=budget)
+        assert len(hyperlearn._pack(H2, False)) == 7
+        assert len(calls) == fit.iterations <= budget
+        assert not fit.converged
+        assert fit.final_nll <= -log_marginal_likelihood(H2, pts, y) + 1e-9
+
+    def test_degenerate_likelihood_everywhere_is_fit_error(self, monkeypatch):
+        pts, y = _sample_single_type(H1, 10, seed=4)
+        monkeypatch.setattr(
+            hyperlearn, "log_marginal_likelihood", lambda h, x, y_x: PENALIZED_LML
+        )
+        with pytest.raises(FitError) as exc:
+            fit_hyperparams(pts, y, H1, budget=50)
+        best = exc.value.best_so_far
+        for name in ("signal_var", "noise_var", "latent_prec_inv", "smooth_prec_inv"):
+            np.testing.assert_allclose(getattr(best, name), getattr(H1, name), rtol=1e-14)

@@ -1,8 +1,9 @@
 """Static guards against imported names that a module never uses, against
 ``__all__`` entries that a module does not define, against library code that
 only tests reach, against dataclass fields that no run reads, against
-pool lookups outside ``pitc`` and against kernel matrices outside the
-modules that build covariances.
+function parameters that their body never reads, against pool lookups
+outside ``pitc`` and against kernel matrices outside the modules that build
+covariances.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
@@ -302,6 +303,48 @@ def test_field_scanner_flags_only_unread_fields():
 def test_dataclass_fields_are_read():
     package = {p.stem: p.read_text() for p in PACKAGE}
     assert unread_fields(package, [p.read_text() for p in CALLERS]) == []
+
+
+def unread_parameters(source):
+    """Parameters of the functions in ``source`` that the function's body
+    never reads, as ``function.parameter``; ``self``, ``cls`` and names
+    starting with ``_`` are exempt.  A read in a nested function counts."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg] if a is not None]
+        read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unread += [f"{node.name}.{p}" for p in params
+                   if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return unread
+
+
+def test_parameter_scanner_flags_only_unread_parameters():
+    source = (
+        "def f(a, b, _c, *args, d=1, **kw):\n"
+        "    return a + kw['x']\n"
+        "def outer(x, seed):\n"
+        "    def inner(y):\n"
+        "        return x + y\n"
+        "    seed = 3\n"
+        "    return inner\n"
+        "class K:\n"
+        "    def m(self, v=len):\n"
+        "        return self\n"
+        "    @classmethod\n"
+        "    def make(cls, w):\n"
+        "        return cls(w)\n"
+    )
+    assert unread_parameters(source) == ["f.b", "f.d", "f.args", "outer.seed", "m.v"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_library_functions_read_their_parameters(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def tuple_index_readers(package):
