@@ -185,6 +185,21 @@ class ExperimentConfig:
         if min(self.repeats, self.inducing_count, self.test_count) < 1:
             raise ConfigError("repeats, inducing_count and test_count must be positive")
 
+    def check_pool(self, path, pool, locations):
+        """Reject, naming ``path``, a last checkpoint beyond a pool of ``pool``
+        candidates when m-greedy or m-var picks from it (the single-output
+        baselines stop at their target pool), or more inducing points than
+        ``locations`` distinct locations.  The locations only bound the
+        inducing count: a split that holds out every measurement at a
+        location leaves fewer, and the run then fails after it starts."""
+        budget = self.checkpoints[-1]
+        if budget > pool and {"m-greedy", "m-var"} & set(self.algorithms):
+            raise ConfigError(f"{path}: experiment.checkpoints: budget {budget} exceeds "
+                              f"the candidate pool size {pool}")
+        if self.inducing_count > locations:
+            raise ConfigError(f"{path}: experiment.inducing_count: {self.inducing_count} "
+                              f"inducing locations from {locations} distinct locations")
+
 
 @dataclass(frozen=True)
 class VerifySweepConfig:
@@ -213,10 +228,12 @@ class VerifySweepConfig:
                               f"subsets exceeds the {ENUMERATION_GUARD} enumeration guard")
 
 
-def _check_drawable(path, spec, h, test_count):
+def _check_drawable(path, config):
     """Reject a ``[synthetic]`` layout that ``generate_synthetic`` cannot draw
-    under ``h``, or whose locations leave no pool after the split holds
-    ``test_count`` of each target type out."""
+    under the hyperparameters, whose locations leave no pool after the split
+    holds ``test_count`` of each target type out, or whose pool cannot hold
+    the last checkpoint or the inducing count."""
+    spec, h, test_count = config.synthetic, config.hyperparams, config.test_count
     if spec.layout == "grid" and h.dim != 1:
         raise ConfigError(f"{path}: synthetic.layout: grid layout is one-dimensional, but the "
                           f"hyperparameters are {h.dim}-dimensional; use layout=uniform")
@@ -228,6 +245,7 @@ def _check_drawable(path, spec, h, test_count):
     if test_count >= spec.n_locations:
         raise ConfigError(f"{path}: split.test_count: {test_count} must be below the "
                           f"{spec.n_locations} synthetic locations")
+    config.check_pool(path, total - test_count * len(h.target_types), spec.n_locations)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -258,9 +276,8 @@ def load_experiment_config(path) -> ExperimentConfig:
             extent=get("synthetic", "extent", 10.0, "float"),
             layout=get("synthetic", "layout", "grid"),
         )
-        _check_drawable(path, synthetic, h, test_count)
 
-    return _built(
+    config = _built(
         path, "experiment", ExperimentConfig,
         seed=get("experiment", "seed", 0, "int"),
         repeats=get("experiment", "repeats", 1, "int"),
@@ -280,6 +297,9 @@ def load_experiment_config(path) -> ExperimentConfig:
         schema_path=get("data", "schema"),
         synthetic=synthetic,
     )
+    if synthetic is not None:
+        _check_drawable(path, config)
+    return config
 
 
 def load_verify_config(path) -> VerifySweepConfig:

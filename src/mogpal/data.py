@@ -115,11 +115,25 @@ def _apply_transform(raw, transform, where):
     return math.log10(raw)
 
 
+def _finite(cell, where, what):
+    """``float(cell)``; a cell that does not parse, or parses to nan or inf,
+    is a ConfigError naming ``where``."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {what}: {cell.strip()!r} is not a finite number")
+    return value
+
+
 def load_dataset(path, schema: Schema) -> Dataset:
     """Parse and validate a CSV dataset, applying declared transforms.
 
-    Malformed rows raise with their line number; missing cells simply leave
-    the (location, type) pair unmeasured.  An unreadable file is a
+    Malformed rows raise with their line number: a cell that is not a finite
+    number, or a row that measures a type at coordinates an earlier row
+    measured it at (both lines are named).  Missing cells simply leave the
+    (location, type) pair unmeasured.  An unreadable file is a
     :class:`ConfigError` naming it.
     """
     try:
@@ -139,31 +153,26 @@ def load_dataset(path, schema: Schema) -> Dataset:
                 f"{path}: header {header} does not match schema columns {expected}"
             )
         d = len(schema.coord_columns)
-        coords, values = [], {}
+        coords, values, first_line = [], {}, {}
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            where = f"{path}:{line_no}"
             if len(row) != len(expected):
-                raise ConfigError(
-                    f"{path}:{line_no}: expected {len(expected)} cells, got {len(row)}"
-                )
-            try:
-                coords.append([float(c) for c in row[:d]])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{line_no}: bad coordinate: {exc}") from None
-            loc_index = len(coords) - 1
+                raise ConfigError(f"{where}: expected {len(expected)} cells, got {len(row)}")
+            loc = tuple(_finite(c, where, "coordinate") for c in row[:d])
+            coords.append(loc)
             for ti, col in enumerate(schema.type_columns):
                 cell = row[d + ti].strip()
                 if not cell:
                     continue
-                try:
-                    raw = float(cell)
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}:{line_no}: bad value {cell!r} in column {col!r}"
-                    ) from None
-                values[(loc_index, ti)] = _apply_transform(
-                    raw, schema.transform_of(col), f"{path}:{line_no}"
+                raw = _finite(cell, where, f"column {col!r}")
+                if (loc, ti) in first_line:
+                    raise ConfigError(f"{where}: column {col!r} at {list(loc)} was already "
+                                      f"measured on line {first_line[loc, ti]}")
+                first_line[loc, ti] = line_no
+                values[(len(coords) - 1, ti)] = _apply_transform(
+                    raw, schema.transform_of(col), where
                 )
     if not coords:
         raise ConfigError(f"{path}: no data rows")

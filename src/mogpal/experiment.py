@@ -90,9 +90,11 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
 
 def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     """The ``[data]`` dataset of ``config``, checked against the run before
-    anything is written: its schema must list ``h.n_types`` types, and each
-    target type needs more measurements than ``config.test_count``.  A
-    mismatch is a :class:`ConfigError` naming the schema or dataset file."""
+    anything is written: its schema must list ``h.n_types`` types, each
+    target type needs more measurements than ``config.test_count``, and the
+    pool the split leaves must hold the last checkpoint and the inducing
+    count (``ExperimentConfig.check_pool``).  A mismatch is a
+    :class:`ConfigError` naming the schema or dataset file."""
     dataset = data_mod.load_dataset(config.dataset_path, data_mod.load_schema(config.schema_path))
     h = config.hyperparams
     if dataset.n_types != h.n_types:
@@ -105,6 +107,10 @@ def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
                 f"{config.dataset_path}: split.test_count: {config.test_count} must be below "
                 f"the {measured} measurements of type {dataset.type_names[t]!r}"
             )
+    config.check_pool(
+        config.dataset_path, len(dataset.values) - config.test_count * len(h.target_types),
+        len({tuple(dataset.coords[li]) for li, _ in dataset.values}),
+    )
     return dataset
 
 

@@ -54,34 +54,38 @@ def chol_spd(a, name="matrix"):
     not positive definite after one jitter pass.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return SpdFactor(np.zeros((0, 0)), 0.0)
     try:
         return SpdFactor(np.linalg.cholesky(a), 0.0)
     except np.linalg.LinAlgError:
-        pass
+        return SpdFactor(*_jitter_pass(a.copy(), name, np.linalg.cholesky))
+
+
+def _jitter_pass(a, name, factor):
+    """Add ``JITTER_SCALE * trace / n`` to ``a``'s diagonal in place, log the
+    pass, return ``factor(a), jitter``; a LinAlgError is IllConditionedError."""
+    n = a.shape[0]
     jitter = JITTER_SCALE * float(np.trace(a)) / n
     logger.info("jitter pass on %s (n=%d, jitter=%.3e)", name, n, jitter)
+    a.flat[::n + 1] += jitter
     try:
-        lower = np.linalg.cholesky(a + jitter * np.eye(n))
+        return factor(a), jitter
     except np.linalg.LinAlgError:
-        raise IllConditionedError(
-            f"{name} ({n}x{n}) is not positive definite, even after "
-            f"adding jitter {jitter:.3e}"
-        ) from None
-    return SpdFactor(lower, jitter)
+        raise IllConditionedError(f"{name} ({n}x{n}) is not positive definite, "
+                                  f"even after adding jitter {jitter:.3e}") from None
 
 
 def _potrf_in_place(a):
     """Cholesky factor of the C-ordered ``a`` over its lower triangle (the
-    one ``np.linalg.cholesky`` reads), in place; whether every pivot is
-    finite and positive."""
+    one ``np.linalg.cholesky`` reads), in place; a LinAlgError unless every
+    pivot is finite and positive."""
     out, info = dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
     if not np.may_share_memory(out, a):
         # the factor would be lost in the copy and the solve would read ``a``
         raise ValueError("dpotrf copied its input; pass a C-contiguous float64 array")
-    return info == 0 and bool(np.all(np.isfinite(np.diagonal(a))))
+    if info != 0 or not np.all(np.isfinite(np.diagonal(a))):
+        raise np.linalg.LinAlgError(f"dpotrf info {info}")
 
 
 def spd_info_in_place(a, w, refill, name="matrix"):
@@ -94,20 +98,14 @@ def spd_info_in_place(a, w, refill, name="matrix"):
     jitter policy and log line are :func:`chol_spd`'s; a non-finite pivot
     (a NaN in ``a``) counts as a failed factorization.
     """
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return np.zeros((w.shape[1], w.shape[1]))
     try:
-        if not _potrf_in_place(a):
+        try:
+            _potrf_in_place(a)
+        except np.linalg.LinAlgError:
             refill(a)
-            jitter = JITTER_SCALE * float(np.trace(a)) / n
-            logger.info("jitter pass on %s (n=%d, jitter=%.3e)", name, n, jitter)
-            a.flat[::n + 1] += jitter
-            if not _potrf_in_place(a):
-                raise IllConditionedError(
-                    f"{name} ({n}x{n}) is not positive definite, even after "
-                    f"adding jitter {jitter:.3e}"
-                )
+            _jitter_pass(a, name, _potrf_in_place)
         half = scipy.linalg.solve_triangular(a, w, lower=True, check_finite=False)
     finally:
         refill(a)

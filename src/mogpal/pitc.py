@@ -8,12 +8,12 @@ inducing measurements makes distinct types independent, which is the
 structure the selection criterion exploits.
 
 This module owns that block algebra, once: ``fill_residual`` computes the
-per-type residual ``C - W K_uu^-1 W^T``; ``sparse_cov`` assembles the joint
-covariance of arbitrary tuples, which the posterior mean needs between
-queries and observations; and ``pool_blocks`` slices the cached blocks of
-any set of pool positions into a ``BlockFactors``, which factors each
-residual block and, once, the set's ``K_uu + S`` (``S`` its inducing
-information), for the posterior and the selection criterion alike.
+per-type residual ``C - W K_uu^-1 W^T``; ``sparse_cov`` covaries queries
+with pool tuples, whose side it reads from the model, for the posterior
+mean; and ``pool_blocks`` slices the cached blocks of any set of pool
+positions into a ``BlockFactors``, which factors each residual block and,
+once, the set's ``K_uu + S`` (``S`` its inducing information), for the
+posterior and the selection criterion alike.
 
 Inside the library a selection is a list of pool positions.  Public calls
 take ``(location, type)`` tuples, and ``PitcModel.positions`` is the one
@@ -294,17 +294,15 @@ def fill_residual(h: Hyperparams, ta: TupleArray, w, g, r, prior_var=None):
 
 
 def sparse_cov(model: PitcModel, a, b):
-    """Joint-model covariance: exact within a type, low-rank across types.
-
-    Reads only the model's hyperparameters, inducing locations and K_uu
-    factor, so ``a`` and ``b`` need not be candidates of its pool.
-    """
-    h, locs = model.h, model.inducing.locations
+    """Joint-model covariance of any tuples ``a`` with pool tuples ``b``:
+    exact within a type, low-rank across types.  ``b``'s inducing solve is
+    read from ``model.G``, so only ``a``'s cross covariance ``W_a`` and the
+    within-type blocks reach the kernel."""
+    h = model.h
     ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
-    tb = b if isinstance(b, TupleArray) else TupleArray.build(b, h)
-    w_a = kernels.latent_cross_matrix(ta, locs, h)
-    w_b = kernels.latent_cross_matrix(tb, locs, h)
-    out = w_a @ model.kuu_factor.solve(w_b.T)
+    cols = model.positions(b)
+    tb = model.candidates.take(cols)
+    out = kernels.latent_cross_matrix(ta, model.inducing.locations, h) @ model.G[:, cols]
     for i in np.unique(ta.types):
         ra = ta.indices_of_type(i)
         rb = tb.indices_of_type(i)
@@ -413,17 +411,14 @@ def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
     inducing low rank (Woodbury), at cost ``O(|x| (m^2 + (|x|/M)^2))``; the
     mean then takes one ``|z| x |x|`` cross covariance.
     """
-    h = model.h
-    tx = x if isinstance(x, TupleArray) else TupleArray.build(x, h)
-    tz = z if isinstance(z, TupleArray) else TupleArray.build(z, h)
+    tz = z if isinstance(z, TupleArray) else TupleArray.build(z, model.h)
     y_x = np.asarray(y_x, dtype=float).ravel()
-    if y_x.shape[0] != len(tx):
-        raise DomainError(f"{len(tx)} observations but {y_x.shape[0]} values")
-    if set(tx.tuples) & set(tz.tuples):
+    if y_x.shape[0] != len(x):
+        raise DomainError(f"{len(x)} observations but {y_x.shape[0]} values")
+    if set(x) & set(tz.tuples):
         raise DomainError("query tuples overlap the observed tuples")
 
-    if len(tx) == 0:
+    if not x:
         return GaussianPrediction(mean=np.zeros(len(tz)))
-    # an (n, 1) right-hand side, not a 1-D one: gemv would round differently
-    sol_y = pool_blocks(model, model.positions(tx.tuples)).inv_apply(y_x[:, None])[:, 0]
-    return GaussianPrediction(mean=sparse_cov(model, tz, tx) @ sol_y)
+    sol_y = pool_blocks(model, model.positions(x)).inv_apply(y_x)
+    return GaussianPrediction(mean=sparse_cov(model, tz, x) @ sol_y)

@@ -15,7 +15,7 @@ from mogpal.criterion import GainEvaluator, _selection_factors, criterion_F
 from mogpal.errors import ConfigError, DomainError, EnumerationGuardError, IllConditionedError
 from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation
 from mogpal.linalg import chol_spd
-from mogpal.pitc import sparse_cov
+from mogpal.pitc import PitcModel
 from mogpal.selector import _check_budget, _greedy_loop
 from mogpal.verify import ENUMERATION_GUARD
 
@@ -123,6 +123,26 @@ def blocked_cov(a, b, h, u_locs):
         for c, q in enumerate(b):
             if p.type_index == q.type_index:
                 out[r, c] = out_cov(p, q, h)
+    return out
+
+
+def sparse_cov(model: PitcModel, a, b):
+    """Joint-model covariance: exact within a type, low-rank across types.
+
+    Reads only the model's hyperparameters, inducing locations and K_uu
+    factor, so ``a`` and ``b`` need not be candidates of its pool.
+    """
+    h, locs = model.h, model.inducing.locations
+    ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
+    tb = b if isinstance(b, TupleArray) else TupleArray.build(b, h)
+    w_a = kernels.latent_cross_matrix(ta, locs, h)
+    w_b = kernels.latent_cross_matrix(tb, locs, h)
+    out = w_a @ model.kuu_factor.solve(w_b.T)
+    for i in np.unique(ta.types):
+        ra = ta.indices_of_type(i)
+        rb = tb.indices_of_type(i)
+        if rb.size:
+            out[np.ix_(ra, rb)] = kernels.cov_matrix(ta.take(ra), tb.take(rb), h)
     return out
 
 

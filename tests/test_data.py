@@ -102,13 +102,28 @@ class TestLoadDataset:
         assert (1, 0) not in ds.values
         assert ds.values[(1, 1)] == 2.5
 
-    def test_malformed_row_cites_line(self, tmp_path):
+    def test_shared_coordinates_of_other_types_stay_valid(self, tmp_path):
+        schema = load_schema(
+            _write(tmp_path, "s.schema", "[schema]\ncoords = x\ntypes = a, b\n")
+        )
+        path = _write(tmp_path, "d.csv", "x,a,b\n0.0,1.5,\n0.0,,2.5\n")
+        assert load_dataset(path, schema).values == {(0, 0): 1.5, (1, 1): 2.5}
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,a\n0.0,1.5\noops,2.0\n", ":3: coordinate: 'oops' is not a finite number"),
+        ("x,a\n-inf,1.5\n", ":2: coordinate: '-inf' is not a finite number"),
+        ("x,a\n0.0,1.5\n1.0,nan\n", ":3: column 'a': 'nan' is not a finite number"),
+        ("x,a\n0.0,1.5\n1.0,2.0\n0.0,2.5\n",
+         ":4: column 'a' at [0.0] was already measured on line 2"),
+    ], ids=["malformed", "inf-coordinate", "nan-value", "repeat"])
+    def test_malformed_row_cites_line(self, tmp_path, text, message):
         schema = load_schema(
             _write(tmp_path, "s.schema", "[schema]\ncoords = x\ntypes = a\n")
         )
-        path = _write(tmp_path, "d.csv", "x,a\n0.0,1.5\noops,2.0\n")
-        with pytest.raises(ConfigError, match=":3"):
+        path = _write(tmp_path, "d.csv", text)
+        with pytest.raises(ConfigError) as info:
             load_dataset(path, schema)
+        assert str(info.value) == f"{path}{message}"
 
     def test_nonpositive_under_log_rejected(self, tmp_path):
         schema = load_schema(

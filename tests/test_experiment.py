@@ -495,6 +495,13 @@ class TestCli:
         ("run", lambda text: text.replace(SYNTHETIC, TWO_TYPES)
          .replace("test_count = 5", "test_count = 14"),
          "two.csv: split.test_count: 14 must be below the 14 measurements of type 'type0'"),
+        # budgets and inducing counts the pool cannot hold: 14 locations of
+        # 2 types less 5 held out
+        ("run", lambda text: text.replace("checkpoints = 2, 4", "checkpoints = 2, 24"),
+         "missing.ini: experiment.checkpoints: budget 24 exceeds the candidate pool size 23"),
+        ("run", lambda text: text.replace("inducing_count = 5", "inducing_count = 15"),
+         "missing.ini: experiment.inducing_count: 15 inducing locations from 14 distinct "
+         "locations"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, monkeypatch, capsys, command, edit, named):
         # the [data] cases read 14-location datasets from the working directory
@@ -516,6 +523,39 @@ class TestCli:
         assert err.count("\n") == 1 and named in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, row, edit, named", [
+        ("run", (2, "nan,0.5,0.5"), None, "d.csv:4: coordinate: 'nan' is not a finite number"),
+        ("fit", (2, "nan,0.5,0.5"), None, "d.csv:4: coordinate: 'nan' is not a finite number"),
+        ("run", (2, "1.0,inf,0.5"), None,
+         "d.csv:4: column 'type0': 'inf' is not a finite number"),
+        ("run", (5, "0.5,1.5,"), None,
+         "d.csv:7: column 'type0' at [0.5] was already measured on line 3"),
+        ("run", None, ("checkpoints = 2, 4", "checkpoints = 3, 60"),
+         "d.csv: experiment.checkpoints: budget 60 exceeds the candidate pool size 38"),
+        ("run", None, ("inducing_count = 5", "inducing_count = 40"),
+         "d.csv: experiment.inducing_count: 40 inducing locations from 20 distinct locations"),
+    ], ids=["nan-coordinate", "nan-coordinate-fit", "inf-value", "repeated-row",
+            "budget", "inducing-count"])
+    def test_bad_dataset_is_one_line(self, tmp_path, monkeypatch, capsys,
+                                     command, row, edit, named):
+        # a 20-row, 2-type dataset; a split of 2 leaves a pool of 38
+        monkeypatch.chdir(tmp_path)
+        Path("d.schema").write_text("[schema]\ncoords = x0\ntypes = type0, type1\n")
+        rows = [f"{0.5 * k!r},{k % 3}.5,{k % 4}.5" for k in range(20)]
+        if row is not None:
+            rows[row[0]] = row[1]
+        Path("d.csv").write_text("\n".join(["x0,type0,type1", *rows]) + "\n")
+        text = CONFIG_TEXT.format(out="out").replace(
+            SYNTHETIC, "[data]\ndataset = d.csv\nschema = d.schema\n"
+        ).replace("test_count = 5", "test_count = 2")
+        if edit is not None:
+            text = text.replace(*edit)
+        Path("exp.ini").write_text(text)
+        assert cli_main([command, "--config", "exp.ini", "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"mogpal {command}: ConfigError: {named}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_hyperparams_file_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

@@ -18,6 +18,7 @@ from mogpal import (
     build_cache,
     build_model,
     cov_matrix,
+    kernels,
     pitc_posterior,
     select_inducing,
     sparse_cov,
@@ -312,7 +313,7 @@ class TestGammaLambda:
         model, _ = random_instance(5)
         far0, far1 = as_tuple([1e4], 0), as_tuple([1e4], 1)
         assert oracles.out_cov(far0, far1, model.h) > 0.1
-        assert abs(sparse_cov(model, [far0], [far1])[0, 0]) < 1e-200
+        assert abs(oracles.sparse_cov(model, [far0], [far1])[0, 0]) < 1e-200
 
     def test_gamma_transpose(self, rng):
         model, _ = random_instance(6)
@@ -365,26 +366,51 @@ class TestPitcPosterior:
         pred = pitc_posterior(model, [], [], z)
         np.testing.assert_array_equal(pred.mean, np.zeros(4))
 
-    def test_fast_equals_dense(self, rng):
+    @pytest.mark.parametrize("n_per_type, target_types, shapes", [
+        ((20, 20), (0,),
+         [((0, 1), 1), ((0, 1), 8), ((0, 1), 35), ((1,), 1), ((0,), 8), ((1,), 15)]),
+        # target type 1 is queried but observed only through types 0 and 2
+        ((12, 10, 8), (0, 1), [((0, 2), 1), ((0, 2), 14), ((2,), 6), ((0, 1, 2), 25)]),
+    ], ids=["2-types", "3-types"])
+    def test_fast_equals_dense(self, n_per_type, target_types, shapes):
         # the Woodbury posterior mean against the dense oracle, for
         # conditioning sets of one tuple, fewer and more than 3m tuples
-        # (m = 4), and of a single type or mixed types
-        shapes = [((0, 1), 1), ((0, 1), 8), ((0, 1), 35), ((1,), 1), ((0,), 8), ((1,), 15)]
+        # (m = 4), and of a single type or mixed types; queried at pool
+        # tuples and, as an experiment's test split is, off the pool
         for seed in range(6):
             r = np.random.default_rng(seed)
-            model, _ = random_instance(seed, n_per_type=(20, 20), n_inducing=4)
+            model, _ = random_instance(
+                seed, n_per_type=n_per_type, n_inducing=4, target_types=target_types
+            )
             h, u = model.h, model.inducing.locations
+            off_pool = [as_tuple(r.uniform(0, 1.5, size=1), i)
+                        for i in range(len(n_per_type)) for _ in range(2)]
             for types, size in shapes:
                 pool = [t for t in model.candidates.tuples if t.type_index in types]
                 x = [pool[i] for i in r.permutation(len(pool))[:size]]
                 rest = [t for t in model.candidates.tuples if t not in set(x)]
-                z = [rest[i] for i in r.permutation(len(rest))[:5]]
+                z = [rest[i] for i in r.permutation(len(rest))[:5]] + off_pool
                 y = r.normal(size=len(x))
                 pred = pitc_posterior(model, x, y, z)
                 np.testing.assert_allclose(
                     pred.mean, oracles.conditional_mean_blocked(z, x, y, h, u),
                     rtol=1e-8, atol=1e-10,
                 )
+
+    def test_kernel_reaches_the_query_rows_alone(self, monkeypatch):
+        # the observed side of the cross covariance is read from the model
+        model, _ = random_instance(17, n_per_type=(6, 6), n_inducing=3)
+        x = model.candidates.tuples[:5]
+        z = [model.candidates.tuples[8], as_tuple([0.3], 0), as_tuple([0.7], 1)]
+        calls, real = [], kernels.latent_cross_matrix
+
+        def counted(a, u_coords, h):
+            calls.append(a)
+            return real(a, u_coords, h)
+
+        monkeypatch.setattr(kernels, "latent_cross_matrix", counted)
+        pitc_posterior(model, x, np.ones(5), z)
+        assert [ta.tuples for ta in calls] == [tuple(z)]
 
     def test_matches_blocked_oracle(self, rng):
         model, _ = random_instance(13, n_per_type=(4, 4))
@@ -444,6 +470,29 @@ class TestPitcPosterior:
 
 
 class TestSparseCov:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_kernel_built_reference(self, dim):
+        # queries in and off the pool against the reference that builds
+        # both sides from the kernels
+        model, _ = random_instance(
+            24 + dim, n_per_type=(7, 6, 5), dim=dim, n_inducing=4, target_types=(0, 2)
+        )
+        r = np.random.default_rng(dim)
+        pool = list(model.candidates.tuples)
+        off_pool = [as_tuple(r.uniform(0, 1.5, size=dim), i) for i in (0, 1, 2, 2)]
+        b = [pool[k] for k in r.permutation(len(pool))[:9]]
+        for a in (pool, off_pool, off_pool + pool[:4]):
+            np.testing.assert_allclose(
+                sparse_cov(model, a, b), oracles.sparse_cov(model, a, b),
+                rtol=1e-12, atol=1e-15,
+            )
+
+    def test_rejects_b_off_the_pool(self):
+        model, _ = random_instance(23, n_per_type=(3, 3))
+        far = as_tuple([5.0], 1)
+        with pytest.raises(DomainError, match=re.escape(repr(far))):
+            sparse_cov(model, model.candidates.tuples[:2], [model.candidates.tuples[0], far])
+
     def test_same_type_exact_cross_type_lowrank(self, rng):
         model, _ = random_instance(23, n_per_type=(3, 3))
         a = list(model.candidates.tuples)
