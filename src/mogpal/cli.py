@@ -103,8 +103,9 @@ def _cmd_synth(args):
     config = load_experiment_config(args.config)
     if config.synthetic is None:
         raise ConfigError(f"{args.config}: synth needs a [synthetic] section")
-    seed = args.seed if args.seed is not None else config.seed
-    dataset = generate_synthetic(config.synthetic, config.hyperparams, seed)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    dataset = generate_synthetic(config.synthetic, config.hyperparams, config.seed)
     out = Path(args.out if args.out is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "synthetic.csv"

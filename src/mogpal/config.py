@@ -184,16 +184,18 @@ class ExperimentConfig:
             raise ConfigError("[data] needs both dataset and schema")
         if min(self.repeats, self.inducing_count, self.test_count) < 1:
             raise ConfigError("repeats, inducing_count and test_count must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def check_pool(self, path, pool, locations):
         """Reject, naming ``path``, a last checkpoint beyond a pool of ``pool``
-        candidates when m-greedy or m-var picks from it (the single-output
-        baselines stop at their target pool), or more inducing points than
-        ``locations`` distinct locations.  The locations only bound the
+        candidates, whichever algorithms run (the single-output baselines
+        may still stop earlier, at their target pool), or more inducing
+        points than ``locations`` distinct locations.  The locations only bound the
         inducing count: a split that holds out every measurement at a
         location leaves fewer, and the run then fails after it starts."""
         budget = self.checkpoints[-1]
-        if budget > pool and {"m-greedy", "m-var"} & set(self.algorithms):
+        if budget > pool:
             raise ConfigError(f"{path}: experiment.checkpoints: budget {budget} exceeds "
                               f"the candidate pool size {pool}")
         if self.inducing_count > locations:
@@ -217,6 +219,8 @@ class VerifySweepConfig:
         if min(self.instances, self.budget, min(self.pool_shape, default=0)) < 1:
             raise ConfigError("a verification sweep needs instances, budget and a "
                               f"pool_shape of at least 1, got pool_shape {self.pool_shape!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         pool = sum(self.pool_shape)
         if pool < INSTANCE_INDUCING:
             raise ConfigError(f"pool_shape {self.pool_shape!r} holds {pool} candidates, "

@@ -90,16 +90,19 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
 
 def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     """The ``[data]`` dataset of ``config``, checked against the run before
-    anything is written: its schema must list ``h.n_types`` types, each
-    target type needs more measurements than ``config.test_count``, and the
-    pool the split leaves must hold the last checkpoint and the inducing
-    count (``ExperimentConfig.check_pool``).  A mismatch is a
-    :class:`ConfigError` naming the schema or dataset file."""
+    anything is written: its schema must list ``h.dim`` coordinates and
+    ``h.n_types`` types, each target type needs more measurements than
+    ``config.test_count``, and the pool the split leaves must hold the last
+    checkpoint and the inducing count (``ExperimentConfig.check_pool``).
+    A mismatch is a :class:`ConfigError` naming the schema or dataset file."""
     dataset = data_mod.load_dataset(config.dataset_path, data_mod.load_schema(config.schema_path))
     h = config.hyperparams
     if dataset.n_types != h.n_types:
         raise ConfigError(f"{config.schema_path}: the schema lists {dataset.n_types} types, "
                           f"but the hyperparameters have {h.n_types}")
+    if dataset.coords.shape[1] != h.dim:
+        raise ConfigError(f"{config.schema_path}: the schema lists {dataset.coords.shape[1]} "
+                          f"coordinates, but the hyperparameters are {h.dim}-dimensional")
     for t in sorted(h.target_types):
         measured = dataset.measured(t)[0].size
         if config.test_count >= measured:
@@ -172,9 +175,7 @@ def _single_output_refits(config, h_model, pool_tuples, pool_values):
         remapped = [TypedLocation(p.location, 0) for p in tuples]
         y = np.array([value_of[p] for p in tuples])
         init = h_model.single_output(t)
-        refits[t] = fit_hyperparams(
-            remapped, y, init, budget=config.fit_budget, tie_dims=True,
-        ).h
+        refits[t] = fit_hyperparams(remapped, y, init, budget=config.fit_budget).h
     return refits
 
 
@@ -189,10 +190,8 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
     value_of = dict(zip(split.pool_tuples, split.pool_values))
 
     if config.fit:
-        h_model = fit_hyperparams(
-            split.pool_tuples, split.pool_values, config.hyperparams,
-            budget=config.fit_budget, tie_dims=True,
-        ).h
+        h_model = fit_hyperparams(split.pool_tuples, split.pool_values, config.hyperparams,
+                                  budget=config.fit_budget).h
     else:
         h_model = config.hyperparams
 

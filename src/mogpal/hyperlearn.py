@@ -1,10 +1,12 @@
 """Maximum-likelihood hyperparameter fitting under the exact prior.
 
 The likelihood factors the full prior covariance of the observations, so
-each evaluation costs ``O(n^3)`` for n observations.  All positive
-parameters are searched in log space by one L-BFGS-B run from the initial
-point, with finite-difference gradients, under a hard cap on likelihood
-evaluations; the lowest evaluated negative log likelihood wins.
+each evaluation costs ``O(n^3)`` for n observations.  Every positive
+parameter is searched in log space: the signal and noise variance of each
+type, one latent width per dimension and one smoothing width per type and
+dimension.  One L-BFGS-B run from the initial point, with finite-difference
+gradients and a hard cap on likelihood evaluations, does the search; the
+lowest evaluated negative log likelihood wins.
 """
 
 import math
@@ -51,34 +53,18 @@ def log_marginal_likelihood(h: Hyperparams, x, y_x):
 # parameter packing
 # ---------------------------------------------------------------------------
 
-def _pack(h: Hyperparams, tie_dims):
-    parts = [np.log(h.signal_var), np.log(h.noise_var)]
-    if tie_dims:
-        parts.append(np.log(h.latent_prec_inv[:1]))
-        parts.append(np.log(h.smooth_prec_inv[:, 0]))
-    else:
-        parts.append(np.log(h.latent_prec_inv))
-        parts.append(np.log(h.smooth_prec_inv).ravel())
-    return np.concatenate(parts)
+def _pack(h: Hyperparams):
+    return np.log(np.concatenate([
+        h.signal_var, h.noise_var, h.latent_prec_inv, h.smooth_prec_inv.ravel(),
+    ]))
 
 
-def _unpack(vec, template: Hyperparams, tie_dims):
+def _unpack(vec, template: Hyperparams):
     m, d = template.n_types, template.dim
-    vec = np.asarray(vec, dtype=float)
-    sig = np.exp(vec[:m])
-    noi = np.exp(vec[m:2 * m])
-    pos = 2 * m
-    if tie_dims:
-        lat = np.full(d, math.exp(vec[pos]))
-        pos += 1
-        smo = np.repeat(np.exp(vec[pos:pos + m])[:, None], d, axis=1)
-    else:
-        lat = np.exp(vec[pos:pos + d])
-        pos += d
-        smo = np.exp(vec[pos:pos + m * d]).reshape(m, d)
+    vals = np.exp(vec)
     return Hyperparams(
-        signal_var=sig, noise_var=noi, latent_prec_inv=lat,
-        smooth_prec_inv=smo, target_types=template.target_types,
+        signal_var=vals[:m], noise_var=vals[m:2 * m], latent_prec_inv=vals[2 * m:2 * m + d],
+        smooth_prec_inv=vals[2 * m + d:].reshape(m, d), target_types=template.target_types,
     )
 
 
@@ -96,14 +82,16 @@ class _BudgetSpent(Exception):
     """Raised by the objective to stop the optimizer at the evaluation cap."""
 
 
-def fit_hyperparams(x, y_x, init: Hyperparams, budget=400, tie_dims=False) -> FitResult:
+def fit_hyperparams(x, y_x, init: Hyperparams, budget=400) -> FitResult:
     """Minimize the negative exact log marginal likelihood over log parameters.
 
-    One L-BFGS-B run starts at ``init``; its gradient is taken by finite
-    differences.  ``budget`` is a hard cap on likelihood evaluations,
-    gradient evaluations included: the run stops when it is spent and the
-    fit is not converged.  The result is the lowest evaluated negative log
-    likelihood, so it never exceeds the one at ``init``.  Raises
+    One L-BFGS-B run starts at ``init``, whose every width, per dimension,
+    is a search parameter; the gradient is taken by finite differences.
+    ``budget`` is a hard cap on likelihood evaluations, gradient
+    evaluations included: the run stops when it is spent and the fit is
+    not converged.  The result is the lowest evaluated negative log
+    likelihood, and ``init`` is the first point evaluated, so for every
+    caller it never exceeds the one at ``init``.  Raises
     :class:`FitError` carrying the best parameters if every evaluation
     was the penalized (non-finite) likelihood.
     """
@@ -111,7 +99,7 @@ def fit_hyperparams(x, y_x, init: Hyperparams, budget=400, tie_dims=False) -> Fi
         raise ConfigError("evaluation budget must be at least 1")
     tx = x if isinstance(x, TupleArray) else TupleArray.build(x, init)
     y_x = np.asarray(y_x, dtype=float).ravel()
-    x0 = _pack(init, tie_dims)
+    x0 = _pack(init)
     best = (math.inf, x0)
     evals = 0
 
@@ -121,8 +109,8 @@ def fit_hyperparams(x, y_x, init: Hyperparams, budget=400, tie_dims=False) -> Fi
             raise _BudgetSpent
         evals += 1
         try:
-            h = _unpack(vec, init, tie_dims)
-        except (ConfigError, FloatingPointError, OverflowError):
+            h = _unpack(vec, init)
+        except (ConfigError, FloatingPointError):
             nll = -PENALIZED_LML
         else:
             nll = -log_marginal_likelihood(h, tx, y_x)
@@ -135,7 +123,7 @@ def fit_hyperparams(x, y_x, init: Hyperparams, budget=400, tie_dims=False) -> Fi
     except _BudgetSpent:
         converged = False
     final_nll, vec = best
-    h = _unpack(vec, init, tie_dims)
+    h = _unpack(vec, init)
     if not final_nll < -PENALIZED_LML:
         raise FitError("every evaluation was a degenerate likelihood", best_so_far=h)
     return FitResult(h=h, final_nll=final_nll, iterations=evals, converged=converged)

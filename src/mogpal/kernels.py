@@ -106,6 +106,8 @@ class Hyperparams:
             raise ConfigError("target_types must be nonempty")
         if any(t < 0 or t >= m for t in self.target_types):
             raise ConfigError(f"target type out of range [0, {m})")
+        if len(set(self.target_types)) < len(self.target_types):
+            raise ConfigError(f"target_types {self.target_types} repeat a type")
         for arr in (sv, nv, lp, sp):
             arr.setflags(write=False)
 

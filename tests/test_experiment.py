@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,17 @@ from mogpal.config import (
     load_verify_config,
     save_hyperparams,
 )
-from mogpal.experiment import generate_synthetic, run_experiment, verify_sweep
+from mogpal.data import SplitSpec, normalize, save_dataset, split_test
+from mogpal.experiment import (
+    generate_synthetic,
+    load_experiment_dataset,
+    run_experiment,
+    verify_sweep,
+)
+from mogpal.hyperlearn import fit_hyperparams, log_marginal_likelihood
 from mogpal.kernels import TypedLocation
 from mogpal.linalg import chol_spd
+from mogpal.pitc import build_model
 
 H2 = Hyperparams(
     signal_var=[1.0, 0.8], noise_var=[0.25, 0.1],
@@ -61,6 +70,7 @@ smooth_prec_inv.1 = 0.1
 SYNTHETIC = "[synthetic]\nlayout = grid\nn_locations = 14\nextent = 10\n"
 DATA = "[data]\ndataset = missing.csv\nschema = missing.schema\n"
 THREE_TYPES = "[data]\ndataset = three.csv\nschema = three.schema\n"
+PLANE = "[data]\ndataset = plane.csv\nschema = plane.schema\n"
 TWO_TYPES = "[data]\ndataset = two.csv\nschema = two.schema\n"
 
 
@@ -263,9 +273,43 @@ class TestRunExperiment:
         table = run_experiment(cfg)
         assert len(table.rows) == 2
 
-    def test_dataset_file_mode(self, tmp_path):
-        from mogpal.data import save_dataset
+    def test_fit_never_ends_above_an_anisotropic_start(self, tmp_path, monkeypatch):
+        # 2-D, 2-type data with latent widths 400x apart; the run's fit starts
+        # at the optimum of the pool its repeat fits on, so whatever it hands
+        # to build_model has an NLL at or below that start
+        h_true = Hyperparams(
+            signal_var=[10.0, 8.0], noise_var=[0.25, 0.1],
+            latent_prec_inv=[0.05, 20.0], smooth_prec_inv=[[0.1, 0.1], [0.1, 0.1]],
+        )
+        spec = GeneratorSpec(n_locations=40, extent=4.0, layout="uniform")
+        save_dataset(generate_synthetic(spec, h_true, seed=0), tmp_path / "d.csv")
+        (tmp_path / "d.schema").write_text("[schema]\ncoords = x0, x1\ntypes = type0, type1\n")
+        cfg = _config(
+            tmp_path, repeats=1, algorithms=("m-greedy",), hyperparams=h_true,
+            synthetic=None, dataset_path=str(tmp_path / "d.csv"),
+            schema_path=str(tmp_path / "d.schema"), fit_budget=200,
+        )
+        norm, _ = normalize(load_experiment_dataset(cfg))
+        split = split_test(norm, SplitSpec(h_true.target_types, cfg.test_count, seed=cfg.seed))
 
+        def nll(h):
+            return -log_marginal_likelihood(h, split.pool_tuples, split.pool_values)
+
+        start_fit = fit_hyperparams(split.pool_tuples, split.pool_values, h_true)
+        assert start_fit.converged
+        start = start_fit.h
+        seen = []
+
+        def capture(h, *args):
+            seen.append(h)
+            return build_model(h, *args)
+
+        monkeypatch.setattr(experiment, "build_model", capture)
+        run_experiment(replace(cfg, hyperparams=start, fit=True))
+        assert len(seen) == 1
+        assert nll(seen[0]) <= nll(start) + 1e-9
+
+    def test_dataset_file_mode(self, tmp_path):
         ds = generate_synthetic(GeneratorSpec(n_locations=12, extent=8.0), H2, seed=0)
         csv_path = tmp_path / "d.csv"
         save_dataset(ds, csv_path)
@@ -448,6 +492,12 @@ class TestCli:
         ("run", lambda text: text.replace("[split]\ntarget_types = 0",
                                           "[split]\ntarget_types = 5"),
          "missing.ini: split.target_types: target type out of range [0, 2)"),
+        ("run", lambda text: text.replace("[split]\ntarget_types = 0",
+                                          "[split]\ntarget_types = 0, 0"),
+         "missing.ini: split.target_types: target_types (0, 0) repeat a type"),
+        ("run", lambda text: text.replace("dim = 1\ntarget_types = 0\n",
+                                          "dim = 1\ntarget_types = 0, 0\n"),
+         "missing.ini: hyperparams: target_types (0, 0) repeat a type"),
         ("run", lambda text: text.replace("layout = grid", "layout = spiral"),
          "missing.ini: synthetic: unknown layout 'spiral'"),
         ("run", lambda text: text.replace("n_locations = 14", "n_locations = 1"),
@@ -492,12 +542,22 @@ class TestCli:
          "three.schema: the schema lists 3 types, but the hyperparameters have 2"),
         ("fit", lambda text: text.replace(SYNTHETIC, THREE_TYPES),
          "three.schema: the schema lists 3 types, but the hyperparameters have 2"),
+        ("run", lambda text: text.replace(SYNTHETIC, PLANE),
+         "plane.schema: the schema lists 2 coordinates, but the hyperparameters are "
+         "1-dimensional"),
+        ("fit", lambda text: text.replace(SYNTHETIC, PLANE),
+         "plane.schema: the schema lists 2 coordinates, but the hyperparameters are "
+         "1-dimensional"),
         ("run", lambda text: text.replace(SYNTHETIC, TWO_TYPES)
          .replace("test_count = 5", "test_count = 14"),
          "two.csv: split.test_count: 14 must be below the 14 measurements of type 'type0'"),
         # budgets and inducing counts the pool cannot hold: 14 locations of
         # 2 types less 5 held out
         ("run", lambda text: text.replace("checkpoints = 2, 4", "checkpoints = 2, 24"),
+         "missing.ini: experiment.checkpoints: budget 24 exceeds the candidate pool size 23"),
+        # the single-output baselines alone are held to the same budget rule
+        ("run", lambda text: text.replace("m-greedy, s-var\ncheckpoints = 2, 4",
+                                          "s-var, s-mi\ncheckpoints = 2, 24"),
          "missing.ini: experiment.checkpoints: budget 24 exceeds the candidate pool size 23"),
         ("run", lambda text: text.replace("inducing_count = 5", "inducing_count = 15"),
          "missing.ini: experiment.inducing_count: 15 inducing locations from 14 distinct "
@@ -506,13 +566,14 @@ class TestCli:
     def test_bad_config_is_one_line(self, tmp_path, monkeypatch, capsys, command, edit, named):
         # the [data] cases read 14-location datasets from the working directory
         monkeypatch.chdir(tmp_path)
-        for name, n_types in (("three", 3), ("two", 2)):
+        for name, n_coords, n_types in (("three", 1, 3), ("two", 1, 2), ("plane", 2, 2)):
+            coords = [f"x{c}" for c in range(n_coords)]
             types = [f"type{i}" for i in range(n_types)]
             Path(f"{name}.schema").write_text(
-                f"[schema]\ncoords = x0\ntypes = {', '.join(types)}\n"
+                f"[schema]\ncoords = {', '.join(coords)}\ntypes = {', '.join(types)}\n"
             )
-            rows = [f"{k}.0" + f",{k % 3}.5" * n_types for k in range(14)]
-            Path(f"{name}.csv").write_text("\n".join(["x0," + ",".join(types), *rows]) + "\n")
+            rows = [",".join([f"{k}.0"] * n_coords + [f"{k % 3}.5"] * n_types) for k in range(14)]
+            Path(f"{name}.csv").write_text("\n".join([",".join(coords + types), *rows]) + "\n")
         cfg = tmp_path / "missing.ini"
         out = tmp_path / "out"
         if edit is not None:
@@ -535,8 +596,10 @@ class TestCli:
          "d.csv: experiment.checkpoints: budget 60 exceeds the candidate pool size 38"),
         ("run", None, ("inducing_count = 5", "inducing_count = 40"),
          "d.csv: experiment.inducing_count: 40 inducing locations from 20 distinct locations"),
+        ("run", None, ("m-greedy, s-var\ncheckpoints = 2, 4", "s-var, s-mi\ncheckpoints = 3, 60"),
+         "d.csv: experiment.checkpoints: budget 60 exceeds the candidate pool size 38"),
     ], ids=["nan-coordinate", "nan-coordinate-fit", "inf-value", "repeated-row",
-            "budget", "inducing-count"])
+            "budget", "inducing-count", "single-output-budget"])
     def test_bad_dataset_is_one_line(self, tmp_path, monkeypatch, capsys,
                                      command, row, edit, named):
         # a 20-row, 2-type dataset; a split of 2 leaves a pool of 38
@@ -555,6 +618,22 @@ class TestCli:
         assert cli_main([command, "--config", "exp.ini", "--out", "out"]) == 2
         err = capsys.readouterr().err
         assert err == f"mogpal {command}: ConfigError: {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text, override, named", [
+        ("run", CONFIG_TEXT.replace("seed = 3", "seed = -4"), [],
+         "exp.ini: experiment: seed must be non-negative, got -4"),
+        ("run", CONFIG_TEXT, ["--seed", "-2"], "seed must be non-negative, got -2"),
+        ("verify", "[verify]\ninstances = 1\n", ["--seed", "-1"],
+         "seed must be non-negative, got -1"),
+        ("synth", CONFIG_TEXT, ["--seed", "-3"], "seed must be non-negative, got -3"),
+    ], ids=["run-config", "run-override", "verify-override", "synth-override"])
+    def test_negative_seed_is_one_line(self, tmp_path, monkeypatch, capsys,
+                                       command, text, override, named):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.ini").write_text(text.format(out="out"))
+        assert cli_main([command, "--config", "exp.ini", "--out", "out", *override]) == 2
+        assert capsys.readouterr().err == f"mogpal {command}: ConfigError: {named}\n"
         assert not (tmp_path / "out").exists()
 
     def test_bad_hyperparams_file_is_named(self, tmp_path, capsys):

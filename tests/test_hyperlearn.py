@@ -104,7 +104,7 @@ class TestFitHyperparams:
                 signal_var=[0.5], noise_var=[0.4],
                 latent_prec_inv=[1.0], smooth_prec_inv=[[0.5]],
             )
-            fit = fit_hyperparams(pts, y, init, budget=300, tie_dims=True)
+            fit = fit_hyperparams(pts, y, init, budget=300)
             ratios.append(float(fit.h.noise_var[0]) / float(H1.noise_var[0]))
             converged.append(fit.converged)
         median = float(np.median(ratios))
@@ -124,7 +124,7 @@ class TestFitHyperparams:
 
     @pytest.mark.parametrize("budget", [1, 17])
     def test_budget_caps_likelihood_evaluations(self, monkeypatch, budget):
-        # 2 types, untied: 2 signal + 2 noise + 1 latent + 2 smoothing widths
+        # 2 types: 2 signal + 2 noise + 1 latent + 2 smoothing widths
         rng = np.random.default_rng(6)
         pts = [as_tuple([v], t) for v, t in zip(rng.uniform(0, 4, 24), [0, 1] * 12)]
         y = rng.normal(size=24)
@@ -136,10 +136,25 @@ class TestFitHyperparams:
 
         monkeypatch.setattr(hyperlearn, "log_marginal_likelihood", counted)
         fit = fit_hyperparams(pts, y, H2, budget=budget)
-        assert len(hyperlearn._pack(H2, False)) == 7
+        assert len(hyperlearn._pack(H2)) == 7
         assert len(calls) == fit.iterations <= budget
         assert not fit.converged
         assert fit.final_nll <= -log_marginal_likelihood(H2, pts, y) + 1e-9
+
+    def test_pack_unpack_round_trip(self):
+        # every width is a search parameter: 3 + 3 variances, 2 latent, 3 x 2 smoothing
+        h = Hyperparams(
+            signal_var=[1.0, 0.8, 2.5], noise_var=[0.25, 0.1, 0.4],
+            latent_prec_inv=[0.2, 4.0],
+            smooth_prec_inv=[[0.1, 0.3], [0.15, 0.05], [0.7, 1.2]],
+            target_types=(0, 2),
+        )
+        vec = hyperlearn._pack(h)
+        assert vec.shape == (14,)
+        back = hyperlearn._unpack(vec, h)
+        for name in ("signal_var", "noise_var", "latent_prec_inv", "smooth_prec_inv"):
+            np.testing.assert_allclose(getattr(back, name), getattr(h, name), rtol=1e-14)
+        assert back.target_types == (0, 2)
 
     def test_degenerate_likelihood_everywhere_is_fit_error(self, monkeypatch):
         pts, y = _sample_single_type(H1, 10, seed=4)
