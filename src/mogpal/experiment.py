@@ -261,8 +261,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads=1) -> ResultT
     spent selecting each checkpoint's picks) and one selection log per
     (algorithm, repeat) into the output directory.
     Repeats may run concurrently; the row order of the outputs does not
-    depend on the scheduling.
+    depend on the scheduling.  ``threads`` below 1 is a ConfigError.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     dataset = None if config.dataset_path is None else load_experiment_dataset(config)
     out_dir = Path(out_dir if out_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

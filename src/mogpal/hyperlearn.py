@@ -7,13 +7,17 @@ type, one latent width per dimension and one smoothing width per type and
 dimension.  One L-BFGS-B run from the initial point, with finite-difference
 gradients and a hard cap on likelihood evaluations, does the search; the
 lowest evaluated negative log likelihood wins.
+
+``scipy.optimize`` is imported inside :func:`fit_hyperparams`, so it loads
+on the first fit.  Only a fit uses it; at module level it would add its
+import time, about 240 modules and about 20 MB to every import of the
+package, so to every ``mogpal run`` and ``mogpal verify`` that never fits.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import kernels
 from .errors import ConfigError, FitError, IllConditionedError
@@ -95,6 +99,8 @@ def fit_hyperparams(x, y_x, init: Hyperparams, budget=400) -> FitResult:
     :class:`FitError` carrying the best parameters if every evaluation
     was the penalized (non-finite) likelihood.
     """
+    import scipy.optimize  # loads on the first fit, see the module docstring
+
     if budget < 1:
         raise ConfigError("evaluation budget must be at least 1")
     tx = x if isinstance(x, TupleArray) else TupleArray.build(x, init)

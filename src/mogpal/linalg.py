@@ -51,15 +51,24 @@ def chol_spd(a, name="matrix"):
     Returns an :class:`SpdFactor`.  A 0x0 input is valid and yields an empty
     factor with log-determinant 0 (the empty-determinant convention used by
     the entropy code).  Raises :class:`IllConditionedError` if the matrix is
-    not positive definite after one jitter pass.
+    not positive definite after one jitter pass; a non-finite pivot (a NaN
+    or an infinity in the lower triangle) counts as a failed factorization.
     """
     a = np.asarray(a, dtype=float)
     if a.shape[0] == 0:
         return SpdFactor(np.zeros((0, 0)), 0.0)
     try:
-        return SpdFactor(np.linalg.cholesky(a), 0.0)
+        return SpdFactor(_cholesky(a), 0.0)
     except np.linalg.LinAlgError:
-        return SpdFactor(*_jitter_pass(a.copy(), name, np.linalg.cholesky))
+        return SpdFactor(*_jitter_pass(a.copy(), name, _cholesky))
+
+
+def _cholesky(a):
+    """``np.linalg.cholesky(a)``; a LinAlgError unless every pivot is finite."""
+    lower = np.linalg.cholesky(a)
+    if not np.all(np.isfinite(np.diagonal(lower))):
+        raise np.linalg.LinAlgError("non-finite pivot")
+    return lower
 
 
 def _jitter_pass(a, name, factor):
@@ -72,8 +81,10 @@ def _jitter_pass(a, name, factor):
     try:
         return factor(a), jitter
     except np.linalg.LinAlgError:
-        raise IllConditionedError(f"{name} ({n}x{n}) is not positive definite, "
-                                  f"even after adding jitter {jitter:.3e}") from None
+        # a NaN or infinite trace makes the jitter itself non-finite
+        reason = (f", even after adding jitter {jitter:.3e}" if np.isfinite(jitter)
+                  else " and its trace is not finite")
+        raise IllConditionedError(f"{name} ({n}x{n}) is not positive definite{reason}") from None
 
 
 def _potrf_in_place(a):

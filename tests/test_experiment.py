@@ -636,6 +636,16 @@ class TestCli:
         assert capsys.readouterr().err == f"mogpal {command}: ConfigError: {named}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_one_line(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.ini").write_text(CONFIG_TEXT.format(out="out"))
+        assert cli_main(["run", "--config", "exp.ini", "--out", "out", "--threads", threads]) == 2
+        assert capsys.readouterr().err == (
+            f"mogpal run: ConfigError: threads must be at least 1, got {threads}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_bad_hyperparams_file_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         hfile = tmp_path / "h.ini"

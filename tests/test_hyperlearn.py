@@ -46,6 +46,15 @@ class TestLogMarginalLikelihood:
     def test_no_observations_is_zero(self):
         assert log_marginal_likelihood(H2, [], []) == 0.0
 
+    def test_overflowing_covariance_is_penalized(self):
+        h = Hyperparams(
+            signal_var=[1e300], noise_var=[0.2],
+            latent_prec_inv=[0.5], smooth_prec_inv=[[0.25]],
+        )
+        pts = [as_tuple([v], 0) for v in (0.0, 0.5, 1.0)]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert log_marginal_likelihood(h, pts, [0.1, -0.2, 0.3]) == PENALIZED_LML
+
     def test_tuple_array_input_matches_list(self, rng):
         pts = [as_tuple([v], t) for v, t in zip(rng.uniform(0, 2, 5), [0, 1, 1, 0, 1])]
         y = rng.normal(size=5)

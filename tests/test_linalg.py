@@ -92,6 +92,20 @@ class TestCholSpd:
         with pytest.raises(IllConditionedError, match=f"{NAME} \\(2x2\\) is not positive definite"):
             chol_spd([[1.0, 2.0], [2.0, 1.0]], NAME)
 
+    @pytest.mark.parametrize("where, value, message", [
+        ((1, 1), np.nan, "and its trace is not finite"),
+        ((2, 1), np.nan, "even after adding jitter 1.500e-10"),
+        ((3, 3), np.inf, "and its trace is not finite"),
+    ])
+    def test_non_finite_raises(self, where, value, message):
+        # a non-finite entry the factorization reads: on the diagonal or below it
+        a = np.eye(4) + 0.5
+        a[where] = value
+        with pytest.raises(IllConditionedError) as exc:
+            chol_spd(a, NAME)
+        assert str(exc.value).startswith(f"{NAME} (4x4) is not positive definite")
+        assert str(exc.value).endswith(message)
+
 
 class TestSpdInfoInPlace:
     def test_matches_copying_cholesky_and_restores(self, rng):

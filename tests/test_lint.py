@@ -16,10 +16,14 @@ of pool positions; ``PitcModel.positions`` is the one lookup from tuples,
 so no module but ``pitc`` reads ``.tuple_index``.  Pool covariance is read
 as ``W G + R`` from ``PitcModel``, so only ``kernels``, ``pitc``,
 ``selector``, ``experiment`` and ``hyperlearn`` reference ``cov_matrix``,
-``latent_cross_matrix`` or ``latent_matrix``.
+``latent_cross_matrix`` or ``latent_matrix``.  At module level the package
+imports no third-party module but ``numpy`` and ``scipy.linalg``, so that a
+run that never fits does not load ``scipy.optimize`` (``test_startup.py``
+checks the loaded modules; this scan names the module that imports).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -400,3 +404,70 @@ def test_kernel_matrix_scanner_flags_only_other_modules():
 
 def test_only_covariance_builders_reference_kernel_matrices():
     assert kernel_matrix_readers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+# third-party modules, with their submodules, that the package may import at
+# module level: every run needs them for its set-up or first pass
+STARTUP_IMPORTS = ("numpy", "scipy.linalg")
+
+
+def _module_level(node):
+    """Nodes under ``node`` that run when the module is imported: every node
+    but the bodies of functions (a class body runs)."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _module_level(child)
+
+
+def startup_imports(source):
+    """Third-party modules that ``source`` imports at module level, other
+    than ``STARTUP_IMPORTS`` and their submodules; ``from a import b``
+    imports ``a.b``."""
+    names = []
+    for node in _module_level(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return sorted(
+        name for name in names
+        if name.split(".")[0] not in sys.stdlib_module_names
+        and not any(name == ok or name.startswith(ok + ".") for ok in STARTUP_IMPORTS)
+    )
+
+
+def test_startup_import_scanner_flags_only_heavy_modules():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, concurrent.futures\n"
+        "from dataclasses import dataclass\n"
+        "import numpy as np\n"
+        "import scipy.linalg\n"
+        "from numpy import linalg\n"
+        "from scipy.linalg.lapack import dpotrf\n"
+        "from scipy import linalg as la, optimize\n"
+        "from . import kernels\n"
+        "from .linalg import chol_spd\n"
+        "import scipy\n"
+        "import scipy.optimize\n"
+        "if True:\n"
+        "    import pandas\n"
+        "try:\n"
+        "    import yaml\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class K:\n"
+        "    import numpyro\n"
+        "def fit():\n"
+        "    import scipy.optimize\n"
+        "    import torch\n"
+    )
+    assert startup_imports(source) == [
+        "numpyro", "pandas", "scipy", "scipy.optimize", "scipy.optimize", "yaml",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_level_imports_keep_startup_light(path):
+    assert startup_imports(path.read_text()) == []
