@@ -90,14 +90,14 @@ def hyperparams_from_section(path, parser) -> Hyperparams:
     dim = get("hyperparams", "dim", len(latent), "int")
     if dim != len(latent):
         raise ConfigError(f"{path}: hyperparams.dim: {dim}, but latent_prec_inv has {len(latent)}")
-    target = tuple(get("hyperparams", "target_types", [0], "ints"))
+    target = get("hyperparams", "target_types", 0, "int")
     smooth = [required(f"smooth_prec_inv.{i}", "floats") for i in range(n_types)]
     if len(signal) != n_types or len(noise) != n_types:
         raise ConfigError(
             f"{path}: hyperparams: signal_var and noise_var must list one value per type"
         )
     return _built(path, "hyperparams", Hyperparams, signal_var=signal, noise_var=noise,
-                  latent_prec_inv=latent, smooth_prec_inv=smooth, target_types=target)
+                  latent_prec_inv=latent, smooth_prec_inv=smooth, target_type=target)
 
 
 def load_hyperparams(path) -> Hyperparams:
@@ -114,7 +114,7 @@ def save_hyperparams(h: Hyperparams, path, extras=None):
     parser["hyperparams"] = {
         "types": str(h.n_types),
         "dim": str(h.dim),
-        "target_types": ", ".join(str(t) for t in h.target_types),
+        "target_types": str(h.target_type),
         "signal_var": ", ".join(repr(float(v)) for v in h.signal_var),
         "noise_var": ", ".join(repr(float(v)) for v in h.noise_var),
         "latent_prec_inv": ", ".join(repr(float(v)) for v in h.latent_prec_inv),
@@ -143,6 +143,8 @@ class GeneratorSpec:
             raise ConfigError(f"unknown layout {self.layout!r}")
         if not isinstance(self.n_locations, int) or self.n_locations < 2:
             raise ConfigError(f"n_locations must be at least 2, got {self.n_locations!r}")
+        if not (math.isfinite(self.extent) and self.extent > 0):
+            raise ConfigError(f"extent must be finite and positive, got {self.extent!r}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,7 @@ class VerifySweepConfig:
 def _check_drawable(path, config):
     """Reject a ``[synthetic]`` layout that ``generate_synthetic`` cannot draw
     under the hyperparameters, whose locations leave no pool after the split
-    holds ``test_count`` of each target type out, or whose pool cannot hold
+    holds ``test_count`` of the target type out, or whose pool cannot hold
     the last checkpoint or the inducing count."""
     spec, h, test_count = config.synthetic, config.hyperparams, config.test_count
     if spec.layout == "grid" and h.dim != 1:
@@ -249,7 +251,7 @@ def _check_drawable(path, config):
     if test_count >= spec.n_locations:
         raise ConfigError(f"{path}: split.test_count: {test_count} must be below the "
                           f"{spec.n_locations} synthetic locations")
-    config.check_pool(path, total - test_count * len(h.target_types), spec.n_locations)
+    config.check_pool(path, total - test_count, spec.n_locations)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -267,9 +269,9 @@ def load_experiment_config(path) -> ExperimentConfig:
             f"{path}: provide a [hyperparams] section or hyperparams_file"
         )
 
-    targets = get("split", "target_types", kind="ints")
-    if targets is not None:
-        h = _built(path, "split.target_types", replace, h, target_types=targets)
+    target = get("split", "target_types", kind="int")
+    if target is not None:
+        h = _built(path, "split.target_types", replace, h, target_type=target)
 
     test_count = get("split", "test_count", 10, "int")
     synthetic = None

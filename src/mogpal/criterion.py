@@ -5,7 +5,7 @@ the latent structure against picking tuples (of any type) that would force
 the latent structure to be inferred from the unsampled remainder of the
 target pool.  The expensive part of every evaluation, a solve against the
 full target candidate pool, is independent of the selected set and is
-therefore precomputed once: ``build_model`` factors each target type's
+therefore precomputed once: ``build_model`` factors the target type's
 residual in the residual's own buffer and keeps only the m x m target
 summary, and :class:`CriterionCache` reads it from the model.  Afterwards
 ``criterion_F`` costs the cube of the inducing count plus the cube of the
@@ -77,7 +77,7 @@ def _selection_factors(model, cols):
     ``S_aux`` that of its auxiliary types, ``T`` the target summary."""
     blocks = pool_blocks(model, cols)
     ma = chol_spd(
-        model.kuu + model.target_summary + blocks.info_sum(types=set(model.h.aux_types)),
+        model.kuu + model.target_summary + blocks.info_sum(skip=model.h.target_type),
         "augmented selection information",
     )
     return blocks, ma
@@ -100,7 +100,7 @@ def criterion_F(model: PitcModel, cache: CriterionCache, x):
     the target pool.
     """
     blocks, ma = _selection_factors(model, model.positions(x))
-    n_t, ld_t = blocks.target_logdet(set(model.target_types))
+    n_t, ld_t = blocks.target_logdet(model.h.target_type)
     h_target = 0.5 * (n_t * LOG_2PI_E + ld_t)
     return h_target - 0.5 * (ma.logdet - blocks.selection.logdet) + cache.f_constant
 
@@ -177,8 +177,9 @@ class GainEvaluator:
     def __init__(self, model: PitcModel, cache: CriterionCache):
         self.model = model
         n, aux = len(model.candidates), model.aux_cols
+        self._target = model.type_slices[model.h.target_type]
         self._is_target = np.zeros(n, dtype=bool)
-        self._is_target[model.target_cols] = True
+        self._is_target[self._target] = True
         self._aux_pos = np.full(n, -1)
         self._aux_pos[aux] = np.arange(aux.size)
         # augmented covariance of the auxiliary pool given the target pool:
@@ -186,7 +187,7 @@ class GainEvaluator:
         w_aux = model.W[aux]
         self._aug_prior = np.empty(aux.size)
         for i, rows in model.type_slices.items():
-            if not self._is_target[rows.start]:
+            if i != model.h.target_type:
                 self._aug_prior[self._aux_pos[rows]] = np.diag(model.R[i])
         self._aug_basis = np.empty((model.n_inducing, 0))
         if aux.size:
@@ -252,9 +253,8 @@ class GainEvaluator:
             p = model.target_summary @ g
             e1 += np.einsum("mc,mc->c", g, p)
             hmat += p
-        skip = set(model.target_types) if target_blocks else set()
         for i, rows in blocks.rows.items():
-            if i in skip:
+            if target_blocks and i == model.h.target_type:
                 continue
             w_sub = blocks.w[i]
             b = w_sub @ g
@@ -311,7 +311,7 @@ class GainEvaluator:
         gain is exactly zero and nothing is computed or rescored.
         """
         free = np.flatnonzero(self._free)
-        if not self._free[self.model.target_cols].any():
+        if not self._free[self._target].any():
             out = np.full(len(self.model.candidates), -np.inf)
             out[free] = 0.0
             return out

@@ -183,17 +183,16 @@ def load_dataset(path, schema: Schema) -> Dataset:
     )
 
 
-def save_dataset(ds: Dataset, path, coord_names=None):
-    """Write the canonical CSV form (used for round-trips and synthesis).
+def save_dataset(ds: Dataset, path):
+    """Write the canonical CSV form (used for round-trips and synthesis):
+    coordinate columns ``x0, x1, ...``, then one column per type.
 
     Values are written as repr floats post-transform; reloading with an
     identity-transform schema reproduces the dataset exactly.
     """
-    d = ds.coords.shape[1]
-    coord_names = coord_names or [f"x{v}" for v in range(d)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(coord_names) + list(ds.type_names))
+        writer.writerow([f"x{v}" for v in range(ds.coords.shape[1])] + list(ds.type_names))
         for li in range(ds.n_locations):
             row = [repr(float(c)) for c in ds.coords[li]]
             for ti in range(ds.n_types):
@@ -232,16 +231,14 @@ def denormalize(values, stats_entry):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to carve the held-out test set out of the target measurements."""
+    """How to carve the held-out test set out of the target type's
+    measurements."""
 
-    target_types: tuple
+    target_type: int
     test_count: int
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "target_types", tuple(int(t) for t in self.target_types))
-        if not self.target_types:
-            raise ConfigError("at least one target type is required")
         if self.test_count < 1:
             raise ConfigError("test_count must be at least 1")
 
@@ -255,28 +252,24 @@ class SplitResult:
 
 
 def split_test(ds: Dataset, spec: SplitSpec) -> SplitResult:
-    """Remove seeded-uniform test tuples of each target type from the pool.
-
-    ``test_count`` tuples are held out per target type; auxiliary pools are
-    untouched.  The candidate pool and the test set are disjoint.
+    """Remove ``test_count`` seeded-uniform tuples of the target type from
+    the pool; auxiliary pools are untouched.  The candidate pool and the
+    test set are disjoint.
     """
+    t = spec.target_type
+    if t >= ds.n_types:
+        raise ConfigError(f"target type {t} out of range [0, {ds.n_types})")
+    idx, vals = ds.measured(t)
+    if spec.test_count >= idx.size:
+        raise ConfigError(
+            f"test_count {spec.test_count} must be below the {idx.size} "
+            f"measurements of type {ds.type_names[t]!r}"
+        )
     rng = np.random.default_rng(spec.seed)
-    held = set()
-    test_tuples, test_values = [], []
-    for t in sorted(spec.target_types):
-        if t >= ds.n_types:
-            raise ConfigError(f"target type {t} out of range [0, {ds.n_types})")
-        idx, vals = ds.measured(t)
-        if spec.test_count >= idx.size:
-            raise ConfigError(
-                f"test_count {spec.test_count} must be below the {idx.size} "
-                f"measurements of type {ds.type_names[t]!r}"
-            )
-        pick = rng.choice(idx.size, size=spec.test_count, replace=False)
-        for k in sorted(pick):
-            held.add((int(idx[k]), t))
-            test_tuples.append(ds.tuple_at(int(idx[k]), t))
-            test_values.append(vals[k])
+    pick = sorted(rng.choice(idx.size, size=spec.test_count, replace=False))
+    held = {(int(idx[k]), t) for k in pick}
+    test_tuples = [ds.tuple_at(int(idx[k]), t) for k in pick]
+    test_values = [vals[k] for k in pick]
     pool_tuples, pool_values = [], []
     for ti in range(ds.n_types):
         idx, vals = ds.measured(ti)

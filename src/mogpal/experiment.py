@@ -91,7 +91,7 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
 def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     """The ``[data]`` dataset of ``config``, checked against the run before
     anything is written: its schema must list ``h.dim`` coordinates and
-    ``h.n_types`` types, each target type needs more measurements than
+    ``h.n_types`` types, the target type needs more measurements than
     ``config.test_count``, and the pool the split leaves must hold the last
     checkpoint and the inducing count (``ExperimentConfig.check_pool``).
     A mismatch is a :class:`ConfigError` naming the schema or dataset file."""
@@ -103,15 +103,14 @@ def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     if dataset.coords.shape[1] != h.dim:
         raise ConfigError(f"{config.schema_path}: the schema lists {dataset.coords.shape[1]} "
                           f"coordinates, but the hyperparameters are {h.dim}-dimensional")
-    for t in sorted(h.target_types):
-        measured = dataset.measured(t)[0].size
-        if config.test_count >= measured:
-            raise ConfigError(
-                f"{config.dataset_path}: split.test_count: {config.test_count} must be below "
-                f"the {measured} measurements of type {dataset.type_names[t]!r}"
-            )
+    measured = dataset.measured(h.target_type)[0].size
+    if config.test_count >= measured:
+        raise ConfigError(
+            f"{config.dataset_path}: split.test_count: {config.test_count} must be below "
+            f"the {measured} measurements of type {dataset.type_names[h.target_type]!r}"
+        )
     config.check_pool(
-        config.dataset_path, len(dataset.values) - config.test_count * len(h.target_types),
+        config.dataset_path, len(dataset.values) - config.test_count,
         len({tuple(dataset.coords[li]) for li, _ in dataset.values}),
     )
     return dataset
@@ -167,16 +166,13 @@ def _pool_by_type(pool_tuples, n_types):
     return {i: v for i, v in per_type.items() if v}
 
 
-def _single_output_refits(config, h_model, pool_tuples, pool_values):
-    refits = {}
-    value_of = dict(zip(pool_tuples, pool_values))
-    for t in sorted(config.hyperparams.target_types):
-        tuples = [p for p in pool_tuples if p.type_index == t]
-        remapped = [TypedLocation(p.location, 0) for p in tuples]
-        y = np.array([value_of[p] for p in tuples])
-        init = h_model.single_output(t)
-        refits[t] = fit_hyperparams(remapped, y, init, budget=config.fit_budget).h
-    return refits
+def _single_output_refit(config, h_model, pool_tuples, pool_values):
+    """One-type hyperparameters fitted to the target pool alone."""
+    t = h_model.target_type
+    own = [k for k, p in enumerate(pool_tuples) if p.type_index == t]
+    remapped = [TypedLocation(pool_tuples[k].location, 0) for k in own]
+    return fit_hyperparams(remapped, pool_values[own], h_model.single_output(t),
+                           budget=config.fit_budget).h
 
 
 def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
@@ -184,9 +180,8 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
     if dataset is None:
         dataset = generate_synthetic(config.synthetic, config.hyperparams, rep_seed)
     norm, stats = normalize(dataset)
-    split = split_test(
-        norm, SplitSpec(config.hyperparams.target_types, config.test_count, seed=rep_seed)
-    )
+    t = config.hyperparams.target_type
+    split = split_test(norm, SplitSpec(t, config.test_count, seed=rep_seed))
     value_of = dict(zip(split.pool_tuples, split.pool_values))
 
     if config.fit:
@@ -195,22 +190,22 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
     else:
         h_model = config.hyperparams
 
-    pool_locs = np.array([t.location for t in split.pool_tuples])
+    pool_locs = np.array([p.location for p in split.pool_tuples])
     inducing = select_inducing(pool_locs, config.inducing_count, seed=rep_seed)
     model = build_model(h_model, inducing, _pool_by_type(split.pool_tuples, h_model.n_types))
     cache = build_cache(model)
 
     max_budget = config.checkpoints[-1]
     # the single-output baselines pick from the target pool alone
-    target_budget = min(max_budget, model.target_cols.size)
+    target_budget = min(max_budget, len(model.R[t]))
     single_output = None
     if config.svar_mode == "refit" and {"s-var", "s-mi"} & set(config.algorithms):
-        single_output = _single_output_refits(
+        single_output = _single_output_refit(
             config, h_model, split.pool_tuples, split.pool_values
         )
 
     test = TupleArray.build(split.test_tuples, h_model)
-    test_types = [t.type_index for t in split.test_tuples]
+    truth = denormalize(split.test_values, stats[t])
 
     rows = []
     for algorithm in config.algorithms:
@@ -231,23 +226,14 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
 
         for budget in config.checkpoints:
             x = state.selected[:budget]
-            y_x = np.array([value_of[t] for t in x])
+            y_x = np.array([value_of[p] for p in x])
             pred = pitc_posterior(model, x, y_x, test).mean
-            per_type = []
-            for t in sorted(config.hyperparams.target_types):
-                mask = [k for k, ti in enumerate(test_types) if ti == t]
-                per_type.append(
-                    rmse(
-                        denormalize(pred[mask], stats[t]),
-                        denormalize(split.test_values[mask], stats[t]),
-                    )
-                )
             rows.append(
                 ResultRow(
                     algorithm=algorithm,
                     seed=rep_seed,
                     budget=budget,
-                    rmse=float(np.mean(per_type)),
+                    rmse=rmse(denormalize(pred, stats[t]), truth),
                     wall_ms=1000.0 * sum(state.iteration_seconds[:budget]),
                 )
             )

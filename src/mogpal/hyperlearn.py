@@ -68,7 +68,7 @@ def _unpack(vec, template: Hyperparams):
     vals = np.exp(vec)
     return Hyperparams(
         signal_var=vals[:m], noise_var=vals[m:2 * m], latent_prec_inv=vals[2 * m:2 * m + d],
-        smooth_prec_inv=vals[2 * m + d:].reshape(m, d), target_types=template.target_types,
+        smooth_prec_inv=vals[2 * m + d:].reshape(m, d), target_type=template.target_type,
     )
 
 

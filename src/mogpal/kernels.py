@@ -70,16 +70,16 @@ class Hyperparams:
         Diagonal of the inverse precision of the latent spatial function.
     smooth_prec_inv : (M, d) array
         Per-type diagonals of the inverse smoothing-kernel precisions.
-    target_types : tuple of int
-        Nonempty subset of type indices whose prediction is the goal of
-        selection; the remaining types are auxiliary.
+    target_type : int
+        Index of the one type whose prediction is the goal of selection;
+        every other type is auxiliary.
     """
 
     signal_var: np.ndarray
     noise_var: np.ndarray
     latent_prec_inv: np.ndarray
     smooth_prec_inv: np.ndarray
-    target_types: tuple = (0,)
+    target_type: int = 0
 
     def __post_init__(self):
         sv = np.atleast_1d(np.asarray(self.signal_var, dtype=float))
@@ -90,7 +90,7 @@ class Hyperparams:
         object.__setattr__(self, "noise_var", nv)
         object.__setattr__(self, "smooth_prec_inv", sp)
         object.__setattr__(self, "latent_prec_inv", lp)
-        object.__setattr__(self, "target_types", tuple(int(t) for t in self.target_types))
+        object.__setattr__(self, "target_type", int(self.target_type))
         m, d = sv.shape[0], lp.shape[0]
         if nv.shape != (m,) or sp.shape != (m, d):
             raise ConfigError(
@@ -102,12 +102,8 @@ class Hyperparams:
                           (sp, "smoothing precision diagonals")):
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
                 raise ConfigError(f"{what} must be finite and strictly positive")
-        if not self.target_types:
-            raise ConfigError("target_types must be nonempty")
-        if any(t < 0 or t >= m for t in self.target_types):
+        if not 0 <= self.target_type < m:
             raise ConfigError(f"target type out of range [0, {m})")
-        if len(set(self.target_types)) < len(self.target_types):
-            raise ConfigError(f"target_types {self.target_types} repeat a type")
         for arr in (sv, nv, lp, sp):
             arr.setflags(write=False)
 
@@ -118,10 +114,6 @@ class Hyperparams:
     @property
     def dim(self):
         return self.latent_prec_inv.shape[0]
-
-    @property
-    def aux_types(self):
-        return tuple(i for i in range(self.n_types) if i not in self.target_types)
 
     def pair_width(self, i, j):
         """Diagonal covariance of the (i, j) output-output density term.
@@ -149,7 +141,6 @@ class Hyperparams:
             noise_var=self.noise_var[[t]].copy(),
             latent_prec_inv=0.5 * width,
             smooth_prec_inv=0.25 * width[None, :],
-            target_types=(0,),
         )
 
     def validate_tuple(self, p: TypedLocation):

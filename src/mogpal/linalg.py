@@ -25,23 +25,18 @@ JITTER_SCALE = 1e-10
 class SpdFactor:
     """Cholesky factor of an SPD matrix with cached log-determinant."""
 
-    __slots__ = ("lower", "jitter", "n")
+    __slots__ = ("lower", "jitter")
 
     def __init__(self, lower, jitter):
         self.lower = lower
         self.jitter = jitter
-        self.n = lower.shape[0]
 
     @property
     def logdet(self):
-        if self.n == 0:
-            return 0.0
         return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
 
     def solve(self, b):
         """Solve A x = b for the factorized matrix A."""
-        if self.n == 0:
-            return np.zeros_like(b)
         return scipy.linalg.cho_solve((self.lower, True), b, check_finite=False)
 
 
@@ -55,8 +50,6 @@ def chol_spd(a, name="matrix"):
     or an infinity in the lower triangle) counts as a failed factorization.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape[0] == 0:
-        return SpdFactor(np.zeros((0, 0)), 0.0)
     try:
         return SpdFactor(_cholesky(a), 0.0)
     except np.linalg.LinAlgError:

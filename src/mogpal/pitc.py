@@ -24,7 +24,7 @@ Memory: the pool layout lives in ``PitcModel`` alone.  ``W`` (N x m) and
 ``G`` (m x N) span the whole pool, where each type is a contiguous range.
 Per type, the only candidate-by-candidate array is the residual ``R``,
 written in place a chunk of rows at a time, so neither the prior block ``C``
-nor ``W G`` is ever held whole.  ``build_model`` factors each target ``R``
+nor ``W G`` is ever held whole.  ``build_model`` factors the target ``R``
 in that buffer for the target summary and refills it with the same chunk
 calls, bitwise.  Of ``C`` the model keeps the diagonal
 (``PitcModel.prior_var``); the criterion reads any other entry within the
@@ -141,12 +141,13 @@ class PitcModel:
     ``R[i] = C[i] - W[s] G[:, s]`` of the exact prior block ``C[i]``, with
     ``s = type_slices[i]``.  Of ``C[i]`` itself only the diagonal is kept;
     the criterion reads ``C[i]`` as ``W[s] G[:, s] + R[i]``.
-    ``target_summary`` is the inducing information
-    ``sum_t W[s]^T R[t]^-1 W[s]`` of the whole target pool, computed by
-    :func:`build_model` with each ``R[t]`` factored in its own buffer and
-    refilled before the model is returned.  ``target_cols`` and
-    ``aux_cols`` are the pool positions of the target and auxiliary
-    candidates; :meth:`positions` looks up the positions of any tuples.
+    One type, ``h.target_type`` (t below), is the target and the others are
+    auxiliary.  ``target_summary`` is the inducing information
+    ``W[s]^T R[t]^-1 W[s]`` of the whole target pool, ``s = type_slices[t]``,
+    computed by :func:`build_model` with ``R[t]`` factored in its own buffer
+    and refilled before the model is returned.  ``aux_cols`` are the pool
+    positions of the auxiliary candidates; :meth:`positions` looks up the
+    positions of any tuples.
     """
 
     h: Hyperparams
@@ -161,16 +162,11 @@ class PitcModel:
     prior_var: np.ndarray = field(repr=False)
     tuple_index: dict = field(repr=False)
     target_summary: np.ndarray = field(repr=False)
-    target_cols: np.ndarray = field(repr=False)
     aux_cols: np.ndarray = field(repr=False)
 
     @property
     def n_inducing(self):
         return len(self.inducing)
-
-    @property
-    def target_types(self):
-        return self.h.target_types
 
     def positions(self, tuples):
         """Pool positions of ``tuples``, in their order.  A tuple repeated or
@@ -190,7 +186,7 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
 
     ``candidates_per_type`` maps type index -> list of typed tuples.  Fails
     if the inducing covariance is not positive definite after one jitter
-    pass, if any within-type candidate appears twice, or if a target type
+    pass, if any within-type candidate appears twice, or if the target type
     has no candidates.
     """
     per_type = {int(k): list(v) for k, v in candidates_per_type.items()}
@@ -207,9 +203,9 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
         if dups:
             raise ModelBuildError(f"duplicate candidates of type {i}: {dups}")
         pool.extend(tuples)
-    for t in h.target_types:
-        if not per_type.get(t):
-            raise ModelBuildError(f"target type {t} has no candidate tuples")
+    t = h.target_type
+    if not per_type.get(t):
+        raise ModelBuildError(f"target type {t} has no candidate tuples")
 
     if inducing.locations.shape[1] != h.dim:
         raise ConfigError(
@@ -246,27 +242,23 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
         R[i] = np.empty((idx.size, idx.size))
         fill_residual(h, own[i], W[s], solves[i], R[i], prior_var[s])
 
-    # the refill rewrites the factored R[t] before any caller can see it
-    target_summary = np.zeros((len(inducing), len(inducing)))
-    for t in h.target_types:
-        s = type_slices[t]
-        target_summary += spd_info_in_place(
-            R[t], W[s],
-            lambda r, t=t, s=s: fill_residual(h, own[t], W[s], solves[t], r),
-            f"type-{t} residual block",
-        )
+    # the refill rewrites the factored R[t] before any caller can see it;
+    # adding to zeros turns a -0.0 entry into 0.0
+    s = type_slices[t]
+    target_summary = np.zeros((len(inducing), len(inducing))) + spd_info_in_place(
+        R[t], W[s], lambda r: fill_residual(h, own[t], W[s], solves[t], r),
+        f"type-{t} residual block",
+    )
 
     # assembled after the refill, so it adds nothing to the refill's peak
     G = np.empty((len(inducing), len(cands)))
     for i, s in type_slices.items():
         G[:, s] = solves[i]
-    is_target = np.isin(cands.types, h.target_types)
     return PitcModel(
         h=h, inducing=inducing, kuu=kuu, kuu_factor=kuu_factor,
         candidates=cands, type_slices=type_slices, W=W, G=G, R=R,
-        prior_var=prior_var, tuple_index={t: k for k, t in enumerate(cands.tuples)},
-        target_summary=target_summary, target_cols=np.flatnonzero(is_target),
-        aux_cols=np.flatnonzero(~is_target),
+        prior_var=prior_var, tuple_index={p: k for k, p in enumerate(cands.tuples)},
+        target_summary=target_summary, aux_cols=np.flatnonzero(cands.types != t),
     )
 
 
@@ -331,22 +323,20 @@ class BlockFactors:
             self.info[i] = w.T @ factor.solve(w)
         self.selection = chol_spd(kuu + self.info_sum(), "selection information")
 
-    def info_sum(self, types=None):
-        """Inducing information summed over all blocks, or those of ``types``."""
+    def info_sum(self, skip=None):
+        """Inducing information summed over all blocks but type ``skip``'s."""
         total = np.zeros((self.m, self.m))
         for i, block in self.info.items():
-            if types is None or i in types:
+            if i != skip:
                 total += block
         return total
 
-    def target_logdet(self, target_types):
-        """Tuple count and residual log-determinant of the target blocks."""
-        n, logdet = 0, 0.0
-        for i, factor in self.factor.items():
-            if i in target_types:
-                n += len(self.rows[i])
-                logdet += factor.logdet
-        return n, logdet
+    def target_logdet(self, t):
+        """Tuple count and residual log-determinant of the type-``t`` block
+        (0 and 0.0 when the set has none of type t)."""
+        if t not in self.factor:
+            return 0, 0.0
+        return len(self.rows[t]), self.factor[t].logdet
 
     def inv_apply(self, b):
         """Apply the inverse of the set's covariance to the columns of ``b``

@@ -2,12 +2,13 @@
 
 ``select_greedy`` maximizes the augmented objective one tuple at a time over
 all types; the baselines pick by plain posterior entropy over all types
-(``select_mvar``) or restrict themselves to the target pool under a
-single-output model (``select_svar``, ``select_smi``).  Every algorithm
-scores the model's whole pool (the baselines give -inf outside the target
-types) and picks by pool position, so exact ties in the computed scores
-break lexicographically on ``(type_index, coordinates)`` and a fixed
-configuration reproduces the same sequence everywhere.  Greedy, m-Var and
+(``select_mvar``) or restrict themselves to the pool of the one target type
+under a single-output model (``select_svar``, ``select_smi``).  Every
+algorithm scores the model's whole pool (the single-output baselines give
+-inf outside the target pool) and picks by pool position, so exact ties in
+the computed scores break lexicographically on ``(type_index,
+coordinates)`` and a fixed configuration reproduces the same sequence
+everywhere.  Greedy, m-Var and
 s-Var score mathematically tied candidates bit-equal wherever a
 from-scratch rebuild does.  s-MI reads its leave-one-out variances off an
 inverse downdated in pick order, which can tie two mirror candidates that a
@@ -135,63 +136,58 @@ def select_mvar(model: PitcModel, cache: CriterionCache, n: int) -> SelectionSta
 def _select_single_output(model, n, mutual_information, single_output_hypers=None):
     """s-Var, or with ``mutual_information`` s-MI, over the target pool.
 
-    Target type ``t`` is an exact one-type GP over the pool range
-    ``type_slices[t]``, and ``picked`` marks the selection over the whole
-    pool.  Each pick recomputes the variance of the type's candidates given
-    its picked ones from scratch, O(|sel|^2 |V_t|), over the picks in
-    ascending pool order: exact float ties between far-apart candidates
-    decide picks, so the rounding must not depend on the pick order.  s-MI
-    also factors each prior once with ``chol_spd`` and inverts it,
-    O(|V_t|^3), then downdates that inverse P per pick in O(|V_t|^2)
-    through one preallocated buffer (Schur complement on the pick's
-    pivot), so ``1 / P[j, j]`` stays the variance of free candidate ``j``
-    given the other free ones (Krause, Singh & Guestrin 2008).
+    The target type is an exact one-type GP over the pool range
+    ``type_slices[t]``, and ``picked`` marks the selection within that
+    range.  Each pick recomputes the variance of the candidates given the
+    picked ones from scratch, O(|sel|^2 |V_t|), over the picks in ascending
+    pool order: exact float ties between far-apart candidates decide picks,
+    so the rounding must not depend on the pick order.  s-MI also factors
+    the prior once with ``chol_spd`` and inverts it, O(|V_t|^3), then
+    downdates that inverse P per pick in O(|V_t|^2) through one
+    preallocated buffer (Schur complement on the pick's pivot), so
+    ``1 / P[j, j]`` stays the variance of free candidate ``j`` given the
+    other free ones (Krause, Singh & Guestrin 2008).
     """
-    _check_budget(n, len(model.target_cols), what="target candidate pool")
-    picked = np.zeros(len(model.candidates), dtype=bool)
-    pools = {}
-    for t in sorted(model.target_types):
-        h_t = (single_output_hypers or {}).get(t) or model.h.single_output(t)
-        if h_t.n_types != 1:
-            raise ConfigError("single-output pools need one-type hyperparameters")
-        s = model.type_slices[t]
-        ta = TupleArray.build(
-            [TypedLocation(p.location, 0) for p in model.candidates.tuples[s]], h_t
-        )
-        prior = kernels.cov_matrix(ta, ta, h_t)
-        inverse = downdate = None
-        if mutual_information:
-            inverse = chol_spd(prior, "single-output pool prior").solve(np.eye(len(ta)))
-            downdate = np.empty_like(inverse)
-        pools[t] = (s, prior, inverse, downdate)
+    t = model.h.target_type
+    s = model.type_slices[t]
+    _check_budget(n, s.stop - s.start, what="target candidate pool")
+    h_t = single_output_hypers or model.h.single_output(t)
+    if h_t.n_types != 1:
+        raise ConfigError("single-output pools need one-type hyperparameters")
+    ta = TupleArray.build(
+        [TypedLocation(p.location, 0) for p in model.candidates.tuples[s]], h_t
+    )
+    prior = kernels.cov_matrix(ta, ta, h_t)
+    picked = np.zeros(len(ta), dtype=bool)
+    if mutual_information:
+        inverse = chol_spd(prior, "single-output pool prior").solve(np.eye(len(ta)))
+        downdate = np.empty_like(inverse)
 
     def score(last):
         if last is not None:
-            picked[last] = True
-            s, _, inverse, downdate = pools[int(model.candidates.types[last])]
+            k = last - s.start
+            picked[k] = True
             if mutual_information:
                 # the pivot passed the checked log as a leave-one-out variance
-                k = last - s.start
                 np.outer(inverse[:, k], inverse[k, :], out=downdate)
-                downdate /= inverse[k, k]
-                inverse -= downdate
+                np.divide(downdate, inverse[k, k], out=downdate)
+                np.subtract(inverse, downdate, out=inverse)
+        sel, free = np.flatnonzero(picked), np.flatnonzero(~picked)
+        var = np.diag(prior)
+        if sel.size:
+            factor = chol_spd(prior[np.ix_(sel, sel)], "selected single-output block")
+            cross = prior[:, sel]
+            var = var - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
+        log_var = _checked_log(var[free], f"posterior variance in pool {t}")
         scores = np.full(len(model.candidates), -np.inf)
-        for t, (s, prior, inverse, _) in pools.items():
-            sel, free = np.flatnonzero(picked[s]), np.flatnonzero(~picked[s])
-            var = np.diag(prior)
-            if sel.size:
-                factor = chol_spd(prior[np.ix_(sel, sel)], "selected single-output block")
-                cross = prior[:, sel]
-                var = var - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
-            log_var = _checked_log(var[free], f"posterior variance in pool {t}")
-            if mutual_information:
-                # a zero inverse diagonal gives inf, which the checked log rejects
-                with np.errstate(divide="ignore"):
-                    loo_var = 1.0 / inverse[free, free]
-                log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
-                scores[s.start + free] = 0.5 * log_var
-            else:
-                scores[s.start + free] = 0.5 * (LOG_2PI_E + log_var)
+        if mutual_information:
+            # a zero inverse diagonal gives inf, which the checked log rejects
+            with np.errstate(divide="ignore"):
+                loo_var = 1.0 / inverse[free, free]
+            log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
+            scores[s.start + free] = 0.5 * log_var
+        else:
+            scores[s.start + free] = 0.5 * (LOG_2PI_E + log_var)
         return scores, scores
 
     return _greedy_loop(model, n, score)
@@ -200,14 +196,14 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
 def select_svar(model: PitcModel, n: int, single_output_hypers=None) -> SelectionState:
     """Greedy maximum entropy restricted to the target pool.
 
-    Runs one independent exact single-output GP per target type; by default
-    its parameters are derived from the multi-output model
-    (``single_output``), or pass ``single_output_hypers={type: Hyperparams}``
-    for refit mode.  The budget may not exceed the target pool.  Each pick
-    recomputes the variance given the selected set from scratch,
-    O(|sel|^2 |V_t|) per target type, so exact ties break lexicographically
-    as a rebuild's do.  Raises :class:`IllConditionedError` when a
-    candidate's variance is not finite and positive.
+    Runs an exact single-output GP over the target type; by default its
+    parameters are derived from the multi-output model (``single_output``),
+    or pass one-type ``single_output_hypers`` for refit mode.  The budget
+    may not exceed the target pool.  Each pick recomputes the variance
+    given the selected set from scratch, O(|sel|^2 |V_t|), so exact ties
+    break lexicographically as a rebuild's do.  Raises
+    :class:`IllConditionedError` when a candidate's variance is not finite
+    and positive.
     """
     return _select_single_output(model, n, False, single_output_hypers)
 
@@ -217,14 +213,13 @@ def select_smi(model: PitcModel, n: int, single_output_hypers=None) -> Selection
 
     Scores each free candidate by its variance given the selected set
     against its variance given the other free candidates (Krause, Singh &
-    Guestrin 2008).  Costs one O(|V_t|^3) factorization per target type,
-    then O(|V_t|^2) per pick to downdate the inverse of the free block, on
-    top of the s-Var variance update; rounding there can decide between
-    mirror candidates (see the module notes).  Options as in
-    :func:`select_svar`; raises :class:`IllConditionedError` when a
-    variance or a leave-one-out variance ``1 / P[j, j]`` is not finite and
-    positive, which also covers each downdate pivot, scored before it is
-    picked.
+    Guestrin 2008).  Costs one O(|V_t|^3) factorization, then O(|V_t|^2)
+    per pick to downdate the inverse of the free block, on top of the s-Var
+    variance update; rounding there can decide between mirror candidates
+    (see the module notes).  Options as in :func:`select_svar`; raises
+    :class:`IllConditionedError` when a variance or a leave-one-out
+    variance ``1 / P[j, j]`` is not finite and positive, which also covers
+    each downdate pivot, scored before it is picked.
     """
     return _select_single_output(model, n, True, single_output_hypers)
 

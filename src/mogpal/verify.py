@@ -40,7 +40,7 @@ INSTANCE_INDUCING = 3
 # seeded instance family
 # ---------------------------------------------------------------------------
 
-def random_hyperparams(rng, n_types=2, dim=1, target_types=(0,)):
+def random_hyperparams(rng, n_types=2, dim=1, target_type=0):
     """Hyperparameters drawn from ranges that keep instances well behaved:
     noise above the entropy floor, moderate length scales."""
     return Hyperparams(
@@ -48,16 +48,16 @@ def random_hyperparams(rng, n_types=2, dim=1, target_types=(0,)):
         noise_var=rng.uniform(0.08, 0.35, size=n_types),
         latent_prec_inv=rng.uniform(0.05, 0.4, size=dim),
         smooth_prec_inv=rng.uniform(0.02, 0.3, size=(n_types, dim)),
-        target_types=target_types,
+        target_type=target_type,
     )
 
 
 def random_instance(seed, n_per_type=(4, 4), dim=1, n_inducing=INSTANCE_INDUCING,
-                    target_types=(0,), spread=1.0):
+                    target_type=0, spread=1.0):
     """A seeded small model plus its criterion cache, for sweeps and tests."""
     rng = np.random.default_rng(seed)
     n_types = len(n_per_type)
-    h = random_hyperparams(rng, n_types=n_types, dim=dim, target_types=target_types)
+    h = random_hyperparams(rng, n_types=n_types, dim=dim, target_type=target_type)
     cands = {
         i: [as_tuple(rng.uniform(0, spread, size=dim), i) for _ in range(n_per_type[i])]
         for i in range(n_types)
@@ -143,7 +143,8 @@ def estimate_epsilon1(model: PitcModel, cache: CriterionCache, x):
     aux = model.aux_cols[~picked[model.aux_cols]]
     if not aux.size:
         return 0.0
-    fixed = model.target_cols[~picked[model.target_cols]]
+    target = model.type_slices[model.h.target_type]
+    fixed = target.start + np.flatnonzero(~picked[target])
     evaluator = GainEvaluator(model, cache)
     rest_var = evaluator.set_state(fixed).var_given_selected()[aux]
     full_var = evaluator.set_state([*fixed, *x]).var_given_selected()[aux]

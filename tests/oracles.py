@@ -187,10 +187,9 @@ def dense_F(x, model):
     """The augmented objective from dense entropies only."""
     h = model.h
     u_locs = model.inducing.locations
-    target = set(h.target_types)
-    v_t = [t for t in model.candidates.tuples if t.type_index in target]
+    v_t = [t for t in model.candidates.tuples if t.type_index == h.target_type]
     x = list(x)
-    x_t = [t for t in x if t.type_index in target]
+    x_t = [t for t in x if t.type_index == h.target_type]
     rest = [t for t in v_t if t not in set(x)]
 
     # entropy of selected target tuples given the inducing measurements
@@ -234,7 +233,7 @@ def old_criterion(model, x, use_exact=False):
     x = list(x)
     rest = [
         t for t in model.candidates.tuples
-        if t.type_index in h.target_types and t not in set(x)
+        if t.type_index == h.target_type and t not in set(x)
     ]
     if not rest:
         return 0.0
@@ -275,18 +274,18 @@ def _rebuilt_loop(model, n, score):
 
 
 class _ScratchPools:
-    """Per-target-type exact single-output GP pools for s-Var and s-MI."""
+    """The target type's exact single-output GP pool for s-Var and s-MI,
+    keyed by type."""
 
     def __init__(self, model, single_output_hypers=None):
-        self.types = sorted(model.target_types)
+        self.types = [model.h.target_type]
         self.pools = {}
         self.prior = {}
         self.hyper = {}
         for t in self.types:
             tuples = [p for p in model.candidates.tuples if p.type_index == t]
             remapped = [TypedLocation(p.location, 0) for p in tuples]
-            h_t = None if single_output_hypers is None else single_output_hypers.get(t)
-            h_t = h_t if h_t is not None else model.h.single_output(t)
+            h_t = single_output_hypers or model.h.single_output(t)
             if h_t.n_types != 1:
                 raise ConfigError("single-output pools need one-type hyperparameters")
             self.pools[t] = (tuples, remapped)
@@ -382,7 +381,7 @@ class ScratchGainEvaluator:
             p = model.target_summary @ g
             e1 += np.einsum("mc,mc->c", g, p)
             hmat += p
-        skip = set(model.target_types) if target_blocks else set()
+        skip = {model.h.target_type} if target_blocks else set()
         col_pos_by_type = {}
         for i in np.unique(model.candidates.types[cols]):
             col_pos_by_type[int(i)] = np.flatnonzero(model.candidates.types[cols] == i)
@@ -427,7 +426,8 @@ class ScratchGainEvaluator:
         mask = self._selected_mask()
         var_sel = self._sweep(np.arange(len(model.candidates)), False, self._blocks.selection)
         out = np.full(len(model.candidates), -np.inf)
-        free_target = model.target_cols[~mask[model.target_cols]]
+        target = model.type_slices[model.h.target_type]
+        free_target = target.start + np.flatnonzero(~mask[target])
         log_sel = self._checked_log(var_sel, np.flatnonzero(~mask))
         out[free_target] = 0.5 * (LOG_2PI_E + log_sel[free_target])
         if model.aux_cols.size:
@@ -525,7 +525,7 @@ def estimate_epsilon1(model, cache, x):
     function's signature."""
     x = list(x)
     model.positions(x)  # rejects a tuple missing from the pool or repeated
-    target = set(model.target_types)
+    target = {model.h.target_type}
     x_target = {t for t in x if t.type_index in target}
     x_aux = {t for t in x if t.type_index not in target}
     fixed = [
@@ -568,7 +568,7 @@ def audit_eps_submodularity(model, cache, samples, seed=0):
     h, u_locs = model.h, model.inducing.locations
     cands = model.candidates.tuples
     n = len(cands)
-    target = set(model.target_types)
+    target = {model.h.target_type}
     max_excess = -np.inf
     worst_eps1 = 0.0
     for _ in range(samples):
@@ -612,11 +612,11 @@ def prop1_bound(model, candidate, remaining_targets):
     """
     h = model.h
     i = candidate.type_index
-    assert i not in model.target_types, "the bound applies to auxiliary candidates"
+    assert i != h.target_type, "the bound applies to auxiliary candidates"
     rho = h.signal_var / h.noise_var
     total = 0.0
     for q in remaining_targets:
-        assert q.type_index in model.target_types, f"{q} is not a target-type tuple"
+        assert q.type_index == h.target_type, f"{q} is not a target-type tuple"
         delta = [a - b for a, b in zip(candidate.location, q.location)]
         total += float(rho[q.type_index]) * gd(delta, h.pair_width(i, q.type_index)) ** 2
     return 0.5 * math.log1p(4.0 * float(rho[i]) * total)

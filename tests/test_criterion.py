@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from mogpal import (
     sparse_cov,
 )
 from mogpal.criterion import GainEvaluator
-from mogpal.kernels import LOG_2PI_E
+from mogpal.kernels import LOG_2PI_E, NOISE_FLOOR
 from mogpal.linalg import chol_spd
 from conftest import random_instance
 
@@ -163,10 +165,11 @@ class TestCriterionF:
                 chain.append(cands[i])
             assert total == pytest.approx(criterion_F(model, cache, chain), abs=1e-6)
 
-    def test_multi_target_types(self):
-        # two target types plus one auxiliary: same identities must hold
+    def test_last_type_targeted_after_two_auxiliary(self):
+        # the target type last in the pool, after two auxiliary types: the
+        # same identities must hold
         model, cache = random_instance(
-            11, n_per_type=(3, 3, 3), target_types=(0, 2)
+            11, n_per_type=(3, 3, 3), target_type=2
         )
         assert criterion_F(model, cache, []) == 0.0
         cands = list(model.candidates.tuples)
@@ -186,8 +189,8 @@ class TestGreedyGain:
         checked = 0
         for seed in range(25):
             shape = [(5, 4), (4, 4, 3), (8,)][seed % 3]
-            tt = (0,) if len(shape) < 3 else (0, 1)
-            model, cache = random_instance(seed, n_per_type=shape, target_types=tt)
+            tt = 0 if len(shape) < 3 else 1
+            model, cache = random_instance(seed, n_per_type=shape, target_type=tt)
             cands = list(model.candidates.tuples)
             r = np.random.default_rng(seed)
             k = int(r.integers(0, min(5, len(cands) - 1)))
@@ -305,8 +308,8 @@ class TestGainEvaluator:
 
     @pytest.mark.parametrize("make", [
         lambda: random_instance(72, n_per_type=(9, 6)),
-        lambda: random_instance(85, n_per_type=(12, 10, 8), target_types=(0, 2)),
-    ], ids=["one-target", "two-targets"])
+        lambda: random_instance(85, n_per_type=(12, 10, 8)),
+    ], ids=["one-auxiliary-type", "two-auxiliary-types"])
     def test_sweep_matches_exact_kernel_oracle(self, make):
         # the near-tie sweep reads the picks' covariance as W G + R from the
         # model; the oracle computes the picks' own-type block from the kernel
@@ -371,20 +374,18 @@ class TestGainEvaluator:
             assert var[i] == pytest.approx(dense[0, 0], rel=1e-9)
 
     def test_incremental_variances_along_mixed_chain(self):
-        # two target types (0, 2) and two auxiliary types (1, 3); the chain
-        # mixes target and auxiliary picks, with repeats of each auxiliary
-        # type so both the same-type residual and the cross-type low rank of
-        # the augmented covariance are exercised
-        model, cache = random_instance(
-            72, n_per_type=(5, 4, 5, 4), target_types=(0, 2), n_inducing=4
-        )
+        # target type 0 and three auxiliary types (1, 2, 3); the chain mixes
+        # target and auxiliary picks, with repeats of each auxiliary type so
+        # both the same-type residual and the cross-type low rank of the
+        # augmented covariance are exercised
+        model, cache = random_instance(72, n_per_type=(5, 4, 5, 4), n_inducing=4)
         h, u = model.h, model.inducing.locations
         by_type = {i: list(model.candidates.tuples[model.type_slices[i]]) for i in range(4)}
         chain = [
             by_type[1][0], by_type[0][1], by_type[1][2], by_type[3][0],
             by_type[2][3], by_type[3][1], by_type[1][3], by_type[0][4],
         ]
-        targets = by_type[0] + by_type[2]
+        targets = by_type[0]
         aux_pos = {model.candidates.tuples[c]: p for p, c in enumerate(model.aux_cols)}
         ev = GainEvaluator(model, cache).set_state([])
         for k, j in enumerate(model.positions(chain)):
@@ -396,8 +397,8 @@ class TestGainEvaluator:
                 ev.var_given_selected()[model.positions(free)], np.diag(dense),
                 rtol=1e-9, atol=0,
             )
-            free_aux = [t for t in free if t.type_index in (1, 3)]
-            x_aux = [t for t in x if t.type_index in (1, 3)]
+            free_aux = [t for t in free if t.type_index != 0]
+            x_aux = [t for t in x if t.type_index != 0]
             dense = oracles.conditional_cov_blocked(free_aux, x_aux + targets, h, u)
             np.testing.assert_allclose(
                 ev._aug.var[[aux_pos[t] for t in free_aux]],
@@ -464,3 +465,43 @@ class TestVarGivenSelected:
             prev = var
         dense = oracles.conditional_cov_blocked(cands[-2:], cands[:5], h, u)
         np.testing.assert_allclose(prev, np.diag(dense), rtol=1e-9)
+
+
+class TestDataScale:
+    """Scaling the data by c scales every variance by c^2: each target gain,
+    a marginal entropy, shifts by 1/2 log c^2, each auxiliary gain, a log
+    ratio of variances, stays, and so the scale sets the exchange rate
+    between target and auxiliary picks."""
+
+    @pytest.mark.parametrize("c2", [0.3, 4.0])
+    def test_target_gains_shift_and_auxiliary_gains_stay(self, c2):
+        model, cache = random_instance(5, n_per_type=(12, 12))
+        h = model.h
+        scaled_h = replace(h, signal_var=c2 * h.signal_var, noise_var=c2 * h.noise_var)
+        per_type = {i: list(model.candidates.tuples[s]) for i, s in model.type_slices.items()}
+        below_floor = float(np.min(scaled_h.noise_var)) < NOISE_FLOOR
+        with pytest.warns(UserWarning, match="noise") if below_floor else contextlib.nullcontext():
+            scaled = build_model(scaled_h, model.inducing, per_type)
+        scaled_cache = build_cache(scaled)
+        shift = 0.5 * math.log(c2)
+
+        picks = np.random.default_rng(5).permutation(len(model.candidates))[:4]
+        gains = GainEvaluator(model, cache).set_state(picks).gains()
+        scaled_gains = GainEvaluator(scaled, scaled_cache).set_state(picks).gains()
+        # selected candidates score -inf in both
+        free = np.isfinite(gains)
+        assert np.array_equal(np.isfinite(scaled_gains), free)
+        is_target = model.candidates.types == h.target_type
+        target, aux = free & is_target, free & ~is_target
+        assert target.any() and aux.any()
+        np.testing.assert_allclose(scaled_gains[target] - gains[target], shift, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scaled_gains[aux], gains[aux], rtol=0, atol=1e-12)
+
+        cands = model.candidates.tuples
+        chain = [cands[k] for k in np.random.default_rng(6).permutation(len(cands))[:8]]
+        for k in range(len(chain) + 1):
+            x = chain[:k]
+            n_t = sum(p.type_index == h.target_type for p in x)
+            assert criterion_F(scaled, scaled_cache, x) - criterion_F(model, cache, x) == (
+                pytest.approx(n_t * shift, rel=0, abs=1e-12)
+            )

@@ -148,8 +148,9 @@ class TestLoadDataset:
         path, schema = jura_like
         ds = load_dataset(path, schema)
         out = tmp_path / "canon.csv"
-        save_dataset(ds, out, coord_names=schema.coord_columns)
-        plain = Schema(schema.coord_columns, schema.type_columns, {})
+        save_dataset(ds, out)
+        coords = tuple(f"x{v}" for v in range(len(schema.coord_columns)))
+        plain = Schema(coords, schema.type_columns, {})
         again = load_dataset(out, plain)
         assert np.array_equal(ds.coords, again.coords)
         assert ds.values == again.values
@@ -187,7 +188,7 @@ class TestSplit:
     def test_counts_and_disjointness(self, jura_like):
         path, schema = jura_like
         ds, _ = normalize(load_dataset(path, schema))
-        split = split_test(ds, SplitSpec(target_types=(0,), test_count=100, seed=4))
+        split = split_test(ds, SplitSpec(target_type=0, test_count=100, seed=4))
         assert len(split.test_tuples) == 100
         target_pool = [t for t in split.pool_tuples if t.type_index == 0]
         assert len(target_pool) == 259
@@ -197,30 +198,32 @@ class TestSplit:
     def test_auxiliary_untouched(self, jura_like):
         path, schema = jura_like
         ds, _ = normalize(load_dataset(path, schema))
-        split = split_test(ds, SplitSpec(target_types=(0,), test_count=50, seed=1))
+        split = split_test(ds, SplitSpec(target_type=0, test_count=50, seed=1))
         aux = [t for t in split.pool_tuples if t.type_index != 0]
         assert len(aux) == 2 * 359
 
     def test_seed_determinism(self, jura_like):
         path, schema = jura_like
         ds, _ = normalize(load_dataset(path, schema))
-        a = split_test(ds, SplitSpec((0,), 30, seed=9))
-        b = split_test(ds, SplitSpec((0,), 30, seed=9))
+        a = split_test(ds, SplitSpec(0, 30, seed=9))
+        b = split_test(ds, SplitSpec(0, 30, seed=9))
         assert a.test_tuples == b.test_tuples
         assert np.array_equal(a.pool_values, b.pool_values)
 
-    def test_multi_target_counts(self, jura_like):
+    def test_last_type_as_target_counts(self, jura_like):
         path, schema = jura_like
         ds, _ = normalize(load_dataset(path, schema))
-        split = split_test(ds, SplitSpec((0, 2), 40, seed=2))
-        assert sum(t.type_index == 0 for t in split.test_tuples) == 40
-        assert sum(t.type_index == 2 for t in split.test_tuples) == 40
+        split = split_test(ds, SplitSpec(2, 40, seed=2))
+        assert len(split.test_tuples) == 40
+        assert all(t.type_index == 2 for t in split.test_tuples)
+        pool_types = [t.type_index for t in split.pool_tuples]
+        assert [pool_types.count(i) for i in range(3)] == [359, 359, 319]
 
     def test_guard(self, jura_like):
         path, schema = jura_like
         ds, _ = normalize(load_dataset(path, schema))
         with pytest.raises(ConfigError):
-            split_test(ds, SplitSpec((0,), 359, seed=0))
+            split_test(ds, SplitSpec(0, 359, seed=0))
 
 
 class TestRmse:

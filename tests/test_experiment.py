@@ -35,7 +35,7 @@ from mogpal.pitc import build_model
 H2 = Hyperparams(
     signal_var=[1.0, 0.8], noise_var=[0.25, 0.1],
     latent_prec_inv=[2.0], smooth_prec_inv=[[0.1], [0.1]],
-    target_types=(0,),
+    target_type=0,
 )
 
 CONFIG_TEXT = """[experiment]
@@ -82,7 +82,7 @@ class TestHyperparamsConfig:
         assert np.array_equal(back.signal_var, H2.signal_var)
         assert np.array_equal(back.noise_var, H2.noise_var)
         assert np.array_equal(back.smooth_prec_inv, H2.smooth_prec_inv)
-        assert back.target_types == H2.target_types
+        assert back.target_type == H2.target_type
 
     def test_round_trip_keeps_dim(self, tmp_path):
         h = Hyperparams(signal_var=[1.0], noise_var=[0.2], latent_prec_inv=[0.5, 2.0],
@@ -290,7 +290,7 @@ class TestRunExperiment:
             schema_path=str(tmp_path / "d.schema"), fit_budget=200,
         )
         norm, _ = normalize(load_experiment_dataset(cfg))
-        split = split_test(norm, SplitSpec(h_true.target_types, cfg.test_count, seed=cfg.seed))
+        split = split_test(norm, SplitSpec(h_true.target_type, cfg.test_count, seed=cfg.seed))
 
         def nll(h):
             return -log_marginal_likelihood(h, split.pool_tuples, split.pool_values)
@@ -492,16 +492,28 @@ class TestCli:
         ("run", lambda text: text.replace("[split]\ntarget_types = 0",
                                           "[split]\ntarget_types = 5"),
          "missing.ini: split.target_types: target type out of range [0, 2)"),
+        # one target type: a list of them does not parse as one int
         ("run", lambda text: text.replace("[split]\ntarget_types = 0",
-                                          "[split]\ntarget_types = 0, 0"),
-         "missing.ini: split.target_types: target_types (0, 0) repeat a type"),
+                                          "[split]\ntarget_types = 0, 1"),
+         "missing.ini: split.target_types: invalid literal for int() with base 10: '0, 1'"),
         ("run", lambda text: text.replace("dim = 1\ntarget_types = 0\n",
-                                          "dim = 1\ntarget_types = 0, 0\n"),
-         "missing.ini: hyperparams: target_types (0, 0) repeat a type"),
+                                          "dim = 1\ntarget_types = 0, 1\n"),
+         "missing.ini: hyperparams.target_types: invalid literal for int() with base 10: "
+         "'0, 1'"),
         ("run", lambda text: text.replace("layout = grid", "layout = spiral"),
          "missing.ini: synthetic: unknown layout 'spiral'"),
         ("run", lambda text: text.replace("n_locations = 14", "n_locations = 1"),
          "missing.ini: synthetic: n_locations must be at least 2, got 1"),
+        ("run", lambda text: text.replace("extent = 10", "extent = 0"),
+         "missing.ini: synthetic: extent must be finite and positive, got 0.0"),
+        ("run", lambda text: text.replace("extent = 10", "extent = nan"),
+         "missing.ini: synthetic: extent must be finite and positive, got nan"),
+        ("run", lambda text: text.replace("extent = 10", "extent = inf"),
+         "missing.ini: synthetic: extent must be finite and positive, got inf"),
+        ("run", lambda text: text.replace("extent = 10", "extent = -5"),
+         "missing.ini: synthetic: extent must be finite and positive, got -5.0"),
+        ("synth", lambda text: text.replace("extent = 10", "extent = 0"),
+         "missing.ini: synthetic: extent must be finite and positive, got 0.0"),
         # layouts the generator cannot draw or the split cannot hold out from
         ("run", lambda text: text.replace("dim = 1\n", "dim = 2\n")
          .replace("latent_prec_inv = 2.0", "latent_prec_inv = 2.0, 2.0")
@@ -661,8 +673,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"mogpal run: ConfigError: {hfile}: hyperparams.smooth_prec_inv.1: missing\n"
 
-    def test_split_without_target_types_keeps_hyperparams(self, tmp_path):
-        # a [split] section that names no target types must not retarget
+    def test_split_without_target_type_keeps_hyperparams(self, tmp_path):
+        # a [split] section that names no target type must not retarget
         # the run to type 0
         cfg = tmp_path / "exp.ini"
         cfg.write_text(
@@ -671,7 +683,7 @@ class TestCli:
             .replace("dim = 1\ntarget_types = 0\n", "dim = 1\ntarget_types = 1\n")
         )
         config = load_experiment_config(str(cfg))
-        assert config.hyperparams.target_types == (1,)
+        assert config.hyperparams.target_type == 1
         assert config.test_count == 5
 
     def test_config_validation(self, tmp_path):

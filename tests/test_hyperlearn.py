@@ -156,14 +156,14 @@ class TestFitHyperparams:
             signal_var=[1.0, 0.8, 2.5], noise_var=[0.25, 0.1, 0.4],
             latent_prec_inv=[0.2, 4.0],
             smooth_prec_inv=[[0.1, 0.3], [0.15, 0.05], [0.7, 1.2]],
-            target_types=(0, 2),
+            target_type=2,
         )
         vec = hyperlearn._pack(h)
         assert vec.shape == (14,)
         back = hyperlearn._unpack(vec, h)
         for name in ("signal_var", "noise_var", "latent_prec_inv", "smooth_prec_inv"):
             np.testing.assert_allclose(getattr(back, name), getattr(h, name), rtol=1e-14)
-        assert back.target_types == (0, 2)
+        assert back.target_type == 2
 
     def test_degenerate_likelihood_everywhere_is_fit_error(self, monkeypatch):
         pts, y = _sample_single_type(H1, 10, seed=4)

@@ -21,7 +21,7 @@ H2 = Hyperparams(
     noise_var=[0.25, 0.1],
     latent_prec_inv=[0.1],
     smooth_prec_inv=[[0.2], [0.15]],
-    target_types=(0,),
+    target_type=0,
 )
 
 
@@ -303,7 +303,7 @@ class TestHyperparams:
             Hyperparams(
                 signal_var=[1.0], noise_var=[0.1],
                 latent_prec_inv=[0.1], smooth_prec_inv=[[0.1]],
-                target_types=(2,),
+                target_type=2,
             )
 
     @pytest.mark.parametrize("field,value", [
@@ -322,7 +322,7 @@ class TestHyperparams:
         pts = [as_tuple([v], 1) for v in rng.uniform(0, 2, 5)]
         single = H2.single_output(1)
         remapped = [as_tuple(p.location, 0) for p in pts]
-        assert single.n_types == 1 and single.target_types == (0,)
+        assert single.n_types == 1 and single.target_type == 0
         np.testing.assert_allclose(
             cov_matrix(remapped, remapped, single), cov_matrix(pts, pts, H2), rtol=1e-12
         )

@@ -28,7 +28,7 @@ def _singular():
 def _entropy(factor):
     """Joint Gaussian entropy from a factor's log-determinant, as the
     criterion computes it."""
-    return 0.5 * (factor.n * math.log(2 * math.pi * math.e) + factor.logdet)
+    return 0.5 * (len(factor.lower) * math.log(2 * math.pi * math.e) + factor.logdet)
 
 
 class TestCholSpd:

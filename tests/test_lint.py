@@ -471,3 +471,122 @@ def test_startup_import_scanner_flags_only_heavy_modules():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_module_level_imports_keep_startup_light(path):
     assert startup_imports(path.read_text()) == []
+
+
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# Defaulted library parameters that only tests pass a value to, kept on
+# purpose, as ``module.qualname(parameter)``.
+TEST_ONLY_PARAMETERS = (
+    # the verify sweep draws 1-D instances; tests also draw 2-D ones
+    "verify.random_instance(dim)",
+    # tests vary the inducing count to reach dense and sparse regimes
+    "verify.random_instance(n_inducing)",
+    # tests spread locations wider to exhaust or separate the pools
+    "verify.random_instance(spread)",
+    # tests target each type in turn; the sweep targets type 0
+    "verify.random_instance(target_type)",
+    # the `mogpal` console script reads sys.argv; tests pass the arguments
+    "cli.main(argv)",
+)
+
+
+def _signatures(package):
+    """``{called name: [(module.qualname, parameters, defaulted)]}`` of the
+    top-level functions and the methods of ``package`` ({module: source});
+    an ``__init__`` is called by its class's name.  ``self`` and ``cls``
+    are not parameters a call passes."""
+    sigs = {}
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            funcs = [(node.name, node.name, node)] if isinstance(node, FUNCS) else []
+            if isinstance(node, ast.ClassDef):
+                funcs += [
+                    (node.name if m.name == "__init__" else m.name, f"{node.name}.{m.name}", m)
+                    for m in node.body if isinstance(m, FUNCS)
+                ]
+            for name, qual, fn in funcs:
+                args = fn.args
+                params = [a.arg for a in [*args.posonlyargs, *args.args]]
+                if params[:1] in (["self"], ["cls"]):
+                    params = params[1:]
+                defaulted = set(params[len(params) - len(args.defaults):])
+                defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d}
+                sigs.setdefault(name, []).append((f"{module}.{qual}", params, defaulted))
+    return sigs
+
+
+def _passed(sources, sigs):
+    """``(module.qualname, parameter)`` pairs of the defaulted parameters
+    that a call in ``sources`` passes a value to.  A call matches every
+    definition of its name, resolved through ``from ... import ... as``;
+    positional arguments before any ``*args`` fill the parameters in
+    order."""
+    out = set()
+    for source in sources:
+        tree = ast.parse(source)
+        alias = {a.asname: a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = alias.get(func.id, func.id) if isinstance(func, ast.Name) else (
+                getattr(func, "attr", None))
+            starred = [k for k, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+            n_positional = starred[0] if starred else len(call.args)
+            keywords = {k.arg for k in call.keywords}
+            for qual, params, defaulted in sigs.get(name, ()):
+                named = set(params[:n_positional]) | keywords
+                out |= {(qual, p) for p in named & defaulted}
+    return out
+
+
+def parameters_set_only_by_tests(package, tests, callers=()):
+    """Defaulted parameters of ``package`` ({module: source}) that a call in
+    ``tests`` (sources) passes and no call in ``package`` or ``callers``
+    does, as ``module.qualname(parameter)``."""
+    sigs = _signatures(package)
+    only = _passed(tests, sigs) - _passed([*package.values(), *callers], sigs)
+    return sorted(f"{qual}({p})" for qual, p in only)
+
+
+def test_parameter_use_scanner_flags_only_test_set_parameters():
+    package = {
+        "a": (
+            "def f(x, y=1, z=2, *, k=None, req):\n"
+            "    return x\n"
+            "def g(x, w=0):\n"
+            "    return f(x, 5, req=1)\n"
+            "class E:\n"
+            "    def __init__(self, msg, extra=None):\n"
+            "        self.extra = extra\n"
+            "    def m(self, v=0, u=1):\n"
+            "        return v\n"
+            "    @classmethod\n"
+            "    def build(cls, items, h=None):\n"
+            "        return cls(items)\n"
+            "def main(argv=None):\n"
+            "    return g(1)\n"
+        ),
+    }
+    tests = [
+        "from a import f, main as entry\n"
+        "f(1, 2, 3, k=4, req=0)\n"
+        "g(*[1, 2])\n"
+        "E('boom', extra=3).m(7)\n"
+        "E.build([], h=None)\n"
+        "entry(['run'])\n"
+    ]
+    callers = ["import a\na.E('x').m(u=2)\n"]
+    assert parameters_set_only_by_tests(package, tests, callers) == [
+        "a.E.__init__(extra)", "a.E.build(h)", "a.E.m(v)", "a.f(k)", "a.f(z)", "a.main(argv)",
+    ]
+
+
+def test_library_parameters_are_set_outside_tests():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    tests = [p.read_text() for p in [*sorted((ROOT / "tests").glob("*.py")),
+                                     *sorted((ROOT / "perfbench").glob("test_*.py"))]]
+    callers = [p.read_text() for p in CALLERS]
+    assert parameters_set_only_by_tests(package, tests, callers) == sorted(TEST_ONLY_PARAMETERS)

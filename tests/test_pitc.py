@@ -160,32 +160,25 @@ class TestBuildModel:
 
 
 def _cholesky_summary(model):
-    """The target summary through a copying Cholesky factor of each R."""
-    total = np.zeros_like(model.target_summary)
-    for t in model.target_types:
-        low = np.linalg.cholesky(model.R[t])
-        w = model.W[model.type_slices[t]]
-        total += w.T @ scipy.linalg.cho_solve((low, True), w)
-    return total
+    """The target summary through a copying Cholesky factor of the target R."""
+    t = model.h.target_type
+    low = np.linalg.cholesky(model.R[t])
+    w = model.W[model.type_slices[t]]
+    return w.T @ scipy.linalg.cho_solve((low, True), w)
 
 
 def _refactor(model):
-    """Factor every target R of a built model in place again, as
-    ``build_model`` does; returns the summed information."""
-    total = np.zeros_like(model.target_summary)
-    for t in model.target_types:
-        ta, w = _own(model, t), model.W[model.type_slices[t]]
-        g = model.kuu_factor.solve(w.T)
-        total += spd_info_in_place(
-            model.R[t], w,
-            lambda r, ta=ta, w=w, g=g: fill_residual(model.h, ta, w, g, r),
-        )
-    return total
+    """Factor the target R of a built model in place again, as
+    ``build_model`` does; returns its information."""
+    t = model.h.target_type
+    ta, w = _own(model, t), model.W[model.type_slices[t]]
+    g = model.kuu_factor.solve(w.T)
+    return spd_info_in_place(model.R[t], w, lambda r: fill_residual(model.h, ta, w, g, r))
 
 
 class TestTargetSummaryInPlace:
-    # two target types, one of them spanning two residual chunks
-    SHAPE = dict(n_per_type=(300, 40, 27), n_inducing=5, target_types=(0, 2))
+    # a target type spanning two residual chunks and two auxiliary types
+    SHAPE = dict(n_per_type=(300, 40, 27), n_inducing=5)
 
     def test_blocks_unchanged_by_factorization(self):
         model, cache = random_instance(61, **self.SHAPE)
@@ -250,7 +243,7 @@ class TestPoolLayout:
     """The model is the one owner of the pool layout: W and G over the whole
     pool, each type a contiguous range, and a cache that adds no copy."""
 
-    SHAPE = dict(n_per_type=(9, 7, 5, 6), n_inducing=4, target_types=(0, 2))
+    SHAPE = dict(n_per_type=(9, 7, 5, 6), n_inducing=4, target_type=2)
 
     def test_type_slices_tile_pool_in_type_order(self):
         model, _ = random_instance(41, **self.SHAPE)
@@ -366,13 +359,13 @@ class TestPitcPosterior:
         pred = pitc_posterior(model, [], [], z)
         np.testing.assert_array_equal(pred.mean, np.zeros(4))
 
-    @pytest.mark.parametrize("n_per_type, target_types, shapes", [
-        ((20, 20), (0,),
+    @pytest.mark.parametrize("n_per_type, target_type, shapes", [
+        ((20, 20), 0,
          [((0, 1), 1), ((0, 1), 8), ((0, 1), 35), ((1,), 1), ((0,), 8), ((1,), 15)]),
         # target type 1 is queried but observed only through types 0 and 2
-        ((12, 10, 8), (0, 1), [((0, 2), 1), ((0, 2), 14), ((2,), 6), ((0, 1, 2), 25)]),
+        ((12, 10, 8), 1, [((0, 2), 1), ((0, 2), 14), ((2,), 6), ((0, 1, 2), 25)]),
     ], ids=["2-types", "3-types"])
-    def test_fast_equals_dense(self, n_per_type, target_types, shapes):
+    def test_fast_equals_dense(self, n_per_type, target_type, shapes):
         # the Woodbury posterior mean against the dense oracle, for
         # conditioning sets of one tuple, fewer and more than 3m tuples
         # (m = 4), and of a single type or mixed types; queried at pool
@@ -380,7 +373,7 @@ class TestPitcPosterior:
         for seed in range(6):
             r = np.random.default_rng(seed)
             model, _ = random_instance(
-                seed, n_per_type=n_per_type, n_inducing=4, target_types=target_types
+                seed, n_per_type=n_per_type, n_inducing=4, target_type=target_type
             )
             h, u = model.h, model.inducing.locations
             off_pool = [as_tuple(r.uniform(0, 1.5, size=1), i)
@@ -475,7 +468,7 @@ class TestSparseCov:
         # queries in and off the pool against the reference that builds
         # both sides from the kernels
         model, _ = random_instance(
-            24 + dim, n_per_type=(7, 6, 5), dim=dim, n_inducing=4, target_types=(0, 2)
+            24 + dim, n_per_type=(7, 6, 5), dim=dim, n_inducing=4, target_type=2
         )
         r = np.random.default_rng(dim)
         pool = list(model.candidates.tuples)

@@ -23,13 +23,13 @@ from mogpal.selector import (
 from conftest import random_hyperparams, random_instance
 
 
-def _grid_model(n=8, m=3, n_types=1, seed=0, target_types=(0,), noise=(0.2, 0.12)):
+def _grid_model(n=8, m=3, n_types=1, seed=0, target_type=0, noise=(0.2, 0.12)):
     h = Hyperparams(
         signal_var=[1.0] * n_types,
         noise_var=list(noise[:n_types]),
         latent_prec_inv=[0.5],
         smooth_prec_inv=[[0.3]] * n_types,
-        target_types=target_types,
+        target_type=target_type,
     )
     cands = {
         i: [as_tuple([float(k)], i) for k in range(n)] for i in range(n_types)
@@ -54,7 +54,7 @@ def _experiment_grid_model():
     # for both types, 50 target locations held out, 20 inducing points
     h = Hyperparams(
         signal_var=[1.0, 0.8], noise_var=[0.25, 0.1], latent_prec_inv=[2.0],
-        smooth_prec_inv=[[0.1], [0.1]], target_types=(0,),
+        smooth_prec_inv=[[0.1], [0.1]], target_type=0,
     )
     grid = np.linspace(0.0, 60.0, 600)
     cands = {
@@ -72,15 +72,10 @@ REBUILD_CASES = {
     "one-type-whole-pool": (lambda: random_instance(81, n_per_type=(9,)), 9),
     "two-types-whole-pool": (lambda: random_instance(82, n_per_type=(6, 6)), 12),
     "two-types": (lambda: random_instance(83, n_per_type=(12, 10), n_inducing=4), 10),
-    "three-types-two-targets-whole-pool": (
-        lambda: random_instance(84, n_per_type=(5, 6, 4), target_types=(0, 1)), 15,
+    "three-types-middle-target-whole-pool": (
+        lambda: random_instance(84, n_per_type=(5, 6, 4), target_type=1), 15,
     ),
-    "three-types-two-targets": (
-        lambda: random_instance(85, n_per_type=(12, 10, 8), target_types=(0, 2)), 14,
-    ),
-    "two-targets-no-auxiliary": (
-        lambda: random_instance(86, n_per_type=(7, 7), target_types=(0, 1)), 14,
-    ),
+    "three-types": (lambda: random_instance(85, n_per_type=(12, 10, 8)), 14),
     "symmetric-grid": (lambda: _grid_model(n=9, m=3), 9),
     "symmetric-grid-two-types": (
         lambda: _grid_model(n=8, m=3, n_types=2, noise=(0.2, 0.2)), 16,
@@ -107,7 +102,7 @@ class TestIncrementalGainState:
                 state = select_mvar(model, cache, budget)
                 reference = oracles.select_mvar_scratch(model, cache, budget)
             else:
-                budget = min(budget, model.target_cols.size)
+                budget = min(budget, len(model.R[model.h.target_type]))
                 state = select_svar(model, budget)
                 reference = oracles.select_single_output_scratch(model, budget, "s-var")
         assert state.selected == reference.selected
@@ -200,7 +195,7 @@ class TestSelectGreedy:
             noise_var=[0.1, 0.06],
             latent_prec_inv=[4.0],
             smooth_prec_inv=[[0.01], [0.01]],
-            target_types=(0,),
+            target_type=0,
         )
         cands = {
             0: [as_tuple([0.5 * k], 0) for k in range(16)],
@@ -226,7 +221,7 @@ class TestSelectGreedy:
         cond(K_uu) is 5.4e18 at 80/30, where one jitter pass fires."""
         h = Hyperparams(
             signal_var=[1.0, 1.0], noise_var=[0.1, 0.1], latent_prec_inv=[5.0],
-            smooth_prec_inv=[[0.1], [0.2]], target_types=(0,),
+            smooth_prec_inv=[[0.1], [0.2]], target_type=0,
         )
         grid = np.linspace(0.0, 10.0, n)
         cands = {i: [as_tuple([x], i) for x in grid] for i in range(2)}
@@ -273,7 +268,7 @@ class TestSelectMvar:
             noise_var=[0.2, 3.0],
             latent_prec_inv=[0.4],
             smooth_prec_inv=[[0.1], [500.0]],
-            target_types=(0,),
+            target_type=0,
         )
         cands = {i: [as_tuple([float(k)], i) for k in range(6)] for i in range(2)}
         locs = np.array([[float(k)] for k in range(6)])
@@ -323,33 +318,32 @@ class TestSingleOutputBaselines:
 
     @pytest.mark.parametrize("kind", ["s-mi", "s-var"])
     @pytest.mark.parametrize(
-        "seed, n_per_type, target_types, budget, refit",
+        "seed, n_per_type, target_type, budget, refit",
         [
-            (61, (5, 4), (0,), 9, False),
-            (62, (20, 6), (0,), 8, False),
-            (63, (40, 5), (0,), 40, False),
-            (64, (5, 5), (0, 1), 10, False),
-            (65, (12, 30, 4), (0, 1), 20, False),
-            (66, (40, 25, 6), (0, 1), 65, False),
-            (67, (15, 10, 5), (0, 1), 25, True),
-            # an auxiliary type ahead of the targets in the pool
-            (68, (6, 9, 4), (1, 2), 12, False),
+            (61, (5, 4), 0, 9, False),
+            (62, (20, 6), 0, 8, False),
+            (63, (40, 5), 0, 40, False),
+            # auxiliary types ahead of the target in the pool
+            (64, (5, 5), 1, 10, False),
+            (65, (12, 30, 4), 1, 20, False),
+            (66, (40, 25, 6), 0, 65, False),
+            (67, (15, 10, 5), 1, 25, True),
+            (68, (6, 9, 4), 2, 12, False),
         ],
     )
-    def test_matches_scratch_algorithm(self, kind, seed, n_per_type, target_types,
+    def test_matches_scratch_algorithm(self, kind, seed, n_per_type, target_type,
                                        budget, refit):
-        model, _ = random_instance(seed, n_per_type=n_per_type, target_types=target_types)
-        refits = None
+        model, _ = random_instance(seed, n_per_type=n_per_type, target_type=target_type)
+        refit_h = None
         if refit:
-            rng = np.random.default_rng(seed)
-            refits = {t: random_hyperparams(rng, n_types=1) for t in target_types}
+            refit_h = random_hyperparams(np.random.default_rng(seed), n_types=1)
         select = select_smi if kind == "s-mi" else select_svar
         # the caller caps the budget at the target pool, as run_experiment does
-        n = min(budget, sum(n_per_type[t] for t in target_types))
+        n = min(budget, n_per_type[target_type])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state = select(model, n, refits)
-        reference = oracles.select_single_output_scratch(model, n, kind, refits)
+            state = select(model, n, refit_h)
+        reference = oracles.select_single_output_scratch(model, n, kind, refit_h)
         assert state.selected == reference.selected
         assert len(state.selected) == n
         for gain, expected in zip(state.gains, reference.gains):
@@ -385,8 +379,8 @@ class TestSingleOutputBaselines:
                         smooth_prec_inv=[[0.3]])
         cands = {0: [as_tuple([1e-3 * k], 0) for k in range(8)]}
         model = build_model(h, InducingSet(locations=[[0.0]]), cands)
-        so = {0: Hyperparams(signal_var=[1.0], noise_var=[1e-20], latent_prec_inv=[1.0],
-                             smooth_prec_inv=[[1.0]])}
+        so = Hyperparams(signal_var=[1.0], noise_var=[1e-20], latent_prec_inv=[1.0],
+                         smooth_prec_inv=[[1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedError):

@@ -35,7 +35,7 @@ from mogpal.experiment import run_experiment, verify_sweep
 
 out = sys.argv[1]
 h = Hyperparams(signal_var=[1.0, 0.8], noise_var=[0.25, 0.1], latent_prec_inv=[2.0],
-                smooth_prec_inv=[[0.1], [0.1]], target_types=(0,))
+                smooth_prec_inv=[[0.1], [0.1]], target_type=0)
 run_experiment(ExperimentConfig(
     seed=1, repeats=1, algorithms=ALGORITHMS, checkpoints=(2, 4), inducing_count=5,
     test_count=4, hyperparams=h, output_dir=out + "/run",

@@ -132,11 +132,11 @@ def _exhausted_target_instance():
     (lambda: random_instance(68, n_per_type=(8,)), 3),
     (lambda: random_instance(69, n_per_type=(6, 6)), 3),
     (lambda: random_instance(70, n_per_type=(4, 4, 4)), 3),
-    (lambda: random_instance(71, n_per_type=(3, 3, 3), target_types=(0, 2)), 4),
+    (lambda: random_instance(71, n_per_type=(3, 3, 3), target_type=2), 4),
     (_exhausted_target_instance, 4),
 ], ids=[
     "n0", "n1", "n3", "whole-pool", "modular-exact-ties", "mirror-near-ties",
-    "one-type", "two-types", "three-types", "two-target-types", "target-exhausted",
+    "one-type", "two-types", "three-types", "last-type-targeted", "target-exhausted",
 ])
 def test_prefix_tree_matches_full_enumeration(build, n):
     model, cache = build()
