@@ -188,6 +188,8 @@ class ExperimentConfig:
             raise ConfigError("repeats, inducing_count and test_count must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.fit_budget < 1:
+            raise ConfigError(f"fit_budget must be at least 1, got {self.fit_budget}")
 
     def check_pool(self, path, pool, locations):
         """Reject, naming ``path``, a last checkpoint beyond a pool of ``pool``

@@ -13,7 +13,10 @@ s-Var score mathematically tied candidates bit-equal wherever a
 from-scratch rebuild does.  s-MI reads its leave-one-out variances off an
 inverse downdated in pick order, which can tie two mirror candidates that a
 refactorization splits by an ulp, or split them, so rounding decides
-between them.
+between them.  The single-output baselines keep the one-type prior over the
+target pool, and s-MI its inverse, as their only |V_t|^2 arrays; an s-MI pick
+downdates just the inverse entries it reads, O(|X| |V_t|) after |X| picks,
+beside the from-scratch variance recompute both share, O(|X|^2 |V_t|).
 """
 
 import csv
@@ -139,14 +142,21 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
     The target type is an exact one-type GP over the pool range
     ``type_slices[t]``, and ``picked`` marks the selection within that
     range.  Each pick recomputes the variance of the candidates given the
-    picked ones from scratch, O(|sel|^2 |V_t|), over the picks in ascending
-    pool order: exact float ties between far-apart candidates decide picks,
-    so the rounding must not depend on the pick order.  s-MI also factors
-    the prior once with ``chol_spd`` and inverts it, O(|V_t|^3), then
-    downdates that inverse P per pick in O(|V_t|^2) through one
-    preallocated buffer (Schur complement on the pick's pivot), so
-    ``1 / P[j, j]`` stays the variance of free candidate ``j`` given the
-    other free ones (Krause, Singh & Guestrin 2008).
+    |X| picked ones from scratch, O(|X|^2 |V_t|), over the picks in
+    ascending pool order: exact float ties between far-apart candidates
+    decide picks, so the rounding must not depend on the pick order.
+
+    s-MI also factors the prior once with ``chol_spd`` and inverts it,
+    O(|V_t|^3).  Downdating that inverse P on each pick's pivot (a Schur
+    complement) keeps ``1 / P[j, j]`` the variance of free candidate ``j``
+    given the other free ones (Krause, Singh & Guestrin 2008).  A pick reads
+    only P's diagonal and the picked candidate's row and column, so those
+    are all that is downdated: the row and column are rebuilt from the
+    undowndated inverse by replaying the earlier picks' rank-one terms in
+    pick order, O(|X| |V_t|), with the elementwise operations of a dense
+    downdate, so every score is bit-equal to one.  The prior and its
+    inverse are the only |V_t|^2 arrays; the replayed rows and columns fill
+    two preallocated budget x |V_t| buffers.
     """
     t = model.h.target_type
     s = model.type_slices[t]
@@ -161,17 +171,26 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
     picked = np.zeros(len(ta), dtype=bool)
     if mutual_information:
         inverse = chol_spd(prior, "single-output pool prior").solve(np.eye(len(ta)))
-        downdate = np.empty_like(inverse)
+        diagonal = np.diag(inverse).copy()
+        # the downdated inverse's column and row at each pick, and its pivot
+        cols, rows = np.empty((2, n, len(ta)))
+        pivots = np.empty(n)
 
     def score(last):
         if last is not None:
             k = last - s.start
             picked[k] = True
             if mutual_information:
-                # the pivot passed the checked log as a leave-one-out variance
-                np.outer(inverse[:, k], inverse[k, :], out=downdate)
-                np.divide(downdate, inverse[k, k], out=downdate)
-                np.subtract(inverse, downdate, out=inverse)
+                i = np.count_nonzero(picked) - 1
+                col, row = cols[i], rows[i]
+                col[:], row[:] = inverse[:, k], inverse[k, :]
+                for c, r, piv in zip(cols[:i], rows[:i], pivots):
+                    col -= c * r[k] / piv
+                    row -= c[k] * r / piv
+                # col[k] is the diagonal entry that passed the checked log as
+                # a leave-one-out variance
+                pivots[i] = col[k]
+                np.subtract(diagonal, col * row / col[k], out=diagonal)
         sel, free = np.flatnonzero(picked), np.flatnonzero(~picked)
         var = np.diag(prior)
         if sel.size:
@@ -183,7 +202,7 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
         if mutual_information:
             # a zero inverse diagonal gives inf, which the checked log rejects
             with np.errstate(divide="ignore"):
-                loo_var = 1.0 / inverse[free, free]
+                loo_var = 1.0 / diagonal[free]
             log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
             scores[s.start + free] = 0.5 * log_var
         else:
@@ -213,10 +232,12 @@ def select_smi(model: PitcModel, n: int, single_output_hypers=None) -> Selection
 
     Scores each free candidate by its variance given the selected set
     against its variance given the other free candidates (Krause, Singh &
-    Guestrin 2008).  Costs one O(|V_t|^3) factorization, then O(|V_t|^2)
-    per pick to downdate the inverse of the free block, on top of the s-Var
-    variance update; rounding there can decide between mirror candidates
-    (see the module notes).  Options as in :func:`select_svar`; raises
+    Guestrin 2008).  Costs one O(|V_t|^3) factorization and inverse of the
+    prior (the prior and its inverse are its only |V_t|^2 arrays), then per
+    pick O(|X| |V_t|) to downdate the entries of that inverse the scores
+    read, on top of the s-Var variance recompute, O(|X|^2 |V_t|) for |X|
+    picks so far; rounding there can decide between mirror candidates (see
+    the module notes).  Options as in :func:`select_svar`; raises
     :class:`IllConditionedError` when a variance or a leave-one-out
     variance ``1 / P[j, j]`` is not finite and positive, which also covers
     each downdate pivot, scored before it is picked.

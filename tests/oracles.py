@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from mogpal import kernels
-from mogpal.criterion import GainEvaluator, _selection_factors, criterion_F
+from mogpal.criterion import GainEvaluator, _checked_log, _selection_factors, criterion_F
 from mogpal.errors import ConfigError, DomainError, EnumerationGuardError, IllConditionedError
 from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation
 from mogpal.linalg import chol_spd
@@ -356,6 +356,56 @@ def select_single_output_scratch(model, n, kind, single_output_hypers=None):
 
     return _rebuilt_loop(model, n, score)
 
+
+
+def select_smi_dense(model, n, single_output_hypers=None):
+    """s-MI with the whole |V_t| x |V_t| inverse downdated at every pick.
+
+    The prior and its inverse are built as in ``select_smi``; each pick then
+    subtracts the full rank-one Schur term ``outer(P[:, k], P[k, :]) /
+    P[k, k]`` from the inverse P, O(|V_t|^2), and scores off its diagonal.
+    ``select_smi`` downdates only the entries it reads with the same
+    elementwise operations in the same order, so its scores must equal
+    these bit for bit.
+    """
+    t = model.h.target_type
+    s = model.type_slices[t]
+    _check_budget(n, s.stop - s.start, what="target candidate pool")
+    h_t = single_output_hypers or model.h.single_output(t)
+    if h_t.n_types != 1:
+        raise ConfigError("single-output pools need one-type hyperparameters")
+    ta = TupleArray.build(
+        [TypedLocation(p.location, 0) for p in model.candidates.tuples[s]], h_t
+    )
+    prior = kernels.cov_matrix(ta, ta, h_t)
+    picked = np.zeros(len(ta), dtype=bool)
+    inverse = chol_spd(prior, "single-output pool prior").solve(np.eye(len(ta)))
+    downdate = np.empty_like(inverse)
+
+    def score(last):
+        if last is not None:
+            k = last - s.start
+            picked[k] = True
+            # the pivot passed the checked log as a leave-one-out variance
+            np.outer(inverse[:, k], inverse[k, :], out=downdate)
+            np.divide(downdate, inverse[k, k], out=downdate)
+            np.subtract(inverse, downdate, out=inverse)
+        sel, free = np.flatnonzero(picked), np.flatnonzero(~picked)
+        var = np.diag(prior)
+        if sel.size:
+            factor = chol_spd(prior[np.ix_(sel, sel)], "selected single-output block")
+            cross = prior[:, sel]
+            var = var - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
+        log_var = _checked_log(var[free], f"posterior variance in pool {t}")
+        scores = np.full(len(model.candidates), -np.inf)
+        # a zero inverse diagonal gives inf, which the checked log rejects
+        with np.errstate(divide="ignore"):
+            loo_var = 1.0 / inverse[free, free]
+        log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
+        scores[s.start + free] = 0.5 * log_var
+        return scores, scores
+
+    return _greedy_loop(model, n, score)
 
 class ScratchGainEvaluator:
     """Gain evaluation rebuilt from scratch for every selection.

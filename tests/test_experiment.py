@@ -532,6 +532,13 @@ class TestCli:
          "missing.ini: experiment: checkpoints must be strictly increasing"),
         ("run", lambda text: text.replace("repeats = 2", "repeats = 0"),
          "missing.ini: experiment: repeats, inducing_count and test_count must be positive"),
+        # a fit with no likelihood evaluations, refused before --out is made
+        ("run", lambda text: text.replace("repeats = 2",
+                                          "repeats = 2\nfit = true\nfit_budget = 0"),
+         "missing.ini: experiment: fit_budget must be at least 1, got 0"),
+        ("run", lambda text: text.replace("repeats = 2",
+                                          "repeats = 2\nfit = true\nfit_budget = -3"),
+         "missing.ini: experiment: fit_budget must be at least 1, got -3"),
         ("verify", lambda text: "[verify]\ninstances = 0\n",
          "missing.ini: verify: a verification sweep needs instances, budget and a pool_shape"),
         ("verify", lambda text: "[verify]\npool_shape =\n",

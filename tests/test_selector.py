@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -280,6 +281,73 @@ class TestSelectMvar:
         assert all(t.type_index == 0 for t in greedy.selected)
 
 
+# (seed, n_per_type, target_type, budget, refit) of the random instances
+# the single-output baselines are checked on
+SCRATCH_CASES = [
+    (61, (5, 4), 0, 9, False),
+    (62, (20, 6), 0, 8, False),
+    (63, (40, 5), 0, 40, False),
+    # auxiliary types ahead of the target in the pool
+    (64, (5, 5), 1, 10, False),
+    (65, (12, 30, 4), 1, 20, False),
+    (66, (40, 25, 6), 0, 65, False),
+    (67, (15, 10, 5), 1, 25, True),
+    (68, (6, 9, 4), 2, 12, False),
+]
+
+
+def _scratch_case(seed, n_per_type, target_type, budget, refit):
+    """The model, one-type refit hyperparameters or None, and the budget of
+    a ``SCRATCH_CASES`` entry; the caller caps the budget at the target
+    pool, as run_experiment does."""
+    model, _ = random_instance(seed, n_per_type=n_per_type, target_type=target_type)
+    refit_h = random_hyperparams(np.random.default_rng(seed), n_types=1) if refit else None
+    return model, refit_h, min(budget, n_per_type[target_type])
+
+
+def _one_type_pool(n):
+    # one type on n grid locations over [0, 60], the target type's shape in
+    # perfbench/experiment.ini
+    h = Hyperparams(signal_var=[1.0], noise_var=[0.25], latent_prec_inv=[2.0],
+                    smooth_prec_inv=[[0.1]])
+    grid = np.linspace(0.0, 60.0, n)
+    cands = {0: [as_tuple([x], 0) for x in grid]}
+    return build_model(h, select_inducing(grid[:, None], 20, seed=0), cands)
+
+
+def _after_each_score(monkeypatch, module, probe):
+    """Hand ``probe`` the scores of every pick of the selectors that
+    ``module`` runs through ``_greedy_loop``."""
+    loop = module._greedy_loop
+
+    def probed(model, n, score_iteration):
+        def score(last):
+            scores, gains = score_iteration(last)
+            probe(scores)
+            return scores, gains
+
+        return loop(model, n, score)
+
+    monkeypatch.setattr(module, "_greedy_loop", probed)
+
+
+def _mirror_tie_case(name):
+    build, budget = REBUILD_CASES[name]
+    model, _ = build()
+    return model, None, min(budget, len(model.R[model.h.target_type]))
+
+
+# (model, one-type hyperparameters or None, budget) builder of each pool on
+# which s-MI is checked against the dense downdate: the mirror-tie pools,
+# the SCRATCH_CASES and a 1000-candidate pool
+DENSE_DOWNDATE_CASES = {
+    "symmetric-grid": lambda: _mirror_tie_case("symmetric-grid"),
+    "tie-instance": lambda: _mirror_tie_case("tie-instance"),
+    **{f"random-{case[0]}": (lambda case=case: _scratch_case(*case)) for case in SCRATCH_CASES},
+    "one-type-1000": lambda: (_one_type_pool(1000), None, 40),
+}
+
+
 class TestSingleOutputBaselines:
     def test_svar_never_selects_auxiliary(self):
         model, cache = random_instance(31, n_per_type=(5, 5))
@@ -317,29 +385,11 @@ class TestSingleOutputBaselines:
             select(model, 4)
 
     @pytest.mark.parametrize("kind", ["s-mi", "s-var"])
-    @pytest.mark.parametrize(
-        "seed, n_per_type, target_type, budget, refit",
-        [
-            (61, (5, 4), 0, 9, False),
-            (62, (20, 6), 0, 8, False),
-            (63, (40, 5), 0, 40, False),
-            # auxiliary types ahead of the target in the pool
-            (64, (5, 5), 1, 10, False),
-            (65, (12, 30, 4), 1, 20, False),
-            (66, (40, 25, 6), 0, 65, False),
-            (67, (15, 10, 5), 1, 25, True),
-            (68, (6, 9, 4), 2, 12, False),
-        ],
-    )
+    @pytest.mark.parametrize("seed, n_per_type, target_type, budget, refit", SCRATCH_CASES)
     def test_matches_scratch_algorithm(self, kind, seed, n_per_type, target_type,
                                        budget, refit):
-        model, _ = random_instance(seed, n_per_type=n_per_type, target_type=target_type)
-        refit_h = None
-        if refit:
-            refit_h = random_hyperparams(np.random.default_rng(seed), n_types=1)
+        model, refit_h, n = _scratch_case(seed, n_per_type, target_type, budget, refit)
         select = select_smi if kind == "s-mi" else select_svar
-        # the caller caps the budget at the target pool, as run_experiment does
-        n = min(budget, n_per_type[target_type])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             state = select(model, n, refit_h)
@@ -348,6 +398,43 @@ class TestSingleOutputBaselines:
         assert len(state.selected) == n
         for gain, expected in zip(state.gains, reference.gains):
             assert gain == pytest.approx(expected, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(DENSE_DOWNDATE_CASES))
+    def test_smi_matches_dense_downdate_bitwise(self, monkeypatch, case):
+        # s-MI downdates only the inverse entries it reads, with the dense
+        # downdate's operations in its order: every score is bit-equal,
+        # mirror ties included
+        model, refit_h, n = DENSE_DOWNDATE_CASES[case]()
+        scores = {"lazy": [], "dense": []}
+        _after_each_score(monkeypatch, selector, lambda x: scores["lazy"].append(x.copy()))
+        _after_each_score(monkeypatch, oracles, lambda x: scores["dense"].append(x.copy()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = select_smi(model, n, refit_h)
+            reference = oracles.select_smi_dense(model, n, refit_h)
+        assert len(state.selected) == n
+        assert state.selected == reference.selected
+        assert state.gains == reference.gains
+        assert len(scores["lazy"]) == len(scores["dense"]) == n
+        for lazy, dense in zip(scores["lazy"], scores["dense"]):
+            assert np.array_equal(lazy, dense)
+
+    def test_smi_holds_two_pool_squares_between_picks(self, monkeypatch):
+        # between picks s-MI keeps the prior and its inverse, and per pick
+        # only a row and a column of the inverse, not a third |V_t|^2 array
+        pool, budget = 600, 30
+        model = _one_type_pool(pool)
+        held = []
+        _after_each_score(
+            monkeypatch, selector, lambda _: held.append(tracemalloc.get_traced_memory()[0])
+        )
+        tracemalloc.start()
+        try:
+            select_smi(model, budget)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == budget
+        assert max(held) / (8 * pool**2) < 2.5
 
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
     def test_bad_inverse_diagonal_raises(self, monkeypatch, value):
