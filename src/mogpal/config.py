@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
+from .hyperlearn import FIT_BUDGET
 from .kernels import Hyperparams
 from .verify import ENUMERATION_GUARD, INSTANCE_INDUCING
 
@@ -23,7 +24,8 @@ __all__ = [
     "GeneratorSpec", "ExperimentConfig", "VerifySweepConfig", "load_experiment_config",
 ]
 
-ALGORITHMS = ("m-greedy", "m-var", "s-var", "s-mi")
+SINGLE_OUTPUT = ("s-var", "s-mi")
+ALGORITHMS = ("m-greedy", "m-var", *SINGLE_OUTPUT)
 # most tuples a synthetic draw factors as one dense joint covariance
 SYNTHETIC_TUPLE_GUARD = 2000
 
@@ -33,12 +35,16 @@ def _floats(text):
 
 
 def _ints(text):
-    return [int(v) for v in text.replace(",", " ").split()]
+    return tuple(int(v) for v in text.replace(",", " ").split())
+
+
+def _names(text):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 def read_ini(path):
     """Parse an INI file; an unreadable or malformed file is a ConfigError."""
-    parser = configparser.ConfigParser(converters={"ints": _ints, "floats": _floats})
+    parser = configparser.ConfigParser(converters=dict(ints=_ints, floats=_floats, names=_names))
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -50,21 +56,26 @@ def read_ini(path):
 
 
 def _getter(path, parser):
-    """``get(section, key, default, kind)``: the value that
+    """``get(section, key, default, kind, required)``: the value that
     ``parser.get<kind>`` reads, or ``default`` when absent; a value that does
-    not parse is a ConfigError naming the file and the ``section.key``."""
-    def get(section, key, default=None, kind=""):
+    not parse, or a ``required`` one that is absent, is a ConfigError naming
+    the file and the ``section.key``."""
+    def get(section, key, default=None, kind="", required=False):
         try:
-            return getattr(parser, "get" + kind)(section, key, fallback=default)
+            value = getattr(parser, "get" + kind)(section, key, fallback=default)
         except (ValueError, configparser.Error) as exc:
             raise ConfigError(f"{path}: {section}.{key}: {exc}") from None
+        if value is None and required:
+            raise ConfigError(f"{path}: {section}.{key}: missing")
+        return value
     return get
 
 
 def _built(path, section, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; its ConfigError becomes ``{path}: {section}: ...``."""
+    """``make(*args, **kwargs)``, less the ``kwargs`` a file leaves unset (read as
+    None) so that their defaults apply; a ConfigError becomes ``{path}: {section}: ...``."""
     try:
-        return make(*args, **kwargs)
+        return make(*args, **{k: v for k, v in kwargs.items() if v is not None})
     except ConfigError as exc:
         raise ConfigError(f"{path}: {section}: {exc}") from None
 
@@ -76,26 +87,16 @@ def hyperparams_from_section(path, parser) -> Hyperparams:
     and the ``hyperparams.<key>``, and values that ``Hyperparams`` rejects
     are one naming the file and the section."""
     get = _getter(path, parser)
-
-    def required(key, kind):
-        value = get("hyperparams", key, kind=kind)
-        if value is None:
-            raise ConfigError(f"{path}: hyperparams.{key}: missing")
-        return value
-
-    n_types = required("types", "int")
-    signal = required("signal_var", "floats")
-    noise = required("noise_var", "floats")
-    latent = required("latent_prec_inv", "floats")
+    n_types = get("hyperparams", "types", kind="int", required=True)
+    signal = get("hyperparams", "signal_var", kind="floats", required=True)
+    noise = get("hyperparams", "noise_var", kind="floats", required=True)
+    latent = get("hyperparams", "latent_prec_inv", kind="floats", required=True)
     dim = get("hyperparams", "dim", len(latent), "int")
     if dim != len(latent):
         raise ConfigError(f"{path}: hyperparams.dim: {dim}, but latent_prec_inv has {len(latent)}")
-    target = get("hyperparams", "target_types", 0, "int")
-    smooth = [required(f"smooth_prec_inv.{i}", "floats") for i in range(n_types)]
-    if len(signal) != n_types or len(noise) != n_types:
-        raise ConfigError(
-            f"{path}: hyperparams: signal_var and noise_var must list one value per type"
-        )
+    target = get("hyperparams", "target_types", kind="int")
+    smooth = [get("hyperparams", f"smooth_prec_inv.{i}", kind="floats", required=True)
+              for i in range(n_types)]
     return _built(path, "hyperparams", Hyperparams, signal_var=signal, noise_var=noise,
                   latent_prec_inv=latent, smooth_prec_inv=smooth, target_type=target)
 
@@ -149,19 +150,20 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a reproducible experiment run needs."""
+    """Everything a reproducible experiment run needs; an INI file that
+    leaves a key out gets the field's default."""
 
-    seed: int
-    repeats: int
-    algorithms: tuple
-    checkpoints: tuple
-    inducing_count: int
-    test_count: int
     hyperparams: Hyperparams
+    seed: int = 0
+    repeats: int = 1
+    algorithms: tuple = ("m-greedy",)
+    checkpoints: tuple = (5,)
+    inducing_count: int = 10
+    test_count: int = 10
     output_dir: str = "results"
     svar_mode: str = "shared"
     fit: bool = False
-    fit_budget: int = 400
+    fit_budget: int = FIT_BUDGET
     dataset_path: str = None
     schema_path: str = None
     synthetic: GeneratorSpec = None
@@ -169,9 +171,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.algorithms:
             raise ConfigError("at least one algorithm is required")
-        for a in self.algorithms:
+        for k, a in enumerate(self.algorithms):
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}; choose from {ALGORITHMS}")
+            if a in self.algorithms[:k]:
+                raise ConfigError(f"algorithms lists {a!r} twice")
         if not self.checkpoints:
             raise ConfigError("at least one budget checkpoint is required")
         if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
@@ -191,17 +195,24 @@ class ExperimentConfig:
         if self.fit_budget < 1:
             raise ConfigError(f"fit_budget must be at least 1, got {self.fit_budget}")
 
-    def check_pool(self, path, pool, locations):
-        """Reject, naming ``path``, a last checkpoint beyond a pool of ``pool``
-        candidates, whichever algorithms run (the single-output baselines
-        may still stop earlier, at their target pool), or more inducing
-        points than ``locations`` distinct locations.  The locations only bound the
-        inducing count: a split that holds out every measurement at a
-        location leaves fewer, and the run then fails after it starts."""
+    def check_pool(self, path, pool, target_pool, locations):
+        """Reject, naming ``path``, a split that leaves no ``target_pool``
+        candidate of the target type, a last checkpoint beyond the pool of an
+        algorithm the run lists (``pool`` candidates, or the target pool for
+        the single-output baselines), or more inducing points than the pool's
+        ``locations`` distinct locations.  Every algorithm picks up to the
+        last checkpoint."""
+        if target_pool < 1:
+            raise ConfigError(f"{path}: split.test_count: {self.test_count} must be below the "
+                              f"{target_pool + self.test_count} measurements of target type "
+                              f"{self.hyperparams.target_type}")
         budget = self.checkpoints[-1]
-        if budget > pool:
-            raise ConfigError(f"{path}: experiment.checkpoints: budget {budget} exceeds "
-                              f"the candidate pool size {pool}")
+        for algorithm in self.algorithms:
+            size, what = ((target_pool, f"{algorithm} target candidate pool")
+                          if algorithm in SINGLE_OUTPUT else (pool, "candidate pool"))
+            if budget > size:
+                raise ConfigError(f"{path}: experiment.checkpoints: budget {budget} exceeds "
+                                  f"the {what} size {size}")
         if self.inducing_count > locations:
             raise ConfigError(f"{path}: experiment.inducing_count: {self.inducing_count} "
                               f"inducing locations from {locations} distinct locations")
@@ -238,9 +249,8 @@ class VerifySweepConfig:
 
 def _check_drawable(path, config):
     """Reject a ``[synthetic]`` layout that ``generate_synthetic`` cannot draw
-    under the hyperparameters, whose locations leave no pool after the split
-    holds ``test_count`` of the target type out, or whose pool cannot hold
-    the last checkpoint or the inducing count."""
+    under the hyperparameters, or whose pool after the split is one that
+    ``ExperimentConfig.check_pool`` rejects."""
     spec, h, test_count = config.synthetic, config.hyperparams, config.test_count
     if spec.layout == "grid" and h.dim != 1:
         raise ConfigError(f"{path}: synthetic.layout: grid layout is one-dimensional, but the "
@@ -250,10 +260,9 @@ def _check_drawable(path, config):
         raise ConfigError(f"{path}: synthetic.n_locations: {spec.n_locations} locations of "
                           f"{h.n_types} types are {total} tuples, over the "
                           f"{SYNTHETIC_TUPLE_GUARD} sampling guard")
-    if test_count >= spec.n_locations:
-        raise ConfigError(f"{path}: split.test_count: {test_count} must be below the "
-                          f"{spec.n_locations} synthetic locations")
-    config.check_pool(path, total - test_count, spec.n_locations)
+    target = spec.n_locations - test_count  # a one-type draw loses the held-out locations
+    config.check_pool(path, total - test_count, target,
+                      spec.n_locations if h.n_types > 1 else target)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -275,32 +284,28 @@ def load_experiment_config(path) -> ExperimentConfig:
     if target is not None:
         h = _built(path, "split.target_types", replace, h, target_type=target)
 
-    test_count = get("split", "test_count", 10, "int")
     synthetic = None
     if "synthetic" in parser:
         synthetic = _built(
             path, "synthetic", GeneratorSpec,
-            n_locations=get("synthetic", "n_locations", kind="int"),
-            extent=get("synthetic", "extent", 10.0, "float"),
-            layout=get("synthetic", "layout", "grid"),
+            n_locations=get("synthetic", "n_locations", kind="int", required=True),
+            extent=get("synthetic", "extent", kind="float"),
+            layout=get("synthetic", "layout"),
         )
 
     config = _built(
         path, "experiment", ExperimentConfig,
-        seed=get("experiment", "seed", 0, "int"),
-        repeats=get("experiment", "repeats", 1, "int"),
-        algorithms=tuple(
-            a.strip() for a in get("experiment", "algorithms", "m-greedy").split(",")
-            if a.strip()
-        ),
-        checkpoints=tuple(get("experiment", "checkpoints", [5], "ints")),
-        inducing_count=get("experiment", "inducing_count", 10, "int"),
-        test_count=test_count,
+        seed=get("experiment", "seed", kind="int"),
+        repeats=get("experiment", "repeats", kind="int"),
+        algorithms=get("experiment", "algorithms", kind="names"),
+        checkpoints=get("experiment", "checkpoints", kind="ints"),
+        inducing_count=get("experiment", "inducing_count", kind="int"),
+        test_count=get("split", "test_count", kind="int"),
         hyperparams=h,
-        output_dir=get("experiment", "output_dir", "results"),
-        svar_mode=get("experiment", "svar_mode", "shared"),
-        fit=get("experiment", "fit", False, "boolean"),
-        fit_budget=get("experiment", "fit_budget", 400, "int"),
+        output_dir=get("experiment", "output_dir"),
+        svar_mode=get("experiment", "svar_mode"),
+        fit=get("experiment", "fit", kind="boolean"),
+        fit_budget=get("experiment", "fit_budget", kind="int"),
         dataset_path=get("data", "dataset"),
         schema_path=get("data", "schema"),
         synthetic=synthetic,
@@ -314,9 +319,9 @@ def load_verify_config(path) -> VerifySweepConfig:
     get = _getter(path, read_ini(path))
     return _built(
         path, "verify", VerifySweepConfig,
-        instances=get("verify", "instances", 50, "int"),
-        budget=get("verify", "budget", 3, "int"),
-        seed=get("verify", "seed", 0, "int"),
-        pool_shape=tuple(get("verify", "pool_shape", [6, 6], "ints")),
-        output_dir=get("verify", "output_dir", "results"),
+        instances=get("verify", "instances", kind="int"),
+        budget=get("verify", "budget", kind="int"),
+        seed=get("verify", "seed", kind="int"),
+        pool_shape=get("verify", "pool_shape", kind="ints"),
+        output_dir=get("verify", "output_dir"),
     )

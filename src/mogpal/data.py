@@ -48,8 +48,7 @@ def load_schema(path) -> Schema:
     if "schema" not in parser:
         raise ConfigError(f"{path}: missing [schema] section")
     sec = parser["schema"]
-    coords = tuple(c.strip() for c in sec.get("coords", "").split(",") if c.strip())
-    types = tuple(c.strip() for c in sec.get("types", "").split(",") if c.strip())
+    coords, types = sec.getnames("coords"), sec.getnames("types")
     if not coords or not types:
         raise ConfigError(f"{path}: schema must declare coords and types")
     transforms = {}

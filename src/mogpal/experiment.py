@@ -2,11 +2,11 @@
 
 One repeat = one seeded test split (plus one synthetic realization when
 generating data), one inducing selection, one sparse model, and one
-selection run per algorithm; prediction error is evaluated at every budget
-checkpoint using the same nested selection prefix.  Everything downstream
-of the config (including all seeds) is deterministic; wall-clock timings
-are written to a separate sidecar file so the main result table is
-byte-stable across runs.
+selection run per algorithm up to the last checkpoint, which the config
+held to each algorithm's pool (``ExperimentConfig.check_pool``); prediction
+error is evaluated at every checkpoint on the nested selection prefix.
+Everything downstream of the config (including all seeds) is deterministic;
+wall-clock timings go to a sidecar file, so the result table is byte-stable.
 """
 
 import concurrent.futures
@@ -18,7 +18,8 @@ import numpy as np
 
 from . import data as data_mod
 from . import kernels
-from .config import SYNTHETIC_TUPLE_GUARD, ExperimentConfig, GeneratorSpec, VerifySweepConfig
+from .config import (SINGLE_OUTPUT, SYNTHETIC_TUPLE_GUARD, ExperimentConfig, GeneratorSpec,
+                     VerifySweepConfig)
 from .criterion import build_cache
 from .data import Dataset, SplitSpec, denormalize, normalize, rmse, split_test
 from .errors import ConfigError
@@ -91,10 +92,10 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
 def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     """The ``[data]`` dataset of ``config``, checked against the run before
     anything is written: its schema must list ``h.dim`` coordinates and
-    ``h.n_types`` types, the target type needs more measurements than
-    ``config.test_count``, and the pool the split leaves must hold the last
-    checkpoint and the inducing count (``ExperimentConfig.check_pool``).
-    A mismatch is a :class:`ConfigError` naming the schema or dataset file."""
+    ``h.n_types`` types, and the split must leave a pool that
+    ``ExperimentConfig.check_pool`` accepts (the dataset's locations are a
+    bound, as a split can hold out every measurement at one).  A mismatch
+    is a :class:`ConfigError` naming the schema or dataset file."""
     dataset = data_mod.load_dataset(config.dataset_path, data_mod.load_schema(config.schema_path))
     h = config.hyperparams
     if dataset.n_types != h.n_types:
@@ -103,14 +104,9 @@ def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     if dataset.coords.shape[1] != h.dim:
         raise ConfigError(f"{config.schema_path}: the schema lists {dataset.coords.shape[1]} "
                           f"coordinates, but the hyperparameters are {h.dim}-dimensional")
-    measured = dataset.measured(h.target_type)[0].size
-    if config.test_count >= measured:
-        raise ConfigError(
-            f"{config.dataset_path}: split.test_count: {config.test_count} must be below "
-            f"the {measured} measurements of type {dataset.type_names[h.target_type]!r}"
-        )
     config.check_pool(
         config.dataset_path, len(dataset.values) - config.test_count,
+        dataset.measured(h.target_type)[0].size - config.test_count,
         len({tuple(dataset.coords[li]) for li, _ in dataset.values}),
     )
     return dataset
@@ -196,10 +192,8 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
     cache = build_cache(model)
 
     max_budget = config.checkpoints[-1]
-    # the single-output baselines pick from the target pool alone
-    target_budget = min(max_budget, len(model.R[t]))
     single_output = None
-    if config.svar_mode == "refit" and {"s-var", "s-mi"} & set(config.algorithms):
+    if config.svar_mode == "refit" and set(SINGLE_OUTPUT) & set(config.algorithms):
         single_output = _single_output_refit(
             config, h_model, split.pool_tuples, split.pool_values
         )
@@ -214,9 +208,9 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
         elif algorithm == "m-var":
             state = select_mvar(model, cache, max_budget)
         elif algorithm == "s-var":
-            state = select_svar(model, target_budget, single_output)
+            state = select_svar(model, max_budget, single_output)
         else:
-            state = select_smi(model, target_budget, single_output)
+            state = select_smi(model, max_budget, single_output)
 
         if out_dir is not None:
             write_selection_log(

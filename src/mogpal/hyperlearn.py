@@ -27,6 +27,7 @@ from .linalg import chol_spd
 __all__ = ["FitResult", "log_marginal_likelihood", "fit_hyperparams"]
 
 PENALIZED_LML = -1e18
+FIT_BUDGET = 400  # likelihood evaluations a fit may spend unless told otherwise
 
 
 def log_marginal_likelihood(h: Hyperparams, x, y_x):
@@ -86,7 +87,7 @@ class _BudgetSpent(Exception):
     """Raised by the objective to stop the optimizer at the evaluation cap."""
 
 
-def fit_hyperparams(x, y_x, init: Hyperparams, budget=400) -> FitResult:
+def fit_hyperparams(x, y_x, init: Hyperparams, budget=FIT_BUDGET) -> FitResult:
     """Minimize the negative exact log marginal likelihood over log parameters.
 
     One L-BFGS-B run starts at ``init``, whose every width, per dimension,

@@ -217,12 +217,12 @@ def select_svar(model: PitcModel, n: int, single_output_hypers=None) -> Selectio
 
     Runs an exact single-output GP over the target type; by default its
     parameters are derived from the multi-output model (``single_output``),
-    or pass one-type ``single_output_hypers`` for refit mode.  The budget
-    may not exceed the target pool.  Each pick recomputes the variance
+    or pass one-type ``single_output_hypers`` for refit mode.  A budget
+    beyond the target pool is a ConfigError, which a run's config raises at
+    load (``ExperimentConfig.check_pool``).  Each pick recomputes the variance
     given the selected set from scratch, O(|sel|^2 |V_t|), so exact ties
     break lexicographically as a rebuild's do.  Raises
-    :class:`IllConditionedError` when a candidate's variance is not finite
-    and positive.
+    :class:`IllConditionedError` when a candidate's variance is not finite and positive.
     """
     return _select_single_output(model, n, False, single_output_hypers)
 

@@ -4,8 +4,8 @@ The greedy selection enjoys a constant-factor guarantee relative to the
 exhaustive optimum, degraded by how far the objective is from submodular;
 this module measures every quantity in that statement on concrete
 instances: the exhaustive optimum and the worst conditional variance
-reduction (the relaxation parameter), the latter from two gain-evaluator
-states: the unsampled target pool alone, and that pool plus the selection.
+reduction (the relaxation parameter), the latter from one gain-evaluator
+pass: the unsampled target pool, then the selection added to it.
 
 The exhaustive optimum walks the size-n subsets of pool positions as a
 prefix tree: one gain sweep per prefix scores every one-step extension, so
@@ -132,10 +132,10 @@ def estimate_epsilon1(model: PitcModel, cache: CriterionCache, x):
     ``var(a | Y + V_rest)`` to ``var(a | x + V_rest)``, with ``V_rest`` the
     unsampled target pool.  Conditioning on more never raises a Gaussian
     variance, so ``var(a | Y + V_rest)`` is largest at ``Y`` empty, and the
-    maximum is ``max_a var(a | V_rest) - var(a | x + V_rest)``: two
-    :class:`GainEvaluator` states, conditioned on the unsampled target
-    positions and then on those plus ``x``.  Nonnegative; zero when no
-    auxiliary candidate is left.
+    maximum is ``max_a var(a | V_rest) - var(a | x + V_rest)``: one
+    :class:`GainEvaluator` pass, conditioned on the unsampled target
+    positions (the auxiliary variances are copied there) and then on ``x``,
+    one ``add`` a pick.  Nonnegative; zero when no auxiliary candidate is left.
     """
     x = model.positions(x)
     picked = np.zeros(len(model.candidates), dtype=bool)
@@ -145,10 +145,11 @@ def estimate_epsilon1(model: PitcModel, cache: CriterionCache, x):
         return 0.0
     target = model.type_slices[model.h.target_type]
     fixed = target.start + np.flatnonzero(~picked[target])
-    evaluator = GainEvaluator(model, cache)
-    rest_var = evaluator.set_state(fixed).var_given_selected()[aux]
-    full_var = evaluator.set_state([*fixed, *x]).var_given_selected()[aux]
-    return max(0.0, float(np.max(rest_var - full_var)))
+    evaluator = GainEvaluator(model, cache).set_state(fixed)
+    rest_var = evaluator.var_given_selected()[aux]
+    for j in x:
+        evaluator.add(j)
+    return max(0.0, float(np.max(rest_var - evaluator.var_given_selected()[aux])))
 
 
 @dataclass(frozen=True)

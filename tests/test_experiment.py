@@ -1,8 +1,9 @@
 import csv
+import inspect
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,33 @@ class TestHyperparamsConfig:
         save_hyperparams(H2, path, extras={"final_nll": 1.25, "converged": True})
         back = load_hyperparams(path)
         assert back.n_types == 2
+
+
+class TestConfigDefaults:
+    def test_minimal_ini_loads_the_dataclass_defaults(self, tmp_path):
+        # every key a file leaves out takes the default of its dataclass field
+        path = tmp_path / "minimal.ini"
+        path.write_text(
+            "[experiment]\n[synthetic]\nn_locations = 40\n[hyperparams]\ntypes = 1\n"
+            "signal_var = 1.0\nnoise_var = 0.25\nlatent_prec_inv = 2.0\nsmooth_prec_inv.0 = 0.1\n"
+        )
+        config = load_experiment_config(path)
+        for f in fields(ExperimentConfig):
+            if f.name not in ("hyperparams", "synthetic"):
+                assert getattr(config, f.name) == f.default, f.name
+        for f in fields(GeneratorSpec):
+            if f.name != "n_locations":
+                assert getattr(config.synthetic, f.name) == f.default, f.name
+        defaults = {f.name: f.default for f in fields(Hyperparams)}
+        assert config.hyperparams.target_type == defaults["target_type"]
+        path.write_text("[verify]\n")
+        sweep = load_verify_config(path)
+        for f in fields(VerifySweepConfig):
+            assert getattr(sweep, f.name) == f.default, f.name
+
+    def test_fit_budget_default_is_the_config_default(self):
+        budget = inspect.signature(fit_hyperparams).parameters["budget"].default
+        assert budget == {f.name: f.default for f in fields(ExperimentConfig)}["fit_budget"]
 
 
 class TestGenerateSynthetic:
@@ -228,8 +256,8 @@ class TestRunExperiment:
         assert (out / "timings.csv").exists()
 
     def test_timings_accumulate_over_checkpoints(self, tmp_path):
-        # 8 target candidates: s-var saturates before the last checkpoint
-        run_experiment(_config(tmp_path, repeats=1, checkpoints=(2, 8, 12)))
+        # 8 target candidates: s-var picks the whole target pool by the last checkpoint
+        run_experiment(_config(tmp_path, repeats=1, checkpoints=(2, 5, 8)))
         out = tmp_path / "out"
         with open(out / "timings.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -239,20 +267,19 @@ class TestRunExperiment:
                 (int(row["budget"]), float(row["wall_ms"]))
             )
         assert sorted(runs) == [("m-greedy", "1"), ("s-var", "1")]
-        saturated = 0
         for (algorithm, seed), points in runs.items():
             log = out / f"selection_{algorithm}_{seed}.csv"
-            n_picks = len(log.read_text().splitlines()) - 1
-            prev_picks, prev_ms = 0, 0.0
-            for budget, ms in points:
-                picks = min(budget, n_picks)
-                if picks > prev_picks:
-                    assert ms > prev_ms
-                else:
-                    assert ms == prev_ms
-                    saturated += 1
-                prev_picks, prev_ms = picks, ms
-        assert saturated == 1
+            assert len(log.read_text().splitlines()) - 1 == 8
+            assert [budget for budget, _ in points] == [2, 5, 8]
+            ms = [ms for _, ms in points]
+            assert 0.0 < ms[0] < ms[1] < ms[2]
+
+    def test_no_algorithm_stops_short_of_the_last_checkpoint(self, tmp_path):
+        # 8 target candidates: s-var cannot reach 12, and no row claims it did
+        with pytest.raises(ConfigError, match="budget 12 exceeds the target candidate pool "
+                                              "size 8"):
+            run_experiment(_config(tmp_path, repeats=1, checkpoints=(2, 8, 12)))
+        assert not (tmp_path / "out" / "result_table.csv").exists()
 
     def test_checkpoints_nested_prefixes(self, tmp_path):
         # rerunning with a truncated checkpoint list reproduces the shared rows
@@ -473,7 +500,8 @@ class TestCli:
         ("run", lambda text: text.replace(SYNTHETIC, DATA), "missing.schema: No such file"),
         ("fit", lambda text: text, "fit needs a [data] section"),
         ("synth", lambda text: text.replace(SYNTHETIC, DATA), "synth needs a [synthetic]"),
-        ("synth", lambda text: text.replace("n_locations = 14\n", ""), "got None"),
+        ("synth", lambda text: text.replace("n_locations = 14\n", ""),
+         "missing.ini: synthetic.n_locations: missing"),
         ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = d.csv\n"),
          "[data] needs both dataset and schema"),
         ("run", lambda text: text.replace("signal_var = 1.0, 0.8", "signal_var = abc, 1"),
@@ -525,9 +553,16 @@ class TestCli:
          "over the 2000 sampling guard"),
         ("run", lambda text: text.replace("n_locations = 14", "n_locations = 600")
          .replace("test_count = 5", "test_count = 600"),
-         "missing.ini: split.test_count: 600 must be below the 600 synthetic locations"),
+         "missing.ini: split.test_count: 600 must be below the 600 measurements of target "
+         "type 0"),
         ("run", lambda text: text.replace("m-greedy, s-var", "m-greedy, foo"),
          "missing.ini: experiment: unknown algorithm 'foo'"),
+        # an algorithm listed twice would run twice and write every row twice
+        ("run", lambda text: text.replace("m-greedy, s-var", "m-greedy, m-greedy"),
+         "missing.ini: experiment: algorithms lists 'm-greedy' twice"),
+        # a hyperparameter list of the wrong length
+        ("run", lambda text: text.replace("signal_var = 1.0, 0.8", "signal_var = 1.0, 0.8, 0.5"),
+         "missing.ini: hyperparams: inconsistent hyperparameter shapes"),
         ("run", lambda text: text.replace("checkpoints = 2, 4", "checkpoints = 20, 10"),
          "missing.ini: experiment: checkpoints must be strictly increasing"),
         ("run", lambda text: text.replace("repeats = 2", "repeats = 0"),
@@ -569,17 +604,33 @@ class TestCli:
          "1-dimensional"),
         ("run", lambda text: text.replace(SYNTHETIC, TWO_TYPES)
          .replace("test_count = 5", "test_count = 14"),
-         "two.csv: split.test_count: 14 must be below the 14 measurements of type 'type0'"),
+         "two.csv: split.test_count: 14 must be below the 14 measurements of target type 0"),
         # budgets and inducing counts the pool cannot hold: 14 locations of
         # 2 types less 5 held out
         ("run", lambda text: text.replace("checkpoints = 2, 4", "checkpoints = 2, 24"),
          "missing.ini: experiment.checkpoints: budget 24 exceeds the candidate pool size 23"),
-        # the single-output baselines alone are held to the same budget rule
+        # the single-output baselines pick from the 9 target candidates alone
         ("run", lambda text: text.replace("m-greedy, s-var\ncheckpoints = 2, 4",
                                           "s-var, s-mi\ncheckpoints = 2, 24"),
-         "missing.ini: experiment.checkpoints: budget 24 exceeds the candidate pool size 23"),
+         "missing.ini: experiment.checkpoints: budget 24 exceeds the s-var target candidate "
+         "pool size 9"),
+        ("run", lambda text: text.replace("checkpoints = 2, 4", "checkpoints = 2, 12"),
+         "missing.ini: experiment.checkpoints: budget 12 exceeds the s-var target candidate "
+         "pool size 9"),
+        ("run", lambda text: text.replace("m-greedy, s-var\ncheckpoints = 2, 4",
+                                          "m-var, s-mi\ncheckpoints = 2, 12"),
+         "missing.ini: experiment.checkpoints: budget 12 exceeds the s-mi target candidate "
+         "pool size 9"),
         ("run", lambda text: text.replace("inducing_count = 5", "inducing_count = 15"),
          "missing.ini: experiment.inducing_count: 15 inducing locations from 14 distinct "
+         "locations"),
+        # a one-type draw: the 5 held-out locations leave the pool with 7
+        ("run", lambda text: text.replace("types = 2", "types = 1")
+         .replace("signal_var = 1.0, 0.8", "signal_var = 1.0")
+         .replace("noise_var = 0.25, 0.1", "noise_var = 0.25")
+         .replace("smooth_prec_inv.1 = 0.1\n", "").replace("n_locations = 14", "n_locations = 12")
+         .replace("inducing_count = 5", "inducing_count = 10"),
+         "missing.ini: experiment.inducing_count: 10 inducing locations from 7 distinct "
          "locations"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, monkeypatch, capsys, command, edit, named):
@@ -616,9 +667,19 @@ class TestCli:
         ("run", None, ("inducing_count = 5", "inducing_count = 40"),
          "d.csv: experiment.inducing_count: 40 inducing locations from 20 distinct locations"),
         ("run", None, ("m-greedy, s-var\ncheckpoints = 2, 4", "s-var, s-mi\ncheckpoints = 3, 60"),
-         "d.csv: experiment.checkpoints: budget 60 exceeds the candidate pool size 38"),
+         "d.csv: experiment.checkpoints: budget 60 exceeds the s-var target candidate pool "
+         "size 18"),
+        # the whole pool of 38 holds 30 picks; the 18 target candidates do not
+        ("run", None, ("checkpoints = 2, 4", "checkpoints = 3, 30"),
+         "d.csv: experiment.checkpoints: budget 30 exceeds the s-var target candidate pool "
+         "size 18"),
+        ("run", None,
+         ("m-greedy, s-var\ncheckpoints = 2, 4", "m-greedy, s-mi\ncheckpoints = 3, 30"),
+         "d.csv: experiment.checkpoints: budget 30 exceeds the s-mi target candidate pool "
+         "size 18"),
     ], ids=["nan-coordinate", "nan-coordinate-fit", "inf-value", "repeated-row",
-            "budget", "inducing-count", "single-output-budget"])
+            "budget", "inducing-count", "single-output-budget", "s-var-target-pool",
+            "s-mi-target-pool"])
     def test_bad_dataset_is_one_line(self, tmp_path, monkeypatch, capsys,
                                      command, row, edit, named):
         # a 20-row, 2-type dataset; a split of 2 leaves a pool of 38

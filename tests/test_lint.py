@@ -2,8 +2,8 @@
 ``__all__`` entries that a module does not define, against library code that
 only tests reach, against dataclass fields that no run reads, against
 function parameters that their body never reads, against pool lookups
-outside ``pitc`` and against kernel matrices outside the modules that build
-covariances.
+outside ``pitc``, against kernel matrices outside the modules that build
+covariances and against a ``config`` loader restating a default.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
@@ -19,7 +19,9 @@ as ``W G + R`` from ``PitcModel``, so only ``kernels``, ``pitc``,
 ``latent_cross_matrix`` or ``latent_matrix``.  At module level the package
 imports no third-party module but ``numpy`` and ``scipy.linalg``, so that a
 run that never fits does not load ``scipy.optimize`` (``test_startup.py``
-checks the loaded modules; this scan names the module that imports).
+checks the loaded modules; this scan names the module that imports).  Each
+INI default is declared once, on its dataclass field, so a ``config`` loader
+reads a key with no literal default and leaves an absent key out.
 """
 
 import ast
@@ -404,6 +406,52 @@ def test_kernel_matrix_scanner_flags_only_other_modules():
 
 def test_only_covariance_builders_reference_kernel_matrices():
     assert kernel_matrix_readers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def literal_defaults(source):
+    """Calls in ``source``, unparsed in source order, that read a value with
+    a literal default: a call of ``get`` with a literal third positional
+    argument or ``default=``, or any call with a literal ``fallback=``."""
+    flagged = []
+    for call in ast.walk(ast.parse(source)):
+        if not isinstance(call, ast.Call):
+            continue
+        args = [k.value for k in call.keywords if k.arg == "fallback"]
+        if getattr(call.func, "id", None) == "get":
+            args += [*call.args[2:3], *(k.value for k in call.keywords if k.arg == "default")]
+        for arg in args:
+            try:
+                ast.literal_eval(arg)
+            except ValueError:
+                continue
+            flagged.append((call.lineno, ast.unparse(call)))
+    return [text for _, text in sorted(flagged)]
+
+
+def test_default_scanner_flags_only_literal_defaults():
+    source = (
+        "def load(path, parser):\n"
+        "    get = _getter(path, parser)\n"
+        "    seed = get('experiment', 'seed', 0, 'int')\n"
+        "    shape = get('verify', 'pool_shape', [6, 6], kind='ints')\n"
+        "    out = get('verify', 'output_dir', default='results')\n"
+        "    fit = get('experiment', 'fit', kind='boolean')\n"
+        "    n = get('hyperparams', 'types', kind='int', required=True)\n"
+        "    dim = get('hyperparams', 'dim', len(latent), 'int')\n"
+        "    mode = parser.get('experiment', 'svar_mode', fallback='shared')\n"
+        "    conv = getattr(parser, 'get' + kind)(section, key, fallback=default)\n"
+        "    seen = {}.get('k', 0)\n"
+    )
+    assert literal_defaults(source) == [
+        "get('experiment', 'seed', 0, 'int')",
+        "get('verify', 'pool_shape', [6, 6], kind='ints')",
+        "get('verify', 'output_dir', default='results')",
+        "parser.get('experiment', 'svar_mode', fallback='shared')",
+    ]
+
+
+def test_config_loaders_restate_no_default():
+    assert literal_defaults((ROOT / "src" / "mogpal" / "config.py").read_text()) == []
 
 
 # third-party modules, with their submodules, that the package may import at

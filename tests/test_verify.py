@@ -182,6 +182,25 @@ class TestEstimateEpsilon1:
                 got.append(value)
         assert min(got) >= 0.0 and max(got) > 0.0
 
+    def test_one_evaluator_pass(self, monkeypatch):
+        # one add per unsampled target position, then one per pick
+        model, cache = random_instance(75, n_per_type=(6, 6))
+        x = select_greedy(model, cache, 4).selected
+        expected = oracles.estimate_epsilon1(model, cache, x)
+        calls = []
+        add = GainEvaluator.add
+
+        def counting(self, j):
+            calls.append(j)
+            return add(self, j)
+
+        monkeypatch.setattr(GainEvaluator, "add", counting)
+        value = estimate_epsilon1(model, cache, x)
+        unsampled = 6 - sum(t.type_index == model.h.target_type for t in x)
+        assert 0 < unsampled < 6
+        assert len(calls) == unsampled + len(x)
+        assert value == pytest.approx(expected, rel=1e-12)
+
     def test_selection_beyond_subset_enumeration(self):
         # 2^13 subsets: the definition's worst subset is the empty one
         model, cache = random_instance(74, n_per_type=(8, 8))
