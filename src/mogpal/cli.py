@@ -4,9 +4,11 @@ Subcommands: ``run`` (experiment), ``fit`` (hyperparameter MLE), ``verify``
 (near-optimality sweep), ``synth`` (synthetic dataset generation).  Every
 subcommand reads a plain-text config and ``--out`` overrides its output
 directory; ``--seed`` overrides the config's seed for ``run``, ``verify``
-and ``synth``, and ``run --threads`` runs repeats concurrently.  A
-:class:`MogpalError` ends a command with one line on stderr and exit status
-2; ``main`` is the one place that turns an error into an exit status.
+and ``synth``, and ``run --threads`` runs repeats concurrently.  ``_load``
+applies the overrides to the loaded config, whose own checks then hold for
+them; the rules on values live in ``config``.  A :class:`MogpalError` ends a
+command with one line on stderr and exit status 2; ``main`` is the one place
+that turns an error into an exit status.
 """
 
 import argparse
@@ -49,13 +51,17 @@ def _parser():
     return parser
 
 
+def _load(args, loader):
+    """The config at ``--config``, with ``--out`` and ``--seed`` in place
+    of its ``output_dir`` and ``seed`` where given."""
+    overrides = dict(output_dir=args.out, seed=getattr(args, "seed", None))
+    return replace(loader(args.config), **{k: v for k, v in overrides.items() if v is not None})
+
+
 def _cmd_run(args):
-    config = load_experiment_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    table = run_experiment(config, out_dir=args.out, threads=args.threads)
-    out = Path(args.out if args.out is not None else config.output_dir)
-    print(f"wrote {len(table.rows)} rows to {out / 'result_table.csv'}")
+    config = _load(args, load_experiment_config)
+    table = run_experiment(config, threads=args.threads)
+    print(f"wrote {len(table.rows)} rows to {Path(config.output_dir) / 'result_table.csv'}")
     for algorithm in config.algorithms:
         final = config.checkpoints[-1]
         print(f"  {algorithm}: mean rmse at budget {final} = "
@@ -64,7 +70,7 @@ def _cmd_run(args):
 
 
 def _cmd_fit(args):
-    config = load_experiment_config(args.config)
+    config = _load(args, load_experiment_config)
     if config.dataset_path is None:
         raise ConfigError(f"{args.config}: fit needs a [data] section with dataset and schema")
     norm, _ = normalize(load_experiment_dataset(config))
@@ -73,7 +79,7 @@ def _cmd_fit(args):
         tuples.append(norm.tuple_at(li, ti))
         values.append(v)
     fit = fit_hyperparams(tuples, np.asarray(values), config.hyperparams, budget=config.fit_budget)
-    out = Path(args.out if args.out is not None else config.output_dir)
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "fitted_hyperparams.ini"
     save_hyperparams(
@@ -89,24 +95,19 @@ def _cmd_fit(args):
 
 
 def _cmd_verify(args):
-    config = load_verify_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    passes, failures = verify_sweep(config, out_dir=args.out)
-    out = Path(args.out if args.out is not None else config.output_dir)
-    print(f"wrote {out / 'verify_report.txt'}")
+    config = _load(args, load_verify_config)
+    passes, failures = verify_sweep(config)
+    print(f"wrote {Path(config.output_dir) / 'verify_report.txt'}")
     print(f"pass={passes} fail={failures}")
     return 0 if failures == 0 else 1
 
 
 def _cmd_synth(args):
-    config = load_experiment_config(args.config)
+    config = _load(args, load_experiment_config)
     if config.synthetic is None:
         raise ConfigError(f"{args.config}: synth needs a [synthetic] section")
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     dataset = generate_synthetic(config.synthetic, config.hyperparams, config.seed)
-    out = Path(args.out if args.out is not None else config.output_dir)
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "synthetic.csv"
     save_dataset(dataset, csv_path)

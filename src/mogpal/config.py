@@ -8,6 +8,11 @@ straight into a later run.  A config that cannot be read, or a value that
 does not parse, raises :class:`ConfigError` naming the file and the
 ``section.key``; a value that parses but that a constructor rejects raises
 one naming the file and the section.
+
+Each input rule is stated once, here: ``read_ini`` requires the loader's
+section, ``__post_init__`` each value, ``check_split`` the held-out count
+(``data.split_test`` applies it too), ``GeneratorSpec.check_drawable`` what
+``generate_synthetic`` can draw, ``ExperimentConfig.check_pool`` the pool.
 """
 
 import configparser
@@ -42,8 +47,10 @@ def _names(text):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def read_ini(path):
-    """Parse an INI file; an unreadable or malformed file is a ConfigError."""
+def read_ini(path, section):
+    """Parse an INI file that holds ``[section]``, the section its loader
+    reads; an unreadable or malformed file, or one without that section, is
+    a ConfigError naming the file."""
     parser = configparser.ConfigParser(converters=dict(ints=_ints, floats=_floats, names=_names))
     try:
         with open(path) as fh:
@@ -52,7 +59,17 @@ def read_ini(path):
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if section not in parser:
+        raise ConfigError(f"{path}: missing [{section}] section")
     return parser
+
+
+def check_split(test_count, measured, target_type):
+    """Refuse to hold out ``test_count`` of the ``measured`` measurements
+    of ``target_type``: a split holds out at least one, and not all."""
+    if not 1 <= test_count < measured:
+        raise ConfigError(f"split.test_count: {test_count} must be below the {measured} "
+                          f"measurements of target type {target_type} and at least 1")
 
 
 def _getter(path, parser):
@@ -102,10 +119,7 @@ def hyperparams_from_section(path, parser) -> Hyperparams:
 
 
 def load_hyperparams(path) -> Hyperparams:
-    parser = read_ini(path)
-    if "hyperparams" not in parser:
-        raise ConfigError(f"{path}: missing [hyperparams] section")
-    return hyperparams_from_section(path, parser)
+    return hyperparams_from_section(path, read_ini(path, "hyperparams"))
 
 
 def save_hyperparams(h: Hyperparams, path, extras=None):
@@ -146,6 +160,19 @@ class GeneratorSpec:
             raise ConfigError(f"n_locations must be at least 2, got {self.n_locations!r}")
         if not (math.isfinite(self.extent) and self.extent > 0):
             raise ConfigError(f"extent must be finite and positive, got {self.extent!r}")
+
+    def check_drawable(self, h: Hyperparams):
+        """Refuse a layout that cannot be drawn under ``h``: a grid is
+        one-dimensional, and a draw factors at most ``SYNTHETIC_TUPLE_GUARD``
+        tuples as one dense joint covariance."""
+        if self.layout == "grid" and h.dim != 1:
+            raise ConfigError(f"synthetic.layout: grid layout is one-dimensional, but the "
+                              f"hyperparameters are {h.dim}-dimensional; use layout=uniform")
+        total = self.n_locations * h.n_types
+        if total > SYNTHETIC_TUPLE_GUARD:
+            raise ConfigError(f"synthetic.n_locations: {self.n_locations} locations of "
+                              f"{h.n_types} types are {total} tuples, over the "
+                              f"{SYNTHETIC_TUPLE_GUARD} sampling guard")
 
 
 @dataclass(frozen=True)
@@ -195,26 +222,21 @@ class ExperimentConfig:
         if self.fit_budget < 1:
             raise ConfigError(f"fit_budget must be at least 1, got {self.fit_budget}")
 
-    def check_pool(self, path, pool, target_pool, locations):
-        """Reject, naming ``path``, a split that leaves no ``target_pool``
-        candidate of the target type, a last checkpoint beyond the pool of an
-        algorithm the run lists (``pool`` candidates, or the target pool for
-        the single-output baselines), or more inducing points than the pool's
-        ``locations`` distinct locations.  Every algorithm picks up to the
-        last checkpoint."""
-        if target_pool < 1:
-            raise ConfigError(f"{path}: split.test_count: {self.test_count} must be below the "
-                              f"{target_pool + self.test_count} measurements of target type "
-                              f"{self.hyperparams.target_type}")
+    def check_pool(self, pool, target_pool, locations):
+        """Reject a last checkpoint beyond the pool of an algorithm the run
+        lists (``pool`` candidates, or the ``target_pool`` candidates of the
+        target type for the single-output baselines), or more inducing
+        points than the pool's ``locations`` distinct locations.  Every
+        algorithm picks up to the last checkpoint."""
         budget = self.checkpoints[-1]
         for algorithm in self.algorithms:
             size, what = ((target_pool, f"{algorithm} target candidate pool")
                           if algorithm in SINGLE_OUTPUT else (pool, "candidate pool"))
             if budget > size:
-                raise ConfigError(f"{path}: experiment.checkpoints: budget {budget} exceeds "
+                raise ConfigError(f"experiment.checkpoints: budget {budget} exceeds "
                                   f"the {what} size {size}")
         if self.inducing_count > locations:
-            raise ConfigError(f"{path}: experiment.inducing_count: {self.inducing_count} "
+            raise ConfigError(f"experiment.inducing_count: {self.inducing_count} "
                               f"inducing locations from {locations} distinct locations")
 
 
@@ -248,27 +270,22 @@ class VerifySweepConfig:
 
 
 def _check_drawable(path, config):
-    """Reject a ``[synthetic]`` layout that ``generate_synthetic`` cannot draw
-    under the hyperparameters, or whose pool after the split is one that
-    ``ExperimentConfig.check_pool`` rejects."""
+    """Reject, naming ``path``, a ``[synthetic]`` layout that
+    ``generate_synthetic`` cannot draw under the hyperparameters, a count
+    its split cannot hold out, or a pool that ``check_pool`` rejects."""
     spec, h, test_count = config.synthetic, config.hyperparams, config.test_count
-    if spec.layout == "grid" and h.dim != 1:
-        raise ConfigError(f"{path}: synthetic.layout: grid layout is one-dimensional, but the "
-                          f"hyperparameters are {h.dim}-dimensional; use layout=uniform")
-    total = spec.n_locations * h.n_types
-    if total > SYNTHETIC_TUPLE_GUARD:
-        raise ConfigError(f"{path}: synthetic.n_locations: {spec.n_locations} locations of "
-                          f"{h.n_types} types are {total} tuples, over the "
-                          f"{SYNTHETIC_TUPLE_GUARD} sampling guard")
     target = spec.n_locations - test_count  # a one-type draw loses the held-out locations
-    config.check_pool(path, total - test_count, target,
-                      spec.n_locations if h.n_types > 1 else target)
+    try:
+        spec.check_drawable(h)
+        check_split(test_count, spec.n_locations, h.target_type)
+        config.check_pool(spec.n_locations * h.n_types - test_count, target,
+                          spec.n_locations if h.n_types > 1 else target)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    parser = read_ini(path)
-    if "experiment" not in parser:
-        raise ConfigError(f"{path}: missing [experiment] section")
+    parser = read_ini(path, "experiment")
     get = _getter(path, parser)
 
     if "hyperparams" in parser:
@@ -316,7 +333,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 
 def load_verify_config(path) -> VerifySweepConfig:
-    get = _getter(path, read_ini(path))
+    get = _getter(path, read_ini(path, "verify"))
     return _built(
         path, "verify", VerifySweepConfig,
         instances=get("verify", "instances", kind="int"),

@@ -5,6 +5,10 @@ then one column per measurement type; empty cells mean the type was not
 measured at that location.  A small key=value schema file declares which
 columns are coordinates, which are types, and any per-type transform
 (identity or log10).
+
+The rules on a file's own contents live here; the count range of
+``split_test`` is ``config.check_split``, and whether a dataset fits a run
+is ``experiment.load_experiment_dataset``'s check.
 """
 
 import csv
@@ -13,12 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import read_ini
+from .config import check_split, read_ini
 from .errors import ConfigError, DomainError
 from .kernels import TypedLocation
 
 __all__ = [
-    "Schema", "Dataset", "SplitSpec", "SplitResult", "load_schema",
+    "Schema", "Dataset", "SplitResult", "load_schema",
     "load_dataset", "save_dataset", "normalize", "denormalize",
     "split_test", "rmse",
 ]
@@ -44,10 +48,7 @@ class Schema:
 
 
 def load_schema(path) -> Schema:
-    parser = read_ini(path)
-    if "schema" not in parser:
-        raise ConfigError(f"{path}: missing [schema] section")
-    sec = parser["schema"]
+    sec = read_ini(path, "schema")["schema"]
     coords, types = sec.getnames("coords"), sec.getnames("types")
     if not coords or not types:
         raise ConfigError(f"{path}: schema must declare coords and types")
@@ -229,20 +230,6 @@ def denormalize(values, stats_entry):
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    """How to carve the held-out test set out of the target type's
-    measurements."""
-
-    target_type: int
-    test_count: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.test_count < 1:
-            raise ConfigError("test_count must be at least 1")
-
-
-@dataclass(frozen=True)
 class SplitResult:
     pool_tuples: list
     pool_values: np.ndarray
@@ -250,24 +237,19 @@ class SplitResult:
     test_values: np.ndarray
 
 
-def split_test(ds: Dataset, spec: SplitSpec) -> SplitResult:
-    """Remove ``test_count`` seeded-uniform tuples of the target type from
+def split_test(ds: Dataset, target_type, test_count, seed) -> SplitResult:
+    """Remove ``test_count`` seeded-uniform tuples of ``target_type`` from
     the pool; auxiliary pools are untouched.  The candidate pool and the
-    test set are disjoint.
+    test set are disjoint.  A count outside ``config.check_split``'s range
+    of the type's measurements (none for a type ``ds`` lacks) is a
+    ConfigError.
     """
-    t = spec.target_type
-    if t >= ds.n_types:
-        raise ConfigError(f"target type {t} out of range [0, {ds.n_types})")
-    idx, vals = ds.measured(t)
-    if spec.test_count >= idx.size:
-        raise ConfigError(
-            f"test_count {spec.test_count} must be below the {idx.size} "
-            f"measurements of type {ds.type_names[t]!r}"
-        )
-    rng = np.random.default_rng(spec.seed)
-    pick = sorted(rng.choice(idx.size, size=spec.test_count, replace=False))
-    held = {(int(idx[k]), t) for k in pick}
-    test_tuples = [ds.tuple_at(int(idx[k]), t) for k in pick]
+    idx, vals = ds.measured(target_type)
+    check_split(test_count, idx.size, target_type)
+    rng = np.random.default_rng(seed)
+    pick = sorted(rng.choice(idx.size, size=test_count, replace=False))
+    held = {(int(idx[k]), target_type) for k in pick}
+    test_tuples = [ds.tuple_at(int(idx[k]), target_type) for k in pick]
     test_values = [vals[k] for k in pick]
     pool_tuples, pool_values = [], []
     for ti in range(ds.n_types):

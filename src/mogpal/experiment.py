@@ -18,10 +18,9 @@ import numpy as np
 
 from . import data as data_mod
 from . import kernels
-from .config import (SINGLE_OUTPUT, SYNTHETIC_TUPLE_GUARD, ExperimentConfig, GeneratorSpec,
-                     VerifySweepConfig)
+from .config import SINGLE_OUTPUT, ExperimentConfig, GeneratorSpec, VerifySweepConfig
 from .criterion import build_cache
-from .data import Dataset, SplitSpec, denormalize, normalize, rmse, split_test
+from .data import Dataset, denormalize, normalize, rmse, split_test
 from .errors import ConfigError
 from .hyperlearn import fit_hyperparams
 from .kernels import Hyperparams, TupleArray, TypedLocation
@@ -50,22 +49,17 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
     """Sample one noisy realization of the prior over a location layout.
 
     Draws ``h.dim`` coordinates per location and the full joint exactly
-    (guarded to ``SYNTHETIC_TUPLE_GUARD`` tuples), and adds per-type
-    measurement noise; every (location, type) pair is measured.
+    (a layout ``spec.check_drawable(h)`` refuses is a ConfigError), and adds
+    per-type measurement noise; every (location, type) pair is measured.
     """
+    spec.check_drawable(h)
     rng = np.random.default_rng(seed)
     if spec.layout == "uniform":
         coords = rng.uniform(0.0, spec.extent, size=(spec.n_locations, h.dim))
-    elif h.dim == 1:
-        coords = np.linspace(0.0, spec.extent, spec.n_locations)[:, None]
     else:
-        raise ConfigError("grid layout is one-dimensional; use layout=uniform")
+        coords = np.linspace(0.0, spec.extent, spec.n_locations)[:, None]
     m = h.n_types
     total = spec.n_locations * m
-    if total > SYNTHETIC_TUPLE_GUARD:
-        raise ConfigError(
-            f"{total} tuples exceed the {SYNTHETIC_TUPLE_GUARD} sampling guard"
-        )
     tuples = TupleArray.build([
         TypedLocation(tuple(float(c) for c in coords[li]), ti)
         for ti in range(m)
@@ -92,10 +86,10 @@ def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
 def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     """The ``[data]`` dataset of ``config``, checked against the run before
     anything is written: its schema must list ``h.dim`` coordinates and
-    ``h.n_types`` types, and the split must leave a pool that
-    ``ExperimentConfig.check_pool`` accepts (the dataset's locations are a
-    bound, as a split can hold out every measurement at one).  A mismatch
-    is a :class:`ConfigError` naming the schema or dataset file."""
+    ``h.n_types`` types, and each repeat's split (which depends on its seed,
+    not on the values) must be one ``split_test`` can make and leave a pool
+    that ``ExperimentConfig.check_pool`` accepts.  A mismatch is a
+    :class:`ConfigError` naming the schema or dataset file."""
     dataset = data_mod.load_dataset(config.dataset_path, data_mod.load_schema(config.schema_path))
     h = config.hyperparams
     if dataset.n_types != h.n_types:
@@ -104,11 +98,13 @@ def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     if dataset.coords.shape[1] != h.dim:
         raise ConfigError(f"{config.schema_path}: the schema lists {dataset.coords.shape[1]} "
                           f"coordinates, but the hyperparameters are {h.dim}-dimensional")
-    config.check_pool(
-        config.dataset_path, len(dataset.values) - config.test_count,
-        dataset.measured(h.target_type)[0].size - config.test_count,
-        len({tuple(dataset.coords[li]) for li, _ in dataset.values}),
-    )
+    try:
+        for seed in range(config.seed, config.seed + config.repeats):
+            pool = data_mod.split_test(dataset, h.target_type, config.test_count, seed).pool_tuples
+            config.check_pool(len(pool), sum(p.type_index == h.target_type for p in pool),
+                              len({p.location for p in pool}))
+    except ConfigError as exc:
+        raise ConfigError(f"{config.dataset_path}: {exc}") from None
     return dataset
 
 
@@ -129,20 +125,21 @@ class ResultRow:
 class ResultTable:
     rows: list
 
-    def write_csv(self, path):
-        """Deterministic table: one row per (algorithm, seed, checkpoint)."""
+    def _write(self, path, column, cell):
+        """One row per (algorithm, seed, checkpoint): its key, then
+        ``cell(row)`` under the header ``column``."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["algorithm", "seed", "budget", "rmse"])
+            writer.writerow(["algorithm", "seed", "budget", column])
             for r in self.rows:
-                writer.writerow([r.algorithm, r.seed, r.budget, f"{r.rmse:.12g}"])
+                writer.writerow([r.algorithm, r.seed, r.budget, cell(r)])
+
+    def write_csv(self, path):
+        """Deterministic table: the rmse at each checkpoint."""
+        self._write(path, "rmse", lambda r: f"{r.rmse:.12g}")
 
     def write_timings(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["algorithm", "seed", "budget", "wall_ms"])
-            for r in self.rows:
-                writer.writerow([r.algorithm, r.seed, r.budget, f"{r.wall_ms:.3f}"])
+        self._write(path, "wall_ms", lambda r: f"{r.wall_ms:.3f}")
 
     def mean_rmse(self, algorithm, budget):
         vals = [r.rmse for r in self.rows if r.algorithm == algorithm and r.budget == budget]
@@ -177,7 +174,7 @@ def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
         dataset = generate_synthetic(config.synthetic, config.hyperparams, rep_seed)
     norm, stats = normalize(dataset)
     t = config.hyperparams.target_type
-    split = split_test(norm, SplitSpec(t, config.test_count, seed=rep_seed))
+    split = split_test(norm, t, config.test_count, rep_seed)
     value_of = dict(zip(split.pool_tuples, split.pool_values))
 
     if config.fit:

@@ -7,7 +7,6 @@ from mogpal import ConfigError, DomainError
 from mogpal.data import (
     Dataset,
     Schema,
-    SplitSpec,
     denormalize,
     load_dataset,
     load_schema,
@@ -188,7 +187,7 @@ class TestSplit:
     def test_counts_and_disjointness(self, jura_like):
         path, schema = jura_like
         ds, _ = normalize(load_dataset(path, schema))
-        split = split_test(ds, SplitSpec(target_type=0, test_count=100, seed=4))
+        split = split_test(ds, 0, 100, 4)
         assert len(split.test_tuples) == 100
         target_pool = [t for t in split.pool_tuples if t.type_index == 0]
         assert len(target_pool) == 259
@@ -198,32 +197,37 @@ class TestSplit:
     def test_auxiliary_untouched(self, jura_like):
         path, schema = jura_like
         ds, _ = normalize(load_dataset(path, schema))
-        split = split_test(ds, SplitSpec(target_type=0, test_count=50, seed=1))
+        split = split_test(ds, 0, 50, 1)
         aux = [t for t in split.pool_tuples if t.type_index != 0]
         assert len(aux) == 2 * 359
 
     def test_seed_determinism(self, jura_like):
         path, schema = jura_like
         ds, _ = normalize(load_dataset(path, schema))
-        a = split_test(ds, SplitSpec(0, 30, seed=9))
-        b = split_test(ds, SplitSpec(0, 30, seed=9))
+        a = split_test(ds, 0, 30, 9)
+        b = split_test(ds, 0, 30, 9)
         assert a.test_tuples == b.test_tuples
         assert np.array_equal(a.pool_values, b.pool_values)
 
     def test_last_type_as_target_counts(self, jura_like):
         path, schema = jura_like
         ds, _ = normalize(load_dataset(path, schema))
-        split = split_test(ds, SplitSpec(2, 40, seed=2))
+        split = split_test(ds, 2, 40, 2)
         assert len(split.test_tuples) == 40
         assert all(t.type_index == 2 for t in split.test_tuples)
         pool_types = [t.type_index for t in split.pool_tuples]
         assert [pool_types.count(i) for i in range(3)] == [359, 359, 319]
 
-    def test_guard(self, jura_like):
+    @pytest.mark.parametrize("target_type, test_count, measured", [
+        (0, 359, 359), (0, 0, 359), (0, -1, 359), (3, 1, 0),
+    ], ids=["all", "none", "negative", "absent-type"])
+    def test_guard(self, jura_like, target_type, test_count, measured):
         path, schema = jura_like
         ds, _ = normalize(load_dataset(path, schema))
-        with pytest.raises(ConfigError):
-            split_test(ds, SplitSpec(0, 359, seed=0))
+        with pytest.raises(ConfigError, match=f"split.test_count: {test_count} must be below "
+                                              f"the {measured} measurements of target type "
+                                              f"{target_type} and at least 1"):
+            split_test(ds, target_type, test_count, 0)
 
 
 class TestRmse:

@@ -21,7 +21,7 @@ from mogpal.config import (
     load_verify_config,
     save_hyperparams,
 )
-from mogpal.data import SplitSpec, normalize, save_dataset, split_test
+from mogpal.data import normalize, save_dataset, split_test
 from mogpal.experiment import (
     generate_synthetic,
     load_experiment_dataset,
@@ -73,6 +73,21 @@ DATA = "[data]\ndataset = missing.csv\nschema = missing.schema\n"
 THREE_TYPES = "[data]\ndataset = three.csv\nschema = three.schema\n"
 PLANE = "[data]\ndataset = plane.csv\nschema = plane.schema\n"
 TWO_TYPES = "[data]\ndataset = two.csv\nschema = two.schema\n"
+ONE_TYPE = "[data]\ndataset = one.csv\nschema = one.schema\n"
+
+
+def _one_type(text):
+    """``CONFIG_TEXT`` with one measurement type in place of two."""
+    return (text.replace("types = 2", "types = 1")
+            .replace("signal_var = 1.0, 0.8", "signal_var = 1.0")
+            .replace("noise_var = 0.25, 0.1", "noise_var = 0.25")
+            .replace("smooth_prec_inv.1 = 0.1\n", ""))
+
+
+def _saved(dataset, path):
+    """The bytes ``save_dataset`` writes for ``dataset`` at ``path``."""
+    save_dataset(dataset, path)
+    return path.read_bytes()
 
 
 class TestHyperparamsConfig:
@@ -317,7 +332,7 @@ class TestRunExperiment:
             schema_path=str(tmp_path / "d.schema"), fit_budget=200,
         )
         norm, _ = normalize(load_experiment_dataset(cfg))
-        split = split_test(norm, SplitSpec(h_true.target_type, cfg.test_count, seed=cfg.seed))
+        split = split_test(norm, h_true.target_type, cfg.test_count, cfg.seed)
 
         def nll(h):
             return -log_marginal_likelihood(h, split.pool_tuples, split.pool_values)
@@ -625,18 +640,30 @@ class TestCli:
          "missing.ini: experiment.inducing_count: 15 inducing locations from 14 distinct "
          "locations"),
         # a one-type draw: the 5 held-out locations leave the pool with 7
-        ("run", lambda text: text.replace("types = 2", "types = 1")
-         .replace("signal_var = 1.0, 0.8", "signal_var = 1.0")
-         .replace("noise_var = 0.25, 0.1", "noise_var = 0.25")
-         .replace("smooth_prec_inv.1 = 0.1\n", "").replace("n_locations = 14", "n_locations = 12")
+        ("run", lambda text: _one_type(text).replace("n_locations = 14", "n_locations = 12")
          .replace("inducing_count = 5", "inducing_count = 10"),
          "missing.ini: experiment.inducing_count: 10 inducing locations from 7 distinct "
          "locations"),
+        # a one-type dataset: the split of 5 leaves 9 of its 14 locations
+        ("run", lambda text: _one_type(text).replace(SYNTHETIC, ONE_TYPE)
+         .replace("inducing_count = 5", "inducing_count = 10"),
+         "one.csv: experiment.inducing_count: 10 inducing locations from 9 distinct locations"),
+        # every loader requires the section it reads
+        ("verify", lambda text: text, "missing.ini: missing [verify] section"),
+        ("run", lambda text: text.replace("[experiment]", "[experiments]"),
+         "missing.ini: missing [experiment] section"),
+        ("run", lambda text: text[:text.index("[hyperparams]")].replace(
+            "[experiment]\n", "[experiment]\nhyperparams_file = missing.ini\n"),
+         "missing.ini: missing [hyperparams] section"),
+        ("run", lambda text: text.replace(SYNTHETIC,
+                                          "[data]\ndataset = two.csv\nschema = missing.ini\n"),
+         "missing.ini: missing [schema] section"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, monkeypatch, capsys, command, edit, named):
         # the [data] cases read 14-location datasets from the working directory
         monkeypatch.chdir(tmp_path)
-        for name, n_coords, n_types in (("three", 1, 3), ("two", 1, 2), ("plane", 2, 2)):
+        for name, n_coords, n_types in (("three", 1, 3), ("two", 1, 2), ("plane", 2, 2),
+                                        ("one", 1, 1)):
             coords = [f"x{c}" for c in range(n_coords)]
             types = [f"type{i}" for i in range(n_types)]
             Path(f"{name}.schema").write_text(
@@ -654,6 +681,31 @@ class TestCli:
         assert err.count("\n") == 1 and named in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, check", [
+        ("run", lambda out: (out / "selection_m-greedy_9.csv").exists()
+         and (out / "selection_s-var_10.csv").exists() and (out / "result_table.csv").exists()),
+        ("fit", lambda out: load_hyperparams(out / "fitted_hyperparams.ini").n_types == 2),
+        ("verify", lambda out: (out / "verify_report.txt").read_text().startswith(
+            "instance=seed9 ")),
+        ("synth", lambda out: (out / "synthetic.csv").read_bytes() == _saved(
+            generate_synthetic(GeneratorSpec(n_locations=14), H2, 9), out.parent / "expected.csv")),
+    ])
+    def test_overrides_reach_every_command(self, tmp_path, monkeypatch, command, check):
+        # the config's own seed is 3 and its output directory "config_out"
+        monkeypatch.chdir(tmp_path)
+        text = CONFIG_TEXT.format(out="config_out") + "[verify]\ninstances = 2\nbudget = 2\n" \
+            "pool_shape = 4, 4\noutput_dir = config_out\n"
+        if command == "fit":
+            _saved(generate_synthetic(GeneratorSpec(n_locations=14), H2, 0), Path("d.csv"))
+            Path("d.schema").write_text("[schema]\ncoords = x0\ntypes = type0, type1\n")
+            text = text.replace(SYNTHETIC, "[data]\ndataset = d.csv\nschema = d.schema\n")
+            text = text.replace("repeats = 2", "repeats = 2\nfit_budget = 5")
+        Path("exp.ini").write_text(text)
+        seed = [] if command == "fit" else ["--seed", "9"]
+        assert cli_main([command, "--config", "exp.ini", "--out", "over", *seed]) == 0
+        assert check(tmp_path / "over")
+        assert not (tmp_path / "config_out").exists()
 
     @pytest.mark.parametrize("command, row, edit, named", [
         ("run", (2, "nan,0.5,0.5"), None, "d.csv:4: coordinate: 'nan' is not a finite number"),

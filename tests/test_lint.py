@@ -3,7 +3,8 @@
 only tests reach, against dataclass fields that no run reads, against
 function parameters that their body never reads, against pool lookups
 outside ``pitc``, against kernel matrices outside the modules that build
-covariances and against a ``config`` loader restating a default.
+covariances, against a ``config`` loader restating a default and against
+an INI read that names no section.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
@@ -21,7 +22,9 @@ imports no third-party module but ``numpy`` and ``scipy.linalg``, so that a
 run that never fits does not load ``scipy.optimize`` (``test_startup.py``
 checks the loaded modules; this scan names the module that imports).  Each
 INI default is declared once, on its dataclass field, so a ``config`` loader
-reads a key with no literal default and leaves an absent key out.
+reads a key with no literal default and leaves an absent key out.  Every
+loader passes ``read_ini`` the section it reads, so a file without it is
+refused in one place and with one message.
 """
 
 import ast
@@ -452,6 +455,30 @@ def test_default_scanner_flags_only_literal_defaults():
 
 def test_config_loaders_restate_no_default():
     assert literal_defaults((ROOT / "src" / "mogpal" / "config.py").read_text()) == []
+
+
+def sectionless_reads(source):
+    """Calls of ``read_ini`` in ``source``, unparsed in source order, that
+    pass no section."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "read_ini"
+             and len(node.args) < 2 and all(k.arg != "section" for k in node.keywords)]
+    return [ast.unparse(c) for c in sorted(calls, key=lambda c: (c.lineno, c.col_offset))]
+
+
+def test_section_scanner_flags_only_sectionless_reads():
+    source = (
+        "parser = read_ini(path)\n"
+        "schema = config.read_ini(path)['schema']\n"
+        "get = _getter(path, read_ini(path, 'verify'))\n"
+        "h = config.read_ini(path, section='hyperparams')\n"
+        "rows = read_csv(path)\n"
+    )
+    assert sectionless_reads(source) == ["read_ini(path)", "config.read_ini(path)"]
+
+
+def test_every_ini_read_names_its_section():
+    assert [(p.name, call) for p in PACKAGE for call in sectionless_reads(p.read_text())] == []
 
 
 # third-party modules, with their submodules, that the package may import at
