@@ -106,7 +106,7 @@ def _cmd_synth(args):
     config = _load(args, load_experiment_config)
     if config.synthetic is None:
         raise ConfigError(f"{args.config}: synth needs a [synthetic] section")
-    dataset = generate_synthetic(config.synthetic, config.hyperparams, config.seed)
+    dataset = generate_synthetic(config.synthetic, config.hyperparams)(config.seed)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "synthetic.csv"

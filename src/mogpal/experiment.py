@@ -5,6 +5,9 @@ generating data), one inducing selection, one sparse model, and one
 selection run per algorithm up to the last checkpoint, which the config
 held to each algorithm's pool (``ExperimentConfig.check_pool``); prediction
 error is evaluated at every checkpoint on the nested selection prefix.
+A run factors a ``grid`` prior once and every repeat, in whichever thread
+it runs, draws its realization from that shared factor; a ``uniform`` draw
+factors its own prior.
 Everything downstream of the config (including all seeds) is deterministic;
 wall-clock timings go to a sidecar file, so the result table is byte-stable.
 """
@@ -45,40 +48,61 @@ __all__ = [
 # synthetic data
 # ---------------------------------------------------------------------------
 
-def generate_synthetic(spec: GeneratorSpec, h: Hyperparams, seed) -> Dataset:
-    """Sample one noisy realization of the prior over a location layout.
+def generate_synthetic(spec: GeneratorSpec, h: Hyperparams):
+    """A sampler ``seed -> Dataset`` of noisy realizations of the prior over
+    a location layout.
 
-    Draws ``h.dim`` coordinates per location and the full joint exactly
-    (a layout ``spec.check_drawable(h)`` refuses is a ConfigError), and adds
-    per-type measurement noise; every (location, type) pair is measured.
+    Each draw has ``h.dim`` coordinates per location, the full joint drawn
+    exactly as ``L z`` (L the Cholesky factor of the noise-free prior) and
+    per-type measurement noise; every (location, type) pair is measured.  A
+    ``grid`` layout's locations do not depend on the seed, so its prior is
+    factored once, here, and every draw shares the factor and one read-only
+    ``coords`` array (threads may draw concurrently); a ``uniform`` draw
+    places its own locations and factors its own prior.  A layout
+    ``spec.check_drawable(h)`` refuses is a ConfigError, raised here.
     """
     spec.check_drawable(h)
-    rng = np.random.default_rng(seed)
     if spec.layout == "uniform":
-        coords = rng.uniform(0.0, spec.extent, size=(spec.n_locations, h.dim))
-    else:
-        coords = np.linspace(0.0, spec.extent, spec.n_locations)[:, None]
-    m = h.n_types
-    total = spec.n_locations * m
+        def sample(seed):
+            rng = np.random.default_rng(seed)
+            coords = rng.uniform(0.0, spec.extent, size=(spec.n_locations, h.dim))
+            return _draw(rng, coords, *_prior(coords, h), h.n_types)
+        return sample
+    coords = np.linspace(0.0, spec.extent, spec.n_locations)[:, None]
+    coords.setflags(write=False)
+    factor, noise = _prior(coords, h)
+    return lambda seed: _draw(np.random.default_rng(seed), coords, factor, noise, h.n_types)
+
+
+def _prior(coords, h):
+    """Cholesky factor of the noise-free prior (plus 1e-10 jitter) over every
+    (location, type) tuple, type-major, and each tuple's noise variance."""
+    n = coords.shape[0]
     tuples = TupleArray.build([
         TypedLocation(tuple(float(c) for c in coords[li]), ti)
-        for ti in range(m)
-        for li in range(spec.n_locations)
+        for ti in range(h.n_types)
+        for li in range(n)
     ], h)
+    total = len(tuples)
     cov = kernels.cov_matrix(tuples, tuples, h)
     noise = h.noise_var[tuples.types]
     # noise-free prior plus 1e-10 jitter, on the diagonal in place
     cov.flat[::total + 1] -= noise
     cov.flat[::total + 1] += 1e-10
-    factor = chol_spd(cov, "synthetic prior")
+    return chol_spd(cov, "synthetic prior"), noise
+
+
+def _draw(rng, coords, factor, noise, n_types):
+    """One noisy realization: the field ``factor.lower @ z``, then the noise."""
+    total = len(noise)
     field = factor.lower @ rng.standard_normal(total)
     measured = field + rng.standard_normal(total) * np.sqrt(noise)
-    # tuple k is (location k % n_locations, type k // n_locations)
-    values = {(k % spec.n_locations, k // spec.n_locations): float(v)
-              for k, v in enumerate(measured)}
+    n = coords.shape[0]
+    # tuple k is (location k % n, type k // n)
+    values = {(k % n, k // n): float(v) for k, v in enumerate(measured)}
     return Dataset(
         coords=coords,
-        type_names=tuple(f"type{i}" for i in range(m)),
+        type_names=tuple(f"type{i}" for i in range(n_types)),
         values=values,
     )
 
@@ -168,10 +192,7 @@ def _single_output_refit(config, h_model, pool_tuples, pool_values):
                            budget=config.fit_budget).h
 
 
-def _run_repeat(config: ExperimentConfig, dataset, repeat_index, out_dir):
-    rep_seed = config.seed + repeat_index
-    if dataset is None:
-        dataset = generate_synthetic(config.synthetic, config.hyperparams, rep_seed)
+def _run_repeat(config: ExperimentConfig, dataset, rep_seed, out_dir):
     norm, stats = normalize(dataset)
     t = config.hyperparams.target_type
     split = split_test(norm, t, config.test_count, rep_seed)
@@ -237,17 +258,27 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads=1) -> ResultT
     Writes ``result_table.csv`` (deterministic), ``timings.csv`` (the ms
     spent selecting each checkpoint's picks) and one selection log per
     (algorithm, repeat) into the output directory.
-    Repeats may run concurrently; the row order of the outputs does not
-    depend on the scheduling.  ``threads`` below 1 is a ConfigError.
+    Repeat ``r`` runs on seed ``config.seed + r``: a synthetic run draws its
+    data from one ``generate_synthetic`` sampler made before the repeats (a
+    ``grid`` prior is factored once per run, a ``uniform`` prior once per
+    draw), a ``[data]`` run hands every repeat the dataset it loaded.
+    Repeats may run concurrently, sharing the sampler's read-only factor;
+    the row order of the outputs does not depend on the scheduling.
+    ``threads`` below 1 is a ConfigError.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    dataset = None if config.dataset_path is None else load_experiment_dataset(config)
+    if config.dataset_path is None:
+        draw = generate_synthetic(config.synthetic, config.hyperparams)
+    else:
+        dataset = load_experiment_dataset(config)
+        draw = lambda seed: dataset
     out_dir = Path(out_dir if out_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def one(r):
-        return _run_repeat(config, dataset, r, out_dir)
+        rep_seed = config.seed + r
+        return _run_repeat(config, draw(rep_seed), rep_seed, out_dir)
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:

@@ -151,20 +151,20 @@ class TestConfigDefaults:
 class TestGenerateSynthetic:
     def test_seed_determinism(self):
         spec = GeneratorSpec(n_locations=12, extent=5.0)
-        a = generate_synthetic(spec, H2, seed=7)
-        b = generate_synthetic(spec, H2, seed=7)
+        a = generate_synthetic(spec, H2)(7)
+        b = generate_synthetic(spec, H2)(7)
         assert a.values == b.values
 
     def test_size_guard(self):
         spec = GeneratorSpec(n_locations=1500, extent=5.0)
         with pytest.raises(ConfigError):
-            generate_synthetic(spec, H2, seed=0)
+            generate_synthetic(spec, H2)(0)
 
     def test_grid_is_one_dimensional(self):
         h = Hyperparams(signal_var=[1.0], noise_var=[0.2], latent_prec_inv=[0.5, 2.0],
                         smooth_prec_inv=[[0.1, 0.3]])
         with pytest.raises(ConfigError, match="grid layout is one-dimensional"):
-            generate_synthetic(GeneratorSpec(n_locations=5), h, seed=0)
+            generate_synthetic(GeneratorSpec(n_locations=5), h)(0)
 
     def test_tiny_signal_gives_noise_columns(self):
         h = Hyperparams(
@@ -172,7 +172,7 @@ class TestGenerateSynthetic:
             latent_prec_inv=[2.0], smooth_prec_inv=[[0.1], [0.1]],
         )
         spec = GeneratorSpec(n_locations=400, extent=50.0)
-        ds = generate_synthetic(spec, h, seed=0)
+        ds = generate_synthetic(spec, h)(0)
         for ti, nv in enumerate(h.noise_var):
             _, vals = ds.measured(ti)
             assert float(np.var(vals)) == pytest.approx(nv, rel=0.35)
@@ -190,27 +190,35 @@ class TestGenerateSynthetic:
 
         monkeypatch.setattr(experiment, "chol_spd", spy)
         spec = GeneratorSpec(n_locations=60, extent=5.0, layout=layout)
-        ds = generate_synthetic(spec, h, seed=4)
-        assert ds.coords.shape == (60, dim)
-        tuples = [
-            TypedLocation(tuple(float(c) for c in ds.coords[li]), ti)
-            for ti in range(h.n_types) for li in range(spec.n_locations)
-        ]
-        total = len(tuples)
-        cov = kernels.cov_matrix(tuples, tuples, h)
-        noise = h.noise_var[[t.type_index for t in tuples]]
-        expected = chol_spd(cov - np.diag(noise) + 1e-10 * np.eye(total))
-        assert len(factors) == 1
-        assert np.array_equal(factors[0].lower, expected.lower)
+        sample = generate_synthetic(spec, h)
+        seeds = (4, 5, 11)
+        for seed in seeds:
+            ds = sample(seed)
+            coords, lower, values = _reference_draw(spec, h, seed)
+            assert ds.coords.shape == (60, dim)
+            assert np.array_equal(ds.coords, coords)
+            assert np.array_equal(factors[-1].lower, lower)
+            assert ds.values == values
+        # a grid prior is factored once for every seed, a uniform one per draw
+        assert len(factors) == (1 if layout == "grid" else len(seeds))
+
+    def test_grid_draws_share_read_only_coords(self):
+        sample = generate_synthetic(GeneratorSpec(n_locations=12, extent=5.0), H2)
+        a, b = sample(1), sample(2)
+        assert a.coords is b.coords
+        with pytest.raises(ValueError, match="read-only"):
+            a.coords[0, 0] = 1.0
+        assert b.coords[0, 0] == 0.0
 
     def test_sample_covariance_matches_kernel(self):
         # Monte-Carlo oracle: repeated draws at two fixed tuples
         spec = GeneratorSpec(n_locations=2, extent=1.0)
         p = as_tuple([0.0], 0)
         q = as_tuple([1.0], 1)
+        sample = generate_synthetic(spec, H2)
         draws = []
         for seed in range(500):
-            ds = generate_synthetic(spec, H2, seed=seed)
+            ds = sample(seed)
             draws.append([ds.values[(0, 0)], ds.values[(1, 1)]])
         draws = np.asarray(draws)
         sample_cov = float(np.cov(draws[:, 0], draws[:, 1])[0, 1])
@@ -219,6 +227,28 @@ class TestGenerateSynthetic:
         var1 = oracles.out_cov(q, q, H2)
         stderr = np.sqrt((var0 * var1 + expected**2) / 500)
         assert abs(sample_cov - expected) <= 3 * stderr
+
+
+def _reference_draw(spec, h, seed):
+    """Coordinates, prior factor and values of one draw computed from scratch
+    for ``seed``: its own locations, its own prior factor, then the two
+    normal draws.  Every sampler draw must match it bit for bit."""
+    rng = np.random.default_rng(seed)
+    if spec.layout == "uniform":
+        coords = rng.uniform(0.0, spec.extent, size=(spec.n_locations, h.dim))
+    else:
+        coords = np.linspace(0.0, spec.extent, spec.n_locations)[:, None]
+    tuples = [
+        TypedLocation(tuple(float(c) for c in coords[li]), ti)
+        for ti in range(h.n_types) for li in range(spec.n_locations)
+    ]
+    total = len(tuples)
+    cov = kernels.cov_matrix(tuples, tuples, h)
+    noise = h.noise_var[[t.type_index for t in tuples]]
+    lower = chol_spd(cov - np.diag(noise) + 1e-10 * np.eye(total)).lower
+    measured = lower @ rng.standard_normal(total) + rng.standard_normal(total) * np.sqrt(noise)
+    n = spec.n_locations
+    return coords, lower, {(k % n, k // n): float(v) for k, v in enumerate(measured)}
 
 
 def _config(tmp_path, **overrides):
@@ -254,13 +284,36 @@ class TestRunExperiment:
         assert a == b
 
     def test_threads_do_not_change_results(self, tmp_path):
-        cfg_a = _config(tmp_path, output_dir=str(tmp_path / "s1"))
-        cfg_b = _config(tmp_path, output_dir=str(tmp_path / "s2"))
+        # more repeats than threads: the two threads draw from one grid factor
+        cfg_a = _config(tmp_path, repeats=3, output_dir=str(tmp_path / "s1"))
+        cfg_b = _config(tmp_path, repeats=3, output_dir=str(tmp_path / "s2"))
         run_experiment(cfg_a, threads=1)
         run_experiment(cfg_b, threads=2)
         a = (tmp_path / "s1" / "result_table.csv").read_bytes()
         b = (tmp_path / "s2" / "result_table.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("layout, factors", [("grid", 1), ("uniform", 3)])
+    def test_one_sampler_per_run(self, tmp_path, monkeypatch, layout, factors):
+        # the benchmark's trace needs generate_synthetic called in every
+        # synthetic run; a grid prior is factored once for all 3 repeats
+        samplers, names = [], []
+
+        def sampler_spy(spec, h):
+            samplers.append(spec)
+            return generate_synthetic(spec, h)
+
+        def chol_spy(a, name="matrix"):
+            names.append(name)
+            return chol_spd(a, name)
+
+        monkeypatch.setattr(experiment, "generate_synthetic", sampler_spy)
+        monkeypatch.setattr(experiment, "chol_spd", chol_spy)
+        spec = GeneratorSpec(n_locations=12, extent=8.0, layout=layout)
+        table = run_experiment(_config(tmp_path, repeats=3, synthetic=spec))
+        assert samplers == [spec]
+        assert names.count("synthetic prior") == factors
+        assert len({r.seed for r in table.rows}) == 3
 
     def test_selection_logs_written(self, tmp_path):
         cfg = _config(tmp_path, repeats=1)
@@ -324,7 +377,7 @@ class TestRunExperiment:
             latent_prec_inv=[0.05, 20.0], smooth_prec_inv=[[0.1, 0.1], [0.1, 0.1]],
         )
         spec = GeneratorSpec(n_locations=40, extent=4.0, layout="uniform")
-        save_dataset(generate_synthetic(spec, h_true, seed=0), tmp_path / "d.csv")
+        save_dataset(generate_synthetic(spec, h_true)(0), tmp_path / "d.csv")
         (tmp_path / "d.schema").write_text("[schema]\ncoords = x0, x1\ntypes = type0, type1\n")
         cfg = _config(
             tmp_path, repeats=1, algorithms=("m-greedy",), hyperparams=h_true,
@@ -352,7 +405,7 @@ class TestRunExperiment:
         assert nll(seen[0]) <= nll(start) + 1e-9
 
     def test_dataset_file_mode(self, tmp_path):
-        ds = generate_synthetic(GeneratorSpec(n_locations=12, extent=8.0), H2, seed=0)
+        ds = generate_synthetic(GeneratorSpec(n_locations=12, extent=8.0), H2)(0)
         csv_path = tmp_path / "d.csv"
         save_dataset(ds, csv_path)
         schema_path = tmp_path / "d.schema"
@@ -689,7 +742,7 @@ class TestCli:
         ("verify", lambda out: (out / "verify_report.txt").read_text().startswith(
             "instance=seed9 ")),
         ("synth", lambda out: (out / "synthetic.csv").read_bytes() == _saved(
-            generate_synthetic(GeneratorSpec(n_locations=14), H2, 9), out.parent / "expected.csv")),
+            generate_synthetic(GeneratorSpec(n_locations=14), H2)(9), out.parent / "expected.csv")),
     ])
     def test_overrides_reach_every_command(self, tmp_path, monkeypatch, command, check):
         # the config's own seed is 3 and its output directory "config_out"
@@ -697,7 +750,7 @@ class TestCli:
         text = CONFIG_TEXT.format(out="config_out") + "[verify]\ninstances = 2\nbudget = 2\n" \
             "pool_shape = 4, 4\noutput_dir = config_out\n"
         if command == "fit":
-            _saved(generate_synthetic(GeneratorSpec(n_locations=14), H2, 0), Path("d.csv"))
+            _saved(generate_synthetic(GeneratorSpec(n_locations=14), H2)(0), Path("d.csv"))
             Path("d.schema").write_text("[schema]\ncoords = x0\ntypes = type0, type1\n")
             text = text.replace(SYNTHETIC, "[data]\ndataset = d.csv\nschema = d.schema\n")
             text = text.replace("repeats = 2", "repeats = 2\nfit_budget = 5")
