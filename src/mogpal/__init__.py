@@ -17,7 +17,7 @@ from .errors import (
     ModelBuildError,
     MogpalError,
 )
-from .kernels import Hyperparams, TypedLocation, as_tuple, cov_matrix
+from .kernels import Hyperparams, TypedLocation, as_tuple
 from .pitc import (
     GaussianPrediction,
     InducingSet,
@@ -25,7 +25,6 @@ from .pitc import (
     build_model,
     pitc_posterior,
     select_inducing,
-    sparse_cov,
 )
 from .criterion import (
     CriterionCache,

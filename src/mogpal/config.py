@@ -10,7 +10,9 @@ does not parse, raises :class:`ConfigError` naming the file and the
 one naming the file and the section.
 
 Each input rule is stated once, here: ``read_ini`` requires the loader's
-section, ``__post_init__`` each value, ``check_split`` the held-out count
+section, ``_getter`` refuses a key that the loader does not read in a
+section that it reads (``[experiment] name`` is a free-text label),
+``__post_init__`` each value, ``check_split`` the held-out count
 (``data.split_test`` applies it too), ``GeneratorSpec.check_drawable`` what
 ``generate_synthetic`` can draw, ``ExperimentConfig.check_pool`` the pool.
 """
@@ -76,8 +78,12 @@ def _getter(path, parser):
     """``get(section, key, default, kind, required)``: the value that
     ``parser.get<kind>`` reads, or ``default`` when absent; a value that does
     not parse, or a ``required`` one that is absent, is a ConfigError naming
-    the file and the ``section.key``."""
+    the file and the ``section.key``.  ``check(*sections)`` refuses so a key
+    of ``sections`` that ``get`` was never asked for: it would be ignored."""
+    asked = set()
+
     def get(section, key, default=None, kind="", required=False):
+        asked.add((section, key))
         try:
             value = getattr(parser, "get" + kind)(section, key, fallback=default)
         except (ValueError, configparser.Error) as exc:
@@ -85,7 +91,13 @@ def _getter(path, parser):
         if value is None and required:
             raise ConfigError(f"{path}: {section}.{key}: missing")
         return value
-    return get
+
+    def check(*sections):
+        for section in filter(parser.has_section, sections):
+            for key in parser[section]:
+                if (section, key) not in asked and key not in parser.defaults():
+                    raise ConfigError(f"{path}: {section}.{key}: not read, so it would be ignored")
+    return get, check
 
 
 def _built(path, section, make, *args, **kwargs):
@@ -103,7 +115,7 @@ def hyperparams_from_section(path, parser) -> Hyperparams:
     number of ``latent_prec_inv`` entries, is a ConfigError naming the file
     and the ``hyperparams.<key>``, and values that ``Hyperparams`` rejects
     are one naming the file and the section."""
-    get = _getter(path, parser)
+    get, check = _getter(path, parser)
     n_types = get("hyperparams", "types", kind="int", required=True)
     signal = get("hyperparams", "signal_var", kind="floats", required=True)
     noise = get("hyperparams", "noise_var", kind="floats", required=True)
@@ -114,6 +126,7 @@ def hyperparams_from_section(path, parser) -> Hyperparams:
     target = get("hyperparams", "target_types", kind="int")
     smooth = [get("hyperparams", f"smooth_prec_inv.{i}", kind="floats", required=True)
               for i in range(n_types)]
+    check("hyperparams")
     return _built(path, "hyperparams", Hyperparams, signal_var=signal, noise_var=noise,
                   latent_prec_inv=latent, smooth_prec_inv=smooth, target_type=target)
 
@@ -286,7 +299,8 @@ def _check_drawable(path, config):
 
 def load_experiment_config(path) -> ExperimentConfig:
     parser = read_ini(path, "experiment")
-    get = _getter(path, parser)
+    get, check = _getter(path, parser)
+    get("experiment", "name")  # a free-text label
 
     if "hyperparams" in parser:
         h = hyperparams_from_section(path, parser)
@@ -327,14 +341,15 @@ def load_experiment_config(path) -> ExperimentConfig:
         schema_path=get("data", "schema"),
         synthetic=synthetic,
     )
+    check("experiment", "split", "data", "synthetic")
     if synthetic is not None:
         _check_drawable(path, config)
     return config
 
 
 def load_verify_config(path) -> VerifySweepConfig:
-    get = _getter(path, read_ini(path, "verify"))
-    return _built(
+    get, check = _getter(path, read_ini(path, "verify"))
+    config = _built(
         path, "verify", VerifySweepConfig,
         instances=get("verify", "instances", kind="int"),
         budget=get("verify", "budget", kind="int"),
@@ -342,3 +357,5 @@ def load_verify_config(path) -> VerifySweepConfig:
         pool_shape=get("verify", "pool_shape", kind="ints"),
         output_dir=get("verify", "output_dir"),
     )
+    check("verify")
+    return config

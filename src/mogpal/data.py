@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import check_split, read_ini
+from .config import _getter, check_split, read_ini
 from .errors import ConfigError, DomainError
 from .kernels import TypedLocation
 
@@ -48,14 +48,14 @@ class Schema:
 
 
 def load_schema(path) -> Schema:
-    sec = read_ini(path, "schema")["schema"]
-    coords, types = sec.getnames("coords"), sec.getnames("types")
+    parser = read_ini(path, "schema")
+    get, check = _getter(path, parser)
+    coords, types = get("schema", "coords", kind="names"), get("schema", "types", kind="names")
     if not coords or not types:
         raise ConfigError(f"{path}: schema must declare coords and types")
-    transforms = {}
-    for key, value in sec.items():
-        if key.startswith("transform."):
-            transforms[key[len("transform."):]] = value.strip()
+    transforms = {key[len("transform."):]: get("schema", key).strip()
+                  for key in parser["schema"] if key.startswith("transform.")}
+    check("schema")
     return Schema(coord_columns=coords, type_columns=types, transforms=transforms)
 
 

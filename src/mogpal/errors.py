@@ -22,14 +22,7 @@ class ModelBuildError(MogpalError):
 
 
 class FitError(MogpalError):
-    """Hyperparameter optimization evaluated no finite likelihood.
-
-    Carries the best parameters seen so far in ``best_so_far``.
-    """
-
-    def __init__(self, message, best_so_far=None):
-        super().__init__(message)
-        self.best_so_far = best_so_far
+    """Hyperparameter optimization evaluated no finite likelihood."""
 
 
 class EnumerationGuardError(MogpalError):

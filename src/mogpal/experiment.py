@@ -5,15 +5,16 @@ generating data), one inducing selection, one sparse model, and one
 selection run per algorithm up to the last checkpoint, which the config
 held to each algorithm's pool (``ExperimentConfig.check_pool``); prediction
 error is evaluated at every checkpoint on the nested selection prefix.
-A run factors a ``grid`` prior once and every repeat, in whichever thread
-it runs, draws its realization from that shared factor; a ``uniform`` draw
-factors its own prior.
+Every repeat's dataset is drawn before the first selection (in the calling
+thread when ``threads = 1``): a ``grid`` prior is factored once and lives
+only through the draws; a ``uniform`` draw factors its own prior.
 Everything downstream of the config (including all seeds) is deterministic;
 wall-clock timings go to a sidecar file, so the result table is byte-stable.
 """
 
 import concurrent.futures
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,7 +193,7 @@ def _single_output_refit(config, h_model, pool_tuples, pool_values):
                            budget=config.fit_budget).h
 
 
-def _run_repeat(config: ExperimentConfig, dataset, rep_seed, out_dir):
+def _run_repeat(config: ExperimentConfig, out_dir, dataset, rep_seed):
     norm, stats = normalize(dataset)
     t = config.hyperparams.target_type
     split = split_test(norm, t, config.test_count, rep_seed)
@@ -230,11 +231,8 @@ def _run_repeat(config: ExperimentConfig, dataset, rep_seed, out_dir):
         else:
             state = select_smi(model, max_budget, single_output)
 
-        if out_dir is not None:
-            write_selection_log(
-                state, out_dir / f"selection_{algorithm}_{rep_seed}.csv",
-                dim=model.h.dim,
-            )
+        write_selection_log(state, out_dir / f"selection_{algorithm}_{rep_seed}.csv",
+                            dim=model.h.dim)
 
         for budget in config.checkpoints:
             x = state.selected[:budget]
@@ -258,35 +256,27 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads=1) -> ResultT
     Writes ``result_table.csv`` (deterministic), ``timings.csv`` (the ms
     spent selecting each checkpoint's picks) and one selection log per
     (algorithm, repeat) into the output directory.
-    Repeat ``r`` runs on seed ``config.seed + r``: a synthetic run draws its
-    data from one ``generate_synthetic`` sampler made before the repeats (a
-    ``grid`` prior is factored once per run, a ``uniform`` prior once per
-    draw), a ``[data]`` run hands every repeat the dataset it loaded.
-    Repeats may run concurrently, sharing the sampler's read-only factor;
-    the row order of the outputs does not depend on the scheduling.
-    ``threads`` below 1 is a ConfigError.
+    Repeat ``r`` runs on seed ``config.seed + r``.  The draws finish before
+    the first selection: one ``generate_synthetic`` sampler maps over the
+    seeds, so a ``grid`` prior factor lives only through the draws, and a
+    ``[data]`` run hands every repeat the dataset it loaded.  ``threads``
+    above 1 runs the draws, then the repeats, in a thread pool; 1 runs them
+    in the calling thread; below 1 is a ConfigError.  The row order of the
+    outputs does not depend on the scheduling.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    if config.dataset_path is None:
-        draw = generate_synthetic(config.synthetic, config.hyperparams)
-    else:
-        dataset = load_experiment_dataset(config)
-        draw = lambda seed: dataset
+    seeds = range(config.seed, config.seed + config.repeats)
     out_dir = Path(out_dir if out_dir is not None else config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def one(r):
-        rep_seed = config.seed + r
-        return _run_repeat(config, draw(rep_seed), rep_seed, out_dir)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one, range(config.repeats)))
-    else:
-        chunks = [one(r) for r in range(config.repeats)]
-
-    rows = [row for chunk in chunks for row in chunk]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        each = pool.map if threads > 1 else map
+        if config.dataset_path is None:
+            datasets = list(each(generate_synthetic(config.synthetic, config.hyperparams), seeds))
+        else:
+            datasets = [load_experiment_dataset(config)] * config.repeats
+        out_dir.mkdir(parents=True, exist_ok=True)
+        repeat = functools.partial(_run_repeat, config, out_dir)
+        rows = [row for chunk in each(repeat, datasets, seeds) for row in chunk]
     rows.sort(key=lambda r: (r.algorithm, r.seed, r.budget))
     table = ResultTable(rows=rows)
     table.write_csv(out_dir / "result_table.csv")

@@ -97,8 +97,8 @@ def fit_hyperparams(x, y_x, init: Hyperparams, budget=FIT_BUDGET) -> FitResult:
     not converged.  The result is the lowest evaluated negative log
     likelihood, and ``init`` is the first point evaluated, so for every
     caller it never exceeds the one at ``init``.  Raises
-    :class:`FitError` carrying the best parameters if every evaluation
-    was the penalized (non-finite) likelihood.
+    :class:`FitError` if every evaluation was the penalized (non-finite)
+    likelihood.
     """
     import scipy.optimize  # loads on the first fit, see the module docstring
 
@@ -130,7 +130,7 @@ def fit_hyperparams(x, y_x, init: Hyperparams, budget=FIT_BUDGET) -> FitResult:
     except _BudgetSpent:
         converged = False
     final_nll, vec = best
-    h = _unpack(vec, init)
     if not final_nll < -PENALIZED_LML:
-        raise FitError("every evaluation was a degenerate likelihood", best_so_far=h)
-    return FitResult(h=h, final_nll=final_nll, iterations=evals, converged=converged)
+        raise FitError("every evaluation was a degenerate likelihood")
+    return FitResult(h=_unpack(vec, init), final_nll=final_nll, iterations=evals,
+                     converged=converged)

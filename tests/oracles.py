@@ -169,10 +169,6 @@ def conditional_mean_blocked(s, x, y, h, u_locs):
     return c_sx @ np.linalg.solve(blocked_cov(x, x, h, u_locs), y)
 
 
-def conditional_entropy_blocked(s, x, h, u_locs):
-    return entropy(conditional_cov_blocked(s, x, h, u_locs))
-
-
 def latent_entropy_given(x, h, u_locs):
     """H of the inducing measurements given observations at x (dense Schur)."""
     kuu = inducing_cov(u_locs, h)

@@ -12,16 +12,15 @@ from mogpal import (
     as_tuple,
     build_cache,
     build_model,
-    cov_matrix,
     criterion,
     criterion_F,
     linalg,
     pitc,
-    sparse_cov,
 )
 from mogpal.criterion import GainEvaluator
-from mogpal.kernels import LOG_2PI_E, NOISE_FLOOR
+from mogpal.kernels import LOG_2PI_E, NOISE_FLOOR, cov_matrix
 from mogpal.linalg import chol_spd
+from mogpal.pitc import sparse_cov
 from conftest import random_instance
 
 

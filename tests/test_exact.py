@@ -20,9 +20,9 @@ from mogpal import (
     as_tuple,
     build_cache,
     build_model,
-    cov_matrix,
     pitc_posterior,
 )
+from mogpal.kernels import cov_matrix
 from mogpal.criterion import GainEvaluator
 from conftest import random_hyperparams, random_instance
 

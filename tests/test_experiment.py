@@ -3,6 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -314,6 +315,24 @@ class TestRunExperiment:
         assert samplers == [spec]
         assert names.count("synthetic prior") == factors
         assert len({r.seed for r in table.rows}) == 3
+
+    def test_grid_factor_freed_before_the_first_selection(self, tmp_path, monkeypatch):
+        # the sampler holds the grid's prior factor; it goes with the last draw
+        prior, lowers, alive = experiment._prior, [], []
+
+        def prior_spy(coords, h):
+            factor, noise = prior(coords, h)
+            lowers.append(weakref.ref(factor.lower))
+            return factor, noise
+
+        def build_spy(*args):
+            alive.append([ref() is not None for ref in lowers])
+            return build_model(*args)
+
+        monkeypatch.setattr(experiment, "_prior", prior_spy)
+        monkeypatch.setattr(experiment, "build_model", build_spy)
+        run_experiment(_config(tmp_path, repeats=2), threads=1)
+        assert alive == [[False], [False]]
 
     def test_selection_logs_written(self, tmp_path):
         cfg = _config(tmp_path, repeats=1)
@@ -711,6 +730,26 @@ class TestCli:
         ("run", lambda text: text.replace(SYNTHETIC,
                                           "[data]\ndataset = two.csv\nschema = missing.ini\n"),
          "missing.ini: missing [schema] section"),
+        # a key that its loader does not read would be ignored
+        ("run", lambda text: text.replace("inducing_count = 5", "inducing_cuont = 40"),
+         "missing.ini: experiment.inducing_cuont: not read, so it would be ignored"),
+        ("run", lambda text: text.replace("test_count = 5", "test_cuont = 5"),
+         "missing.ini: split.test_cuont: not read"),
+        ("run", lambda text: text.replace("layout = grid", "layuot = uniform"),
+         "missing.ini: synthetic.layuot: not read"),
+        ("verify", lambda text: "[verify]\ninstance = 5\n",
+         "missing.ini: verify.instance: not read"),
+        # an inline [hyperparams] section wins over the file
+        ("run", lambda text: text.replace("[experiment]\n", "[experiment]\n"
+                                          "hyperparams_file = does-not-exist.ini\n"),
+         "missing.ini: experiment.hyperparams_file: not read"),
+        ("run", lambda text: text.replace("smooth_prec_inv.1 = 0.1\n", "smooth_prec_inv.1 = 0.1\n"
+                                          "smooth_prec_inv.2 = 0.1\n"),
+         "missing.ini: hyperparams.smooth_prec_inv.2: not read"),
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = two.csv\n"
+                                          "schema = missing.ini\n[schema]\ncoords = x0\n"
+                                          "types = type0, type1\nunits = mg/kg\n"),
+         "missing.ini: schema.units: not read"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, monkeypatch, capsys, command, edit, named):
         # the [data] cases read 14-location datasets from the working directory

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mogpal import ConfigError, FitError, Hyperparams, as_tuple, cov_matrix, hyperlearn
+from mogpal import ConfigError, FitError, Hyperparams, as_tuple, hyperlearn
 from mogpal.hyperlearn import (
     PENALIZED_LML,
     FitResult,
     fit_hyperparams,
     log_marginal_likelihood,
 )
-from mogpal.kernels import TupleArray
+from mogpal.kernels import TupleArray, cov_matrix
 
 H1 = Hyperparams(
     signal_var=[1.0], noise_var=[0.2],
@@ -170,8 +170,5 @@ class TestFitHyperparams:
         monkeypatch.setattr(
             hyperlearn, "log_marginal_likelihood", lambda h, x, y_x: PENALIZED_LML
         )
-        with pytest.raises(FitError) as exc:
+        with pytest.raises(FitError, match="every evaluation was a degenerate likelihood"):
             fit_hyperparams(pts, y, H1, budget=50)
-        best = exc.value.best_so_far
-        for name in ("signal_var", "noise_var", "latent_prec_inv", "smooth_prec_inv"):
-            np.testing.assert_allclose(getattr(best, name), getattr(H1, name), rtol=1e-14)

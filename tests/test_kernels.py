@@ -12,9 +12,14 @@ from mogpal import (
     DomainError,
     Hyperparams,
     as_tuple,
-    cov_matrix,
 )
-from mogpal.kernels import TupleArray, _pairwise_density, latent_cross_matrix, latent_matrix
+from mogpal.kernels import (
+    TupleArray,
+    _pairwise_density,
+    cov_matrix,
+    latent_cross_matrix,
+    latent_matrix,
+)
 
 H2 = Hyperparams(
     signal_var=[1.0, 0.8],

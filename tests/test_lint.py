@@ -3,8 +3,9 @@
 only tests reach, against dataclass fields that no run reads, against
 function parameters that their body never reads, against pool lookups
 outside ``pitc``, against kernel matrices outside the modules that build
-covariances, against a ``config`` loader restating a default and against
-an INI read that names no section.
+covariances, against a ``config`` loader restating a default, against
+an INI read that names no section and against a test oracle that nothing
+references.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
@@ -24,7 +25,9 @@ checks the loaded modules; this scan names the module that imports).  Each
 INI default is declared once, on its dataclass field, so a ``config`` loader
 reads a key with no literal default and leaves an absent key out.  Every
 loader passes ``read_ini`` the section it reads, so a file without it is
-refused in one place and with one message.
+refused in one place and with one message.  An oracle in ``oracles.py``
+is a reference that tests compare against, so one that no test and no
+other oracle references checks nothing.
 """
 
 import ast
@@ -38,6 +41,7 @@ PACKAGE = sorted((ROOT / "src" / "mogpal").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 # the benchmark calls the package from outside; its self-tests do not count
 CALLERS = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+ORACLES = ROOT / "tests" / "oracles.py"
 
 # Public definitions that no package or benchmark code reaches, kept on
 # purpose.  They count as reached, and so does the code they use.
@@ -479,6 +483,49 @@ def test_section_scanner_flags_only_sectionless_reads():
 
 def test_every_ini_read_names_its_section():
     assert [(p.name, call) for p in PACKAGE for call in sectionless_reads(p.read_text())] == []
+
+
+def unreferenced_oracles(oracles, tests):
+    """Top-level definitions of ``oracles`` (source), in source order, that
+    neither another top-level statement of ``oracles`` nor any of ``tests``
+    (sources) references; a definition's reference to itself does not
+    count."""
+    body = ast.parse(oracles).body
+    refs = _references(ast.parse(source) for source in tests)
+    return [node.name for node in body if isinstance(node, DEFS)
+            and node.name not in refs | _references(n for n in body if n is not node)]
+
+
+def test_oracle_scanner_flags_only_unreferenced_oracles():
+    oracles = (
+        "import numpy as np\n"
+        "TOL = np.finfo(float).eps\n"
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def by_attribute():\n"
+        "    return 2\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "class Dense:\n"
+        "    def solve(self):\n"
+        "        return 3\n"
+        "class Unused:\n"
+        "    pass\n"
+        "def unused():\n"
+        "    return Dense().solve()\n"
+    )
+    tests = [
+        "import oracles\nfrom oracles import used\n",
+        "def test_a():\n    assert used() == oracles.by_attribute() - 1\n",
+    ]
+    assert unreferenced_oracles(oracles, tests) == ["recursive", "Unused", "unused"]
+
+
+def test_every_oracle_is_referenced():
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py")) if p != ORACLES]
+    assert unreferenced_oracles(ORACLES.read_text(), tests) == []
 
 
 # third-party modules, with their submodules, that the package may import at

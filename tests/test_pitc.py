@@ -17,15 +17,13 @@ from mogpal import (
     as_tuple,
     build_cache,
     build_model,
-    cov_matrix,
     kernels,
     pitc_posterior,
     select_inducing,
-    sparse_cov,
 )
-from mogpal.kernels import latent_cross_matrix
+from mogpal.kernels import cov_matrix, latent_cross_matrix
 from mogpal.linalg import spd_info_in_place
-from mogpal.pitc import RESIDUAL_CHUNK, fill_residual
+from mogpal.pitc import RESIDUAL_CHUNK, fill_residual, sparse_cov
 from conftest import random_instance
 
 H1 = Hyperparams(

@@ -25,11 +25,9 @@ EXPORTS = [
     "as_tuple",
     "build_cache",
     "build_model",
-    "cov_matrix",
     "criterion_F",
     "pitc_posterior",
     "select_inducing",
-    "sparse_cov",
 ]
 
 
