@@ -74,11 +74,10 @@ def _cmd_fit(args):
     if config.dataset_path is None:
         raise ConfigError(f"{args.config}: fit needs a [data] section with dataset and schema")
     norm, _ = normalize(load_experiment_dataset(config))
-    tuples, values = [], []
-    for (li, ti), v in sorted(norm.values.items()):
-        tuples.append(norm.tuple_at(li, ti))
-        values.append(v)
-    fit = fit_hyperparams(tuples, np.asarray(values), config.hyperparams, budget=config.fit_budget)
+    measured = ~np.isnan(norm.values)  # row-major, so location-major: the fit depends on the order
+    tuples = [norm.tuple_at(li, ti) for li, ti in np.argwhere(measured)]
+    fit = fit_hyperparams(tuples, norm.values[measured], config.hyperparams,
+                          budget=config.fit_budget)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "fitted_hyperparams.ini"
@@ -114,7 +113,7 @@ def _cmd_synth(args):
     schema_path = out / "synthetic.schema"
     coords = ", ".join(f"x{v}" for v in range(dataset.coords.shape[1]))
     types = ", ".join(dataset.type_names)
-    schema_path.write_text(f"[schema]\ncoords = {coords}\ntypes = {types}\n")
+    schema_path.write_text(f"[schema]\ncoords = {coords}\ntypes = {types}\n", encoding="utf-8")
     print(f"wrote {csv_path} and {schema_path}")
     return 0
 

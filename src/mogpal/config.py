@@ -4,10 +4,13 @@ Hyperparameters serialize to a ``[hyperparams]`` section; experiment
 descriptions add ``[experiment]``, ``[split]`` and either ``[data]`` (CSV +
 schema paths) or ``[synthetic]`` (generator settings).  Fitted results are
 written back in the same hyperparameter format, so a fit output can be fed
-straight into a later run.  A config that cannot be read, or a value that
-does not parse, raises :class:`ConfigError` naming the file and the
-``section.key``; a value that parses but that a constructor rejects raises
-one naming the file and the section.
+straight into a later run.  Every file is read and written as UTF-8, and
+INI keys are case-sensitive, read as written (``Seed`` is not ``seed``, and
+``transform.Cd`` names the column ``Cd``).  A config that cannot be read,
+or is not UTF-8, raises :class:`ConfigError` naming the file; a value that
+does not parse raises one naming the file and the ``section.key``; a value
+that parses but that a constructor rejects raises one naming the file and
+the section.
 
 Each input rule is stated once, here: ``read_ini`` requires the loader's
 section, ``_getter`` refuses a key that the loader does not read in a
@@ -20,6 +23,7 @@ section that it reads (``[experiment] name`` is a free-text label),
 import configparser
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from .errors import ConfigError
 from .hyperlearn import FIT_BUDGET
@@ -49,16 +53,25 @@ def _names(text):
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+def read_utf8(path):
+    """The UTF-8 text of the file at ``path``; an unreadable file, or one
+    that is not UTF-8, is a ConfigError naming it."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_ini(path, section):
     """Parse an INI file that holds ``[section]``, the section its loader
     reads; an unreadable or malformed file, or one without that section, is
     a ConfigError naming the file."""
     parser = configparser.ConfigParser(converters=dict(ints=_ints, floats=_floats, names=_names))
+    parser.optionxform = str  # keys as written: a schema's columns keep their case
     try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+        parser.read_string(read_utf8(path), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if section not in parser:
@@ -100,13 +113,14 @@ def _getter(path, parser):
     return get, check
 
 
-def _built(path, section, make, *args, **kwargs):
+def _built(where, make, *args, **kwargs):
     """``make(*args, **kwargs)``, less the ``kwargs`` a file leaves unset (read as
-    None) so that their defaults apply; a ConfigError becomes ``{path}: {section}: ...``."""
+    None) so that their defaults apply; a ConfigError becomes ``{where}: ...``,
+    ``where`` naming the file and, for an INI file, the section."""
     try:
         return make(*args, **{k: v for k, v in kwargs.items() if v is not None})
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {section}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def hyperparams_from_section(path, parser) -> Hyperparams:
@@ -127,7 +141,7 @@ def hyperparams_from_section(path, parser) -> Hyperparams:
     smooth = [get("hyperparams", f"smooth_prec_inv.{i}", kind="floats", required=True)
               for i in range(n_types)]
     check("hyperparams")
-    return _built(path, "hyperparams", Hyperparams, signal_var=signal, noise_var=noise,
+    return _built(f"{path}: hyperparams", Hyperparams, signal_var=signal, noise_var=noise,
                   latent_prec_inv=latent, smooth_prec_inv=smooth, target_type=target)
 
 
@@ -153,7 +167,7 @@ def save_hyperparams(h: Hyperparams, path, extras=None):
         )
     if extras:
         parser["fit"] = {k: str(v) for k, v in extras.items()}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
@@ -313,19 +327,19 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     target = get("split", "target_types", kind="int")
     if target is not None:
-        h = _built(path, "split.target_types", replace, h, target_type=target)
+        h = _built(f"{path}: split.target_types", replace, h, target_type=target)
 
     synthetic = None
     if "synthetic" in parser:
         synthetic = _built(
-            path, "synthetic", GeneratorSpec,
+            f"{path}: synthetic", GeneratorSpec,
             n_locations=get("synthetic", "n_locations", kind="int", required=True),
             extent=get("synthetic", "extent", kind="float"),
             layout=get("synthetic", "layout"),
         )
 
     config = _built(
-        path, "experiment", ExperimentConfig,
+        f"{path}: experiment", ExperimentConfig,
         seed=get("experiment", "seed", kind="int"),
         repeats=get("experiment", "repeats", kind="int"),
         algorithms=get("experiment", "algorithms", kind="names"),
@@ -350,7 +364,7 @@ def load_experiment_config(path) -> ExperimentConfig:
 def load_verify_config(path) -> VerifySweepConfig:
     get, check = _getter(path, read_ini(path, "verify"))
     config = _built(
-        path, "verify", VerifySweepConfig,
+        f"{path}: verify", VerifySweepConfig,
         instances=get("verify", "instances", kind="int"),
         budget=get("verify", "budget", kind="int"),
         seed=get("verify", "seed", kind="int"),

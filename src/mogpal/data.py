@@ -1,10 +1,11 @@
 """Dataset ingestion, normalization, splitting, and the error metric.
 
-Datasets are CSV files whose header lists the coordinate columns first and
-then one column per measurement type; empty cells mean the type was not
-measured at that location.  A small key=value schema file declares which
-columns are coordinates, which are types, and any per-type transform
-(identity or log10).
+Datasets are UTF-8 CSV files whose header lists the coordinate columns
+first and then one column per measurement type; empty cells mean the type
+was not measured at that location.  A loaded :class:`Dataset` is that table:
+one row per location, one column per type, NaN where a cell is blank.  A
+small key=value schema file declares which columns are coordinates, which
+are types, and any per-type transform (identity or log10).
 
 The rules on a file's own contents live here; the count range of
 ``split_test`` is ``config.check_split``, and whether a dataset fits a run
@@ -12,12 +13,13 @@ is ``experiment.load_experiment_dataset``'s check.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import _getter, check_split, read_ini
+from .config import _built, _getter, check_split, read_ini, read_utf8
 from .errors import ConfigError, DomainError
 from .kernels import TypedLocation
 
@@ -56,35 +58,35 @@ def load_schema(path) -> Schema:
     transforms = {key[len("transform."):]: get("schema", key).strip()
                   for key in parser["schema"] if key.startswith("transform.")}
     check("schema")
-    return Schema(coord_columns=coords, type_columns=types, transforms=transforms)
+    return _built(f"{path}: schema", Schema, coord_columns=coords, type_columns=types,
+                  transforms=transforms)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sparse multi-type spatial measurements.
+    """Sparse multi-type spatial measurements: a read-only table.
 
-    ``values`` maps ``(location_index, type_index)`` to the measured value,
-    already transformed as the schema declares (the transforms are not kept);
-    absent keys are unmeasured pairs.
+    ``values`` has one row per location of ``coords`` and one column per
+    type, each cell the measured value, already transformed as the schema
+    declares (the transforms are not kept); NaN marks an unmeasured pair.
     """
 
     coords: np.ndarray
     type_names: tuple
-    values: dict
+    values: np.ndarray
 
     def __post_init__(self):
         coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        n, m = coords.shape[0], len(self.type_names)
-        counts = [0] * m
-        for (li, ti) in self.values:
-            if not (0 <= li < n and 0 <= ti < m):
-                raise ConfigError(f"measurement index ({li}, {ti}) out of range")
-            counts[ti] += 1
-        for ti, c in enumerate(counts):
-            if c == 0:
-                raise ConfigError(f"type {self.type_names[ti]!r} has no measurements")
+        values = np.asarray(self.values, dtype=float)
+        for name, array in (("coords", coords), ("values", values)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        if values.shape != (coords.shape[0], len(self.type_names)):
+            raise ConfigError(f"values of shape {values.shape} for {coords.shape[0]} "
+                              f"locations of {len(self.type_names)} types")
+        for name, seen in zip(self.type_names, (~np.isnan(values)).any(axis=0)):
+            if not seen:
+                raise ConfigError(f"type {name!r} has no measurements")
 
     @property
     def n_locations(self):
@@ -95,16 +97,14 @@ class Dataset:
         return len(self.type_names)
 
     def tuple_at(self, loc_index, type_index) -> TypedLocation:
-        return TypedLocation(tuple(float(c) for c in self.coords[loc_index]), type_index)
+        return TypedLocation(tuple(float(c) for c in self.coords[loc_index]), int(type_index))
 
     def measured(self, type_index):
-        """Sorted location indices and values measured for one type."""
-        items = sorted(
-            (li, v) for (li, ti), v in self.values.items() if ti == type_index
-        )
-        idx = np.array([li for li, _ in items], dtype=int)
-        vals = np.array([v for _, v in items], dtype=float)
-        return idx, vals
+        """Ascending location indices measured for one type, and their
+        values; none for a type the dataset lacks."""
+        column = self.values[:, type_index] if 0 <= type_index < self.n_types else np.empty(0)
+        idx = np.flatnonzero(~np.isnan(column))
+        return idx, column[idx]
 
 
 def _apply_transform(raw, transform, where):
@@ -133,54 +133,44 @@ def load_dataset(path, schema: Schema) -> Dataset:
     Malformed rows raise with their line number: a cell that is not a finite
     number, or a row that measures a type at coordinates an earlier row
     measured it at (both lines are named).  Missing cells simply leave the
-    (location, type) pair unmeasured.  An unreadable file is a
-    :class:`ConfigError` naming it.
+    (location, type) pair unmeasured.  A file that cannot be read or is not
+    UTF-8, or a type with no measurements, is a :class:`ConfigError` naming
+    the file.
     """
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        header = [c.strip() for c in header]
-        expected = list(schema.coord_columns) + list(schema.type_columns)
-        if header != expected:
-            raise ConfigError(
-                f"{path}: header {header} does not match schema columns {expected}"
-            )
-        d = len(schema.coord_columns)
-        coords, values, first_line = [], {}, {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty file") from None
+    header = [c.strip() for c in header]
+    expected = list(schema.coord_columns) + list(schema.type_columns)
+    if header != expected:
+        raise ConfigError(f"{path}: header {header} does not match schema columns {expected}")
+    d = len(schema.coord_columns)
+    coords, values, first_line = [], [], {}
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        where = f"{path}:{line_no}"
+        if len(row) != len(expected):
+            raise ConfigError(f"{where}: expected {len(expected)} cells, got {len(row)}")
+        loc = tuple(_finite(c, where, "coordinate") for c in row[:d])
+        coords.append(loc)
+        values.append([math.nan] * len(schema.type_columns))
+        for ti, col in enumerate(schema.type_columns):
+            cell = row[d + ti].strip()
+            if not cell:
                 continue
-            where = f"{path}:{line_no}"
-            if len(row) != len(expected):
-                raise ConfigError(f"{where}: expected {len(expected)} cells, got {len(row)}")
-            loc = tuple(_finite(c, where, "coordinate") for c in row[:d])
-            coords.append(loc)
-            for ti, col in enumerate(schema.type_columns):
-                cell = row[d + ti].strip()
-                if not cell:
-                    continue
-                raw = _finite(cell, where, f"column {col!r}")
-                if (loc, ti) in first_line:
-                    raise ConfigError(f"{where}: column {col!r} at {list(loc)} was already "
-                                      f"measured on line {first_line[loc, ti]}")
-                first_line[loc, ti] = line_no
-                values[(len(coords) - 1, ti)] = _apply_transform(
-                    raw, schema.transform_of(col), where
-                )
+            raw = _finite(cell, where, f"column {col!r}")
+            if (loc, ti) in first_line:
+                raise ConfigError(f"{where}: column {col!r} at {list(loc)} was already "
+                                  f"measured on line {first_line[loc, ti]}")
+            first_line[loc, ti] = line_no
+            values[-1][ti] = _apply_transform(raw, schema.transform_of(col), where)
     if not coords:
         raise ConfigError(f"{path}: no data rows")
-    return Dataset(
-        coords=np.asarray(coords, dtype=float),
-        type_names=tuple(schema.type_columns),
-        values=values,
-    )
+    return _built(path, Dataset, coords=coords, type_names=tuple(schema.type_columns),
+                  values=values)
 
 
 def save_dataset(ds: Dataset, path):
@@ -190,15 +180,12 @@ def save_dataset(ds: Dataset, path):
     Values are written as repr floats post-transform; reloading with an
     identity-transform schema reproduces the dataset exactly.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{v}" for v in range(ds.coords.shape[1])] + list(ds.type_names))
-        for li in range(ds.n_locations):
-            row = [repr(float(c)) for c in ds.coords[li]]
-            for ti in range(ds.n_types):
-                v = ds.values.get((li, ti))
-                row.append("" if v is None else repr(float(v)))
-            writer.writerow(row)
+        for loc, row in zip(ds.coords, ds.values):
+            writer.writerow([repr(float(c)) for c in loc]
+                            + ["" if math.isnan(v) else repr(float(v)) for v in row])
 
 
 def normalize(ds: Dataset):
@@ -208,20 +195,14 @@ def normalize(ds: Dataset):
     later de-normalization of predictions.
     """
     stats = []
-    new_values = {}
     for ti in range(ds.n_types):
         _, vals = ds.measured(ti)
-        mean = float(np.mean(vals))
-        std = float(np.std(vals))
+        mean, std = float(np.mean(vals)), float(np.std(vals))
         if std == 0.0:
-            raise DomainError(
-                f"type {ds.type_names[ti]!r} is constant, cannot normalize"
-            )
+            raise DomainError(f"type {ds.type_names[ti]!r} is constant, cannot normalize")
         stats.append((mean, std))
-    for (li, ti), v in ds.values.items():
-        mean, std = stats[ti]
-        new_values[(li, ti)] = (v - mean) / std
-    return replace(ds, values=new_values), stats
+    mean, std = np.array(stats).T
+    return replace(ds, values=(ds.values - mean) / std), stats
 
 
 def denormalize(values, stats_entry):
@@ -246,24 +227,15 @@ def split_test(ds: Dataset, target_type, test_count, seed) -> SplitResult:
     """
     idx, vals = ds.measured(target_type)
     check_split(test_count, idx.size, target_type)
-    rng = np.random.default_rng(seed)
-    pick = sorted(rng.choice(idx.size, size=test_count, replace=False))
-    held = {(int(idx[k]), target_type) for k in pick}
-    test_tuples = [ds.tuple_at(int(idx[k]), target_type) for k in pick]
-    test_values = [vals[k] for k in pick]
-    pool_tuples, pool_values = [], []
-    for ti in range(ds.n_types):
-        idx, vals = ds.measured(ti)
-        for li, v in zip(idx, vals):
-            if (int(li), ti) in held:
-                continue
-            pool_tuples.append(ds.tuple_at(int(li), ti))
-            pool_values.append(v)
+    pick = np.sort(np.random.default_rng(seed).choice(idx.size, size=test_count, replace=False))
+    # the pool is type-major: each type's measured cells by ascending location
+    pool = ~np.isnan(ds.values.T)
+    pool[target_type, idx[pick]] = False
     return SplitResult(
-        pool_tuples=pool_tuples,
-        pool_values=np.asarray(pool_values, dtype=float),
-        test_tuples=test_tuples,
-        test_values=np.asarray(test_values, dtype=float),
+        pool_tuples=[ds.tuple_at(li, ti) for ti, li in zip(*np.nonzero(pool))],
+        pool_values=ds.values.T[pool],
+        test_tuples=[ds.tuple_at(li, target_type) for li in idx[pick]],
+        test_values=vals[pick],
     )
 
 

@@ -98,14 +98,9 @@ def _draw(rng, coords, factor, noise, n_types):
     total = len(noise)
     field = factor.lower @ rng.standard_normal(total)
     measured = field + rng.standard_normal(total) * np.sqrt(noise)
-    n = coords.shape[0]
-    # tuple k is (location k % n, type k // n)
-    values = {(k % n, k // n): float(v) for k, v in enumerate(measured)}
-    return Dataset(
-        coords=coords,
-        type_names=tuple(f"type{i}" for i in range(n_types)),
-        values=values,
-    )
+    # the tuples are type-major: one row per type, transposed to the table
+    return Dataset(coords=coords, type_names=tuple(f"type{i}" for i in range(n_types)),
+                   values=measured.reshape(n_types, -1).T)
 
 
 def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
@@ -153,7 +148,7 @@ class ResultTable:
     def _write(self, path, column, cell):
         """One row per (algorithm, seed, checkpoint): its key, then
         ``cell(row)`` under the header ``column``."""
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["algorithm", "seed", "budget", column])
             for r in self.rows:
@@ -309,5 +304,5 @@ def verify_sweep(config: VerifySweepConfig, out_dir=None):
         lines.append(report.to_line())
     failures = config.instances - passes
     lines.append(f"summary pass={passes} fail={failures}")
-    (out_dir / "verify_report.txt").write_text("\n".join(lines) + "\n")
+    (out_dir / "verify_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return passes, failures

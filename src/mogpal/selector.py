@@ -249,7 +249,7 @@ def write_selection_log(state: SelectionState, path, dim):
     """Serialize a selection run to CSV: one row per iteration with the
     picked tuple (``dim`` coordinates), its gain and the running objective
     value."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["iteration", "type_index"]

@@ -47,6 +47,20 @@ def jura_like(tmp_path):
     return path, schema
 
 
+class TestDataset:
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]], [[1.0]]],
+                             ids=["flat", "extra-type", "missing-location"])
+    def test_wrong_shape_rejected(self, values):
+        with pytest.raises(ConfigError, match="values of shape"):
+            Dataset(coords=[[0.0], [1.0]], type_names=("a",), values=values)
+
+    def test_values_are_read_only(self):
+        ds = Dataset(coords=[[0.0], [1.0]], type_names=("a", "b"),
+                     values=[[1.0, math.nan], [2.0, 3.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            ds.values[0, 1] = 1.0
+
+
 class TestSchema:
     def test_parse(self, tmp_path):
         schema = load_schema(_write(tmp_path, "s.schema", SCHEMA_TEXT))
@@ -72,7 +86,7 @@ class TestLoadDataset:
         path = _write(tmp_path, "d.csv", "x,a\n0.0,1.5\n2.0,2.5\n")
         ds = load_dataset(path, schema)
         assert ds.n_locations == 2
-        assert ds.values == {(0, 0): 1.5, (1, 0): 2.5}
+        assert np.array_equal(ds.values, [[1.5], [2.5]])
 
     def test_unreadable_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="nope.csv: No such file"):
@@ -97,16 +111,26 @@ class TestLoadDataset:
         )
         path = _write(tmp_path, "d.csv", "x,a,b\n0.0,1.5,\n1.0,,2.5\n")
         ds = load_dataset(path, schema)
-        assert (0, 1) not in ds.values
-        assert (1, 0) not in ds.values
-        assert ds.values[(1, 1)] == 2.5
+        assert np.isnan(ds.values[0, 1])
+        assert np.isnan(ds.values[1, 0])
+        assert ds.values[1, 1] == 2.5
 
     def test_shared_coordinates_of_other_types_stay_valid(self, tmp_path):
         schema = load_schema(
             _write(tmp_path, "s.schema", "[schema]\ncoords = x\ntypes = a, b\n")
         )
         path = _write(tmp_path, "d.csv", "x,a,b\n0.0,1.5,\n0.0,,2.5\n")
-        assert load_dataset(path, schema).values == {(0, 0): 1.5, (1, 1): 2.5}
+        assert np.array_equal(load_dataset(path, schema).values,
+                              [[1.5, math.nan], [math.nan, 2.5]], equal_nan=True)
+
+    def test_capitalized_column_takes_its_transform(self, tmp_path):
+        schema = load_schema(_write(tmp_path, "s.schema", "[schema]\ncoords = x\n"
+                                    "types = Cd, Ni\ntransform.Cd = log10\n"))
+        assert schema.transforms == {"Cd": "log10"}
+        path = _write(tmp_path, "d.csv", "x,Cd,Ni\n0.0,1.5,20.0\n1.0,0.25,30.0\n")
+        ds = load_dataset(path, schema)
+        assert np.array_equal(ds.values[:, 0], [math.log10(1.5), math.log10(0.25)])
+        assert np.array_equal(ds.values[:, 1], [20.0, 30.0])
 
     @pytest.mark.parametrize("text, message", [
         ("x,a\n0.0,1.5\noops,2.0\n", ":3: coordinate: 'oops' is not a finite number"),
@@ -152,7 +176,7 @@ class TestLoadDataset:
         plain = Schema(coords, schema.type_columns, {})
         again = load_dataset(out, plain)
         assert np.array_equal(ds.coords, again.coords)
-        assert ds.values == again.values
+        assert np.array_equal(ds.values, again.values, equal_nan=True)
 
 
 class TestNormalize:
@@ -177,7 +201,7 @@ class TestNormalize:
     def test_constant_column_rejected(self):
         ds = Dataset(
             coords=[[0.0], [1.0]], type_names=("a",),
-            values={(0, 0): 2.0, (1, 0): 2.0},
+            values=[[2.0], [2.0]],
         )
         with pytest.raises(DomainError):
             normalize(ds)

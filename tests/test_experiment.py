@@ -154,7 +154,7 @@ class TestGenerateSynthetic:
         spec = GeneratorSpec(n_locations=12, extent=5.0)
         a = generate_synthetic(spec, H2)(7)
         b = generate_synthetic(spec, H2)(7)
-        assert a.values == b.values
+        assert np.array_equal(a.values, b.values)
 
     def test_size_guard(self):
         spec = GeneratorSpec(n_locations=1500, extent=5.0)
@@ -199,7 +199,7 @@ class TestGenerateSynthetic:
             assert ds.coords.shape == (60, dim)
             assert np.array_equal(ds.coords, coords)
             assert np.array_equal(factors[-1].lower, lower)
-            assert ds.values == values
+            assert np.array_equal(ds.values, values)
         # a grid prior is factored once for every seed, a uniform one per draw
         assert len(factors) == (1 if layout == "grid" else len(seeds))
 
@@ -249,7 +249,10 @@ def _reference_draw(spec, h, seed):
     lower = chol_spd(cov - np.diag(noise) + 1e-10 * np.eye(total)).lower
     measured = lower @ rng.standard_normal(total) + rng.standard_normal(total) * np.sqrt(noise)
     n = spec.n_locations
-    return coords, lower, {(k % n, k // n): float(v) for k, v in enumerate(measured)}
+    values = np.empty((n, h.n_types))
+    for k, v in enumerate(measured):
+        values[k % n, k // n] = v
+    return coords, lower, values
 
 
 def _config(tmp_path, **overrides):
@@ -750,6 +753,21 @@ class TestCli:
                                           "schema = missing.ini\n[schema]\ncoords = x0\n"
                                           "types = type0, type1\nunits = mg/kg\n"),
          "missing.ini: schema.units: not read"),
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = two.csv\n"
+                                          "schema = missing.ini\n[schema]\ncoords = x0\n"
+                                          "types = type0, type1\ntransform.type1 = sqrt\n"),
+         "missing.ini: schema: unknown transform 'sqrt' for column 'type1'"),
+        # files are UTF-8; the config is written as Latin-1, so "é" is the byte 0xE9
+        ("run", lambda text: text.replace("name = smoke", "name = café"),
+         "missing.ini: not UTF-8 text (invalid continuation byte at byte 23)"),
+        ("verify", lambda text: text.replace("name = smoke", "name = café"),
+         "missing.ini: not UTF-8 text (invalid continuation byte at byte 23)"),
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = latin.csv\n"
+                                          "schema = two.schema\n"),
+         "latin.csv: not UTF-8 text"),
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = blank.csv\n"
+                                          "schema = two.schema\n"),
+         "blank.csv: type 'type1' has no measurements"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, monkeypatch, capsys, command, edit, named):
         # the [data] cases read 14-location datasets from the working directory
@@ -763,10 +781,14 @@ class TestCli:
             )
             rows = [",".join([f"{k}.0"] * n_coords + [f"{k % 3}.5"] * n_types) for k in range(14)]
             Path(f"{name}.csv").write_text("\n".join([",".join(coords + types), *rows]) + "\n")
+        # for two.schema: a type1 column of blank cells, and a Latin-1 "é"
+        Path("blank.csv").write_text("x0,type0,type1\n"
+                                     + "".join(f"{k}.0,{k % 3}.5,\n" for k in range(14)))
+        Path("latin.csv").write_bytes(b"x0,type0,type1\n0.0,0.5,1.5\xe9\n")
         cfg = tmp_path / "missing.ini"
         out = tmp_path / "out"
         if edit is not None:
-            cfg.write_text(edit(CONFIG_TEXT.format(out=out)))
+            cfg.write_text(edit(CONFIG_TEXT.format(out=out)), encoding="latin-1")
         assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"mogpal {command}: ConfigError: ")

@@ -4,8 +4,8 @@ only tests reach, against dataclass fields that no run reads, against
 function parameters that their body never reads, against pool lookups
 outside ``pitc``, against kernel matrices outside the modules that build
 covariances, against a ``config`` loader restating a default, against
-an INI read that names no section and against a test oracle that nothing
-references.
+an INI read that names no section, against package file I/O in the
+locale's encoding and against a test oracle that nothing references.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
@@ -25,7 +25,9 @@ checks the loaded modules; this scan names the module that imports).  Each
 INI default is declared once, on its dataclass field, so a ``config`` loader
 reads a key with no literal default and leaves an absent key out.  Every
 loader passes ``read_ini`` the section it reads, so a file without it is
-refused in one place and with one message.  An oracle in ``oracles.py``
+refused in one place and with one message.  The package reads and writes
+files as UTF-8 whatever the locale, so every ``open``, ``read_text`` and
+``write_text`` call in it names its ``encoding``.  An oracle in ``oracles.py``
 is a reference that tests compare against, so one that no test and no
 other oracle references checks nothing.
 """
@@ -461,13 +463,21 @@ def test_config_loaders_restate_no_default():
     assert literal_defaults((ROOT / "src" / "mogpal" / "config.py").read_text()) == []
 
 
+def _calls_without(source, names, keyword, positional=None):
+    """Calls in ``source`` of a function or method named in ``names`` that
+    pass no ``keyword``, nor (when ``positional`` is given) that many
+    positional arguments, unparsed in source order."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+             and all(k.arg != keyword for k in node.keywords)
+             and (positional is None or len(node.args) < positional)]
+    return [ast.unparse(c) for c in sorted(calls, key=lambda c: (c.lineno, c.col_offset))]
+
+
 def sectionless_reads(source):
     """Calls of ``read_ini`` in ``source``, unparsed in source order, that
     pass no section."""
-    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "read_ini"
-             and len(node.args) < 2 and all(k.arg != "section" for k in node.keywords)]
-    return [ast.unparse(c) for c in sorted(calls, key=lambda c: (c.lineno, c.col_offset))]
+    return _calls_without(source, ("read_ini",), "section", positional=2)
 
 
 def test_section_scanner_flags_only_sectionless_reads():
@@ -483,6 +493,35 @@ def test_section_scanner_flags_only_sectionless_reads():
 
 def test_every_ini_read_names_its_section():
     assert [(p.name, call) for p in PACKAGE for call in sectionless_reads(p.read_text())] == []
+
+
+TEXT_IO = ("open", "read_text", "write_text")
+
+
+def unencoded_text_io(source):
+    """Calls of ``open``, ``read_text`` or ``write_text`` in ``source``,
+    unparsed in source order, that pass no ``encoding``."""
+    return _calls_without(source, TEXT_IO, "encoding")
+
+
+def test_encoding_scanner_flags_only_unencoded_text_io():
+    source = (
+        "with open(path, 'w', newline='') as fh:\n"
+        "    fh.write(Path(p).read_text())\n"
+        "out.write_text(text, encoding='utf-8')\n"
+        "with open(path, encoding='utf-8') as fh:\n"
+        "    data = Path(p).read_bytes().decode('utf-8')\n"
+        "(out / 'report.txt').write_text(text)\n"
+        "reopen(path)\n"
+    )
+    assert unencoded_text_io(source) == [
+        "open(path, 'w', newline='')", "Path(p).read_text()",
+        "(out / 'report.txt').write_text(text)",
+    ]
+
+
+def test_package_text_io_names_its_encoding():
+    assert [(p.name, call) for p in PACKAGE for call in unencoded_text_io(p.read_text())] == []
 
 
 def unreferenced_oracles(oracles, tests):
