@@ -4,13 +4,15 @@ Hyperparameters serialize to a ``[hyperparams]`` section; experiment
 descriptions add ``[experiment]``, ``[split]`` and either ``[data]`` (CSV +
 schema paths) or ``[synthetic]`` (generator settings).  Fitted results are
 written back in the same hyperparameter format, so a fit output can be fed
-straight into a later run.  Every file is read and written as UTF-8, and
-INI keys are case-sensitive, read as written (``Seed`` is not ``seed``, and
-``transform.Cd`` names the column ``Cd``).  A config that cannot be read,
-or is not UTF-8, raises :class:`ConfigError` naming the file; a value that
-does not parse raises one naming the file and the ``section.key``; a value
-that parses but that a constructor rejects raises one naming the file and
-the section.
+straight into a later run.  Every file is read and written as UTF-8 (a
+leading byte order mark is skipped).  INI keys are case-sensitive, read as
+written (``Seed`` is not ``seed``, and ``transform.Cd`` names the column
+``Cd``), and values are literal: ``%`` interpolates nothing.  There is no
+``[DEFAULT]`` section: every key lives in its own.  A config that cannot
+be read, or is not UTF-8, raises :class:`ConfigError` naming the file; a
+value that does not parse raises one naming the file and the
+``section.key``; a value that parses but that a constructor rejects raises
+one naming the file and the section.
 
 Each input rule is stated once, here: ``read_ini`` requires the loader's
 section, ``_getter`` refuses a key that the loader does not read in a
@@ -18,6 +20,8 @@ section that it reads (``[experiment] name`` is a free-text label),
 ``__post_init__`` each value, ``check_split`` the held-out count
 (``data.split_test`` applies it too), ``GeneratorSpec.check_drawable`` what
 ``generate_synthetic`` can draw, ``ExperimentConfig.check_pool`` the pool.
+A budget within its pool is the selectors' own rule,
+``selector.check_budget``, which ``check_pool`` and the verify sweep call.
 """
 
 import configparser
@@ -28,6 +32,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .hyperlearn import FIT_BUDGET
 from .kernels import Hyperparams
+from .selector import check_budget
 from .verify import ENUMERATION_GUARD, INSTANCE_INDUCING
 
 __all__ = [
@@ -54,10 +59,11 @@ def _names(text):
 
 
 def read_utf8(path):
-    """The UTF-8 text of the file at ``path``; an unreadable file, or one
-    that is not UTF-8, is a ConfigError naming it."""
+    """The UTF-8 text of the file at ``path``, less a leading byte order
+    mark; an unreadable file, or one that is not UTF-8, is a ConfigError
+    naming it."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -66,16 +72,19 @@ def read_utf8(path):
 
 def read_ini(path, section):
     """Parse an INI file that holds ``[section]``, the section its loader
-    reads; an unreadable or malformed file, or one without that section, is
-    a ConfigError naming the file."""
-    parser = configparser.ConfigParser(converters=dict(ints=_ints, floats=_floats, names=_names))
+    reads; an unreadable or malformed file, one without that section or one
+    with ``[DEFAULT]`` keys is a one-line ConfigError naming the file."""
+    parser = configparser.ConfigParser(interpolation=None,
+                                       converters=dict(ints=_ints, floats=_floats, names=_names))
     parser.optionxform = str  # keys as written: a schema's columns keep their case
     try:
         parser.read_string(read_utf8(path), source=str(path))
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
     if section not in parser:
         raise ConfigError(f"{path}: missing [{section}] section")
+    if parser.defaults():
+        raise ConfigError(f"{path}: [DEFAULT] is not read; put each key in its own section")
     return parser
 
 
@@ -99,7 +108,7 @@ def _getter(path, parser):
         asked.add((section, key))
         try:
             value = getattr(parser, "get" + kind)(section, key, fallback=default)
-        except (ValueError, configparser.Error) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: {section}.{key}: {exc}") from None
         if value is None and required:
             raise ConfigError(f"{path}: {section}.{key}: missing")
@@ -108,7 +117,7 @@ def _getter(path, parser):
     def check(*sections):
         for section in filter(parser.has_section, sections):
             for key in parser[section]:
-                if (section, key) not in asked and key not in parser.defaults():
+                if (section, key) not in asked:
                     raise ConfigError(f"{path}: {section}.{key}: not read, so it would be ignored")
     return get, check
 
@@ -116,7 +125,7 @@ def _getter(path, parser):
 def _built(where, make, *args, **kwargs):
     """``make(*args, **kwargs)``, less the ``kwargs`` a file leaves unset (read as
     None) so that their defaults apply; a ConfigError becomes ``{where}: ...``,
-    ``where`` naming the file and, for an INI file, the section."""
+    ``where`` naming the file and, for an INI file, the section or key."""
     try:
         return make(*args, **{k: v for k, v in kwargs.items() if v is not None})
     except ConfigError as exc:
@@ -255,13 +264,10 @@ class ExperimentConfig:
         target type for the single-output baselines), or more inducing
         points than the pool's ``locations`` distinct locations.  Every
         algorithm picks up to the last checkpoint."""
-        budget = self.checkpoints[-1]
         for algorithm in self.algorithms:
             size, what = ((target_pool, f"{algorithm} target candidate pool")
                           if algorithm in SINGLE_OUTPUT else (pool, "candidate pool"))
-            if budget > size:
-                raise ConfigError(f"experiment.checkpoints: budget {budget} exceeds "
-                                  f"the {what} size {size}")
+            _built("experiment.checkpoints", check_budget, self.checkpoints[-1], size, what)
         if self.inducing_count > locations:
             raise ConfigError(f"experiment.inducing_count: {self.inducing_count} "
                               f"inducing locations from {locations} distinct locations")
@@ -289,8 +295,7 @@ class VerifySweepConfig:
         if pool < INSTANCE_INDUCING:
             raise ConfigError(f"pool_shape {self.pool_shape!r} holds {pool} candidates, "
                               f"fewer than the {INSTANCE_INDUCING} inducing points of an instance")
-        if self.budget > pool:
-            raise ConfigError(f"budget {self.budget} exceeds the candidate pool size {pool}")
+        check_budget(self.budget, pool)
         if math.comb(pool, self.budget) > ENUMERATION_GUARD:
             raise ConfigError(f"C({pool}, {self.budget}) = {math.comb(pool, self.budget)} "
                               f"subsets exceeds the {ENUMERATION_GUARD} enumeration guard")

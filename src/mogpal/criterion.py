@@ -100,8 +100,9 @@ def criterion_F(model: PitcModel, cache: CriterionCache, x):
     the target pool.
     """
     blocks, ma = _selection_factors(model, model.positions(x))
-    n_t, ld_t = blocks.target_logdet(model.h.target_type)
-    h_target = 0.5 * (n_t * LOG_2PI_E + ld_t)
+    t = model.h.target_type
+    h_target = (0.5 * (len(blocks.rows[t]) * LOG_2PI_E + blocks.factor[t].logdet)
+                if t in blocks.factor else 0.0)
     return h_target - 0.5 * (ma.logdet - blocks.selection.logdet) + cache.f_constant
 
 

@@ -39,6 +39,10 @@ class Schema:
     transforms: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        names = (*self.coord_columns, *self.type_columns)
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ConfigError(f"column {name!r} is named twice")
         for col, tf in self.transforms.items():
             if col not in self.type_columns:
                 raise ConfigError(f"transform declared for unknown column {col!r}")
@@ -130,7 +134,8 @@ def _finite(cell, where, what):
 def load_dataset(path, schema: Schema) -> Dataset:
     """Parse and validate a CSV dataset, applying declared transforms.
 
-    Malformed rows raise with their line number: a cell that is not a finite
+    Malformed rows raise with their line number: a row the CSV reader
+    refuses (a cell over its field size limit), a cell that is not a finite
     number, or a row that measures a type at coordinates an earlier row
     measured it at (both lines are named).  Missing cells simply leave the
     (location, type) pair unmeasured.  A file that cannot be read or is not
@@ -139,16 +144,18 @@ def load_dataset(path, schema: Schema) -> Dataset:
     """
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError(f"{path}: empty file") from None
-    header = [c.strip() for c in header]
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise ConfigError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
     expected = list(schema.coord_columns) + list(schema.type_columns)
     if header != expected:
         raise ConfigError(f"{path}: header {header} does not match schema columns {expected}")
     d = len(schema.coord_columns)
     coords, values, first_line = [], [], {}
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         where = f"{path}:{line_no}"

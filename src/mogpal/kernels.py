@@ -92,6 +92,8 @@ class Hyperparams:
         object.__setattr__(self, "latent_prec_inv", lp)
         object.__setattr__(self, "target_type", int(self.target_type))
         m, d = sv.shape[0], lp.shape[0]
+        if d < 1:
+            raise ConfigError("the latent precision diagonal needs at least one dimension")
         if nv.shape != (m,) or sp.shape != (m, d):
             raise ConfigError(
                 f"inconsistent hyperparameter shapes: signal {sv.shape}, "

@@ -331,13 +331,6 @@ class BlockFactors:
                 total += block
         return total
 
-    def target_logdet(self, t):
-        """Tuple count and residual log-determinant of the type-``t`` block
-        (0 and 0.0 when the set has none of type t)."""
-        if t not in self.factor:
-            return 0, 0.0
-        return len(self.rows[t]), self.factor[t].logdet
-
     def inv_apply(self, b):
         """Apply the inverse of the set's covariance to the columns of ``b``
         (Woodbury, through ``selection``); the rows index ``b``."""

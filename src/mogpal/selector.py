@@ -3,20 +3,21 @@
 ``select_greedy`` maximizes the augmented objective one tuple at a time over
 all types; the baselines pick by plain posterior entropy over all types
 (``select_mvar``) or restrict themselves to the pool of the one target type
-under a single-output model (``select_svar``, ``select_smi``).  Every
-algorithm scores the model's whole pool (the single-output baselines give
--inf outside the target pool) and picks by pool position, so exact ties in
-the computed scores break lexicographically on ``(type_index,
+under a single-output model (``select_svar``, ``select_smi``).  All four
+run the paper's greedy loop, ``_greedy_loop``: condition on the previous
+pick, score the model's whole pool (the single-output baselines give -inf
+outside the target pool) and take the first best pool position, so exact
+ties in the computed scores break lexicographically on ``(type_index,
 coordinates)`` and a fixed configuration reproduces the same sequence
-everywhere.  Greedy, m-Var and
-s-Var score mathematically tied candidates bit-equal wherever a
-from-scratch rebuild does.  s-MI reads its leave-one-out variances off an
-inverse downdated in pick order, which can tie two mirror candidates that a
-refactorization splits by an ulp, or split them, so rounding decides
-between them.  The single-output baselines keep the one-type prior over the
-target pool, and s-MI its inverse, as their only |V_t|^2 arrays; an s-MI pick
-downdates just the inverse entries it reads, O(|X| |V_t|) after |X| picks,
-beside the from-scratch variance recompute both share, O(|X|^2 |V_t|).
+everywhere.  Greedy, m-Var and s-Var score mathematically tied candidates
+bit-equal wherever a from-scratch rebuild does.  s-MI reads its
+leave-one-out variances off an inverse downdated in pick order, which can
+tie two mirror candidates that a refactorization splits by an ulp, or split
+them, so rounding decides between them.  The single-output baselines keep
+the one-type prior over the target pool, and s-MI its inverse, as their only
+|V_t|^2 arrays; an s-MI pick downdates just the inverse entries it reads,
+O(|X| |V_t|) after |X| picks, beside the from-scratch variance recompute
+both share, O(|X|^2 |V_t|).
 """
 
 import csv
@@ -60,28 +61,29 @@ class SelectionState:
         self.iteration_seconds.append(seconds)
 
 
-def _check_budget(n, available, what="candidate pool"):
+def check_budget(n, available, what="candidate pool"):
+    """Refuse a budget of ``n`` picks from ``available`` candidates."""
     if n > available:
         raise ConfigError(f"budget {n} exceeds the {what} size {available}")
     if n < 0:
         raise ConfigError("budget must be nonnegative")
 
 
-def _greedy_loop(model, n, score_iteration):
-    """Pick ``n`` of the model's candidates one at a time.
-
-    ``score_iteration(last)`` is handed the pool position of the previous
-    pick (``None`` at the first) and returns the pool's scores to maximize
-    and gains to record, usually the same array; selected candidates score
-    ``-inf``.
-    """
+def _greedy_loop(model, n, scores, add):
+    """Pick ``n`` of the model's candidates: each iteration hands ``add``
+    the pool position of the previous pick (none at the first), then picks
+    the argmax of the scores that ``scores()`` returns with the gains to
+    record, usually the same array; selected candidates score ``-inf``.  An
+    iteration's time covers the ``add``, the scoring and the pick."""
     state = SelectionState()
     best = None
     for _ in range(n):
         started = time.perf_counter()
-        scores, gains = score_iteration(best)
-        best = int(np.argmax(scores))
-        if scores[best] == -np.inf:
+        if best is not None:
+            add(best)
+        pick_scores, gains = scores()
+        best = int(np.argmax(pick_scores))
+        if pick_scores[best] == -np.inf:
             raise ConfigError("no selectable candidate left")
         state.record(model.candidates.tuples[best], float(gains[best]),
                      time.perf_counter() - started)
@@ -98,42 +100,36 @@ def select_greedy(model: PitcModel, cache: CriterionCache, n: int) -> SelectionS
     recorded gain is still the objective gain, exactly zero there.  Each pick costs
     O(N (m + |X|)) for N candidates, m inducing points and |X| picks so far
     (one covariance row and a rank-one variance downdate, see
-    :class:`GainEvaluator`); gains within ``TIE_ATOL`` of the best are
-    rescored from a factorization of the selection, so ties break
-    lexicographically exactly as a per-pick rebuild breaks them.
+    :class:`GainEvaluator`, which rescores near-ties from a factorization).
     """
-    _check_budget(n, len(model.candidates))
+    check_budget(n, len(model.candidates))
     evaluator = GainEvaluator(model, cache).set_state([])
 
-    def score(last):
-        if last is not None:
-            evaluator.add(last)
+    def scores():
         gains = evaluator.gains()
         finite = gains[np.isfinite(gains)]
         if finite.size and finite.max() <= 1e-9:
             return evaluator.entropies_given_selected(), gains
         return gains, gains
 
-    return _greedy_loop(model, n, score)
+    return _greedy_loop(model, n, scores, evaluator.add)
 
 
 def select_mvar(model: PitcModel, cache: CriterionCache, n: int) -> SelectionState:
     """Greedy maximum posterior entropy over all types.
 
     For a single Gaussian marginal the entropy and variance argmax agree,
-    so this covers both readings of the baseline.  Per-pick cost and tie
-    rule as in :func:`select_greedy`.
+    so this covers both readings of the baseline.  Per-pick cost as in
+    :func:`select_greedy`.
     """
-    _check_budget(n, len(model.candidates))
+    check_budget(n, len(model.candidates))
     evaluator = GainEvaluator(model, cache).set_state([])
 
-    def score(last):
-        if last is not None:
-            evaluator.add(last)
+    def scores():
         entropies = evaluator.entropies_given_selected()
         return entropies, entropies
 
-    return _greedy_loop(model, n, score)
+    return _greedy_loop(model, n, scores, evaluator.add)
 
 
 def _select_single_output(model, n, mutual_information, single_output_hypers=None):
@@ -160,7 +156,7 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
     """
     t = model.h.target_type
     s = model.type_slices[t]
-    _check_budget(n, s.stop - s.start, what="target candidate pool")
+    check_budget(n, s.stop - s.start, what="target candidate pool")
     h_t = single_output_hypers or model.h.single_output(t)
     if h_t.n_types != 1:
         raise ConfigError("single-output pools need one-type hyperparameters")
@@ -176,21 +172,22 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
         cols, rows = np.empty((2, n, len(ta)))
         pivots = np.empty(n)
 
-    def score(last):
-        if last is not None:
-            k = last - s.start
-            picked[k] = True
-            if mutual_information:
-                i = np.count_nonzero(picked) - 1
-                col, row = cols[i], rows[i]
-                col[:], row[:] = inverse[:, k], inverse[k, :]
-                for c, r, piv in zip(cols[:i], rows[:i], pivots):
-                    col -= c * r[k] / piv
-                    row -= c[k] * r / piv
-                # col[k] is the diagonal entry that passed the checked log as
-                # a leave-one-out variance
-                pivots[i] = col[k]
-                np.subtract(diagonal, col * row / col[k], out=diagonal)
+    def add(j):
+        k = j - s.start
+        picked[k] = True
+        if mutual_information:
+            i = np.count_nonzero(picked) - 1
+            col, row = cols[i], rows[i]
+            col[:], row[:] = inverse[:, k], inverse[k, :]
+            for c, r, piv in zip(cols[:i], rows[:i], pivots):
+                col -= c * r[k] / piv
+                row -= c[k] * r / piv
+            # col[k] is the diagonal entry that passed the checked log as a
+            # leave-one-out variance
+            pivots[i] = col[k]
+            np.subtract(diagonal, col * row / col[k], out=diagonal)
+
+    def scores():
         sel, free = np.flatnonzero(picked), np.flatnonzero(~picked)
         var = np.diag(prior)
         if sel.size:
@@ -198,18 +195,18 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
             cross = prior[:, sel]
             var = var - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
         log_var = _checked_log(var[free], f"posterior variance in pool {t}")
-        scores = np.full(len(model.candidates), -np.inf)
+        out = np.full(len(model.candidates), -np.inf)
         if mutual_information:
             # a zero inverse diagonal gives inf, which the checked log rejects
             with np.errstate(divide="ignore"):
                 loo_var = 1.0 / diagonal[free]
             log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
-            scores[s.start + free] = 0.5 * log_var
+            out[s.start + free] = 0.5 * log_var
         else:
-            scores[s.start + free] = 0.5 * (LOG_2PI_E + log_var)
-        return scores, scores
+            out[s.start + free] = 0.5 * (LOG_2PI_E + log_var)
+        return out, out
 
-    return _greedy_loop(model, n, score)
+    return _greedy_loop(model, n, scores, add)
 
 
 def select_svar(model: PitcModel, n: int, single_output_hypers=None) -> SelectionState:
@@ -220,8 +217,7 @@ def select_svar(model: PitcModel, n: int, single_output_hypers=None) -> Selectio
     or pass one-type ``single_output_hypers`` for refit mode.  A budget
     beyond the target pool is a ConfigError, which a run's config raises at
     load (``ExperimentConfig.check_pool``).  Each pick recomputes the variance
-    given the selected set from scratch, O(|sel|^2 |V_t|), so exact ties
-    break lexicographically as a rebuild's do.  Raises
+    given the selected set from scratch, O(|sel|^2 |V_t|).  Raises
     :class:`IllConditionedError` when a candidate's variance is not finite and positive.
     """
     return _select_single_output(model, n, False, single_output_hypers)

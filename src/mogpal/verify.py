@@ -24,7 +24,7 @@ from .criterion import TIE_ATOL, CriterionCache, GainEvaluator, build_cache, cri
 from .errors import EnumerationGuardError, IllConditionedError
 from .kernels import Hyperparams, as_tuple
 from .pitc import PitcModel, build_model, select_inducing
-from .selector import _check_budget, select_greedy
+from .selector import check_budget, select_greedy
 
 __all__ = [
     "GuaranteeReport", "brute_force_optimum", "estimate_epsilon1",
@@ -89,7 +89,7 @@ def brute_force_optimum(model: PitcModel, cache: CriterionCache, n: int):
     whenever the telescoped values are within ``TIE_ATOL / 2`` of it.
     """
     cands = model.candidates.tuples
-    _check_budget(n, len(cands))
+    check_budget(n, len(cands))
     total = math.comb(len(cands), n)
     if total > ENUMERATION_GUARD:
         raise EnumerationGuardError(

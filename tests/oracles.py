@@ -16,7 +16,7 @@ from mogpal.errors import ConfigError, DomainError, EnumerationGuardError, IllCo
 from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation
 from mogpal.linalg import chol_spd
 from mogpal.pitc import PitcModel
-from mogpal.selector import _check_budget, _greedy_loop
+from mogpal.selector import _greedy_loop, check_budget
 from mogpal.verify import ENUMERATION_GUARD
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
@@ -258,15 +258,9 @@ def greedy_gain(model, cache, x, candidate):
 
 def _rebuilt_loop(model, n, score):
     """``selector._greedy_loop`` with ``score`` handed the pool positions of
-    every pick so far, not just the last, so that it can start afresh."""
+    every pick so far, so that it can start afresh."""
     picks = []
-
-    def score_last(last):
-        if last is not None:
-            picks.append(last)
-        return score(picks)
-
-    return _greedy_loop(model, n, score_last)
+    return _greedy_loop(model, n, lambda: score(picks), picks.append)
 
 
 class _ScratchPools:
@@ -322,7 +316,7 @@ def select_single_output_scratch(model, n, kind, single_output_hypers=None):
     block to read the leave-one-out variances off its inverse diagonal.
     """
     pools = _ScratchPools(model, single_output_hypers)
-    _check_budget(n, len(pools.flat), what="target candidate pool")
+    check_budget(n, len(pools.flat), what="target candidate pool")
 
     def score(picks):
         selected = {model.candidates.tuples[j] for j in picks}
@@ -366,7 +360,7 @@ def select_smi_dense(model, n, single_output_hypers=None):
     """
     t = model.h.target_type
     s = model.type_slices[t]
-    _check_budget(n, s.stop - s.start, what="target candidate pool")
+    check_budget(n, s.stop - s.start, what="target candidate pool")
     h_t = single_output_hypers or model.h.single_output(t)
     if h_t.n_types != 1:
         raise ConfigError("single-output pools need one-type hyperparameters")
@@ -378,14 +372,15 @@ def select_smi_dense(model, n, single_output_hypers=None):
     inverse = chol_spd(prior, "single-output pool prior").solve(np.eye(len(ta)))
     downdate = np.empty_like(inverse)
 
-    def score(last):
-        if last is not None:
-            k = last - s.start
-            picked[k] = True
-            # the pivot passed the checked log as a leave-one-out variance
-            np.outer(inverse[:, k], inverse[k, :], out=downdate)
-            np.divide(downdate, inverse[k, k], out=downdate)
-            np.subtract(inverse, downdate, out=inverse)
+    def add(j):
+        k = j - s.start
+        picked[k] = True
+        # the pivot passed the checked log as a leave-one-out variance
+        np.outer(inverse[:, k], inverse[k, :], out=downdate)
+        np.divide(downdate, inverse[k, k], out=downdate)
+        np.subtract(inverse, downdate, out=inverse)
+
+    def scores():
         sel, free = np.flatnonzero(picked), np.flatnonzero(~picked)
         var = np.diag(prior)
         if sel.size:
@@ -393,15 +388,15 @@ def select_smi_dense(model, n, single_output_hypers=None):
             cross = prior[:, sel]
             var = var - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
         log_var = _checked_log(var[free], f"posterior variance in pool {t}")
-        scores = np.full(len(model.candidates), -np.inf)
+        out = np.full(len(model.candidates), -np.inf)
         # a zero inverse diagonal gives inf, which the checked log rejects
         with np.errstate(divide="ignore"):
             loo_var = 1.0 / inverse[free, free]
         log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
-        scores[s.start + free] = 0.5 * log_var
-        return scores, scores
+        out[s.start + free] = 0.5 * log_var
+        return out, out
 
-    return _greedy_loop(model, n, score)
+    return _greedy_loop(model, n, scores, add)
 
 class ScratchGainEvaluator:
     """Gain evaluation rebuilt from scratch for every selection.
@@ -488,7 +483,7 @@ class ScratchGainEvaluator:
 
 def select_greedy_scratch(model, cache, n):
     """``select_greedy`` with the gain state rebuilt at every pick."""
-    _check_budget(n, len(model.candidates))
+    check_budget(n, len(model.candidates))
     evaluator = ScratchGainEvaluator(model)
 
     def score(picks):
@@ -504,7 +499,7 @@ def select_greedy_scratch(model, cache, n):
 
 def select_mvar_scratch(model, cache, n):
     """``select_mvar`` with the gain state rebuilt at every pick."""
-    _check_budget(n, len(model.candidates))
+    check_budget(n, len(model.candidates))
     evaluator = ScratchGainEvaluator(model)
 
     def score(picks):

@@ -77,6 +77,12 @@ class TestSchema:
         with pytest.raises(ConfigError):
             Schema(("x",), ("a",), {"b": "log10"})
 
+    @pytest.mark.parametrize("coords, types", [(("x",), ("a", "a")), (("x",), ("x", "a")),
+                                               (("x", "x"), ("a",))])
+    def test_rejects_a_column_named_twice(self, coords, types):
+        with pytest.raises(ConfigError, match="is named twice"):
+            Schema(coords, types)
+
 
 class TestLoadDataset:
     def test_two_rows_single_type(self, tmp_path):

@@ -768,6 +768,31 @@ class TestCli:
         ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = blank.csv\n"
                                           "schema = two.schema\n"),
          "blank.csv: type 'type1' has no measurements"),
+        # configparser's own errors, on one line
+        ("run", lambda text: text.replace("repeats = 2\n", "repeats = 2\nfit\n"),
+         "missing.ini: Source contains parsing errors:"),
+        ("run", lambda text: "seed = 3\n" + text,
+         "missing.ini: File contains no section headers."),
+        # every key lives in its own section: [DEFAULT] keys are refused, a
+        # typo and a key that a section would read alike
+        ("run", lambda text: "[DEFAULT]\nsede = 3\n" + text,
+         "missing.ini: [DEFAULT] is not read"),
+        ("verify", lambda text: "[DEFAULT]\nseed = 3\n[verify]\ninstances = 1\nbudget = 1\n"
+         "pool_shape = 2, 2\n", "missing.ini: [DEFAULT] is not read"),
+        # no coordinate dimensions: uniform would draw, grid would advise uniform
+        ("run", lambda text: text.replace("dim = 1\n", "")
+         .replace("latent_prec_inv = 2.0", "latent_prec_inv =")
+         .replace(".0 = 0.1\n", ".0 =\n").replace(".1 = 0.1\n", ".1 =\n")
+         .replace("layout = grid", "layout = uniform"),
+         "missing.ini: hyperparams: the latent precision diagonal needs at least one dimension"),
+        # dup.csv's header names type0 twice, as its schema does
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = dup.csv\n"
+                                          "schema = missing.ini\n[schema]\ncoords = x0\n"
+                                          "types = type0, type0\n"),
+         "missing.ini: schema: column 'type0' is named twice"),
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = long.csv\n"
+                                          "schema = two.schema\n"),
+         "long.csv:3: field larger than field limit (131072)"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, monkeypatch, capsys, command, edit, named):
         # the [data] cases read 14-location datasets from the working directory
@@ -785,6 +810,9 @@ class TestCli:
         Path("blank.csv").write_text("x0,type0,type1\n"
                                      + "".join(f"{k}.0,{k % 3}.5,\n" for k in range(14)))
         Path("latin.csv").write_bytes(b"x0,type0,type1\n0.0,0.5,1.5\xe9\n")
+        Path("dup.csv").write_text(Path("two.csv").read_text().replace("type1", "type0", 1))
+        # a cell one character over the csv module's default field size limit
+        Path("long.csv").write_text(f"x0,type0,type1\n0.0,0.5,1.5\n1.0,0.5,{'1' * 131073}\n")
         cfg = tmp_path / "missing.ini"
         out = tmp_path / "out"
         if edit is not None:
@@ -795,6 +823,35 @@ class TestCli:
         assert err.count("\n") == 1 and named in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["percent-label", "percent-path", "bom-ini", "bom-csv"])
+    def test_literal_values_and_byte_order_marks_load(self, tmp_path, monkeypatch, case):
+        # INI values are literal, so '%' interpolates nothing, and a UTF-8
+        # byte order mark before an INI section or a CSV header is skipped:
+        # each run writes the result table of the plain config
+        monkeypatch.chdir(tmp_path)
+        Path("d.schema").write_text("[schema]\ncoords = x0\ntypes = type0, type1\n")
+        rows = "".join(f"{k}.0,{k % 3}.5,{k % 4}.5\n" for k in range(14))
+        Path("d.csv").write_text(f"x0,type0,type1\n{rows}", encoding="utf-8")
+        plain = CONFIG_TEXT.format(out="plain").replace(
+            SYNTHETIC, "[data]\ndataset = d.csv\nschema = d.schema\n")
+        Path("plain.ini").write_text(plain, encoding="utf-8")
+        assert cli_main(["run", "--config", "plain.ini"]) == 0
+        text = plain.replace("plain", "out")
+        if case == "percent-label":
+            text = text.replace("name = smoke", "name = 50% subsample")
+        elif case == "percent-path":
+            Path("run%1.csv").write_bytes(Path("d.csv").read_bytes())
+            text = text.replace("dataset = d.csv", "dataset = run%1.csv")
+        elif case == "bom-ini":
+            text = "\ufeff" + text
+        else:
+            Path("bom.csv").write_text("\ufeff" + Path("d.csv").read_text(), encoding="utf-8")
+            text = text.replace("dataset = d.csv", "dataset = bom.csv")
+        Path("exp.ini").write_text(text, encoding="utf-8")
+        assert cli_main(["run", "--config", "exp.ini"]) == 0
+        table = Path("out", "result_table.csv").read_bytes()
+        assert table == Path("plain", "result_table.csv").read_bytes()
 
     @pytest.mark.parametrize("command, check", [
         ("run", lambda out: (out / "selection_m-greedy_9.csv").exists()

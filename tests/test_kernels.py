@@ -311,6 +311,11 @@ class TestHyperparams:
                 target_type=2,
             )
 
+    def test_rejects_zero_dimensions(self):
+        with pytest.raises(ConfigError, match="at least one dimension"):
+            Hyperparams(signal_var=[1.0], noise_var=[0.1], latent_prec_inv=[],
+                        smooth_prec_inv=np.empty((1, 0)))
+
     @pytest.mark.parametrize("field,value", [
         ("signal_var", [1.0, np.inf]),
         ("noise_var", [np.nan, 0.1]),

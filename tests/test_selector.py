@@ -320,13 +320,13 @@ def _after_each_score(monkeypatch, module, probe):
     ``module`` runs through ``_greedy_loop``."""
     loop = module._greedy_loop
 
-    def probed(model, n, score_iteration):
-        def score(last):
-            scores, gains = score_iteration(last)
-            probe(scores)
-            return scores, gains
+    def probed(model, n, scores, add):
+        def probed_scores():
+            pick_scores, gains = scores()
+            probe(pick_scores)
+            return pick_scores, gains
 
-        return loop(model, n, score)
+        return loop(model, n, probed_scores, add)
 
     monkeypatch.setattr(module, "_greedy_loop", probed)
 
