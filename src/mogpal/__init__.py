@@ -26,10 +26,6 @@ from .pitc import (
     pitc_posterior,
     select_inducing,
 )
-from .criterion import (
-    CriterionCache,
-    build_cache,
-    criterion_F,
-)
+from .criterion import build_cache, criterion_F
 
 __version__ = "0.1.0"

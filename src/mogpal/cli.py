@@ -6,9 +6,11 @@ subcommand reads a plain-text config and ``--out`` overrides its output
 directory; ``--seed`` overrides the config's seed for ``run``, ``verify``
 and ``synth``, and ``run --threads`` runs repeats concurrently.  ``_load``
 applies the overrides to the loaded config, whose own checks then hold for
-them; the rules on values live in ``config``.  A :class:`MogpalError` ends a
-command with one line on stderr and exit status 2; ``main`` is the one place
-that turns an error into an exit status.
+them; the rules on values live in ``config``.  ``main`` is the one place
+that turns an error into an exit status: a :class:`MogpalError`, or an
+``OSError`` such as an ``--out`` that cannot be made, ends a command with one
+line on stderr.  Exit statuses: 0 for success, 1 when ``verify`` finds a
+violated certificate, 2 for an error.
 """
 
 import argparse
@@ -125,7 +127,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except MogpalError as exc:
+    except (MogpalError, OSError) as exc:
         print(f"mogpal {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,7 @@ target pool.  The expensive part of every evaluation, a solve against the
 full target candidate pool, is independent of the selected set and is
 therefore precomputed once: ``build_model`` factors the target type's
 residual in the residual's own buffer and keeps only the m x m target
-summary, and :class:`CriterionCache` reads it from the model.  Afterwards
+summary ``T``, and :func:`build_cache` factors ``K_uu + T``.  Afterwards
 ``criterion_F`` costs the cube of the inducing count plus the cube of the
 selected count, and :class:`GainEvaluator` moves from one greedy iteration to
 the next in O(N (m + |X|)) for N candidates, m inducing points and |X|
@@ -16,94 +16,64 @@ selected tuples: the cost per candidate does not grow with the target pool.
 What is cached and what is computed on demand: the model keeps the pool
 layout, that is the inducing cross covariance ``W`` and its solve ``G`` over
 the whole pool, the residual ``R`` per type, the prior variances (not the
-exact prior block ``C``) and the target summary ``T``.  The cache adds only
-what the objective needs beyond the model: the factor of ``K_uu + T`` and
-the constant that pins the objective to zero at the empty set.
-A :class:`GainEvaluator` builds each pick's covariance row from those
+exact prior block ``C``) and the target summary ``T``.  The cache is the
+one thing the objective needs beyond the model: the factor of ``K_uu + T``,
+which also gives the constant that pins the objective to zero at the empty
+set.  A :class:`GainEvaluator` builds each pick's covariance row from those
 blocks, ``W G`` plus ``R`` within the pick's type, and its near-tie
 rescoring reads the picks' covariance the same way, so no path of the
 objective calls the kernel.
 
-Conditioning on a selection lives here and in ``pitc.pool_blocks``, whose
-one factor of ``K_uu + S`` serves ``criterion_F``, the near-tie rescoring and
-the posterior mean; ``verify`` reads variances from :class:`GainEvaluator`.
+Conditioning on a selection is one ``pitc.BlockFactors``, whose factors of
+``K_uu + S`` and ``K_uu + T + S_aux`` serve ``criterion_F`` and the near-tie
+rescoring (and the first the posterior mean); ``verify`` reads variances
+from :class:`GainEvaluator`.
 ``criterion_F`` takes tuples and looks up their pool positions once;
 :class:`GainEvaluator` takes pool positions.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, IllConditionedError
 from .kernels import LOG_2PI_E
 from .linalg import SpdFactor, chol_spd
-from .pitc import PitcModel, pool_blocks
+from .pitc import BlockFactors, PitcModel
 
-__all__ = ["CriterionCache", "build_cache", "criterion_F", "GainEvaluator"]
+__all__ = ["build_cache", "criterion_F", "GainEvaluator"]
 
 
-@dataclass(frozen=True)
-class CriterionCache:
-    """One-off precomputation shared by every criterion evaluation.
-
-    ``aug_factor`` factors ``K_uu + T``, where ``T`` is the model's
-    ``target_summary``: the inducing-space information of the full target
-    candidate pool, the only quantity whose construction touches all target
-    candidates.  ``f_constant`` is the additive constant that pins the
-    objective to zero at the empty set.  Per-selection state (the variances
+def build_cache(model: PitcModel) -> SpdFactor:
+    """The factor of ``K_uu + T``, ``T`` the model's target summary: the
+    inducing-space information of the full target candidate pool, the only
+    quantity whose construction touches all target candidates.  O(m^3);
+    reads but never writes the model.  Per-selection state (the variances
     given the selection) lives in :class:`GainEvaluator`, which is updated
-    one pick at a time; the pool layout lives in the model.
-    """
-
-    f_constant: float
-    aug_factor: SpdFactor = field(repr=False)
-
-
-def build_cache(model: PitcModel) -> CriterionCache:
-    """Factor ``K_uu + T`` and pin the objective's constant from the model's
-    target summary ``T``: O(m^3); reads but never writes the model."""
-    aug_factor = chol_spd(model.kuu + model.target_summary, "augmented inducing covariance")
-    return CriterionCache(
-        f_constant=0.5 * (aug_factor.logdet - model.kuu_factor.logdet),
-        aug_factor=aug_factor,
-    )
-
-
-def _selection_factors(model, cols):
-    """The blocks of the selection at pool positions ``cols``
-    (``blocks.selection`` factors ``K_uu + S``) and the factor of
-    ``K_uu + T + S_aux``: ``S`` is the selection's inducing information,
-    ``S_aux`` that of its auxiliary types, ``T`` the target summary."""
-    blocks = pool_blocks(model, cols)
-    ma = chol_spd(
-        model.kuu + model.target_summary + blocks.info_sum(skip=model.h.target_type),
-        "augmented selection information",
-    )
-    return blocks, ma
+    one pick at a time; the pool layout lives in the model."""
+    return chol_spd(model.kuu + model.target_summary, "augmented inducing covariance")
 
 
 # ---------------------------------------------------------------------------
 # criterion operations
 # ---------------------------------------------------------------------------
 
-def criterion_F(model: PitcModel, cache: CriterionCache, x):
+def criterion_F(model: PitcModel, cache: SpdFactor, x):
     """The augmented selection objective.
 
     The entropy of the selected target tuples given the inducing
     measurements, minus the information the unsampled target pool still
     carries about those measurements once ``x`` is observed, plus the
-    constant ``cache.f_constant``.  Exactly
+    constant ``0.5 * (logdet(K_uu + T) - logdet(K_uu))``.  Exactly
     zero at the empty set, and nondecreasing along any selection chain
     whenever every noise variance is at least ``1/(2 pi e)``.  Reads only
     the cached blocks and target summary, so the cost does not grow with
     the target pool.
     """
-    blocks, ma = _selection_factors(model, model.positions(x))
+    blocks = BlockFactors(model, model.positions(x))
     t = model.h.target_type
     h_target = (0.5 * (len(blocks.rows[t]) * LOG_2PI_E + blocks.factor[t].logdet)
                 if t in blocks.factor else 0.0)
-    return h_target - 0.5 * (ma.logdet - blocks.selection.logdet) + cache.f_constant
+    return (h_target - 0.5 * (blocks.augmented.logdet - blocks.selection.logdet)
+            + 0.5 * (cache.logdet - model.kuu_factor.logdet))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +145,7 @@ class GainEvaluator:
     breaks them; the sweep, too, reads the picks' covariance as ``W G + R``.
     """
 
-    def __init__(self, model: PitcModel, cache: CriterionCache):
+    def __init__(self, model: PitcModel, cache: SpdFactor):
         self.model = model
         n, aux = len(model.candidates), model.aux_cols
         self._target = model.type_slices[model.h.target_type]
@@ -192,7 +162,7 @@ class GainEvaluator:
                 self._aug_prior[self._aux_pos[rows]] = np.diag(model.R[i])
         self._aug_basis = np.empty((model.n_inducing, 0))
         if aux.size:
-            self._aug_basis = cache.aug_factor.solve(w_aux.T)
+            self._aug_basis = cache.solve(w_aux.T)
             self._aug_prior += np.einsum("cm,mc->c", w_aux, self._aug_basis)
 
     def set_state(self, cols):
@@ -236,7 +206,7 @@ class GainEvaluator:
     # -- exact sweeps over a factorization of the selection -----------------
     def _factor(self):
         if self._factored is None:
-            self._factored = _selection_factors(self.model, np.array(self.selected, dtype=int))
+            self._factored = BlockFactors(self.model, np.array(self.selected, dtype=int))
         return self._factored
 
     def _sweep(self, cols, target_blocks):
@@ -244,9 +214,8 @@ class GainEvaluator:
         plus the full target pool when ``target_blocks`` is set; the picks'
         covariance with ``cols`` is ``W G``, plus ``R`` within a type."""
         model = self.model
-        blocks, ma = self._factor()
-        picks = np.array(self.selected, dtype=int)
-        m_factor = ma if target_blocks else blocks.selection
+        blocks = self._factor()
+        m_factor = blocks.augmented if target_blocks else blocks.selection
         g = model.G[:, cols]
         e1 = np.zeros(cols.size)
         hmat = np.zeros((model.n_inducing, cols.size))
@@ -261,7 +230,7 @@ class GainEvaluator:
             b = w_sub @ g
             s = model.type_slices[i]
             own = (cols >= s.start) & (cols < s.stop)
-            b[:, own] += model.R[i][np.ix_(picks[rows] - s.start, cols[own] - s.start)]
+            b[:, own] += model.R[i][np.ix_(blocks.cols[rows] - s.start, cols[own] - s.start)]
             u = blocks.factor[i].solve(b)
             e1 += np.einsum("rc,rc->c", b, u)
             hmat += w_sub.T @ u

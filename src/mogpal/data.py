@@ -7,9 +7,10 @@ one row per location, one column per type, NaN where a cell is blank.  A
 small key=value schema file declares which columns are coordinates, which
 are types, and any per-type transform (identity or log10).
 
-The rules on a file's own contents live here; the count range of
-``split_test`` is ``config.check_split``, and whether a dataset fits a run
-is ``experiment.load_experiment_dataset``'s check.
+The rules on a file's own contents live here, and a CSV error names the
+physical line its record starts on; the count range of ``split_test`` is
+``config.check_split``, and whether a dataset fits a run (``normalize``'s
+rule included) is ``experiment.load_experiment_dataset``'s check.
 """
 
 import csv
@@ -134,28 +135,32 @@ def _finite(cell, where, what):
 def load_dataset(path, schema: Schema) -> Dataset:
     """Parse and validate a CSV dataset, applying declared transforms.
 
-    Malformed rows raise with their line number: a row the CSV reader
-    refuses (a cell over its field size limit), a cell that is not a finite
-    number, or a row that measures a type at coordinates an earlier row
-    measured it at (both lines are named).  Missing cells simply leave the
+    Malformed rows raise with the number of the physical line they start on
+    (a quoted cell may span lines): a row the CSV reader refuses (a cell
+    over its field size limit), a cell that is not a finite number, or a row
+    that measures a type at coordinates an earlier row measured it at (both
+    lines are named).  Missing cells simply leave the
     (location, type) pair unmeasured.  A file that cannot be read or is not
     UTF-8, or a type with no measurements, is a :class:`ConfigError` naming
     the file.
     """
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    rows, line_no = [], 1  # each record with the line it starts on
     try:
-        rows = list(reader)
+        for row in reader:
+            rows.append((line_no, row))
+            line_no = reader.line_num + 1
     except csv.Error as exc:
         raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ConfigError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     expected = list(schema.coord_columns) + list(schema.type_columns)
     if header != expected:
         raise ConfigError(f"{path}: header {header} does not match schema columns {expected}")
     d = len(schema.coord_columns)
     coords, values, first_line = [], [], {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if not row or all(not cell.strip() for cell in row):
             continue
         where = f"{path}:{line_no}"

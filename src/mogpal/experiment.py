@@ -25,7 +25,7 @@ from . import kernels
 from .config import SINGLE_OUTPUT, ExperimentConfig, GeneratorSpec, VerifySweepConfig
 from .criterion import build_cache
 from .data import Dataset, denormalize, normalize, rmse, split_test
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .hyperlearn import fit_hyperparams
 from .kernels import Hyperparams, TupleArray, TypedLocation
 from .linalg import chol_spd
@@ -106,9 +106,10 @@ def _draw(rng, coords, factor, noise, n_types):
 def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
     """The ``[data]`` dataset of ``config``, checked against the run before
     anything is written: its schema must list ``h.dim`` coordinates and
-    ``h.n_types`` types, and each repeat's split (which depends on its seed,
-    not on the values) must be one ``split_test`` can make and leave a pool
-    that ``ExperimentConfig.check_pool`` accepts.  A mismatch is a
+    ``h.n_types`` types, ``normalize`` must accept it (no type constant),
+    and each repeat's split (which depends on its seed, not on the values)
+    must be one ``split_test`` can make and leave a pool that
+    ``ExperimentConfig.check_pool`` accepts.  A mismatch is a
     :class:`ConfigError` naming the schema or dataset file."""
     dataset = data_mod.load_dataset(config.dataset_path, data_mod.load_schema(config.schema_path))
     h = config.hyperparams
@@ -119,11 +120,12 @@ def load_experiment_dataset(config: ExperimentConfig) -> Dataset:
         raise ConfigError(f"{config.schema_path}: the schema lists {dataset.coords.shape[1]} "
                           f"coordinates, but the hyperparameters are {h.dim}-dimensional")
     try:
+        normalize(dataset)
         for seed in range(config.seed, config.seed + config.repeats):
             pool = data_mod.split_test(dataset, h.target_type, config.test_count, seed).pool_tuples
             config.check_pool(len(pool), sum(p.type_index == h.target_type for p in pool),
                               len({p.location for p in pool}))
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         raise ConfigError(f"{config.dataset_path}: {exc}") from None
     return dataset
 

@@ -10,10 +10,11 @@ structure the selection criterion exploits.
 This module owns that block algebra, once: ``fill_residual`` computes the
 per-type residual ``C - W K_uu^-1 W^T``; ``sparse_cov`` covaries queries
 with pool tuples, whose side it reads from the model, for the posterior
-mean; and ``pool_blocks`` slices the cached blocks of any set of pool
-positions into a ``BlockFactors``, which factors each residual block and,
-once, the set's ``K_uu + S`` (``S`` its inducing information), for the
-posterior and the selection criterion alike.
+mean; and ``BlockFactors(model, cols)`` is the one object that conditions on
+a set of pool positions: it slices their cached blocks, factors each
+residual block and, once, the set's ``K_uu + S`` (``S`` its inducing
+information), for the posterior and the selection criterion alike, and the
+criterion's ``K_uu + T + S_aux`` when it is read.
 
 Inside the library a selection is a list of pool positions.  Public calls
 take ``(location, type)`` tuples, and ``PitcModel.positions`` is the one
@@ -31,6 +32,7 @@ calls, bitwise.  Of ``C`` the model keeps the diagonal
 pool as ``W G + R`` and never calls the kernel.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -304,28 +306,43 @@ def sparse_cov(model: PitcModel, a, b):
 
 
 class BlockFactors:
-    """Factored per-type blocks of a set under the sparse joint model.
+    """The selection at pool positions ``cols`` under the sparse joint model.
 
-    Built from ``{type: (rows, W, R)}``: the rows of the type's tuples, their
-    inducing cross covariance and their residual block, and from ``K_uu``.
-    Factors each residual and keeps its inducing information ``W^T R^-1 W``;
-    ``selection`` factors ``K_uu + info_sum()`` once, for the posterior and
-    the criterion alike.  Blocks are visited in the order given, which fixes
-    every summation order.
+    Slices each type's rows of the model's cached ``W`` and ``R``, factors
+    each residual block and keeps its inducing information ``W^T R^-1 W``;
+    ``selection`` factors ``K_uu + S`` once, ``S = info_sum()``, for the
+    posterior and the criterion alike, and ``augmented`` factors
+    ``K_uu + T + S_aux`` (``T`` the target summary, ``S_aux`` the auxiliary
+    types' information) on first read.  ``rows[i]`` index ``cols``.  Types
+    are visited in order of first appearance and rows in the order given,
+    which fixes every summation order.
     """
 
-    def __init__(self, blocks, kuu):
-        self.m = kuu.shape[0]
+    def __init__(self, model: PitcModel, cols):
+        self.model, self.cols = model, cols
+        types = model.candidates.types[cols]
         self.rows, self.w, self.factor, self.info = {}, {}, {}, {}
-        for i, (rows, w, r) in blocks.items():
-            factor = chol_spd(r, f"type-{i} residual block")
+        for i in dict.fromkeys(types.tolist()):
+            rows = np.flatnonzero(types == i)
+            li = cols[rows] - model.type_slices[i].start
+            w = model.W[cols[rows]]
+            factor = chol_spd(model.R[i][np.ix_(li, li)], f"type-{i} residual block")
             self.rows[i], self.w[i], self.factor[i] = rows, w, factor
             self.info[i] = w.T @ factor.solve(w)
-        self.selection = chol_spd(kuu + self.info_sum(), "selection information")
+        self.selection = chol_spd(model.kuu + self.info_sum(), "selection information")
+
+    @functools.cached_property
+    def augmented(self):
+        model = self.model
+        return chol_spd(
+            model.kuu + model.target_summary + self.info_sum(skip=model.h.target_type),
+            "augmented selection information",
+        )
 
     def info_sum(self, skip=None):
         """Inducing information summed over all blocks but type ``skip``'s."""
-        total = np.zeros((self.m, self.m))
+        m = self.model.n_inducing
+        total = np.zeros((m, m))
         for i, block in self.info.items():
             if i != skip:
                 total += block
@@ -344,23 +361,6 @@ class BlockFactors:
         for i, rows in self.rows.items():
             out[rows] -= self.factor[i].solve(self.w[i] @ corr)
         return out
-
-
-def pool_blocks(model: PitcModel, cols):
-    """Block factors of the pool positions ``cols``, sliced from the model's
-    cached W and R, with the one factorization of their ``K_uu + S``.
-
-    ``rows`` index ``cols``.  Types are visited in order of first
-    appearance and rows in the order given, which fixes the summation order
-    of every derived quantity.
-    """
-    types = model.candidates.types[cols]
-    blocks = {}
-    for i in dict.fromkeys(types.tolist()):
-        rows = np.flatnonzero(types == i)
-        li = cols[rows] - model.type_slices[i].start
-        blocks[i] = (rows, model.W[cols[rows]], model.R[i][np.ix_(li, li)])
-    return BlockFactors(blocks, model.kuu)
 
 
 # ---------------------------------------------------------------------------
@@ -403,5 +403,5 @@ def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
 
     if not x:
         return GaussianPrediction(mean=np.zeros(len(tz)))
-    sol_y = pool_blocks(model, model.positions(x)).inv_apply(y_x)
+    sol_y = BlockFactors(model, model.positions(x)).inv_apply(y_x)
     return GaussianPrediction(mean=sparse_cov(model, tz, x) @ sol_y)

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .criterion import CriterionCache, GainEvaluator, _checked_log
+from .criterion import GainEvaluator, _checked_log
 from .errors import ConfigError
 from .kernels import LOG_2PI_E, TupleArray, TypedLocation
-from .linalg import chol_spd
+from .linalg import SpdFactor, chol_spd
 from .pitc import PitcModel
 
 __all__ = [
@@ -90,7 +90,7 @@ def _greedy_loop(model, n, scores, add):
     return state
 
 
-def select_greedy(model: PitcModel, cache: CriterionCache, n: int) -> SelectionState:
+def select_greedy(model: PitcModel, cache: SpdFactor, n: int) -> SelectionState:
     """Greedy maximization of the augmented objective over all types.
 
     Once the target pool is fully selected the objective is constant (every
@@ -115,7 +115,7 @@ def select_greedy(model: PitcModel, cache: CriterionCache, n: int) -> SelectionS
     return _greedy_loop(model, n, scores, evaluator.add)
 
 
-def select_mvar(model: PitcModel, cache: CriterionCache, n: int) -> SelectionState:
+def select_mvar(model: PitcModel, cache: SpdFactor, n: int) -> SelectionState:
     """Greedy maximum posterior entropy over all types.
 
     For a single Gaussian marginal the entropy and variance argmax agree,

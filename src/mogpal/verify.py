@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import TIE_ATOL, CriterionCache, GainEvaluator, build_cache, criterion_F
+from .criterion import TIE_ATOL, GainEvaluator, build_cache, criterion_F
 from .errors import EnumerationGuardError, IllConditionedError
 from .kernels import Hyperparams, as_tuple
+from .linalg import SpdFactor
 from .pitc import PitcModel, build_model, select_inducing
 from .selector import check_budget, select_greedy
 
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10**6
-# inducing points of every random_instance unless the caller asks otherwise
+# inducing points of every random_instance
 INSTANCE_INDUCING = 3
 
 
@@ -40,30 +41,31 @@ INSTANCE_INDUCING = 3
 # seeded instance family
 # ---------------------------------------------------------------------------
 
-def random_hyperparams(rng, n_types=2, dim=1, target_type=0):
-    """Hyperparameters drawn from ranges that keep instances well behaved:
-    noise above the entropy floor, moderate length scales."""
+def random_hyperparams(rng, n_types=2):
+    """1-D hyperparameters targeting type 0, drawn from ranges that keep
+    instances well behaved: noise above the entropy floor, moderate length
+    scales."""
     return Hyperparams(
         signal_var=rng.uniform(0.5, 2.0, size=n_types),
         noise_var=rng.uniform(0.08, 0.35, size=n_types),
-        latent_prec_inv=rng.uniform(0.05, 0.4, size=dim),
-        smooth_prec_inv=rng.uniform(0.02, 0.3, size=(n_types, dim)),
-        target_type=target_type,
+        latent_prec_inv=rng.uniform(0.05, 0.4, size=1),
+        smooth_prec_inv=rng.uniform(0.02, 0.3, size=(n_types, 1)),
     )
 
 
-def random_instance(seed, n_per_type=(4, 4), dim=1, n_inducing=INSTANCE_INDUCING,
-                    target_type=0, spread=1.0):
-    """A seeded small model plus its criterion cache, for sweeps and tests."""
+def random_instance(seed, n_per_type=(4, 4)):
+    """A seeded small model plus its criterion cache: ``n_per_type[i]``
+    locations of type ``i`` drawn uniformly on [0, 1), type 0 the target,
+    ``INSTANCE_INDUCING`` inducing points."""
     rng = np.random.default_rng(seed)
     n_types = len(n_per_type)
-    h = random_hyperparams(rng, n_types=n_types, dim=dim, target_type=target_type)
+    h = random_hyperparams(rng, n_types=n_types)
     cands = {
-        i: [as_tuple(rng.uniform(0, spread, size=dim), i) for _ in range(n_per_type[i])]
+        i: [as_tuple(rng.uniform(0, 1.0, size=1), i) for _ in range(n_per_type[i])]
         for i in range(n_types)
     }
     all_locs = np.array([t.location for tuples in cands.values() for t in tuples])
-    inducing = select_inducing(all_locs, n_inducing, seed=seed)
+    inducing = select_inducing(all_locs, INSTANCE_INDUCING, seed=seed)
     model = build_model(h, inducing, cands)
     return model, build_cache(model)
 
@@ -72,7 +74,7 @@ def random_instance(seed, n_per_type=(4, 4), dim=1, n_inducing=INSTANCE_INDUCING
 # oracles
 # ---------------------------------------------------------------------------
 
-def brute_force_optimum(model: PitcModel, cache: CriterionCache, n: int):
+def brute_force_optimum(model: PitcModel, cache: SpdFactor, n: int):
     """Exhaustive argmax of the objective over all size-n selections.
 
     Enumerates candidates in their deterministic (lexicographic) order, so
@@ -124,7 +126,7 @@ def brute_force_optimum(model: PitcModel, cache: CriterionCache, n: int):
     return best_subset, float(best_value)
 
 
-def estimate_epsilon1(model: PitcModel, cache: CriterionCache, x):
+def estimate_epsilon1(model: PitcModel, cache: SpdFactor, x):
     """Worst extra variance reduction from the unexplored part of a selection.
 
     The relaxation parameter is the largest drop, over subsets ``Y`` of
@@ -180,7 +182,7 @@ class GuaranteeReport:
         )
 
 
-def check_guarantee(model: PitcModel, cache: CriterionCache, n: int,
+def check_guarantee(model: PitcModel, cache: SpdFactor, n: int,
                     instance="adhoc") -> GuaranteeReport:
     """Run greedy and exhaustive selection and assemble the certificate.
 

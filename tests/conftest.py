@@ -3,8 +3,8 @@ import pytest
 
 from mogpal.verify import random_hyperparams, random_instance  # noqa: F401
 
-# shared across test modules: seeded instance builders live in the library
-# (mogpal.verify) so the verification sweep and the tests use one family
+# shared across test modules: the verification sweep's seeded instance
+# family; oracles.random_instance draws it in the shapes only tests use
 
 
 @pytest.fixture

@@ -11,17 +11,41 @@ import math
 import numpy as np
 
 from mogpal import kernels
-from mogpal.criterion import GainEvaluator, _checked_log, _selection_factors, criterion_F
+from mogpal.criterion import GainEvaluator, _checked_log, build_cache, criterion_F
 from mogpal.errors import ConfigError, DomainError, EnumerationGuardError, IllConditionedError
-from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation
+from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation, as_tuple
 from mogpal.linalg import chol_spd
-from mogpal.pitc import PitcModel
+from mogpal.pitc import BlockFactors, PitcModel, build_model, select_inducing
 from mogpal.selector import _greedy_loop, check_budget
-from mogpal.verify import ENUMERATION_GUARD
+from mogpal.verify import ENUMERATION_GUARD, INSTANCE_INDUCING
 
 LOG_2PI_E = math.log(2.0 * math.pi * math.e)
 # largest selection whose 2^|x| subsets estimate_epsilon1 enumerates
 SUBSET_GUARD = 12
+
+
+def random_instance(seed, n_per_type=(4, 4), dim=1, n_inducing=INSTANCE_INDUCING,
+                    target_type=0, spread=1.0):
+    """``verify.random_instance`` in the shapes only tests draw: ``dim``-D
+    locations on [0, ``spread``), ``n_inducing`` inducing points and target
+    type ``target_type``.  It draws the seed's stream in the library's order,
+    so at the defaults it returns the library's instance bit for bit."""
+    rng = np.random.default_rng(seed)
+    n_types = len(n_per_type)
+    h = Hyperparams(
+        signal_var=rng.uniform(0.5, 2.0, size=n_types),
+        noise_var=rng.uniform(0.08, 0.35, size=n_types),
+        latent_prec_inv=rng.uniform(0.05, 0.4, size=dim),
+        smooth_prec_inv=rng.uniform(0.02, 0.3, size=(n_types, dim)),
+        target_type=target_type,
+    )
+    cands = {
+        i: [as_tuple(rng.uniform(0, spread, size=dim), i) for _ in range(n_per_type[i])]
+        for i in range(n_types)
+    }
+    all_locs = np.array([t.location for tuples in cands.values() for t in tuples])
+    model = build_model(h, select_inducing(all_locs, n_inducing, seed=seed), cands)
+    return model, build_cache(model)
 
 
 def gd(delta, diag):
@@ -242,8 +266,8 @@ def mi_inducing_given(model, x):
     """Information the unsampled target pool still carries about the latent
     measurements once ``x`` has been observed, clamped at zero; the term
     ``criterion_F`` subtracts."""
-    blocks, ma = _selection_factors(model, model.positions(x))
-    return max(0.0, 0.5 * (ma.logdet - blocks.selection.logdet))
+    blocks = BlockFactors(model, model.positions(x))
+    return max(0.0, 0.5 * (blocks.augmented.logdet - blocks.selection.logdet))
 
 
 def greedy_gain(model, cache, x, candidate):
@@ -410,7 +434,7 @@ class ScratchGainEvaluator:
 
     def set_state(self, cols):
         self.selected = np.array(cols, dtype=int)
-        self._blocks, self._ma = _selection_factors(self.model, self.selected)
+        self._blocks = BlockFactors(self.model, self.selected)
         return self
 
     def _sweep(self, cols, target_blocks, m_factor):
@@ -474,7 +498,7 @@ class ScratchGainEvaluator:
         if model.aux_cols.size:
             free_aux_pos = np.flatnonzero(~mask[model.aux_cols])
             if free_aux_pos.size:
-                var_aug = self._sweep(model.aux_cols, True, self._ma)
+                var_aug = self._sweep(model.aux_cols, True, self._blocks.augmented)
                 log_aug = self._checked_log(var_aug, free_aux_pos)
                 free_aux = model.aux_cols[free_aux_pos]
                 out[free_aux] = 0.5 * (log_sel[free_aux] - log_aug[free_aux_pos])

@@ -28,7 +28,8 @@ def _entropy_given_inducing(model, cache, x):
     """The first term of criterion_F, H(Y_{x_t} | inducing measurements):
     the objective plus the remaining information minus the constant."""
     remaining = oracles.mi_inducing_given(model, x)
-    return criterion_F(model, cache, x) + remaining - cache.f_constant
+    return (criterion_F(model, cache, x) + remaining
+            - 0.5 * (cache.logdet - model.kuu_factor.logdet))
 
 
 def _residual_var(p, model):
@@ -167,7 +168,7 @@ class TestCriterionF:
     def test_last_type_targeted_after_two_auxiliary(self):
         # the target type last in the pool, after two auxiliary types: the
         # same identities must hold
-        model, cache = random_instance(
+        model, cache = oracles.random_instance(
             11, n_per_type=(3, 3, 3), target_type=2
         )
         assert criterion_F(model, cache, []) == 0.0
@@ -189,7 +190,7 @@ class TestGreedyGain:
         for seed in range(25):
             shape = [(5, 4), (4, 4, 3), (8,)][seed % 3]
             tt = 0 if len(shape) < 3 else 1
-            model, cache = random_instance(seed, n_per_type=shape, target_type=tt)
+            model, cache = oracles.random_instance(seed, n_per_type=shape, target_type=tt)
             cands = list(model.candidates.tuples)
             r = np.random.default_rng(seed)
             k = int(r.integers(0, min(5, len(cands) - 1)))
@@ -325,7 +326,7 @@ class TestGainEvaluator:
         )
         np.testing.assert_allclose(
             ev._sweep(free_aux, target_blocks=True),
-            ref._sweep(free_aux, True, ref._ma), rtol=1e-12,
+            ref._sweep(free_aux, True, ref._blocks.augmented), rtol=1e-12,
         )
 
     def test_add_rejects_positions_outside_the_pool(self):
@@ -377,7 +378,7 @@ class TestGainEvaluator:
         # target and auxiliary picks, with repeats of each auxiliary type so
         # both the same-type residual and the cross-type low rank of the
         # augmented covariance are exercised
-        model, cache = random_instance(72, n_per_type=(5, 4, 5, 4), n_inducing=4)
+        model, cache = oracles.random_instance(72, n_per_type=(5, 4, 5, 4), n_inducing=4)
         h, u = model.h, model.inducing.locations
         by_type = {i: list(model.candidates.tuples[model.type_slices[i]]) for i in range(4)}
         chain = [
@@ -414,7 +415,7 @@ class TestVarGivenSelected:
         shapes = [((0, 1), 1), ((0, 1), 8), ((0, 1), 35), ((1,), 1), ((0,), 8), ((1,), 15)]
         for seed in range(6):
             r = np.random.default_rng(seed)
-            model, cache = random_instance(seed, n_per_type=(20, 20), n_inducing=4)
+            model, cache = oracles.random_instance(seed, n_per_type=(20, 20), n_inducing=4)
             h, u = model.h, model.inducing.locations
             ev = GainEvaluator(model, cache)
             for types, size in shapes:
@@ -432,7 +433,7 @@ class TestVarGivenSelected:
     def test_single_type_matches_exact(self):
         # with one type the sparse model is exact, for any inducing set
         for seed in range(8):
-            model, cache = random_instance(seed + 200, n_per_type=(8,), n_inducing=2)
+            model, cache = oracles.random_instance(seed + 200, n_per_type=(8,), n_inducing=2)
             cands = list(model.candidates.tuples)
             x, z = cands[:5], cands[5:]
             var = GainEvaluator(model, cache).set_state(range(5)).var_given_selected()

@@ -793,6 +793,17 @@ class TestCli:
         ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = long.csv\n"
                                           "schema = two.schema\n"),
          "long.csv:3: field larger than field limit (131072)"),
+        # a type that normalize cannot scale is refused at load
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = const.csv\n"
+                                          "schema = two.schema\n"),
+         "const.csv: type 'type1' is constant, cannot normalize"),
+        ("fit", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = const.csv\n"
+                                          "schema = two.schema\n"),
+         "const.csv: type 'type1' is constant, cannot normalize"),
+        # errors name the line a record starts on, past a quoted newline
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = quoted.csv\n"
+                                          "schema = two.schema\n"),
+         "quoted.csv:5: column 'type0': 'x' is not a finite number"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, monkeypatch, capsys, command, edit, named):
         # the [data] cases read 14-location datasets from the working directory
@@ -813,6 +824,11 @@ class TestCli:
         Path("dup.csv").write_text(Path("two.csv").read_text().replace("type1", "type0", 1))
         # a cell one character over the csv module's default field size limit
         Path("long.csv").write_text(f"x0,type0,type1\n0.0,0.5,1.5\n1.0,0.5,{'1' * 131073}\n")
+        # for two.schema: the 7 measured type1 cells all read 2.5
+        Path("const.csv").write_text("x0,type0,type1\n" + "".join(
+            f"{k}.0,{k % 3}.5,{'2.5' if k % 2 else ''}\n" for k in range(14)))
+        Path("quoted.csv").write_text('x0,type0,type1\n0.0,"1.5\n",0.5\n1.0,2.5,0.5\n'
+                                      "2.0,x,0.5\n")
         cfg = tmp_path / "missing.ini"
         out = tmp_path / "out"
         if edit is not None:
@@ -823,6 +839,31 @@ class TestCli:
         assert err.count("\n") == 1 and named in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, out, error", [
+        ("run", "afile", "FileExistsError"),
+        ("run", "afile/sub", "NotADirectoryError"),
+        ("verify", "afile", "FileExistsError"),
+        ("fit", "afile", "FileExistsError"),
+        ("synth", "afile", "FileExistsError"),
+    ])
+    def test_out_that_cannot_be_made_is_one_line(self, tmp_path, monkeypatch, capsys,
+                                                 command, out, error):
+        monkeypatch.chdir(tmp_path)
+        text = CONFIG_TEXT.format(out="unused") + "[verify]\ninstances = 1\nbudget = 1\n" \
+            "pool_shape = 3, 3\n"
+        if command == "fit":
+            _saved(generate_synthetic(GeneratorSpec(n_locations=14), H2)(0), Path("d.csv"))
+            Path("d.schema").write_text("[schema]\ncoords = x0\ntypes = type0, type1\n")
+            text = text.replace(SYNTHETIC, "[data]\ndataset = d.csv\nschema = d.schema\n")
+            text = text.replace("repeats = 2", "repeats = 2\nfit_budget = 1")
+        Path("exp.ini").write_text(text)
+        Path("afile").write_text("kept\n")
+        assert cli_main([command, "--config", "exp.ini", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mogpal {command}: {error}: ") and "afile" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert Path("afile").read_text() == "kept\n"
 
     @pytest.mark.parametrize("case", ["percent-label", "percent-path", "bom-ini", "bom-csv"])
     def test_literal_values_and_byte_order_marks_load(self, tmp_path, monkeypatch, case):

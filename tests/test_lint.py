@@ -639,14 +639,6 @@ FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # Defaulted library parameters that only tests pass a value to, kept on
 # purpose, as ``module.qualname(parameter)``.
 TEST_ONLY_PARAMETERS = (
-    # the verify sweep draws 1-D instances; tests also draw 2-D ones
-    "verify.random_instance(dim)",
-    # tests vary the inducing count to reach dense and sparse regimes
-    "verify.random_instance(n_inducing)",
-    # tests spread locations wider to exhaust or separate the pools
-    "verify.random_instance(spread)",
-    # tests target each type in turn; the sweep targets type 0
-    "verify.random_instance(target_type)",
     # the `mogpal` console script reads sys.argv; tests pass the arguments
     "cli.main(argv)",
 )

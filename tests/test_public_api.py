@@ -10,7 +10,6 @@ import mogpal
 
 EXPORTS = [
     "ConfigError",
-    "CriterionCache",
     "DomainError",
     "EnumerationGuardError",
     "FitError",

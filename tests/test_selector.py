@@ -11,7 +11,7 @@ from mogpal import (
     ConfigError, Hyperparams, IllConditionedError, as_tuple,
     build_cache, build_model, criterion_F,
 )
-from mogpal import selector
+from mogpal import criterion, pitc, selector
 from mogpal.criterion import GainEvaluator
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import (
@@ -72,9 +72,9 @@ def _experiment_grid_model():
 REBUILD_CASES = {
     "one-type-whole-pool": (lambda: random_instance(81, n_per_type=(9,)), 9),
     "two-types-whole-pool": (lambda: random_instance(82, n_per_type=(6, 6)), 12),
-    "two-types": (lambda: random_instance(83, n_per_type=(12, 10), n_inducing=4), 10),
+    "two-types": (lambda: oracles.random_instance(83, n_per_type=(12, 10), n_inducing=4), 10),
     "three-types-middle-target-whole-pool": (
-        lambda: random_instance(84, n_per_type=(5, 6, 4), target_type=1), 15,
+        lambda: oracles.random_instance(84, n_per_type=(5, 6, 4), target_type=1), 15,
     ),
     "three-types": (lambda: random_instance(85, n_per_type=(12, 10, 8)), 14),
     "symmetric-grid": (lambda: _grid_model(n=9, m=3), 9),
@@ -114,7 +114,7 @@ class TestIncrementalGainState:
         # once every target candidate is picked the objective is constant:
         # greedy falls back to max-entropy picks and records zero gains
         # without rescoring the auxiliary pool against the target pool
-        model, cache = random_instance(5, n_per_type=(30, 60), spread=20.0)
+        model, cache = oracles.random_instance(5, n_per_type=(30, 60), spread=20.0)
         sweeps = []
         sweep = GainEvaluator._sweep
 
@@ -134,6 +134,21 @@ class TestIncrementalGainState:
         assert all(t.type_index == 0 for t in state.selected[:30])
         assert [n for n, target in sweeps if target and n >= 30] == []
         assert any(n >= 30 for n, _ in sweeps)
+
+    def test_mvar_ties_factor_no_augmented_information(self, monkeypatch):
+        # m-Var's near-tie sweeps condition on the selection alone, so the
+        # factor of K_uu + T + S_aux is never needed
+        model, cache = _tie_model()
+        names = []
+        for module in (criterion, pitc):
+            def spy(a, name="matrix", factor=module.chol_spd):
+                names.append(name)
+                return factor(a, name)
+            monkeypatch.setattr(module, "chol_spd", spy)
+        state = select_mvar(model, cache, 6)
+        assert len(state.selected) == 6
+        assert "selection information" in names
+        assert "augmented selection information" not in names
 
     @pytest.mark.parametrize("algorithm", ["m-greedy", "m-var"])
     def test_nan_variance_raises(self, algorithm):
@@ -182,7 +197,7 @@ class TestSelectGreedy:
 
     def test_matches_single_output_entropy_when_one_type(self):
         for seed in range(20):
-            model, cache = random_instance(seed + 500, n_per_type=(7,), n_inducing=3)
+            model, cache = oracles.random_instance(seed + 500, n_per_type=(7,), n_inducing=3)
             greedy = select_greedy(model, cache, 4)
             svar = select_svar(model, 4)
             assert greedy.selected == svar.selected
@@ -300,7 +315,7 @@ def _scratch_case(seed, n_per_type, target_type, budget, refit):
     """The model, one-type refit hyperparameters or None, and the budget of
     a ``SCRATCH_CASES`` entry; the caller caps the budget at the target
     pool, as run_experiment does."""
-    model, _ = random_instance(seed, n_per_type=n_per_type, target_type=target_type)
+    model, _ = oracles.random_instance(seed, n_per_type=n_per_type, target_type=target_type)
     refit_h = random_hyperparams(np.random.default_rng(seed), n_types=1) if refit else None
     return model, refit_h, min(budget, n_per_type[target_type])
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,22 @@ def _modular_instance():
     cands = {0: [as_tuple([100.0 * k], 0) for k in range(6)]}
     model = build_model(h, InducingSet(locations=[[0.0], [250.0], [500.0]]), cands)
     return model, build_cache(model)
+
+
+@pytest.mark.parametrize("seed, shape", [(5, (4, 4)), (11, (7,)), (70, (4, 4, 4))])
+def test_oracle_instance_is_the_library_instance_at_its_defaults(seed, shape):
+    # tests draw the other shapes through the oracle, so it must draw the
+    # seed's stream exactly as the library does
+    model, cache = random_instance(seed, n_per_type=shape)
+    other, other_cache = oracles.random_instance(seed, n_per_type=shape)
+    for f in dataclasses.fields(model.h):
+        assert np.array_equal(getattr(model.h, f.name), getattr(other.h, f.name))
+    assert model.candidates.tuples == other.candidates.tuples
+    assert np.array_equal(model.inducing.locations, other.inducing.locations)
+    assert np.array_equal(model.W, other.W)
+    for i, r in model.R.items():
+        assert np.array_equal(r, other.R[i])
+    assert np.array_equal(cache.lower, other_cache.lower)
 
 
 class TestBruteForce:
@@ -132,7 +149,7 @@ def _exhausted_target_instance():
     (lambda: random_instance(68, n_per_type=(8,)), 3),
     (lambda: random_instance(69, n_per_type=(6, 6)), 3),
     (lambda: random_instance(70, n_per_type=(4, 4, 4)), 3),
-    (lambda: random_instance(71, n_per_type=(3, 3, 3), target_type=2), 4),
+    (lambda: oracles.random_instance(71, n_per_type=(3, 3, 3), target_type=2), 4),
     (_exhausted_target_instance, 4),
 ], ids=[
     "n0", "n1", "n3", "whole-pool", "modular-exact-ties", "mirror-near-ties",
