@@ -78,10 +78,10 @@ def _cmd_fit(args):
     norm, _ = normalize(load_experiment_dataset(config))
     measured = ~np.isnan(norm.values)  # row-major, so location-major: the fit depends on the order
     tuples = [norm.tuple_at(li, ti) for li, ti in np.argwhere(measured)]
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the fit
     fit = fit_hyperparams(tuples, norm.values[measured], config.hyperparams,
                           budget=config.fit_budget)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "fitted_hyperparams.ini"
     save_hyperparams(
         fit.h, path,

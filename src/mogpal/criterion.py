@@ -20,14 +20,15 @@ exact prior block ``C``) and the target summary ``T``.  The cache is the
 one thing the objective needs beyond the model: the factor of ``K_uu + T``,
 which also gives the constant that pins the objective to zero at the empty
 set.  A :class:`GainEvaluator` builds each pick's covariance row from those
-blocks, ``W G`` plus ``R`` within the pick's type, and its near-tie
-rescoring reads the picks' covariance the same way, so no path of the
-objective calls the kernel.
+blocks, ``W G`` plus ``R`` within the pick's type, and its exact rescoring
+reads the picks' covariance the same way, so no path of the objective calls
+the kernel.
 
 Conditioning on a selection is one ``pitc.BlockFactors``, whose factors of
-``K_uu + S`` and ``K_uu + T + S_aux`` serve ``criterion_F`` and the near-tie
+``K_uu + S`` and ``K_uu + T + S_aux`` serve ``criterion_F`` and the exact
 rescoring (and the first the posterior mean); ``verify`` reads variances
-from :class:`GainEvaluator`.
+from :class:`GainEvaluator`.  ``selector._greedy_loop`` holds the near-tie
+rule that asks for the exact scores.
 ``criterion_F`` takes tuples and looks up their pool positions once;
 :class:`GainEvaluator` takes pool positions.
 """
@@ -79,12 +80,6 @@ def criterion_F(model: PitcModel, cache: SpdFactor, x):
 # ---------------------------------------------------------------------------
 # batched gain evaluation
 # ---------------------------------------------------------------------------
-
-TIE_ATOL = 1e-9
-"""Scores within this of the best are rescored from a factorization of the
-selection, so that near-ties break exactly as a rebuild from scratch would
-break them."""
-
 
 def _checked_log(var, what="posterior variance in gain sweep"):
     """Elementwise ``np.log`` of ``var``; an entry that is not finite and
@@ -139,10 +134,9 @@ class GainEvaluator:
     ``add`` builds the pick's covariance row against the pool once and takes
     a rank-one downdate of both: O(N (m + |X|)) per pick for N candidates,
     m inducing points and |X| selected tuples, whatever the target-pool size.
-    A score within ``TIE_ATOL`` of the best is rescored by the full
-    variance sweep over a factorization of the selection, built only when
-    such a near-tie occurs, so near-ties break exactly as a per-pick rebuild
-    breaks them; the sweep, too, reads the picks' covariance as ``W G + R``.
+    ``exact_gains`` and ``exact_entropies`` score candidates as a per-pick
+    rebuild does, by a sweep over one factorization of the selection that
+    reads the picks' covariance as ``W G + R``; the greedy loop asks for them.
     """
 
     def __init__(self, model: PitcModel, cache: SpdFactor):
@@ -171,7 +165,6 @@ class GainEvaluator:
         self._free = np.ones(len(self.model.candidates), dtype=bool)
         self._sel = _ConditionedVariances(self.model.prior_var.copy())
         self._aug = _ConditionedVariances(self._aug_prior.copy())
-        self._factored = None
         for j in cols:
             self.add(j)
         return self
@@ -200,21 +193,52 @@ class GainEvaluator:
             )
         self._free[j] = False
         self.selected.append(int(j))
-        self._factored = None
         return self
 
-    # -- exact sweeps over a factorization of the selection -----------------
-    def _factor(self):
-        if self._factored is None:
-            self._factored = BlockFactors(self.model, np.array(self.selected, dtype=int))
-        return self._factored
+    # -- scores -------------------------------------------------------------
+    def var_given_selected(self):
+        """Posterior variance of every candidate given the selection."""
+        return self._sel.var
 
-    def _sweep(self, cols, target_blocks):
-        """Posterior variances of candidates ``cols`` given the selection,
-        plus the full target pool when ``target_blocks`` is set; the picks'
-        covariance with ``cols`` is ``W G``, plus ``R`` within a type."""
+    def _gains(self, cols, var_sel, var_aug):
+        """Gains of free candidates ``cols`` from their variances given the
+        selection and, through ``var_aug(aux_cols)``, the auxiliary ones'
+        variances given the augmented set."""
+        log_sel = _checked_log(var_sel)
+        out = 0.5 * (LOG_2PI_E + log_sel)
+        aux = ~self._is_target[cols]
+        if aux.any():
+            out[aux] = 0.5 * (log_sel[aux] - _checked_log(var_aug(cols[aux])))
+        return out
+
+    def entropies_given_selected(self):
+        """Posterior marginal entropy of every unselected candidate
+        (selected candidates get -inf)."""
+        out = np.full(len(self.model.candidates), -np.inf)
+        free = np.flatnonzero(self._free)
+        out[free] = _entropy(self._sel.var[free])
+        return out
+
+    def gains(self):
+        """Objective gain of every unselected candidate; selected ones get -inf.
+
+        Once no target candidate is free the objective is constant, so every
+        gain is exactly zero and nothing is computed.
+        """
+        out = np.full(len(self.model.candidates), -np.inf)
+        free = np.flatnonzero(self._free)
+        out[free] = 0.0
+        if self._free[self._target].any():
+            out[free] = self._gains(free, self._sel.var[free],
+                                    lambda cols: self._aug.var[self._aux_pos[cols]])
+        return out
+
+    # -- exact sweeps over a factorization of the selection -----------------
+    def _sweep(self, blocks, cols, target_blocks):
+        """Posterior variances of ``cols`` given the selection ``blocks``
+        factors, plus the full target pool when ``target_blocks`` is set; the
+        picks' covariance with ``cols`` is ``W G``, plus ``R`` within a type."""
         model = self.model
-        blocks = self._factor()
         m_factor = blocks.augmented if target_blocks else blocks.selection
         g = model.G[:, cols]
         e1 = np.zeros(cols.size)
@@ -237,58 +261,14 @@ class GainEvaluator:
         quad2 = np.einsum("mc,mc->c", hmat, m_factor.solve(hmat))
         return model.prior_var[cols] - (e1 - quad2)
 
-    # -- scores -------------------------------------------------------------
-    def var_given_selected(self):
-        """Posterior variance of every candidate given the selection."""
-        return self._sel.var
+    def exact_entropies(self, cols):
+        """Entropies of free candidates ``cols`` from the full sweep."""
+        blocks = BlockFactors(self.model, np.array(self.selected, dtype=int))
+        return _entropy(self._sweep(blocks, cols, target_blocks=False))
 
-    def _rescored(self, cols, scores, exact):
-        """Scores of ``cols`` spread over the pool (-inf elsewhere), with
-        those within ``TIE_ATOL`` of the best replaced by ``exact(cols)``
-        when there is more than one."""
-        out = np.full(len(self.model.candidates), -np.inf)
-        out[cols] = scores
-        if cols.size:
-            near = cols[scores >= scores.max() - TIE_ATOL]
-            if near.size > 1:
-                out[near] = exact(near)
-        return out
-
-    def _gains(self, cols, var_sel, var_aug):
-        """Gains of free candidates ``cols`` from their variances given the
-        selection and, through ``var_aug(aux_cols)``, the auxiliary ones'
-        variances given the augmented set."""
-        log_sel = _checked_log(var_sel)
-        out = 0.5 * (LOG_2PI_E + log_sel)
-        aux = ~self._is_target[cols]
-        if aux.any():
-            out[aux] = 0.5 * (log_sel[aux] - _checked_log(var_aug(cols[aux])))
-        return out
-
-    def entropies_given_selected(self):
-        """Posterior marginal entropy of every unselected candidate
-        (selected candidates get -inf)."""
-        free = np.flatnonzero(self._free)
-        return self._rescored(
-            free, _entropy(self._sel.var[free]),
-            lambda cols: _entropy(self._sweep(cols, target_blocks=False)),
-        )
-
-    def gains(self):
-        """Objective gain of every unselected candidate; selected ones get -inf.
-
-        Once no target candidate is free the objective is constant, so every
-        gain is exactly zero and nothing is computed or rescored.
-        """
-        free = np.flatnonzero(self._free)
-        if not self._free[self._target].any():
-            out = np.full(len(self.model.candidates), -np.inf)
-            out[free] = 0.0
-            return out
-        incremental = self._gains(
-            free, self._sel.var[free], lambda cols: self._aug.var[self._aux_pos[cols]]
-        )
-        return self._rescored(free, incremental, lambda cols: self._gains(
-            cols, self._sweep(cols, target_blocks=False),
-            lambda aux: self._sweep(aux, target_blocks=True),
-        ))
+    def exact_gains(self, cols):
+        """Gains of free candidates ``cols`` from the full sweeps, while a
+        target candidate is free."""
+        blocks = BlockFactors(self.model, np.array(self.selected, dtype=int))
+        return self._gains(cols, self._sweep(blocks, cols, target_blocks=False),
+                           lambda aux: self._sweep(blocks, aux, target_blocks=True))

@@ -256,10 +256,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads=1) -> ResultT
     Repeat ``r`` runs on seed ``config.seed + r``.  The draws finish before
     the first selection: one ``generate_synthetic`` sampler maps over the
     seeds, so a ``grid`` prior factor lives only through the draws, and a
-    ``[data]`` run hands every repeat the dataset it loaded.  ``threads``
-    above 1 runs the draws, then the repeats, in a thread pool; 1 runs them
-    in the calling thread; below 1 is a ConfigError.  The row order of the
-    outputs does not depend on the scheduling.
+    ``[data]`` run hands every repeat the dataset it loaded.  The output
+    directory is made after the inputs' checks and before the first draw.
+    ``threads`` above 1 runs the draws, then the repeats, in a thread pool;
+    1 runs them in the calling thread; below 1 is a ConfigError.  The row
+    order of the outputs does not depend on the scheduling.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
@@ -268,10 +269,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads=1) -> ResultT
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         each = pool.map if threads > 1 else map
         if config.dataset_path is None:
-            datasets = list(each(generate_synthetic(config.synthetic, config.hyperparams), seeds))
+            draw = generate_synthetic(config.synthetic, config.hyperparams)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            datasets = list(each(draw, seeds))
+            del draw  # a grid prior's factor lives only through the draws
         else:
             datasets = [load_experiment_dataset(config)] * config.repeats
-        out_dir.mkdir(parents=True, exist_ok=True)
+            out_dir.mkdir(parents=True, exist_ok=True)
         repeat = functools.partial(_run_repeat, config, out_dir)
         rows = [row for chunk in each(repeat, datasets, seeds) for row in chunk]
     rows.sort(key=lambda r: (r.algorithm, r.seed, r.budget))

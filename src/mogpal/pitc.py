@@ -14,7 +14,8 @@ mean; and ``BlockFactors(model, cols)`` is the one object that conditions on
 a set of pool positions: it slices their cached blocks, factors each
 residual block and, once, the set's ``K_uu + S`` (``S`` its inducing
 information), for the posterior and the selection criterion alike, and the
-criterion's ``K_uu + T + S_aux`` when it is read.
+criterion's ``K_uu + T + S_aux`` when it is read (also by the exact
+rescoring of near-ties that ``selector._greedy_loop`` asks for).
 
 Inside the library a selection is a list of pool positions.  Public calls
 take ``(location, type)`` tuples, and ``PitcModel.positions`` is the one

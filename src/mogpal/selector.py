@@ -4,13 +4,17 @@
 all types; the baselines pick by plain posterior entropy over all types
 (``select_mvar``) or restrict themselves to the pool of the one target type
 under a single-output model (``select_svar``, ``select_smi``).  All four
-run the paper's greedy loop, ``_greedy_loop``: condition on the previous
-pick, score the model's whole pool (the single-output baselines give -inf
-outside the target pool) and take the first best pool position, so exact
-ties in the computed scores break lexicographically on ``(type_index,
-coordinates)`` and a fixed configuration reproduces the same sequence
-everywhere.  Greedy, m-Var and s-Var score mathematically tied candidates
-bit-equal wherever a from-scratch rebuild does.  s-MI reads its
+run the paper's greedy loop, ``_greedy_loop``, which holds the one tie rule:
+condition on the previous pick, score the model's whole pool (the
+single-output baselines give -inf outside the target pool), rescore the
+scores within ``TIE_ATOL`` of the best from a factorization of the selection
+(greedy and m-Var, whose scores are incremental) and take the first best
+pool position, so exact ties go to the lowest position, lexicographic on
+``(type_index, coordinates)``.  A fixed configuration thus reproduces the
+same sequence on one BLAS setup; other BLAS kernels can round mirror ties
+the other way (``OPENBLAS_CORETYPE=Haswell`` moves 7 ``experiment``
+benchmark digests).  Greedy, m-Var and s-Var score mathematically tied
+candidates bit-equal wherever a from-scratch rebuild does.  s-MI reads its
 leave-one-out variances off an inverse downdated in pick order, which can
 tie two mirror candidates that a refactorization splits by an ulp, or split
 them, so rounding decides between them.  The single-output baselines keep
@@ -69,22 +73,32 @@ def check_budget(n, available, what="candidate pool"):
         raise ConfigError("budget must be nonnegative")
 
 
+# scores within this of the best are rescored exactly, as a rebuild scores them
+TIE_ATOL = 1e-9
+
+
 def _greedy_loop(model, n, scores, add):
     """Pick ``n`` of the model's candidates: each iteration hands ``add``
-    the pool position of the previous pick (none at the first), then picks
-    the argmax of the scores that ``scores()`` returns with the gains to
-    record, usually the same array; selected candidates score ``-inf``.  An
-    iteration's time covers the ``add``, the scoring and the pick."""
+    the pool position of the previous pick (none at the first); ``scores()``
+    returns the scores (selected candidates ``-inf``), the gains to record,
+    usually the same array, and ``exact``, which, unless None, rescores in
+    place the positions within ``TIE_ATOL`` of the best when there are
+    several; the first argmax is picked.  An iteration's time covers the
+    ``add``, the scoring and the pick."""
     state = SelectionState()
     best = None
     for _ in range(n):
         started = time.perf_counter()
         if best is not None:
             add(best)
-        pick_scores, gains = scores()
-        best = int(np.argmax(pick_scores))
-        if pick_scores[best] == -np.inf:
+        pick_scores, gains, exact = scores()
+        top = pick_scores.max()
+        if top == -np.inf:
             raise ConfigError("no selectable candidate left")
+        near = np.flatnonzero(pick_scores >= top - TIE_ATOL)
+        if exact is not None and near.size > 1:
+            pick_scores[near] = exact(near)
+        best = int(np.argmax(pick_scores))
         state.record(model.candidates.tuples[best], float(gains[best]),
                      time.perf_counter() - started)
     return state
@@ -100,7 +114,7 @@ def select_greedy(model: PitcModel, cache: SpdFactor, n: int) -> SelectionState:
     recorded gain is still the objective gain, exactly zero there.  Each pick costs
     O(N (m + |X|)) for N candidates, m inducing points and |X| picks so far
     (one covariance row and a rank-one variance downdate, see
-    :class:`GainEvaluator`, which rescores near-ties from a factorization).
+    :class:`GainEvaluator`).
     """
     check_budget(n, len(model.candidates))
     evaluator = GainEvaluator(model, cache).set_state([])
@@ -109,8 +123,8 @@ def select_greedy(model: PitcModel, cache: SpdFactor, n: int) -> SelectionState:
         gains = evaluator.gains()
         finite = gains[np.isfinite(gains)]
         if finite.size and finite.max() <= 1e-9:
-            return evaluator.entropies_given_selected(), gains
-        return gains, gains
+            return evaluator.entropies_given_selected(), gains, evaluator.exact_entropies
+        return gains, gains, evaluator.exact_gains
 
     return _greedy_loop(model, n, scores, evaluator.add)
 
@@ -127,7 +141,7 @@ def select_mvar(model: PitcModel, cache: SpdFactor, n: int) -> SelectionState:
 
     def scores():
         entropies = evaluator.entropies_given_selected()
-        return entropies, entropies
+        return entropies, entropies, evaluator.exact_entropies
 
     return _greedy_loop(model, n, scores, evaluator.add)
 
@@ -204,7 +218,7 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
             out[s.start + free] = 0.5 * log_var
         else:
             out[s.start + free] = 0.5 * (LOG_2PI_E + log_var)
-        return out, out
+        return out, out, None
 
     return _greedy_loop(model, n, scores, add)
 

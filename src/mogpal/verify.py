@@ -10,9 +10,9 @@ pass: the unsampled target pool, then the selection added to it.
 The exhaustive optimum walks the size-n subsets of pool positions as a
 prefix tree: one gain sweep per prefix scores every one-step extension, so
 a subset's value is its prefix's value plus one gain.  Only subsets whose
-telescoped value lies within ``criterion.TIE_ATOL`` of the best are
+telescoped value lies within ``selector.TIE_ATOL`` of the best are
 rescored from scratch, which keeps the winner and its value those of a full
-enumeration.
+enumeration; the prefixes' gains are the evaluator's incremental ones.
 """
 
 import math
@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import TIE_ATOL, GainEvaluator, build_cache, criterion_F
+from .criterion import GainEvaluator, build_cache, criterion_F
 from .errors import EnumerationGuardError, IllConditionedError
 from .kernels import Hyperparams, as_tuple
 from .linalg import SpdFactor
 from .pitc import PitcModel, build_model, select_inducing
-from .selector import check_budget, select_greedy
+from .selector import TIE_ATOL, check_budget, select_greedy
 
 __all__ = [
     "GuaranteeReport", "brute_force_optimum", "estimate_epsilon1",

@@ -282,9 +282,10 @@ def greedy_gain(model, cache, x, candidate):
 
 def _rebuilt_loop(model, n, score):
     """``selector._greedy_loop`` with ``score`` handed the pool positions of
-    every pick so far, so that it can start afresh."""
+    every pick so far, so that it can start afresh; its scores are exact
+    already, so the loop rescores nothing."""
     picks = []
-    return _greedy_loop(model, n, lambda: score(picks), picks.append)
+    return _greedy_loop(model, n, lambda: (*score(picks), None), picks.append)
 
 
 class _ScratchPools:
@@ -418,7 +419,7 @@ def select_smi_dense(model, n, single_output_hypers=None):
             loo_var = 1.0 / inverse[free, free]
         log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
         out[s.start + free] = 0.5 * log_var
-        return out, out
+        return out, out, None
 
     return _greedy_loop(model, n, scores, add)
 

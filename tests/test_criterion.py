@@ -9,6 +9,7 @@ import pytest
 import oracles
 from mogpal import (
     DomainError,
+    Hyperparams,
     as_tuple,
     build_cache,
     build_model,
@@ -20,7 +21,8 @@ from mogpal import (
 from mogpal.criterion import GainEvaluator
 from mogpal.kernels import LOG_2PI_E, NOISE_FLOOR, cov_matrix
 from mogpal.linalg import chol_spd
-from mogpal.pitc import sparse_cov
+from mogpal.pitc import InducingSet, sparse_cov
+from mogpal.selector import TIE_ATOL
 from conftest import random_instance
 
 
@@ -311,7 +313,7 @@ class TestGainEvaluator:
         lambda: random_instance(85, n_per_type=(12, 10, 8)),
     ], ids=["one-auxiliary-type", "two-auxiliary-types"])
     def test_sweep_matches_exact_kernel_oracle(self, make):
-        # the near-tie sweep reads the picks' covariance as W G + R from the
+        # the exact sweep reads the picks' covariance as W G + R from the
         # model; the oracle computes the picks' own-type block from the kernel
         model, cache = make()
         picks = np.arange(0, len(model.candidates), 2)
@@ -320,14 +322,42 @@ class TestGainEvaluator:
         free = np.flatnonzero(ev._free)
         free_aux = free[~ev._is_target[free]]
         assert free_aux.size
+        blocks = pitc.BlockFactors(model, picks)
         np.testing.assert_allclose(
-            ev._sweep(free, target_blocks=False),
+            ev._sweep(blocks, free, target_blocks=False),
             ref._sweep(free, False, ref._blocks.selection), rtol=1e-12,
         )
         np.testing.assert_allclose(
-            ev._sweep(free_aux, target_blocks=True),
+            ev._sweep(blocks, free_aux, target_blocks=True),
             ref._sweep(free_aux, True, ref._blocks.augmented), rtol=1e-12,
         )
+
+    def test_scores_factor_no_selection(self, monkeypatch):
+        # gains and entropies are the incremental scores, near-ties included;
+        # only the exact rescoring that the greedy loop asks for factors the
+        # selection, once a call
+        h = Hyperparams(signal_var=[1.0, 1.0], noise_var=[0.2, 0.2],
+                        latent_prec_inv=[0.3], smooth_prec_inv=[[0.1], [0.1]])
+        cands = {i: [as_tuple([float(k)], i) for k in range(3)] for i in range(2)}
+        model = build_model(h, InducingSet(locations=[[0.0], [2.0]]), cands)
+        ev = GainEvaluator(model, build_cache(model))
+        built = []
+        factors = criterion.BlockFactors
+
+        def counted(model, cols):
+            built.append(list(cols))
+            return factors(model, cols)
+
+        monkeypatch.setattr(criterion, "BlockFactors", counted)
+        for picks in ([], [1, 4]):  # a mirror-symmetric pool and selection
+            ev.set_state(picks)
+            for scores in (ev.gains(), ev.entropies_given_selected()):
+                assert np.count_nonzero(scores >= scores.max() - TIE_ATOL) > 1
+        assert built == []
+        near = np.array([0, 2, 3, 5])
+        ev.exact_gains(near)
+        ev.exact_entropies(near)
+        assert built == [[1, 4], [1, 4]]
 
     def test_add_rejects_positions_outside_the_pool(self):
         # a negative position would otherwise wrap around to the pool's end

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mogpal import ConfigError, Hyperparams, as_tuple, experiment, kernels, verify
+from mogpal import ConfigError, Hyperparams, as_tuple, cli, experiment, kernels, verify
 from mogpal.cli import main as cli_main
 from mogpal.config import (
     ExperimentConfig,
@@ -514,6 +514,40 @@ class TestCli:
         assert code == 0
         fitted = load_hyperparams(tmp_path / "fo" / "fitted_hyperparams.ini")
         assert fitted.n_types == 2
+
+    def test_run_out_naming_a_file_fails_before_the_draws(self, tmp_path, capsys,
+                                                          monkeypatch):
+        draws = []
+        monkeypatch.setattr(experiment, "_draw", lambda *args: draws.append(args))
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(CONFIG_TEXT.format(out=tmp_path / "out"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli_main(["run", "--config", str(cfg), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mogpal run: FileExistsError: ") and err.count("\n") == 1
+        assert draws == []
+
+    def test_fit_out_naming_a_file_fails_before_the_fit(self, tmp_path, capsys,
+                                                        monkeypatch):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(CONFIG_TEXT.format(out=tmp_path / "out"))
+        cli_main(["synth", "--config", str(cfg), "--out", str(tmp_path / "sy")])
+        fit_cfg = tmp_path / "fit.ini"
+        fit_cfg.write_text(CONFIG_TEXT.format(out=tmp_path / "out").replace(
+            SYNTHETIC,
+            f"[data]\ndataset = {tmp_path / 'sy' / 'synthetic.csv'}\n"
+            f"schema = {tmp_path / 'sy' / 'synthetic.schema'}\n",
+        ))
+        fits = []
+        monkeypatch.setattr(cli, "fit_hyperparams", lambda *args, **kw: fits.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        capsys.readouterr()
+        assert cli_main(["fit", "--config", str(fit_cfg), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mogpal fit: FileExistsError: ") and err.count("\n") == 1
+        assert fits == []
 
     def test_verify_subcommand(self, tmp_path):
         cfg = tmp_path / "v.ini"

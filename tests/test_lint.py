@@ -3,7 +3,8 @@
 only tests reach, against dataclass fields that no run reads, against
 function parameters that their body never reads, against pool lookups
 outside ``pitc``, against kernel matrices outside the modules that build
-covariances, against a ``config`` loader restating a default, against
+covariances, against the near-tie band outside ``selector`` and ``verify``,
+against a ``config`` loader restating a default, against
 an INI read that names no section, against package file I/O in the
 locale's encoding and against a test oracle that nothing references.
 
@@ -18,7 +19,9 @@ of pool positions; ``PitcModel.positions`` is the one lookup from tuples,
 so no module but ``pitc`` reads ``.tuple_index``.  Pool covariance is read
 as ``W G + R`` from ``PitcModel``, so only ``kernels``, ``pitc``,
 ``selector``, ``experiment`` and ``hyperlearn`` reference ``cov_matrix``,
-``latent_cross_matrix`` or ``latent_matrix``.  At module level the package
+``latent_cross_matrix`` or ``latent_matrix``.  The greedy loop holds the one
+near-tie rule, so only ``selector`` and ``verify``'s leaf band reference
+``TIE_ATOL``.  At module level the package
 imports no third-party module but ``numpy`` and ``scipy.linalg``, so that a
 run that never fits does not load ``scipy.optimize`` (``test_startup.py``
 checks the loaded modules; this scan names the module that imports).  Each
@@ -415,6 +418,37 @@ def test_kernel_matrix_scanner_flags_only_other_modules():
 
 def test_only_covariance_builders_reference_kernel_matrices():
     assert kernel_matrix_readers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+TIE_RULE = ("selector", "verify")
+
+
+def tie_band_readers(package):
+    """Modules of ``package`` ({module: source}) outside ``TIE_RULE`` that
+    define, import or read ``TIE_ATOL``."""
+    def names(tree):
+        return _references([tree]) | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+
+    return sorted(
+        module for module, source in package.items()
+        if module not in TIE_RULE and "TIE_ATOL" in names(ast.parse(source))
+    )
+
+
+def test_tie_band_scanner_flags_only_other_modules():
+    package = {
+        "selector": "TIE_ATOL = 1e-9\nnear = s >= s.max() - TIE_ATOL\n",
+        "verify": "from .selector import TIE_ATOL\nband = best - TIE_ATOL\n",
+        "criterion": "TIE_ATOL = 1e-9\n",
+        "experiment": "from .selector import TIE_ATOL as band\n",
+        "pitc": "tol = selector.TIE_ATOL\n",
+        "data": "tie_atol = 1e-9\nnote = 'TIE_ATOL'\n",
+    }
+    assert tie_band_readers(package) == ["criterion", "experiment", "pitc"]
+
+
+def test_only_the_greedy_loop_and_verify_reference_the_tie_band():
+    assert tie_band_readers({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def literal_defaults(source):

@@ -118,9 +118,9 @@ class TestIncrementalGainState:
         sweeps = []
         sweep = GainEvaluator._sweep
 
-        def spy(self, cols, target_blocks):
+        def spy(self, blocks, cols, target_blocks):
             sweeps.append((len(self.selected), target_blocks))
-            return sweep(self, cols, target_blocks)
+            return sweep(self, blocks, cols, target_blocks)
 
         monkeypatch.setattr(GainEvaluator, "_sweep", spy)
         state = select_greedy(model, cache, 90)
@@ -337,9 +337,9 @@ def _after_each_score(monkeypatch, module, probe):
 
     def probed(model, n, scores, add):
         def probed_scores():
-            pick_scores, gains = scores()
+            pick_scores, gains, exact = scores()
             probe(pick_scores)
-            return pick_scores, gains
+            return pick_scores, gains, exact
 
         return loop(model, n, probed_scores, add)
 

@@ -16,7 +16,7 @@ from mogpal import (
     build_model,
     criterion_F,
 )
-from mogpal import verify
+from mogpal import criterion, verify
 from mogpal.criterion import GainEvaluator
 from mogpal.pitc import InducingSet, select_inducing
 from mogpal.selector import select_greedy
@@ -119,6 +119,28 @@ class TestBruteForce:
         best, value = brute_force_optimum(model, cache, 3)
         assert 1 <= len(calls) < math.comb(12, 3) // 10
         assert (best, value) == oracles.brute_force_optimum(model, cache, 3)
+
+
+    def test_one_selection_factor_per_leaf_rescoring(self, monkeypatch):
+        # the prefix sweeps read incremental gains, so only criterion_F's
+        # leaf rescoring factors a selection, once a call
+        built, rescored = [], []
+        factors, objective = criterion.BlockFactors, verify.criterion_F
+
+        def counted_factors(*args):
+            built.append(args)
+            return factors(*args)
+
+        def counted_objective(*args):
+            rescored.append(args)
+            return objective(*args)
+
+        monkeypatch.setattr(criterion, "BlockFactors", counted_factors)
+        monkeypatch.setattr(verify, "criterion_F", counted_objective)
+        for seed in range(30):
+            brute_force_optimum(*random_instance(seed, n_per_type=(6, 6)), 3)
+        assert len(rescored) >= 30
+        assert len(built) == len(rescored)
 
 
 def _mirror_instance():
