@@ -5,9 +5,8 @@ generating data), one inducing selection, one sparse model, and one
 selection run per algorithm up to the last checkpoint, which the config
 held to each algorithm's pool (``ExperimentConfig.check_pool``); prediction
 error is evaluated at every checkpoint on the nested selection prefix.
-Every repeat's dataset is drawn before the first selection (in the calling
-thread when ``threads = 1``): a ``grid`` prior is factored once and lives
-only through the draws; a ``uniform`` draw factors its own prior.
+Each repeat draws its own dataset where it runs: a ``grid`` prior is
+factored once and held for the run; a ``uniform`` draw factors its own prior.
 Everything downstream of the config (including all seeds) is deterministic;
 wall-clock timings go to a sidecar file, so the result table is byte-stable.
 """
@@ -190,8 +189,8 @@ def _single_output_refit(config, h_model, pool_tuples, pool_values):
                            budget=config.fit_budget).h
 
 
-def _run_repeat(config: ExperimentConfig, out_dir, dataset, rep_seed):
-    norm, stats = normalize(dataset)
+def _run_repeat(config: ExperimentConfig, out_dir, draw, rep_seed):
+    norm, stats = normalize(draw(rep_seed))
     t = config.hyperparams.target_type
     split = split_test(norm, t, config.test_count, rep_seed)
     value_of = dict(zip(split.pool_tuples, split.pool_values))
@@ -253,31 +252,28 @@ def run_experiment(config: ExperimentConfig, out_dir=None, threads=1) -> ResultT
     Writes ``result_table.csv`` (deterministic), ``timings.csv`` (the ms
     spent selecting each checkpoint's picks) and one selection log per
     (algorithm, repeat) into the output directory.
-    Repeat ``r`` runs on seed ``config.seed + r``.  The draws finish before
-    the first selection: one ``generate_synthetic`` sampler maps over the
-    seeds, so a ``grid`` prior factor lives only through the draws, and a
-    ``[data]`` run hands every repeat the dataset it loaded.  The output
-    directory is made after the inputs' checks and before the first draw.
-    ``threads`` above 1 runs the draws, then the repeats, in a thread pool;
-    1 runs them in the calling thread; below 1 is a ConfigError.  The row
-    order of the outputs does not depend on the scheduling.
+    Repeat ``r`` runs on seed ``config.seed + r`` and draws its own dataset:
+    from one ``generate_synthetic`` sampler, so a ``grid`` prior is factored
+    once and held for the run, or as the ``[data]`` dataset loaded once.  The
+    output directory is made after the inputs' checks and before the first
+    draw.  ``threads`` above 1 runs the repeats in a thread pool; 1 runs them
+    in the calling thread; below 1 is a ConfigError.  The row order of the
+    outputs does not depend on the scheduling.
     """
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    seeds = range(config.seed, config.seed + config.repeats)
+    if config.dataset_path is None:
+        draw = generate_synthetic(config.synthetic, config.hyperparams)
+    else:
+        dataset = load_experiment_dataset(config)
+        draw = lambda seed: dataset
     out_dir = Path(out_dir if out_dir is not None else config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    repeat = functools.partial(_run_repeat, config, out_dir, draw)
+    seeds = range(config.seed, config.seed + config.repeats)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        each = pool.map if threads > 1 else map
-        if config.dataset_path is None:
-            draw = generate_synthetic(config.synthetic, config.hyperparams)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            datasets = list(each(draw, seeds))
-            del draw  # a grid prior's factor lives only through the draws
-        else:
-            datasets = [load_experiment_dataset(config)] * config.repeats
-            out_dir.mkdir(parents=True, exist_ok=True)
-        repeat = functools.partial(_run_repeat, config, out_dir)
-        rows = [row for chunk in each(repeat, datasets, seeds) for row in chunk]
+        chunks = (pool.map if threads > 1 else map)(repeat, seeds)
+        rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r.algorithm, r.seed, r.budget))
     table = ResultTable(rows=rows)
     table.write_csv(out_dir / "result_table.csv")

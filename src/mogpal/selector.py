@@ -92,10 +92,7 @@ def _greedy_loop(model, n, scores, add):
         if best is not None:
             add(best)
         pick_scores, gains, exact = scores()
-        top = pick_scores.max()
-        if top == -np.inf:
-            raise ConfigError("no selectable candidate left")
-        near = np.flatnonzero(pick_scores >= top - TIE_ATOL)
+        near = np.flatnonzero(pick_scores >= pick_scores.max() - TIE_ATOL)
         if exact is not None and near.size > 1:
             pick_scores[near] = exact(near)
         best = int(np.argmax(pick_scores))

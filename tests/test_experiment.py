@@ -3,7 +3,6 @@ import inspect
 import os
 import subprocess
 import sys
-import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -318,24 +317,6 @@ class TestRunExperiment:
         assert samplers == [spec]
         assert names.count("synthetic prior") == factors
         assert len({r.seed for r in table.rows}) == 3
-
-    def test_grid_factor_freed_before_the_first_selection(self, tmp_path, monkeypatch):
-        # the sampler holds the grid's prior factor; it goes with the last draw
-        prior, lowers, alive = experiment._prior, [], []
-
-        def prior_spy(coords, h):
-            factor, noise = prior(coords, h)
-            lowers.append(weakref.ref(factor.lower))
-            return factor, noise
-
-        def build_spy(*args):
-            alive.append([ref() is not None for ref in lowers])
-            return build_model(*args)
-
-        monkeypatch.setattr(experiment, "_prior", prior_spy)
-        monkeypatch.setattr(experiment, "build_model", build_spy)
-        run_experiment(_config(tmp_path, repeats=2), threads=1)
-        assert alive == [[False], [False]]
 
     def test_selection_logs_written(self, tmp_path):
         cfg = _config(tmp_path, repeats=1)
@@ -838,6 +819,40 @@ class TestCli:
         ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = quoted.csv\n"
                                           "schema = two.schema\n"),
          "quoted.csv:5: column 'type0': 'x' is not a finite number"),
+        # a CSV with no records, a short record, or a header alone
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = empty.csv\n"
+                                          "schema = two.schema\n"),
+         "empty.csv: empty file"),
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = short.csv\n"
+                                          "schema = two.schema\n"),
+         "short.csv:3: expected 3 cells, got 2"),
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = header.csv\n"
+                                          "schema = two.schema\n"),
+         "header.csv: no data rows"),
+        # a schema must name both kinds of column
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = two.csv\n"
+                                          "schema = missing.ini\n[schema]\ncoords =\n"
+                                          "types = type0, type1\n"),
+         "missing.ini: schema must declare coords and types"),
+        ("run", lambda text: text.replace(SYNTHETIC, "[data]\ndataset = two.csv\n"
+                                          "schema = missing.ini\n[schema]\ncoords = x0\n"),
+         "missing.ini: schema must declare coords and types"),
+        # an experiment needs algorithms, positive checkpoints, a known
+        # s-Var mode, one data source and hyperparameters
+        ("run", lambda text: text.replace("m-greedy, s-var", ""),
+         "missing.ini: experiment: at least one algorithm is required"),
+        ("run", lambda text: text.replace("checkpoints = 2, 4", "checkpoints ="),
+         "missing.ini: experiment: at least one budget checkpoint is required"),
+        ("run", lambda text: text.replace("checkpoints = 2, 4", "checkpoints = 0, 4"),
+         "missing.ini: experiment: checkpoints must be positive"),
+        ("run", lambda text: text.replace("repeats = 2", "repeats = 2\nsvar_mode = solo"),
+         "missing.ini: experiment: svar_mode must be 'shared' or 'refit'"),
+        ("run", lambda text: text + DATA,
+         "missing.ini: experiment: configure exactly one of [data] and [synthetic]"),
+        ("run", lambda text: text.replace(SYNTHETIC, ""),
+         "missing.ini: experiment: configure exactly one of [data] and [synthetic]"),
+        ("run", lambda text: text[:text.index("[hyperparams]")],
+         "missing.ini: provide a [hyperparams] section or hyperparams_file"),
     ])
     def test_bad_config_is_one_line(self, tmp_path, monkeypatch, capsys, command, edit, named):
         # the [data] cases read 14-location datasets from the working directory
@@ -863,6 +878,9 @@ class TestCli:
             f"{k}.0,{k % 3}.5,{'2.5' if k % 2 else ''}\n" for k in range(14)))
         Path("quoted.csv").write_text('x0,type0,type1\n0.0,"1.5\n",0.5\n1.0,2.5,0.5\n'
                                       "2.0,x,0.5\n")
+        Path("empty.csv").write_text("")
+        Path("short.csv").write_text("x0,type0,type1\n0.0,0.5,1.5\n1.0,0.5\n")
+        Path("header.csv").write_text("x0,type0,type1\n")
         cfg = tmp_path / "missing.ini"
         out = tmp_path / "out"
         if edit is not None:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -340,3 +341,16 @@ class TestHyperparams:
     def test_rejects_mixed_dimension_tuple(self):
         with pytest.raises(DomainError):
             H2.validate_tuple(as_tuple([0.0, 1.0], 0))
+
+    @pytest.mark.parametrize("type_index", [-1, 2])
+    def test_rejects_type_index_out_of_range(self, type_index):
+        with pytest.raises(DomainError, match=rf"^type index {type_index} out of range \[0, 2\)$"):
+            H2.validate_tuple(as_tuple([0.0], type_index))
+
+
+@pytest.mark.parametrize("coords, shown", [
+    ([np.nan], "(nan,)"), ([0.0, np.inf], "(0.0, inf)"), (-np.inf, "(-inf,)"),
+])
+def test_as_tuple_rejects_non_finite_coordinates(coords, shown):
+    with pytest.raises(DomainError, match=rf"^non-finite coordinates: {re.escape(shown)}$"):
+        as_tuple(coords, 0)

@@ -16,12 +16,13 @@ listed in a module's ``__all__`` and imports on a line marked
 The reachability and field scans read the package's code and the
 benchmark's code, never tests.  Inside the library a selection is a list
 of pool positions; ``PitcModel.positions`` is the one lookup from tuples,
-so no module but ``pitc`` reads ``.tuple_index``.  Pool covariance is read
-as ``W G + R`` from ``PitcModel``, so only ``kernels``, ``pitc``,
+so no module but ``pitc`` references ``tuple_index``.  Pool covariance is
+read as ``W G + R`` from ``PitcModel``, so only ``kernels``, ``pitc``,
 ``selector``, ``experiment`` and ``hyperlearn`` reference ``cov_matrix``,
 ``latent_cross_matrix`` or ``latent_matrix``.  The greedy loop holds the one
 near-tie rule, so only ``selector`` and ``verify``'s leaf band reference
-``TIE_ATOL``.  At module level the package
+``TIE_ATOL``.  One table, ``CONFINED``, holds these three rules, and a
+reference is a name, an attribute or an import.  At module level the package
 imports no third-party module but ``numpy`` and ``scipy.linalg``, so that a
 run that never fits does not load ``scipy.optimize`` (``test_startup.py``
 checks the loaded modules; this scan names the module that imports).  Each
@@ -365,90 +366,48 @@ def test_library_functions_read_their_parameters(path):
     assert unread_parameters(path.read_text()) == []
 
 
-def tuple_index_readers(package):
-    """Modules of ``package`` ({module: source}) other than ``pitc`` that read
-    a ``.tuple_index`` attribute."""
-    return sorted(
-        module for module, source in package.items() if module != "pitc" and any(
-            isinstance(node, ast.Attribute) and node.attr == "tuple_index"
-            for node in ast.walk(ast.parse(source))
-        )
-    )
-
-
-def test_tuple_index_scanner_flags_only_other_modules():
-    package = {
-        "pitc": "def positions(self, t):\n    return self.tuple_index[t]\n",
-        "criterion": "def add(model, t):\n    j = model.tuple_index[t]\n",
-        "verify": "picked = [m.tuple_index.get(t) for t in x]\n",
-        "selector": "tuple_index = {}\ncols = model.positions(x)\n",
-    }
-    assert tuple_index_readers(package) == ["criterion", "verify"]
-
-
-def test_only_pitc_reads_tuple_index():
-    assert tuple_index_readers({p.stem: p.read_text() for p in PACKAGE}) == []
-
-
-KERNEL_MATRICES = {"cov_matrix", "latent_cross_matrix", "latent_matrix"}
 KERNEL_CALLERS = ("kernels", "pitc", "selector", "experiment", "hyperlearn")
+# name -> the only modules that may reference it
+CONFINED = {
+    "tuple_index": ("pitc",),
+    "cov_matrix": KERNEL_CALLERS,
+    "latent_cross_matrix": KERNEL_CALLERS,
+    "latent_matrix": KERNEL_CALLERS,
+    "TIE_ATOL": ("selector", "verify"),
+}
 
 
-def kernel_matrix_readers(package):
-    """Modules of ``package`` ({module: source}) outside ``KERNEL_CALLERS``
-    that reference a name or attribute of ``KERNEL_MATRICES``."""
-    return sorted(
-        module for module, source in package.items()
-        if module not in KERNEL_CALLERS and _references([ast.parse(source)]) & KERNEL_MATRICES
-    )
+def confined_references(package):
+    """``(module, name)`` for each name of ``CONFINED`` that a module of
+    ``package`` ({module: source}) outside its modules references: as a name
+    (read or defined), an attribute or an import."""
+    found = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        names = _references([tree]) | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+        found += [(module, name) for name in names & CONFINED.keys()
+                  if module not in CONFINED[name]]
+    return sorted(found)
 
 
-def test_kernel_matrix_scanner_flags_only_other_modules():
+@pytest.mark.parametrize("reference", [
+    "{name} = None\n", "value = module.{name}\n", "from .module import {name} as renamed\n",
+], ids=["name", "attribute", "import"])
+def test_confinement_scanner_flags_only_other_modules(reference):
+    every = "".join(reference.format(name=name) for name in CONFINED)
     package = {
-        "kernels": "def cov_matrix(a, b, h):\n    return latent_matrix(a, h)\n",
-        "pitc": "kuu = kernels.latent_matrix(u, h)\n",
-        "criterion": "b = kernels.cov_matrix(picks, cols, h)\n",
-        "verify": "from .kernels import latent_cross_matrix\nw = latent_cross_matrix(a, u, h)\n",
-        # a re-export is an import, not a reference
-        "__init__": "from .kernels import cov_matrix\n",
-        "data": "cov = model.cov\n",
+        "pitc": every, "selector": every, "criterion": every,
+        "data": "cov = model.cov\ntie_atol = 1e-9\nnote = 'TIE_ATOL'\nmodel.tuple_indexes\n",
     }
-    assert kernel_matrix_readers(package) == ["criterion", "verify"]
+    assert confined_references(package) == [
+        ("criterion", "TIE_ATOL"), ("criterion", "cov_matrix"),
+        ("criterion", "latent_cross_matrix"), ("criterion", "latent_matrix"),
+        ("criterion", "tuple_index"), ("pitc", "TIE_ATOL"), ("selector", "tuple_index"),
+    ]
 
 
-def test_only_covariance_builders_reference_kernel_matrices():
-    assert kernel_matrix_readers({p.stem: p.read_text() for p in PACKAGE}) == []
-
-
-TIE_RULE = ("selector", "verify")
-
-
-def tie_band_readers(package):
-    """Modules of ``package`` ({module: source}) outside ``TIE_RULE`` that
-    define, import or read ``TIE_ATOL``."""
-    def names(tree):
-        return _references([tree]) | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
-
-    return sorted(
-        module for module, source in package.items()
-        if module not in TIE_RULE and "TIE_ATOL" in names(ast.parse(source))
-    )
-
-
-def test_tie_band_scanner_flags_only_other_modules():
-    package = {
-        "selector": "TIE_ATOL = 1e-9\nnear = s >= s.max() - TIE_ATOL\n",
-        "verify": "from .selector import TIE_ATOL\nband = best - TIE_ATOL\n",
-        "criterion": "TIE_ATOL = 1e-9\n",
-        "experiment": "from .selector import TIE_ATOL as band\n",
-        "pitc": "tol = selector.TIE_ATOL\n",
-        "data": "tie_atol = 1e-9\nnote = 'TIE_ATOL'\n",
-    }
-    assert tie_band_readers(package) == ["criterion", "experiment", "pitc"]
-
-
-def test_only_the_greedy_loop_and_verify_reference_the_tie_band():
-    assert tie_band_readers({p.stem: p.read_text() for p in PACKAGE}) == []
+def test_confined_names_stay_in_their_modules():
+    assert confined_references({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def literal_defaults(source):

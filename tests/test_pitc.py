@@ -86,6 +86,16 @@ class TestSelectInducing:
         with pytest.raises(ConfigError, match="at least one"):
             select_inducing(rng.uniform(0, 1, size=(4, 1)), m, seed=0)
 
+    @pytest.mark.parametrize("seed, dim, n, m", [(1511, 2, 33, 10), (6626, 1, 33, 12)])
+    def test_an_emptied_cluster_takes_the_worst_fit_point(self, seed, dim, n, m):
+        # Lloyd's second iteration empties a cluster of these seeded inputs;
+        # the repair moves its center onto the worst-fit candidate, so every
+        # inducing location is still the nearest one to some candidate
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, (n, dim))
+        locs = select_inducing(pts, m, seed=seed).locations
+        nearest = np.argmin(((pts[:, None, :] - locs[None]) ** 2).sum(axis=2), axis=1)
+        assert np.bincount(nearest, minlength=m).min() >= 1
+
     def test_duplicates_collapsed(self):
         pts = np.array([[0.0], [0.0], [1.0], [1.0]])
         ind = select_inducing(pts, 2, seed=0)
@@ -145,6 +155,38 @@ class TestBuildModel:
         ind = InducingSet(locations=[[0.5]])
         with pytest.raises(ModelBuildError):
             build_model(H1, ind, {0: []})
+
+    def test_inducing_set_needs_a_location(self):
+        with pytest.raises(ModelBuildError, match="^inducing set must contain at least one "
+                                                  "location$"):
+            InducingSet(locations=np.empty((0, 1)))
+
+    @pytest.mark.parametrize("per_type, inducing, message", [
+        ({0: [([0.3], 0)], 1: [([0.4], 1)]}, [[0.5]], r"^candidate type 1 out of range \[0, 1\)$"),
+        ({0: [([0.3], 0)], -1: []}, [[0.5]], r"^candidate type -1 out of range \[0, 1\)$"),
+        ({0: [([0.3], 0)]}, [[0.5, 0.5]],
+         "^inducing locations are 2-dimensional, model expects 1$"),
+    ])
+    def test_refuses_a_pool_or_inducing_set_off_the_model(self, per_type, inducing, message):
+        cands = {i: [as_tuple(*p) for p in tuples] for i, tuples in per_type.items()}
+        with pytest.raises(ConfigError, match=message):
+            build_model(H1, InducingSet(locations=inducing), cands)
+
+    def test_refuses_a_tuple_listed_under_another_type(self):
+        h = Hyperparams(signal_var=[1.0, 0.8], noise_var=[0.2, 0.1],
+                        latent_prec_inv=[0.15], smooth_prec_inv=[[0.1], [0.1]])
+        p = as_tuple([0.3], 1)
+        with pytest.raises(ConfigError, match=f"^tuple {re.escape(repr(p))} listed under type 0$"):
+            build_model(h, InducingSet(locations=[[0.5]]), {0: [p], 1: [as_tuple([0.4], 1)]})
+
+    def test_singular_inducing_covariance_is_a_build_error(self):
+        # in 1000 dimensions the latent density's (2 pi)^(-d/2) underflows to
+        # zero, so K_uu is all zeros and a jitter of a share of its trace is 0
+        d = 1000
+        h = Hyperparams(signal_var=[1.0], noise_var=[0.2], latent_prec_inv=[1.0] * d,
+                        smooth_prec_inv=[[0.1] * d])
+        with pytest.raises(ModelBuildError, match="^inducing covariance is singular: "):
+            build_model(h, InducingSet(locations=np.eye(2, d)), {0: [as_tuple(np.zeros(d), 0)]})
 
     def test_low_noise_warns(self):
         h = Hyperparams(

@@ -1,16 +1,28 @@
-"""Greedy's telescoping identity across conditioning regimes.
+"""Three identities of the sparse model across conditioning regimes.
 
 One deterministic sweep over fixed axes: two pool sizes per type, inducing
 counts from well spaced to dense against the locations' spread, latent
 widths ``latent_prec_inv`` from 1e-2 to 10^1.5, and budgets of one pick,
-half the pool and the whole pool.  Each case must return
-``state.cumulative[-1]`` equal to ``criterion_F`` of the picks within 1e-8
-relative (to ``max(1, |F|)``); a fix may instead make a case raise a named
-``MogpalError``, which the case then expects.  A case that returns a wrong
-number is a strict xfail with its measured error beside it: on this grid
-they are the cases whose ``K_uu`` has a condition number near 1e11 or
-above.  The whole-pool budgets exhaust the target pool, so the max-entropy
-fallback and the near-tie rule run in every regime.
+half the pool and the whole pool.  Each case checks, within 1e-8 relative
+(to ``max(1, |reference|)``):
+
+- telescoping: greedy's ``state.cumulative[-1]`` equals ``criterion_F`` of
+  its picks;
+- posterior: ``pitc_posterior``'s mean at target locations off the pool,
+  given seeded values at greedy's picks, equals the dense sparse-model
+  conditional mean (the loop oracle on the small pools, the vectorized
+  ``oracles.sparse_cov`` on the large ones);
+- cache: ``build_cache(model).logdet`` equals the log-determinant of
+  ``K_uu + W_t^T R_t^-1 W_t``, with the target residual ``R_t`` built densely
+  from the kernel.
+
+A fix may instead make a case raise a named ``MogpalError``, which the case
+then expects.  A case that returns a wrong number is a strict xfail with its
+measured error beside it.  For the telescoping and cache identities they
+are the cases whose ``K_uu`` has a condition number near 1e11 or above,
+where the dense ``R_t`` loses digits too; the posterior mean drifts in one
+case alone.  The whole-pool budgets exhaust the target pool, so the
+max-entropy fallback and the near-tie rule run in every regime.
 """
 
 import functools
@@ -18,7 +30,10 @@ import functools
 import numpy as np
 import pytest
 
-from mogpal import Hyperparams, as_tuple, build_cache, build_model, criterion_F
+import oracles
+from mogpal import (
+    Hyperparams, as_tuple, build_cache, build_model, criterion_F, kernels, pitc_posterior,
+)
 from mogpal.pitc import select_inducing
 from mogpal.selector import select_greedy
 
@@ -29,9 +44,13 @@ INDUCING = {"spaced": (3, 10.0), "mid": (6, 3.0), "dense": (12, 1.0)}
 LATENT = {"w0.01": 1e-2, "w1": 1.0, "w31.6": 10**1.5}
 BUDGETS = ("one", "half", "whole")
 RTOL = 1e-8
+# target locations each posterior case predicts at
+QUERIES = 10
 
-# case id: the measured relative error of a case that returns a wrong number
-WRONG = {
+# identity -> case id -> the measured relative error of a case that returns
+# a wrong number
+WRONG = {}
+WRONG["telescoping"] = {
     "small-mid-w31.6-one": 1.5e-4, "small-mid-w31.6-half": 8.2e-6,
     "small-mid-w31.6-whole": 2.7e-4,
     "small-dense-w1-one": 1.6e-6, "small-dense-w1-half": 1.3e-6,
@@ -40,10 +59,22 @@ WRONG = {
     "small-dense-w31.6-whole": 2.4e-7,
     "large-mid-w31.6-one": 1.1e-6, "large-mid-w31.6-half": 3.2e-6,
     "large-mid-w31.6-whole": 1.5e-6,
-    "large-dense-w1-one": 1.2e-6, "large-dense-w1-half": 1.2e-5,
-    "large-dense-w1-whole": 1.1e-5,
+    "large-dense-w1-one": 1.2e-6, "large-dense-w1-half": 9.9e-6,
+    "large-dense-w1-whole": 7.1e-7,
     "large-dense-w31.6-one": 2.9e-6, "large-dense-w31.6-half": 2.2e-6,
     "large-dense-w31.6-whole": 6.8e-6,
+}
+WRONG["posterior"] = {"small-dense-w1-whole": 6.0e-6}
+# the cache is one per instance, so its three budgets measure alike; at
+# ``dense-w1`` the direct matrix is not even positive definite (inf)
+WRONG["cache"] = {
+    f"{pool}-{regime}-{budget}": error
+    for pool, regime, error in (
+        ("small", "mid-w31.6", 7.5e-6), ("small", "dense-w1", np.inf),
+        ("small", "dense-w31.6", 2.7e-1), ("large", "mid-w31.6", 6.8e-6),
+        ("large", "dense-w1", np.inf), ("large", "dense-w31.6", 2.1e-1),
+    )
+    for budget in BUDGETS
 }
 
 CASES = [
@@ -64,22 +95,70 @@ def _instance(pool, inducing, latent):
     return model, build_cache(model)
 
 
-def _telescoping_error(case):
+@functools.lru_cache(maxsize=None)
+def _greedy(case):
     pool, inducing, latent, budget = case.split("-")
     model, cache = _instance(pool, inducing, latent)
     n = {"one": 1, "half": len(model.candidates) // 2, "whole": len(model.candidates)}[budget]
     state = select_greedy(model, cache, n)
     assert len(state.selected) == n
+    return model, cache, state
+
+
+def _telescoping_error(case):
+    model, cache, state = _greedy(case)
     value = criterion_F(model, cache, state.selected)
     return abs(state.cumulative[-1] - value) / max(1.0, abs(value))
 
 
-@pytest.mark.parametrize("case", [
-    pytest.param(c, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason=f"telescoping drifts by {WRONG[c]:.1e} relative"))
-    if c in WRONG else c
-    for c in CASES
-])
+def _posterior_error(case):
+    model, _, state = _greedy(case)
+    x, h = state.selected, model.h
+    rng = np.random.default_rng(15)
+    y = rng.standard_normal(len(x))
+    spread = INDUCING[case.split("-")[1]][1]
+    z = [as_tuple([v], h.target_type) for v in rng.uniform(0.0, spread, size=QUERIES)]
+    fast = pitc_posterior(model, x, y, z).mean
+    if case.startswith("small-"):
+        dense = oracles.conditional_mean_blocked(z, x, y, h, model.inducing.locations)
+    else:
+        dense = oracles.sparse_cov(model, z, x) @ np.linalg.solve(oracles.sparse_cov(model, x, x), y)
+    return float(np.max(np.abs(fast - dense))) / max(1.0, float(np.max(np.abs(dense))))
+
+
+def _cache_error(case):
+    model, cache = _instance(*case.split("-")[:3])
+    h, u = model.h, model.inducing.locations
+    targets = model.candidates.take(model.candidates.indices_of_type(h.target_type))
+    kuu = kernels.latent_matrix(u, h)
+    w = kernels.latent_cross_matrix(targets, u, h)
+    r = kernels.cov_matrix(targets, targets, h) - w @ np.linalg.solve(kuu, w.T)
+    sign, direct = np.linalg.slogdet(kuu + w.T @ np.linalg.solve(r, w))
+    if sign <= 0:
+        return np.inf
+    return abs(cache.logdet - direct) / max(1.0, abs(direct))
+
+
+def _cases(identity, drift):
+    return [
+        pytest.param(c, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason=f"{drift} by {WRONG[identity][c]:.1e} relative"))
+        if c in WRONG[identity] else c
+        for c in CASES
+    ]
+
+
+@pytest.mark.parametrize("case", _cases("telescoping", "telescoping drifts"))
 def test_greedy_telescopes_to_the_objective(case):
     assert _telescoping_error(case) <= RTOL
+
+
+@pytest.mark.parametrize("case", _cases("posterior", "the posterior mean drifts"))
+def test_posterior_mean_matches_the_dense_conditional(case):
+    assert _posterior_error(case) <= RTOL
+
+
+@pytest.mark.parametrize("case", _cases("cache", "the cache drifts"))
+def test_cache_matches_the_direct_log_determinant(case):
+    assert _cache_error(case) <= RTOL

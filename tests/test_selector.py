@@ -473,6 +473,13 @@ class TestSingleOutputBaselines:
                 select_smi(model, 3)
 
     @pytest.mark.parametrize("select", [select_smi, select_svar])
+    def test_single_output_hypers_must_have_one_type(self, select):
+        model, _ = _grid_model(n_types=2)
+        with pytest.raises(ConfigError, match="^single-output pools need one-type "
+                                              "hyperparameters$"):
+            select(model, 2, model.h)
+
+    @pytest.mark.parametrize("select", [select_smi, select_svar])
     def test_numerically_singular_pool_raises(self, select):
         # eight targets 1e-3 apart under a wide kernel with noise 1e-20: the
         # single-output prior is singular to working precision, so a
