@@ -213,7 +213,6 @@ def _run_repeat(config: ExperimentConfig, out_dir, draw, rep_seed):
             config, h_model, split.pool_tuples, split.pool_values
         )
 
-    test = TupleArray.build(split.test_tuples, h_model)
     truth = denormalize(split.test_values, stats[t])
 
     rows = []
@@ -233,7 +232,7 @@ def _run_repeat(config: ExperimentConfig, out_dir, draw, rep_seed):
         for budget in config.checkpoints:
             x = state.selected[:budget]
             y_x = np.array([value_of[p] for p in x])
-            pred = pitc_posterior(model, x, y_x, test).mean
+            pred = pitc_posterior(model, x, y_x, split.test_tuples).mean
             rows.append(
                 ResultRow(
                     algorithm=algorithm,

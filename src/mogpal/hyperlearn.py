@@ -30,14 +30,13 @@ PENALIZED_LML = -1e18
 FIT_BUDGET = 400  # likelihood evaluations a fit may spend unless told otherwise
 
 
-def log_marginal_likelihood(h: Hyperparams, x, y_x):
-    """Gaussian log marginal density of the observations under the exact
-    prior (zero mean, full covariance).
+def log_marginal_likelihood(h: Hyperparams, tx: TupleArray, y_x):
+    """Gaussian log marginal density of the observations ``y_x`` at the
+    tuples of ``tx`` under the exact prior (zero mean, full covariance).
 
     A covariance that fails to factorize yields the large negative
     surrogate ``-1e18`` so optimizers can recover.
     """
-    tx = x if isinstance(x, TupleArray) else TupleArray.build(x, h)
     y_x = np.asarray(y_x, dtype=float).ravel()
     if y_x.shape[0] != len(tx):
         raise ConfigError(f"{len(tx)} observations but {y_x.shape[0]} values")
@@ -104,7 +103,7 @@ def fit_hyperparams(x, y_x, init: Hyperparams, budget=FIT_BUDGET) -> FitResult:
 
     if budget < 1:
         raise ConfigError("evaluation budget must be at least 1")
-    tx = x if isinstance(x, TupleArray) else TupleArray.build(x, init)
+    tx = TupleArray.build(x, init)
     y_x = np.asarray(y_x, dtype=float).ravel()
     x0 = _pack(init)
     best = (math.inf, x0)
@@ -117,7 +116,7 @@ def fit_hyperparams(x, y_x, init: Hyperparams, budget=FIT_BUDGET) -> FitResult:
         evals += 1
         try:
             h = _unpack(vec, init)
-        except (ConfigError, FloatingPointError):
+        except ConfigError:
             nll = -PENALIZED_LML
         else:
             nll = -log_marginal_likelihood(h, tx, y_x)

@@ -164,14 +164,13 @@ class TupleArray:
     _by_type: dict = field(repr=False, default=None)
 
     @classmethod
-    def build(cls, tuples, h: Hyperparams = None):
+    def build(cls, tuples, h: Hyperparams):
+        """The one conversion of a tuple list: each tuple is checked by
+        ``h.validate_tuple``, and the coordinates have ``h.dim`` columns."""
         tuples = tuple(tuples)
-        n = len(tuples)
-        if h is not None:
-            for t in tuples:
-                h.validate_tuple(t)
-        d = len(tuples[0].location) if n else (h.dim if h is not None else 0)
-        coords = np.array([t.location for t in tuples], dtype=float).reshape(n, d)
+        for t in tuples:
+            h.validate_tuple(t)
+        coords = np.array([t.location for t in tuples], dtype=float).reshape(len(tuples), h.dim)
         types = np.array([t.type_index for t in tuples], dtype=int)
         return cls._from_arrays(tuples, coords, types)
 
@@ -242,17 +241,15 @@ def _same_location(xa, xb):
     return same
 
 
-def cov_matrix(a, b, h: Hyperparams, out=None):
-    """Prior covariance matrix between two tuple lists (vectorized).
+def cov_matrix(ta: TupleArray, tb: TupleArray, h: Hyperparams, out=None):
+    """Prior covariance matrix between the tuples of two :class:`TupleArray`
+    views (vectorized).
 
-    Accepts lists of :class:`TypedLocation` or prebuilt :class:`TupleArray`
-    views.  When called with the same list twice the result is symmetric by
+    When called with the same view twice the result is symmetric by
     construction (the (i, j) and (j, i) blocks are exact transposes).  A
     one-type by one-type call is computed in place in the returned array
     (``out`` when given); mixed types go through one buffer per type pair.
     """
-    ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
-    tb = b if isinstance(b, TupleArray) else TupleArray.build(b, h)
     if out is None:
         out = np.empty((len(ta), len(tb)))
     for i in ta.type_set:
@@ -275,9 +272,9 @@ def cov_matrix(a, b, h: Hyperparams, out=None):
     return out
 
 
-def latent_cross_matrix(a, u_coords, h: Hyperparams):
-    """Covariance matrix between typed tuples and latent locations."""
-    ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
+def latent_cross_matrix(ta: TupleArray, u_coords, h: Hyperparams):
+    """Covariance matrix between the tuples of a :class:`TupleArray` and
+    latent locations."""
     u_coords = np.atleast_2d(np.asarray(u_coords, dtype=float))
     out = np.zeros((len(ta), u_coords.shape[0]))
     for i in ta.type_set:

@@ -9,7 +9,7 @@ structure the selection criterion exploits.
 
 This module owns that block algebra, once: ``fill_residual`` computes the
 per-type residual ``C - W K_uu^-1 W^T``; ``sparse_cov`` covaries queries
-with pool tuples, whose side it reads from the model, for the posterior
+with pool positions, whose side it reads from the model, for the posterior
 mean; and ``BlockFactors(model, cols)`` is the one object that conditions on
 a set of pool positions: it slices their cached blocks, factors each
 residual block and, once, the set's ``K_uu + S`` (``S`` its inducing
@@ -17,10 +17,12 @@ information), for the posterior and the selection criterion alike, and the
 criterion's ``K_uu + T + S_aux`` when it is read (also by the exact
 rescoring of near-ties that ``selector._greedy_loop`` asks for).
 
-Inside the library a selection is a list of pool positions.  Public calls
-take ``(location, type)`` tuples, and ``PitcModel.positions`` is the one
-place that turns them into positions and rejects a tuple missing from the
-pool or repeated.
+Inside the library a selection is a list of pool positions and any other
+tuple set a :class:`~mogpal.kernels.TupleArray`.  Public calls take
+``(location, type)`` tuples: ``PitcModel.positions`` is the one place that
+turns them into positions and rejects a tuple missing from the pool or
+repeated, and ``TupleArray.build`` the one place that turns them into
+arrays and validates them against the hyperparameters.
 
 Memory: the pool layout lives in ``PitcModel`` alone.  ``W`` (N x m) and
 ``G`` (m x N) span the whole pool, where each type is a contiguous range.
@@ -199,7 +201,6 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
         if not 0 <= i < h.n_types:
             raise ConfigError(f"candidate type {i} out of range [0, {h.n_types})")
         for t in tuples:
-            h.validate_tuple(t)
             if t.type_index != i:
                 raise ConfigError(f"tuple {t} listed under type {i}")
         dups = find_duplicates(tuples)
@@ -223,7 +224,7 @@ def build_model(h: Hyperparams, inducing: InducingSet, candidates_per_type) -> P
         )
 
     pool.sort(key=lambda t: t.sort_key)
-    cands = TupleArray.build(pool)  # each tuple was validated above
+    cands = TupleArray.build(pool, h)
     kuu = kernels.latent_matrix(inducing.locations, h)
     try:
         kuu_factor = chol_spd(kuu, "inducing covariance")
@@ -288,14 +289,12 @@ def fill_residual(h: Hyperparams, ta: TupleArray, w, g, r, prior_var=None):
         block -= w[rows] @ g
 
 
-def sparse_cov(model: PitcModel, a, b):
-    """Joint-model covariance of any tuples ``a`` with pool tuples ``b``:
-    exact within a type, low-rank across types.  ``b``'s inducing solve is
-    read from ``model.G``, so only ``a``'s cross covariance ``W_a`` and the
-    within-type blocks reach the kernel."""
+def sparse_cov(model: PitcModel, ta: TupleArray, cols):
+    """Joint-model covariance of the tuples of ``ta`` with the pool tuples
+    at positions ``cols``: exact within a type, low-rank across types.  The
+    pool side's inducing solve is read from ``model.G``, so only ``ta``'s
+    cross covariance ``W_a`` and the within-type blocks reach the kernel."""
     h = model.h
-    ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)
-    cols = model.positions(b)
     tb = model.candidates.take(cols)
     out = kernels.latent_cross_matrix(ta, model.inducing.locations, h) @ model.G[:, cols]
     for i in np.unique(ta.types):
@@ -395,7 +394,7 @@ def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
     inducing low rank (Woodbury), at cost ``O(|x| (m^2 + (|x|/M)^2))``; the
     mean then takes one ``|z| x |x|`` cross covariance.
     """
-    tz = z if isinstance(z, TupleArray) else TupleArray.build(z, model.h)
+    tz = TupleArray.build(z, model.h)
     y_x = np.asarray(y_x, dtype=float).ravel()
     if y_x.shape[0] != len(x):
         raise DomainError(f"{len(x)} observations but {y_x.shape[0]} values")
@@ -404,5 +403,6 @@ def pitc_posterior(model: PitcModel, x, y_x, z) -> GaussianPrediction:
 
     if not x:
         return GaussianPrediction(mean=np.zeros(len(tz)))
-    sol_y = BlockFactors(model, model.positions(x)).inv_apply(y_x)
-    return GaussianPrediction(mean=sparse_cov(model, tz, x) @ sol_y)
+    cols = model.positions(x)
+    sol_y = BlockFactors(model, cols).inv_apply(y_x)
+    return GaussianPrediction(mean=sparse_cov(model, tz, cols) @ sol_y)

@@ -3,7 +3,8 @@
 ``select_greedy`` maximizes the augmented objective one tuple at a time over
 all types; the baselines pick by plain posterior entropy over all types
 (``select_mvar``) or restrict themselves to the pool of the one target type
-under a single-output model (``select_svar``, ``select_smi``).  All four
+under a single-output model (``select_svar``, ``select_smi``).  Greedy picks
+by entropy too whenever no free gain exceeds 1e-9.  All four
 run the paper's greedy loop, ``_greedy_loop``, which holds the one tie rule:
 condition on the previous pick, score the model's whole pool (the
 single-output baselines give -inf outside the target pool), rescore the
@@ -104,14 +105,15 @@ def _greedy_loop(model, n, scores, add):
 def select_greedy(model: PitcModel, cache: SpdFactor, n: int) -> SelectionState:
     """Greedy maximization of the augmented objective over all types.
 
-    Once the target pool is fully selected the objective is constant (every
-    remaining gain is zero), so for any budget beyond that point the picks
-    fall back to maximum posterior entropy; this keeps the sequence
-    deterministic and useful instead of ordering by roundoff noise.  The
-    recorded gain is still the objective gain, exactly zero there.  Each pick costs
-    O(N (m + |X|)) for N candidates, m inducing points and |X| picks so far
-    (one covariance row and a rank-one variance downdate, see
-    :class:`GainEvaluator`).
+    When no free candidate's gain exceeds 1e-9 the picks fall back to
+    maximum posterior entropy, which keeps the sequence deterministic and
+    useful instead of ordering it by roundoff noise.  That holds once the
+    target pool is fully selected, where the objective is constant (every
+    remaining gain is exactly zero), and can hold with targets free below
+    the noise floor, where every gain may be that small.  The recorded gain
+    is still the objective gain.  Each pick costs O(N (m + |X|)) for N
+    candidates, m inducing points and |X| picks so far (one covariance row
+    and a rank-one variance downdate, see :class:`GainEvaluator`).
     """
     check_budget(n, len(model.candidates))
     evaluator = GainEvaluator(model, cache).set_state([])

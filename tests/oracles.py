@@ -305,7 +305,8 @@ class _ScratchPools:
                 raise ConfigError("single-output pools need one-type hyperparameters")
             self.pools[t] = (tuples, remapped)
             self.hyper[t] = h_t
-            self.prior[t] = kernels.cov_matrix(remapped, remapped, h_t)
+            tr = TupleArray.build(remapped, h_t)
+            self.prior[t] = kernels.cov_matrix(tr, tr, h_t)
         # (pool position, type, row in the type's pool) of every target candidate
         index = {p: j for j, p in enumerate(model.candidates.tuples)}
         self.flat = [

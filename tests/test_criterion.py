@@ -245,9 +245,10 @@ class TestOldCriterion:
         post_h = []
         for s in subsets:
             x = [cands[i] for i in s]
+            tx = model.candidates.take(s)
             # log-det from a Cholesky factor: slogdet rounds differently
             # and could flip near-tied subsets in the ordering below
-            prior_h.append(0.5 * (2 * LOG_2PI_E + chol_spd(cov_matrix(x, x, h)).logdet))
+            prior_h.append(0.5 * (2 * LOG_2PI_E + chol_spd(cov_matrix(tx, tx, h)).logdet))
             post_h.append(oracles.old_criterion(model, x))
         assert np.argmax(prior_h) == np.argmin(post_h)
         # full equivalence: ordering agrees pairwise
@@ -276,8 +277,8 @@ class TestOldCriterion:
         # F and the old criterion sum to the prior entropy of the target pool
         model, cache = random_instance(60, n_per_type=(4, 4))
         cands = list(model.candidates.tuples)
-        v_t = list(model.candidates.tuples[model.type_slices[0]])
-        const = oracles.entropy(sparse_cov(model, v_t, v_t))
+        v_t = np.arange(len(cands))[model.type_slices[0]]
+        const = oracles.entropy(sparse_cov(model, model.candidates.take(v_t), v_t))
         r = np.random.default_rng(60)
         for k in (0, 1, 3):
             x = [cands[i] for i in r.choice(len(cands), size=k, replace=False)]

@@ -154,6 +154,21 @@ class TestLoadDataset:
             load_dataset(path, schema)
         assert str(info.value) == f"{path}{message}"
 
+    def test_blank_rows_are_skipped(self, tmp_path):
+        # an empty line and a whitespace-only row load as if absent, and a
+        # later bad row is still named by its physical line
+        schema = load_schema(
+            _write(tmp_path, "s.schema", "[schema]\ncoords = x\ntypes = a\n")
+        )
+        plain = load_dataset(_write(tmp_path, "plain.csv", "x,a\n0.0,1.5\n2.0,2.5\n"), schema)
+        ds = load_dataset(_write(tmp_path, "d.csv", "x,a\n0.0,1.5\n\n  \n2.0,2.5\n"), schema)
+        assert np.array_equal(ds.coords, plain.coords)
+        assert np.array_equal(ds.values, plain.values)
+        path = _write(tmp_path, "bad.csv", "x,a\n0.0,1.5\n\n  \n2.0,2.5\noops,1.0\n")
+        with pytest.raises(ConfigError) as info:
+            load_dataset(path, schema)
+        assert str(info.value) == f"{path}:6: coordinate: 'oops' is not a finite number"
+
     def test_nonpositive_under_log_rejected(self, tmp_path):
         schema = load_schema(
             _write(

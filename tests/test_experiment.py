@@ -23,13 +23,15 @@ from mogpal.config import (
 )
 from mogpal.data import normalize, save_dataset, split_test
 from mogpal.experiment import (
+    ResultRow,
+    ResultTable,
     generate_synthetic,
     load_experiment_dataset,
     run_experiment,
     verify_sweep,
 )
 from mogpal.hyperlearn import fit_hyperparams, log_marginal_likelihood
-from mogpal.kernels import TypedLocation
+from mogpal.kernels import TupleArray, TypedLocation
 from mogpal.linalg import chol_spd
 from mogpal.pitc import build_model
 
@@ -238,13 +240,13 @@ def _reference_draw(spec, h, seed):
         coords = rng.uniform(0.0, spec.extent, size=(spec.n_locations, h.dim))
     else:
         coords = np.linspace(0.0, spec.extent, spec.n_locations)[:, None]
-    tuples = [
+    tuples = TupleArray.build([
         TypedLocation(tuple(float(c) for c in coords[li]), ti)
         for ti in range(h.n_types) for li in range(spec.n_locations)
-    ]
+    ], h)
     total = len(tuples)
     cov = kernels.cov_matrix(tuples, tuples, h)
-    noise = h.noise_var[[t.type_index for t in tuples]]
+    noise = h.noise_var[tuples.types]
     lower = chol_spd(cov - np.diag(noise) + 1e-10 * np.eye(total)).lower
     measured = lower @ rng.standard_normal(total) + rng.standard_normal(total) * np.sqrt(noise)
     n = spec.n_locations
@@ -363,6 +365,13 @@ class TestRunExperiment:
         for alg in ("m-greedy", "s-var"):
             assert short.mean_rmse(alg, 2) == pytest.approx(full.mean_rmse(alg, 2))
 
+    def test_mean_rmse_of_an_absent_row_names_it(self):
+        table = ResultTable(rows=[ResultRow("m-greedy", 1, 2, rmse=0.5, wall_ms=1.0)])
+        assert table.mean_rmse("m-greedy", 2) == 0.5
+        for algorithm, budget in (("m-var", 2), ("m-greedy", 4)):
+            with pytest.raises(KeyError, match=f"^'no rows for {algorithm} at budget {budget}'$"):
+                table.mean_rmse(algorithm, budget)
+
     def test_refit_mode_runs(self, tmp_path):
         cfg = _config(
             tmp_path, repeats=1, algorithms=("s-var",), svar_mode="refit",
@@ -390,8 +399,10 @@ class TestRunExperiment:
         norm, _ = normalize(load_experiment_dataset(cfg))
         split = split_test(norm, h_true.target_type, cfg.test_count, cfg.seed)
 
+        pool = TupleArray.build(split.pool_tuples, h_true)
+
         def nll(h):
-            return -log_marginal_likelihood(h, split.pool_tuples, split.pool_values)
+            return -log_marginal_likelihood(h, pool, split.pool_values)
 
         start_fit = fit_hyperparams(split.pool_tuples, split.pool_values, h_true)
         assert start_fit.converged

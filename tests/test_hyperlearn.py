@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mogpal import ConfigError, FitError, Hyperparams, as_tuple, hyperlearn
 from mogpal.hyperlearn import (
@@ -22,29 +24,40 @@ H2 = Hyperparams(
 )
 
 
+def lml(h, pts, y):
+    """``log_marginal_likelihood`` at a tuple list."""
+    return log_marginal_likelihood(h, TupleArray.build(pts, h), y)
+
+
+def cov(pts, h):
+    """``cov_matrix`` of a tuple list with itself."""
+    ta = TupleArray.build(pts, h)
+    return cov_matrix(ta, ta, h)
+
+
 class TestLogMarginalLikelihood:
     def test_single_point_closed_form(self):
         p = as_tuple([0.0], 0)
-        v = cov_matrix([p], [p], H1)[0, 0]
-        assert log_marginal_likelihood(H1, [p], [0.0]) == pytest.approx(
+        v = cov([p], H1)[0, 0]
+        assert lml(H1, [p], [0.0]) == pytest.approx(
             -0.5 * math.log(2 * math.pi * v)
         )
 
     def test_independent_points_add(self):
         pts = [as_tuple([100.0 * k], 0) for k in range(4)]
         y = [0.3, -0.2, 1.0, 0.5]
-        total = log_marginal_likelihood(H1, pts, y)
+        total = lml(H1, pts, y)
         parts = sum(
-            log_marginal_likelihood(H1, [p], [v]) for p, v in zip(pts, y)
+            lml(H1, [p], [v]) for p, v in zip(pts, y)
         )
         assert total == pytest.approx(parts, rel=1e-10)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigError, match="1 observations but 2 values"):
-            log_marginal_likelihood(H1, [as_tuple([0.0], 0)], [0.0, 1.0])
+            lml(H1, [as_tuple([0.0], 0)], [0.0, 1.0])
 
     def test_no_observations_is_zero(self):
-        assert log_marginal_likelihood(H2, [], []) == 0.0
+        assert lml(H2, [], []) == 0.0
 
     def test_overflowing_covariance_is_penalized(self):
         h = Hyperparams(
@@ -53,39 +66,31 @@ class TestLogMarginalLikelihood:
         )
         pts = [as_tuple([v], 0) for v in (0.0, 0.5, 1.0)]
         with pytest.warns(RuntimeWarning, match="overflow"):
-            assert log_marginal_likelihood(h, pts, [0.1, -0.2, 0.3]) == PENALIZED_LML
-
-    def test_tuple_array_input_matches_list(self, rng):
-        pts = [as_tuple([v], t) for v, t in zip(rng.uniform(0, 2, 5), [0, 1, 1, 0, 1])]
-        y = rng.normal(size=5)
-        assert log_marginal_likelihood(H2, TupleArray.build(pts, H2), y) == (
-            log_marginal_likelihood(H2, pts, y)
-        )
+            assert lml(h, pts, [0.1, -0.2, 0.3]) == PENALIZED_LML
 
     def test_matches_dense_quadratic_form(self, rng):
         pts = [as_tuple([v], t) for v, t in zip(rng.uniform(0, 2, 6), [0, 1] * 3)]
         y = rng.normal(size=6)
-        cov = cov_matrix(pts, pts, H2)
+        c = cov(pts, H2)
         expected = (
-            -0.5 * y @ np.linalg.solve(cov, y)
-            - 0.5 * np.linalg.slogdet(cov)[1]
+            -0.5 * y @ np.linalg.solve(c, y)
+            - 0.5 * np.linalg.slogdet(c)[1]
             - 3 * math.log(2 * math.pi)
         )
-        assert log_marginal_likelihood(H2, pts, y) == pytest.approx(expected, rel=1e-10)
+        assert lml(H2, pts, y) == pytest.approx(expected, rel=1e-10)
 
 
 def _sample_single_type(h, n, seed, spread=6.0):
     rng = np.random.default_rng(seed)
     pts = [as_tuple([v], 0) for v in np.sort(rng.uniform(0, spread, n))]
-    cov = cov_matrix(pts, pts, h)
-    y = np.linalg.cholesky(cov + 1e-12 * np.eye(n)) @ rng.standard_normal(n)
+    y = np.linalg.cholesky(cov(pts, h) + 1e-12 * np.eye(n)) @ rng.standard_normal(n)
     return pts, y
 
 
 class TestFitHyperparams:
     def test_never_worse_than_init(self):
         pts, y = _sample_single_type(H1, 30, seed=0)
-        init_nll = -log_marginal_likelihood(H1, pts, y)
+        init_nll = -lml(H1, pts, y)
         fit = fit_hyperparams(pts, y, H1, budget=150)
         assert fit.final_nll <= init_nll + 1e-9
 
@@ -148,7 +153,7 @@ class TestFitHyperparams:
         assert len(hyperlearn._pack(H2)) == 7
         assert len(calls) == fit.iterations <= budget
         assert not fit.converged
-        assert fit.final_nll <= -log_marginal_likelihood(H2, pts, y) + 1e-9
+        assert fit.final_nll <= -lml(H2, pts, y) + 1e-9
 
     def test_pack_unpack_round_trip(self):
         # every width is a search parameter: 3 + 3 variances, 2 latent, 3 x 2 smoothing
@@ -172,3 +177,23 @@ class TestFitHyperparams:
         )
         with pytest.raises(FitError, match="every evaluation was a degenerate likelihood"):
             fit_hyperparams(pts, y, H1, budget=50)
+
+    def test_a_refused_point_scores_the_penalty(self, monkeypatch):
+        # every log-parameter at -800 exponentiates to 0.0 without a
+        # warning, a point Hyperparams refuses
+        pts, y = _sample_single_type(H1, 10, seed=5)
+        scored = []
+
+        def minimize(fun, x0, method):
+            scored.append(fun(x0))
+            scored.append(fun(np.full_like(x0, -800.0)))
+            return SimpleNamespace(success=False)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+        fit = fit_hyperparams(pts, y, H1, budget=10)
+        assert scored == [-lml(H1, pts, y), -PENALIZED_LML]
+        assert fit.iterations == 2 and not fit.converged
+        assert fit.final_nll == scored[0]
+        start = hyperlearn._unpack(hyperlearn._pack(H1), H1)
+        for name in ("signal_var", "noise_var", "latent_prec_inv", "smooth_prec_inv"):
+            assert np.array_equal(getattr(fit.h, name), getattr(start, name))

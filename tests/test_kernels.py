@@ -31,13 +31,18 @@ H2 = Hyperparams(
 )
 
 
+def cov(a, b, h):
+    """``cov_matrix`` of two tuple lists."""
+    return cov_matrix(TupleArray.build(a, h), TupleArray.build(b, h), h)
+
+
 def output_cov(p, q, h):
     """Covariance of two typed tuples, as cov_matrix on one-element inputs."""
-    return cov_matrix([p], [q], h)[0, 0]
+    return cov([p], [q], h)[0, 0]
 
 
 def latent_cross_cov(p, u, h):
-    return latent_cross_matrix([p], [u], h)[0, 0]
+    return latent_cross_matrix(TupleArray.build([p], h), [u], h)[0, 0]
 
 
 def latent_cov(u, v, h):
@@ -159,18 +164,18 @@ class TestLatentCov:
 class TestCovMatrix:
     def test_single_tuple(self):
         p = as_tuple([0.2], 0)
-        mat = cov_matrix([p], [p], H2)
+        mat = cov([p], [p], H2)
         assert mat.shape == (1, 1)
         assert mat[0, 0] == pytest.approx(oracles.out_cov(p, p, H2), rel=1e-14)
 
     def test_symmetric_bitwise(self, rng):
         tuples = [as_tuple(rng.uniform(0, 1, 1), rng.integers(2)) for _ in range(6)]
-        mat = cov_matrix(tuples, tuples, H2)
+        mat = cov(tuples, tuples, H2)
         assert np.array_equal(mat, mat.T)
 
     def test_positive_definite(self, rng):
         tuples = [as_tuple(rng.uniform(0, 1, 1), rng.integers(2)) for _ in range(3)]
-        mat = cov_matrix(tuples, tuples, H2)
+        mat = cov(tuples, tuples, H2)
         assert np.linalg.eigvalsh(mat).min() > 0
 
     def test_min_eigenvalue_at_least_noise(self, rng):
@@ -182,14 +187,14 @@ class TestCovMatrix:
                 signal_var=[1.0, 0.8], noise_var=[0.25, 0.1],
                 latent_prec_inv=[0.1, 0.1], smooth_prec_inv=[[0.2, 0.2], [0.15, 0.15]],
             )
-            mat = cov_matrix(tuples, tuples, h)
+            mat = cov(tuples, tuples, h)
             assert np.linalg.eigvalsh(mat).min() >= min(h.noise_var) - 1e-10
 
     def test_matches_scalar_oracle(self, rng):
         a = [as_tuple(rng.uniform(0, 1, 1), rng.integers(2)) for _ in range(5)]
         b = [as_tuple(rng.uniform(0, 1, 1), rng.integers(2)) for _ in range(4)]
         np.testing.assert_allclose(
-            cov_matrix(a, b, H2), oracles.exact_cov(a, b, H2), rtol=1e-13, atol=1e-15
+            cov(a, b, H2), oracles.exact_cov(a, b, H2), rtol=1e-13, atol=1e-15
         )
 
     def test_latent_matrices_match_oracle(self, rng):
@@ -204,6 +209,21 @@ class TestCovMatrix:
         np.testing.assert_allclose(
             latent_matrix(u, H2), oracles.inducing_cov(u, H2), rtol=1e-13
         )
+
+
+class TestTupleArray:
+    def test_build_validates_each_tuple(self):
+        message = r"^location \(0\.0, 1\.0\) has dimension 2, model expects 1$"
+        with pytest.raises(DomainError, match=message):
+            TupleArray.build([as_tuple([0.0], 0), as_tuple([0.0, 1.0], 1)], H2)
+        with pytest.raises(DomainError, match=r"^type index 2 out of range \[0, 2\)$"):
+            TupleArray.build([as_tuple([0.0], 2)], H2)
+
+    def test_empty_build_has_the_model_dimension(self):
+        h = Hyperparams(signal_var=[1.0], noise_var=[0.1], latent_prec_inv=[0.1, 0.2],
+                        smooth_prec_inv=[[0.1, 0.1]])
+        ta = TupleArray.build([], h)
+        assert ta.coords.shape == (0, 2) and len(ta) == 0 and ta.type_set == ()
 
 
 def _random_tuples(rng, n, types, dim, spread=5.0):
@@ -236,7 +256,7 @@ class TestInPlaceAssembly:
         b = _random_tuples(rng, 30, range(n_types), dim)
         rng.shuffle(a)
         for x, y in ((a, a), (a, b), (b, a)):
-            assert np.array_equal(cov_matrix(x, y, h), oracles.cov_matrix(x, y, h))
+            assert np.array_equal(cov(x, y, h), oracles.cov_matrix(x, y, h))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_shared_location_across_types(self, dim):
@@ -246,7 +266,7 @@ class TestInPlaceAssembly:
         h = _hyper(2, dim, rng)
         locs = rng.uniform(0, 3, (6, dim))
         tuples = [as_tuple(loc, i) for loc in locs for i in (0, 1)]
-        mat = cov_matrix(tuples, tuples, h)
+        mat = cov(tuples, tuples, h)
         assert np.array_equal(mat, oracles.cov_matrix(tuples, tuples, h))
         for k in range(0, len(tuples), 2):
             assert mat[k, k + 1] == pytest.approx(
@@ -269,7 +289,7 @@ class TestInPlaceAssembly:
         h = _hyper(2, 3, rng)
         a = _random_tuples(rng, 25, (0, 1), 3, spread=2.0)
         np.testing.assert_allclose(
-            cov_matrix(a, a, h), oracles.cov_matrix(a, a, h), rtol=1e-13, atol=0
+            cov(a, a, h), oracles.cov_matrix(a, a, h), rtol=1e-13, atol=0
         )
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -335,7 +355,7 @@ class TestHyperparams:
         remapped = [as_tuple(p.location, 0) for p in pts]
         assert single.n_types == 1 and single.target_type == 0
         np.testing.assert_allclose(
-            cov_matrix(remapped, remapped, single), cov_matrix(pts, pts, H2), rtol=1e-12
+            cov(remapped, remapped, single), cov(pts, pts, H2), rtol=1e-12
         )
 
     def test_rejects_mixed_dimension_tuple(self):

@@ -4,6 +4,7 @@ only tests reach, against dataclass fields that no run reads, against
 function parameters that their body never reads, against pool lookups
 outside ``pitc``, against kernel matrices outside the modules that build
 covariances, against the near-tie band outside ``selector`` and ``verify``,
+against a function that takes a tuple list or its ``TupleArray`` alike,
 against a ``config`` loader restating a default, against
 an INI read that names no section, against package file I/O in the
 locale's encoding and against a test oracle that nothing references.
@@ -22,7 +23,11 @@ read as ``W G + R`` from ``PitcModel``, so only ``kernels``, ``pitc``,
 ``latent_cross_matrix`` or ``latent_matrix``.  The greedy loop holds the one
 near-tie rule, so only ``selector`` and ``verify``'s leaf band reference
 ``TIE_ATOL``.  One table, ``CONFINED``, holds these three rules, and a
-reference is a name, an attribute or an import.  At module level the package
+reference is a name, an attribute or an import.  A tuple set is turned into
+a ``TupleArray`` once, by ``TupleArray.build`` at a public entry point, and
+every function below takes that form alone, so no package module calls
+``isinstance`` with ``TupleArray``, bare or as ``kernels.TupleArray``.  At
+module level the package
 imports no third-party module but ``numpy`` and ``scipy.linalg``, so that a
 run that never fits does not load ``scipy.optimize`` (``test_startup.py``
 checks the loaded modules; this scan names the module that imports).  Each
@@ -408,6 +413,34 @@ def test_confinement_scanner_flags_only_other_modules(reference):
 
 def test_confined_names_stay_in_their_modules():
     assert confined_references({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def dual_form_inputs(source):
+    """``isinstance`` calls in ``source``, unparsed in source order, whose
+    class argument names ``TupleArray``, as a name or an attribute."""
+    flagged = []
+    for call in ast.walk(ast.parse(source)):
+        if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+                and "TupleArray" in _references(call.args[1:])):
+            flagged.append((call.lineno, ast.unparse(call)))
+    return [text for _, text in sorted(flagged)]
+
+
+def test_dual_form_scanner_flags_only_tuple_array_checks():
+    source = (
+        "def f(a, b, x, h):\n"
+        "    ta = a if isinstance(a, TupleArray) else TupleArray.build(a, h)\n"
+        "    tb = b if isinstance(b, kernels.TupleArray) else kernels.TupleArray.build(b, h)\n"
+        "    return isinstance(x, tuple)\n"
+    )
+    assert dual_form_inputs(source) == [
+        "isinstance(a, TupleArray)", "isinstance(b, kernels.TupleArray)",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_dual_form_inputs(path):
+    assert dual_form_inputs(path.read_text()) == []
 
 
 def literal_defaults(source):

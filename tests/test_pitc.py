@@ -20,7 +20,7 @@ from mogpal import (
     pitc_posterior,
     select_inducing,
 )
-from mogpal.kernels import cov_matrix, latent_cross_matrix
+from mogpal.kernels import TupleArray, cov_matrix, latent_cross_matrix
 from mogpal.linalg import spd_info_in_place
 from mogpal.pitc import RESIDUAL_CHUNK, fill_residual, sparse_cov
 from conftest import random_instance
@@ -179,6 +179,12 @@ class TestBuildModel:
         with pytest.raises(ConfigError, match=f"^tuple {re.escape(repr(p))} listed under type 0$"):
             build_model(h, InducingSet(locations=[[0.5]]), {0: [p], 1: [as_tuple([0.4], 1)]})
 
+    def test_refuses_a_pool_tuple_of_another_dimension(self):
+        message = r"^location \(0\.3, 0\.1\) has dimension 2, model expects 1$"
+        with pytest.raises(DomainError, match=message):
+            build_model(H1, InducingSet(locations=[[0.5]]),
+                        {0: [as_tuple([0.4], 0), as_tuple([0.3, 0.1], 0)]})
+
     def test_singular_inducing_covariance_is_a_build_error(self):
         # in 1000 dimensions the latent density's (2 pi)^(-d/2) underflows to
         # zero, so K_uu is all zeros and a jitter of a share of its trace is 0
@@ -322,6 +328,11 @@ def _lowrank(model, a, b):
     return oracles.lowrank_cov(a, b, model.h, model.inducing.locations)
 
 
+def _sparse_cov(model, a, b):
+    """``sparse_cov`` of tuples ``a`` with pool tuples ``b``."""
+    return sparse_cov(model, TupleArray.build(a, model.h), model.positions(b))
+
+
 class TestGammaLambda:
     """The two parts of the sparse covariance: the low rank through the
     inducing measurements and the per-type residual blocks."""
@@ -329,7 +340,7 @@ class TestGammaLambda:
     def test_gamma_psd_low_rank(self, rng):
         model, _ = oracles.random_instance(5, n_per_type=(5, 5), n_inducing=2)
         a = list(model.candidates.tuples)
-        g = sparse_cov(model, a, a) - scipy.linalg.block_diag(
+        g = _sparse_cov(model, a, a) - scipy.linalg.block_diag(
             *(model.R[i] for i in sorted(model.R))
         )
         eig = np.linalg.eigvalsh(g)
@@ -349,7 +360,7 @@ class TestGammaLambda:
         a = model.candidates.tuples[:3]
         b = model.candidates.tuples[3:6]
         np.testing.assert_allclose(
-            sparse_cov(model, a, b), sparse_cov(model, b, a).T, rtol=1e-12, atol=1e-15
+            _sparse_cov(model, a, b), _sparse_cov(model, b, a).T, rtol=1e-12, atol=1e-15
         )
 
     def test_lambda_single_type_full_residual(self):
@@ -363,7 +374,7 @@ class TestGammaLambda:
         # types the sparse covariance is the low rank alone
         model, _ = random_instance(7, n_per_type=(3, 3))
         a = list(model.candidates.tuples)
-        resid = sparse_cov(model, a, a) - _lowrank(model, a, a)
+        resid = _sparse_cov(model, a, a) - _lowrank(model, a, a)
         types = np.array([t.type_index for t in a])
         cross = types[:, None] != types[None, :]
         np.testing.assert_allclose(resid[cross], 0.0, atol=1e-12)
@@ -492,6 +503,12 @@ class TestPitcPosterior:
         with pytest.raises(DomainError, match="overlap"):
             pitc_posterior(model, [p], [0.0], [p])
 
+    def test_rejects_a_query_of_another_dimension(self):
+        model = _model_1type()
+        message = r"^location \(5\.0, 1\.0\) has dimension 2, model expects 1$"
+        with pytest.raises(DomainError, match=message):
+            pitc_posterior(model, model.candidates.tuples[:1], [0.0], [as_tuple([5.0, 1.0], 0)])
+
     def test_rejects_length_mismatch(self):
         model = _model_1type()
         with pytest.raises(DomainError, match="1 observations but 2 values"):
@@ -512,21 +529,15 @@ class TestSparseCov:
         b = [pool[k] for k in r.permutation(len(pool))[:9]]
         for a in (pool, off_pool, off_pool + pool[:4]):
             np.testing.assert_allclose(
-                sparse_cov(model, a, b), oracles.sparse_cov(model, a, b),
+                _sparse_cov(model, a, b), oracles.sparse_cov(model, a, b),
                 rtol=1e-12, atol=1e-15,
             )
-
-    def test_rejects_b_off_the_pool(self):
-        model, _ = random_instance(23, n_per_type=(3, 3))
-        far = as_tuple([5.0], 1)
-        with pytest.raises(DomainError, match=re.escape(repr(far))):
-            sparse_cov(model, model.candidates.tuples[:2], [model.candidates.tuples[0], far])
 
     def test_same_type_exact_cross_type_lowrank(self, rng):
         model, _ = random_instance(23, n_per_type=(3, 3))
         a = list(model.candidates.tuples)
-        c = sparse_cov(model, a, a)
-        exact = cov_matrix(a, a, model.h)
+        c = _sparse_cov(model, a, a)
+        exact = cov_matrix(model.candidates, model.candidates, model.h)
         g = _lowrank(model, a, a)
         types = np.array([t.type_index for t in a])
         same = types[:, None] == types[None, :]

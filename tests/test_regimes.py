@@ -1,4 +1,4 @@
-"""Three identities of the sparse model across conditioning regimes.
+"""Four identities of the sparse model across conditioning regimes.
 
 One deterministic sweep over fixed axes: two pool sizes per type, inducing
 counts from well spaced to dense against the locations' spread, latent
@@ -14,15 +14,23 @@ half the pool and the whole pool.  Each case checks, within 1e-8 relative
   ``oracles.sparse_cov`` on the large ones);
 - cache: ``build_cache(model).logdet`` equals the log-determinant of
   ``K_uu + W_t^T R_t^-1 W_t``, with the target residual ``R_t`` built densely
-  from the kernel.
+  from the kernel;
+- certificate: ``check_guarantee`` is satisfied where brute force takes
+  about 0.03 s a case: budgets of one pick and the whole pool on the small
+  pools, one pick on the large ones (half the small pool is C(16, 8) =
+  12,870 subsets, about 1 s a case).
 
 A fix may instead make a case raise a named ``MogpalError``, which the case
-then expects.  A case that returns a wrong number is a strict xfail with its
-measured error beside it.  For the telescoping and cache identities they
-are the cases whose ``K_uu`` has a condition number near 1e11 or above,
-where the dense ``R_t`` loses digits too; the posterior mean drifts in one
-case alone.  The whole-pool budgets exhaust the target pool, so the
-max-entropy fallback and the near-tie rule run in every regime.
+then expects.  Two certificate cases raise ``IllConditionedError`` today: at
+the whole pool greedy and brute force hold the same 16 tuples in other
+orders, and ``criterion_F`` of that one set moves with the order by more
+than the 1e-9 that ``check_guarantee`` allows.  A case that returns a wrong
+number is a strict xfail with its measured error beside it.  For the
+telescoping and cache identities they are the cases whose ``K_uu`` has a
+condition number near 1e11 or above, where the dense ``R_t`` loses digits
+too; the posterior mean drifts in one case alone.  The whole-pool budgets
+exhaust the target pool, so the max-entropy fallback and the near-tie rule
+run in every regime.
 """
 
 import functools
@@ -32,10 +40,12 @@ import pytest
 
 import oracles
 from mogpal import (
-    Hyperparams, as_tuple, build_cache, build_model, criterion_F, kernels, pitc_posterior,
+    Hyperparams, IllConditionedError, as_tuple, build_cache, build_model, criterion_F, kernels,
+    pitc_posterior,
 )
 from mogpal.pitc import select_inducing
 from mogpal.selector import select_greedy
+from mogpal.verify import check_guarantee
 
 # locations per type (a target type and one auxiliary type)
 POOLS = {"small": 8, "large": 150}
@@ -81,6 +91,14 @@ CASES = [
     f"{pool}-{inducing}-{latent}-{budget}"
     for pool in POOLS for inducing in INDUCING for latent in LATENT for budget in BUDGETS
 ]
+CERTIFICATE_CASES = [
+    c for c in CASES if c.endswith("-one") or c.startswith("small-") and c.endswith("-whole")
+]
+# certificate case id -> the named error it raises
+RAISES = {
+    "small-mid-w31.6-whole": IllConditionedError,
+    "small-dense-w31.6-whole": IllConditionedError,
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,11 +113,16 @@ def _instance(pool, inducing, latent):
     return model, build_cache(model)
 
 
-@functools.lru_cache(maxsize=None)
-def _greedy(case):
+def _budget(case):
     pool, inducing, latent, budget = case.split("-")
     model, cache = _instance(pool, inducing, latent)
     n = {"one": 1, "half": len(model.candidates) // 2, "whole": len(model.candidates)}[budget]
+    return model, cache, n
+
+
+@functools.lru_cache(maxsize=None)
+def _greedy(case):
+    model, cache, n = _budget(case)
     state = select_greedy(model, cache, n)
     assert len(state.selected) == n
     return model, cache, state
@@ -162,3 +185,13 @@ def test_posterior_mean_matches_the_dense_conditional(case):
 @pytest.mark.parametrize("case", _cases("cache", "the cache drifts"))
 def test_cache_matches_the_direct_log_determinant(case):
     assert _cache_error(case) <= RTOL
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_greedy_meets_the_certificate(case):
+    model, cache, n = _budget(case)
+    if case in RAISES:
+        with pytest.raises(RAISES[case], match="^greedy value .* exceeds exhaustive optimum "):
+            check_guarantee(model, cache, n)
+    else:
+        assert check_guarantee(model, cache, n).satisfied

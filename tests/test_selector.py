@@ -262,6 +262,23 @@ class TestSelectGreedy:
         assert cumulative == pytest.approx(objective, rel=1e-6)
 
 
+    def test_falls_back_below_the_gain_floor_with_targets_free(self):
+        # below the noise floor every gain can be under greedy's 1e-9 while
+        # targets are free: greedy then picks by maximum entropy, as m-Var does
+        h = Hyperparams(signal_var=[0.02, 1e-9], noise_var=[0.001, 0.5],
+                        latent_prec_inv=[0.5], smooth_prec_inv=[[0.1], [0.1]])
+        rng = np.random.default_rng(0)
+        cands = {i: [as_tuple([x], i) for x in rng.uniform(0.0, 5.0, 8)] for i in (0, 1)}
+        locs = np.array([t.location for tuples in cands.values() for t in tuples])
+        with pytest.warns(UserWarning, match="below 1/\\(2 pi e\\)"):
+            model = build_model(h, select_inducing(locs, 4, seed=0), cands)
+        cache = build_cache(model)
+        state = select_greedy(model, cache, 4)
+        assert state.selected == select_mvar(model, cache, 4).selected
+        assert [p.type_index for p in state.selected] == [1] * 4
+        assert all(0.0 < gain < 1e-9 for gain in state.gains)
+
+
 class TestSelectMvar:
     def test_first_pick_is_max_prior_variance(self):
         model, cache = random_instance(21, n_per_type=(5, 5))
