@@ -4,16 +4,17 @@ All solves and log-determinants in the package go through this module so the
 numerical policy lives in one place: try a Cholesky factorization, on failure
 add ``1e-10 * trace/n`` to the diagonal exactly once, then fail hard.
 
-``chol_spd`` returns a factor in a new array; ``spd_info_in_place``, for the
-target pool's large residual, factors in the matrix's own buffer, keeps only
-``W^T A^-1 W`` and has the caller rewrite the buffer.
+``chol_spd`` returns a factor in a new array; ``spd_inverse`` inverts in that
+factor's buffer; ``spd_info_in_place``, for the target pool's large residual,
+factors in the matrix's own buffer, keeps only ``W^T A^-1 W`` and has the
+caller rewrite the buffer.
 """
 
 import logging
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import IllConditionedError
 
@@ -90,6 +91,27 @@ def _potrf_in_place(a):
         raise ValueError("dpotrf copied its input; pass a C-contiguous float64 array")
     if info != 0 or not np.all(np.isfinite(np.diagonal(a))):
         raise np.linalg.LinAlgError(f"dpotrf info {info}")
+
+
+def spd_inverse(a, name="matrix"):
+    """Inverse of an SPD matrix ``a``, in the lower triangle of the
+    C-ordered array returned (its strict upper triangle is zero).
+
+    ``a`` is factored with :func:`chol_spd`'s jitter policy, log line and
+    errors, and LAPACK ``dpotri`` inverts in the factor's own buffer, so the
+    inverse needs no array beside the factor.  A 0x0 input gives a 0x0
+    inverse.
+    """
+    n = len(a)
+    if n == 0:
+        return np.zeros((0, 0))
+    lower = chol_spd(a, name).lower
+    out, info = dpotri(lower.T, lower=0, overwrite_c=1)
+    if not np.may_share_memory(out, lower):
+        raise ValueError("dpotri copied its input; the factor must be C-contiguous float64")
+    if info != 0:
+        raise IllConditionedError(f"{name} ({n}x{n}) has no inverse (dpotri info {info})")
+    return lower
 
 
 def spd_info_in_place(a, w, refill, name="matrix"):

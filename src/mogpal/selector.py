@@ -19,10 +19,11 @@ candidates bit-equal wherever a from-scratch rebuild does.  s-MI reads its
 leave-one-out variances off an inverse downdated in pick order, which can
 tie two mirror candidates that a refactorization splits by an ulp, or split
 them, so rounding decides between them.  The single-output baselines keep
-the one-type prior over the target pool, and s-MI its inverse, as their only
-|V_t|^2 arrays; an s-MI pick downdates just the inverse entries it reads,
-O(|X| |V_t|) after |X| picks, beside the from-scratch variance recompute
-both share, O(|X|^2 |V_t|).
+the one-type prior over the target pool, and s-MI its inverse, made in the
+buffer of the prior's Cholesky factor, as their only |V_t|^2 arrays; an s-MI
+pick downdates the one column of the inverse it reads, O(|X| |V_t|) after
+|X| picks, beside the from-scratch variance recompute both share,
+O(|X|^2 |V_t|).
 """
 
 import csv
@@ -35,7 +36,7 @@ from . import kernels
 from .criterion import GainEvaluator, _checked_log
 from .errors import ConfigError
 from .kernels import LOG_2PI_E, TupleArray, TypedLocation
-from .linalg import SpdFactor, chol_spd
+from .linalg import SpdFactor, chol_spd, spd_inverse
 from .pitc import PitcModel
 
 __all__ = [
@@ -155,17 +156,19 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
     ascending pool order: exact float ties between far-apart candidates
     decide picks, so the rounding must not depend on the pick order.
 
-    s-MI also factors the prior once with ``chol_spd`` and inverts it,
-    O(|V_t|^3).  Downdating that inverse P on each pick's pivot (a Schur
-    complement) keeps ``1 / P[j, j]`` the variance of free candidate ``j``
-    given the other free ones (Krause, Singh & Guestrin 2008).  A pick reads
-    only P's diagonal and the picked candidate's row and column, so those
-    are all that is downdated: the row and column are rebuilt from the
-    undowndated inverse by replaying the earlier picks' rank-one terms in
-    pick order, O(|X| |V_t|), with the elementwise operations of a dense
-    downdate, so every score is bit-equal to one.  The prior and its
-    inverse are the only |V_t|^2 arrays; the replayed rows and columns fill
-    two preallocated budget x |V_t| buffers.
+    s-MI also factors the prior once, O(|V_t|^3), and ``spd_inverse``
+    inverts it in the factor's buffer.  Downdating that inverse P on each
+    pick's pivot (a Schur complement) keeps ``1 / P[j, j]`` the variance of
+    free candidate ``j`` given the other free ones (Krause, Singh & Guestrin
+    2008).  A pick reads only P's diagonal and the picked candidate's
+    column, so those are all that is downdated: P is exactly symmetric, and
+    so is each downdate, so the column, read off P's lower triangle, stands
+    for the row too.  It is rebuilt from the undowndated inverse by
+    replaying the earlier picks' rank-one terms in pick order,
+    O(|X| |V_t|), with the elementwise operations of a dense downdate, so
+    every score is bit-equal to one.  The prior and its inverse are the
+    only |V_t|^2 arrays; the replayed columns fill one preallocated
+    budget x |V_t| buffer.
     """
     t = model.h.target_type
     s = model.type_slices[t]
@@ -179,10 +182,11 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
     prior = kernels.cov_matrix(ta, ta, h_t)
     picked = np.zeros(len(ta), dtype=bool)
     if mutual_information:
-        inverse = chol_spd(prior, "single-output pool prior").solve(np.eye(len(ta)))
+        # the inverse's lower triangle
+        inverse = spd_inverse(prior, "single-output pool prior")
         diagonal = np.diag(inverse).copy()
-        # the downdated inverse's column and row at each pick, and its pivot
-        cols, rows = np.empty((2, n, len(ta)))
+        # the downdated inverse's column at each pick, and its pivot
+        cols = np.empty((n, len(ta)))
         pivots = np.empty(n)
 
     def add(j):
@@ -190,15 +194,14 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
         picked[k] = True
         if mutual_information:
             i = np.count_nonzero(picked) - 1
-            col, row = cols[i], rows[i]
-            col[:], row[:] = inverse[:, k], inverse[k, :]
-            for c, r, piv in zip(cols[:i], rows[:i], pivots):
-                col -= c * r[k] / piv
-                row -= c[k] * r / piv
+            col = cols[i]
+            col[:k], col[k:] = inverse[k, :k], inverse[k:, k]
+            for c, piv in zip(cols[:i], pivots):
+                col -= c * c[k] / piv
             # col[k] is the diagonal entry that passed the checked log as a
             # leave-one-out variance
             pivots[i] = col[k]
-            np.subtract(diagonal, col * row / col[k], out=diagonal)
+            np.subtract(diagonal, col * col / col[k], out=diagonal)
 
     def scores():
         sel, free = np.flatnonzero(picked), np.flatnonzero(~picked)
@@ -241,12 +244,13 @@ def select_smi(model: PitcModel, n: int, single_output_hypers=None) -> Selection
 
     Scores each free candidate by its variance given the selected set
     against its variance given the other free candidates (Krause, Singh &
-    Guestrin 2008).  Costs one O(|V_t|^3) factorization and inverse of the
-    prior (the prior and its inverse are its only |V_t|^2 arrays), then per
-    pick O(|X| |V_t|) to downdate the entries of that inverse the scores
-    read, on top of the s-Var variance recompute, O(|X|^2 |V_t|) for |X|
-    picks so far; rounding there can decide between mirror candidates (see
-    the module notes).  Options as in :func:`select_svar`; raises
+    Guestrin 2008).  Costs one O(|V_t|^3) factorization of the prior,
+    inverted in place (the prior and its inverse are its only |V_t|^2
+    arrays, beside one budget x |V_t| buffer), then per pick O(|X| |V_t|)
+    to downdate the one column of that inverse the scores read, on top of
+    the s-Var variance recompute, O(|X|^2 |V_t|) for |X| picks so far;
+    rounding there can decide between mirror candidates (see the module
+    notes).  Options as in :func:`select_svar`; raises
     :class:`IllConditionedError` when a variance or a leave-one-out
     variance ``1 / P[j, j]`` is not finite and positive, which also covers
     each downdate pivot, scored before it is picked.

@@ -14,7 +14,7 @@ from mogpal import kernels
 from mogpal.criterion import GainEvaluator, _checked_log, build_cache, criterion_F
 from mogpal.errors import ConfigError, DomainError, EnumerationGuardError, IllConditionedError
 from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation, as_tuple
-from mogpal.linalg import chol_spd
+from mogpal.linalg import chol_spd, spd_inverse
 from mogpal.pitc import BlockFactors, PitcModel, build_model, select_inducing
 from mogpal.selector import _greedy_loop, check_budget
 from mogpal.verify import ENUMERATION_GUARD, INSTANCE_INDUCING
@@ -377,7 +377,8 @@ def select_single_output_scratch(model, n, kind, single_output_hypers=None):
 def select_smi_dense(model, n, single_output_hypers=None):
     """s-MI with the whole |V_t| x |V_t| inverse downdated at every pick.
 
-    The prior and its inverse are built as in ``select_smi``; each pick then
+    The prior and its inverse are built as in ``select_smi``, the inverse's
+    lower triangle mirrored into the upper; each pick then
     subtracts the full rank-one Schur term ``outer(P[:, k], P[k, :]) /
     P[k, k]`` from the inverse P, O(|V_t|^2), and scores off its diagonal.
     ``select_smi`` downdates only the entries it reads with the same
@@ -395,7 +396,8 @@ def select_smi_dense(model, n, single_output_hypers=None):
     )
     prior = kernels.cov_matrix(ta, ta, h_t)
     picked = np.zeros(len(ta), dtype=bool)
-    inverse = chol_spd(prior, "single-output pool prior").solve(np.eye(len(ta)))
+    lower = spd_inverse(prior, "single-output pool prior")
+    inverse = np.where(np.tri(len(ta), dtype=bool), lower, lower.T)
     downdate = np.empty_like(inverse)
 
     def add(j):

@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 
 from mogpal.errors import IllConditionedError
-from mogpal.linalg import JITTER_SCALE, chol_spd, spd_info_in_place
+from mogpal import linalg
+from mogpal.linalg import JITTER_SCALE, chol_spd, spd_info_in_place, spd_inverse
 
 NAME = "type-0 residual block"
 
@@ -105,6 +106,58 @@ class TestCholSpd:
             chol_spd(a, NAME)
         assert str(exc.value).startswith(f"{NAME} (4x4) is not positive definite")
         assert str(exc.value).endswith(message)
+
+
+class TestSpdInverse:
+    def test_matches_the_dense_inverse(self, rng):
+        b = rng.normal(size=(60, 60))
+        a = b @ b.T / 60 + np.eye(60)
+        inverse = spd_inverse(a, NAME)
+        expected = np.linalg.inv(a)
+        lower = np.tri(60, dtype=bool)
+        assert np.max(np.abs(inverse - expected)[lower]) <= 1e-12 * np.max(np.abs(expected))
+        assert np.all(inverse[~lower] == 0.0)
+
+    def test_jitter_pass_inverts_what_chol_spd_factors(self, caplog):
+        caplog.set_level(logging.INFO, logger="mogpal.linalg")
+        factor = chol_spd(_singular(), NAME)
+        copied = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        inverse = spd_inverse(_singular(), NAME)
+        assert [r.getMessage() for r in caplog.records] == copied
+        assert copied == [f"jitter pass on {NAME} (n=3, jitter={factor.jitter:.3e})"]
+        expected = np.linalg.inv(_singular() + factor.jitter * np.eye(3))
+        lower = np.tri(3, dtype=bool)
+        np.testing.assert_allclose(inverse[lower], expected[lower], rtol=1e-6)
+
+    def test_inverts_in_the_factor_buffer(self, monkeypatch):
+        factors = []
+
+        def spy(a, name):
+            factors.append(chol_spd(a, name))
+            return factors[-1]
+
+        monkeypatch.setattr(linalg, "chol_spd", spy)
+        inverse = spd_inverse(np.eye(4) + 0.5, NAME)
+        assert len(factors) == 1 and inverse is factors[0].lower
+
+    def test_rejects_non_positive_definite(self):
+        with pytest.raises(IllConditionedError, match=f"^{NAME} \\(2x2\\) is not positive definite"):
+            spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]), NAME)
+
+    def test_failed_inversion_names_the_matrix(self, monkeypatch):
+        monkeypatch.setattr(linalg, "dpotri", lambda c, lower, overwrite_c: (c, 2))
+        with pytest.raises(IllConditionedError, match=f"^{NAME} \\(3x3\\) has no inverse "
+                                                      "\\(dpotri info 2\\)$"):
+            spd_inverse(np.eye(3), NAME)
+
+    def test_refuses_a_copied_inversion(self, monkeypatch):
+        monkeypatch.setattr(linalg, "dpotri", lambda c, lower, overwrite_c: (c.copy(), 0))
+        with pytest.raises(ValueError, match="copied"):
+            spd_inverse(np.eye(3), NAME)
+
+    def test_empty(self):
+        assert spd_inverse(np.zeros((0, 0)), NAME).shape == (0, 0)
 
 
 class TestSpdInfoInPlace:

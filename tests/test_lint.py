@@ -4,10 +4,11 @@ only tests reach, against dataclass fields that no run reads, against
 function parameters that their body never reads, against pool lookups
 outside ``pitc``, against kernel matrices outside the modules that build
 covariances, against the near-tie band outside ``selector`` and ``verify``,
-against a function that takes a tuple list or its ``TupleArray`` alike,
-against a ``config`` loader restating a default, against
-an INI read that names no section, against package file I/O in the
-locale's encoding and against a test oracle that nothing references.
+against a factorization or LAPACK call outside ``linalg``, against a
+function that takes a tuple list or its ``TupleArray`` alike, against a
+``config`` loader restating a default, against an INI read that names no
+section, against package file I/O in the locale's encoding and against a
+test oracle that nothing references.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
@@ -22,8 +23,11 @@ read as ``W G + R`` from ``PitcModel``, so only ``kernels``, ``pitc``,
 ``selector``, ``experiment`` and ``hyperlearn`` reference ``cov_matrix``,
 ``latent_cross_matrix`` or ``latent_matrix``.  The greedy loop holds the one
 near-tie rule, so only ``selector`` and ``verify``'s leaf band reference
-``TIE_ATOL``.  One table, ``CONFINED``, holds these three rules, and a
-reference is a name, an attribute or an import.  A tuple set is turned into
+``TIE_ATOL``.  The jitter policy lives in ``linalg``, so only it references
+``cholesky``, ``cho_solve``, ``solve_triangular``, ``lapack``, ``dpotrf`` or
+``dpotri``.  One table, ``CONFINED``, holds these four rules, and a
+reference is a name, an attribute, an imported name or a part of an
+imported module's dotted path.  A tuple set is turned into
 a ``TupleArray`` once, by ``TupleArray.build`` at a public entry point, and
 every function below takes that form alone, so no package module calls
 ``isinstance`` with ``TupleArray``, bare or as ``kernels.TupleArray``.  At
@@ -372,6 +376,7 @@ def test_library_functions_read_their_parameters(path):
 
 
 KERNEL_CALLERS = ("kernels", "pitc", "selector", "experiment", "hyperlearn")
+FACTORIZATIONS = ("cholesky", "cho_solve", "solve_triangular", "lapack", "dpotrf", "dpotri")
 # name -> the only modules that may reference it
 CONFINED = {
     "tuple_index": ("pitc",),
@@ -379,7 +384,21 @@ CONFINED = {
     "latent_cross_matrix": KERNEL_CALLERS,
     "latent_matrix": KERNEL_CALLERS,
     "TIE_ATOL": ("selector", "verify"),
+    **{name: ("linalg",) for name in FACTORIZATIONS},
 }
+
+
+def _imported(tree):
+    """Each part of the dotted names and modules that imports in ``tree``
+    name: ``from scipy.linalg.lapack import dpotri`` gives ``scipy``,
+    ``linalg``, ``lapack`` and ``dpotri``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.update(node.module.split("."))
+    return out
 
 
 def confined_references(package):
@@ -389,7 +408,7 @@ def confined_references(package):
     found = []
     for module, source in package.items():
         tree = ast.parse(source)
-        names = _references([tree]) | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+        names = _references([tree]) | _imported(tree)
         found += [(module, name) for name in names & CONFINED.keys()
                   if module not in CONFINED[name]]
     return sorted(found)
@@ -402,13 +421,16 @@ def test_confinement_scanner_flags_only_other_modules(reference):
     every = "".join(reference.format(name=name) for name in CONFINED)
     package = {
         "pitc": every, "selector": every, "criterion": every,
-        "data": "cov = model.cov\ntie_atol = 1e-9\nnote = 'TIE_ATOL'\nmodel.tuple_indexes\n",
+        "linalg": "from scipy.linalg.lapack import dpotri\nlower = np.linalg.cholesky(a)\n",
+        "data": "cov = model.cov\ntie_atol = 1e-9\nnote = 'TIE_ATOL'\nmodel.tuple_indexes\n"
+                "import numpy.linalg\nfrom scipy import linalg\nlinalg.eigh(a)\n",
+        "hyperlearn": "import scipy.linalg.lapack\n",
     }
-    assert confined_references(package) == [
-        ("criterion", "TIE_ATOL"), ("criterion", "cov_matrix"),
-        ("criterion", "latent_cross_matrix"), ("criterion", "latent_matrix"),
-        ("criterion", "tuple_index"), ("pitc", "TIE_ATOL"), ("selector", "tuple_index"),
-    ]
+    assert confined_references(package) == sorted(
+        [("criterion", name) for name in CONFINED]
+        + [("pitc", "TIE_ATOL"), ("selector", "tuple_index"), ("hyperlearn", "lapack")]
+        + [(module, name) for module in ("pitc", "selector") for name in FACTORIZATIONS]
+    )
 
 
 def test_confined_names_stay_in_their_modules():

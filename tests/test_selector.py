@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -468,22 +467,32 @@ class TestSingleOutputBaselines:
         assert len(held) == budget
         assert max(held) / (8 * pool**2) < 2.5
 
+    def test_smi_peaks_below_two_and_a_half_pool_squares(self):
+        # the prior and the inverse, which is made in the factor's buffer;
+        # the inverse is built with no identity to solve against
+        pool, budget = 600, 30
+        model = _one_type_pool(pool)
+        tracemalloc.start()
+        try:
+            select_smi(model, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * pool**2) < 2.5
+
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
     def test_bad_inverse_diagonal_raises(self, monkeypatch, value):
         # a leave-one-out variance 1 / P[j, j] is checked before it is scored
         # or pivots a downdate, with no RuntimeWarning on a zero P[j, j]
         model, _ = random_instance(33, n_per_type=(6, 4))
-        chol_spd = selector.chol_spd
+        spd_inverse = selector.spd_inverse
 
         def corrupted(a, name):
-            factor = chol_spd(a, name)
-            if name != "single-output pool prior":
-                return factor
-            inverse = factor.solve(np.eye(len(a)))
+            inverse = spd_inverse(a, name)
             inverse[2, 2] = value
-            return SimpleNamespace(solve=lambda b: inverse)
+            return inverse
 
-        monkeypatch.setattr(selector, "chol_spd", corrupted)
+        monkeypatch.setattr(selector, "spd_inverse", corrupted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditionedError, match="leave-one-out variance"):
