@@ -27,8 +27,9 @@ the kernel.
 Conditioning on a selection is one ``pitc.BlockFactors``, whose factors of
 ``K_uu + S`` and ``K_uu + T + S_aux`` serve ``criterion_F`` and the exact
 rescoring (and the first the posterior mean); ``verify`` reads variances
-from :class:`GainEvaluator`.  ``selector._greedy_loop`` holds the near-tie
-rule that asks for the exact scores.
+and, for the exhaustive optimum, pair sweeps from :class:`GainEvaluator`.
+``selector._greedy_loop`` holds the near-tie rule that asks for the exact
+scores.
 ``criterion_F`` takes tuples and looks up their pool positions once;
 :class:`GainEvaluator` takes pool positions.
 """
@@ -124,6 +125,25 @@ class _ConditionedVariances:
         self.count += 1
         self.var -= row * row
 
+    def pair_variances(self, cov, start, what):
+        """Entry ``[b, c]`` is the variance of member ``start + c`` once the
+        member ``start + b`` is conditioned on too, for the members from
+        ``start`` on, whose prior covariance ``cov`` is overwritten with the
+        result: ``condition`` for every ``b`` at once, O(count F^2) for F
+        members.  The diagonal is about zero; a pivot that is not finite and
+        positive raises as in ``condition``."""
+        var = self.var[start:]
+        bad = ~(np.isfinite(var) & (var > 0))
+        if bad.any():
+            raise IllConditionedError(
+                f"{what} is {var[bad][0]!r}; the selection covariance is numerically singular"
+            )
+        done = self.rows[:self.count, start:]
+        cov -= done.T @ done
+        cov /= np.sqrt(var)[:, None]
+        cov *= cov
+        return np.subtract(var, cov, out=cov)
+
 
 class GainEvaluator:
     """Objective gains and entropies of the whole pool, kept up to date one
@@ -134,6 +154,9 @@ class GainEvaluator:
     ``add`` builds the pick's covariance row against the pool once and takes
     a rank-one downdate of both: O(N (m + |X|)) per pick for N candidates,
     m inducing points and |X| selected tuples, whatever the target-pool size.
+    ``pair_gains`` scores every pick after one more, from a free tail of F
+    positions, in O((m + |X|) F^2) with arrays of F x F at most; the
+    brute-force optimum reads it.
     ``exact_gains`` and ``exact_entropies`` score candidates as a per-pick
     rebuild does, by a sweep over one factorization of the selection that
     reads the picks' covariance as ``W G + R``; the greedy loop asks for them.
@@ -203,7 +226,8 @@ class GainEvaluator:
     def _gains(self, cols, var_sel, var_aug):
         """Gains of free candidates ``cols`` from their variances given the
         selection and, through ``var_aug(aux_cols)``, the auxiliary ones'
-        variances given the augmented set."""
+        variances given the augmented set.  The variances may carry a second
+        axis, one selection a column, as ``pair_gains`` passes them."""
         log_sel = _checked_log(var_sel)
         out = 0.5 * (LOG_2PI_E + log_sel)
         aux = ~self._is_target[cols]
@@ -231,6 +255,60 @@ class GainEvaluator:
         if self._free[self._target].any():
             out[free] = self._gains(free, self._sel.var[free],
                                     lambda cols: self._aug.var[self._aux_pos[cols]])
+        return out
+
+    def pair_gains(self, start):
+        """Gains one pick ahead over the free tail of pool positions
+        ``[start, N)``: entry ``[b, c]`` is the gain of ``start + c`` given
+        the selection plus ``start + b``, as ``add(start + b)`` then
+        ``gains()`` give it, and the diagonal is -inf.
+
+        ``add``'s rank-one conditioning for every ``b`` at once, from the
+        tail's prior block ``W G + R``, which each type's contiguous range
+        gives by basic slices: O((m + |X|) F^2) for F = N - start, and every
+        array is F x F at most.  The row of the last free target candidate is
+        zero, as ``gains()`` is once the objective is constant; a pivot or a
+        tail variance that is not finite and positive raises
+        :class:`IllConditionedError`, as ``add`` or ``gains()`` would.
+        """
+        model = self.model
+        n = len(model.candidates)
+        if not 0 <= start <= n:
+            raise DomainError(f"tail start {start} is outside [0, {n}]")
+        if not self._free[start:].all():
+            raise DomainError(f"the tail from pool position {start} holds a selected position")
+        a0 = int(np.searchsorted(model.aux_cols, start))
+        cov = model.W[start:] @ model.G[:, start:]
+        aug_cov = model.W[model.aux_cols[a0:]] @ self._aug_basis[:, a0:]
+        for i, s in model.type_slices.items():
+            lo = max(s.start, start)
+            if lo >= s.stop:
+                continue
+            r = model.R[i][lo - s.start:, lo - s.start:]
+            k = lo - start
+            cov[k:k + len(r), k:k + len(r)] += r
+            if i != model.h.target_type:
+                k = self._aux_pos[lo] - a0
+                aug_cov[k:k + len(r), k:k + len(r)] += r
+        var_sel = self._sel.pair_variances(
+            cov, start, "variance of the pick given the selection")
+        aug = self._aug.pair_variances(aug_cov, a0, "augmented variance of the pick")
+        out = np.zeros(cov.shape)
+        free_targets = self._target.start + np.flatnonzero(self._free[self._target])
+        if free_targets.size:
+            # variances of 1.0 keep the logarithms finite on the diagonal,
+            # set below, and give exactly zero gains in the row of a pick
+            # that exhausts the target pool, whose other columns are all
+            # auxiliary
+            np.fill_diagonal(var_sel, 1.0)
+            np.fill_diagonal(aug, 1.0)
+            var_aug = np.tile(self._aug.var[a0:], (len(cov), 1))
+            var_aug[~self._is_target[start:]] = aug
+            last = free_targets[0] - start
+            if free_targets.size == 1 and last >= 0:
+                var_sel[last] = var_aug[last] = 1.0
+            out = self._gains(np.arange(start, n), var_sel.T, lambda _: var_aug.T).T
+        np.fill_diagonal(out, -np.inf)
         return out
 
     # -- exact sweeps over a factorization of the selection -----------------

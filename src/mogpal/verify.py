@@ -9,10 +9,14 @@ pass: the unsampled target pool, then the selection added to it.
 
 The exhaustive optimum walks the size-n subsets of pool positions as a
 prefix tree: one gain sweep per prefix scores every one-step extension, so
-a subset's value is its prefix's value plus one gain.  Only subsets whose
-telescoped value lies within ``selector.TIE_ATOL`` of the best are
-rescored from scratch, which keeps the winner and its value those of a full
-enumeration; the prefixes' gains are the evaluator's incremental ones.
+a subset's value is its prefix's value plus its gains.  The tree stops two
+picks short of the leaves: at each prefix of size n - 2, one gain sweep and
+one pair sweep (``GainEvaluator.pair_gains``) over the F positions after
+it score every last two picks, in O((m + |X|) F^2) with arrays of F x F at
+most (F <= 1414 under the enumeration guard, so 16 MB an array).  Only
+subsets whose telescoped value lies within ``selector.TIE_ATOL`` of the best
+are rescored from scratch, which keeps the winner and its value those of a
+full enumeration; the prefixes' gains are the evaluator's incremental ones.
 """
 
 import math
@@ -82,11 +86,15 @@ def brute_force_optimum(model: PitcModel, cache: SpdFactor, n: int):
     enumerations beyond 10^6 subsets.
 
     Subsets are grown level by level as a prefix tree: each prefix of size
-    k < n costs one ``GainEvaluator`` state and one gain sweep, and each of
-    its extensions by a later candidate is valued at the prefix's value
-    plus that candidate's gain.  Every subset valued within ``TIE_ATOL`` of
-    the best is rescored with :func:`criterion_F`, in enumeration order,
-    and the first strictly best rescored value wins; so the subset and value
+    k < n - 2 costs one ``GainEvaluator`` state and one gain sweep, and each
+    of its extensions by a later candidate is valued at the prefix's value
+    plus that candidate's gain.  A prefix of size n - 2 costs one state, one
+    gain sweep and one pair sweep over the F positions after its last,
+    O((m + |X|) F^2) and F x F at most, and its extension by ``b < c`` is
+    valued at the prefix's value plus the gain of ``b`` plus the gain of
+    ``c`` after ``b``.  Every subset valued within ``TIE_ATOL`` of the best
+    is rescored with :func:`criterion_F`, in enumeration order, and the
+    first strictly best rescored value wins; so the subset and value
     returned are those of scoring every subset with :func:`criterion_F`
     whenever the telescoped values are within ``TIE_ATOL / 2`` of it.
     """
@@ -102,24 +110,32 @@ def brute_force_optimum(model: PitcModel, cache: SpdFactor, n: int):
         return [], float(criterion_F(model, cache, []))
     evaluator = GainEvaluator(model, cache)
     prefixes = {(): 0.0}
-    leaves = []  # (prefix, first extension, values of the extensions)
-    for k in range(n):
+    for k in range(n - 2):
         stop = len(cands) - n + k + 1  # leaves room for the picks after
         grown = {}
         for prefix, value in prefixes.items():
             first = prefix[-1] + 1 if prefix else 0
             gains = evaluator.set_state(prefix).gains()
-            if k == n - 1:
-                leaves.append((prefix, first, value + gains[first:stop]))
-            else:
-                for j in range(first, stop):
-                    grown[prefix + (j,)] = value + gains[j]
+            for j in range(first, stop):
+                grown[prefix + (j,)] = value + gains[j]
         prefixes = grown
+    # (prefix, first extension, values of the extensions by one pick, or by
+    # two at [b, c], b < c, with -inf elsewhere)
+    leaves = []
+    for prefix, value in prefixes.items():
+        first = prefix[-1] + 1 if prefix else 0
+        gains = evaluator.set_state(prefix).gains()[first:]
+        if n == 1:
+            leaves.append((prefix, first, value + gains))
+        else:
+            values = value + gains[:, None] + evaluator.pair_gains(first)
+            values[np.tri(len(gains), dtype=bool)] = -np.inf
+            leaves.append((prefix, first, values))
     best = max(values.max() for _, _, values in leaves)
     best_subset, best_value = None, -np.inf
     for prefix, first, values in leaves:
-        for offset in np.flatnonzero(values >= best - TIE_ATOL):
-            subset = [cands[i] for i in prefix + (first + int(offset),)]
+        for offsets in np.argwhere(values >= best - TIE_ATOL):
+            subset = [cands[i] for i in prefix + tuple(first + offsets)]
             value = criterion_F(model, cache, subset)
             if value > best_value:
                 best_subset, best_value = subset, value

@@ -10,6 +10,7 @@ import oracles
 from mogpal import (
     DomainError,
     Hyperparams,
+    IllConditionedError,
     as_tuple,
     build_cache,
     build_model,
@@ -435,6 +436,73 @@ class TestGainEvaluator:
                 ev._aug.var[[aux_pos[t] for t in free_aux]],
                 np.diag(dense), rtol=1e-9, atol=0,
             )
+
+
+class TestPairGains:
+    @pytest.mark.parametrize("make", [
+        lambda: random_instance(70, n_per_type=(5, 5)),
+        lambda: random_instance(70, n_per_type=(4, 4, 4)),
+        lambda: random_instance(68, n_per_type=(8,)),
+        lambda: oracles.random_instance(71, n_per_type=(3, 3, 3), target_type=2),
+    ], ids=["two-types", "three-types", "one-type", "last-type-targeted"])
+    def test_rows_match_one_more_add(self, make):
+        # row b is the gain sweep after add(start + b); the tails start in
+        # the target range and inside an auxiliary one
+        model, cache = make()
+        n = len(model.candidates)
+        ev, replay = GainEvaluator(model, cache), GainEvaluator(model, cache)
+        for x, start in (([], 0), ([1], 2), ([0, 3], 4), ([0, 3], n - 3)):
+            pairs = ev.set_state(x).pair_gains(start)
+            assert pairs.shape == (n - start, n - start)
+            assert np.all(np.diagonal(pairs) == -np.inf)
+            for b in range(n - start):
+                np.testing.assert_allclose(
+                    pairs[b], replay.set_state(x + [start + b]).gains()[start:],
+                    rtol=1e-12, atol=0,
+                )
+
+    @pytest.mark.parametrize("x, start", [([], 0), ([0], 1), ([0, 1], 2)],
+                             ids=["root", "after-a-target", "target-pool-selected"])
+    def test_row_of_the_last_free_target_is_zero(self, x, start):
+        # two target candidates, 0 and 1: the objective is constant once
+        # both are selected, so every gain after it is exactly zero
+        model, cache = random_instance(66, n_per_type=(2, 5))
+        ev = GainEvaluator(model, cache).set_state(x)
+        pairs = ev.pair_gains(start)
+        replay = GainEvaluator(model, cache)
+        for b in range(pairs.shape[0]):
+            exhausts = not (set(range(2)) - set(x) - {start + b})
+            np.testing.assert_allclose(
+                pairs[b], replay.set_state(x + [start + b]).gains()[start:],
+                rtol=1e-12, atol=0,
+            )
+            assert np.all(np.delete(pairs[b], b) == 0.0) == exhausts
+
+    @pytest.mark.parametrize("state, pick, what", [
+        ("_sel", 7, "variance of the pick given the selection"),
+        ("_aug", 2, "augmented variance of the pick"),
+    ], ids=["selection", "augmented"])
+    def test_nonpositive_pivot_raises_as_add_does(self, state, pick, what):
+        # pool position 7 is the auxiliary candidate at auxiliary position 2
+        model, cache = random_instance(70, n_per_type=(5, 5))
+        ev = GainEvaluator(model, cache).set_state([1])
+        getattr(ev, state).var[pick] = 0.0
+        with pytest.raises(IllConditionedError, match=what):
+            ev.pair_gains(2)
+        with pytest.raises(IllConditionedError, match=what):
+            ev.add(7)
+
+    def test_start_below_a_selected_position_is_refused(self):
+        model, cache = random_instance(70, n_per_type=(5, 5))
+        ev = GainEvaluator(model, cache).set_state([1, 6])
+        for start in (0, 6):
+            with pytest.raises(DomainError, match="holds a selected position"):
+                ev.pair_gains(start)
+        for start in (-1, 11):
+            with pytest.raises(DomainError, match="outside"):
+                ev.pair_gains(start)
+        assert ev.pair_gains(7).shape == (3, 3)
+        assert ev.pair_gains(10).shape == (0, 0)
 
 
 class TestVarGivenSelected:

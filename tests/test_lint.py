@@ -4,11 +4,12 @@ only tests reach, against dataclass fields that no run reads, against
 function parameters that their body never reads, against pool lookups
 outside ``pitc``, against kernel matrices outside the modules that build
 covariances, against the near-tie band outside ``selector`` and ``verify``,
-against a factorization or LAPACK call outside ``linalg``, against a
-function that takes a tuple list or its ``TupleArray`` alike, against a
-``config`` loader restating a default, against an INI read that names no
-section, against package file I/O in the locale's encoding and against a
-test oracle that nothing references.
+against the pair sweep outside ``criterion`` and ``verify``, against a
+factorization or LAPACK call outside ``linalg``, against a function that
+takes a tuple list or its ``TupleArray`` alike, against a ``config`` loader
+restating a default, against an INI read that names no section, against
+package file I/O in the locale's encoding and against a test oracle that
+nothing references.
 
 No linter is part of the test toolchain, so these walk syntax trees.  The
 unused-import scan covers every ``src/mogpal`` module and every test
@@ -23,16 +24,17 @@ read as ``W G + R`` from ``PitcModel``, so only ``kernels``, ``pitc``,
 ``selector``, ``experiment`` and ``hyperlearn`` reference ``cov_matrix``,
 ``latent_cross_matrix`` or ``latent_matrix``.  The greedy loop holds the one
 near-tie rule, so only ``selector`` and ``verify``'s leaf band reference
-``TIE_ATOL``.  The jitter policy lives in ``linalg``, so only it references
-``cholesky``, ``cho_solve``, ``solve_triangular``, ``lapack``, ``dpotrf`` or
-``dpotri``.  One table, ``CONFINED``, holds these four rules, and a
-reference is a name, an attribute, an imported name or a part of an
-imported module's dotted path.  A tuple set is turned into
-a ``TupleArray`` once, by ``TupleArray.build`` at a public entry point, and
-every function below takes that form alone, so no package module calls
-``isinstance`` with ``TupleArray``, bare or as ``kernels.TupleArray``.  At
-module level the package
-imports no third-party module but ``numpy`` and ``scipy.linalg``, so that a
+``TIE_ATOL``.  The brute-force optimum's pair sweep is one more scoring
+path, so only ``criterion``, which defines it, and ``verify`` reference
+``pair_gains``, and no selector grows a second one.  The jitter policy
+lives in ``linalg``, so only it references ``cholesky``, ``cho_solve``,
+``solve_triangular``, ``lapack``, ``dpotrf`` or ``dpotri``.  One table,
+``CONFINED``, holds these five rules, and a reference is a name, an
+attribute, an imported name or a part of an imported module's dotted path.
+A tuple set is turned into a ``TupleArray`` once, by ``TupleArray.build`` at
+a public entry point, and every function below takes that form alone, so no
+package module calls ``isinstance`` with ``TupleArray``, bare or as
+``kernels.TupleArray``.  At module level the package imports no third-party module but ``numpy`` and ``scipy.linalg``, so that a
 run that never fits does not load ``scipy.optimize`` (``test_startup.py``
 checks the loaded modules; this scan names the module that imports).  Each
 INI default is declared once, on its dataclass field, so a ``config`` loader
@@ -384,6 +386,7 @@ CONFINED = {
     "latent_cross_matrix": KERNEL_CALLERS,
     "latent_matrix": KERNEL_CALLERS,
     "TIE_ATOL": ("selector", "verify"),
+    "pair_gains": ("criterion", "verify"),
     **{name: ("linalg",) for name in FACTORIZATIONS},
 }
 
@@ -427,8 +430,9 @@ def test_confinement_scanner_flags_only_other_modules(reference):
         "hyperlearn": "import scipy.linalg.lapack\n",
     }
     assert confined_references(package) == sorted(
-        [("criterion", name) for name in CONFINED]
+        [("criterion", name) for name in CONFINED if name != "pair_gains"]
         + [("pitc", "TIE_ATOL"), ("selector", "tuple_index"), ("hyperlearn", "lapack")]
+        + [("pitc", "pair_gains"), ("selector", "pair_gains")]
         + [(module, name) for module in ("pitc", "selector") for name in FACTORIZATIONS]
     )
 

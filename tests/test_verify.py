@@ -120,6 +120,27 @@ class TestBruteForce:
         assert 1 <= len(calls) < math.comb(12, 3) // 10
         assert (best, value) == oracles.brute_force_optimum(model, cache, 3)
 
+    def test_one_state_per_prefix_and_one_pair_sweep_below_the_leaves(self, monkeypatch):
+        # the root's state grows the 10 one-pick prefixes, and each of those
+        # scores its subsets' last two picks from one state and one pair sweep
+        model, cache = random_instance(65, n_per_type=(6, 6))
+        states, sweeps = [], []
+        set_state, pair_gains = GainEvaluator.set_state, GainEvaluator.pair_gains
+
+        def counted_state(self, cols):
+            states.append(tuple(cols))
+            return set_state(self, cols)
+
+        def counted_sweep(self, start):
+            sweeps.append(start)
+            return pair_gains(self, start)
+
+        monkeypatch.setattr(GainEvaluator, "set_state", counted_state)
+        monkeypatch.setattr(GainEvaluator, "pair_gains", counted_sweep)
+        best, value = brute_force_optimum(model, cache, 3)
+        assert states == [()] + [(j,) for j in range(10)]
+        assert sweeps == list(range(1, 11))
+        assert (best, value) == oracles.brute_force_optimum(model, cache, 3)
 
     def test_one_selection_factor_per_leaf_rescoring(self, monkeypatch):
         # the prefix sweeps read incremental gains, so only criterion_F's
@@ -173,9 +194,13 @@ def _exhausted_target_instance():
     (lambda: random_instance(70, n_per_type=(4, 4, 4)), 3),
     (lambda: oracles.random_instance(71, n_per_type=(3, 3, 3), target_type=2), 4),
     (_exhausted_target_instance, 4),
+    (lambda: random_instance(72, n_per_type=(1, 5)), 2),
+    (lambda: random_instance(72, n_per_type=(1, 5)), 3),
+    (lambda: random_instance(69, n_per_type=(6, 6)), 2),
 ], ids=[
     "n0", "n1", "n3", "whole-pool", "modular-exact-ties", "mirror-near-ties",
     "one-type", "two-types", "three-types", "last-type-targeted", "target-exhausted",
+    "pair-exhausts-target-n2", "pair-exhausts-target-n3", "pairs-from-the-root",
 ])
 def test_prefix_tree_matches_full_enumeration(build, n):
     model, cache = build()
