@@ -82,14 +82,22 @@ def lat_cov(u, v, h):
     return gd(delta, list(h.latent_prec_inv))
 
 
+# the smallest exponent whose exp is a normal double
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
 def _pairwise_density(xa, xb, diag_cov):
-    """Matrix of gd(xa[r] - xb[c], diag_cov) values."""
+    """Matrix of gd(xa[r] - xb[c], diag_cov) values, zero where the
+    exponent is below log(DBL_MIN), the kernels' rule for an entry whose
+    exp would be subnormal."""
     diag_cov = np.asarray(diag_cov, dtype=float)
     d = diag_cov.shape[0]
     diff = xa[:, None, :] - xb[None, :, :]
     quad = np.einsum("rcv,v->rc", diff * diff, 1.0 / diag_cov)
     norm = TWO_PI ** (-0.5 * d) * float(np.prod(diag_cov)) ** -0.5
-    return norm * np.exp(-0.5 * quad)
+    expo = -0.5 * quad
+    expo[expo < _LOG_TINY] = -np.inf
+    return norm * np.exp(expo)
 
 
 def cov_matrix(a, b, h: Hyperparams):

@@ -15,6 +15,7 @@ from mogpal import (
     as_tuple,
 )
 from mogpal.kernels import (
+    TWO_PI,
     TupleArray,
     _pairwise_density,
     cov_matrix,
@@ -307,6 +308,103 @@ class TestInPlaceAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * out.nbytes
+
+
+LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+def _unflushed(xa, xb, width):
+    """The exponent and the normal density of ``xa[r] - xb[c]`` without the
+    zero rule, assembled as ``oracles._pairwise_density`` assembles them."""
+    width = np.asarray(width, dtype=float)
+    diff = xa[:, None, :] - xb[None, :, :]
+    expo = -0.5 * np.einsum("rcv,v->rc", diff * diff, 1.0 / width)
+    norm = TWO_PI ** (-0.5 * width.size) * float(np.prod(width)) ** -0.5
+    return expo, norm * np.exp(expo)
+
+
+def _edge_offsets(width, dim):
+    """Two offsets from the origin along the first axis: the largest whose
+    exponent under ``width`` is at or above ``LOG_TINY``, and the next
+    double, whose exponent is below it."""
+    def expo(x):
+        return _unflushed(np.zeros((1, dim)), np.array([[x] + [0.0] * (dim - 1)]), width)[0][0, 0]
+    x = math.sqrt(-2.0 * width[0] * LOG_TINY)
+    while expo(x) < LOG_TINY:
+        x = np.nextafter(x, 0.0)
+    while expo(np.nextafter(x, np.inf)) >= LOG_TINY:
+        x = np.nextafter(x, np.inf)
+    assert 0.0 <= expo(x) - LOG_TINY <= 4 * np.spacing(-LOG_TINY)
+    return [[x] + [0.0] * (dim - 1), [np.nextafter(x, np.inf)] + [0.0] * (dim - 1)]
+
+
+class TestSubnormalRule:
+    """An entry whose exponent is below log(DBL_MIN) is exactly 0.0, where
+    the unflushed formula gives a subnormal; every other entry keeps the bits
+    of the unflushed formula, up to an exponent a few ulps above the
+    threshold."""
+
+    H = {
+        1: Hyperparams(signal_var=[1.3, 0.7], noise_var=[0.2, 0.1],
+                       latent_prec_inv=[0.3], smooth_prec_inv=[[0.2], [0.35]]),
+        2: Hyperparams(signal_var=[1.3, 0.7], noise_var=[0.2, 0.1],
+                       latent_prec_inv=[0.3, 0.45],
+                       smooth_prec_inv=[[0.2, 0.1], [0.35, 0.15]]),
+    }
+
+    @staticmethod
+    def _check(got, expo, unflushed):
+        flushed = expo < LOG_TINY
+        # the band: the unflushed formula is subnormal there, not zero
+        assert np.any(flushed & (unflushed != 0.0))
+        assert np.all(got[flushed] == 0.0)
+        assert np.array_equal(got[~flushed], unflushed[~flushed])
+
+    @staticmethod
+    def _coords(dim, n, seed):
+        # separations from 0 to over 50 span every width's band (26 to 38)
+        return np.random.default_rng(seed).uniform(0.0, 50.0, (n, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cov_matrix(self, dim):
+        h = self.H[dim]
+        xa = np.vstack([self._coords(dim, 60, dim), np.zeros((1, dim))])
+        xb = np.vstack([self._coords(dim, 50, 10 + dim), _edge_offsets(h.pair_width(0, 0), dim)])
+        a = [as_tuple(x, k % 2) for k, x in enumerate(xa[:-1])] + [as_tuple(xa[-1], 0)]
+        b = [as_tuple(x, k % 2) for k, x in enumerate(xb[:-2])] + [as_tuple(x, 0) for x in xb[-2:]]
+        ta, tb = TupleArray.build(a, h), TupleArray.build(b, h)
+        got = cov_matrix(ta, tb, h)
+        for i in (0, 1):
+            for j in (0, 1):
+                ra, rb = ta.indices_of_type(i), tb.indices_of_type(j)
+                expo, dens = _unflushed(ta.coords[ra], tb.coords[rb], h.pair_width(i, j))
+                amp = math.sqrt(h.signal_var[i] * h.signal_var[j])
+                self._check(got[np.ix_(ra, rb)], expo, amp * dens)
+        # the zero tuple against the two edge tuples: kept, then zero
+        assert got[-1, -2] > 0.0 and got[-1, -1] == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_latent_cross_matrix(self, dim):
+        h = self.H[dim]
+        xa = np.vstack([self._coords(dim, 60, dim), _edge_offsets(h.latent_width(0), dim)])
+        u = np.vstack([self._coords(dim, 40, 10 + dim), np.zeros((1, dim))])
+        a = [as_tuple(x, k % 2) for k, x in enumerate(xa[:-2])] + [as_tuple(x, 0) for x in xa[-2:]]
+        ta = TupleArray.build(a, h)
+        got = latent_cross_matrix(ta, u, h)
+        for i in (0, 1):
+            ra = ta.indices_of_type(i)
+            expo, dens = _unflushed(ta.coords[ra], u, h.latent_width(i))
+            self._check(got[ra], expo, math.sqrt(h.signal_var[i]) * dens)
+        assert got[-2, -1] > 0.0 and got[-1, -1] == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_latent_matrix(self, dim):
+        h = self.H[dim]
+        u = np.vstack([np.zeros((1, dim)), self._coords(dim, 80, dim),
+                       _edge_offsets(h.latent_prec_inv, dim)])
+        got = latent_matrix(u, h)
+        self._check(got, *_unflushed(u, u, h.latent_prec_inv))
+        assert got[0, -2] > 0.0 and got[0, -1] == 0.0
 
 
 class TestHyperparams:
