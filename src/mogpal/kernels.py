@@ -10,11 +10,23 @@ All precision matrices are diagonal and are stored as their inverses (the
 diagonal covariance contributions), since only the inverse sums ever appear.
 
 A density whose exponent ``-0.5 * sum(delta**2 / c)`` is below
-``log(DBL_MIN)`` (``LOG_TINY``, about -708.396) is exactly zero: its ``exp``
-would be subnormal, and on x86 the subnormal path of ``exp`` costs 150 to
-280 ns per entry against about 1 ns for a normal result.  An entry lost
-this way is below ``DBL_MIN`` times the density's peak.  Every covariance
-goes through this one rule.
+``0.5 * log(DBL_MIN)`` (``LOG_TINY``, about -354.198) is exactly zero, so
+every kept entry is at least ``sqrt(DBL_MIN)`` times the density's peak and
+the product of two kept unit-peak densities is a normal number.  Subnormals
+are slow on x86: the subnormal path of ``exp`` costs 150 to 280 ns per
+entry against about 1 ns for a normal result, and the factorizations and
+solves, which multiply pairs of entries inside LAPACK, slow down the same
+way when those products underflow.  With the entries between
+``log(DBL_MIN)`` and ``LOG_TINY`` kept, the 1200 x 1200 grid prior of
+``perfbench/experiment.ini`` factors in 46 to 48 ms and the 550 x 550 s-MI
+prior in 7.0 to 7.2 ms; with them dropped, in 26 to 28 and 2.4 to 2.7 ms,
+the speed of a generic SPD matrix of those sizes (minimum of 9, one
+OpenBLAS thread, 2-vCPU Xeon VM).  An entry lost this way is below
+``sqrt(DBL_MIN)`` (about 1.5e-154) times the density's peak, some 138
+orders of magnitude below the rounding unit of an O(1) entry.  The rule
+bounds the density, not the covariance: the normalization and the amplitude
+still scale each value, so where ``norm * amplitude < 1`` a product of two
+kept entries can still land just below ``DBL_MIN``.  Every covariance goes through this one rule.
 """
 
 import math
@@ -33,8 +45,10 @@ LOG_2PI_E = math.log(TWO_PI * math.e)
 # guaranteed to be nondecreasing (marginal entropies can go negative).
 NOISE_FLOOR = 1.0 / (TWO_PI * math.e)
 
-# An exponent below this gives a subnormal exp; the kernel makes it zero.
-LOG_TINY = math.log(sys.float_info.min)
+# An exponent below this gives a density under sqrt(DBL_MIN) times its peak,
+# whose product with another such density inside a factorization would be
+# subnormal; the kernel makes it zero (see the module docstring).
+LOG_TINY = 0.5 * math.log(sys.float_info.min)
 
 
 class TypedLocation(NamedTuple):
@@ -214,7 +228,8 @@ class TupleArray:
 def _pairwise_density(xa, xb, diag_cov, out=None):
     """Matrix of normal densities of ``xa[r] - xb[c]`` under the zero-mean
     Gaussian with diagonal covariance ``diag_cov``, zero wherever the
-    exponent is below ``LOG_TINY`` (see the module docstring).
+    exponent is below ``LOG_TINY``, so every value kept is at least
+    ``sqrt(DBL_MIN)`` times the density's peak (see the module docstring).
 
     Filled in place into ``out`` (allocated when not given), with one scratch
     array of the same shape when ``d > 1`` and one boolean mask of an eighth

@@ -82,14 +82,14 @@ def lat_cov(u, v, h):
     return gd(delta, list(h.latent_prec_inv))
 
 
-# the smallest exponent whose exp is a normal double
-_LOG_TINY = math.log(np.finfo(float).tiny)
+# the smallest exponent whose exp is at least sqrt(DBL_MIN)
+_LOG_TINY = 0.5 * math.log(np.finfo(float).tiny)
 
 
 def _pairwise_density(xa, xb, diag_cov):
     """Matrix of gd(xa[r] - xb[c], diag_cov) values, zero where the
-    exponent is below log(DBL_MIN), the kernels' rule for an entry whose
-    exp would be subnormal."""
+    exponent is below 0.5 * log(DBL_MIN), the kernels' rule for an entry
+    under sqrt(DBL_MIN) times the density's peak."""
     diag_cov = np.asarray(diag_cov, dtype=float)
     d = diag_cov.shape[0]
     diff = xa[:, None, :] - xb[None, :, :]

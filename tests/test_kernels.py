@@ -22,6 +22,7 @@ from mogpal.kernels import (
     latent_cross_matrix,
     latent_matrix,
 )
+from mogpal.linalg import chol_spd, spd_inverse
 
 H2 = Hyperparams(
     signal_var=[1.0, 0.8],
@@ -310,7 +311,7 @@ class TestInPlaceAssembly:
         assert peak <= 2.5 * out.nbytes
 
 
-LOG_TINY = math.log(np.finfo(float).tiny)
+LOG_TINY = 0.5 * math.log(np.finfo(float).tiny)
 
 
 def _unflushed(xa, xb, width):
@@ -338,10 +339,11 @@ def _edge_offsets(width, dim):
     return [[x] + [0.0] * (dim - 1), [np.nextafter(x, np.inf)] + [0.0] * (dim - 1)]
 
 
-class TestSubnormalRule:
-    """An entry whose exponent is below log(DBL_MIN) is exactly 0.0, where
-    the unflushed formula gives a subnormal; every other entry keeps the bits
-    of the unflushed formula, up to an exponent a few ulps above the
+class TestUnderflowRule:
+    """An entry whose exponent is below 0.5 * log(DBL_MIN) is exactly 0.0,
+    where the unflushed formula gives a value under sqrt(DBL_MIN) times the
+    density's peak, normal or subnormal; every other entry keeps the bits of
+    the unflushed formula, up to an exponent a few ulps above the
     threshold."""
 
     H = {
@@ -355,14 +357,17 @@ class TestSubnormalRule:
     @staticmethod
     def _check(got, expo, unflushed):
         flushed = expo < LOG_TINY
-        # the band: the unflushed formula is subnormal there, not zero
-        assert np.any(flushed & (unflushed != 0.0))
+        # the band: the unflushed formula is not zero there, and it holds
+        # normal values as well as subnormal ones
+        assert np.any(flushed & (unflushed >= np.finfo(float).tiny))
+        assert np.any(flushed & (unflushed < np.finfo(float).tiny) & (unflushed != 0.0))
         assert np.all(got[flushed] == 0.0)
         assert np.array_equal(got[~flushed], unflushed[~flushed])
 
     @staticmethod
     def _coords(dim, n, seed):
-        # separations from 0 to over 50 span every width's band (26 to 38)
+        # separations from 0 to over 50 span every width's band, from the
+        # threshold (15 to 27) to the last nonzero unflushed value (21 to 39)
         return np.random.default_rng(seed).uniform(0.0, 50.0, (n, dim))
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -405,6 +410,70 @@ class TestSubnormalRule:
         got = latent_matrix(u, h)
         self._check(got, *_unflushed(u, u, h.latent_prec_inv))
         assert got[0, -2] > 0.0 and got[0, -1] == 0.0
+
+
+class TestUnderflowRuleKeepsFactoredResults:
+    """The entries the rule drops are too small to move what the package
+    computes from a factored prior: on a grid whose band is populated, the
+    synthetic draw ``L @ z`` and the s-MI inverse keep the bits they have
+    under the unflushed formula."""
+
+    # the hyperparameters of perfbench/experiment.ini; over extent 60 the
+    # band runs from separation 39.5 to 57
+    H = Hyperparams(signal_var=[1.0, 0.8], noise_var=[0.25, 0.1],
+                    latent_prec_inv=[2.0], smooth_prec_inv=[[0.1], [0.1]])
+
+    @staticmethod
+    def _priors(ta, h):
+        """``cov_matrix(ta, ta, h)`` and the same matrix from the unflushed
+        formula, with the band's size and its count of normal values."""
+        got = cov_matrix(ta, ta, h)
+        unflushed = np.empty_like(got)
+        band = normal = 0
+        for i in ta.type_set:
+            ra = ta.indices_of_type(i)
+            for j in ta.type_set:
+                rb = ta.indices_of_type(j)
+                expo, dens = _unflushed(ta.coords[ra], ta.coords[rb], h.pair_width(i, j))
+                block = math.sqrt(h.signal_var[i] * h.signal_var[j]) * dens
+                in_band = (expo < LOG_TINY) & (block != 0.0)
+                band += int(in_band.sum())
+                normal += int((in_band & (block >= np.finfo(float).tiny)).sum())
+                unflushed[np.ix_(ra, rb)] = block
+        # a grid repeats no location, so the noise sits on the diagonal alone
+        unflushed.flat[::len(ta) + 1] += h.noise_var[ta.types]
+        return got, unflushed, band, normal
+
+    @staticmethod
+    def _grid(h, n_types):
+        x = np.linspace(0.0, 60.0, 150)
+        return TupleArray.build(
+            [as_tuple(c, ti) for ti in range(n_types) for c in x], h
+        )
+
+    def test_prior_draw(self):
+        # the synthetic draw's prior: noise-free, plus 1e-10 jitter
+        ta = self._grid(self.H, 2)
+        got, unflushed, band, normal = self._priors(ta, self.H)
+        assert band > 0 and normal > 0
+        lowers = []
+        for prior in (got, unflushed):
+            prior.flat[::len(ta) + 1] -= self.H.noise_var[ta.types]
+            prior.flat[::len(ta) + 1] += 1e-10
+            lowers.append(chol_spd(prior, "synthetic prior").lower)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            z = rng.standard_normal(len(ta))
+            assert np.array_equal(lowers[0] @ z, lowers[1] @ z)
+
+    def test_single_output_inverse(self):
+        h = self.H.single_output(0)
+        ta = self._grid(h, 1)
+        got, unflushed, band, normal = self._priors(ta, h)
+        assert band > 0 and normal > 0
+        inverses = [spd_inverse(prior, "single-output pool prior")
+                    for prior in (got, unflushed)]
+        assert np.array_equal(np.tril(inverses[0]), np.tril(inverses[1]))
 
 
 class TestHyperparams:
