@@ -100,6 +100,7 @@ class _ConditionedVariances:
     Keeps the whitened covariance rows of the picks, ``L^-1 K(X, .)`` with
     ``L`` the Cholesky factor of ``K(X, X)``, in a buffer that grows by
     doubling, and ``var = prior - sum(rows**2)``.
+    ``selector``'s single-output baselines keep one too.
     """
 
     def __init__(self, prior_var):

@@ -6,24 +6,26 @@ all types; the baselines pick by plain posterior entropy over all types
 under a single-output model (``select_svar``, ``select_smi``).  Greedy picks
 by entropy too whenever no free gain exceeds 1e-9.  All four
 run the paper's greedy loop, ``_greedy_loop``, which holds the one tie rule:
-condition on the previous pick, score the model's whole pool (the
-single-output baselines give -inf outside the target pool), rescore the
-scores within ``TIE_ATOL`` of the best from a factorization of the selection
-(greedy and m-Var, whose scores are incremental) and take the first best
-pool position, so exact ties go to the lowest position, lexicographic on
-``(type_index, coordinates)``.  A fixed configuration thus reproduces the
-same sequence on one BLAS setup; other BLAS kernels can round mirror ties
-the other way (``OPENBLAS_CORETYPE=Haswell`` moves 7 ``experiment``
-benchmark digests).  Greedy, m-Var and s-Var score mathematically tied
-candidates bit-equal wherever a from-scratch rebuild does.  s-MI reads its
-leave-one-out variances off an inverse downdated in pick order, which can
-tie two mirror candidates that a refactorization splits by an ulp, or split
-them, so rounding decides between them.  The single-output baselines keep
-the one-type prior over the target pool, and s-MI its inverse, made in the
-buffer of the prior's Cholesky factor, as their only |V_t|^2 arrays; an s-MI
-pick downdates the one column of the inverse it reads, O(|X| |V_t|) after
-|X| picks, beside the from-scratch variance recompute both share,
-O(|X|^2 |V_t|).
+condition on the previous pick, score the model's whole pool incrementally
+(the single-output baselines give -inf outside the target pool), rescore
+the scores within ``TIE_ATOL`` of the best from a factorization of the
+selection and take the first best pool position, so exact ties go to the
+lowest position, lexicographic on ``(type_index, coordinates)``.  The
+incremental scores stay far within ``TIE_ATOL`` of the rescored ones, so
+the pick is the one a rebuild at every pick makes.  A fixed configuration
+thus reproduces the same sequence on one BLAS setup; other BLAS kernels can
+round mirror ties the other way (``OPENBLAS_CORETYPE=Haswell`` moves 7
+``experiment`` benchmark digests).  Greedy, m-Var and s-Var score
+mathematically tied candidates bit-equal wherever a from-scratch rebuild
+does.  s-MI reads its leave-one-out variances off an inverse downdated in
+pick order, which can tie two mirror candidates that a refactorization
+splits by an ulp, or split them, so rounding decides between them.  The
+single-output baselines keep the one-type prior over the target pool, and
+s-MI its inverse, made in the buffer of the prior's Cholesky factor, as
+their only |V_t|^2 arrays.  A pick conditions their variances by a rank-one
+downdate, and an s-MI pick downdates the one column of the inverse it
+reads, each O(|X| |V_t|) after |X| picks; the near-tied candidates alone
+are rescored from scratch, O(|X|^3 + |X|^2 k) for k of them.
 """
 
 import csv
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .criterion import GainEvaluator, _checked_log
+from .criterion import GainEvaluator, _checked_log, _ConditionedVariances
 from .errors import ConfigError
 from .kernels import LOG_2PI_E, TupleArray, TypedLocation
 from .linalg import SpdFactor, chol_spd, spd_inverse
@@ -83,10 +85,10 @@ def _greedy_loop(model, n, scores, add):
     """Pick ``n`` of the model's candidates: each iteration hands ``add``
     the pool position of the previous pick (none at the first); ``scores()``
     returns the scores (selected candidates ``-inf``), the gains to record,
-    usually the same array, and ``exact``, which, unless None, rescores in
-    place the positions within ``TIE_ATOL`` of the best when there are
-    several; the first argmax is picked.  An iteration's time covers the
-    ``add``, the scoring and the pick."""
+    usually the same array, and ``exact``, which rescores in place the
+    positions within ``TIE_ATOL`` of the best when there are several; the
+    first argmax is picked.  An iteration's time covers the ``add``, the
+    scoring and the pick."""
     state = SelectionState()
     best = None
     for _ in range(n):
@@ -95,7 +97,7 @@ def _greedy_loop(model, n, scores, add):
             add(best)
         pick_scores, gains, exact = scores()
         near = np.flatnonzero(pick_scores >= pick_scores.max() - TIE_ATOL)
-        if exact is not None and near.size > 1:
+        if near.size > 1:
             pick_scores[near] = exact(near)
         best = int(np.argmax(pick_scores))
         state.record(model.candidates.tuples[best], float(gains[best]),
@@ -151,10 +153,22 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
 
     The target type is an exact one-type GP over the pool range
     ``type_slices[t]``, and ``picked`` marks the selection within that
-    range.  Each pick recomputes the variance of the candidates given the
-    |X| picked ones from scratch, O(|X|^2 |V_t|), over the picks in
-    ascending pool order: exact float ties between far-apart candidates
-    decide picks, so the rounding must not depend on the pick order.
+    range.  ``add`` conditions the variances of the pool on each pick by
+    the rank-one downdate of :class:`GainEvaluator`, whose row is the pick's
+    row of the prior, O(|X| |V_t|) after |X| picks, and ``scores()`` scores
+    every free candidate from them.  Its ``exact`` recomputes the near-tied
+    candidates' variances from scratch: a factor of the selected block in
+    ascending pool order, a solve against their columns alone and the
+    quadratic form accumulated one pick at a time.  That is the order in
+    which ``einsum`` adds it over the whole pool's cross block
+    ``prior[:, sel]``, which is F-ordered; an ``einsum`` over the near rows
+    alone can add it in another.  So each rescored value is bit-equal to a
+    whole-pool recompute, and exact float ties between far-apart candidates
+    depend neither on the pick order nor on the near set.  The picks are
+    the recompute's: the incremental scores stay far within ``TIE_ATOL`` of
+    the recomputed ones (6.7e-16 at most over the ``experiment`` picks), so
+    the recompute's pick is always in the near set, rescored as the
+    recompute scores it, and a near set of one is that pick.
 
     s-MI also factors the prior once, O(|V_t|^3), and ``spd_inverse``
     inverts it in the factor's buffer.  Downdating that inverse P on each
@@ -166,9 +180,10 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
     for the row too.  It is rebuilt from the undowndated inverse by
     replaying the earlier picks' rank-one terms in pick order,
     O(|X| |V_t|), with the elementwise operations of a dense downdate, so
-    every score is bit-equal to one.  The prior and its inverse are the
-    only |V_t|^2 arrays; the replayed columns fill one preallocated
-    budget x |V_t| buffer.
+    every leave-one-out variance is bit-equal to one.  This half is never
+    rescored: the near-tie recompute reuses these variances.  The prior and
+    its inverse are the only |V_t|^2 arrays; the replayed columns fill one
+    preallocated budget x |V_t| buffer.
     """
     t = model.h.target_type
     s = model.type_slices[t]
@@ -181,6 +196,7 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
     )
     prior = kernels.cov_matrix(ta, ta, h_t)
     picked = np.zeros(len(ta), dtype=bool)
+    variances = _ConditionedVariances(np.diag(prior).copy())
     if mutual_information:
         # the inverse's lower triangle
         inverse = spd_inverse(prior, "single-output pool prior")
@@ -192,6 +208,8 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
     def add(j):
         k = j - s.start
         picked[k] = True
+        # the kernel prior is exactly symmetric: its row k is its column k
+        variances.condition(prior[k], k, "variance of the pick given the selection")
         if mutual_information:
             i = np.count_nonzero(picked) - 1
             col = cols[i]
@@ -203,24 +221,36 @@ def _select_single_output(model, n, mutual_information, single_output_hypers=Non
             pivots[i] = col[k]
             np.subtract(diagonal, col * col / col[k], out=diagonal)
 
-    def scores():
-        sel, free = np.flatnonzero(picked), np.flatnonzero(~picked)
-        var = np.diag(prior)
+    def score(var, rows):
+        """Scores of the free pool rows ``rows`` whose variances given the
+        selection are ``var``."""
+        log_var = _checked_log(var, f"posterior variance in pool {t}")
+        if not mutual_information:
+            return 0.5 * (LOG_2PI_E + log_var)
+        # a zero inverse diagonal gives inf, which the checked log rejects
+        with np.errstate(divide="ignore"):
+            loo_var = 1.0 / diagonal[rows]
+        log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
+        return 0.5 * log_var
+
+    def exact(near):
+        rows = near - s.start
+        var = np.diag(prior)[rows]
+        sel = np.flatnonzero(picked)
         if sel.size:
             factor = chol_spd(prior[np.ix_(sel, sel)], "selected single-output block")
-            cross = prior[:, sel]
-            var = var - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
-        log_var = _checked_log(var[free], f"posterior variance in pool {t}")
+            cross = prior[np.ix_(rows, sel)]
+            quad = np.zeros(rows.size)
+            for c, u in zip(cross.T, factor.solve(cross.T)):
+                quad += c * u
+            var = var - quad
+        return score(var, rows)
+
+    def scores():
+        free = np.flatnonzero(~picked)
         out = np.full(len(model.candidates), -np.inf)
-        if mutual_information:
-            # a zero inverse diagonal gives inf, which the checked log rejects
-            with np.errstate(divide="ignore"):
-                loo_var = 1.0 / diagonal[free]
-            log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
-            out[s.start + free] = 0.5 * log_var
-        else:
-            out[s.start + free] = 0.5 * (LOG_2PI_E + log_var)
-        return out, out, None
+        out[s.start + free] = score(variances.var[free], free)
+        return out, out, exact
 
     return _greedy_loop(model, n, scores, add)
 
@@ -232,8 +262,11 @@ def select_svar(model: PitcModel, n: int, single_output_hypers=None) -> Selectio
     parameters are derived from the multi-output model (``single_output``),
     or pass one-type ``single_output_hypers`` for refit mode.  A budget
     beyond the target pool is a ConfigError, which a run's config raises at
-    load (``ExperimentConfig.check_pool``).  Each pick recomputes the variance
-    given the selected set from scratch, O(|sel|^2 |V_t|).  Raises
+    load (``ExperimentConfig.check_pool``).  Each pick costs O(|X| |V_t|)
+    for |X| picks so far, a rank-one downdate of the variances given the
+    selection, plus a from-scratch recompute of the candidates tied with the
+    best within ``TIE_ATOL``, which makes the picks those of a recompute at
+    every pick (see :func:`_select_single_output`).  Raises
     :class:`IllConditionedError` when a candidate's variance is not finite and positive.
     """
     return _select_single_output(model, n, False, single_output_hypers)
@@ -247,10 +280,11 @@ def select_smi(model: PitcModel, n: int, single_output_hypers=None) -> Selection
     Guestrin 2008).  Costs one O(|V_t|^3) factorization of the prior,
     inverted in place (the prior and its inverse are its only |V_t|^2
     arrays, beside one budget x |V_t| buffer), then per pick O(|X| |V_t|)
-    to downdate the one column of that inverse the scores read, on top of
-    the s-Var variance recompute, O(|X|^2 |V_t|) for |X| picks so far;
-    rounding there can decide between mirror candidates (see the module
-    notes).  Options as in :func:`select_svar`; raises
+    to downdate the one column of that inverse the scores read, for |X|
+    picks so far, and the variances given the selection as in
+    :func:`select_svar`, near-tie recompute included; rounding in the
+    inverse can decide between mirror candidates (see the module notes).
+    Options as in :func:`select_svar`; raises
     :class:`IllConditionedError` when a variance or a leave-one-out
     variance ``1 / P[j, j]`` is not finite and positive, which also covers
     each downdate pivot, scored before it is picked.

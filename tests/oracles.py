@@ -11,7 +11,9 @@ import math
 import numpy as np
 
 from mogpal import kernels
-from mogpal.criterion import GainEvaluator, _checked_log, build_cache, criterion_F
+from mogpal.criterion import (
+    GainEvaluator, _checked_log, _ConditionedVariances, build_cache, criterion_F,
+)
 from mogpal.errors import ConfigError, DomainError, EnumerationGuardError, IllConditionedError
 from mogpal.kernels import TWO_PI, Hyperparams, TupleArray, TypedLocation, as_tuple
 from mogpal.linalg import chol_spd, spd_inverse
@@ -291,9 +293,14 @@ def greedy_gain(model, cache, x, candidate):
 def _rebuilt_loop(model, n, score):
     """``selector._greedy_loop`` with ``score`` handed the pool positions of
     every pick so far, so that it can start afresh; its scores are exact
-    already, so the loop rescores nothing."""
+    already, so the near-tie rescoring reads them back."""
     picks = []
-    return _greedy_loop(model, n, lambda: (*score(picks), None), picks.append)
+
+    def scores():
+        pick_scores, gains = score(picks)
+        return pick_scores, gains, pick_scores.__getitem__
+
+    return _greedy_loop(model, n, scores, picks.append)
 
 
 class _ScratchPools:
@@ -391,7 +398,10 @@ def select_smi_dense(model, n, single_output_hypers=None):
     P[k, k]`` from the inverse P, O(|V_t|^2), and scores off its diagonal.
     ``select_smi`` downdates only the entries it reads with the same
     elementwise operations in the same order, so its scores must equal
-    these bit for bit.
+    these bit for bit.  The variances given the selection are the
+    library's own: a ``_ConditionedVariances`` conditioned on each pick's
+    prior row, and near ties rescored from a factor of the selected block,
+    so that this oracle pins the inverse downdate alone.
     """
     t = model.h.target_type
     s = model.type_slices[t]
@@ -404,6 +414,7 @@ def select_smi_dense(model, n, single_output_hypers=None):
     )
     prior = kernels.cov_matrix(ta, ta, h_t)
     picked = np.zeros(len(ta), dtype=bool)
+    variances = _ConditionedVariances(np.diag(prior).copy())
     lower = spd_inverse(prior, "single-output pool prior")
     inverse = np.where(np.tri(len(ta), dtype=bool), lower, lower.T)
     downdate = np.empty_like(inverse)
@@ -411,28 +422,41 @@ def select_smi_dense(model, n, single_output_hypers=None):
     def add(j):
         k = j - s.start
         picked[k] = True
+        variances.condition(prior[k], k, "variance of the pick given the selection")
         # the pivot passed the checked log as a leave-one-out variance
         np.outer(inverse[:, k], inverse[k, :], out=downdate)
         np.divide(downdate, inverse[k, k], out=downdate)
         np.subtract(inverse, downdate, out=inverse)
 
-    def scores():
-        sel, free = np.flatnonzero(picked), np.flatnonzero(~picked)
-        var = np.diag(prior)
-        if sel.size:
-            factor = chol_spd(prior[np.ix_(sel, sel)], "selected single-output block")
-            cross = prior[:, sel]
-            var = var - np.einsum("nc,cn->n", cross, factor.solve(cross.T))
-        log_var = _checked_log(var[free], f"posterior variance in pool {t}")
-        out = np.full(len(model.candidates), -np.inf)
+    def score(var, rows):
+        log_var = _checked_log(var, f"posterior variance in pool {t}")
         # a zero inverse diagonal gives inf, which the checked log rejects
         with np.errstate(divide="ignore"):
-            loo_var = 1.0 / inverse[free, free]
+            loo_var = 1.0 / inverse[rows, rows]
         log_var -= _checked_log(loo_var, f"leave-one-out variance in pool {t}")
-        out[s.start + free] = 0.5 * log_var
-        return out, out, None
+        return 0.5 * log_var
+
+    def exact(near):
+        rows = near - s.start
+        var = np.diag(prior)[rows]
+        sel = np.flatnonzero(picked)
+        if sel.size:
+            factor = chol_spd(prior[np.ix_(sel, sel)], "selected single-output block")
+            cross = prior[np.ix_(rows, sel)]
+            quad = np.zeros(rows.size)
+            for c, u in zip(cross.T, factor.solve(cross.T)):
+                quad += c * u
+            var = var - quad
+        return score(var, rows)
+
+    def scores():
+        free = np.flatnonzero(~picked)
+        out = np.full(len(model.candidates), -np.inf)
+        out[s.start + free] = score(variances.var[free], free)
+        return out, out, exact
 
     return _greedy_loop(model, n, scores, add)
+
 
 class ScratchGainEvaluator:
     """Gain evaluation rebuilt from scratch for every selection.

@@ -4,7 +4,8 @@ only tests reach, against dataclass fields that no run reads, against
 function parameters that their body never reads, against pool lookups
 outside ``pitc``, against kernel matrices outside the modules that build
 covariances, against the near-tie band outside ``selector`` and ``verify``,
-against the pair sweep outside ``criterion`` and ``verify``, against a
+against the pair sweep outside ``criterion`` and ``verify``, against the
+rank-one variance downdate outside ``criterion`` and ``selector``, against a
 factorization or LAPACK call outside ``linalg``, against a function that
 takes a tuple list or its ``TupleArray`` alike, against a ``config`` loader
 restating a default, against an INI read that names no section, against
@@ -26,10 +27,13 @@ read as ``W G + R`` from ``PitcModel``, so only ``kernels``, ``pitc``,
 near-tie rule, so only ``selector`` and ``verify``'s leaf band reference
 ``TIE_ATOL``.  The brute-force optimum's pair sweep is one more scoring
 path, so only ``criterion``, which defines it, and ``verify`` reference
-``pair_gains``, and no selector grows a second one.  The jitter policy
+``pair_gains``, and no selector grows a second one.  The rank-one
+variance downdate is one implementation, so only ``criterion``, which
+defines ``_ConditionedVariances``, and ``selector``'s single-output
+baselines reference it.  The jitter policy
 lives in ``linalg``, so only it references ``cholesky``, ``cho_solve``,
 ``solve_triangular``, ``lapack``, ``dpotrf`` or ``dpotri``.  One table,
-``CONFINED``, holds these five rules, and a reference is a name, an
+``CONFINED``, holds these six rules, and a reference is a name, an
 attribute, an imported name or a part of an imported module's dotted path.
 A tuple set is turned into a ``TupleArray`` once, by ``TupleArray.build`` at
 a public entry point, and every function below takes that form alone, so no
@@ -387,6 +391,7 @@ CONFINED = {
     "latent_matrix": KERNEL_CALLERS,
     "TIE_ATOL": ("selector", "verify"),
     "pair_gains": ("criterion", "verify"),
+    "_ConditionedVariances": ("criterion", "selector"),
     **{name: ("linalg",) for name in FACTORIZATIONS},
 }
 
@@ -430,9 +435,10 @@ def test_confinement_scanner_flags_only_other_modules(reference):
         "hyperlearn": "import scipy.linalg.lapack\n",
     }
     assert confined_references(package) == sorted(
-        [("criterion", name) for name in CONFINED if name != "pair_gains"]
+        [("criterion", name) for name in CONFINED
+         if name not in ("pair_gains", "_ConditionedVariances")]
         + [("pitc", "TIE_ATOL"), ("selector", "tuple_index"), ("hyperlearn", "lapack")]
-        + [("pitc", "pair_gains"), ("selector", "pair_gains")]
+        + [("pitc", "pair_gains"), ("selector", "pair_gains"), ("pitc", "_ConditionedVariances")]
         + [(module, name) for module in ("pitc", "selector") for name in FACTORIZATIONS]
     )
 

@@ -20,7 +20,9 @@ from mogpal.selector import (
     select_svar,
     write_selection_log,
 )
+from mogpal.linalg import SpdFactor
 from conftest import random_hyperparams, random_instance
+import test_regimes
 
 
 def _grid_model(n=8, m=3, n_types=1, seed=0, target_type=0, noise=(0.2, 0.12)):
@@ -348,13 +350,13 @@ def _one_type_pool(n):
 
 def _after_each_score(monkeypatch, module, probe):
     """Hand ``probe`` the scores of every pick of the selectors that
-    ``module`` runs through ``_greedy_loop``."""
+    ``module`` runs through ``_greedy_loop``, and their exact rescoring."""
     loop = module._greedy_loop
 
     def probed(model, n, scores, add):
         def probed_scores():
             pick_scores, gains, exact = scores()
-            probe(pick_scores)
+            probe(pick_scores, exact)
             return pick_scores, gains, exact
 
         return loop(model, n, probed_scores, add)
@@ -377,6 +379,21 @@ DENSE_DOWNDATE_CASES = {
     **{f"random-{case[0]}": (lambda case=case: _scratch_case(*case)) for case in SCRATCH_CASES},
     "one-type-1000": lambda: (_one_type_pool(1000), None, 40),
 }
+
+
+def _regime_case(instance):
+    model, _ = test_regimes._instance(*instance.split("-"))
+    return model, None, len(model.R[model.h.target_type])
+
+
+# the whole single-output pools of the regime sweep's six instances whose
+# K_uu is ill-conditioned (the cache identity is wrong for all three budgets
+# of each)
+REGIME_CASES = {
+    f"regime-{instance}": (lambda instance=instance: _regime_case(instance))
+    for instance in sorted({case.rsplit("-", 1)[0] for case in test_regimes.WRONG["cache"]})
+}
+SINGLE_OUTPUT_CASES = {**DENSE_DOWNDATE_CASES, **REGIME_CASES}
 
 
 class TestSingleOutputBaselines:
@@ -437,8 +454,8 @@ class TestSingleOutputBaselines:
         # mirror ties included
         model, refit_h, n = DENSE_DOWNDATE_CASES[case]()
         scores = {"lazy": [], "dense": []}
-        _after_each_score(monkeypatch, selector, lambda x: scores["lazy"].append(x.copy()))
-        _after_each_score(monkeypatch, oracles, lambda x: scores["dense"].append(x.copy()))
+        _after_each_score(monkeypatch, selector, lambda x, _: scores["lazy"].append(x.copy()))
+        _after_each_score(monkeypatch, oracles, lambda x, _: scores["dense"].append(x.copy()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             state = select_smi(model, n, refit_h)
@@ -450,6 +467,87 @@ class TestSingleOutputBaselines:
         for lazy, dense in zip(scores["lazy"], scores["dense"]):
             assert np.array_equal(lazy, dense)
 
+    @pytest.mark.parametrize("kind", ["s-mi", "s-var"])
+    @pytest.mark.parametrize("case", sorted(SINGLE_OUTPUT_CASES))
+    def test_incremental_scores_match_the_recompute(self, monkeypatch, kind, case):
+        # the downdated variances score every free candidate within 1e-12 of
+        # the from-scratch recompute at every pick, far inside TIE_ATOL, so
+        # the near set holds the pick a recompute at every pick makes; the
+        # recompute, of the whole pool or of the near set alone, is bit-equal
+        # to the oracle's whole-pool einsum
+        model, refit_h, n = SINGLE_OUTPUT_CASES[case]()
+        pools = oracles._ScratchPools(model, refit_h)
+        t = model.h.target_type
+        s = model.type_slices[t]
+        gaps, bitwise = [], []
+
+        def probe(pick_scores, exact):
+            free = np.flatnonzero(np.isfinite(pick_scores))
+            recomputed = exact(free)
+            gaps.append(float(np.max(np.abs(pick_scores[free] - recomputed))))
+            near = pick_scores[free] >= pick_scores.max() - selector.TIE_ATOL
+            if kind == "s-var":
+                picked = np.flatnonzero(np.isinf(pick_scores[s]))
+                var = pools.posterior_var(t, list(picked))[free - s.start]
+                whole = 0.5 * (oracles.LOG_2PI_E + np.log(var))
+                bitwise.append(np.array_equal(recomputed, whole))
+            bitwise.append(np.array_equal(exact(free[near]), recomputed[near]))
+
+        _after_each_score(monkeypatch, selector, probe)
+        select = select_smi if kind == "s-mi" else select_svar
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            select(model, n, refit_h)
+        assert len(gaps) == n
+        assert max(gaps) <= 1e-12
+        assert all(bitwise)
+
+    # the other pools' picks are checked against the same oracle above, but
+    # for s-MI on the mirror-symmetric pools: there its downdated inverse
+    # and the oracle's refactorization can round the leave-one-out variances
+    # of mirror candidates apart differently, and which way moves with the
+    # BLAS thread count (selector's module notes)
+    @pytest.mark.parametrize("kind, case", [("s-var", "one-type-1000")] + [
+        (kind, case) for kind in ("s-mi", "s-var") for case in sorted(REGIME_CASES)
+    ])
+    def test_incremental_picks_match_the_rebuild(self, kind, case):
+        model, refit_h, n = SINGLE_OUTPUT_CASES[case]()
+        select = select_smi if kind == "s-mi" else select_svar
+        state = select(model, n, refit_h)
+        reference = oracles.select_single_output_scratch(model, n, kind, refit_h)
+        assert state.selected == reference.selected
+
+    @pytest.mark.parametrize("select", [select_smi, select_svar])
+    def test_recompute_solves_only_the_near_set(self, monkeypatch, select):
+        # a pick solves against the columns of its near ties alone, never
+        # against the whole target pool
+        pool, budget = 600, 30
+        model = _one_type_pool(pool)
+        events = []
+
+        def probe(pick_scores, _):
+            near = pick_scores >= pick_scores.max() - selector.TIE_ATOL
+            events.append(("near", int(np.count_nonzero(near))))
+
+        solve = SpdFactor.solve
+
+        def spy(self, b):
+            events.append(("solve", b.shape[1]))
+            return solve(self, b)
+
+        _after_each_score(monkeypatch, selector, probe)
+        monkeypatch.setattr(SpdFactor, "solve", spy)
+        select(model, budget)
+        kinds = [kind for kind, _ in events]
+        assert kinds.count("near") == budget
+        assert "solve" in kinds
+        near = None
+        for kind, width in events:
+            if kind == "near":
+                near = width
+            else:
+                assert width <= near < pool
+
     def test_smi_holds_two_pool_squares_between_picks(self, monkeypatch):
         # between picks s-MI keeps the prior and its inverse, and per pick
         # only a row and a column of the inverse, not a third |V_t|^2 array
@@ -457,7 +555,8 @@ class TestSingleOutputBaselines:
         model = _one_type_pool(pool)
         held = []
         _after_each_score(
-            monkeypatch, selector, lambda _: held.append(tracemalloc.get_traced_memory()[0])
+            monkeypatch, selector,
+            lambda *_: held.append(tracemalloc.get_traced_memory()[0]),
         )
         tracemalloc.start()
         try:
